@@ -116,7 +116,7 @@ let run_session ~backend ~scheme_winders ~corpus ~stats_flag ~disassemble
       Scheme.par_attach ~chunk ~steal ~domains ~corpus ~jobs s
   | None -> ());
   let dump_output () =
-    let out = Scheme.output s in
+    let out = Scheme.take_output s in
     if out <> "" then print_string out
   in
   (* The chunk is read here and evaluated one top-level datum at a time

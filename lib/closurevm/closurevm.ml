@@ -1335,6 +1335,7 @@ let control (vm : t) = vm.Engine.pol
 let stats = Engine.stats
 let globals = Engine.globals
 let output = Engine.output
+let take_output = Engine.take_output
 
 (* The code objects shared across machines (the halt code and the
    dynamic-wind resume codes) are template-compiled here, at module

@@ -71,6 +71,10 @@ val eval_datum :
 val output : t -> string
 (** Text emitted by [display]/[write]/[newline] so far. *)
 
+val take_output : t -> string
+(** The text emitted since the last [take_output], removed from the
+    buffer. *)
+
 val precompile : Rt.code list -> unit
 (** Template-compile the whole [Make_closure] DAG of each code object
     (uncounted), for code shared across sessions: the prelude image

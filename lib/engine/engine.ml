@@ -106,6 +106,11 @@ let stats vm = vm.stats
 let globals vm = vm.globals
 let output vm = Buffer.contents vm.out
 
+let take_output vm =
+  let s = Buffer.contents vm.out in
+  Buffer.clear vm.out;
+  s
+
 (* ------------------------------------------------------------------ *)
 (* Dispatch-loop helpers                                               *)
 (* ------------------------------------------------------------------ *)

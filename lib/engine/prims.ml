@@ -3,27 +3,16 @@ open Rt
 let check_int who v =
   match v with Int n -> n | _ -> Values.type_error who "fixnum" v
 
-(* Generic numbers: fixnums promote to flonums on contact. *)
-type num = I of int | F of float
-
-let to_num who v =
+(* Numbers are the [Int] and [Flo] values themselves: a fixnum promotes
+   to a flonum on contact, and nothing is allocated beyond the result. *)
+let num_float who v =
   match v with
-  | Int n -> I n
-  | Flo f -> F f
+  | Int n -> float_of_int n
+  | Flo f -> f
   | _ -> Values.type_error who "number" v
 
-let num_value = function I n -> Int n | F f -> Flo f
-let num_float = function I n -> float_of_int n | F f -> f
-
-let num_binop fi ff a b =
-  match (a, b) with
-  | I x, I y -> I (fi x y)
-  | a, b -> F (ff (num_float a) (num_float b))
-
-let num_cmp a b =
-  match (a, b) with
-  | I x, I y -> compare x y
-  | a, b -> compare (num_float a) (num_float b)
+let check_num who v =
+  match v with Int _ | Flo _ -> v | _ -> Values.type_error who "number" v
 
 let check_pair who v =
   match v with Pair p -> p | _ -> Values.type_error who "pair" v
@@ -74,29 +63,70 @@ let a3 who f args =
   match args with [| x; y; z |] -> f x y z | _ -> arity_error who
   [@@inline]
 
-(* Numeric fold over the arguments, promoting to flonum on contact. *)
-let num_fold who init fi ff args =
-  match Array.length args with
-  | 0 -> Int init
-  | _ ->
-      let acc = ref (to_num who args.(0)) in
-      for i = 1 to Array.length args - 1 do
-        acc := num_binop fi ff !acc (to_num who args.(i))
-      done;
-      num_value !acc
+let bool_of = Values.of_bool
 
-let num_compare who op args =
+(* One step of a numeric fold. *)
+let arith who fi ff a b =
+  match (a, b) with
+  | Int x, Int y -> Int (fi x y)
+  | Flo x, Flo y -> Flo (ff x y)
+  | _ ->
+      let x = num_float who a in
+      let y = num_float who b in
+      Flo (ff x y)
+
+(* Numeric fold over the arguments.  Callers match the two-fixnum case
+   before calling this. *)
+let num_fold who init fi ff args =
+  match args with
+  | [||] -> Int init
+  | [| a; b |] -> arith who fi ff a b
+  | _ ->
+      let acc = ref (check_num who args.(0)) in
+      for i = 1 to Array.length args - 1 do
+        acc := arith who fi ff !acc args.(i)
+      done;
+      !acc
+
+(* IEEE comparison of two numbers, so every comparison with a NaN is
+   false.  The right operand is type-checked first. *)
+let num_test who fi ff a b =
+  match (a, b) with
+  | Int x, Int y -> fi x y
+  | Flo x, Flo y -> ff x y
+  | _ ->
+      let y = num_float who b in
+      let x = num_float who a in
+      ff x y
+
+(* Every argument is type-checked, even after a false comparison. *)
+let num_compare who fi ff args =
   if Array.length args < 2 then arity_error who;
   let ok = ref true in
   for i = 0 to Array.length args - 2 do
-    if
-      not
-        (op (num_cmp (to_num who args.(i)) (to_num who args.(i + 1))) 0)
-    then ok := false
+    if not (num_test who fi ff args.(i) args.(i + 1)) then ok := false
   done;
-  Bool !ok
+  bool_of !ok
 
-let bool_of b = Bool b
+(* The sign tests compare against zero with the IEEE operators. *)
+let num_sign who fi ff a =
+  match a with
+  | Int n -> bool_of (fi n 0)
+  | Flo f -> bool_of (ff f 0.)
+  | _ -> Values.type_error who "number" a
+
+(* The rounding primitives: a fixnum is already integral. *)
+let integral who ff a =
+  match a with
+  | Int _ -> a
+  | Flo f -> Flo (ff f)
+  | v -> Values.type_error who "number" v
+
+(* A size the heap cannot supply is a Scheme error, not a crash. *)
+let alloc who n make =
+  try make n
+  with Out_of_memory | Invalid_argument _ ->
+    Values.err (who ^ ": size too large to allocate") [ Int n ]
 
 (* List helpers ----------------------------------------------------------- *)
 
@@ -240,33 +270,40 @@ let the_prims : (string * prim) list =
   in
   [
     (* -- arithmetic ------------------------------------------------- *)
-    pure "+" (At_least 0) (fun args -> num_fold "+" 0 ( + ) ( +. ) args);
-    pure "*" (At_least 0) (fun args -> num_fold "*" 1 ( * ) ( *. ) args);
+    pure "+" (At_least 0) (fun args ->
+        match args with
+        | [| Int x; Int y |] -> Int (x + y)
+        | _ -> num_fold "+" 0 ( + ) ( +. ) args);
+    pure "*" (At_least 0) (fun args ->
+        match args with
+        | [| Int x; Int y |] -> Int (x * y)
+        | _ -> num_fold "*" 1 ( * ) ( *. ) args);
     pure "-" (At_least 1) (fun args ->
-        match Array.length args with
-        | 1 -> (
-            match to_num "-" args.(0) with
-            | I n -> Int (-n)
-            | F f -> Flo (-.f))
+        match args with
+        | [| Int x; Int y |] -> Int (x - y)
+        | [| Int n |] -> Int (-n)
+        | [| Flo f |] -> Flo (-.f)
+        | [| v |] -> Values.type_error "-" "number" v
         | _ -> num_fold "-" 0 ( - ) ( -. ) args);
     pure "/" (At_least 1) (fun args ->
         (* exact when it divides evenly, inexact otherwise (no rationals) *)
         let div a b =
           match (a, b) with
-          | I x, I y when y <> 0 && x mod y = 0 -> I (x / y)
-          | _, b when num_float b = 0. && (match b with I _ -> true | _ -> false)
-            ->
-              Values.err "/: division by zero" []
-          | a, b -> F (num_float a /. num_float b)
+          | Int x, Int y when y <> 0 && x mod y = 0 -> Int (x / y)
+          | (Int _ | Flo _), Int 0 -> Values.err "/: division by zero" []
+          | _ ->
+              let x = num_float "/" a in
+              let y = num_float "/" b in
+              Flo (x /. y)
         in
-        match Array.length args with
-        | 1 -> num_value (div (I 1) (to_num "/" args.(0)))
+        match args with
+        | [| a |] -> div (Int 1) a
         | _ ->
-            let acc = ref (to_num "/" args.(0)) in
+            let acc = ref (check_num "/" args.(0)) in
             for i = 1 to Array.length args - 1 do
-              acc := div !acc (to_num "/" args.(i))
+              acc := div !acc args.(i)
             done;
-            num_value !acc);
+            !acc);
     pure "quotient" (Exactly 2)
       (a2 "quotient" (fun a b ->
            let b = check_int "quotient" b in
@@ -285,26 +322,48 @@ let the_prims : (string * prim) list =
            Int (if (r < 0) <> (b < 0) && r <> 0 then r + b else r)));
     pure "abs" (Exactly 1)
       (a1 "abs" (fun a ->
-           match to_num "abs" a with
-           | I n -> Int (abs n)
-           | F f -> Flo (Float.abs f)));
-    pure "min" (At_least 1) (fun args -> num_fold "min" 0 min Float.min args);
-    pure "max" (At_least 1) (fun args -> num_fold "max" 0 max Float.max args);
-    pure "=" (At_least 2) (num_compare "=" ( = ));
-    pure "<" (At_least 2) (num_compare "<" ( < ));
-    pure ">" (At_least 2) (num_compare ">" ( > ));
-    pure "<=" (At_least 2) (num_compare "<=" ( <= ));
-    pure ">=" (At_least 2) (num_compare ">=" ( >= ));
+           match a with
+           | Int n when n >= 0 -> a
+           | Int n -> Int (-n)
+           | Flo f -> Flo (Float.abs f)
+           | v -> Values.type_error "abs" "number" v));
+    pure "min" (At_least 1) (fun args -> num_fold "min" 0 Int.min Float.min args);
+    pure "max" (At_least 1) (fun args -> num_fold "max" 0 Int.max Float.max args);
+    pure "=" (At_least 2) (fun args ->
+        match args with
+        | [| Int x; Int y |] -> bool_of (x = y)
+        | _ -> num_compare "=" ( = ) ( = ) args);
+    pure "<" (At_least 2) (fun args ->
+        match args with
+        | [| Int x; Int y |] -> bool_of (x < y)
+        | _ -> num_compare "<" ( < ) ( < ) args);
+    pure ">" (At_least 2) (fun args ->
+        match args with
+        | [| Int x; Int y |] -> bool_of (x > y)
+        | _ -> num_compare ">" ( > ) ( > ) args);
+    pure "<=" (At_least 2) (fun args ->
+        match args with
+        | [| Int x; Int y |] -> bool_of (x <= y)
+        | _ -> num_compare "<=" ( <= ) ( <= ) args);
+    pure ">=" (At_least 2) (fun args ->
+        match args with
+        | [| Int x; Int y |] -> bool_of (x >= y)
+        | _ -> num_compare ">=" ( >= ) ( >= ) args);
     (* -- flonum-specific ---------------------------------------------- *)
     pure "exact->inexact" (Exactly 1)
-      (a1 "exact->inexact" (fun a -> Flo (num_float (to_num "exact->inexact" a))));
+      (a1 "exact->inexact" (fun a ->
+           match a with
+           | Int n -> Flo (float_of_int n)
+           | Flo _ -> a
+           | v -> Values.type_error "exact->inexact" "number" v));
     pure "inexact->exact" (Exactly 1)
       (a1 "inexact->exact" (fun a ->
-           match to_num "inexact->exact" a with
-           | I n -> Int n
-           | F f ->
+           match a with
+           | Int _ -> a
+           | Flo f ->
                if Float.is_integer f then Int (int_of_float f)
-               else Values.err "inexact->exact: not an integer" [ a ]));
+               else Values.err "inexact->exact: not an integer" [ a ]
+           | v -> Values.type_error "inexact->exact" "number" v));
     pure "exact?" (Exactly 1)
       (a1 "exact?" (fun a ->
            match a with
@@ -320,77 +379,61 @@ let the_prims : (string * prim) list =
     pure "real?" (Exactly 1)
       (a1 "real?" (fun a ->
            bool_of (match a with Int _ | Flo _ -> true | _ -> false)));
-    pure "floor" (Exactly 1)
-      (a1 "floor" (fun a ->
-           match to_num "floor" a with
-           | I n -> Int n
-           | F f -> Flo (Float.floor f)));
-    pure "ceiling" (Exactly 1)
-      (a1 "ceiling" (fun a ->
-           match to_num "ceiling" a with
-           | I n -> Int n
-           | F f -> Flo (Float.ceil f)));
+    pure "floor" (Exactly 1) (a1 "floor" (integral "floor" Float.floor));
+    pure "ceiling" (Exactly 1) (a1 "ceiling" (integral "ceiling" Float.ceil));
     pure "truncate" (Exactly 1)
-      (a1 "truncate" (fun a ->
-           match to_num "truncate" a with
-           | I n -> Int n
-           | F f -> Flo (Float.trunc f)));
+      (a1 "truncate" (integral "truncate" Float.trunc));
     pure "round" (Exactly 1)
-      (a1 "round" (fun a ->
-           match to_num "round" a with
-           | I n -> Int n
-           | F f ->
-               (* round-to-even *)
-               let r = Float.round f in
-               Flo
-                 (if Float.abs (f -. Float.trunc f) = 0.5 then
-                    if Float.rem r 2. = 0. then r
-                    else r -. Float.copy_sign 1. f
-                  else r)));
+      (a1 "round"
+         (integral "round" (fun f ->
+              (* round-to-even *)
+              let r = Float.round f in
+              if Float.abs (f -. Float.trunc f) = 0.5 then
+                if Float.rem r 2. = 0. then r else r -. Float.copy_sign 1. f
+              else r)));
     pure "sqrt" (Exactly 1)
       (a1 "sqrt" (fun a ->
-           match to_num "sqrt" a with
-           | I n when n >= 0 ->
+           match a with
+           | Int n when n >= 0 ->
                let r = int_of_float (Float.sqrt (float_of_int n)) in
                if r * r = n then Int r
                else Flo (Float.sqrt (float_of_int n))
-           | n -> Flo (Float.sqrt (num_float n))));
+           | _ -> Flo (Float.sqrt (num_float "sqrt" a))));
     pure "expt" (Exactly 2)
       (a2 "expt" (fun a b ->
-           match (to_num "expt" a, to_num "expt" b) with
-           | I x, I y when y >= 0 ->
+           match (a, b) with
+           | Int x, Int y when y >= 0 ->
                let rec go acc b e =
                  if e = 0 then acc
                  else go (if e land 1 = 1 then acc * b else acc) (b * b)
                    (e lsr 1)
                in
                Int (go 1 x y)
-           | a, b -> Flo (Float.pow (num_float a) (num_float b))));
+           | _ ->
+               let x = num_float "expt" a in
+               let y = num_float "expt" b in
+               Flo (Float.pow x y)));
     pure "exp" (Exactly 1)
-      (a1 "exp" (fun a -> Flo (Float.exp (num_float (to_num "exp" a)))));
+      (a1 "exp" (fun a -> Flo (Float.exp (num_float "exp" a))));
     pure "log" (Exactly 1)
-      (a1 "log" (fun a -> Flo (Float.log (num_float (to_num "log" a)))));
+      (a1 "log" (fun a -> Flo (Float.log (num_float "log" a))));
     pure "sin" (Exactly 1)
-      (a1 "sin" (fun a -> Flo (Float.sin (num_float (to_num "sin" a)))));
+      (a1 "sin" (fun a -> Flo (Float.sin (num_float "sin" a))));
     pure "cos" (Exactly 1)
-      (a1 "cos" (fun a -> Flo (Float.cos (num_float (to_num "cos" a)))));
+      (a1 "cos" (fun a -> Flo (Float.cos (num_float "cos" a))));
     pure "atan" (At_least 1) (fun args ->
         match args with
-        | [| a |] -> Flo (Float.atan (num_float (to_num "atan" a)))
+        | [| a |] -> Flo (Float.atan (num_float "atan" a))
         | [| a; b |] ->
-            Flo
-              (Float.atan2
-                 (num_float (to_num "atan" a))
-                 (num_float (to_num "atan" b)))
+            let y = num_float "atan" b in
+            let x = num_float "atan" a in
+            Flo (Float.atan2 x y)
         | _ -> arity_error "atan");
-    pure "zero?" (Exactly 1)
-      (a1 "zero?" (fun a -> bool_of (num_cmp (to_num "zero?" a) (I 0) = 0)));
+    pure "zero?" (Exactly 1) (a1 "zero?" (num_sign "zero?" ( = ) ( = )));
     pure "positive?" (Exactly 1)
-      (a1 "positive?" (fun a ->
-           bool_of (num_cmp (to_num "positive?" a) (I 0) > 0)));
+      (a1 "positive?" (num_sign "positive?" ( > ) ( > )));
     pure "negative?" (Exactly 1)
-      (a1 "negative?" (fun a ->
-           bool_of (num_cmp (to_num "negative?" a) (I 0) < 0)));
+      (a1 "negative?" (num_sign "negative?" ( < ) ( < )));
     pure "even?" (Exactly 1)
       (a1 "even?" (fun a -> bool_of (check_int "even?" a land 1 = 0)));
     pure "odd?" (Exactly 1)
@@ -554,7 +597,7 @@ let the_prims : (string * prim) list =
           if Array.length args > 1 then check_char "make-string" args.(1)
           else ' '
         in
-        Str (Bytes.make n fill));
+        Str (alloc "make-string" n (fun n -> Bytes.make n fill)));
     pure "string" (At_least 0) (fun args ->
         let b = Bytes.create (Array.length args) in
         Array.iteri (fun i c -> Bytes.set b i (check_char "string" c)) args;
@@ -619,7 +662,7 @@ let the_prims : (string * prim) list =
         let n = check_int "make-vector" args.(0) in
         if n < 0 then Values.err "make-vector: negative size" [ args.(0) ];
         let fill = if Array.length args > 1 then args.(1) else Int 0 in
-        Vec (Array.make n fill));
+        Vec (alloc "make-vector" n (fun n -> Array.make n fill)));
     pure "vector" (At_least 0) (fun args -> Vec (Array.copy args));
     pure "vector-length" (Exactly 1)
       (a1 "vector-length" (fun v -> Int (Array.length (check_vec "vector-length" v))));

@@ -33,7 +33,7 @@ let rec datum_to_value (d : Sexp.t) : Rt.value =
   | Sexp.Int (n, _) -> Rt.Int n
   | Sexp.Float (f, _) -> Rt.Flo f
   | Sexp.Str (s, _) -> Rt.Str (Bytes.of_string s)
-  | Sexp.Bool (b, _) -> Rt.Bool b
+  | Sexp.Bool (b, _) -> Values.of_bool b
   | Sexp.Char (c, _) -> Rt.Char c
   | Sexp.List (elems, _) -> Values.list_to_value (List.map datum_to_value elems)
   | Sexp.Dotted (elems, final, _) ->

@@ -11,6 +11,7 @@ let create = Heap_policy.create
 let stats = Engine.stats
 let globals = Engine.globals
 let output = Engine.output
+let take_output = Engine.take_output
 let run = Heap_core.run
 let run_program = Heap_core.run_program
 let eval = Heap_core.eval

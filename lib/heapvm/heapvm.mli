@@ -53,3 +53,4 @@ val eval_datum :
     attribute failures to the datum's source position. *)
 
 val output : t -> string
+val take_output : t -> string

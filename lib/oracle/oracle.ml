@@ -46,6 +46,11 @@ let create ?stats () =
 let globals t = t.globals
 let stats t = t.stats
 let output t = Buffer.contents t.out
+
+let take_output t =
+  let s = Buffer.contents t.out in
+  Buffer.clear t.out;
+  s
 let set_hygiene t b = t.hygiene <- b
 
 (* One interpreter step: the oracle's unit of work is an AST node or an

@@ -41,3 +41,4 @@ val eval_datum : ?fuel:int -> t -> Sexp.t -> Rt.value
 
 val eval_tops : ?fuel:int -> t -> Ast.top list -> Rt.value
 val output : t -> string
+val take_output : t -> string

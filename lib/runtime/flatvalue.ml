@@ -68,7 +68,7 @@ let rec deserialize t =
   | F_nil -> Rt.Nil
   | F_void -> Rt.Void
   | F_eof -> Rt.Eof
-  | F_bool b -> Rt.Bool b
+  | F_bool b -> Values.of_bool b
   | F_int n -> Rt.Int n
   | F_flo f -> Rt.Flo f
   | F_char c -> Rt.Char c

@@ -47,6 +47,10 @@ let list_of_value v =
 
 let is_truthy = function Bool false -> false | _ -> true
 
+let v_true = Bool true
+let v_false = Bool false
+let of_bool b = if b then v_true else v_false [@@inline]
+
 let eq a b =
   match (a, b) with
   | Nil, Nil | Void, Void | Eof, Eof | Undef, Undef -> true

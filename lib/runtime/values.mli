@@ -12,6 +12,14 @@ val list_of_value_opt : Rt.value -> Rt.value list option
 val is_truthy : Rt.value -> bool
 (** Everything except [#f] is true. *)
 
+val v_true : Rt.value
+val v_false : Rt.value
+
+val of_bool : bool -> Rt.value
+(** [v_true] or [v_false]: a boolean result without an allocation.
+    Booleans still compare by value ([eq] matches [Bool x, Bool y]), so
+    nothing depends on these being the only boolean values. *)
+
 val eq : Rt.value -> Rt.value -> bool
 (** Scheme [eq?]: pointer identity on heap objects, value identity on
     immediates; symbols are interned so name equality coincides. *)

@@ -220,6 +220,13 @@ let output t =
   | M_heap vm -> Heapvm.output vm
   | M_oracle o -> Oracle.output o
 
+let take_output t =
+  match t.machine with
+  | M_stack vm -> Vm.take_output vm
+  | M_closure vm -> Closurevm.take_output vm
+  | M_heap vm -> Heapvm.take_output vm
+  | M_oracle o -> Oracle.take_output o
+
 let stats t = t.stats
 
 let control t =

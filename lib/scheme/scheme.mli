@@ -60,6 +60,11 @@ val load_corpus : t -> unit
 val output : t -> string
 (** Accumulated [display]/[write] output. *)
 
+val take_output : t -> string
+(** The [display]/[write] output since the last [take_output], removed
+    from the session's buffer: a caller that prints as it goes uses this,
+    so nothing is printed twice and the buffer does not grow. *)
+
 val stats : t -> Stats.t
 (** Live counters of the underlying machine.  Every backend — including
     the oracle — shares this object with its machine, so reading it here

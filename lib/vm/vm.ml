@@ -12,6 +12,7 @@ let control (vm : t) = vm.Engine.pol
 let stats = Engine.stats
 let globals = Engine.globals
 let output = Engine.output
+let take_output = Engine.take_output
 let run = Vm_core.run
 let run_program = Vm_core.run_program
 let eval = Vm_core.eval

@@ -65,3 +65,7 @@ val eval_datum :
 
 val output : t -> string
 (** Text emitted by [display]/[write]/[newline] so far. *)
+
+val take_output : t -> string
+(** The text emitted since the last [take_output], removed from the
+    buffer. *)

@@ -155,8 +155,55 @@ let pool_matches_single_session () =
         (Stats.to_rows sh.Scheme.Pool.stats))
     (Scheme.Pool.run ~domains:true ~jobs:2 pool_src)
 
-let suite =
+let all_backends =
   [
+    ("stack", Scheme.Stack Control.default_config);
+    ("closure", Scheme.Closure Control.default_config);
+    ("heap", Scheme.Heap);
+    ("oracle", Scheme.Oracle);
+  ]
+
+(* [take_output] hands out each piece of output once and empties the
+   buffer; [output] still shows what has accumulated since. *)
+let take_output_drains (bname, backend) =
+  Alcotest.test_case (Printf.sprintf "take_output drains [%s]" bname) `Quick
+    (fun () ->
+      let s = Scheme.create ~backend () in
+      ignore (Scheme.eval s "(display 1)");
+      ignore (Scheme.eval s "(display 2)");
+      Alcotest.(check string) "first take" "12" (Scheme.take_output s);
+      Alcotest.(check string) "drained" "" (Scheme.output s);
+      ignore (Scheme.eval s "(display 3) (newline)");
+      Alcotest.(check string) "output since" "3\n" (Scheme.output s);
+      Alcotest.(check string) "second take" "3\n" (Scheme.take_output s);
+      Alcotest.(check string) "empty take" "" (Scheme.take_output s))
+
+(* A size no heap can supply is a runtime error the session survives,
+   not an OCaml exception: the sizes exceed any 64-bit address space
+   (2^53 words) or the OCaml array/string limits (2^60). *)
+let huge_alloc_errors (bname, backend) =
+  Alcotest.test_case (Printf.sprintf "huge make-vector/make-string [%s]" bname)
+    `Quick (fun () ->
+      let s = Scheme.create ~backend () in
+      List.iter
+        (fun (src, who) ->
+          match Scheme.eval s src with
+          | v -> Alcotest.failf "%s returned %s" src (Values.write_string v)
+          | exception Rt.Scheme_error (m, _) ->
+              Alcotest.(check string) src (who ^ ": size too large to allocate") m)
+        [
+          ("(make-vector (expt 2 53) 0)", "make-vector");
+          ("(make-vector (expt 2 60))", "make-vector");
+          ("(make-string (expt 2 56) #\\a)", "make-string");
+          ("(make-string (expt 2 60))", "make-string");
+        ];
+      Alcotest.(check string) "session survives" "3"
+        (eval s "(vector-length (make-vector 3 0))"))
+
+let suite =
+  List.map take_output_drains all_backends
+  @ List.map huge_alloc_errors all_backends
+  @ [
     Alcotest.test_case "interleaved stack+heap sessions" `Quick
       interleaved_backends;
     Alcotest.test_case "per-session stats and caches" `Quick independent_stats;

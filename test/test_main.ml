@@ -19,6 +19,7 @@ let () =
       ("perf-counters", Test_perf_counters.suite);
       ("engine", Test_engine.suite);
       ("differential", Test_diff.suite);
+      ("numeric", Test_numeric.suite);
       ("par", Test_par.suite);
       ("verify", Test_verify.suite);
       ("lint", Test_lint.suite);
