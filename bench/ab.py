@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Interleaved same-host A/B of two source trees on one perfbench workload.
+
+    python3 bench/ab.py --base HEAD~1 --workload corpus --runs 10
+    python3 bench/ab.py --base v1 --change v2 --workload oneshot --runs 5
+
+Run from the repository root.  Each side is a git revision, exported
+with `git archive` into a temporary directory (no checkout or worktree
+of this repository is touched), or `.` for the working tree as it is
+(the default for --change).  Each side builds itself through
+`perfbench/run.py`.  The script then runs
+
+    python3 perfbench/run.py --workload W --seed N --seconds S --trace 0
+
+with S the benchmark's own `run_seconds` from BENCHMARK.json, K times
+per side, alternating which side goes first in each pair (ABBA...), so
+slow drift of the host hits both sides alike.  It prints, for every
+metric of the result line, the median of each side, the change/base
+ratio of the medians, each side's min-max spread and interquartile
+range, and in how many pairs the change did better (by the metric's
+`better` direction in BENCHMARK.json).  Any run that is not `correct`
+makes the script exit non-zero after the table.
+"""
+
+import argparse
+import json
+import os
+import shutil
+import signal
+import statistics
+import subprocess
+import sys
+import tempfile
+
+
+def export(rev, root, tmp):
+    """A directory holding the source tree of [rev] ('.' = working tree)."""
+    if rev == ".":
+        return root
+    dest = os.path.join(tmp, rev.replace("/", "_").replace("~", "_").replace("^", "_"))
+    os.makedirs(dest)
+    archive = subprocess.run(["git", "-C", root, "archive", rev],
+                             capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout, check=True)
+    return dest
+
+
+def run_once(tree, a, seconds):
+    cmd = [sys.executable, "perfbench/run.py", "--workload", a.workload,
+           "--seed", str(a.seed), "--seconds", str(seconds), "--trace", "0"]
+    r = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = r.stdout.strip().splitlines()
+    if r.returncode != 0 or not lines:
+        sys.stderr.write(r.stdout + r.stderr)
+        sys.exit("ab: run failed in " + tree)
+    return json.loads(lines[-1])
+
+
+def quartiles(xs):
+    if len(xs) < 2:
+        return xs[0], xs[0]
+    q = statistics.quantiles(xs, n=4, method="inclusive")
+    return q[0], q[2]
+
+
+def main():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--base", required=True, help="git revision, or . for the working tree")
+    ap.add_argument("--change", default=".", help="git revision, or . (default)")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--runs", type=int, default=5, help="runs per side")
+    ap.add_argument("--seed", type=int, default=1)
+    a = ap.parse_args()
+
+    root = subprocess.run(["git", "rev-parse", "--show-toplevel"], capture_output=True,
+                          text=True, check=True).stdout.strip()
+    with open(os.path.join(root, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
+
+    # A terminated run still removes its exported trees.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit("ab: terminated"))
+    tmp = tempfile.mkdtemp(prefix="ab-")
+    try:
+        trees = {"base": export(a.base, root, tmp), "change": export(a.change, root, tmp)}
+        runs = {"base": [], "change": []}
+        correct = True
+        for i in range(a.runs):
+            order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
+            for side in order:
+                res = run_once(trees[side], a, seconds)
+                correct = correct and res["correct"]
+                runs[side].append({k: v["value"] for k, v in res["metrics"].items()})
+            sys.stderr.write("ab: pair %d/%d done\n" % (i + 1, a.runs))
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+    print("workload %s, seed %d, %d runs per side of %gs; base %s, change %s"
+          % (a.workload, a.seed, a.runs, seconds, a.base, a.change))
+    print("%-20s %12s %12s %7s %25s %25s %6s" % (
+        "metric", "base med", "change med", "ratio", "base min-max (IQR)",
+        "change min-max (IQR)", "wins"))
+    for m in runs["base"][0]:
+        b = [r[m] for r in runs["base"]]
+        c = [r[m] for r in runs["change"]]
+        mb, mc = statistics.median(b), statistics.median(c)
+        sign = 1 if better.get(m, "lower") == "higher" else -1
+        wins = sum(1 for x, y in zip(b, c) if sign * (y - x) > 0)
+        (bq1, bq3), (cq1, cq3) = quartiles(b), quartiles(c)
+        print("%-20s %12.4g %12.4g %7.3f %25s %25s %3d/%d" % (
+            m, mb, mc, mc / mb if mb else float("nan"),
+            "%.4g-%.4g (%.3g)" % (min(b), max(b), bq3 - bq1),
+            "%.4g-%.4g (%.3g)" % (min(c), max(c), cq3 - cq1), wins, len(b)))
+    if not correct:
+        sys.exit("ab: a run was not correct")
+
+
+if __name__ == "__main__":
+    main()

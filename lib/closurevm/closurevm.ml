@@ -41,10 +41,12 @@
    discipline: [steps] counts instructions executed since the last
    flush, [budget] is the remaining fuel at the landing's entry, and
    [sync] writes back pc/acc/instrs/fuel before anything that can
-   observe the machine or raise.  The one relaxation: the engine checks
-   [steps >= budget] before *every* instruction, while a template checks
-   at the instructions that can close a cycle or leave the block
-   (branches, calls, returns, enters).  Total [instrs] on normal
+   observe them (the engine's contract: a pure primitive cannot, so it
+   runs unflushed and [reraise] flushes if it raises).  The one
+   relaxation: the engine checks [steps >= budget] before *every*
+   instruction, while a template checks at the instructions that can
+   close a cycle or leave the block (branches, calls, returns, enters,
+   guarded primitives).  Total [instrs] on normal
    termination is identical to the stack backend's; on exhaustion the
    closure backend may overrun the budget by the tail of a basic block
    before raising (the fuel-exactness pins are stack-backend-only for
@@ -97,6 +99,12 @@ let[@inline] prim_fast_stats (vm : t) =
     stats.Stats.prim_fast <- stats.Stats.prim_fast + 1
   end
 
+(* A primitive called with the batch unflushed raised: flush exactly as
+   the engine's [reraise] does. *)
+let reraise (vm : t) steps pc acc e =
+  sync vm steps pc acc;
+  raise e
+
 (* The fuel check, engine semantics: sync with the *current* pc (the
    instruction about to execute) so a resumed machine re-runs it. *)
 let fuel_stop (vm : t) steps pc acc =
@@ -105,18 +113,10 @@ let fuel_stop (vm : t) steps pc acc =
 
 let dummy_step : step = fun _ _ _ _ _ _ _ -> assert false
 
-(* Template-time description of a fused push's source, so one emitter
-   covers the [Const_push]/[Local_push] combinations; the match in
-   [load] is on an immutable captured value and predicts perfectly. *)
-type src = S_local of int | S_const of value
-
-let[@inline] load slots fp = function
-  | S_local i -> slots.(fp + i)
-  | S_const v -> v
-
-(* Operand loader for the register-addressed forms ([Prim_call1_op]
-   etc.): same idea as [load], plus [Op_acc] for the value the lowered
-   [Local_set] head would have stored. *)
+(* Operand loader: the accumulator (the value a lowered [Local_set] head
+   would have stored), a frame slot or an immediate.  One loader covers
+   the pushes and the fixed-arity primitive forms; the match is on an
+   immutable captured value and predicts perfectly. *)
 let[@inline] load_op slots fp acc = function
   | Op_acc -> acc
   | Op_local i -> slots.(fp + i)
@@ -406,15 +406,24 @@ and emit arr instrs (code : code) pc : step =
                 | _ -> ());
                 carr.(0) vm slots nfp limit (budget - (steps + 1)) acc 0
               end
-          | Prim { pfn = Pure fn; parity; pname } ->
-              sync vm (steps + 1) (pc + 1) acc;
-              if not (Bytecode.arity_matches parity cs_nargs) then
-                Values.err (pname ^ ": wrong number of arguments") [];
+          | Prim { pfn = Pure p; parity; pname } -> (
+              (* The engine's pure-call path: direct entries at one and
+                 two arguments, the batch unflushed. *)
+              if not (Bytecode.arity_matches parity cs_nargs) then begin
+                sync vm (steps + 1) (pc + 1) acc;
+                Values.err (pname ^ ": wrong number of arguments") []
+              end;
               let stats = vm.stats in
               if stats.Stats.enabled then
                 stats.Stats.prim_calls <- stats.Stats.prim_calls + 1;
-              let v = fn (prim_args vm slots (nfp + 2) cs_nargs) in
-              k vm slots fp limit (budget - (steps + 1)) v 0
+              match
+                if cs_nargs = 1 then p.fn1 slots.(nfp + 2)
+                else if cs_nargs = 2 then
+                  p.fn2 slots.(nfp + 2) slots.(nfp + 3)
+                else p.fn (prim_args vm slots (nfp + 2) cs_nargs)
+              with
+              | v -> k vm slots fp limit budget v (steps + 1)
+              | exception e -> reraise vm (steps + 1) (pc + 1) acc e)
           | f ->
               sync vm (steps + 1) (pc + 1) acc;
               let stats = vm.stats in
@@ -559,14 +568,15 @@ and emit arr instrs (code : code) pc : step =
         sync vm (steps + 1) (pc + 1) acc;
         vm.halted <- true
   (* ---- fused superinstructions (emitted by Optimize.peephole) ----
-     The push forms additionally fuse here (see [emit_push]): adjacent
-     pushes pair up, and a push run that feeds an inline-cached
-     primitive folds into the primitive's step.  [steps] advances by
-     the number of fused instructions, so accounting is unchanged, and
-     every skipped instruction's own step still exists at its pc —
-     fusion only skips dispatch to it on the straight-line path. *)
-  | Const_push (v, i) -> emit_push arr instrs pc (S_const v) i
-  | Local_push (s, i) -> emit_push arr instrs pc (S_local s) i
+     Some steps additionally fuse here: adjacent pushes pair up (see
+     [emit_push]), a call-setup [Global_push] takes the next push, and
+     the fixed-arity primitive calls absorb a [Local_set] of the result.
+     [steps] advances by the number of fused instructions, so accounting
+     is unchanged, and every skipped instruction's own step still exists
+     at its pc — fusion only skips dispatch to it on the straight-line
+     path. *)
+  | Const_push (v, i) -> emit_push arr instrs pc (Op_const v) i
+  | Local_push (s, i) -> emit_push arr instrs pc (Op_local s) i
   | Free_push (i, j) -> (
       let k = arr.(pc + 1) in
       fun vm slots fp limit budget acc steps ->
@@ -628,11 +638,7 @@ and emit arr instrs (code : code) pc : step =
         else begin
           sync vm (steps + 1) (pc + 1) acc;
           if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-            let stats = vm.stats in
-            if stats.Stats.enabled then begin
-              stats.Stats.prim_calls <- stats.Stats.prim_calls + 1;
-              stats.Stats.prim_fast <- stats.Stats.prim_fast + 1
-            end;
+            prim_fast_stats vm;
             let v =
               site.ps_fn
                 (prim_args vm slots (fp + site.ps_disp + 2) site.ps_nargs)
@@ -644,93 +650,16 @@ and emit arr instrs (code : code) pc : step =
             relaunch vm
           end
         end
-  (* The fixed-arity prim steps absorb a trailing [Local_set] of the
-     result; the sync point stays at [pc + 1], so error-handler resumes
-     re-execute the set on the handler's value, as unfused code would. *)
-  | Prim_call1 site -> (
+  (* The fixed-arity forms share one emitter per shape with their
+     register-addressed forms below: a plain form reads its staged
+     argument slot as an [Op_local] operand. *)
+  | Prim_call1 site ->
+      emit_call1 arr instrs pc site (Op_local (site.ps_disp + 2)) (pc + 1)
+  | Prim_call2 site ->
       let argd = site.ps_disp + 2 in
-      match Array.unsafe_get instrs (pc + 1) with
-      | Local_set j ->
-          let k = arr.(pc + 2) in
-          fun vm slots fp limit budget acc steps ->
-            if steps >= budget then fuel_stop vm steps pc acc
-            else begin
-              sync vm (steps + 1) (pc + 1) acc;
-              if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-                prim_fast_stats vm;
-                let args = vm.scratch.(1) in
-                args.(0) <- slots.(fp + argd);
-                let v = site.ps_fn args in
-                slots.(fp + j) <- v;
-                k vm slots fp limit (budget - (steps + 1)) v 1
-              end
-              else begin
-                Vm_policy.prim_deopt_call vm site;
-                relaunch vm
-              end
-            end
-      | _ ->
-          let k = arr.(pc + 1) in
-          fun vm slots fp limit budget acc steps ->
-            if steps >= budget then fuel_stop vm steps pc acc
-            else begin
-              sync vm (steps + 1) (pc + 1) acc;
-              if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-                prim_fast_stats vm;
-                let args = vm.scratch.(1) in
-                args.(0) <- slots.(fp + argd);
-                let v = site.ps_fn args in
-                k vm slots fp limit (budget - (steps + 1)) v 0
-              end
-              else begin
-                Vm_policy.prim_deopt_call vm site;
-                relaunch vm
-              end
-            end)
-  | Prim_call2 site -> (
-      let argd = site.ps_disp + 2 in
-      match Array.unsafe_get instrs (pc + 1) with
-      | Local_set j ->
-          let k = arr.(pc + 2) in
-          fun vm slots fp limit budget acc steps ->
-            if steps >= budget then fuel_stop vm steps pc acc
-            else begin
-              sync vm (steps + 1) (pc + 1) acc;
-              if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-                prim_fast_stats vm;
-                let args = vm.scratch.(2) in
-                let base = fp + argd in
-                args.(0) <- slots.(base);
-                args.(1) <- slots.(base + 1);
-                let v = site.ps_fn args in
-                slots.(fp + j) <- v;
-                k vm slots fp limit (budget - (steps + 1)) v 1
-              end
-              else begin
-                Vm_policy.prim_deopt_call vm site;
-                relaunch vm
-              end
-            end
-      | _ ->
-          let k = arr.(pc + 1) in
-          fun vm slots fp limit budget acc steps ->
-            if steps >= budget then fuel_stop vm steps pc acc
-            else begin
-              sync vm (steps + 1) (pc + 1) acc;
-              if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-                prim_fast_stats vm;
-                let args = vm.scratch.(2) in
-                let base = fp + argd in
-                args.(0) <- slots.(base);
-                args.(1) <- slots.(base + 1);
-                let v = site.ps_fn args in
-                k vm slots fp limit (budget - (steps + 1)) v 0
-              end
-              else begin
-                Vm_policy.prim_deopt_call vm site;
-                relaunch vm
-              end
-            end)
+      emit_call2 arr instrs pc site (Op_local argd)
+        (Op_local (argd + 1))
+        (pc + 1)
   | Local_branch_false (i, t) -> (
       (* The retained [Branch_false] sits at [pc + 1]; fall through lands
          past it, exactly as in the engine loop. *)
@@ -744,261 +673,77 @@ and emit arr instrs (code : code) pc : step =
               (Array.unsafe_get arr t) vm slots fp limit budget v (steps + 1)
           | _ -> k vm slots fp limit budget v (steps + 1))
   | Prim_branch1 (site, t) ->
-      let k = arr.(pc + 2) in
-      let argd = site.ps_disp + 2 in
-      fun vm slots fp limit budget acc steps ->
-        if steps >= budget then fuel_stop vm steps pc acc
-        else begin
-          sync vm (steps + 1) (pc + 1) acc;
-          if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-            let stats = vm.stats in
-            if stats.Stats.enabled then begin
-              stats.Stats.prim_calls <- stats.Stats.prim_calls + 1;
-              stats.Stats.prim_fast <- stats.Stats.prim_fast + 1
-            end;
-            let args = vm.scratch.(1) in
-            args.(0) <- slots.(fp + argd);
-            let v = site.ps_fn args in
-            match v with
-            | Bool false ->
-                (Array.unsafe_get arr t) vm slots fp limit (budget - (steps + 1)) v 0
-            | _ -> k vm slots fp limit (budget - (steps + 1)) v 0
-          end
-          else begin
-            (* The interned [ps_ret] resumes at the retained
-               [Branch_false] at [pc + 1]. *)
-            Vm_policy.prim_deopt_call vm site;
-            relaunch vm
-          end
-        end
+      emit_branch1 arr pc site (Op_local (site.ps_disp + 2)) t (pc + 1)
   | Prim_branch2 (site, t) ->
-      let k = arr.(pc + 2) in
       let argd = site.ps_disp + 2 in
+      emit_branch2 arr pc site (Op_local argd) (Op_local (argd + 1)) t (pc + 1)
+  | Prim_tail_call site ->
       fun vm slots fp limit budget acc steps ->
         if steps >= budget then fuel_stop vm steps pc acc
         else begin
           sync vm (steps + 1) (pc + 1) acc;
           if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-            let stats = vm.stats in
-            if stats.Stats.enabled then begin
-              stats.Stats.prim_calls <- stats.Stats.prim_calls + 1;
-              stats.Stats.prim_fast <- stats.Stats.prim_fast + 1
-            end;
-            let args = vm.scratch.(2) in
-            let base = fp + argd in
-            args.(0) <- slots.(base);
-            args.(1) <- slots.(base + 1);
-            let v = site.ps_fn args in
-            match v with
-            | Bool false ->
-                (Array.unsafe_get arr t) vm slots fp limit (budget - (steps + 1)) v 0
-            | _ -> k vm slots fp limit (budget - (steps + 1)) v 0
-          end
-          else begin
-            Vm_policy.prim_deopt_call vm site;
-            relaunch vm
-          end
-        end
-  | Prim_tail_call site -> (
-      fun vm slots fp limit budget acc steps ->
-        if steps >= budget then fuel_stop vm steps pc acc
-        else begin
-          sync vm (steps + 1) (pc + 1) acc;
-          if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-            let stats = vm.stats in
-            if stats.Stats.enabled then begin
-              stats.Stats.prim_calls <- stats.Stats.prim_calls + 1;
-              stats.Stats.prim_fast <- stats.Stats.prim_fast + 1
-            end;
+            prim_fast_stats vm;
             let v =
               site.ps_fn
                 (prim_args vm slots (fp + site.ps_disp + 2) site.ps_nargs)
             in
-            match slots.(fp) with
-            | Retaddr r when fp - r.rdisp + r.rcode.frame_words <= limit ->
-                (* Counters already flushed by [sync] above. *)
-                let nfp = fp - r.rdisp in
-                vm.code <- r.rcode;
-                vm.pol.Control.fp <- nfp;
-                let rarr =
-                  match r.rcode.templ with
-                  | Template a -> a
-                  | _ -> compile vm.stats r.rcode
-                in
-                rarr.(r.rpc) vm slots nfp limit (budget - (steps + 1)) v 0
-            | _ ->
-                vm.acc <- v;
-                Vm_policy.do_return vm;
-                relaunch vm
+            do_return_fast vm slots fp limit (budget - (steps + 1)) v 0 (pc + 1)
           end
           else begin
             Vm_policy.prim_deopt_tail_call vm site;
             relaunch vm
           end
-        end)
+        end
   (* ---- register-addressed forms (Optimize.fuse_operands) ----
-     Bytecode-level analogues of this backend's push→prim forwarding:
-     the head of the staged sequence carries the operands, the retained
+     The head of the staged sequence carries the operands, the retained
      originals after it form the deopt landing pad (each still gets its
      own step above — any synced pc can become a landing entry).  One
      instruction is counted per fused form, mirroring the engine loop's
      handlers exactly, so [instrs] parity across backends is preserved
-     by construction.  Guard failure spills the operand values into the
-     frame's argument slots before re-entering {!Vm_policy}. *)
-  | Prim_call1_op (site, a) -> (
-      let argd = site.ps_disp + 2 in
-      match Array.unsafe_get instrs (pc + 2) with
-      | Local_set j ->
-          let k = arr.(pc + 3) in
-          fun vm slots fp limit budget acc steps ->
-            if steps >= budget then fuel_stop vm steps pc acc
-            else begin
-              sync vm (steps + 1) (pc + 2) acc;
-              if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-                prim_fast_stats vm;
-                let args = vm.scratch.(1) in
-                args.(0) <- load_op slots fp acc a;
-                let v = site.ps_fn args in
-                slots.(fp + j) <- v;
-                k vm slots fp limit (budget - (steps + 1)) v 1
-              end
-              else op_deopt1 vm slots fp acc a argd site
-            end
-      | _ ->
-          let k = arr.(pc + 2) in
-          fun vm slots fp limit budget acc steps ->
-            if steps >= budget then fuel_stop vm steps pc acc
-            else begin
-              sync vm (steps + 1) (pc + 2) acc;
-              if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-                prim_fast_stats vm;
-                let args = vm.scratch.(1) in
-                args.(0) <- load_op slots fp acc a;
-                let v = site.ps_fn args in
-                k vm slots fp limit (budget - (steps + 1)) v 0
-              end
-              else op_deopt1 vm slots fp acc a argd site
-            end)
-  | Prim_call2_op (site, a, b) -> (
-      let argd = site.ps_disp + 2 in
-      match Array.unsafe_get instrs (pc + 3) with
-      | Local_set j ->
-          let k = arr.(pc + 4) in
-          fun vm slots fp limit budget acc steps ->
-            if steps >= budget then fuel_stop vm steps pc acc
-            else begin
-              sync vm (steps + 1) (pc + 3) acc;
-              if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-                prim_fast_stats vm;
-                let args = vm.scratch.(2) in
-                args.(0) <- load_op slots fp acc a;
-                args.(1) <- load_op slots fp acc b;
-                let v = site.ps_fn args in
-                slots.(fp + j) <- v;
-                k vm slots fp limit (budget - (steps + 1)) v 1
-              end
-              else op_deopt2 vm slots fp acc a b argd site
-            end
-      | _ ->
-          let k = arr.(pc + 3) in
-          fun vm slots fp limit budget acc steps ->
-            if steps >= budget then fuel_stop vm steps pc acc
-            else begin
-              sync vm (steps + 1) (pc + 3) acc;
-              if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-                prim_fast_stats vm;
-                let args = vm.scratch.(2) in
-                args.(0) <- load_op slots fp acc a;
-                args.(1) <- load_op slots fp acc b;
-                let v = site.ps_fn args in
-                k vm slots fp limit (budget - (steps + 1)) v 0
-              end
-              else op_deopt2 vm slots fp acc a b argd site
-            end)
-  | Prim_branch1_op (site, a, t) ->
-      let argd = site.ps_disp + 2 in
-      let k = arr.(pc + 3) in
-      fun vm slots fp limit budget acc steps ->
-        if steps >= budget then fuel_stop vm steps pc acc
-        else begin
-          sync vm (steps + 1) (pc + 2) acc;
-          if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-            prim_fast_stats vm;
-            let args = vm.scratch.(1) in
-            args.(0) <- load_op slots fp acc a;
-            match site.ps_fn args with
-            | Bool false ->
-                (Array.unsafe_get arr t) vm slots fp limit
-                  (budget - (steps + 1))
-                  (Bool false) 0
-            | v -> k vm slots fp limit (budget - (steps + 1)) v 0
-          end
-          else
-            (* [ps_ret] resumes at the retained [Branch_false] at
-               [pc + 2]. *)
-            op_deopt1 vm slots fp acc a argd site
-        end
-  | Prim_branch2_op (site, a, b, t) ->
-      let argd = site.ps_disp + 2 in
-      let k = arr.(pc + 4) in
-      fun vm slots fp limit budget acc steps ->
-        if steps >= budget then fuel_stop vm steps pc acc
-        else begin
-          sync vm (steps + 1) (pc + 3) acc;
-          if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-            prim_fast_stats vm;
-            let args = vm.scratch.(2) in
-            args.(0) <- load_op slots fp acc a;
-            args.(1) <- load_op slots fp acc b;
-            match site.ps_fn args with
-            | Bool false ->
-                (Array.unsafe_get arr t) vm slots fp limit
-                  (budget - (steps + 1))
-                  (Bool false) 0
-            | v -> k vm slots fp limit (budget - (steps + 1)) v 0
-          end
-          else op_deopt2 vm slots fp acc a b argd site
-        end
+     by construction. *)
+  | Prim_call1_op (site, a) -> emit_call1 arr instrs pc site a (pc + 2)
+  | Prim_call2_op (site, a, b) -> emit_call2 arr instrs pc site a b (pc + 3)
+  | Prim_branch1_op (site, a, t) -> emit_branch1 arr pc site a t (pc + 2)
+  | Prim_branch2_op (site, a, b, t) -> emit_branch2 arr pc site a b t (pc + 3)
   | Prim_tail1_op (site, a) ->
       let argd = site.ps_disp + 2 in
       fun vm slots fp limit budget acc steps ->
         if steps >= budget then fuel_stop vm steps pc acc
-        else begin
-          sync vm (steps + 1) (pc + 2) acc;
+        else
+          let x = load_op slots fp acc a in
           if (gcell vm site.ps_slot).gval == site.ps_guard then begin
             prim_fast_stats vm;
-            let args = vm.scratch.(1) in
-            args.(0) <- load_op slots fp acc a;
-            let v = site.ps_fn args in
-            do_return_fast vm slots fp limit (budget - (steps + 1)) v 0 (pc + 2)
+            match site.ps_fn1 x with
+            | v ->
+                do_return_fast vm slots fp limit budget v (steps + 1) (pc + 2)
+            | exception e -> reraise vm (steps + 1) (pc + 2) acc e
           end
           else begin
-            slots.(fp + argd) <- load_op slots fp acc a;
-            Vm_policy.prim_deopt_tail_call vm site;
-            relaunch vm
+            slots.(fp + argd) <- x;
+            deopt vm (steps + 1) (pc + 2) acc Vm_policy.prim_deopt_tail_call
+              site
           end
-        end
   | Prim_tail2_op (site, a, b) ->
       let argd = site.ps_disp + 2 in
       fun vm slots fp limit budget acc steps ->
         if steps >= budget then fuel_stop vm steps pc acc
-        else begin
-          sync vm (steps + 1) (pc + 3) acc;
+        else
+          let x = load_op slots fp acc a in
+          let y = load_op slots fp acc b in
           if (gcell vm site.ps_slot).gval == site.ps_guard then begin
             prim_fast_stats vm;
-            let args = vm.scratch.(2) in
-            args.(0) <- load_op slots fp acc a;
-            args.(1) <- load_op slots fp acc b;
-            let v = site.ps_fn args in
-            do_return_fast vm slots fp limit (budget - (steps + 1)) v 0 (pc + 3)
+            match site.ps_fn2 x y with
+            | v ->
+                do_return_fast vm slots fp limit budget v (steps + 1) (pc + 3)
+            | exception e -> reraise vm (steps + 1) (pc + 3) acc e
           end
           else begin
-            slots.(fp + argd) <- load_op slots fp acc a;
-            slots.(fp + argd + 1) <- load_op slots fp acc b;
-            Vm_policy.prim_deopt_tail_call vm site;
-            relaunch vm
+            slots.(fp + argd) <- x;
+            slots.(fp + argd + 1) <- y;
+            deopt vm (steps + 1) (pc + 3) acc Vm_policy.prim_deopt_tail_call
+              site
           end
-        end
   | Return_op a ->
       (* Fused producer + [Return], one counted instruction; the retained
          [Return] sits at [pc + 1]. *)
@@ -1009,225 +754,140 @@ and emit arr instrs (code : code) pc : step =
             (load_op slots fp acc a)
             (steps + 1) (pc + 2)
 
-(* A [Const_push]/[Local_push] step.  Beyond plain pair fusion, a push
-   run that exactly stages the arguments of a following inline-cached
-   primitive fuses into the primitive's step, which reads the sources
-   directly instead of going through the frame slots.  The deopt and
-   guard-failure paths materialize the staged slots first, so
-   {!Vm_policy} sees exactly the frame the unfused sequence would have
-   built.  The [s2 <> d1] guards keep the fusion off when the second
-   push reads the first one's destination — there the unfused sequence
-   observes the staged write, so the run must stay staged. *)
+(* A [Const_push]/[Local_push] step; adjacent pushes pair up.  The
+   [s2 <> d1] guard keeps the pair apart when the second push reads the
+   first one's destination. *)
 and emit_push arr instrs pc src1 d1 : step =
   match Array.unsafe_get instrs (pc + 1) with
-  | Const_push (v2, d2) -> emit_push2 arr instrs pc src1 d1 (S_const v2) d2
+  | Const_push (v2, d2) -> emit_push2 arr pc src1 d1 (Op_const v2) d2
   | Local_push (s2, d2) when s2 <> d1 ->
-      emit_push2 arr instrs pc src1 d1 (S_local s2) d2
-  | Prim_call1 site when site.ps_disp + 2 = d1 ->
-      emit_prim1 arr instrs pc src1 d1 site
-  | Prim_branch1 (site, t) when site.ps_disp + 2 = d1 ->
-      emit_prim_branch1 arr pc src1 d1 site t
-  | Prim_tail_call site when site.ps_nargs = 1 && site.ps_disp + 2 = d1 ->
-      emit_prim_tail1 pc src1 d1 site
+      emit_push2 arr pc src1 d1 (Op_local s2) d2
   | _ ->
       let k = arr.(pc + 1) in
       fun vm slots fp limit budget acc steps ->
-        slots.(fp + d1) <- load slots fp src1;
+        slots.(fp + d1) <- load_op slots fp acc src1;
         k vm slots fp limit budget acc (steps + 1)
 
-and emit_push2 arr instrs pc src1 d1 src2 d2 : step =
-  match Array.unsafe_get instrs (pc + 2) with
-  | Prim_call2 site when site.ps_disp + 2 = d1 && site.ps_disp + 3 = d2 ->
-      emit_prim2 arr instrs pc src1 d1 src2 d2 site
-  | Prim_branch2 (site, t)
-    when site.ps_disp + 2 = d1 && site.ps_disp + 3 = d2 ->
-      emit_prim_branch2 arr pc src1 d1 src2 d2 site t
-  | Prim_tail_call site
-    when site.ps_nargs = 2 && site.ps_disp + 2 = d1 && site.ps_disp + 3 = d2
-    ->
-      emit_prim_tail2 pc src1 d1 src2 d2 site
-  | _ ->
-      let k = arr.(pc + 2) in
-      fun vm slots fp limit budget acc steps ->
-        slots.(fp + d1) <- load slots fp src1;
-        slots.(fp + d2) <- load slots fp src2;
-        k vm slots fp limit budget acc (steps + 2)
+and emit_push2 arr pc src1 d1 src2 d2 : step =
+  let k = arr.(pc + 2) in
+  fun vm slots fp limit budget acc steps ->
+    slots.(fp + d1) <- load_op slots fp acc src1;
+    slots.(fp + d2) <- load_op slots fp acc src2;
+    k vm slots fp limit budget acc (steps + 2)
 
-(* Push + [Prim_call1], optionally absorbing a trailing [Local_set] of
-   the result ([steps] restarts at 1 past the sync so the set is
-   counted in the next flush). *)
-and emit_prim1 arr instrs pc src1 d1 site : step =
-  let ppc = pc + 1 in
-  match Array.unsafe_get instrs (ppc + 1) with
-  | Local_set j ->
-      let k = arr.(ppc + 2) in
-      fun vm slots fp limit budget acc steps ->
-        if steps >= budget then fuel_stop vm steps pc acc
-        else if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-          sync vm (steps + 2) (ppc + 1) acc;
-          prim_fast_stats vm;
-          let args = vm.scratch.(1) in
-          args.(0) <- load slots fp src1;
-          let v = site.ps_fn args in
-          slots.(fp + j) <- v;
-          k vm slots fp limit (budget - (steps + 2)) v 1
-        end
-        else prim_deopt1 vm slots fp src1 d1 site (steps + 2) (ppc + 1) acc
-  | _ ->
-      let k = arr.(ppc + 1) in
-      fun vm slots fp limit budget acc steps ->
-        if steps >= budget then fuel_stop vm steps pc acc
-        else if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-          sync vm (steps + 2) (ppc + 1) acc;
-          prim_fast_stats vm;
-          let args = vm.scratch.(1) in
-          args.(0) <- load slots fp src1;
-          let v = site.ps_fn args in
-          k vm slots fp limit (budget - (steps + 2)) v 0
-        end
-        else prim_deopt1 vm slots fp src1 d1 site (steps + 2) (ppc + 1) acc
-
-and emit_prim2 arr instrs pc src1 d1 src2 d2 site : step =
-  let ppc = pc + 2 in
-  match Array.unsafe_get instrs (ppc + 1) with
-  | Local_set j ->
-      let k = arr.(ppc + 2) in
-      fun vm slots fp limit budget acc steps ->
-        if steps >= budget then fuel_stop vm steps pc acc
-        else if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-          sync vm (steps + 3) (ppc + 1) acc;
-          prim_fast_stats vm;
-          let args = vm.scratch.(2) in
-          args.(0) <- load slots fp src1;
-          args.(1) <- load slots fp src2;
-          let v = site.ps_fn args in
-          slots.(fp + j) <- v;
-          k vm slots fp limit (budget - (steps + 3)) v 1
-        end
-        else prim_deopt2 vm slots fp src1 d1 src2 d2 site (steps + 3) (ppc + 1) acc
-  | _ ->
-      let k = arr.(ppc + 1) in
-      fun vm slots fp limit budget acc steps ->
-        if steps >= budget then fuel_stop vm steps pc acc
-        else if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-          sync vm (steps + 3) (ppc + 1) acc;
-          prim_fast_stats vm;
-          let args = vm.scratch.(2) in
-          args.(0) <- load slots fp src1;
-          args.(1) <- load slots fp src2;
-          let v = site.ps_fn args in
-          k vm slots fp limit (budget - (steps + 3)) v 0
-        end
-        else prim_deopt2 vm slots fp src1 d1 src2 d2 site (steps + 3) (ppc + 1) acc
-
-and emit_prim_branch1 arr pc src1 d1 site t : step =
-  let ppc = pc + 1 in
-  let k = arr.(ppc + 2) in
+(* The fixed-arity call and branch emitters.  [next] is the pc past the
+   fused form's landing pad — the retained consumer's pc, where the batch
+   is flushed when the primitive raises or the guard fails.  A call form
+   absorbs a [Local_set] of the result at [next] ([steps] then counts it
+   too); the flush point stays at [next], so an error-handler resume
+   re-executes the set on the handler's value, as unfused code would.
+   On guard failure the operands are spilled into the argument slots
+   first (for a plain form that rewrites the value already there). *)
+and emit_call1 arr instrs pc site a next : step =
+  let argd = site.ps_disp + 2 in
+  let set, k =
+    match Array.unsafe_get instrs next with
+    | Local_set j -> (j, arr.(next + 1))
+    | _ -> (-1, arr.(next))
+  in
   fun vm slots fp limit budget acc steps ->
     if steps >= budget then fuel_stop vm steps pc acc
-    else if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-      sync vm (steps + 2) (ppc + 1) acc;
-      prim_fast_stats vm;
-      let args = vm.scratch.(1) in
-      args.(0) <- load slots fp src1;
-      match site.ps_fn args with
-      | Bool false ->
-          (Array.unsafe_get arr t) vm slots fp limit
-            (budget - (steps + 2))
-            (Bool false) 0
-      | v -> k vm slots fp limit (budget - (steps + 2)) v 0
-    end
-    else prim_deopt1 vm slots fp src1 d1 site (steps + 2) (ppc + 1) acc
+    else
+      let x = load_op slots fp acc a in
+      if (gcell vm site.ps_slot).gval == site.ps_guard then begin
+        prim_fast_stats vm;
+        match site.ps_fn1 x with
+        | v when set >= 0 ->
+            slots.(fp + set) <- v;
+            k vm slots fp limit budget v (steps + 2)
+        | v -> k vm slots fp limit budget v (steps + 1)
+        | exception e -> reraise vm (steps + 1) next acc e
+      end
+      else begin
+        slots.(fp + argd) <- x;
+        deopt vm (steps + 1) next acc Vm_policy.prim_deopt_call site
+      end
 
-and emit_prim_branch2 arr pc src1 d1 src2 d2 site t : step =
-  let ppc = pc + 2 in
-  let k = arr.(ppc + 2) in
+and emit_call2 arr instrs pc site a b next : step =
+  let argd = site.ps_disp + 2 in
+  let set, k =
+    match Array.unsafe_get instrs next with
+    | Local_set j -> (j, arr.(next + 1))
+    | _ -> (-1, arr.(next))
+  in
   fun vm slots fp limit budget acc steps ->
     if steps >= budget then fuel_stop vm steps pc acc
-    else if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-      sync vm (steps + 3) (ppc + 1) acc;
-      prim_fast_stats vm;
-      let args = vm.scratch.(2) in
-      args.(0) <- load slots fp src1;
-      args.(1) <- load slots fp src2;
-      match site.ps_fn args with
-      | Bool false ->
-          (Array.unsafe_get arr t) vm slots fp limit
-            (budget - (steps + 3))
-            (Bool false) 0
-      | v -> k vm slots fp limit (budget - (steps + 3)) v 0
-    end
-    else prim_deopt2 vm slots fp src1 d1 src2 d2 site (steps + 3) (ppc + 1) acc
+    else
+      let x = load_op slots fp acc a in
+      let y = load_op slots fp acc b in
+      if (gcell vm site.ps_slot).gval == site.ps_guard then begin
+        prim_fast_stats vm;
+        match site.ps_fn2 x y with
+        | v when set >= 0 ->
+            slots.(fp + set) <- v;
+            k vm slots fp limit budget v (steps + 2)
+        | v -> k vm slots fp limit budget v (steps + 1)
+        | exception e -> reraise vm (steps + 1) next acc e
+      end
+      else begin
+        slots.(fp + argd) <- x;
+        slots.(fp + argd + 1) <- y;
+        deopt vm (steps + 1) next acc Vm_policy.prim_deopt_call site
+      end
 
-and emit_prim_tail1 pc src1 d1 site : step =
-  let ppc = pc + 1 in
+(* [ps_ret] of a branch form resumes at the retained [Branch_false] at
+   [next], which re-tests the deopted call's returned value; the fast
+   path's fall-through skips it. *)
+and emit_branch1 arr pc site a t next : step =
+  let argd = site.ps_disp + 2 in
+  let k = arr.(next + 1) in
   fun vm slots fp limit budget acc steps ->
     if steps >= budget then fuel_stop vm steps pc acc
-    else if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-      sync vm (steps + 2) (ppc + 1) acc;
-      prim_fast_stats vm;
-      let args = vm.scratch.(1) in
-      args.(0) <- load slots fp src1;
-      let v = site.ps_fn args in
-      do_return_fast vm slots fp limit (budget - (steps + 2)) v 0 (ppc + 1)
-    end
-    else begin
-      slots.(fp + d1) <- load slots fp src1;
-      sync vm (steps + 2) (ppc + 1) acc;
-      Vm_policy.prim_deopt_tail_call vm site;
-      relaunch vm
-    end
+    else
+      let x = load_op slots fp acc a in
+      if (gcell vm site.ps_slot).gval == site.ps_guard then begin
+        prim_fast_stats vm;
+        match site.ps_fn1 x with
+        | Bool false ->
+            (Array.unsafe_get arr t) vm slots fp limit budget (Bool false)
+              (steps + 1)
+        | v -> k vm slots fp limit budget v (steps + 1)
+        | exception e -> reraise vm (steps + 1) next acc e
+      end
+      else begin
+        slots.(fp + argd) <- x;
+        deopt vm (steps + 1) next acc Vm_policy.prim_deopt_call site
+      end
 
-and emit_prim_tail2 pc src1 d1 src2 d2 site : step =
-  let ppc = pc + 2 in
+and emit_branch2 arr pc site a b t next : step =
+  let argd = site.ps_disp + 2 in
+  let k = arr.(next + 1) in
   fun vm slots fp limit budget acc steps ->
     if steps >= budget then fuel_stop vm steps pc acc
-    else if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-      sync vm (steps + 3) (ppc + 1) acc;
-      prim_fast_stats vm;
-      let args = vm.scratch.(2) in
-      args.(0) <- load slots fp src1;
-      args.(1) <- load slots fp src2;
-      let v = site.ps_fn args in
-      do_return_fast vm slots fp limit (budget - (steps + 3)) v 0 (ppc + 1)
-    end
-    else begin
-      slots.(fp + d1) <- load slots fp src1;
-      slots.(fp + d2) <- load slots fp src2;
-      sync vm (steps + 3) (ppc + 1) acc;
-      Vm_policy.prim_deopt_tail_call vm site;
-      relaunch vm
-    end
+    else
+      let x = load_op slots fp acc a in
+      let y = load_op slots fp acc b in
+      if (gcell vm site.ps_slot).gval == site.ps_guard then begin
+        prim_fast_stats vm;
+        match site.ps_fn2 x y with
+        | Bool false ->
+            (Array.unsafe_get arr t) vm slots fp limit budget (Bool false)
+              (steps + 1)
+        | v -> k vm slots fp limit budget v (steps + 1)
+        | exception e -> reraise vm (steps + 1) next acc e
+      end
+      else begin
+        slots.(fp + argd) <- x;
+        slots.(fp + argd + 1) <- y;
+        deopt vm (steps + 1) next acc Vm_policy.prim_deopt_call site
+      end
 
-(* Guard failure of a push-fused primitive: stage the argument slots
-   the unfused pushes would have written, then deoptimize exactly as
-   the standalone prim step does. *)
-and prim_deopt1 (vm : t) slots fp src1 d1 site steps resume_pc acc =
-  slots.(fp + d1) <- load slots fp src1;
-  sync vm steps resume_pc acc;
-  Vm_policy.prim_deopt_call vm site;
-  relaunch vm
-
-and prim_deopt2 (vm : t) slots fp src1 d1 src2 d2 site steps resume_pc acc =
-  slots.(fp + d1) <- load slots fp src1;
-  slots.(fp + d2) <- load slots fp src2;
-  sync vm steps resume_pc acc;
-  Vm_policy.prim_deopt_call vm site;
-  relaunch vm
-
-(* Guard failure of a register-addressed call/branch form: the step has
-   already synced at the retained consumer's pc, so only the operand
-   spill into the frame's argument slots remains before re-entering the
-   frame policy. *)
-and op_deopt1 (vm : t) slots fp acc a argd site =
-  slots.(fp + argd) <- load_op slots fp acc a;
-  Vm_policy.prim_deopt_call vm site;
-  relaunch vm
-
-and op_deopt2 (vm : t) slots fp acc a b argd site =
-  slots.(fp + argd) <- load_op slots fp acc a;
-  slots.(fp + argd + 1) <- load_op slots fp acc b;
-  Vm_policy.prim_deopt_call vm site;
+(* A fused primitive's guard failed: flush at the retained consumer's pc
+   and take the generic call ([transfer] is the policy's deopt call or
+   tail call). *)
+and deopt (vm : t) steps pc acc transfer site =
+  sync vm steps pc acc;
+  transfer vm site;
   relaunch vm
 
 (* The shared tail of a fused return step: [steps] is the total count

@@ -246,14 +246,29 @@ let arg_push_ok ~callee_slot = function
   | Rt.Local_push (s, d) -> s <> callee_slot && d <> callee_slot
   | _ -> false
 
-let pure_target globals s nargs =
+(* The inline-cache site for a call of global [s] with [nargs] arguments
+   at displacement [disp], when the slot is bound to a pure primitive
+   that accepts [nargs]: the validated arity is what licenses the fused
+   forms to call the fixed-arity entries. *)
+let pure_target globals s ~disp ~nargs =
   let g = Globals.get globals s in
   if not g.Rt.gdefined then None
   else
     match g.Rt.gval with
-    | Rt.Prim ({ pfn = Pure fn; parity; _ } as p) as pv
+    | Rt.Prim ({ pfn = Pure { fn; fn1; fn2 }; parity; _ } as p) as pv
       when Bytecode.arity_matches parity nargs ->
-        Some (pv, p, fn)
+        Some
+          {
+            Rt.ps_disp = disp;
+            ps_nargs = nargs;
+            ps_slot = s;
+            ps_guard = pv;
+            ps_prim = p;
+            ps_fn = fn;
+            ps_fn1 = fn1;
+            ps_fn2 = fn2;
+            ps_ret = Rt.Void (* interned by Bytecode.backpatch *);
+          }
     | _ -> None
 
 (* Stage 2: primitive-call fusion.  [globals] is the session whose
@@ -277,19 +292,8 @@ let fuse_prim_calls globals instrs =
             | ( Rt.Call { cs_disp = disp; cs_nargs = nargs; _ }
               | Rt.Tail_call { disp; nargs } )
               when disp + 1 = dst && replace.(j) = None -> (
-                match pure_target globals s nargs with
-                | Some (pv, p, fn) ->
-                    let site =
-                      {
-                        Rt.ps_disp = disp;
-                        ps_nargs = nargs;
-                        ps_slot = s;
-                        ps_guard = pv;
-                        ps_prim = p;
-                        ps_fn = fn;
-                        ps_ret = Rt.Void (* interned by Bytecode.backpatch *);
-                      }
-                    in
+                match pure_target globals s ~disp ~nargs with
+                | Some site ->
                     let call =
                       match instrs.(j) with
                       | Rt.Tail_call _ -> Rt.Prim_tail_call site

@@ -41,7 +41,8 @@ type 'p vm = {
          rewind/unwind targets compare by physical equality *)
   scratch : value array array;
       (* scratch.(k), k <= max_scratch, is a reusable length-k argument
-         buffer for pure-primitive application: no per-call Array.init.
+         buffer for pure-primitive application at 0 or >= 3 arguments
+         (1 and 2 go to the direct entries): no per-call Array.init.
          Safe because no pure primitive retains its argument array and
          pure primitives never re-enter the VM. *)
   hooks : Machine_hooks.t;

@@ -58,12 +58,23 @@
                fuel check must run ([max_int] when fuel is unlimited)
 
    [sync] writes the batched state back ([vm.pc], [vm.acc], instruction
-   counter, fuel); it MUST run before any operation that can observe
-   [vm.pc] or raise — control transfers, primitive application (prims
-   raise Scheme_error), and every error branch.  After [sync] the [pc]
-   argument is the address *after* the current instruction, matching the
-   historical "pc already incremented" semantics that error-handler
-   injection and the deopt return addresses rely on.
+   counter, fuel); it MUST run before anything that reads that state:
+   every transfer into the policy, every error raised here (error-handler
+   injection and [Diag] positions read [vm.pc]) and the fuel stop.
+   Applying a pure primitive is not such an operation.  The invariant:
+   a pure primitive reads none of [vm.pc], [vm.acc], [vm.fuel] or
+   [stats.instrs].  The few that touch the running machine do so through
+   {!Machine_hooks} — the output buffer, [vm.timer]/[vm.timer_handler],
+   the fiber-switch counter — none of which is batched; a primitive that
+   needs batched state must be a [Special].  So the primitive call paths
+   apply the primitive with the batch unflushed and keep it flowing
+   through the landing.  If the primitive raises, [reraise] performs the
+   flush that would have preceded the call, and the handler, the [Diag]
+   position, fuel and every [Stats] counter see exactly that state.
+   After [sync] the [pc] argument is the address *after* the current
+   instruction, matching the historical "pc already incremented"
+   semantics that error-handler injection and the deopt return addresses
+   rely on.
 
    Instruction fetch uses [Array.unsafe_get]: [Bytecode.make_code]
    validates that code cannot fall off the end and that branch targets
@@ -100,6 +111,30 @@ let[@inline] sync (vm : Policy.t) steps pc acc =
   if stats.Stats.enabled then
     stats.Stats.instrs <- stats.Stats.instrs + steps;
   if vm.fuel >= 0 then vm.fuel <- vm.fuel - steps
+
+(* A primitive called with the batch unflushed raised: flush exactly as
+   a [sync] before the call would have, then let the exception reach
+   [run_loop] (error-handler injection) or the caller. *)
+let reraise (vm : Policy.t) steps pc acc e =
+  sync vm steps pc acc;
+  raise e
+
+(* The guarded fast path's two counters. *)
+let[@inline] prim_fast_stats (vm : Policy.t) =
+  let stats = vm.stats in
+  if stats.Stats.enabled then begin
+    stats.Stats.prim_calls <- stats.Stats.prim_calls + 1;
+    stats.Stats.prim_fast <- stats.Stats.prim_fast + 1
+  end
+
+(* Before a register-addressed form deoptimizes, write its operands to
+   the argument slots the unfused pushes would have written. *)
+let spill1 (vm : Policy.t) slots fp site x =
+  ignore (Policy.set vm slots fp (site.ps_disp + 2) x)
+
+let spill2 (vm : Policy.t) slots fp site x y =
+  let slots = Policy.set vm slots fp (site.ps_disp + 2) x in
+  ignore (Policy.set vm slots fp (site.ps_disp + 3) y)
 
 let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
   if steps >= budget then begin
@@ -235,29 +270,36 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
           end;
           if vm.fuel >= 0 then vm.fuel <- vm.fuel - (steps + 1);
           exec vm c.code.instrs slots nfp limit (budget - (steps + 1)) acc 0 0
-      | Prim { pfn = Pure fn; parity; pname } ->
+      | Prim { pfn = Pure p; parity; pname } -> (
           (* Pure primitives push no frame on the stack policy and
              return straight to the fall-through pc, so the call stays
-             inside the landing (with the batched counters flushed
-             first, because [fn] may raise).  The heap policy counts the
-             frame its generic path would have allocated, and honors the
-             return-context consumption a tail-positioned primitive
+             inside the landing, the batch unflushed as on the fused
+             paths: one and two arguments go to the direct entries, any
+             other count through a scratch array.  The heap policy counts
+             the frame its generic path would have allocated, and honors
+             the return-context consumption a tail-positioned primitive
              performs ([pure_call_skips]). *)
-          sync vm (steps + 1) (pc + 1) acc;
+          let nargs = site.cs_nargs in
           let stats = vm.stats in
           if Policy.frames_on_pure_call && stats.Stats.enabled then
             stats.Stats.frames <- stats.Stats.frames + 1;
-          if not (Bytecode.arity_matches parity site.cs_nargs) then
-            Values.err (pname ^ ": wrong number of arguments") [];
+          if not (Bytecode.arity_matches parity nargs) then begin
+            sync vm (steps + 1) (pc + 1) acc;
+            Values.err (pname ^ ": wrong number of arguments") []
+          end;
           if stats.Stats.enabled then
             stats.Stats.prim_calls <- stats.Stats.prim_calls + 1;
-          let v = fn (prim_args vm slots (nfp + 2) site.cs_nargs) in
-          if Policy.pure_call_skips vm site then begin
-            vm.acc <- v;
-            Policy.do_return vm;
-            relaunch vm
-          end
-          else exec vm instrs slots fp limit (budget - (steps + 1)) v 0 (pc + 1)
+          match
+            if nargs = 1 then p.fn1 slots.(nfp + 2)
+            else if nargs = 2 then p.fn2 slots.(nfp + 2) slots.(nfp + 3)
+            else p.fn (prim_args vm slots (nfp + 2) nargs)
+          with
+          | v when Policy.pure_call_skips vm site ->
+              sync vm (steps + 1) (pc + 1) v;
+              Policy.do_return vm;
+              relaunch vm
+          | v -> exec vm instrs slots fp limit budget v (steps + 1) (pc + 1)
+          | exception e -> reraise vm (steps + 1) (pc + 1) acc e)
       | f ->
           sync vm (steps + 1) (pc + 1) acc;
           let stats = vm.stats in
@@ -367,11 +409,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
   | Prim_call site ->
       sync vm (steps + 1) (pc + 1) acc;
       if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-        let stats = vm.stats in
-        if stats.Stats.enabled then begin
-          stats.Stats.prim_calls <- stats.Stats.prim_calls + 1;
-          stats.Stats.prim_fast <- stats.Stats.prim_fast + 1
-        end;
+        prim_fast_stats vm;
         let v =
           site.ps_fn (prim_args vm slots (fp + site.ps_disp + 2) site.ps_nargs)
         in
@@ -381,111 +419,65 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
         Policy.prim_deopt_call vm site;
         relaunch vm
       end
+  (* The fixed-arity forms below call the site's direct entry with plain
+     operands and leave the batch unflushed (see [sync]); a raising
+     primitive flushes in [reraise] exactly as the pre-call flush would
+     have, and a failed guard flushes before deoptimizing. *)
   | Prim_call1 site ->
-      sync vm (steps + 1) (pc + 1) acc;
       if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-        let stats = vm.stats in
-        if stats.Stats.enabled then begin
-          stats.Stats.prim_calls <- stats.Stats.prim_calls + 1;
-          stats.Stats.prim_fast <- stats.Stats.prim_fast + 1
-        end;
-        let args = vm.scratch.(1) in
-        args.(0) <- slots.(fp + site.ps_disp + 2);
-        let v = site.ps_fn args in
-        exec vm instrs slots fp limit (budget - (steps + 1)) v 0 (pc + 1)
+        prim_fast_stats vm;
+        match site.ps_fn1 slots.(fp + site.ps_disp + 2) with
+        | v -> exec vm instrs slots fp limit budget v (steps + 1) (pc + 1)
+        | exception e -> reraise vm (steps + 1) (pc + 1) acc e
       end
-      else begin
-        Policy.prim_deopt_call vm site;
-        relaunch vm
-      end
+      else deopt vm (steps + 1) (pc + 1) acc Policy.prim_deopt_call site
   | Prim_call2 site ->
-      sync vm (steps + 1) (pc + 1) acc;
       if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-        let stats = vm.stats in
-        if stats.Stats.enabled then begin
-          stats.Stats.prim_calls <- stats.Stats.prim_calls + 1;
-          stats.Stats.prim_fast <- stats.Stats.prim_fast + 1
-        end;
-        let args = vm.scratch.(2) in
+        prim_fast_stats vm;
         let base = fp + site.ps_disp + 2 in
-        args.(0) <- slots.(base);
-        args.(1) <- slots.(base + 1);
-        let v = site.ps_fn args in
-        exec vm instrs slots fp limit (budget - (steps + 1)) v 0 (pc + 1)
+        match site.ps_fn2 slots.(base) slots.(base + 1) with
+        | v -> exec vm instrs slots fp limit budget v (steps + 1) (pc + 1)
+        | exception e -> reraise vm (steps + 1) (pc + 1) acc e
       end
-      else begin
-        Policy.prim_deopt_call vm site;
-        relaunch vm
-      end
+      else deopt vm (steps + 1) (pc + 1) acc Policy.prim_deopt_call site
   | Local_branch_false (i, t) ->
       (* Fused Local_ref + Branch_false: one dispatch.  The skipped
          branch sits at [pc + 1]; fall through lands past it. *)
       let v = slots.(fp + i) in
       exec vm instrs slots fp limit budget v (steps + 1)
         (match v with Bool false -> t | _ -> pc + 2)
+  (* On guard failure the interned [ps_ret] of a branch form resumes at
+     the retained [Branch_false] at [pc + 1], which re-tests the deopted
+     call's returned value. *)
   | Prim_branch1 (site, t) ->
-      sync vm (steps + 1) (pc + 1) acc;
       if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-        let stats = vm.stats in
-        if stats.Stats.enabled then begin
-          stats.Stats.prim_calls <- stats.Stats.prim_calls + 1;
-          stats.Stats.prim_fast <- stats.Stats.prim_fast + 1
-        end;
-        let args = vm.scratch.(1) in
-        args.(0) <- slots.(fp + site.ps_disp + 2);
-        let v = site.ps_fn args in
-        exec vm instrs slots fp limit (budget - (steps + 1)) v 0
-          (match v with Bool false -> t | _ -> pc + 2)
+        prim_fast_stats vm;
+        match site.ps_fn1 slots.(fp + site.ps_disp + 2) with
+        | v ->
+            exec vm instrs slots fp limit budget v (steps + 1)
+              (match v with Bool false -> t | _ -> pc + 2)
+        | exception e -> reraise vm (steps + 1) (pc + 1) acc e
       end
-      else begin
-        (* The interned [ps_ret] resumes at the retained [Branch_false]
-           at [pc + 1], which re-tests the call's returned value. *)
-        Policy.prim_deopt_call vm site;
-        relaunch vm
-      end
+      else deopt vm (steps + 1) (pc + 1) acc Policy.prim_deopt_call site
   | Prim_branch2 (site, t) ->
-      sync vm (steps + 1) (pc + 1) acc;
       if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-        let stats = vm.stats in
-        if stats.Stats.enabled then begin
-          stats.Stats.prim_calls <- stats.Stats.prim_calls + 1;
-          stats.Stats.prim_fast <- stats.Stats.prim_fast + 1
-        end;
-        let args = vm.scratch.(2) in
+        prim_fast_stats vm;
         let base = fp + site.ps_disp + 2 in
-        args.(0) <- slots.(base);
-        args.(1) <- slots.(base + 1);
-        let v = site.ps_fn args in
-        exec vm instrs slots fp limit (budget - (steps + 1)) v 0
-          (match v with Bool false -> t | _ -> pc + 2)
+        match site.ps_fn2 slots.(base) slots.(base + 1) with
+        | v ->
+            exec vm instrs slots fp limit budget v (steps + 1)
+              (match v with Bool false -> t | _ -> pc + 2)
+        | exception e -> reraise vm (steps + 1) (pc + 1) acc e
       end
-      else begin
-        Policy.prim_deopt_call vm site;
-        relaunch vm
-      end
+      else deopt vm (steps + 1) (pc + 1) acc Policy.prim_deopt_call site
   | Prim_tail_call site ->
       sync vm (steps + 1) (pc + 1) acc;
       if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-        let stats = vm.stats in
-        if stats.Stats.enabled then begin
-          stats.Stats.prim_calls <- stats.Stats.prim_calls + 1;
-          stats.Stats.prim_fast <- stats.Stats.prim_fast + 1
-        end;
+        prim_fast_stats vm;
         let v =
           site.ps_fn (prim_args vm slots (fp + site.ps_disp + 2) site.ps_nargs)
         in
-        match (if Policy.fast then slots.(fp) else Void) with
-        | Retaddr r when fp - r.rdisp + r.rcode.frame_words <= limit ->
-            (* Batched counters were already flushed by [sync] above. *)
-            let nfp = fp - r.rdisp in
-            vm.code <- r.rcode;
-            Policy.set_fp vm nfp;
-            exec vm r.rcode.instrs slots nfp limit (budget - (steps + 1)) v 0
-              r.rpc
-        | _ ->
-            vm.acc <- v;
-            Policy.do_return vm;
-            relaunch vm
+        prim_return vm slots fp limit (budget - (steps + 1)) v 0 (pc + 1)
       end
       else begin
         Policy.prim_deopt_tail_call vm site;
@@ -496,159 +488,93 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
      staged sequence's originals are retained right after the fused head
      as the deopt landing pad, so the skip widths below are fixed by
      shape (operand count, plus the retained [Branch_false] of the
-     branch forms), and the sync pc is the same address the retained
-     consumer would sync — an error handler or a deopted call resumes
+     branch forms), and the flush pc is the same address the retained
+     consumer would flush — an error handler or a deopted call resumes
      exactly as in the unfused stream.  Every slow path that re-enters
      the frame policy first spills the operand values into the frame's
-     argument slots, so the frame the policy (or a capture under it)
-     observes is byte-identical to the unfused execution's. *)
+     argument slots ([spill1]/[spill2]), so the frame the policy (or a
+     capture under it) observes is byte-identical to the unfused
+     execution's. *)
   | Prim_call1_op (site, a) ->
-      sync vm (steps + 1) (pc + 2) acc;
+      let x = load_op slots fp acc a in
       if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-        let stats = vm.stats in
-        if stats.Stats.enabled then begin
-          stats.Stats.prim_calls <- stats.Stats.prim_calls + 1;
-          stats.Stats.prim_fast <- stats.Stats.prim_fast + 1
-        end;
-        let args = vm.scratch.(1) in
-        args.(0) <- load_op slots fp acc a;
-        let v = site.ps_fn args in
-        exec vm instrs slots fp limit (budget - (steps + 1)) v 0 (pc + 2)
+        prim_fast_stats vm;
+        match site.ps_fn1 x with
+        | v -> exec vm instrs slots fp limit budget v (steps + 1) (pc + 2)
+        | exception e -> reraise vm (steps + 1) (pc + 2) acc e
       end
       else begin
-        ignore
-          (Policy.set vm slots fp (site.ps_disp + 2) (load_op slots fp acc a));
-        Policy.prim_deopt_call vm site;
-        relaunch vm
+        spill1 vm slots fp site x;
+        deopt vm (steps + 1) (pc + 2) acc Policy.prim_deopt_call site
       end
   | Prim_call2_op (site, a, b) ->
-      sync vm (steps + 1) (pc + 3) acc;
+      let x = load_op slots fp acc a in
+      let y = load_op slots fp acc b in
       if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-        let stats = vm.stats in
-        if stats.Stats.enabled then begin
-          stats.Stats.prim_calls <- stats.Stats.prim_calls + 1;
-          stats.Stats.prim_fast <- stats.Stats.prim_fast + 1
-        end;
-        let args = vm.scratch.(2) in
-        args.(0) <- load_op slots fp acc a;
-        args.(1) <- load_op slots fp acc b;
-        let v = site.ps_fn args in
-        exec vm instrs slots fp limit (budget - (steps + 1)) v 0 (pc + 3)
+        prim_fast_stats vm;
+        match site.ps_fn2 x y with
+        | v -> exec vm instrs slots fp limit budget v (steps + 1) (pc + 3)
+        | exception e -> reraise vm (steps + 1) (pc + 3) acc e
       end
       else begin
-        let v1 = load_op slots fp acc a in
-        let v2 = load_op slots fp acc b in
-        let slots = Policy.set vm slots fp (site.ps_disp + 2) v1 in
-        ignore (Policy.set vm slots fp (site.ps_disp + 3) v2);
-        Policy.prim_deopt_call vm site;
-        relaunch vm
+        spill2 vm slots fp site x y;
+        deopt vm (steps + 1) (pc + 3) acc Policy.prim_deopt_call site
       end
   | Prim_branch1_op (site, a, t) ->
-      sync vm (steps + 1) (pc + 2) acc;
+      (* [ps_ret] resumes at the retained [Branch_false] at [pc + 2]. *)
+      let x = load_op slots fp acc a in
       if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-        let stats = vm.stats in
-        if stats.Stats.enabled then begin
-          stats.Stats.prim_calls <- stats.Stats.prim_calls + 1;
-          stats.Stats.prim_fast <- stats.Stats.prim_fast + 1
-        end;
-        let args = vm.scratch.(1) in
-        args.(0) <- load_op slots fp acc a;
-        let v = site.ps_fn args in
-        exec vm instrs slots fp limit (budget - (steps + 1)) v 0
-          (match v with Bool false -> t | _ -> pc + 3)
+        prim_fast_stats vm;
+        match site.ps_fn1 x with
+        | v ->
+            exec vm instrs slots fp limit budget v (steps + 1)
+              (match v with Bool false -> t | _ -> pc + 3)
+        | exception e -> reraise vm (steps + 1) (pc + 2) acc e
       end
       else begin
-        (* [ps_ret] resumes at the retained [Branch_false] at [pc + 2],
-           which re-tests the deopted call's returned value. *)
-        ignore
-          (Policy.set vm slots fp (site.ps_disp + 2) (load_op slots fp acc a));
-        Policy.prim_deopt_call vm site;
-        relaunch vm
+        spill1 vm slots fp site x;
+        deopt vm (steps + 1) (pc + 2) acc Policy.prim_deopt_call site
       end
   | Prim_branch2_op (site, a, b, t) ->
-      sync vm (steps + 1) (pc + 3) acc;
+      let x = load_op slots fp acc a in
+      let y = load_op slots fp acc b in
       if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-        let stats = vm.stats in
-        if stats.Stats.enabled then begin
-          stats.Stats.prim_calls <- stats.Stats.prim_calls + 1;
-          stats.Stats.prim_fast <- stats.Stats.prim_fast + 1
-        end;
-        let args = vm.scratch.(2) in
-        args.(0) <- load_op slots fp acc a;
-        args.(1) <- load_op slots fp acc b;
-        let v = site.ps_fn args in
-        exec vm instrs slots fp limit (budget - (steps + 1)) v 0
-          (match v with Bool false -> t | _ -> pc + 4)
+        prim_fast_stats vm;
+        match site.ps_fn2 x y with
+        | v ->
+            exec vm instrs slots fp limit budget v (steps + 1)
+              (match v with Bool false -> t | _ -> pc + 4)
+        | exception e -> reraise vm (steps + 1) (pc + 3) acc e
       end
       else begin
-        let v1 = load_op slots fp acc a in
-        let v2 = load_op slots fp acc b in
-        let slots = Policy.set vm slots fp (site.ps_disp + 2) v1 in
-        ignore (Policy.set vm slots fp (site.ps_disp + 3) v2);
-        Policy.prim_deopt_call vm site;
-        relaunch vm
+        spill2 vm slots fp site x y;
+        deopt vm (steps + 1) (pc + 3) acc Policy.prim_deopt_call site
       end
-  | Prim_tail1_op (site, a) -> (
-      sync vm (steps + 1) (pc + 2) acc;
+  | Prim_tail1_op (site, a) ->
+      let x = load_op slots fp acc a in
       if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-        let stats = vm.stats in
-        if stats.Stats.enabled then begin
-          stats.Stats.prim_calls <- stats.Stats.prim_calls + 1;
-          stats.Stats.prim_fast <- stats.Stats.prim_fast + 1
-        end;
-        let args = vm.scratch.(1) in
-        args.(0) <- load_op slots fp acc a;
-        let v = site.ps_fn args in
-        match (if Policy.fast then slots.(fp) else Void) with
-        | Retaddr r when fp - r.rdisp + r.rcode.frame_words <= limit ->
-            let nfp = fp - r.rdisp in
-            vm.code <- r.rcode;
-            Policy.set_fp vm nfp;
-            exec vm r.rcode.instrs slots nfp limit (budget - (steps + 1)) v 0
-              r.rpc
-        | _ ->
-            vm.acc <- v;
-            Policy.do_return vm;
-            relaunch vm
+        prim_fast_stats vm;
+        match site.ps_fn1 x with
+        | v -> prim_return vm slots fp limit budget v (steps + 1) (pc + 2)
+        | exception e -> reraise vm (steps + 1) (pc + 2) acc e
       end
       else begin
-        ignore
-          (Policy.set vm slots fp (site.ps_disp + 2) (load_op slots fp acc a));
-        Policy.prim_deopt_tail_call vm site;
-        relaunch vm
-      end)
-  | Prim_tail2_op (site, a, b) -> (
-      sync vm (steps + 1) (pc + 3) acc;
+        spill1 vm slots fp site x;
+        deopt vm (steps + 1) (pc + 2) acc Policy.prim_deopt_tail_call site
+      end
+  | Prim_tail2_op (site, a, b) ->
+      let x = load_op slots fp acc a in
+      let y = load_op slots fp acc b in
       if (gcell vm site.ps_slot).gval == site.ps_guard then begin
-        let stats = vm.stats in
-        if stats.Stats.enabled then begin
-          stats.Stats.prim_calls <- stats.Stats.prim_calls + 1;
-          stats.Stats.prim_fast <- stats.Stats.prim_fast + 1
-        end;
-        let args = vm.scratch.(2) in
-        args.(0) <- load_op slots fp acc a;
-        args.(1) <- load_op slots fp acc b;
-        let v = site.ps_fn args in
-        match (if Policy.fast then slots.(fp) else Void) with
-        | Retaddr r when fp - r.rdisp + r.rcode.frame_words <= limit ->
-            let nfp = fp - r.rdisp in
-            vm.code <- r.rcode;
-            Policy.set_fp vm nfp;
-            exec vm r.rcode.instrs slots nfp limit (budget - (steps + 1)) v 0
-              r.rpc
-        | _ ->
-            vm.acc <- v;
-            Policy.do_return vm;
-            relaunch vm
+        prim_fast_stats vm;
+        match site.ps_fn2 x y with
+        | v -> prim_return vm slots fp limit budget v (steps + 1) (pc + 3)
+        | exception e -> reraise vm (steps + 1) (pc + 3) acc e
       end
       else begin
-        let v1 = load_op slots fp acc a in
-        let v2 = load_op slots fp acc b in
-        let slots = Policy.set vm slots fp (site.ps_disp + 2) v1 in
-        ignore (Policy.set vm slots fp (site.ps_disp + 3) v2);
-        Policy.prim_deopt_tail_call vm site;
-        relaunch vm
-      end)
+        spill2 vm slots fp site x y;
+        deopt vm (steps + 1) (pc + 3) acc Policy.prim_deopt_tail_call site
+      end
   | Return_op a -> (
       (* Fused producer + [Return]: the returned value comes from the
          operand, never from [acc].  Same fast/slow split as [Return];
@@ -669,6 +595,29 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
           sync vm (steps + 1) (pc + 2) v;
           Policy.do_return vm;
           relaunch vm)
+
+(* A fused primitive's guard failed: flush at the retained consumer's pc
+   and take the generic call ([transfer] is the policy's deopt call or
+   tail call). *)
+and deopt (vm : Policy.t) steps pc acc transfer site =
+  sync vm steps pc acc;
+  transfer vm site;
+  relaunch vm
+
+(* Return a tail-called primitive's result [v]: the [Return] fast path
+   with the batch carried into the caller, or the policy's return after a
+   flush at [next_pc], the pc past the retained [Return]. *)
+and prim_return (vm : Policy.t) slots fp limit budget v steps next_pc =
+  match (if Policy.fast then slots.(fp) else Void) with
+  | Retaddr r when fp - r.rdisp + r.rcode.frame_words <= limit ->
+      let nfp = fp - r.rdisp in
+      vm.code <- r.rcode;
+      Policy.set_fp vm nfp;
+      exec vm r.rcode.instrs slots nfp limit budget v steps r.rpc
+  | _ ->
+      sync vm steps next_pc v;
+      Policy.do_return vm;
+      relaunch vm
 
 (* Re-establish the cached landing state from [vm] after a control
    transfer and continue executing (or stop, when the transfer halted the

@@ -10,7 +10,17 @@
    backend's [run] (and the oracle's [eval]) for the dynamic extent of
    the run and restored on exit, so nested runs — eval inside eval, a
    prelude load inside session setup — unwind correctly.  Domain-local
-   storage keeps pool shards on separate domains fully independent. *)
+   storage keeps pool shards on separate domains fully independent.
+
+   None of the hooks reads the state the dispatch loops batch per landing
+   ([vm.pc], [vm.acc], [vm.fuel], [stats.instrs]): [out] is the output
+   buffer ([display], [write], [newline], [%output-mark],
+   [%output-take], [%par-emit]), the timer pair reads and writes
+   [vm.timer]/[vm.timer_handler], which [Enter] reads directly, and
+   [par_switch] bumps a counter no landing batches.  That is what lets
+   the loops call these primitives without flushing first (see the
+   [sync] contract in engine_core.ml); a hook that needed batched state
+   would break it. *)
 
 type t = {
   mutable set_timer : int -> Rt.value -> unit;

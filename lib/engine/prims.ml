@@ -33,14 +33,18 @@ let check_tbl who v =
   match v with Tbl t -> t | _ -> Values.type_error who "hashtable" v
 
 (* Hashtable keys must hash and compare consistently with eqv?: restrict
-   them to immediates (structural = physical for interned symbols). *)
+   them to immediates (structural = physical for interned symbols) and
+   key a flonum by its bits (see [Rt.hkey]). *)
 let check_hkey who v =
   match v with
-  | Int _ | Sym _ | Char _ | Bool _ | Nil | Flo _ -> v
+  | Int _ | Sym _ | Char _ | Bool _ | Nil -> Key v
+  | Flo x -> Flo_key (Int64.bits_of_float x)
   | _ ->
       Values.err
         (who ^ ": hashtable keys must be eqv-comparable immediates")
         [ v ]
+
+let of_hkey = function Key v -> v | Flo_key b -> Flo (Int64.float_of_bits b)
 
 let check_procedure who v =
   match v with
@@ -50,14 +54,6 @@ let check_procedure who v =
 let arity_error who = Values.err (who ^ ": wrong number of arguments") []
 
 (* Argument-count helpers ------------------------------------------------ *)
-
-let a1 who f args =
-  match args with [| x |] -> f x | _ -> arity_error who
-  [@@inline]
-
-let a2 who f args =
-  match args with [| x; y |] -> f x y | _ -> arity_error who
-  [@@inline]
 
 let a3 who f args =
   match args with [| x; y; z |] -> f x y z | _ -> arity_error who
@@ -166,7 +162,30 @@ let rec member_gen eqf key v =
 (* The table                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let pure name arity f = (name, { pname = name; parity = arity; pfn = Pure f })
+let entries name parity fn fn1 fn2 =
+  (name, { pname = name; parity; pfn = Pure { fn; fn1; fn2 } })
+
+(* A fixed-arity primitive is written once, as its direct entry; the
+   array entry that [apply] and the generic call paths use is derived
+   from it and adds only the argument-count match.  The direct entry of
+   the other arity is never reached (every caller checks the arity
+   first), so it just reports the error. *)
+let pure1 name f =
+  let fn = function [| x |] -> f x | _ -> arity_error name in
+  entries name (Exactly 1) fn f (fun _ _ -> arity_error name)
+
+let pure2 name f =
+  let fn = function [| x; y |] -> f x y | _ -> arity_error name in
+  entries name (Exactly 2) fn (fun _ -> arity_error name) f
+
+(* Any other primitive is written over its argument array, and its
+   direct entries build one unless [fn1]/[fn2] are given.  Every
+   primitive a loop calls at one or two arguments gives them, so the
+   fused call paths allocate no array. *)
+let pure ?fn1 ?fn2 name parity fn =
+  let fn1 = match fn1 with Some f -> f | None -> fun x -> fn [| x |] in
+  let fn2 = match fn2 with Some f -> f | None -> fun x y -> fn [| x; y |] in
+  entries name parity fn fn1 fn2
 
 let special name arity s =
   (name, { pname = name; parity = arity; pfn = Special s })
@@ -257,6 +276,23 @@ let dw_prim =
    touch per-machine state — the output buffer and the preemption
    timer — reach the *running* machine through {!Machine_hooks}, the
    per-domain hook record each backend's [run] installs. *)
+(* (error who msg irritant ...) or (error msg irritant ...) *)
+let raise_error args =
+  match args with
+  | [| m |] -> raise (Scheme_error (Values.display_string m, []))
+  | _ -> (
+      match args.(0) with
+      | Sym who ->
+          raise
+            (Scheme_error
+               ( who ^ ": " ^ Values.display_string args.(1),
+                 Array.to_list (Array.sub args 2 (Array.length args - 2)) ))
+      | m ->
+          raise
+            (Scheme_error
+               ( Values.display_string m,
+                 Array.to_list (Array.sub args 1 (Array.length args - 1)) )))
+
 let hooks_out () = (Machine_hooks.current ()).Machine_hooks.out ()
 
 let the_prims : (string * prim) list =
@@ -270,243 +306,254 @@ let the_prims : (string * prim) list =
   in
   [
     (* -- arithmetic ------------------------------------------------- *)
-    pure "+" (At_least 0) (fun args ->
-        match args with
-        | [| Int x; Int y |] -> Int (x + y)
-        | _ -> num_fold "+" 0 ( + ) ( +. ) args);
-    pure "*" (At_least 0) (fun args ->
-        match args with
-        | [| Int x; Int y |] -> Int (x * y)
-        | _ -> num_fold "*" 1 ( * ) ( *. ) args);
-    pure "-" (At_least 1) (fun args ->
-        match args with
-        | [| Int x; Int y |] -> Int (x - y)
-        | [| Int n |] -> Int (-n)
-        | [| Flo f |] -> Flo (-.f)
-        | [| v |] -> Values.type_error "-" "number" v
-        | _ -> num_fold "-" 0 ( - ) ( -. ) args);
-    pure "/" (At_least 1) (fun args ->
-        (* exact when it divides evenly, inexact otherwise (no rationals) *)
-        let div a b =
-          match (a, b) with
-          | Int x, Int y when y <> 0 && x mod y = 0 -> Int (x / y)
-          | (Int _ | Flo _), Int 0 -> Values.err "/: division by zero" []
-          | _ ->
-              let x = num_float "/" a in
-              let y = num_float "/" b in
-              Flo (x /. y)
-        in
-        match args with
-        | [| a |] -> div (Int 1) a
-        | _ ->
-            let acc = ref (check_num "/" args.(0)) in
-            for i = 1 to Array.length args - 1 do
-              acc := div !acc args.(i)
-            done;
-            !acc);
-    pure "quotient" (Exactly 2)
-      (a2 "quotient" (fun a b ->
-           let b = check_int "quotient" b in
-           if b = 0 then Values.err "quotient: division by zero" [];
-           Int (check_int "quotient" a / b)));
-    pure "remainder" (Exactly 2)
-      (a2 "remainder" (fun a b ->
-           let b = check_int "remainder" b in
-           if b = 0 then Values.err "remainder: division by zero" [];
-           Int (Int.rem (check_int "remainder" a) b)));
-    pure "modulo" (Exactly 2)
-      (a2 "modulo" (fun a b ->
-           let b = check_int "modulo" b in
-           if b = 0 then Values.err "modulo: division by zero" [];
-           let r = Int.rem (check_int "modulo" a) b in
-           Int (if (r < 0) <> (b < 0) && r <> 0 then r + b else r)));
-    pure "abs" (Exactly 1)
-      (a1 "abs" (fun a ->
-           match a with
-           | Int n when n >= 0 -> a
-           | Int n -> Int (-n)
-           | Flo f -> Flo (Float.abs f)
-           | v -> Values.type_error "abs" "number" v));
-    pure "min" (At_least 1) (fun args -> num_fold "min" 0 Int.min Float.min args);
-    pure "max" (At_least 1) (fun args -> num_fold "max" 0 Int.max Float.max args);
-    pure "=" (At_least 2) (fun args ->
-        match args with
-        | [| Int x; Int y |] -> bool_of (x = y)
-        | _ -> num_compare "=" ( = ) ( = ) args);
-    pure "<" (At_least 2) (fun args ->
-        match args with
-        | [| Int x; Int y |] -> bool_of (x < y)
-        | _ -> num_compare "<" ( < ) ( < ) args);
-    pure ">" (At_least 2) (fun args ->
-        match args with
-        | [| Int x; Int y |] -> bool_of (x > y)
-        | _ -> num_compare ">" ( > ) ( > ) args);
-    pure "<=" (At_least 2) (fun args ->
-        match args with
-        | [| Int x; Int y |] -> bool_of (x <= y)
-        | _ -> num_compare "<=" ( <= ) ( <= ) args);
-    pure ">=" (At_least 2) (fun args ->
-        match args with
-        | [| Int x; Int y |] -> bool_of (x >= y)
-        | _ -> num_compare ">=" ( >= ) ( >= ) args);
+    (* The two-argument entries test the two-fixnum case inline, then go
+       to [arith]/[num_test]. *)
+    (let add a b =
+       match (a, b) with
+       | Int x, Int y -> Int (x + y)
+       | _ -> arith "+" ( + ) ( +. ) a b
+     in
+     pure "+" (At_least 0) ~fn1:(check_num "+") ~fn2:add (fun args ->
+         match args with
+         | [| a; b |] -> add a b
+         | _ -> num_fold "+" 0 ( + ) ( +. ) args));
+    (let mul a b =
+       match (a, b) with
+       | Int x, Int y -> Int (x * y)
+       | _ -> arith "*" ( * ) ( *. ) a b
+     in
+     pure "*" (At_least 0) ~fn1:(check_num "*") ~fn2:mul (fun args ->
+         match args with
+         | [| a; b |] -> mul a b
+         | _ -> num_fold "*" 1 ( * ) ( *. ) args));
+    (let neg = function
+       | Int n -> Int (-n)
+       | Flo f -> Flo (-.f)
+       | v -> Values.type_error "-" "number" v
+     and sub a b =
+       match (a, b) with
+       | Int x, Int y -> Int (x - y)
+       | _ -> arith "-" ( - ) ( -. ) a b
+     in
+     pure "-" (At_least 1) ~fn1:neg ~fn2:sub (fun args ->
+         match args with
+         | [| a |] -> neg a
+         | [| a; b |] -> sub a b
+         | _ -> num_fold "-" 0 ( - ) ( -. ) args));
+    (* exact when it divides evenly, inexact otherwise (no rationals) *)
+    (let div a b =
+       match (a, b) with
+       | Int x, Int y when y <> 0 && x mod y = 0 -> Int (x / y)
+       | (Int _ | Flo _), Int 0 -> Values.err "/: division by zero" []
+       | _ ->
+           let x = num_float "/" a in
+           let y = num_float "/" b in
+           Flo (x /. y)
+     in
+     pure "/" (At_least 1) ~fn1:(div (Int 1)) ~fn2:div (fun args ->
+         match args with
+         | [| a |] -> div (Int 1) a
+         | _ ->
+             let acc = ref (check_num "/" args.(0)) in
+             for i = 1 to Array.length args - 1 do
+               acc := div !acc args.(i)
+             done;
+             !acc));
+    pure2 "quotient" (fun a b ->
+        let b = check_int "quotient" b in
+        if b = 0 then Values.err "quotient: division by zero" [];
+        Int (check_int "quotient" a / b));
+    pure2 "remainder" (fun a b ->
+        let b = check_int "remainder" b in
+        if b = 0 then Values.err "remainder: division by zero" [];
+        Int (Int.rem (check_int "remainder" a) b));
+    pure2 "modulo" (fun a b ->
+        let b = check_int "modulo" b in
+        if b = 0 then Values.err "modulo: division by zero" [];
+        let r = Int.rem (check_int "modulo" a) b in
+        Int (if (r < 0) <> (b < 0) && r <> 0 then r + b else r));
+    pure1 "abs" (fun a ->
+        match a with
+        | Int n when n >= 0 -> a
+        | Int n -> Int (-n)
+        | Flo f -> Flo (Float.abs f)
+        | v -> Values.type_error "abs" "number" v);
+    pure "min" (At_least 1) ~fn1:(check_num "min")
+      ~fn2:(arith "min" Int.min Float.min)
+      (num_fold "min" 0 Int.min Float.min);
+    pure "max" (At_least 1) ~fn1:(check_num "max")
+      ~fn2:(arith "max" Int.max Float.max)
+      (num_fold "max" 0 Int.max Float.max);
+    (let eq a b =
+       match (a, b) with
+       | Int x, Int y -> bool_of (x = y)
+       | _ -> bool_of (num_test "=" ( = ) ( = ) a b)
+     in
+     pure "=" (At_least 2) ~fn2:eq (fun args ->
+         match args with
+         | [| a; b |] -> eq a b
+         | _ -> num_compare "=" ( = ) ( = ) args));
+    (let lt a b =
+       match (a, b) with
+       | Int x, Int y -> bool_of (x < y)
+       | _ -> bool_of (num_test "<" ( < ) ( < ) a b)
+     in
+     pure "<" (At_least 2) ~fn2:lt (fun args ->
+         match args with
+         | [| a; b |] -> lt a b
+         | _ -> num_compare "<" ( < ) ( < ) args));
+    (let gt a b =
+       match (a, b) with
+       | Int x, Int y -> bool_of (x > y)
+       | _ -> bool_of (num_test ">" ( > ) ( > ) a b)
+     in
+     pure ">" (At_least 2) ~fn2:gt (fun args ->
+         match args with
+         | [| a; b |] -> gt a b
+         | _ -> num_compare ">" ( > ) ( > ) args));
+    (let le a b =
+       match (a, b) with
+       | Int x, Int y -> bool_of (x <= y)
+       | _ -> bool_of (num_test "<=" ( <= ) ( <= ) a b)
+     in
+     pure "<=" (At_least 2) ~fn2:le (fun args ->
+         match args with
+         | [| a; b |] -> le a b
+         | _ -> num_compare "<=" ( <= ) ( <= ) args));
+    (let ge a b =
+       match (a, b) with
+       | Int x, Int y -> bool_of (x >= y)
+       | _ -> bool_of (num_test ">=" ( >= ) ( >= ) a b)
+     in
+     pure ">=" (At_least 2) ~fn2:ge (fun args ->
+         match args with
+         | [| a; b |] -> ge a b
+         | _ -> num_compare ">=" ( >= ) ( >= ) args));
     (* -- flonum-specific ---------------------------------------------- *)
-    pure "exact->inexact" (Exactly 1)
-      (a1 "exact->inexact" (fun a ->
-           match a with
-           | Int n -> Flo (float_of_int n)
-           | Flo _ -> a
-           | v -> Values.type_error "exact->inexact" "number" v));
-    pure "inexact->exact" (Exactly 1)
-      (a1 "inexact->exact" (fun a ->
-           match a with
-           | Int _ -> a
-           | Flo f ->
-               if Float.is_integer f then Int (int_of_float f)
-               else Values.err "inexact->exact: not an integer" [ a ]
-           | v -> Values.type_error "inexact->exact" "number" v));
-    pure "exact?" (Exactly 1)
-      (a1 "exact?" (fun a ->
-           match a with
-           | Int _ -> Bool true
-           | Flo _ -> Bool false
-           | v -> Values.type_error "exact?" "number" v));
-    pure "inexact?" (Exactly 1)
-      (a1 "inexact?" (fun a ->
-           match a with
-           | Flo _ -> Bool true
-           | Int _ -> Bool false
-           | v -> Values.type_error "inexact?" "number" v));
-    pure "real?" (Exactly 1)
-      (a1 "real?" (fun a ->
-           bool_of (match a with Int _ | Flo _ -> true | _ -> false)));
-    pure "floor" (Exactly 1) (a1 "floor" (integral "floor" Float.floor));
-    pure "ceiling" (Exactly 1) (a1 "ceiling" (integral "ceiling" Float.ceil));
-    pure "truncate" (Exactly 1)
-      (a1 "truncate" (integral "truncate" Float.trunc));
-    pure "round" (Exactly 1)
-      (a1 "round"
-         (integral "round" (fun f ->
-              (* round-to-even *)
-              let r = Float.round f in
-              if Float.abs (f -. Float.trunc f) = 0.5 then
-                if Float.rem r 2. = 0. then r else r -. Float.copy_sign 1. f
-              else r)));
-    pure "sqrt" (Exactly 1)
-      (a1 "sqrt" (fun a ->
-           match a with
-           | Int n when n >= 0 ->
-               let r = int_of_float (Float.sqrt (float_of_int n)) in
-               if r * r = n then Int r
-               else Flo (Float.sqrt (float_of_int n))
-           | _ -> Flo (Float.sqrt (num_float "sqrt" a))));
-    pure "expt" (Exactly 2)
-      (a2 "expt" (fun a b ->
-           match (a, b) with
-           | Int x, Int y when y >= 0 ->
-               let rec go acc b e =
-                 if e = 0 then acc
-                 else go (if e land 1 = 1 then acc * b else acc) (b * b)
-                   (e lsr 1)
-               in
-               Int (go 1 x y)
-           | _ ->
-               let x = num_float "expt" a in
-               let y = num_float "expt" b in
-               Flo (Float.pow x y)));
-    pure "exp" (Exactly 1)
-      (a1 "exp" (fun a -> Flo (Float.exp (num_float "exp" a))));
-    pure "log" (Exactly 1)
-      (a1 "log" (fun a -> Flo (Float.log (num_float "log" a))));
-    pure "sin" (Exactly 1)
-      (a1 "sin" (fun a -> Flo (Float.sin (num_float "sin" a))));
-    pure "cos" (Exactly 1)
-      (a1 "cos" (fun a -> Flo (Float.cos (num_float "cos" a))));
-    pure "atan" (At_least 1) (fun args ->
-        match args with
-        | [| a |] -> Flo (Float.atan (num_float "atan" a))
-        | [| a; b |] ->
-            let y = num_float "atan" b in
-            let x = num_float "atan" a in
-            Flo (Float.atan2 x y)
-        | _ -> arity_error "atan");
-    pure "zero?" (Exactly 1) (a1 "zero?" (num_sign "zero?" ( = ) ( = )));
-    pure "positive?" (Exactly 1)
-      (a1 "positive?" (num_sign "positive?" ( > ) ( > )));
-    pure "negative?" (Exactly 1)
-      (a1 "negative?" (num_sign "negative?" ( < ) ( < )));
-    pure "even?" (Exactly 1)
-      (a1 "even?" (fun a -> bool_of (check_int "even?" a land 1 = 0)));
-    pure "odd?" (Exactly 1)
-      (a1 "odd?" (fun a -> bool_of (check_int "odd?" a land 1 = 1)));
-    pure "1+" (Exactly 1) (a1 "1+" (fun a -> Int (check_int "1+" a + 1)));
-    pure "1-" (Exactly 1) (a1 "1-" (fun a -> Int (check_int "1-" a - 1)));
+    pure1 "exact->inexact" (fun a ->
+        match a with
+        | Int n -> Flo (float_of_int n)
+        | Flo _ -> a
+        | v -> Values.type_error "exact->inexact" "number" v);
+    pure1 "inexact->exact" (fun a ->
+        match a with
+        | Int _ -> a
+        | Flo f ->
+            if Float.is_integer f then Int (int_of_float f)
+            else Values.err "inexact->exact: not an integer" [ a ]
+        | v -> Values.type_error "inexact->exact" "number" v);
+    pure1 "exact?" (fun a ->
+        match a with
+        | Int _ -> Bool true
+        | Flo _ -> Bool false
+        | v -> Values.type_error "exact?" "number" v);
+    pure1 "inexact?" (fun a ->
+        match a with
+        | Flo _ -> Bool true
+        | Int _ -> Bool false
+        | v -> Values.type_error "inexact?" "number" v);
+    pure1 "real?" (fun a ->
+        bool_of (match a with Int _ | Flo _ -> true | _ -> false));
+    pure1 "floor" (integral "floor" Float.floor);
+    pure1 "ceiling" (integral "ceiling" Float.ceil);
+    pure1 "truncate" (integral "truncate" Float.trunc);
+    pure1 "round" (integral "round" (fun f ->
+        (* round-to-even *)
+        let r = Float.round f in
+        if Float.abs (f -. Float.trunc f) = 0.5 then
+          if Float.rem r 2. = 0. then r else r -. Float.copy_sign 1. f
+        else r));
+    pure1 "sqrt" (fun a ->
+        match a with
+        | Int n when n >= 0 ->
+            let r = int_of_float (Float.sqrt (float_of_int n)) in
+            if r * r = n then Int r
+            else Flo (Float.sqrt (float_of_int n))
+        | _ -> Flo (Float.sqrt (num_float "sqrt" a)));
+    pure2 "expt" (fun a b ->
+        match (a, b) with
+        | Int x, Int y when y >= 0 ->
+            let rec go acc b e =
+              if e = 0 then acc
+              else go (if e land 1 = 1 then acc * b else acc) (b * b)
+                (e lsr 1)
+            in
+            Int (go 1 x y)
+        | _ ->
+            let x = num_float "expt" a in
+            let y = num_float "expt" b in
+            Flo (Float.pow x y));
+    pure1 "exp" (fun a -> Flo (Float.exp (num_float "exp" a)));
+    pure1 "log" (fun a -> Flo (Float.log (num_float "log" a)));
+    pure1 "sin" (fun a -> Flo (Float.sin (num_float "sin" a)));
+    pure1 "cos" (fun a -> Flo (Float.cos (num_float "cos" a)));
+    (let atan1 a = Flo (Float.atan (num_float "atan" a))
+     and atan2 a b =
+       let y = num_float "atan" b in
+       let x = num_float "atan" a in
+       Flo (Float.atan2 x y)
+     in
+     pure "atan" (At_least 1) ~fn1:atan1 ~fn2:atan2 (fun args ->
+         match args with
+         | [| a |] -> atan1 a
+         | [| a; b |] -> atan2 a b
+         | _ -> arity_error "atan"));
+    pure1 "zero?" (num_sign "zero?" ( = ) ( = ));
+    pure1 "positive?" (num_sign "positive?" ( > ) ( > ));
+    pure1 "negative?" (num_sign "negative?" ( < ) ( < ));
+    pure1 "even?" (fun a -> bool_of (check_int "even?" a land 1 = 0));
+    pure1 "odd?" (fun a -> bool_of (check_int "odd?" a land 1 = 1));
+    pure1 "1+" (fun a -> Int (check_int "1+" a + 1));
+    pure1 "1-" (fun a -> Int (check_int "1-" a - 1));
     (* -- predicates -------------------------------------------------- *)
-    pure "eq?" (Exactly 2) (a2 "eq?" (fun a b -> bool_of (Values.eq a b)));
-    pure "eqv?" (Exactly 2) (a2 "eqv?" (fun a b -> bool_of (Values.eqv a b)));
-    pure "equal?" (Exactly 2)
-      (a2 "equal?" (fun a b -> bool_of (Values.equal a b)));
-    pure "not" (Exactly 1) (a1 "not" (fun a -> bool_of (not (Values.is_truthy a))));
-    pure "null?" (Exactly 1) (a1 "null?" (fun a -> bool_of (a = Nil)));
-    pure "list?" (Exactly 1)
-      (a1 "list?" (fun a ->
-           bool_of
-             (match Values.list_of_value_opt a with
-             | Some _ -> true
-             | None -> false)));
-    pure "pair?" (Exactly 1)
-      (a1 "pair?" (fun a -> bool_of (match a with Pair _ -> true | _ -> false)));
-    pure "symbol?" (Exactly 1)
-      (a1 "symbol?" (fun a -> bool_of (match a with Sym _ -> true | _ -> false)));
-    pure "number?" (Exactly 1)
-      (a1 "number?" (fun a ->
-           bool_of (match a with Int _ | Flo _ -> true | _ -> false)));
-    pure "integer?" (Exactly 1)
-      (a1 "integer?" (fun a -> bool_of (match a with Int _ -> true | _ -> false)));
-    pure "string?" (Exactly 1)
-      (a1 "string?" (fun a -> bool_of (match a with Str _ -> true | _ -> false)));
-    pure "char?" (Exactly 1)
-      (a1 "char?" (fun a -> bool_of (match a with Char _ -> true | _ -> false)));
-    pure "boolean?" (Exactly 1)
-      (a1 "boolean?" (fun a ->
-           bool_of (match a with Bool _ -> true | _ -> false)));
-    pure "vector?" (Exactly 1)
-      (a1 "vector?" (fun a -> bool_of (match a with Vec _ -> true | _ -> false)));
-    pure "procedure?" (Exactly 1)
-      (a1 "procedure?" (fun a ->
-           bool_of
-             (match a with Closure _ | Prim _ | Cont _ | Hcont _ | Ofun _ -> true | _ -> false)));
-    pure "eof-object?" (Exactly 1)
-      (a1 "eof-object?" (fun a -> bool_of (a = Eof)));
+    pure2 "eq?" (fun a b -> bool_of (Values.eq a b));
+    pure2 "eqv?" (fun a b -> bool_of (Values.eqv a b));
+    pure2 "equal?" (fun a b -> bool_of (Values.equal a b));
+    pure1 "not" (fun a -> bool_of (not (Values.is_truthy a)));
+    pure1 "null?" (fun a -> bool_of (a = Nil));
+    pure1 "list?" (fun a ->
+        bool_of
+          (match Values.list_of_value_opt a with
+          | Some _ -> true
+          | None -> false));
+    pure1 "pair?" (fun a -> bool_of (match a with Pair _ -> true | _ -> false));
+    pure1 "symbol?" (fun a -> bool_of (match a with Sym _ -> true | _ -> false));
+    pure1 "number?" (fun a ->
+        bool_of (match a with Int _ | Flo _ -> true | _ -> false));
+    pure1 "integer?" (fun a -> bool_of (match a with Int _ -> true | _ -> false));
+    pure1 "string?" (fun a -> bool_of (match a with Str _ -> true | _ -> false));
+    pure1 "char?" (fun a -> bool_of (match a with Char _ -> true | _ -> false));
+    pure1 "boolean?" (fun a ->
+        bool_of (match a with Bool _ -> true | _ -> false));
+    pure1 "vector?" (fun a -> bool_of (match a with Vec _ -> true | _ -> false));
+    pure1 "procedure?" (fun a ->
+        bool_of
+          (match a with Closure _ | Prim _ | Cont _ | Hcont _ | Ofun _ -> true | _ -> false));
+    pure1 "eof-object?" (fun a -> bool_of (a = Eof));
     (* -- pairs and lists --------------------------------------------- *)
-    pure "cons" (Exactly 2) (a2 "cons" Values.cons);
-    pure "car" (Exactly 1) (a1 "car" (fun v -> (check_pair "car" v).car));
-    pure "cdr" (Exactly 1) (a1 "cdr" (fun v -> (check_pair "cdr" v).cdr));
-    pure "caar" (Exactly 1)
-      (a1 "caar" (fun v -> (check_pair "caar" (check_pair "caar" v).car).car));
-    pure "cadr" (Exactly 1)
-      (a1 "cadr" (fun v -> (check_pair "cadr" (check_pair "cadr" v).cdr).car));
-    pure "cdar" (Exactly 1)
-      (a1 "cdar" (fun v -> (check_pair "cdar" (check_pair "cdar" v).car).cdr));
-    pure "cddr" (Exactly 1)
-      (a1 "cddr" (fun v -> (check_pair "cddr" (check_pair "cddr" v).cdr).cdr));
-    pure "caddr" (Exactly 1)
-      (a1 "caddr" (fun v ->
-           (check_pair "caddr"
-              (check_pair "caddr" (check_pair "caddr" v).cdr).cdr)
-             .car));
-    pure "set-car!" (Exactly 2)
-      (a2 "set-car!" (fun p v ->
-           (check_pair "set-car!" p).car <- v;
-           Void));
-    pure "set-cdr!" (Exactly 2)
-      (a2 "set-cdr!" (fun p v ->
-           (check_pair "set-cdr!" p).cdr <- v;
-           Void));
-    pure "list" (At_least 0) (fun args ->
-        Values.list_to_value (Array.to_list args));
-    pure "length" (Exactly 1)
-      (a1 "length" (fun v -> Int (list_length "length" 0 v)));
-    pure "append" (At_least 0) (fun args ->
+    pure2 "cons" Values.cons;
+    pure1 "car" (fun v -> (check_pair "car" v).car);
+    pure1 "cdr" (fun v -> (check_pair "cdr" v).cdr);
+    pure1 "caar" (fun v -> (check_pair "caar" (check_pair "caar" v).car).car);
+    pure1 "cadr" (fun v -> (check_pair "cadr" (check_pair "cadr" v).cdr).car);
+    pure1 "cdar" (fun v -> (check_pair "cdar" (check_pair "cdar" v).car).cdr);
+    pure1 "cddr" (fun v -> (check_pair "cddr" (check_pair "cddr" v).cdr).cdr);
+    pure1 "caddr" (fun v ->
+        (check_pair "caddr"
+           (check_pair "caddr" (check_pair "caddr" v).cdr).cdr)
+          .car);
+    pure2 "set-car!" (fun p v ->
+        (check_pair "set-car!" p).car <- v;
+        Void);
+    pure2 "set-cdr!" (fun p v ->
+        (check_pair "set-cdr!" p).cdr <- v;
+        Void);
+    pure "list" (At_least 0)
+      ~fn1:(fun a -> Values.cons a Nil)
+      ~fn2:(fun a b -> Values.cons a (Values.cons b Nil))
+      (fun args -> Values.list_to_value (Array.to_list args));
+    pure1 "length" (fun v -> Int (list_length "length" 0 v));
+    pure "append" (At_least 0) ~fn1:Fun.id ~fn2:(append2 "append") (fun args ->
         match Array.length args with
         | 0 -> Nil
         | n ->
@@ -515,49 +562,45 @@ let the_prims : (string * prim) list =
               acc := append2 "append" args.(i) !acc
             done;
             !acc);
-    pure "reverse" (Exactly 1)
-      (a1 "reverse" (fun v ->
-           Values.list_to_value (List.rev (Values.list_of_value v))));
-    pure "list-tail" (Exactly 2)
-      (a2 "list-tail" (fun v n -> list_tail "list-tail" v (check_int "list-tail" n)));
-    pure "list-ref" (Exactly 2)
-      (a2 "list-ref" (fun v n ->
-           match list_tail "list-ref" v (check_int "list-ref" n) with
-           | Pair p -> p.car
-           | _ -> Values.err "list-ref: index out of range" [ v; n ]));
-    pure "assq" (Exactly 2) (a2 "assq" (assoc_gen Values.eq));
-    pure "assv" (Exactly 2) (a2 "assv" (assoc_gen Values.eqv));
-    pure "assoc" (Exactly 2) (a2 "assoc" (assoc_gen Values.equal));
-    pure "memq" (Exactly 2) (a2 "memq" (member_gen Values.eq));
-    pure "memv" (Exactly 2) (a2 "memv" (member_gen Values.eqv));
-    pure "member" (Exactly 2) (a2 "member" (member_gen Values.equal));
+    pure1 "reverse" (fun v ->
+        Values.list_to_value (List.rev (Values.list_of_value v)));
+    pure2 "list-tail" (fun v n -> list_tail "list-tail" v (check_int "list-tail" n));
+    pure2 "list-ref" (fun v n ->
+        match list_tail "list-ref" v (check_int "list-ref" n) with
+        | Pair p -> p.car
+        | _ -> Values.err "list-ref: index out of range" [ v; n ]);
+    pure2 "assq" (assoc_gen Values.eq);
+    pure2 "assv" (assoc_gen Values.eqv);
+    pure2 "assoc" (assoc_gen Values.equal);
+    pure2 "memq" (member_gen Values.eq);
+    pure2 "memv" (member_gen Values.eqv);
+    pure2 "member" (member_gen Values.equal);
     (* -- symbols, strings, chars ------------------------------------- *)
-    pure "symbol->string" (Exactly 1)
-      (a1 "symbol->string" (fun v ->
-           Str (Bytes.of_string (check_sym "symbol->string" v))));
-    pure "string->symbol" (Exactly 1)
-      (a1 "string->symbol" (fun v ->
-           sym (Bytes.to_string (check_str "string->symbol" v))));
-    pure "gensym" (At_least 0) (fun args ->
-        let prefix =
-          if Array.length args > 0 then check_sym "gensym" args.(0) else "g"
-        in
-        gensym prefix);
-    pure "string-length" (Exactly 1)
-      (a1 "string-length" (fun v ->
-           Int (Bytes.length (check_str "string-length" v))));
-    pure "string-append" (At_least 0) (fun args ->
+    pure1 "symbol->string" (fun v ->
+        Str (Bytes.of_string (check_sym "symbol->string" v)));
+    pure1 "string->symbol" (fun v ->
+        sym (Bytes.to_string (check_str "string->symbol" v)));
+    (let named v = gensym (check_sym "gensym" v) in
+     pure "gensym" (At_least 0) ~fn1:named (fun args ->
+         if Array.length args > 0 then named args.(0) else gensym "g"));
+    pure1 "string-length" (fun v ->
+        Int (Bytes.length (check_str "string-length" v)));
+    pure "string-append" (At_least 0)
+      ~fn1:(fun a -> Str (Bytes.copy (check_str "string-append" a)))
+      ~fn2:(fun a b ->
+        let a = check_str "string-append" a in
+        Str (Bytes.cat a (check_str "string-append" b)))
+      (fun args ->
         let buf = Buffer.create 16 in
         Array.iter
           (fun v -> Buffer.add_bytes buf (check_str "string-append" v))
           args;
         Str (Buffer.to_bytes buf));
-    pure "string-ref" (Exactly 2)
-      (a2 "string-ref" (fun s i ->
-           let s = check_str "string-ref" s and i = check_int "string-ref" i in
-           if i < 0 || i >= Bytes.length s then
-             Values.err "string-ref: index out of range" [ Int i ];
-           Char (Bytes.get s i)));
+    pure2 "string-ref" (fun s i ->
+        let s = check_str "string-ref" s and i = check_int "string-ref" i in
+        if i < 0 || i >= Bytes.length s then
+          Values.err "string-ref: index out of range" [ Int i ];
+        Char (Bytes.get s i));
     pure "string-set!" (Exactly 3)
       (a3 "string-set!" (fun s i c ->
            let s = check_str "string-set!" s
@@ -575,103 +618,90 @@ let the_prims : (string * prim) list =
            if a < 0 || b > Bytes.length s || a > b then
              Values.err "substring: bad range" [ Int a; Int b ];
            Str (Bytes.sub s a (b - a))));
-    pure "string=?" (Exactly 2)
-      (a2 "string=?" (fun a b ->
-           bool_of (Bytes.equal (check_str "string=?" a) (check_str "string=?" b))));
-    pure "string<?" (Exactly 2)
-      (a2 "string<?" (fun a b ->
-           bool_of (Bytes.compare (check_str "string<?" a) (check_str "string<?" b) < 0)));
-    pure "string>?" (Exactly 2)
-      (a2 "string>?" (fun a b ->
-           bool_of (Bytes.compare (check_str "string>?" a) (check_str "string>?" b) > 0)));
-    pure "string-upcase" (Exactly 1)
-      (a1 "string-upcase" (fun v ->
-           Str (Bytes.uppercase_ascii (check_str "string-upcase" v))));
-    pure "string-downcase" (Exactly 1)
-      (a1 "string-downcase" (fun v ->
-           Str (Bytes.lowercase_ascii (check_str "string-downcase" v))));
-    pure "make-string" (At_least 1) (fun args ->
-        let n = check_int "make-string" args.(0) in
-        if n < 0 then Values.err "make-string: negative size" [ args.(0) ];
-        let fill =
-          if Array.length args > 1 then check_char "make-string" args.(1)
-          else ' '
-        in
-        Str (alloc "make-string" n (fun n -> Bytes.make n fill)));
+    pure2 "string=?" (fun a b ->
+        bool_of (Bytes.equal (check_str "string=?" a) (check_str "string=?" b)));
+    pure2 "string<?" (fun a b ->
+        bool_of (Bytes.compare (check_str "string<?" a) (check_str "string<?" b) < 0));
+    pure2 "string>?" (fun a b ->
+        bool_of (Bytes.compare (check_str "string>?" a) (check_str "string>?" b) > 0));
+    pure1 "string-upcase" (fun v ->
+        Str (Bytes.uppercase_ascii (check_str "string-upcase" v)));
+    pure1 "string-downcase" (fun v ->
+        Str (Bytes.lowercase_ascii (check_str "string-downcase" v)));
+    (let make v fill =
+       let n = check_int "make-string" v in
+       if n < 0 then Values.err "make-string: negative size" [ v ];
+       let fill = check_char "make-string" fill in
+       Str (alloc "make-string" n (fun n -> Bytes.make n fill))
+     in
+     pure "make-string" (At_least 1)
+       ~fn1:(fun v -> make v (Char ' ')) ~fn2:make (fun args ->
+         make args.(0) (if Array.length args > 1 then args.(1) else Char ' ')));
     pure "string" (At_least 0) (fun args ->
         let b = Bytes.create (Array.length args) in
         Array.iteri (fun i c -> Bytes.set b i (check_char "string" c)) args;
         Str b);
-    pure "string->list" (Exactly 1)
-      (a1 "string->list" (fun v ->
-           Values.list_to_value
-             (List.map (fun c -> Char c)
-                (List.of_seq (Bytes.to_seq (check_str "string->list" v))))));
-    pure "list->string" (Exactly 1)
-      (a1 "list->string" (fun v ->
-           let chars = Values.list_of_value v in
-           let b = Bytes.create (List.length chars) in
-           List.iteri (fun i c -> Bytes.set b i (check_char "list->string" c)) chars;
-           Str b));
-    pure "number->string" (Exactly 1)
-      (a1 "number->string" (fun v ->
-           match v with
-           | Int _ | Flo _ -> Str (Bytes.of_string (Values.display_string v))
-           | v -> Values.type_error "number->string" "number" v));
-    pure "string->number" (Exactly 1)
-      (a1 "string->number" (fun v ->
-           let s = Bytes.to_string (check_str "string->number" v) in
-           match int_of_string_opt s with
-           | Some n -> Int n
-           | None -> (
-               match float_of_string_opt s with
-               | Some f -> Flo f
-               | None -> Bool false)));
-    pure "char->integer" (Exactly 1)
-      (a1 "char->integer" (fun v -> Int (Char.code (check_char "char->integer" v))));
-    pure "integer->char" (Exactly 1)
-      (a1 "integer->char" (fun v ->
-           let n = check_int "integer->char" v in
-           if n < 0 || n > 255 then
-             Values.err "integer->char: out of range" [ v ];
-           Char (Char.chr n)));
-    pure "char-upcase" (Exactly 1)
-      (a1 "char-upcase" (fun v -> Char (Char.uppercase_ascii (check_char "char-upcase" v))));
-    pure "char-downcase" (Exactly 1)
-      (a1 "char-downcase" (fun v -> Char (Char.lowercase_ascii (check_char "char-downcase" v))));
-    pure "char-alphabetic?" (Exactly 1)
-      (a1 "char-alphabetic?" (fun v ->
-           let c = check_char "char-alphabetic?" v in
-           bool_of ((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'))));
-    pure "char-numeric?" (Exactly 1)
-      (a1 "char-numeric?" (fun v ->
-           let c = check_char "char-numeric?" v in
-           bool_of (c >= '0' && c <= '9')));
-    pure "char-whitespace?" (Exactly 1)
-      (a1 "char-whitespace?" (fun v ->
-           let c = check_char "char-whitespace?" v in
-           bool_of (c = ' ' || c = '\t' || c = '\n' || c = '\r')));
-    pure "char=?" (Exactly 2)
-      (a2 "char=?" (fun a b ->
-           bool_of (check_char "char=?" a = check_char "char=?" b)));
-    pure "char<?" (Exactly 2)
-      (a2 "char<?" (fun a b ->
-           bool_of (check_char "char<?" a < check_char "char<?" b)));
+    pure1 "string->list" (fun v ->
+        Values.list_to_value
+          (List.map (fun c -> Char c)
+             (List.of_seq (Bytes.to_seq (check_str "string->list" v)))));
+    pure1 "list->string" (fun v ->
+        let chars = Values.list_of_value v in
+        let b = Bytes.create (List.length chars) in
+        List.iteri (fun i c -> Bytes.set b i (check_char "list->string" c)) chars;
+        Str b);
+    pure1 "number->string" (fun v ->
+        match v with
+        | Int _ | Flo _ -> Str (Bytes.of_string (Values.display_string v))
+        | v -> Values.type_error "number->string" "number" v);
+    pure1 "string->number" (fun v ->
+        let s = Bytes.to_string (check_str "string->number" v) in
+        match int_of_string_opt s with
+        | Some n -> Int n
+        | None -> (
+            match float_of_string_opt s with
+            | Some f -> Flo f
+            | None -> Bool false));
+    pure1 "char->integer" (fun v -> Int (Char.code (check_char "char->integer" v)));
+    pure1 "integer->char" (fun v ->
+        let n = check_int "integer->char" v in
+        if n < 0 || n > 255 then
+          Values.err "integer->char: out of range" [ v ];
+        Char (Char.chr n));
+    pure1 "char-upcase" (fun v -> Char (Char.uppercase_ascii (check_char "char-upcase" v)));
+    pure1 "char-downcase" (fun v -> Char (Char.lowercase_ascii (check_char "char-downcase" v)));
+    pure1 "char-alphabetic?" (fun v ->
+        let c = check_char "char-alphabetic?" v in
+        bool_of ((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')));
+    pure1 "char-numeric?" (fun v ->
+        let c = check_char "char-numeric?" v in
+        bool_of (c >= '0' && c <= '9'));
+    pure1 "char-whitespace?" (fun v ->
+        let c = check_char "char-whitespace?" v in
+        bool_of (c = ' ' || c = '\t' || c = '\n' || c = '\r'));
+    pure2 "char=?" (fun a b ->
+        bool_of (check_char "char=?" a = check_char "char=?" b));
+    pure2 "char<?" (fun a b ->
+        bool_of (check_char "char<?" a < check_char "char<?" b));
     (* -- vectors ------------------------------------------------------ *)
-    pure "make-vector" (At_least 1) (fun args ->
-        let n = check_int "make-vector" args.(0) in
-        if n < 0 then Values.err "make-vector: negative size" [ args.(0) ];
-        let fill = if Array.length args > 1 then args.(1) else Int 0 in
-        Vec (alloc "make-vector" n (fun n -> Array.make n fill)));
-    pure "vector" (At_least 0) (fun args -> Vec (Array.copy args));
-    pure "vector-length" (Exactly 1)
-      (a1 "vector-length" (fun v -> Int (Array.length (check_vec "vector-length" v))));
-    pure "vector-ref" (Exactly 2)
-      (a2 "vector-ref" (fun v i ->
-           let a = check_vec "vector-ref" v and i = check_int "vector-ref" i in
-           if i < 0 || i >= Array.length a then
-             Values.err "vector-ref: index out of range" [ Int i ];
-           a.(i)));
+    (let make v fill =
+       let n = check_int "make-vector" v in
+       if n < 0 then Values.err "make-vector: negative size" [ v ];
+       Vec (alloc "make-vector" n (fun n -> Array.make n fill))
+     in
+     pure "make-vector" (At_least 1)
+       ~fn1:(fun v -> make v (Int 0)) ~fn2:make (fun args ->
+         make args.(0) (if Array.length args > 1 then args.(1) else Int 0)));
+    pure "vector" (At_least 0)
+      ~fn1:(fun a -> Vec [| a |])
+      ~fn2:(fun a b -> Vec [| a; b |])
+      (fun args -> Vec (Array.copy args));
+    pure1 "vector-length" (fun v -> Int (Array.length (check_vec "vector-length" v)));
+    pure2 "vector-ref" (fun v i ->
+        let a = check_vec "vector-ref" v and i = check_int "vector-ref" i in
+        if i < 0 || i >= Array.length a then
+          Values.err "vector-ref: index out of range" [ Int i ];
+        a.(i));
     pure "vector-set!" (Exactly 3)
       (a3 "vector-set!" (fun v i x ->
            let a = check_vec "vector-set!" v and i = check_int "vector-set!" i in
@@ -679,23 +709,19 @@ let the_prims : (string * prim) list =
              Values.err "vector-set!: index out of range" [ Int i ];
            a.(i) <- x;
            Void));
-    pure "vector->list" (Exactly 1)
-      (a1 "vector->list" (fun v ->
-           Values.list_to_value (Array.to_list (check_vec "vector->list" v))));
-    pure "list->vector" (Exactly 1)
-      (a1 "list->vector" (fun v ->
-           Vec (Array.of_list (Values.list_of_value v))));
-    pure "vector-fill!" (Exactly 2)
-      (a2 "vector-fill!" (fun v x ->
-           Array.fill (check_vec "vector-fill!" v) 0
-             (Array.length (check_vec "vector-fill!" v))
-             x;
-           Void));
+    pure1 "vector->list" (fun v ->
+        Values.list_to_value (Array.to_list (check_vec "vector->list" v)));
+    pure1 "list->vector" (fun v ->
+        Vec (Array.of_list (Values.list_of_value v)));
+    pure2 "vector-fill!" (fun v x ->
+        Array.fill (check_vec "vector-fill!" v) 0
+          (Array.length (check_vec "vector-fill!" v))
+          x;
+        Void);
     (* -- hashtables (eqv-comparable immediate keys) -------------------- *)
     pure "make-hashtable" (Exactly 0) (fun _ -> Tbl (Hashtbl.create 16));
-    pure "hashtable?" (Exactly 1)
-      (a1 "hashtable?" (fun v ->
-           bool_of (match v with Tbl _ -> true | _ -> false)));
+    pure1 "hashtable?" (fun v ->
+        bool_of (match v with Tbl _ -> true | _ -> false));
     pure "hashtable-set!" (Exactly 3)
       (a3 "hashtable-set!" (fun t k v ->
            let t = check_tbl "hashtable-set!" t in
@@ -707,127 +733,74 @@ let the_prims : (string * prim) list =
            match Hashtbl.find_opt t (check_hkey "hashtable-ref" k) with
            | Some v -> v
            | None -> default));
-    pure "hashtable-contains?" (Exactly 2)
-      (a2 "hashtable-contains?" (fun t k ->
-           let t = check_tbl "hashtable-contains?" t in
-           bool_of (Hashtbl.mem t (check_hkey "hashtable-contains?" k))));
-    pure "hashtable-delete!" (Exactly 2)
-      (a2 "hashtable-delete!" (fun t k ->
-           let t = check_tbl "hashtable-delete!" t in
-           Hashtbl.remove t (check_hkey "hashtable-delete!" k);
-           Void));
-    pure "hashtable-size" (Exactly 1)
-      (a1 "hashtable-size" (fun t ->
-           Int (Hashtbl.length (check_tbl "hashtable-size" t))));
-    pure "hashtable-keys" (Exactly 1)
-      (a1 "hashtable-keys" (fun t ->
-           Values.list_to_value
-             (Hashtbl.fold (fun k _ acc -> k :: acc)
-                (check_tbl "hashtable-keys" t) [])));
-    pure "hashtable-values" (Exactly 1)
-      (a1 "hashtable-values" (fun t ->
-           Values.list_to_value
-             (Hashtbl.fold (fun _ v acc -> v :: acc)
-                (check_tbl "hashtable-values" t) [])));
-    pure "hashtable->alist" (Exactly 1)
-      (a1 "hashtable->alist" (fun t ->
-           Values.list_to_value
-             (Hashtbl.fold
-                (fun k v acc -> Values.cons k v :: acc)
-                (check_tbl "hashtable->alist" t) [])));
-    pure "hashtable-copy" (Exactly 1)
-      (a1 "hashtable-copy" (fun t ->
-           Tbl (Hashtbl.copy (check_tbl "hashtable-copy" t))));
+    pure2 "hashtable-contains?" (fun t k ->
+        let t = check_tbl "hashtable-contains?" t in
+        bool_of (Hashtbl.mem t (check_hkey "hashtable-contains?" k)));
+    pure2 "hashtable-delete!" (fun t k ->
+        let t = check_tbl "hashtable-delete!" t in
+        Hashtbl.remove t (check_hkey "hashtable-delete!" k);
+        Void);
+    pure1 "hashtable-size" (fun t ->
+        Int (Hashtbl.length (check_tbl "hashtable-size" t)));
+    pure1 "hashtable-keys" (fun t ->
+        Values.list_to_value
+          (Hashtbl.fold (fun k _ acc -> of_hkey k :: acc)
+             (check_tbl "hashtable-keys" t) []));
+    pure1 "hashtable-values" (fun t ->
+        Values.list_to_value
+          (Hashtbl.fold (fun _ v acc -> v :: acc)
+             (check_tbl "hashtable-values" t) []));
+    pure1 "hashtable->alist" (fun t ->
+        Values.list_to_value
+          (Hashtbl.fold
+             (fun k v acc -> Values.cons (of_hkey k) v :: acc)
+             (check_tbl "hashtable->alist" t) []));
+    pure1 "hashtable-copy" (fun t ->
+        Tbl (Hashtbl.copy (check_tbl "hashtable-copy" t)));
     (* -- output -------------------------------------------------------- *)
     pure "%output-mark" (Exactly 0) (fun _ -> Int (Buffer.length (hooks_out ())));
-    pure "%output-take" (Exactly 1)
-      (a1 "%output-take" (fun v ->
-           let out = hooks_out () in
-           let mark = check_int "%output-take" v in
-           let len = Buffer.length out in
-           if mark < 0 || mark > len then
-             Values.err "%output-take: stale mark" [ v ];
-           let s = Buffer.sub out mark (len - mark) in
-           Buffer.truncate out mark;
-           Str (Bytes.of_string s)));
-    pure "display" (Exactly 1) (a1 "display" display_v);
-    pure "write" (Exactly 1) (a1 "write" write_v);
+    pure1 "%output-take" (fun v ->
+        let out = hooks_out () in
+        let mark = check_int "%output-take" v in
+        let len = Buffer.length out in
+        if mark < 0 || mark > len then
+          Values.err "%output-take: stale mark" [ v ];
+        let s = Buffer.sub out mark (len - mark) in
+        Buffer.truncate out mark;
+        Str (Bytes.of_string s));
+    pure1 "display" display_v;
+    pure1 "write" write_v;
     pure "newline" (Exactly 0) (fun _ ->
         Buffer.add_char (hooks_out ()) '\n';
         Void);
     (* -- misc ----------------------------------------------------------- *)
     pure "void" (Exactly 0) (fun _ -> Void);
-    pure "%raw-error" (At_least 1) (fun args ->
-        (* (error who msg irritant ...) or (error msg irritant ...) *)
-        match args with
-        | [| m |] -> raise (Scheme_error (Values.display_string m, []))
-        | _ -> (
-            match args.(0) with
-            | Sym who ->
-                raise
-                  (Scheme_error
-                     ( who ^ ": " ^ Values.display_string args.(1),
-                       Array.to_list (Array.sub args 2 (Array.length args - 2))
-                     ))
-            | m ->
-                raise
-                  (Scheme_error
-                     ( Values.display_string m,
-                       Array.to_list (Array.sub args 1 (Array.length args - 1))
-                     ))));
-    (let raw =
-       { pname = "error"; parity = At_least 1;
-         pfn =
-           Pure
-             (fun args ->
-               match args with
-               | [| m |] -> raise (Scheme_error (Values.display_string m, []))
-               | _ -> (
-                   match args.(0) with
-                   | Sym who ->
-                       raise
-                         (Scheme_error
-                            ( who ^ ": " ^ Values.display_string args.(1),
-                              Array.to_list
-                                (Array.sub args 2 (Array.length args - 2)) ))
-                   | m ->
-                       raise
-                         (Scheme_error
-                            ( Values.display_string m,
-                              Array.to_list
-                                (Array.sub args 1 (Array.length args - 1)) ))));
-       }
-     in
-     ("error", raw));
-    pure "%values->list" (Exactly 1)
-      (a1 "%values->list" (fun v ->
-           match v with
-           | Mvals vs -> Values.list_to_value vs
-           | v -> Values.cons v Nil));
-    pure "%continuation?" (Exactly 1)
-      (a1 "%continuation?" (fun v ->
-           bool_of (match v with Cont _ | Hcont _ -> true | _ -> false)));
-    pure "%continuation-one-shot?" (Exactly 1)
-      (a1 "%continuation-one-shot?" (fun v ->
-           match v with
-           | Cont c -> bool_of c.one_shot
-           | Hcont c -> bool_of c.hcont_one_shot
-           | v -> Values.type_error "%continuation-one-shot?" "continuation" v));
-    pure "%continuation-shot?" (Exactly 1)
-      (a1 "%continuation-shot?" (fun v ->
-           match v with
-           | Cont c -> bool_of (c.sr.size = -1)
-           | Hcont c -> bool_of c.hcont_shot
-           | v -> Values.type_error "%continuation-shot?" "continuation" v));
-    pure "%continuation-promoted?" (Exactly 1)
-      (a1 "%continuation-promoted?" (fun v ->
-           match v with
-           | Cont c ->
-               bool_of
-                 (c.sr.size <> -1
-                 && (c.sr.size = c.sr.current || !(c.sr.promoted)))
-           | Hcont c -> bool_of (c.hcont_promoted || not c.hcont_one_shot)
-           | v -> Values.type_error "%continuation-promoted?" "continuation" v));
+    pure "%raw-error" (At_least 1) raise_error;
+    pure "error" (At_least 1) raise_error;
+    pure1 "%values->list" (fun v ->
+        match v with
+        | Mvals vs -> Values.list_to_value vs
+        | v -> Values.cons v Nil);
+    pure1 "%continuation?" (fun v ->
+        bool_of (match v with Cont _ | Hcont _ -> true | _ -> false));
+    pure1 "%continuation-one-shot?" (fun v ->
+        match v with
+        | Cont c -> bool_of c.one_shot
+        | Hcont c -> bool_of c.hcont_one_shot
+        | v -> Values.type_error "%continuation-one-shot?" "continuation" v);
+    pure1 "%continuation-shot?" (fun v ->
+        match v with
+        | Cont c -> bool_of (c.sr.size = -1)
+        | Hcont c -> bool_of c.hcont_shot
+        | v -> Values.type_error "%continuation-shot?" "continuation" v);
+    pure1 "%continuation-promoted?" (fun v ->
+        match v with
+        | Cont c ->
+            bool_of
+              (c.sr.size <> -1
+              && (c.sr.size = c.sr.current || !(c.sr.promoted)))
+        | Hcont c -> bool_of (c.hcont_promoted || not c.hcont_one_shot)
+        | v -> Values.type_error "%continuation-promoted?" "continuation" v);
     (* -- data-parallel defaults ----------------------------------------- *)
     (* The prelude's par-map/par-reduce/par-for-each gate on
        [(%par-jobs)]: 0 means "no pool attached" and selects the serial
@@ -848,10 +821,9 @@ let the_prims : (string * prim) list =
     (* Raw append to this session's output buffer: the pool stitches
        worker shard output back into the master's stream through this
        (a pure prim the master can apply without re-entering its VM). *)
-    pure "%par-emit" (Exactly 1)
-      (a1 "%par-emit" (fun v ->
-           Buffer.add_bytes (hooks_out ()) (check_str "%par-emit" v);
-           Void));
+    pure1 "%par-emit" (fun v ->
+        Buffer.add_bytes (hooks_out ()) (check_str "%par-emit" v);
+        Void);
     (* -- control specials (handled by the machine loops) ---------------- *)
     special "%call/cc" (Exactly 1) Sp_callcc;
     special "%call/1cc" (Exactly 1) Sp_call1cc;
@@ -862,25 +834,23 @@ let the_prims : (string * prim) list =
        the hooks, so they stay pure (applied inline, no frame) and the
        prim values stay process-shared.  Outside any run the defaults
        make set a no-op and get read 0 — the oracle's semantics. *)
-    pure "%set-timer!" (Exactly 2)
-      (a2 "%set-timer!" (fun ticks handler ->
-           (Machine_hooks.current ()).Machine_hooks.set_timer
-             (check_int "%set-timer!" ticks)
-             handler;
-           Void));
+    pure2 "%set-timer!" (fun ticks handler ->
+        (Machine_hooks.current ()).Machine_hooks.set_timer
+          (check_int "%set-timer!" ticks)
+          handler;
+        Void);
     pure "%get-timer" (Exactly 0) (fun _ ->
         Int ((Machine_hooks.current ()).Machine_hooks.get_timer ()));
     special "%stat" (Exactly 1) Sp_stats;
     special "%backtrace" (Exactly 0) Sp_backtrace;
     special "eval" (Exactly 1) Sp_eval;
-    pure "read-from-string" (Exactly 1)
-      (a1 "read-from-string" (fun v ->
-           let src = Bytes.to_string (check_str "read-from-string" v) in
-           match Sexp.read_all src with
-           | [] -> Eof
-           | d :: _ -> Expander.datum_to_value d
-           | exception Sexp.Read_error (msg, _) ->
-               Values.err ("read-from-string: " ^ msg) []));
+    pure1 "read-from-string" (fun v ->
+        let src = Bytes.to_string (check_str "read-from-string" v) in
+        match Sexp.read_all src with
+        | [] -> Eof
+        | d :: _ -> Expander.datum_to_value d
+        | exception Sexp.Read_error (msg, _) ->
+            Values.err ("read-from-string: " ^ msg) []);
   ]
 
 (* One boxed [Prim] value per primitive, shared by every session: the

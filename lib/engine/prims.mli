@@ -14,6 +14,17 @@ val install : Globals.t -> unit
 val the_prims : (string * Rt.prim) list
 (** All primitives, for machines that want their own table. *)
 
+val pure :
+  ?fn1:(Rt.value -> Rt.value) ->
+  ?fn2:(Rt.value -> Rt.value -> Rt.value) ->
+  string ->
+  Rt.arity ->
+  (Rt.value array -> Rt.value) ->
+  string * Rt.prim
+(** [pure name arity fn] is the pure primitive [name] written over its
+    argument array.  Its direct one- and two-argument entries are [fn1]
+    and [fn2] when given, and otherwise call [fn] on a fresh array. *)
+
 val check_int : string -> Rt.value -> int
 val check_pair : string -> Rt.value -> Rt.pair
 val check_procedure : string -> Rt.value -> Rt.value

@@ -110,7 +110,7 @@ let rec happly (vm : t) f args ~ret ~parent ~guards =
       vm.nargs <- n;
       if vm.stats.Stats.enabled then
         vm.stats.Stats.calls <- vm.stats.Stats.calls + 1
-  | Prim { pfn = Pure fn; parity; pname } ->
+  | Prim { pfn = Pure { fn; _ }; parity; pname } ->
       if not (Bytecode.arity_matches parity (Array.length args)) then
         Values.err (pname ^ ": wrong number of arguments") [];
       if vm.stats.Stats.enabled then
@@ -166,7 +166,7 @@ and reinstate_hcont vm k v =
    closure's normal return would reach. *)
 and call_guard vm g ~ret ~frame =
   match g with
-  | Prim { pfn = Pure fn; parity; pname } ->
+  | Prim { pfn = Pure { fn; _ }; parity; pname } ->
       if not (Bytecode.arity_matches parity 0) then
         Values.err (pname ^ ": wrong number of arguments") [];
       if vm.stats.Stats.enabled then

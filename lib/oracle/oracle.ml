@@ -80,7 +80,7 @@ let rec apply t f (args : value array) (k : value -> value) : value =
   | Ofun o ->
       if stats.Stats.enabled then stats.Stats.calls <- stats.Stats.calls + 1;
       o.ofn args k
-  | Prim { pfn = Pure fn; parity; pname } ->
+  | Prim { pfn = Pure { fn; _ }; parity; pname } ->
       if not (Bytecode.arity_matches parity (Array.length args)) then
         Values.err (pname ^ ": wrong number of arguments") [];
       if stats.Stats.enabled then

@@ -40,7 +40,7 @@ type value =
                                             CPS over OCaml closures *)
   | Mvals of value list                  (* multiple values in transit *)
   | Box of value ref                     (* assignment-converted variable *)
-  | Tbl of (value, value) Hashtbl.t      (* eqv-keyed hashtable *)
+  | Tbl of (hkey, value) Hashtbl.t       (* eqv-keyed hashtable *)
   (* Runtime-internal values stored in stack frames; never seen by Scheme. *)
   | Retaddr of retaddr
   | Underflow_mark                       (* bottom-of-segment return slot *)
@@ -48,6 +48,12 @@ type value =
                                             trampoline frame slot *)
 
 and pair = { mutable car : value; mutable cdr : value }
+
+(* A hashtable key: an eqv-comparable immediate.  The table hashes and
+   compares keys structurally, and OCaml's structural hash and compare
+   make 0.0 and -0.0 one float; a flonum key is therefore kept as its
+   bit pattern, so the table tells apart exactly what [eqv?] does. *)
+and hkey = Key of value | Flo_key of int64
 and closure = { code : code; frees : value array }
 
 and retaddr = {
@@ -129,7 +135,8 @@ and instr =
      [ps_global.gval == ps_guard] at every execution; on mismatch ([set!]
      of [+] etc.) the site deoptimizes to the generic call path.  The fast
      path pushes no return address, moves no frame pointer, and allocates
-     no argument array. *)
+     no argument array; the fixed-arity forms call [ps_fn1]/[ps_fn2]
+     with plain operands, without flushing the machine's batched state. *)
   | Prim_call of prim_site               (* non-tail call, any arity *)
   | Prim_call1 of prim_site              (* fixed-arity fast variants *)
   | Prim_call2 of prim_site
@@ -200,7 +207,14 @@ and prim_site = {
   ps_guard : value;                      (* the [Prim] value cached at
                                             compile time (physical witness) *)
   ps_prim : prim;                        (* same prim, for disassembly *)
-  ps_fn : value array -> value;          (* its pure entry point *)
+  ps_fn : value array -> value;          (* its entries, copied from
+                                            [ps_prim]: any arity ... *)
+  ps_fn1 : value -> value;               (* ... and the direct 1- and
+                                            2-argument ones the fixed-arity
+                                            forms call with plain operands
+                                            (the arity was validated when
+                                            the site was fused) *)
+  ps_fn2 : value -> value -> value;
   mutable ps_ret : value;                (* interned [Retaddr] for the
                                             non-tail deopt path, backpatched
                                             like [call_site.cs_ret] *)
@@ -222,8 +236,17 @@ and prim = {
 }
 
 and pfn =
-  | Pure of (value array -> value)       (* no control effects: applied
+  | Pure of {                            (* no control effects: applied
                                             in-line, no frame pushed *)
+      fn : value array -> value;         (* any argument count *)
+      fn1 : value -> value;              (* direct entries for exactly one
+                                            and two arguments: no argument
+                                            array.  Reached only after the
+                                            caller's arity check, so the
+                                            entry of an arity the prim
+                                            rejects is never called. *)
+      fn2 : value -> value -> value;
+    }
   | Special of special                   (* needs the machine: handled by the
                                             VM dispatch loop *)
 

@@ -56,7 +56,10 @@ let eq a b =
   | Nil, Nil | Void, Void | Eof, Eof | Undef, Undef -> true
   | Bool x, Bool y -> x = y
   | Int x, Int y -> x = y
-  | Flo x, Flo y -> x = y
+  | Flo x, Flo y ->
+      (* the same bits: 0.0 and -0.0 differ, a NaN is itself (IEEE [=]
+         stays the rule for [=]) *)
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
   | Char x, Char y -> x = y
   | Sym x, Sym y -> x == y (* interned *)
   | Str x, Str y -> x == y

@@ -588,8 +588,7 @@ let par_dispatch t pool emit args =
   end
 
 let par_define_pure t name parity fn =
-  Globals.define (globals t) name
-    (Rt.Prim { Rt.pname = name; parity; pfn = Pure fn })
+  Globals.define (globals t) name (Rt.Prim (snd (Prims.pure name parity fn)))
 
 let par_attach ?(chunk = 2) ?(steal = true) ?(domains = true) ?fuel
     ?(corpus = false) ~jobs t =
@@ -634,8 +633,8 @@ let par_attach ?(chunk = 2) ?(steal = true) ?(domains = true) ?fuel
      re-entering the VM. *)
   let emit =
     match Globals.lookup_opt (globals t) "%par-emit" with
-    | Some (Rt.Prim { Rt.pfn = Pure f; _ }) ->
-        fun s -> if s <> "" then ignore (f [| Rt.Str (Bytes.of_string s) |])
+    | Some (Rt.Prim { Rt.pfn = Pure { fn1; _ }; _ }) ->
+        fun s -> if s <> "" then ignore (fn1 (Rt.Str (Bytes.of_string s)))
     | _ -> fun _ -> ()
   in
   par_define_pure t "%par-jobs" (Exactly 0) (fun _ -> Rt.Int jobs);

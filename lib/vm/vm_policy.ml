@@ -79,7 +79,7 @@ let rec apply (vm : t) f nfp nargs =
       vm.pc <- 0;
       vm.nargs <- nargs;
       if stats.Stats.enabled then stats.Stats.calls <- stats.Stats.calls + 1
-  | Prim { pfn = Pure fn; parity; pname } ->
+  | Prim { pfn = Pure { fn; _ }; parity; pname } ->
       if not (Bytecode.arity_matches parity nargs) then
         Values.err (pname ^ ": wrong number of arguments") [];
       let seg = m.Control.sr.seg in

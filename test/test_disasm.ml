@@ -12,7 +12,11 @@ let exemplars =
   let slot = Globals.slot "car" in
   let cell = Globals.get g slot in
   let prim = match cell.Rt.gval with Rt.Prim p -> p | _ -> assert false in
-  let fn = match prim.Rt.pfn with Rt.Pure f -> f | _ -> assert false in
+  let fn, fn1, fn2 =
+    match prim.Rt.pfn with
+    | Rt.Pure p -> (p.fn, p.fn1, p.fn2)
+    | _ -> assert false
+  in
   let site =
     {
       Rt.ps_disp = 2;
@@ -21,6 +25,8 @@ let exemplars =
       ps_guard = cell.Rt.gval;
       ps_prim = prim;
       ps_fn = fn;
+      ps_fn1 = fn1;
+      ps_fn2 = fn2;
       ps_ret = Rt.Void;
     }
   in

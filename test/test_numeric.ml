@@ -10,7 +10,8 @@
    a rewrite of the arithmetic cannot change what a user sees.
 
    The NaN rows pin IEEE semantics: every comparison with a NaN is
-   false, so [(= +nan.0 +nan.0)] and the sign tests of a NaN are #f. *)
+   false, so [(= +nan.0 +nan.0)] and the sign tests of a NaN are #f.
+   [eqv?] is not a numeric comparison: it compares flonums bit for bit. *)
 
 let case = Tutil.case
 
@@ -22,6 +23,11 @@ let type_err who what =
 
 let arity_err who =
   Printf.sprintf "error: [runtime] %s: wrong number of arguments" who
+
+(* A fresh table mapping 0.0 to 1 and +nan.0 to nan. *)
+let zero_table =
+  "(let ((h (make-hashtable))) (hashtable-set! h 0.0 1) (hashtable-set! h \
+   +nan.0 'nan) h)"
 
 (* (operator, arguments, expected) *)
 let table =
@@ -123,6 +129,24 @@ let table =
     ("positive?", [ "+nan.0" ], "#f");
     ("negative?", [ "+nan.0" ], "#f");
     ("max", [ "+nan.0"; "1" ], "+nan.0");
+    (* eq?/eqv? compare flonums by their bits (R7RS 6.1): the two zeros
+       differ and a NaN is itself, while [=] stays IEEE *)
+    ("eqv?", [ "0.0"; "-0.0" ], "#f");
+    ("eq?", [ "0.0"; "-0.0" ], "#f");
+    ("equal?", [ "0.0"; "-0.0" ], "#f");
+    ("=", [ "0.0"; "-0.0" ], "#t");
+    ("eqv?", [ "1.5"; "1.5" ], "#t");
+    ("eqv?", [ "1.0"; "1" ], "#f");
+    ("eqv?", [ "+nan.0"; "+nan.0" ], "#t");
+    ("memv", [ "+nan.0"; "(list 1 +nan.0)" ], "(+nan.0)");
+    ("memv", [ "-0.0"; "(list 0.0)" ], "#f");
+    (* hashtables key flonums like eqv? *)
+    ("hashtable-contains?", [ zero_table; "-0.0" ], "#f");
+    ("hashtable-contains?", [ zero_table; "0.0" ], "#t");
+    ("hashtable-ref", [ zero_table; "+nan.0"; "'none" ], "nan");
+    ( "hashtable-keys",
+      [ "(let ((h (make-hashtable))) (hashtable-set! h -0.0 1) h)" ],
+      "(-0.0)" );
     (* type errors, naming the offending argument *)
     ("+", [ "'a"; "1" ], type_err "+" "symbol a");
     ("+", [ "1"; "'a" ], type_err "+" "symbol a");

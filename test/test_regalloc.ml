@@ -31,8 +31,10 @@ let dummy_site =
     ps_nargs = 2;
     ps_slot = dummy_slot;
     ps_guard = Rt.Void;
-    ps_prim = { Rt.pname = "+"; parity = Rt.At_least 0; pfn = Rt.Pure (fun _ -> Rt.Void) };
+    ps_prim = snd (Prims.pure "+" (Rt.At_least 0) (fun _ -> Rt.Void));
     ps_fn = (fun _ -> Rt.Void);
+    ps_fn1 = (fun _ -> Rt.Void);
+    ps_fn2 = (fun _ _ -> Rt.Void);
     ps_ret = Rt.Void;
   }
 
@@ -301,4 +303,170 @@ let capture_cases =
       ("closure", Scheme.Closure Control.default_config);
     ]
 
-let suite = disasm_cases @ differential_cases @ deopt_cases @ capture_cases
+(* ------------------------------------------------------------------ *)
+(* Error exits of the unflushed primitive fast paths                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The fixed-arity primitive forms and the generic pure call call the
+   primitive with the landing's batched state unflushed; a primitive
+   that raises flushes on its way out.  Each program faults in one fused
+   shape (call, branch, tail at one and two arguments), compiled as an
+   operand form by default, as a plain form under --no-regalloc and as a
+   generic call under --no-peephole.  Under a returning handler the
+   fault resumes at the retained consumer; under [try] it escapes.  The
+   value and the counters must agree across stack, closure and heap. *)
+let fault_programs =
+  (* shape, faulting prim, definition, call, value under the returning
+     handler (which answers 42) *)
+  [
+    ("call1", "car", "(define (f x) (list (car x)))", "(f 5)", "(42)");
+    ("branch1", "car", "(define (f x) (if (car x) 'yes 'no))", "(f 5)", "yes");
+    ("tail1", "car", "(define (f x) (car x))", "(f 5)", "42");
+    ("call2", "+", "(define (f x) (list (+ x 1)))", "(f 'a)", "(42)");
+    ( "branch2",
+      "vector-ref",
+      "(define (f v) (if (vector-ref v 99) 'yes 'no))",
+      "(f (vector 1 2))",
+      "yes" );
+    ( "tail2",
+      "vector-ref",
+      "(define (f v) (vector-ref v 99))",
+      "(f (vector 1 2))",
+      "42" );
+  ]
+
+(* pipeline name, peephole, regalloc, the opcode a shape compiles to
+   (None: no fused primitive at all) *)
+let fault_pipelines =
+  let op_form = function
+    | "tail1" -> "prim-tail1-op"
+    | "tail2" -> "prim-tail2-op"
+    | shape -> "prim-" ^ shape ^ "-op"
+  and plain = function
+    | "tail1" | "tail2" -> "prim-tail-call"
+    | shape -> "prim-" ^ shape
+  in
+  [
+    ("default", true, true, fun shape -> Some (op_form shape));
+    ("no-regalloc", true, false, fun shape -> Some (plain shape));
+    ("no-peephole", false, true, fun _ -> None);
+  ]
+
+let fault_backends =
+  [
+    ("stack", Scheme.Stack Control.default_config);
+    ("closure", Scheme.Closure Control.default_config);
+    ("heap", Scheme.Heap);
+  ]
+
+let fault_counters = [ "instrs"; "prim-calls"; "prim-fast"; "prim-deopts" ]
+
+let run_fault backend ~peephole ~regalloc def call =
+  let stats = Stats.create () in
+  let s = Scheme.create ~backend ~stats ~peephole ~regalloc () in
+  ignore (Scheme.eval ~fuel s def);
+  Stats.reset stats;
+  let v = Scheme.eval_string ~fuel s call in
+  (v, List.map (Stats.get stats) fault_counters)
+
+let fault_cases =
+  List.concat_map
+    (fun (shape, prim, def, call, returned) ->
+      List.map
+        (fun (pname, peephole, regalloc, opcode) ->
+          case
+            (Printf.sprintf "faulting %s: backends agree [%s %s]" prim shape
+               pname)
+            (fun () ->
+              let s = Scheme.create ~peephole ~regalloc () in
+              let text =
+                String.concat "\n"
+                  (List.map Bytecode.disassemble_deep
+                     (Compiler.compile_string ~peephole ~regalloc
+                        (Scheme.globals s) def))
+              in
+              (match opcode shape with
+              | Some op ->
+                  Alcotest.(check bool)
+                    (op ^ " " ^ prim) true
+                    (Tutil.contains ~sub:(op ^ " " ^ prim ^ " ") text)
+              | None ->
+                  Alcotest.(check bool) "no fused prim" false
+                    (Tutil.contains ~sub:"prim-" text));
+              List.iter
+                (fun (handler, call, check_value) ->
+                  let runs =
+                    List.map
+                      (fun (bname, backend) ->
+                        (bname, run_fault backend ~peephole ~regalloc def call))
+                      fault_backends
+                  in
+                  let _, (v0, c0) = List.hd runs in
+                  check_value v0;
+                  List.iter
+                    (fun (bname, (v, c)) ->
+                      let label what = String.concat " " [ handler; what; bname ] in
+                      Alcotest.(check string) (label "value") v0 v;
+                      List.iter2
+                        (fun name (x, y) ->
+                          Alcotest.(check int) (label name) x y)
+                        fault_counters (List.combine c0 c))
+                    runs)
+                [
+                  ( "returning",
+                    "(set! %error-handlers (list (lambda (m i) 42))) " ^ call,
+                    Alcotest.(check string) "returned" returned );
+                  ( "try",
+                    Printf.sprintf "(try (lambda () %s) (lambda (m) m))" call,
+                    fun v ->
+                      Alcotest.(check bool) ("message names " ^ prim) true
+                        (Tutil.contains ~sub:prim v) );
+                ]))
+        fault_pipelines)
+    fault_programs
+
+(* Fuel that runs out anywhere near a primitive call with an unflushed
+   batch — in particular on the instruction right after it — stops after
+   exactly [fuel] instructions on the engine backends, and no earlier
+   on the closure backend, whose fuel check sits at block ends (so the
+   last block of the run may finish instead). *)
+let fuel_after_prim_cases =
+  let def = "(define (g x) (+ 1 (car (cdr x))))" and call = "(g (list 1 2))" in
+  let exhaust backend fuel =
+    let stats = Stats.create () in
+    let s = Scheme.create ~backend ~stats () in
+    ignore (Scheme.eval ~fuel:Tutil.default_fuel s def);
+    Stats.reset stats;
+    match Scheme.eval ~fuel s call with
+    | _ -> None
+    | exception Vm.Vm_fuel_exhausted -> Some stats.Stats.instrs
+  in
+  List.map
+    (fun (bname, backend) ->
+      case (Printf.sprintf "fuel exhausted after a fast prim [%s]" bname)
+        (fun () ->
+          let stats = Stats.create () in
+          let s = Scheme.create ~backend ~stats () in
+          ignore (Scheme.eval ~fuel s def);
+          Stats.reset stats;
+          Alcotest.(check string) "value" "3" (Scheme.eval_string ~fuel s call);
+          (* [cdr] is a fused site, [car] (fed by a call) and [+] take
+             the generic pure call *)
+          Alcotest.(check (pair int int)) "prim-fast, prim-calls" (2, 4)
+            (stats.Stats.prim_fast, stats.Stats.prim_calls);
+          let total = stats.Stats.instrs in
+          for fuel = 1 to total - 1 do
+            match (bname, exhaust backend fuel) with
+            | "closure", None -> ()
+            | "closure", Some n ->
+                if n < fuel then Alcotest.failf "fuel %d: instrs %d" fuel n
+            | _, None ->
+                Alcotest.failf "fuel %d of %d did not run out" fuel total
+            | _, Some n ->
+                Alcotest.(check int) (Printf.sprintf "fuel %d" fuel) fuel n
+          done))
+    fault_backends
+
+let suite =
+  disasm_cases @ differential_cases @ deopt_cases @ capture_cases @ fault_cases
+  @ fuel_after_prim_cases

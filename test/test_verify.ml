@@ -119,7 +119,11 @@ let prim_site =
     let prim =
       match cell.Rt.gval with Rt.Prim p -> p | _ -> assert false
     in
-    let fn = match prim.Rt.pfn with Rt.Pure f -> f | _ -> assert false in
+    let fn, fn1, fn2 =
+      match prim.Rt.pfn with
+      | Rt.Pure p -> (p.fn, p.fn1, p.fn2)
+      | _ -> assert false
+    in
     {
       Rt.ps_disp = disp;
       ps_nargs = nargs;
@@ -127,6 +131,8 @@ let prim_site =
       ps_guard = cell.Rt.gval;
       ps_prim = prim;
       ps_fn = fn;
+      ps_fn1 = fn1;
+      ps_fn2 = fn2;
       ps_ret = Rt.Void;
     }
 
