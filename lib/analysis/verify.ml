@@ -139,6 +139,13 @@ let verify_one ~nfrees (code : code) : (code * int) list =
         (Bytecode.operand_to_string op)
         dst
   in
+  (* A two-operand head's pad: the second operand's retained staging,
+     unless the first operand is in place.  Returns the consumer's pc. *)
+  let check_staged2 pc (s : prim_site) a b =
+    let consumer = pc + Bytecode.consumer_offset2 s a in
+    if consumer = pc + 2 then check_staged pc (pc + 1) ~dst:(s.ps_disp + 3) b;
+    consumer
+  in
   let check_pad pc pad_pc expect descr =
     let ok = pad_pc < n && expect instrs.(pad_pc) in
     if not ok then
@@ -234,8 +241,7 @@ let verify_one ~nfrees (code : code) : (code * int) list =
         check_site pc ~fixed:2 s;
         check_operand pc a;
         check_operand pc b;
-        check_staged pc (pc + 1) ~dst:(s.ps_disp + 3) b;
-        check_pad pc (pc + 2)
+        check_pad pc (check_staged2 pc s a b)
           (fun i -> (match i with Prim_call2 _ -> true | _ -> false)
                     && same_site pc s i)
           "Prim_call2 consumer"
@@ -253,8 +259,7 @@ let verify_one ~nfrees (code : code) : (code * int) list =
         check_operand pc a;
         check_operand pc b;
         target pc t;
-        check_staged pc (pc + 1) ~dst:(s.ps_disp + 3) b;
-        check_pad pc (pc + 2)
+        check_pad pc (check_staged2 pc s a b)
           (fun i ->
             (match i with Prim_branch2 (_, t') -> t' = t | _ -> false)
             && same_site pc s i)
@@ -270,8 +275,7 @@ let verify_one ~nfrees (code : code) : (code * int) list =
         check_site pc ~fixed:2 s;
         check_operand pc a;
         check_operand pc b;
-        check_staged pc (pc + 1) ~dst:(s.ps_disp + 3) b;
-        check_pad pc (pc + 2)
+        check_pad pc (check_staged2 pc s a b)
           (fun i -> (match i with Prim_tail_call _ -> true | _ -> false)
                     && same_site pc s i)
           "Prim_tail_call consumer"
@@ -438,7 +442,7 @@ let verify_one ~nfrees (code : code) : (code * int) list =
       | Prim_call2_op (s, a, b) ->
           need_operand pc st a;
           need_operand pc st b;
-          [ (pc + 3, kill_from st s.ps_disp) ]
+          [ (pc + Bytecode.consumer_offset2 s a + 1, kill_from st s.ps_disp) ]
       | Prim_branch1_op (s, a, t) ->
           need_operand pc st a;
           let st' = kill_from st s.ps_disp in
@@ -450,7 +454,8 @@ let verify_one ~nfrees (code : code) : (code * int) list =
           need_operand pc st a;
           need_operand pc st b;
           let st' = kill_from st s.ps_disp in
-          [ (t, st'); (pc + 4, st'); (pc + 3, st') ]
+          let next = pc + Bytecode.consumer_offset2 s a + 1 in
+          [ (t, st'); (next + 1, st'); (next, st') ]
       | Prim_tail1_op (_, a) ->
           need_operand pc st a;
           []

@@ -569,8 +569,8 @@ and emit arr instrs (code : code) pc : step =
         vm.halted <- true
   (* ---- fused superinstructions (emitted by Optimize.peephole) ----
      Some steps additionally fuse here: adjacent pushes pair up (see
-     [emit_push]), a call-setup [Global_push] takes the next push, and
-     the fixed-arity primitive calls absorb a [Local_set] of the result.
+     [emit_push]) and the fixed-arity primitive calls absorb a
+     [Local_set] of the result.
      [steps] advances by the number of fused instructions, so accounting
      is unchanged, and every skipped instruction's own step still exists
      at its pc — fusion only skips dispatch to it on the straight-line
@@ -587,50 +587,18 @@ and emit arr instrs (code : code) pc : step =
         | v ->
             sync vm (steps + 1) (pc + 1) acc;
             Values.err "vm: free-push outside closure" [ v ])
-  | Global_push (s, i) -> (
-      (* Call setup usually pushes the callee global then its arguments:
-         fuse the first argument push in.  The unbound-global error syncs
-         only the first instruction, exactly as unfused execution
-         would. *)
-      match Array.unsafe_get instrs (pc + 1) with
-      | Const_push (v2, i2) ->
-          let k = arr.(pc + 2) in
-          fun vm slots fp limit budget acc steps ->
-            let g = gcell vm s in
-            if g.gdefined then begin
-              slots.(fp + i) <- g.gval;
-              slots.(fp + i2) <- v2;
-              k vm slots fp limit budget acc (steps + 2)
-            end
-            else begin
-              sync vm (steps + 1) (pc + 1) acc;
-              Values.err ("unbound variable: " ^ Globals.slot_name s) []
-            end
-      | Local_push (s2, i2) ->
-          let k = arr.(pc + 2) in
-          fun vm slots fp limit budget acc steps ->
-            let g = gcell vm s in
-            if g.gdefined then begin
-              slots.(fp + i) <- g.gval;
-              slots.(fp + i2) <- slots.(fp + s2);
-              k vm slots fp limit budget acc (steps + 2)
-            end
-            else begin
-              sync vm (steps + 1) (pc + 1) acc;
-              Values.err ("unbound variable: " ^ Globals.slot_name s) []
-            end
-      | _ ->
-          let k = arr.(pc + 1) in
-          fun vm slots fp limit budget acc steps ->
-            let g = gcell vm s in
-            if g.gdefined then begin
-              slots.(fp + i) <- g.gval;
-              k vm slots fp limit budget acc (steps + 1)
-            end
-            else begin
-              sync vm (steps + 1) (pc + 1) acc;
-              Values.err ("unbound variable: " ^ Globals.slot_name s) []
-            end)
+  | Global_push (s, i) ->
+      let k = arr.(pc + 1) in
+      fun vm slots fp limit budget acc steps ->
+        let g = gcell vm s in
+        if g.gdefined then begin
+          slots.(fp + i) <- g.gval;
+          k vm slots fp limit budget acc (steps + 1)
+        end
+        else begin
+          sync vm (steps + 1) (pc + 1) acc;
+          Values.err ("unbound variable: " ^ Globals.slot_name s) []
+        end
   | Prim_call site ->
       let k = arr.(pc + 1) in
       fun vm slots fp limit budget acc steps ->
@@ -703,9 +671,13 @@ and emit arr instrs (code : code) pc : step =
      handlers exactly, so [instrs] parity across backends is preserved
      by construction. *)
   | Prim_call1_op (site, a) -> emit_call1 arr instrs pc site a (pc + 2)
-  | Prim_call2_op (site, a, b) -> emit_call2 arr instrs pc site a b (pc + 3)
+  | Prim_call2_op (site, a, b) ->
+      emit_call2 arr instrs pc site a b
+        (pc + Bytecode.consumer_offset2 site a + 1)
   | Prim_branch1_op (site, a, t) -> emit_branch1 arr pc site a t (pc + 2)
-  | Prim_branch2_op (site, a, b, t) -> emit_branch2 arr pc site a b t (pc + 3)
+  | Prim_branch2_op (site, a, b, t) ->
+      emit_branch2 arr pc site a b t
+        (pc + Bytecode.consumer_offset2 site a + 1)
   | Prim_tail1_op (site, a) ->
       let argd = site.ps_disp + 2 in
       fun vm slots fp limit budget acc steps ->
@@ -726,6 +698,7 @@ and emit arr instrs (code : code) pc : step =
           end
   | Prim_tail2_op (site, a, b) ->
       let argd = site.ps_disp + 2 in
+      let next = pc + Bytecode.consumer_offset2 site a + 1 in
       fun vm slots fp limit budget acc steps ->
         if steps >= budget then fuel_stop vm steps pc acc
         else
@@ -735,13 +708,13 @@ and emit arr instrs (code : code) pc : step =
             prim_fast_stats vm;
             match site.ps_fn2 x y with
             | v ->
-                do_return_fast vm slots fp limit budget v (steps + 1) (pc + 3)
-            | exception e -> reraise vm (steps + 1) (pc + 3) acc e
+                do_return_fast vm slots fp limit budget v (steps + 1) next
+            | exception e -> reraise vm (steps + 1) next acc e
           end
           else begin
             slots.(fp + argd) <- x;
             slots.(fp + argd + 1) <- y;
-            deopt vm (steps + 1) (pc + 3) acc Vm_policy.prim_deopt_tail_call
+            deopt vm (steps + 1) next acc Vm_policy.prim_deopt_tail_call
               site
           end
   | Return_op a ->

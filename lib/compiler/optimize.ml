@@ -144,7 +144,7 @@ let program tops = List.map top tops
 (* Bytecode peephole: superinstruction fusion                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Post-compile pass over [instrs] arrays.  Two stages:
+(* Post-compile pass over [instrs] arrays.  Two renumbering stages:
 
    1. Push fusion: a value-producing instruction immediately followed by
       [Local_set d] collapses into one [*_push] superinstruction that
@@ -153,19 +153,19 @@ let program tops = List.map top tops
       instruction must itself be an [acc] producer (or a call, which
       ignores [acc]), and no branch may target the consumed [Local_set].
 
-   2. Primitive-call fusion: the sequence
+   2. Primitive-call fusion: the pair
 
-        Global_push (g, d+1); <simple pushes into d+2..>; (Tail_)Call {disp=d}
+        Global_push (g, d+1); (Tail_)Call {disp=d}
 
       where [g] is currently bound to a pure primitive of matching arity
       collapses into a [Prim_call]/[Prim_tail_call] superinstruction
       carrying an inline cache (the bound [Prim] value as a physical
-      witness).  The VM guard re-checks the binding on every execution
-      and deoptimizes to the generic call path when it changed, so
-      [set!] of [+] etc. keeps its standard semantics.  Restricting the
-      intervening instructions to effect-free pushes keeps the delayed
-      callee load unobservable: nothing between the original load site
-      and the call can rebind the global.
+      witness).  The compiler loads a global operator after its operands,
+      so the callee push always sits right before its call and a fixed
+      two-instruction window finds every site.  The VM guard re-checks
+      the binding on every execution and deoptimizes to the generic call
+      path when it changed, so [set!] of [+] etc. keeps its standard
+      semantics.
 
    Both stages shrink the instruction array, so branch targets are
    remapped through an old-pc -> new-pc table. *)
@@ -180,7 +180,11 @@ let acc_dead_at = function
       true
   | _ -> false
 
-let branch_targets instrs =
+(* One left-to-right pass replacing adjacent pairs: [pair instrs pc]
+   returns the instruction that stands for [instrs.(pc)] and
+   [instrs.(pc + 1)], or [None].  A pair whose second instruction is a
+   branch target never fuses. *)
+let fuse_pairs pair instrs =
   let n = Array.length instrs in
   let target = Array.make (n + 1) false in
   Array.iter
@@ -189,20 +193,6 @@ let branch_targets instrs =
           if t >= 0 && t <= n then target.(t) <- true
       | _ -> ())
     instrs;
-  target
-
-let remap_branches map instrs =
-  Array.map
-    (function
-      | Rt.Branch t -> Rt.Branch map.(t)
-      | Rt.Branch_false t -> Rt.Branch_false map.(t)
-      | i -> i)
-    instrs
-
-(* Stage 1: push-pair fusion. *)
-let fuse_pushes instrs =
-  let n = Array.length instrs in
-  let target = branch_targets instrs in
   let out = ref [] in
   let outlen = ref 0 in
   let map = Array.make (n + 1) 0 in
@@ -214,16 +204,7 @@ let fuse_pushes instrs =
   while !pc < n do
     map.(!pc) <- !outlen;
     let fused =
-      if !pc + 2 < n && (not target.(!pc + 1)) && acc_dead_at instrs.(!pc + 2)
-      then
-        match (instrs.(!pc), instrs.(!pc + 1)) with
-        | Rt.Const v, Rt.Local_set d -> Some (Rt.Const_push (v, d))
-        | Rt.Local_ref s, Rt.Local_set d when s <> d ->
-            Some (Rt.Local_push (s, d))
-        | Rt.Free_ref s, Rt.Local_set d -> Some (Rt.Free_push (s, d))
-        | Rt.Global_ref g, Rt.Local_set d -> Some (Rt.Global_push (g, d))
-        | _ -> None
-      else None
+      if !pc + 1 < n && not target.(!pc + 1) then pair instrs !pc else None
     in
     match fused with
     | Some f ->
@@ -235,16 +216,25 @@ let fuse_pushes instrs =
         incr pc
   done;
   map.(n) <- !outlen;
-  remap_branches map (Array.of_list (List.rev !out))
+  Array.map
+    (function
+      | Rt.Branch t -> Rt.Branch map.(t)
+      | Rt.Branch_false t -> Rt.Branch_false map.(t)
+      | i -> i)
+    (Array.of_list (List.rev !out))
 
-(* A push that may sit between the fused callee load and the call: writes
-   one frame slot, touches neither [acc] nor any global binding, and any
-   error it can raise is one the unfused sequence raises identically. *)
-let arg_push_ok ~callee_slot = function
-  | Rt.Const_push (_, d) | Rt.Free_push (_, d) | Rt.Global_push (_, d) ->
-      d <> callee_slot
-  | Rt.Local_push (s, d) -> s <> callee_slot && d <> callee_slot
-  | _ -> false
+(* Stage 1: push-pair fusion. *)
+let fuse_pushes =
+  fuse_pairs (fun instrs pc ->
+      if pc + 2 < Array.length instrs && acc_dead_at instrs.(pc + 2) then
+        match (instrs.(pc), instrs.(pc + 1)) with
+        | Rt.Const v, Rt.Local_set d -> Some (Rt.Const_push (v, d))
+        | Rt.Local_ref s, Rt.Local_set d when s <> d ->
+            Some (Rt.Local_push (s, d))
+        | Rt.Free_ref s, Rt.Local_set d -> Some (Rt.Free_push (s, d))
+        | Rt.Global_ref g, Rt.Local_set d -> Some (Rt.Global_push (g, d))
+        | _ -> None
+      else None)
 
 (* The inline-cache site for a call of global [s] with [nargs] arguments
    at displacement [disp], when the slot is bound to a pure primitive
@@ -275,54 +265,22 @@ let pure_target globals s ~disp ~nargs =
    current bindings the inline caches witness: compiled code carries
    slot numbers, so the fuser resolves each candidate slot here, once,
    and bakes the bound [Prim] value into the site as the guard. *)
-let fuse_prim_calls globals instrs =
-  let n = Array.length instrs in
-  let target = branch_targets instrs in
-  (* For each pc holding a fusable Global_push, the pc of its call. *)
-  let drop = Array.make n false in
-  let replace : Rt.instr option array = Array.make n None in
-  for pc = 0 to n - 1 do
-    match instrs.(pc) with
-    | Rt.Global_push (s, dst) when not drop.(pc) ->
-        let rec scan j =
-          if j >= n || target.(j) then ()
-          else if arg_push_ok ~callee_slot:dst instrs.(j) then scan (j + 1)
-          else
-            match instrs.(j) with
-            | ( Rt.Call { cs_disp = disp; cs_nargs = nargs; _ }
-              | Rt.Tail_call { disp; nargs } )
-              when disp + 1 = dst && replace.(j) = None -> (
-                match pure_target globals s ~disp ~nargs with
-                | Some site ->
-                    let call =
-                      match instrs.(j) with
-                      | Rt.Tail_call _ -> Rt.Prim_tail_call site
-                      | _ when nargs = 1 -> Rt.Prim_call1 site
-                      | _ when nargs = 2 -> Rt.Prim_call2 site
-                      | _ -> Rt.Prim_call site
-                    in
-                    drop.(pc) <- true;
-                    replace.(j) <- Some call
-                | None -> ())
-            | _ -> ()
-        in
-        scan (pc + 1)
-    | _ -> ()
-  done;
-  let out = ref [] in
-  let outlen = ref 0 in
-  let map = Array.make (n + 1) 0 in
-  for pc = 0 to n - 1 do
-    map.(pc) <- !outlen;
-    if not drop.(pc) then begin
-      (match replace.(pc) with
-      | Some i -> out := i :: !out
-      | None -> out := instrs.(pc) :: !out);
-      incr outlen
-    end
-  done;
-  map.(n) <- !outlen;
-  remap_branches map (Array.of_list (List.rev !out))
+let fuse_prim_calls globals =
+  fuse_pairs (fun instrs pc ->
+      match (instrs.(pc), instrs.(pc + 1)) with
+      | ( Rt.Global_push (s, dst),
+          (( Rt.Call { cs_disp = disp; cs_nargs = nargs; _ }
+           | Rt.Tail_call { disp; nargs } ) as call) )
+        when disp + 1 = dst ->
+          Option.map
+            (fun site ->
+              match call with
+              | Rt.Tail_call _ -> Rt.Prim_tail_call site
+              | _ when nargs = 1 -> Rt.Prim_call1 site
+              | _ when nargs = 2 -> Rt.Prim_call2 site
+              | _ -> Rt.Prim_call site)
+            (pure_target globals s ~disp ~nargs)
+      | _ -> None)
 
 (* Stage 3: branch fusion.  A [Branch_false] consuming the value of the
    instruction right before it fuses INTO that producer — but the
@@ -373,7 +331,15 @@ let fuse_branches instrs =
    values as operands — or the retained landing pad, which re-stages
    them itself.  A [Local_push] source read out of order must not alias
    a slot staged earlier in the same sequence; [no_alias] rejects that
-   (the analogue of the [s <> d] guard in stage 1). *)
+   (the analogue of the [s <> d] guard in stage 1).
+
+   A two-argument site whose first argument was stored by earlier code
+   (a global operator is loaded after its operands, so that is usually a
+   call's result) has only its second staging next to the consumer.
+   That staging becomes the head and the first argument is read in place
+   as [Op_local] of its own slot: nothing to retain for it, and a slow
+   path's spill rewrites the value already there
+   ([Bytecode.consumer_offset2] locates the consumer for both shapes). *)
 let fuse_operands instrs =
   let n = Array.length instrs in
   let out = Array.copy instrs in
@@ -390,47 +356,61 @@ let fuse_operands instrs =
     | Rt.Op_local s -> s <> staged_slot
     | _ -> true
   in
-  for pc = 0 to n - 1 do
-    match staged pc with
-    | None ->
+  (* The head folding operand [a], and [b] for a two-argument site, into
+     the consumer at [pc], whose first argument slot must be [arg]. *)
+  let head pc ~arg a b =
+    if pc >= n then None
+    else
+      match (instrs.(pc), b) with
+      | ( ( Rt.Prim_call1 s | Rt.Prim_call2 s | Rt.Prim_tail_call s
+          | Rt.Prim_branch1 (s, _)
+          | Rt.Prim_branch2 (s, _) ),
+          _ )
+        when s.Rt.ps_disp + 2 <> arg ->
+          None
+      | Rt.Prim_call1 s, None -> Some (Rt.Prim_call1_op (s, a))
+      | Rt.Prim_branch1 (s, t), None -> Some (Rt.Prim_branch1_op (s, a, t))
+      | Rt.Prim_tail_call s, None when s.Rt.ps_nargs = 1 ->
+          Some (Rt.Prim_tail1_op (s, a))
+      | Rt.Prim_call2 s, Some b -> Some (Rt.Prim_call2_op (s, a, b))
+      | Rt.Prim_branch2 (s, t), Some b -> Some (Rt.Prim_branch2_op (s, a, b, t))
+      | Rt.Prim_tail_call s, Some b when s.Rt.ps_nargs = 2 ->
+          Some (Rt.Prim_tail2_op (s, a, b))
+      | _ -> None
+  in
+  let pc = ref 0 in
+  (* Put head [f] at [pc] and go on past its consumer, [width]
+     instructions on. *)
+  let fused f width =
+    out.(!pc) <- f;
+    pc := !pc + width
+  in
+  while !pc < n do
+    let p = !pc in
+    match staged p with
+    | None -> (
         (* Producer + [Return] epilogue: one dispatch per leaf return. *)
-        if pc + 1 < n then (
-          match (instrs.(pc), instrs.(pc + 1)) with
-          | Rt.Const v, Rt.Return -> out.(pc) <- Rt.Return_op (Rt.Op_const v)
-          | Rt.Local_ref s, Rt.Return ->
-              out.(pc) <- Rt.Return_op (Rt.Op_local s)
-          | _ -> ())
+        match (instrs.(p), if p + 1 < n then instrs.(p + 1) else Rt.Halt) with
+        | Rt.Const v, Rt.Return -> fused (Rt.Return_op (Rt.Op_const v)) 2
+        | Rt.Local_ref s, Rt.Return -> fused (Rt.Return_op (Rt.Op_local s)) 2
+        | _ -> incr pc)
     | Some (d0, op0) -> (
         let two =
-          if pc + 2 >= n then None
-          else
-            match staged (pc + 1) with
-            | Some (d1, op1) when d1 = d0 + 1 && no_alias ~staged_slot:d0 op1
-              -> (
-                match instrs.(pc + 2) with
-                | Rt.Prim_call2 site when site.Rt.ps_disp + 2 = d0 ->
-                    Some (Rt.Prim_call2_op (site, op0, op1))
-                | Rt.Prim_branch2 (site, t) when site.Rt.ps_disp + 2 = d0 ->
-                    Some (Rt.Prim_branch2_op (site, op0, op1, t))
-                | Rt.Prim_tail_call site
-                  when site.Rt.ps_nargs = 2 && site.Rt.ps_disp + 2 = d0 ->
-                    Some (Rt.Prim_tail2_op (site, op0, op1))
-                | _ -> None)
-            | _ -> None
+          match staged (p + 1) with
+          | Some (d1, op1) when d1 = d0 + 1 && no_alias ~staged_slot:d0 op1 ->
+              head (p + 2) ~arg:d0 op0 (Some op1)
+          | _ -> None
         in
         match two with
-        | Some f -> out.(pc) <- f
-        | None ->
-            if pc + 1 < n then (
-              match instrs.(pc + 1) with
-              | Rt.Prim_call1 site when site.Rt.ps_disp + 2 = d0 ->
-                  out.(pc) <- Rt.Prim_call1_op (site, op0)
-              | Rt.Prim_branch1 (site, t) when site.Rt.ps_disp + 2 = d0 ->
-                  out.(pc) <- Rt.Prim_branch1_op (site, op0, t)
-              | Rt.Prim_tail_call site
-                when site.Rt.ps_nargs = 1 && site.Rt.ps_disp + 2 = d0 ->
-                  out.(pc) <- Rt.Prim_tail1_op (site, op0)
-              | _ -> ()))
+        | Some f -> fused f 3
+        | None -> (
+            match head (p + 1) ~arg:d0 op0 None with
+            | Some f -> fused f 2
+            | None -> (
+                let a = Rt.Op_local (d0 - 1) in
+                match head (p + 1) ~arg:(d0 - 1) a (Some op0) with
+                | Some f -> fused f 2
+                | None -> incr pc)))
   done;
   out
 

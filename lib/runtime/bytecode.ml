@@ -18,13 +18,21 @@ let transfers_control = function
   | Return_op _ | Prim_tail1_op _ | Prim_tail2_op _ -> true
   | _ -> false
 
+(* The head stands in for its first operand's staging and retains the
+   second's at pc+1 — unless that first operand is already in place (an
+   [Op_local] of its own argument slot), when the head stands in for the
+   second's staging and the consumer follows it directly. *)
+let consumer_offset2 (site : prim_site) = function
+  | Op_local s when s = site.ps_disp + 2 -> 1
+  | _ -> 2
+
 let validate ~name ~frame_words instrs =
   let n = Array.length instrs in
   if n = 0 then invalid_arg (name ^ ": empty instruction stream");
   if not (transfers_control instrs.(n - 1)) then
     invalid_arg (name ^ ": code can fall off the end of the instruction stream");
-  (* A two-operand fused form retains its staged second push at pc+1 and
-     the original consumer at pc+2 as the deopt landing pad.  Entering
+  (* A two-operand fused form with its consumer at pc+2 retains its
+     staged second push at pc+1 as the deopt landing pad.  Entering
      that pad at pc+1 would restage only the second operand and run the
      consumer with the first argument slot holding garbage, so no branch
      may target the pad's interior (targeting the consumer itself is
@@ -33,8 +41,11 @@ let validate ~name ~frame_words instrs =
   Array.iteri
     (fun pc instr ->
       match instr with
-      | Prim_call2_op _ | Prim_branch2_op _ | Prim_tail2_op _ ->
-          if pc + 1 < n then pad_interior.(pc + 1) <- true
+      | Prim_call2_op (s, a, _)
+      | Prim_branch2_op (s, a, _, _)
+      | Prim_tail2_op (s, a, _) ->
+          if consumer_offset2 s a = 2 && pc + 1 < n then
+            pad_interior.(pc + 1) <- true
       | _ -> ())
     instrs;
   let check_operand = function

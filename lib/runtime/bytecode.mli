@@ -4,13 +4,18 @@ val transfers_control : Rt.instr -> bool
 (** Does the instruction unconditionally leave the current pc (so that
     falling through to pc+1 is impossible)? *)
 
+val consumer_offset2 : Rt.prim_site -> Rt.operand -> int
+(** Distance from a two-operand fused head with first operand [a] to its
+    retained consumer: 1 when [a] reads the site's first argument slot
+    in place, else 2 (the second operand's staging sits between). *)
+
 val validate : name:string -> frame_words:int -> Rt.instr array -> unit
 (** The structural checks {!make_code} runs: non-empty stream, final
     instruction transfers control, branch targets in range and never
     into the interior of a two-operand fused form's landing pad (the
-    retained staged push at pc+1), operand indices within
-    [frame_words].  Re-run by the peephole fuser after it rewrites an
-    instruction array in place.
+    retained staged push at pc+1 of a {!consumer_offset2} of 2), operand
+    indices within [frame_words].  Re-run by the peephole fuser after it
+    rewrites an instruction array in place.
     @raise Invalid_argument naming the code and the violation. *)
 
 val make_code :

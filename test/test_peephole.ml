@@ -161,5 +161,42 @@ let reduction_cases =
           (Tutil.contains ~sub:"prim-" text));
   ]
 
+(* Every primitive call of a deeply nested [(+ 1 (+ 1 ... 0))] fuses:
+   each callee push sits next to its call, so the fuser's fixed window
+   finds all [n] sites, and the pass stays linear in program size.  The
+   counters, not the clock, are pinned. *)
+let nested_sum n =
+  let b = Buffer.create (6 * n) in
+  for _ = 1 to n do
+    Buffer.add_string b "(+ 1 "
+  done;
+  Buffer.add_char b '0';
+  Buffer.add_string b (String.make n ')');
+  Buffer.contents b
+
+let nesting_cases =
+  List.concat_map
+    (fun n ->
+      let src = nested_sum n in
+      List.map
+        (fun (bname, backend) ->
+          case (Printf.sprintf "nested (+ 1 ...) n=%d fuses every site [%s]" n
+                  bname)
+            (fun () ->
+              let stats = Stats.create () in
+              let s = Scheme.create ~backend ~stats () in
+              Stats.reset stats;
+              Alcotest.(check string) "value" (string_of_int n)
+                (Scheme.eval_string ~fuel s src);
+              Alcotest.(check (pair int int)) "prim-fast, prim-calls" (n, n)
+                (stats.Stats.prim_fast, stats.Stats.prim_calls)))
+        [
+          ("stack", Scheme.Stack Control.default_config);
+          ("closure", Scheme.Closure Control.default_config);
+          ("heap", Scheme.Heap);
+        ])
+    [ 1_000; 32_000 ]
+
 let suite =
   differential_cases @ deopt_cases @ liveness_cases @ reduction_cases
+  @ nesting_cases

@@ -275,7 +275,35 @@ let reject_cases =
            Rt.Prim_call1 s;
            Rt.Return;
          |]);
-    (* 15. closure capture index outside the enclosing frame *)
+    (* 15. in-place first operand: its argument slot was never stored *)
+    rejects "rejects: in-place operand of an unstored argument slot"
+      ~needle:"uninitialized"
+      (let s = prim_site ~name:"+" ~nargs:2 () in
+       raw ~fw:8
+         [|
+           Rt.Enter;
+           Rt.Const (Rt.Int 2);
+           Rt.Prim_call2_op (s, Rt.Op_local 4, Rt.Op_acc);
+           Rt.Prim_call2 s;
+           Rt.Return;
+         |]);
+    (* 16. in-place first operand: no staging is retained, so the
+       consumer must follow the head directly *)
+    rejects "rejects: in-place operand form with a pad between"
+      ~needle:"not the retained Prim_call2 consumer"
+      (let s = prim_site ~name:"+" ~nargs:2 () in
+       raw ~fw:8
+         [|
+           Rt.Enter;
+           Rt.Const (Rt.Int 1);
+           Rt.Local_set 4;
+           Rt.Const (Rt.Int 2);
+           Rt.Prim_call2_op (s, Rt.Op_local 4, Rt.Op_acc);
+           Rt.Local_set 5;
+           Rt.Prim_call2 s;
+           Rt.Return;
+         |]);
+    (* 17. closure capture index outside the enclosing frame *)
     rejects "rejects: capture index outside frame" ~needle:"captured"
       (let child =
          raw ~name:"child" ~arity:(Rt.Exactly 0) ~fw:3
@@ -283,7 +311,7 @@ let reject_cases =
        in
        raw ~fw:3
          [| Rt.Enter; Rt.Make_closure (child, [| Rt.Cap_local 7 |]); Rt.Return |]);
-    (* 16. child code object of a closure is verified too *)
+    (* 18. child code object of a closure is verified too *)
     rejects "rejects: malformed nested closure body" ~needle:"child"
       (let child =
          raw ~name:"child" ~arity:(Rt.Exactly 0) ~fw:3
@@ -338,6 +366,36 @@ let validate_cases =
           |]);
   ]
 
+(* A first operand read in place from its own argument slot needs no
+   restaging pad: the head stands in for the second operand's staging
+   and the consumer follows it, and a branch may target that consumer. *)
+let in_place_cases =
+  [
+    case "accepts: in-place operand with the consumer at pc+1" (fun () ->
+        let s = prim_site ~name:"+" ~nargs:2 () in
+        Verify.verify
+          (raw ~fw:8
+             [|
+               Rt.Enter;
+               Rt.Const (Rt.Int 1);
+               Rt.Local_set 4;
+               Rt.Const (Rt.Int 2);
+               Rt.Prim_call2_op (s, Rt.Op_local 4, Rt.Op_acc);
+               Rt.Prim_call2 s;
+               Rt.Return;
+             |]));
+    case "validate: accepts a branch to an in-place form's consumer"
+      (fun () ->
+        let s = prim_site ~name:"+" ~nargs:2 () in
+        Bytecode.validate ~name:"v" ~frame_words:8
+          [|
+            Rt.Branch 2;
+            Rt.Prim_call2_op (s, Rt.Op_local 4, Rt.Op_acc);
+            Rt.Prim_call2 s;
+            Rt.Return;
+          |]);
+  ]
+
 let suite =
   accept_corpus_cases @ accept_session_cases @ shared_code_cases
-  @ reject_cases @ validate_cases
+  @ reject_cases @ validate_cases @ in_place_cases
