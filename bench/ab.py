@@ -46,11 +46,14 @@ import sys
 import tempfile
 
 
-def export(rev, root, tmp):
-    """A directory holding the source tree of [rev] ('.' = working tree)."""
+def export(rev, root, tmp, side):
+    """A directory holding the source tree of [rev] ('.' = working tree).
+
+    The tree is named after its [side], so both sides may name the same
+    revision."""
     if rev == ".":
         return root
-    dest = os.path.join(tmp, rev.replace("/", "_").replace("~", "_").replace("^", "_"))
+    dest = os.path.join(tmp, side)
     os.makedirs(dest)
     archive = subprocess.run(["git", "-C", root, "archive", rev],
                              capture_output=True, check=True)
@@ -112,7 +115,8 @@ def main():
     signal.signal(signal.SIGTERM, lambda *_: sys.exit("ab: terminated"))
     tmp = tempfile.mkdtemp(prefix="ab-")
     try:
-        trees = {"base": export(a.base, root, tmp), "change": export(a.change, root, tmp)}
+        trees = {side: export(rev, root, tmp, side)
+                 for side, rev in (("base", a.base), ("change", a.change))}
         runs = {"base": [], "change": []}
         correct = True
         for i in range(a.runs):

@@ -447,7 +447,8 @@ let cmd =
             "Run the static bytecode verifier over every compiled code \
              object (abstract-interpretation initialization checks plus the \
              optimizer's structural fusion contracts); abort with a \
-             diagnostic on any violation.")
+             diagnostic on any violation.  Code that (eval datum) compiles \
+             at run time is neither fused nor verified.")
   in
   let lint =
     Arg.(

@@ -73,4 +73,6 @@ val compile_eval :
   ?hygiene:bool -> ?menv:Macro.menv -> Globals.t -> Rt.value -> Rt.code
 (** Compile a runtime datum for [(eval datum)]: a single zero-argument
     code object that runs the (possibly spliced) top-level forms in
-    sequence and returns the last value. *)
+    sequence and returns the last value.  The code is neither fused
+    ({!Optimize.peephole}) nor verified ({!Verify}): it is the one
+    exception to a session's [peephole] and [verify] settings. *)

@@ -144,7 +144,11 @@ let program tops = List.map top tops
 (* Bytecode peephole: superinstruction fusion                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Post-compile pass over [instrs] arrays.  Two renumbering stages:
+(* Post-compile pass over [instrs] arrays: one renumbering scan, then
+   in-place register lowering.
+
+   The scan walks the compiled code once, left to right, and writes each
+   instruction or fused window into one output array.  Two windows fuse:
 
    1. Push fusion: a value-producing instruction immediately followed by
       [Local_set d] collapses into one [*_push] superinstruction that
@@ -153,88 +157,33 @@ let program tops = List.map top tops
       instruction must itself be an [acc] producer (or a call, which
       ignores [acc]), and no branch may target the consumed [Local_set].
 
-   2. Primitive-call fusion: the pair
+   2. Primitive-call fusion: the window
 
-        Global_push (g, d+1); (Tail_)Call {disp=d}
+        Global_ref g; Local_set (d+1); (Tail_)Call {disp=d}
 
       where [g] is currently bound to a pure primitive of matching arity
       collapses into a [Prim_call]/[Prim_tail_call] superinstruction
       carrying an inline cache (the bound [Prim] value as a physical
-      witness).  The compiler loads a global operator after its operands,
-      so the callee push always sits right before its call and a fixed
-      two-instruction window finds every site.  The VM guard re-checks
-      the binding on every execution and deoptimizes to the generic call
+      witness); when it is not, the first two still fuse into a
+      [Global_push].  The compiler loads a global operator after its
+      operands, so the callee load always sits right before its call
+      and a fixed window finds every site.  The VM guard re-checks the
+      binding on every execution and deoptimizes to the generic call
       path when it changed, so [set!] of [+] etc. keeps its standard
       semantics.
 
-   Both stages shrink the instruction array, so branch targets are
-   remapped through an old-pc -> new-pc table. *)
+   A window never swallows a branch target, so only a window's first pc
+   needs an old-pc -> new-pc entry. *)
 
-(* Is [acc] irrelevant to [i] (it overwrites or ignores it)? *)
+(* Is [acc] irrelevant to [i] (it overwrites or ignores it)?  The scan
+   sees only compiler output, so only the constructors the compiler
+   emits are listed. *)
 let acc_dead_at = function
   | Rt.Const _ | Rt.Local_ref _ | Rt.Box_ref _ | Rt.Free_ref _
   | Rt.Free_box_ref _ | Rt.Global_ref _ | Rt.Make_closure _ | Rt.Call _
-  | Rt.Tail_call _ | Rt.Box_init _ | Rt.Const_push _ | Rt.Local_push _
-  | Rt.Free_push _ | Rt.Global_push _ | Rt.Prim_call _ | Rt.Prim_call1 _
-  | Rt.Prim_call2 _ | Rt.Prim_tail_call _ ->
+  | Rt.Tail_call _ | Rt.Box_init _ ->
       true
   | _ -> false
-
-(* One left-to-right pass replacing adjacent pairs: [pair instrs pc]
-   returns the instruction that stands for [instrs.(pc)] and
-   [instrs.(pc + 1)], or [None].  A pair whose second instruction is a
-   branch target never fuses. *)
-let fuse_pairs pair instrs =
-  let n = Array.length instrs in
-  let target = Array.make (n + 1) false in
-  Array.iter
-    (function
-      | Rt.Branch t | Rt.Branch_false t ->
-          if t >= 0 && t <= n then target.(t) <- true
-      | _ -> ())
-    instrs;
-  let out = ref [] in
-  let outlen = ref 0 in
-  let map = Array.make (n + 1) 0 in
-  let emit i =
-    out := i :: !out;
-    incr outlen
-  in
-  let pc = ref 0 in
-  while !pc < n do
-    map.(!pc) <- !outlen;
-    let fused =
-      if !pc + 1 < n && not target.(!pc + 1) then pair instrs !pc else None
-    in
-    match fused with
-    | Some f ->
-        map.(!pc + 1) <- !outlen;
-        emit f;
-        pc := !pc + 2
-    | None ->
-        emit instrs.(!pc);
-        incr pc
-  done;
-  map.(n) <- !outlen;
-  Array.map
-    (function
-      | Rt.Branch t -> Rt.Branch map.(t)
-      | Rt.Branch_false t -> Rt.Branch_false map.(t)
-      | i -> i)
-    (Array.of_list (List.rev !out))
-
-(* Stage 1: push-pair fusion. *)
-let fuse_pushes =
-  fuse_pairs (fun instrs pc ->
-      if pc + 2 < Array.length instrs && acc_dead_at instrs.(pc + 2) then
-        match (instrs.(pc), instrs.(pc + 1)) with
-        | Rt.Const v, Rt.Local_set d -> Some (Rt.Const_push (v, d))
-        | Rt.Local_ref s, Rt.Local_set d when s <> d ->
-            Some (Rt.Local_push (s, d))
-        | Rt.Free_ref s, Rt.Local_set d -> Some (Rt.Free_push (s, d))
-        | Rt.Global_ref g, Rt.Local_set d -> Some (Rt.Global_push (g, d))
-        | _ -> None
-      else None)
 
 (* The inline-cache site for a call of global [s] with [nargs] arguments
    at displacement [disp], when the slot is bound to a pure primitive
@@ -261,59 +210,69 @@ let pure_target globals s ~disp ~nargs =
           }
     | _ -> None
 
-(* Stage 2: primitive-call fusion.  [globals] is the session whose
-   current bindings the inline caches witness: compiled code carries
-   slot numbers, so the fuser resolves each candidate slot here, once,
-   and bakes the bound [Prim] value into the site as the guard. *)
-let fuse_prim_calls globals =
-  fuse_pairs (fun instrs pc ->
-      match (instrs.(pc), instrs.(pc + 1)) with
-      | ( Rt.Global_push (s, dst),
-          (( Rt.Call { cs_disp = disp; cs_nargs = nargs; _ }
-           | Rt.Tail_call { disp; nargs } ) as call) )
-        when disp + 1 = dst ->
-          Option.map
-            (fun site ->
-              match call with
-              | Rt.Tail_call _ -> Rt.Prim_tail_call site
-              | _ when nargs = 1 -> Rt.Prim_call1 site
-              | _ when nargs = 2 -> Rt.Prim_call2 site
-              | _ -> Rt.Prim_call site)
-            (pure_target globals s ~disp ~nargs)
-      | _ -> None)
-
-(* Stage 3: branch fusion.  A [Branch_false] consuming the value of the
-   instruction right before it fuses INTO that producer — but the
-   [Branch_false] itself stays in the array, jumped over by the fused
-   form.  Keeping it makes the rewrite purely local: no pc renumbering,
-   branches into either instruction of the pair keep their exact
-   unfused semantics, and a deopted [Prim_branch*] (or an error handler
-   that returns a replacement value) resumes at the retained branch,
-   which then tests the returned value just as the unfused sequence
-   would.  Runs after the renumbering stages so the fused forms never
-   need remapping. *)
-let fuse_branches instrs =
+(* The instruction standing for the window that starts at [pc]: a fused
+   form, or [instrs.(pc)] itself.  [globals] is the session whose current
+   bindings the inline caches witness: compiled code carries slot
+   numbers, so the fuser resolves each candidate slot here, once, and
+   bakes the bound [Prim] value into the site as the guard. *)
+let fuse_window globals target instrs pc =
   let n = Array.length instrs in
-  Array.mapi
-    (fun pc i ->
-      if pc + 1 < n then
-        match (i, instrs.(pc + 1)) with
-        | Rt.Local_ref s, Rt.Branch_false t -> Rt.Local_branch_false (s, t)
-        | Rt.Prim_call1 site, Rt.Branch_false t -> Rt.Prim_branch1 (site, t)
-        | Rt.Prim_call2 site, Rt.Branch_false t -> Rt.Prim_branch2 (site, t)
-        | _ -> i
-      else i)
-    instrs
+  if pc + 2 >= n || target.(pc + 1) || not (acc_dead_at instrs.(pc + 2))
+  then instrs.(pc)
+  else
+    match (instrs.(pc), instrs.(pc + 1)) with
+    | Rt.Const v, Rt.Local_set d -> Rt.Const_push (v, d)
+    | Rt.Local_ref s, Rt.Local_set d when s <> d -> Rt.Local_push (s, d)
+    | Rt.Free_ref s, Rt.Local_set d -> Rt.Free_push (s, d)
+    | Rt.Global_ref g, Rt.Local_set d -> (
+        match instrs.(pc + 2) with
+        | ( Rt.Call { cs_disp = disp; cs_nargs = nargs; _ }
+          | Rt.Tail_call { disp; nargs } ) as call
+          when disp + 1 = d && not target.(pc + 2) -> (
+            match pure_target globals g ~disp ~nargs with
+            | Some site -> (
+                match call with
+                | Rt.Tail_call _ -> Rt.Prim_tail_call site
+                | _ when nargs = 1 -> Rt.Prim_call1 site
+                | _ when nargs = 2 -> Rt.Prim_call2 site
+                | _ -> Rt.Prim_call site)
+            | None -> Rt.Global_push (g, d))
+        | _ -> Rt.Global_push (g, d))
+    | i, _ -> i
 
-(* Stage 4: register lowering ("regalloc").  The argument-staging
-   instructions of an already-fused primitive call — [Const_push] /
-   [Local_push] into the site's argument slots, or the [Local_set] that
-   stores a just-computed accumulator value into the first one — fold
-   into the consumer as [Rt.operand]s, so the staged values are read
-   straight from the accumulator, a source slot, or the instruction
-   stream and never touch stack memory on the fast path.
+(* How many input instructions the result of [fuse_window] stands for.
+   The input holds no fused forms, so the result names its window. *)
+let window_width = function
+  | Rt.Const_push _ | Rt.Local_push _ | Rt.Free_push _ | Rt.Global_push _ -> 2
+  | Rt.Prim_call _ | Rt.Prim_call1 _ | Rt.Prim_call2 _ | Rt.Prim_tail_call _ ->
+      3
+  | _ -> 1
 
-   Like branch fusion this stage is purely local: only the *head* of the
+(* Branch fusion, in the closing loop.  A [Branch_false] consuming the
+   value of the instruction right before it fuses INTO that producer —
+   but the [Branch_false] itself stays in the array, jumped over by the
+   fused form.  Keeping it makes the rewrite purely local: no pc
+   renumbering, branches into either instruction of the pair keep their
+   exact unfused semantics, and a deopted [Prim_branch*] (or an error
+   handler that returns a replacement value) resumes at the retained
+   branch, which then tests the returned value just as the unfused
+   sequence would.  [t] is the retained branch's renumbered target. *)
+let fuse_branch producer t =
+  match producer with
+  | Rt.Local_ref s -> Rt.Local_branch_false (s, t)
+  | Rt.Prim_call1 site -> Rt.Prim_branch1 (site, t)
+  | Rt.Prim_call2 site -> Rt.Prim_branch2 (site, t)
+  | i -> i
+
+(* Register lowering ("regalloc"), in place on the scan's output.  The
+   argument-staging instructions of an already-fused primitive call —
+   [Const_push] / [Local_push] into the site's argument slots, or the
+   [Local_set] that stores a just-computed accumulator value into the
+   first one — fold into the consumer as [Rt.operand]s, so the staged
+   values are read straight from the accumulator, a source slot, or the
+   instruction stream and never touch stack memory on the fast path.
+
+   Like branch fusion this lowering is purely local: only the *head* of the
    staged sequence is replaced, every following original (the remaining
    pushes and the consuming [Prim_call*]/[Prim_branch*]/[Prim_tail_call]/
    [Return]) is retained in place as the deopt landing pad, and no pc is
@@ -331,7 +290,7 @@ let fuse_branches instrs =
    values as operands — or the retained landing pad, which re-stages
    them itself.  A [Local_push] source read out of order must not alias
    a slot staged earlier in the same sequence; [no_alias] rejects that
-   (the analogue of the [s <> d] guard in stage 1).
+   (the analogue of the [s <> d] guard in push fusion).
 
    A two-argument site whose first argument was stored by earlier code
    (a global operator is loaded after its operands, so that is usually a
@@ -339,10 +298,12 @@ let fuse_branches instrs =
    That staging becomes the head and the first argument is read in place
    as [Op_local] of its own slot: nothing to retain for it, and a slow
    path's spill rewrites the value already there
-   ([Bytecode.consumer_offset2] locates the consumer for both shapes). *)
+   ([Bytecode.consumer_offset2] locates the consumer for both shapes).
+
+   A head is written only at the pc being scanned, and the scan then
+   moves past its consumer, so every later read sees unlowered input. *)
 let fuse_operands instrs =
   let n = Array.length instrs in
-  let out = Array.copy instrs in
   let staged pc =
     if pc >= n then None
     else
@@ -382,7 +343,7 @@ let fuse_operands instrs =
   (* Put head [f] at [pc] and go on past its consumer, [width]
      instructions on. *)
   let fused f width =
-    out.(!pc) <- f;
+    instrs.(!pc) <- f;
     pc := !pc + width
   in
   while !pc < n do
@@ -411,36 +372,61 @@ let fuse_operands instrs =
                 match head (p + 1) ~arg:(d0 - 1) a (Some op0) with
                 | Some f -> fused f 2
                 | None -> incr pc)))
-  done;
-  out
+  done
 
 (* Fuse one code object and, recursively, every code object it closes
    over.  Frame layout, arity, and [frame_words] are unchanged: fusion
    only merges dispatches.
 
-   Fusion renumbers pcs, so the static return addresses interned by
-   [Bytecode.backpatch] at [make_code] time are stale: surviving [Call]
-   sites are re-created fresh (never shared with the pre-fusion array,
-   whose backpatched [cs_ret] still describes the old numbering) and the
-   fused code object is re-backpatched as the final step.  The register
-   lowering ([fuse_operands], [--no-regalloc] escape hatch) runs after
-   the renumbering stages and after branch fusion, so the operand forms
-   never need remapping and can consume branch-fused consumers. *)
+   After the scan, one closing loop remaps branch targets, fuses
+   branches and recurses into closures.  The scan renumbers pcs, so the
+   static return addresses interned by [Bytecode.backpatch] at
+   [make_code] time are stale: the closing loop also re-creates every
+   surviving [Call] site (never shared with the input
+   array, whose backpatched [cs_ret] still describes the old numbering)
+   and the fused code object is re-backpatched as the final step.  The
+   register lowering ([fuse_operands], [--no-regalloc] escape hatch)
+   runs after the closing loop, so the operand forms never need
+   remapping and can consume branch-fused consumers. *)
 let rec peephole ?(regalloc = true) globals (c : Rt.code) : Rt.code =
-  let instrs =
-    fuse_branches (fuse_prim_calls globals (fuse_pushes c.Rt.instrs))
-  in
-  let instrs = if regalloc then fuse_operands instrs else instrs in
-  let instrs =
-    Array.map
-      (function
-        | Rt.Make_closure (cc, caps) ->
-            Rt.Make_closure (peephole ~regalloc globals cc, caps)
-        | Rt.Call { cs_disp; cs_nargs; _ } ->
-            Rt.Call { cs_disp; cs_nargs; cs_ret = Rt.Void }
-        | i -> i)
-      instrs
-  in
+  let input = c.Rt.instrs in
+  let n = Array.length input in
+  let target = Array.make (n + 1) false in
+  Array.iter
+    (function
+      | Rt.Branch t | Rt.Branch_false t ->
+          if t >= 0 && t <= n then target.(t) <- true
+      | _ -> ())
+    input;
+  let out = Array.make n Rt.Return in
+  let map = Array.make (n + 1) 0 in
+  let m = ref 0 and pc = ref 0 in
+  while !pc < n do
+    let i = fuse_window globals target input !pc in
+    map.(!pc) <- !m;
+    out.(!m) <- i;
+    incr m;
+    pc := !pc + window_width i
+  done;
+  map.(n) <- !m;
+  let m = !m in
+  let instrs = Array.sub out 0 m in
+  for j = 0 to m - 1 do
+    match instrs.(j) with
+    | Rt.Branch t -> instrs.(j) <- Rt.Branch map.(t)
+    | Rt.Branch_false t -> instrs.(j) <- Rt.Branch_false map.(t)
+    | Rt.Call { cs_disp; cs_nargs; _ } ->
+        instrs.(j) <- Rt.Call { cs_disp; cs_nargs; cs_ret = Rt.Void }
+    | Rt.Make_closure (cc, caps) ->
+        instrs.(j) <- Rt.Make_closure (peephole ~regalloc globals cc, caps)
+    | i when j + 1 < m -> (
+        (* The loop has not reached [j + 1] yet: [t] is still an old pc. *)
+        match instrs.(j + 1) with
+        | Rt.Branch_false t -> instrs.(j) <- fuse_branch i map.(t)
+        | _ -> ())
+    | _ -> ()
+  done;
+  if regalloc then fuse_operands instrs;
   (* Fusion bypasses [make_code], so re-run the structural validation
      here: the rewritten stream must still satisfy the unsafe-fetch
      invariants (and the landing-pad/operand-range checks validate added

@@ -18,27 +18,28 @@ val program : Ast.top list -> Ast.top list
 
     Unlike the AST folder above, the peephole stage is sound by
     construction and is applied by default ([Compiler.compile_string
-    ~peephole:true]).  It performs two fusions over compiled [instrs]
-    arrays:
+    ~peephole:true]).  One forward scan over each compiled [instrs]
+    array renumbers pcs once and fuses two windows:
 
     - push fusion: a value-producing instruction immediately followed by
       [Local_set] becomes a single [*_push] superinstruction that writes
       the frame slot directly, provided the accumulator is provably dead
       at the fusion site (the fall-through instruction overwrites or
       ignores it and the [Local_set] is not a branch target);
-    - primitive-call fusion: a [Global_push] of a cell currently bound to
-      a pure primitive, immediately followed by the matching
+    - primitive-call fusion: [Global_ref; Local_set] of a cell currently
+      bound to a pure primitive, immediately followed by the matching
       [Call]/[Tail_call] (the compiler loads the operator after its
-      operands, so the push always sits there), becomes a [Prim_call*]
+      operands, so the load always sits there), becomes a [Prim_call*]
       site carrying an inline cache.  The VM re-validates the cache
       ([gval == ps_guard]) on every execution, so [set!] of a fused
       primitive deoptimizes the site to the generic call path and the
       program's meaning is preserved.
 
-    Two further non-renumbering stages follow: branch fusion (the
-    producer of a [Branch_false] test absorbs the branch, the original
-    branch staying in place as the deopt landing pad) and register
-    lowering ([regalloc], on by default, [~regalloc:false] /
+    The scan's closing loop remaps branch targets and performs branch
+    fusion (the producer of a [Branch_false] test absorbs the branch,
+    the original branch staying in place as the deopt landing pad).
+    Register lowering then rewrites the same array in place
+    ([regalloc], on by default, [~regalloc:false] /
     [--no-regalloc] to disable): the argument-staging pushes of a fused
     primitive call — and the [Local_set] storing a just-computed
     accumulator value into the first argument slot — fold into the

@@ -34,7 +34,9 @@ val create :
     push-based encoding while retaining the other fusions).
     [?verify:true] runs the {!Verify} static bytecode verifier over
     every code object the session compiles — prelude and corpus
-    included — raising [Verify.Error] on any violated invariant.
+    included — raising [Verify.Error] on any violated invariant.  The
+    one exception is the code [(eval datum)] compiles at run time
+    ({!Compiler.compile_eval}), which is neither fused nor verified.
     [?hygiene:false] turns off the expander's hygienic [syntax-rules]
     renaming (see {!Expander}), reproducing the historical textual
     expansion; worker shards of an attached par pool inherit the

@@ -197,6 +197,40 @@ let nesting_cases =
         ])
     [ 1_000; 32_000 ]
 
+(* The peephole allocates output proportional to its input: one scan
+   into one output array, then in-place rewrites.  Pinned as minor-heap
+   words per input instruction over the unfused prelude and corpus code
+   ([Gc.minor_words] counts only minor-heap allocation: arrays too large
+   for the minor heap go straight to the major heap and are not counted).
+   No wall clock is pinned. *)
+let allocation_cases =
+  [
+    case "peephole allocates <= 20 minor words per input instruction"
+      (fun () ->
+        let globals = Scheme.globals (Scheme.create ()) in
+        let menv = Macro.create_menv () in
+        let codes =
+          List.concat_map
+            (Compiler.compile_string ~peephole:false ~menv globals)
+            [
+              Prelude.source; Parprelude.source; Programs.all_defs;
+              Threads.scheduler; Cml.source;
+            ]
+        in
+        let input =
+          List.fold_left
+            (fun n (c : Rt.code) -> n + Array.length c.Rt.instrs)
+            0
+            (List.fold_left Bytecode.collect_codes [] codes)
+        in
+        let w0 = Gc.minor_words () in
+        ignore (Optimize.peephole_program globals codes);
+        let per_instr = (Gc.minor_words () -. w0) /. float_of_int input in
+        if per_instr > 20. then
+          Alcotest.failf "%.1f minor words per input instruction (%d input)"
+            per_instr input);
+  ]
+
 let suite =
   differential_cases @ deopt_cases @ liveness_cases @ reduction_cases
-  @ nesting_cases
+  @ nesting_cases @ allocation_cases
