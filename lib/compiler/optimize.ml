@@ -14,7 +14,7 @@ let num2 f args =
 let arith fi =
   fun args ->
     let rec go acc = function
-      | [] -> Some (Int acc)
+      | [] -> Some (Values.of_int acc)
       | Int n :: rest -> go (fi acc n) rest
       | _ -> None
     in
@@ -32,16 +32,16 @@ let cmp op args =
 let folders : (string * (value list -> value option)) list =
   [
     ("+", arith ( + ));
-    ("-", fun args -> (match args with [ Int n ] -> Some (Int (-n)) | _ -> arith ( - ) args));
+    ("-", fun args -> (match args with [ Int n ] -> Some (Values.of_int (-n)) | _ -> arith ( - ) args));
     ("*", arith ( * ));
-    ("quotient", num2 (fun a b -> if b = 0 then None else Some (Int (a / b))));
-    ("remainder", num2 (fun a b -> if b = 0 then None else Some (Int (Int.rem a b))));
+    ("quotient", num2 (fun a b -> if b = 0 then None else Some (Values.of_int (a / b))));
+    ("remainder", num2 (fun a b -> if b = 0 then None else Some (Values.of_int (Int.rem a b))));
     ("=", cmp ( = ));
     ("<", cmp ( < ));
     (">", cmp ( > ));
     ("<=", cmp ( <= ));
     (">=", cmp ( >= ));
-    ("abs", fun args -> (match args with [ Int n ] -> Some (Int (abs n)) | _ -> None));
+    ("abs", fun args -> (match args with [ Int n ] -> Some (Values.of_int (abs n)) | _ -> None));
     ("zero?", fun args -> (match args with [ Int n ] -> Some (Bool (n = 0)) | _ -> None));
     ("not", fun args ->
         match args with [ v ] -> Some (Bool (not (Values.is_truthy v))) | _ -> None);
@@ -61,7 +61,7 @@ let folders : (string * (value list -> value option)) list =
         match args with
         | [ l ] -> (
             match Values.list_of_value_opt l with
-            | Some items -> Some (Int (List.length items))
+            | Some items -> Some (Values.of_int (List.length items))
             | None -> None)
         | _ -> None);
   ]

@@ -64,7 +64,7 @@ let bool_of = Values.of_bool
 (* One step of a numeric fold. *)
 let arith who fi ff a b =
   match (a, b) with
-  | Int x, Int y -> Int (fi x y)
+  | Int x, Int y -> Values.of_int (fi x y)
   | Flo x, Flo y -> Flo (ff x y)
   | _ ->
       let x = num_float who a in
@@ -75,7 +75,7 @@ let arith who fi ff a b =
    before calling this. *)
 let num_fold who init fi ff args =
   match args with
-  | [||] -> Int init
+  | [||] -> Values.of_int init
   | [| a; b |] -> arith who fi ff a b
   | _ ->
       let acc = ref (check_num who args.(0)) in
@@ -122,7 +122,7 @@ let integral who ff a =
 let alloc who n make =
   try make n
   with Out_of_memory | Invalid_argument _ ->
-    Values.err (who ^ ": size too large to allocate") [ Int n ]
+    Values.err (who ^ ": size too large to allocate") [ Values.of_int n ]
 
 (* List helpers ----------------------------------------------------------- *)
 
@@ -310,7 +310,7 @@ let the_prims : (string * prim) list =
        to [arith]/[num_test]. *)
     (let add a b =
        match (a, b) with
-       | Int x, Int y -> Int (x + y)
+       | Int x, Int y -> Values.of_int (x + y)
        | _ -> arith "+" ( + ) ( +. ) a b
      in
      pure "+" (At_least 0) ~fn1:(check_num "+") ~fn2:add (fun args ->
@@ -319,7 +319,7 @@ let the_prims : (string * prim) list =
          | _ -> num_fold "+" 0 ( + ) ( +. ) args));
     (let mul a b =
        match (a, b) with
-       | Int x, Int y -> Int (x * y)
+       | Int x, Int y -> Values.of_int (x * y)
        | _ -> arith "*" ( * ) ( *. ) a b
      in
      pure "*" (At_least 0) ~fn1:(check_num "*") ~fn2:mul (fun args ->
@@ -327,12 +327,12 @@ let the_prims : (string * prim) list =
          | [| a; b |] -> mul a b
          | _ -> num_fold "*" 1 ( * ) ( *. ) args));
     (let neg = function
-       | Int n -> Int (-n)
+       | Int n -> Values.of_int (-n)
        | Flo f -> Flo (-.f)
        | v -> Values.type_error "-" "number" v
      and sub a b =
        match (a, b) with
-       | Int x, Int y -> Int (x - y)
+       | Int x, Int y -> Values.of_int (x - y)
        | _ -> arith "-" ( - ) ( -. ) a b
      in
      pure "-" (At_least 1) ~fn1:neg ~fn2:sub (fun args ->
@@ -343,7 +343,7 @@ let the_prims : (string * prim) list =
     (* exact when it divides evenly, inexact otherwise (no rationals) *)
     (let div a b =
        match (a, b) with
-       | Int x, Int y when y <> 0 && x mod y = 0 -> Int (x / y)
+       | Int x, Int y when y <> 0 && x mod y = 0 -> Values.of_int (x / y)
        | (Int _ | Flo _), Int 0 -> Values.err "/: division by zero" []
        | _ ->
            let x = num_float "/" a in
@@ -362,20 +362,20 @@ let the_prims : (string * prim) list =
     pure2 "quotient" (fun a b ->
         let b = check_int "quotient" b in
         if b = 0 then Values.err "quotient: division by zero" [];
-        Int (check_int "quotient" a / b));
+        Values.of_int (check_int "quotient" a / b));
     pure2 "remainder" (fun a b ->
         let b = check_int "remainder" b in
         if b = 0 then Values.err "remainder: division by zero" [];
-        Int (Int.rem (check_int "remainder" a) b));
+        Values.of_int (Int.rem (check_int "remainder" a) b));
     pure2 "modulo" (fun a b ->
         let b = check_int "modulo" b in
         if b = 0 then Values.err "modulo: division by zero" [];
         let r = Int.rem (check_int "modulo" a) b in
-        Int (if (r < 0) <> (b < 0) && r <> 0 then r + b else r));
+        Values.of_int (if (r < 0) <> (b < 0) && r <> 0 then r + b else r));
     pure1 "abs" (fun a ->
         match a with
         | Int n when n >= 0 -> a
-        | Int n -> Int (-n)
+        | Int n -> Values.of_int (-n)
         | Flo f -> Flo (Float.abs f)
         | v -> Values.type_error "abs" "number" v);
     pure "min" (At_least 1) ~fn1:(check_num "min")
@@ -435,23 +435,23 @@ let the_prims : (string * prim) list =
         | Int n -> Flo (float_of_int n)
         | Flo _ -> a
         | v -> Values.type_error "exact->inexact" "number" v);
-    pure1 "inexact->exact" (fun a ->
-        match a with
-        | Int _ -> a
-        | Flo f ->
-            if Float.is_integer f then Int (int_of_float f)
-            else Values.err "inexact->exact: not an integer" [ a ]
-        | v -> Values.type_error "inexact->exact" "number" v);
+    (* [int_of_float] is undefined outside [min_int, max_int]: the
+       fixnums are exactly the integral flonums in [-2^62, 2^62). *)
+    (let limit = Float.ldexp 1. 62 in
+     pure1 "inexact->exact" (fun a ->
+         match a with
+         | Int _ -> a
+         | Flo f ->
+             if not (Float.is_integer f) then
+               Values.err "inexact->exact: not an integer" [ a ]
+             else if f < -.limit || f >= limit then
+               Values.err "inexact->exact: out of fixnum range" [ a ]
+             else Values.of_int (int_of_float f)
+         | v -> Values.type_error "inexact->exact" "number" v));
     pure1 "exact?" (fun a ->
-        match a with
-        | Int _ -> Bool true
-        | Flo _ -> Bool false
-        | v -> Values.type_error "exact?" "number" v);
+        bool_of (match check_num "exact?" a with Int _ -> true | _ -> false));
     pure1 "inexact?" (fun a ->
-        match a with
-        | Flo _ -> Bool true
-        | Int _ -> Bool false
-        | v -> Values.type_error "inexact?" "number" v);
+        bool_of (match check_num "inexact?" a with Flo _ -> true | _ -> false));
     pure1 "real?" (fun a ->
         bool_of (match a with Int _ | Flo _ -> true | _ -> false));
     pure1 "floor" (integral "floor" Float.floor);
@@ -467,7 +467,7 @@ let the_prims : (string * prim) list =
         match a with
         | Int n when n >= 0 ->
             let r = int_of_float (Float.sqrt (float_of_int n)) in
-            if r * r = n then Int r
+            if r * r = n then Values.of_int r
             else Flo (Float.sqrt (float_of_int n))
         | _ -> Flo (Float.sqrt (num_float "sqrt" a)));
     pure2 "expt" (fun a b ->
@@ -478,7 +478,7 @@ let the_prims : (string * prim) list =
               else go (if e land 1 = 1 then acc * b else acc) (b * b)
                 (e lsr 1)
             in
-            Int (go 1 x y)
+            Values.of_int (go 1 x y)
         | _ ->
             let x = num_float "expt" a in
             let y = num_float "expt" b in
@@ -503,8 +503,8 @@ let the_prims : (string * prim) list =
     pure1 "negative?" (num_sign "negative?" ( < ) ( < ));
     pure1 "even?" (fun a -> bool_of (check_int "even?" a land 1 = 0));
     pure1 "odd?" (fun a -> bool_of (check_int "odd?" a land 1 = 1));
-    pure1 "1+" (fun a -> Int (check_int "1+" a + 1));
-    pure1 "1-" (fun a -> Int (check_int "1-" a - 1));
+    pure1 "1+" (fun a -> Values.of_int (check_int "1+" a + 1));
+    pure1 "1-" (fun a -> Values.of_int (check_int "1-" a - 1));
     (* -- predicates -------------------------------------------------- *)
     pure2 "eq?" (fun a b -> bool_of (Values.eq a b));
     pure2 "eqv?" (fun a b -> bool_of (Values.eqv a b));
@@ -552,7 +552,7 @@ let the_prims : (string * prim) list =
       ~fn1:(fun a -> Values.cons a Nil)
       ~fn2:(fun a b -> Values.cons a (Values.cons b Nil))
       (fun args -> Values.list_to_value (Array.to_list args));
-    pure1 "length" (fun v -> Int (list_length "length" 0 v));
+    pure1 "length" (fun v -> Values.of_int (list_length "length" 0 v));
     pure "append" (At_least 0) ~fn1:Fun.id ~fn2:(append2 "append") (fun args ->
         match Array.length args with
         | 0 -> Nil
@@ -584,7 +584,7 @@ let the_prims : (string * prim) list =
      pure "gensym" (At_least 0) ~fn1:named (fun args ->
          if Array.length args > 0 then named args.(0) else gensym "g"));
     pure1 "string-length" (fun v ->
-        Int (Bytes.length (check_str "string-length" v)));
+        Values.of_int (Bytes.length (check_str "string-length" v)));
     pure "string-append" (At_least 0)
       ~fn1:(fun a -> Str (Bytes.copy (check_str "string-append" a)))
       ~fn2:(fun a b ->
@@ -599,7 +599,7 @@ let the_prims : (string * prim) list =
     pure2 "string-ref" (fun s i ->
         let s = check_str "string-ref" s and i = check_int "string-ref" i in
         if i < 0 || i >= Bytes.length s then
-          Values.err "string-ref: index out of range" [ Int i ];
+          Values.err "string-ref: index out of range" [ Values.of_int i ];
         Char (Bytes.get s i));
     pure "string-set!" (Exactly 3)
       (a3 "string-set!" (fun s i c ->
@@ -607,7 +607,7 @@ let the_prims : (string * prim) list =
            and i = check_int "string-set!" i
            and c = check_char "string-set!" c in
            if i < 0 || i >= Bytes.length s then
-             Values.err "string-set!: index out of range" [ Int i ];
+             Values.err "string-set!: index out of range" [ Values.of_int i ];
            Bytes.set s i c;
            Void));
     pure "substring" (Exactly 3)
@@ -616,7 +616,7 @@ let the_prims : (string * prim) list =
            and a = check_int "substring" a
            and b = check_int "substring" b in
            if a < 0 || b > Bytes.length s || a > b then
-             Values.err "substring: bad range" [ Int a; Int b ];
+             Values.err "substring: bad range" [ Values.of_int a; Values.of_int b ];
            Str (Bytes.sub s a (b - a))));
     pure2 "string=?" (fun a b ->
         bool_of (Bytes.equal (check_str "string=?" a) (check_str "string=?" b)));
@@ -657,12 +657,13 @@ let the_prims : (string * prim) list =
     pure1 "string->number" (fun v ->
         let s = Bytes.to_string (check_str "string->number" v) in
         match int_of_string_opt s with
-        | Some n -> Int n
+        | Some n -> Values.of_int n
         | None -> (
             match float_of_string_opt s with
             | Some f -> Flo f
             | None -> Bool false));
-    pure1 "char->integer" (fun v -> Int (Char.code (check_char "char->integer" v)));
+    pure1 "char->integer" (fun v ->
+        Values.of_int (Char.code (check_char "char->integer" v)));
     pure1 "integer->char" (fun v ->
         let n = check_int "integer->char" v in
         if n < 0 || n > 255 then
@@ -696,17 +697,18 @@ let the_prims : (string * prim) list =
       ~fn1:(fun a -> Vec [| a |])
       ~fn2:(fun a b -> Vec [| a; b |])
       (fun args -> Vec (Array.copy args));
-    pure1 "vector-length" (fun v -> Int (Array.length (check_vec "vector-length" v)));
+    pure1 "vector-length" (fun v ->
+        Values.of_int (Array.length (check_vec "vector-length" v)));
     pure2 "vector-ref" (fun v i ->
         let a = check_vec "vector-ref" v and i = check_int "vector-ref" i in
         if i < 0 || i >= Array.length a then
-          Values.err "vector-ref: index out of range" [ Int i ];
+          Values.err "vector-ref: index out of range" [ Values.of_int i ];
         a.(i));
     pure "vector-set!" (Exactly 3)
       (a3 "vector-set!" (fun v i x ->
            let a = check_vec "vector-set!" v and i = check_int "vector-set!" i in
            if i < 0 || i >= Array.length a then
-             Values.err "vector-set!: index out of range" [ Int i ];
+             Values.err "vector-set!: index out of range" [ Values.of_int i ];
            a.(i) <- x;
            Void));
     pure1 "vector->list" (fun v ->
@@ -741,7 +743,7 @@ let the_prims : (string * prim) list =
         Hashtbl.remove t (check_hkey "hashtable-delete!" k);
         Void);
     pure1 "hashtable-size" (fun t ->
-        Int (Hashtbl.length (check_tbl "hashtable-size" t)));
+        Values.of_int (Hashtbl.length (check_tbl "hashtable-size" t)));
     pure1 "hashtable-keys" (fun t ->
         Values.list_to_value
           (Hashtbl.fold (fun k _ acc -> of_hkey k :: acc)
@@ -758,7 +760,8 @@ let the_prims : (string * prim) list =
     pure1 "hashtable-copy" (fun t ->
         Tbl (Hashtbl.copy (check_tbl "hashtable-copy" t)));
     (* -- output -------------------------------------------------------- *)
-    pure "%output-mark" (Exactly 0) (fun _ -> Int (Buffer.length (hooks_out ())));
+    pure "%output-mark" (Exactly 0) (fun _ ->
+        Values.of_int (Buffer.length (hooks_out ())));
     pure1 "%output-take" (fun v ->
         let out = hooks_out () in
         let mark = check_int "%output-take" v in
@@ -840,7 +843,7 @@ let the_prims : (string * prim) list =
           handler;
         Void);
     pure "%get-timer" (Exactly 0) (fun _ ->
-        Int ((Machine_hooks.current ()).Machine_hooks.get_timer ()));
+        Values.of_int ((Machine_hooks.current ()).Machine_hooks.get_timer ()));
     special "%stat" (Exactly 1) Sp_stats;
     special "%backtrace" (Exactly 0) Sp_backtrace;
     special "eval" (Exactly 1) Sp_eval;

@@ -30,7 +30,7 @@ let strip = Macro.strip_marks
 let rec datum_to_value (d : Sexp.t) : Rt.value =
   match d with
   | Sexp.Sym (s, _) -> Rt.sym (strip s)
-  | Sexp.Int (n, _) -> Rt.Int n
+  | Sexp.Int (n, _) -> Values.of_int n
   | Sexp.Float (f, _) -> Rt.Flo f
   | Sexp.Str (s, _) -> Rt.Str (Bytes.of_string s)
   | Sexp.Bool (b, _) -> Values.of_bool b

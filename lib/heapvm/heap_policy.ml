@@ -264,7 +264,7 @@ and special vm sp args ~ret ~parent ~guards =
       vm.acc <- Void;
       return_to vm ~ret ~parent ~guards
   | Sp_get_timer ->
-      vm.acc <- Int (max vm.timer 0);
+      vm.acc <- Values.of_int (max vm.timer 0);
       return_to vm ~ret ~parent ~guards
   | Sp_backtrace ->
       let rec walk acc count (f : hframe option) =
@@ -295,7 +295,7 @@ and special vm sp args ~ret ~parent ~guards =
       in
       (vm.acc <-
          (match Stats.get vm.stats name with
-         | n -> Int n
+         | n -> Values.of_int n
          | exception Not_found ->
              Values.err ("%stat: unknown counter " ^ name) []));
       return_to vm ~ret ~parent ~guards
@@ -324,7 +324,7 @@ and special vm sp args ~ret ~parent ~guards =
           fr.hslots.(2) <- before;
           fr.hslots.(3) <- thunk;
           fr.hslots.(4) <- after;
-          fr.hslots.(5) <- Int state;
+          fr.hslots.(5) <- Values.of_int state;
           fr.hslots.(6) <- saved;
           let g, r =
             match state with

@@ -198,7 +198,7 @@ and special t sp args k =
         | v -> Values.type_error "%stat" "symbol" v
       in
       match Stats.get t.stats name with
-      | n -> k (Int n)
+      | n -> k (Values.of_int n)
       | exception Not_found -> Values.err ("%stat: unknown counter " ^ name) [])
 
 let rec eval_exp t (env : env) (e : Ast.t) (k : value -> value) : value =

@@ -69,7 +69,7 @@ let rec deserialize t =
   | F_void -> Rt.Void
   | F_eof -> Rt.Eof
   | F_bool b -> Values.of_bool b
-  | F_int n -> Rt.Int n
+  | F_int n -> Values.of_int n
   | F_flo f -> Rt.Flo f
   | F_char c -> Rt.Char c
   | F_str s -> Rt.Str (Bytes.of_string s)

@@ -51,6 +51,23 @@ let v_true = Bool true
 let v_false = Bool false
 let of_bool b = if b then v_true else v_false [@@inline]
 
+(* One preallocated [Int] per fixnum in [small_int_min .. small_int_max],
+   never written after this initialisation.  The range was measured on
+   perfbench seed 1: it halves the allocation per [corpus] job; widening
+   it to -1024 .. 1023 saves nothing more there, and cutting the top to
+   255 leaves [oneshot] 1.6% more words per job. *)
+let small_int_min = -256
+let small_int_max = 1023
+let small_ints =
+  Array.init (small_int_max - small_int_min + 1) (fun i ->
+      Int (i + small_int_min))
+
+let of_int n =
+  if n >= small_int_min && n <= small_int_max then
+    Array.unsafe_get small_ints (n - small_int_min)
+  else Int n
+  [@@inline]
+
 let eq a b =
   match (a, b) with
   | Nil, Nil | Void, Void | Eof, Eof | Undef, Undef -> true

@@ -20,6 +20,12 @@ val of_bool : bool -> Rt.value
     Booleans still compare by value ([eq] matches [Bool x, Bool y]), so
     nothing depends on these being the only boolean values. *)
 
+val of_int : int -> Rt.value
+(** [Int n]: a preallocated value for [-256 <= n <= 1023], a fresh box
+    otherwise, so a small fixnum result allocates nothing.  Fixnums
+    still compare by value ([eq] matches [Int x, Int y]), so nothing
+    depends on which [Int] box holds a given number. *)
+
 val eq : Rt.value -> Rt.value -> bool
 (** Scheme [eq?]: pointer identity on heap objects, value identity on
     immediates; symbols are interned so name equality coincides. *)

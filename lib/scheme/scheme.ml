@@ -637,8 +637,9 @@ let par_attach ?(chunk = 2) ?(steal = true) ?(domains = true) ?fuel
         fun s -> if s <> "" then ignore (fn1 (Rt.Str (Bytes.of_string s)))
     | _ -> fun _ -> ()
   in
-  par_define_pure t "%par-jobs" (Exactly 0) (fun _ -> Rt.Int jobs);
-  par_define_pure t "%par-chunk" (Exactly 0) (fun _ -> Rt.Int chunk);
+  let jobs_v = Values.of_int jobs and chunk_v = Values.of_int chunk in
+  par_define_pure t "%par-jobs" (Exactly 0) (fun _ -> jobs_v);
+  par_define_pure t "%par-chunk" (Exactly 0) (fun _ -> chunk_v);
   par_define_pure t "%par-dispatch" (At_least 3) (fun args ->
       par_dispatch t pool emit args)
 

@@ -256,7 +256,7 @@ and special vm sp nargs =
       vm.acc <- Void;
       do_return vm
   | Sp_get_timer ->
-      vm.acc <- Int (max vm.timer 0);
+      vm.acc <- Values.of_int (max vm.timer 0);
       do_return vm
   | Sp_stats ->
       let name =
@@ -266,7 +266,7 @@ and special vm sp nargs =
       in
       (vm.acc <-
          (match Stats.get vm.stats name with
-         | n -> Int n
+         | n -> Values.of_int n
          | exception Not_found ->
              Values.err ("%stat: unknown counter " ^ name) []));
       do_return vm

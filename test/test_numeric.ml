@@ -9,6 +9,10 @@
    call path).  The error rows pin the exact type and arity messages, so
    a rewrite of the arithmetic cannot change what a user sees.
 
+   The [inexact->exact] rows pin the fixnum range: an integral flonum
+   outside [-2^62, 2^62) is an error, where [int_of_float] would return
+   an unspecified fixnum.
+
    The NaN rows pin IEEE semantics: every comparison with a NaN is
    false, so [(= +nan.0 +nan.0)] and the sign tests of a NaN are #f.
    [eqv?] is not a numeric comparison: it compares flonums bit for bit. *)
@@ -105,6 +109,29 @@ let table =
     ("-", [ min_int ], min_int);
     ("abs", [ min_int ], min_int);
     ("/", [ min_int; "-1" ], min_int);
+    (* inexact->exact: the fixnums are the integral flonums in
+       [-2^62, 2^62); outside that range the conversion is an error,
+       not a wrapped or zero result *)
+    ("inexact->exact", [ "3.0" ], "3");
+    ("inexact->exact", [ "-4611686018427387904.0" ], min_int);
+    ( "inexact->exact",
+      [ "4611686018427387904.0" ],
+      "error: [runtime] inexact->exact: out of fixnum range 4.61168601843e+18" );
+    ( "inexact->exact",
+      [ "1e300" ],
+      "error: [runtime] inexact->exact: out of fixnum range 1e+300" );
+    ( "inexact->exact",
+      [ "-1e19" ],
+      "error: [runtime] inexact->exact: out of fixnum range -1e+19" );
+    ( "inexact->exact",
+      [ "2.5" ],
+      "error: [runtime] inexact->exact: not an integer 2.5" );
+    ("exact?", [ "1" ], "#t");
+    ("exact?", [ "1.0" ], "#f");
+    ("inexact?", [ "1.0" ], "#t");
+    ("inexact?", [ "1" ], "#f");
+    ("exact?", [ "'a" ], type_err "exact?" "symbol a");
+    ("inexact?", [ "'a" ], type_err "inexact?" "symbol a");
     (* exact division *)
     ("/", [ "6"; "3" ], "2");
     ("/", [ "-6"; "3" ], "-2");
