@@ -70,40 +70,18 @@ type step = t -> value array -> int -> int -> int -> value -> int -> unit
 
 type Rt.tmpl += Template of step array
 
-(* Identical to the engine's [sync]: flush the batched pc/acc/instruction
-   count/fuel before any observation point. *)
-let[@inline] sync (vm : t) steps pc acc =
-  vm.pc <- pc;
-  vm.acc <- acc;
-  let stats = vm.stats in
-  if stats.Stats.enabled then
-    stats.Stats.instrs <- stats.Stats.instrs + steps;
-  if vm.fuel >= 0 then vm.fuel <- vm.fuel - steps
-
-(* Resolve a global slot against the running session's cell table (same
-   helper as the engine template's [gcell]: one bounds test, unsafe load
-   on the hit path; the miss path grows the table).  Resolution happens
-   at step *execution*, never at template build: a template is cached on
-   the code object and may be shared across sessions (the prelude
-   image), each of which has its own cells. *)
-let[@inline] gcell (vm : t) slot =
-  let cells = vm.globals.Globals.cells in
-  if slot < Array.length cells then Array.unsafe_get cells slot
-  else Globals.get vm.globals slot
-
-(* The guarded-primitive fast path's two counters. *)
-let[@inline] prim_fast_stats (vm : t) =
-  let stats = vm.stats in
-  if stats.Stats.enabled then begin
-    stats.Stats.prim_calls <- stats.Stats.prim_calls + 1;
-    stats.Stats.prim_fast <- stats.Stats.prim_fast + 1
-  end
-
-(* A primitive called with the batch unflushed raised: flush exactly as
-   the engine's [reraise] does. *)
-let reraise (vm : t) steps pc acc e =
-  sync vm steps pc acc;
-  raise e
+(* The stack VM loop's helpers, shared ([t] is [Vm_core]'s [Policy.t]):
+   [sync] flushes the batched pc/acc/instruction count/fuel before any
+   observation point, [reraise] does so and re-raises for a primitive
+   that raised with the batch unflushed, [prim_fast_stats] bumps the
+   guarded fast path's two counters, and [load_op] reads an operand (the
+   accumulator, a frame slot or an immediate; in a step the match is on
+   an immutable captured value and predicts perfectly).  The default
+   build reads [Vm_core]'s .cmx, so all but [reraise] inline here. *)
+let sync = Vm_core.sync
+let reraise = Vm_core.reraise
+let prim_fast_stats = Vm_core.prim_fast_stats
+let load_op = Vm_core.load_op
 
 (* The fuel check, engine semantics: sync with the *current* pc (the
    instruction about to execute) so a resumed machine re-runs it. *)
@@ -112,15 +90,6 @@ let fuel_stop (vm : t) steps pc acc =
   raise Vm_fuel_exhausted
 
 let dummy_step : step = fun _ _ _ _ _ _ _ -> assert false
-
-(* Operand loader: the accumulator (the value a lowered [Local_set] head
-   would have stored), a frame slot or an immediate.  One loader covers
-   the pushes and the fixed-arity primitive forms; the match is on an
-   immutable captured value and predicts perfectly. *)
-let[@inline] load_op slots fp acc = function
-  | Op_acc -> acc
-  | Op_local i -> slots.(fp + i)
-  | Op_const v -> v
 
 (* Monomorphic inline cache for [Call]/[Tail_call] steps: when a site
    keeps calling the same code object, the cached tuple carries the
@@ -250,9 +219,12 @@ and emit arr instrs (code : code) pc : step =
             sync vm (steps + 1) (pc + 1) acc;
             Values.err "vm: free-box-set outside closure" [ v ])
   | Global_ref s ->
+      (* A slot resolves when the step runs, never at template build: the
+         template is cached on the code object and may be shared across
+         sessions (the prelude image), each with its own cells. *)
       let k = arr.(pc + 1) in
       fun vm slots fp limit budget acc steps ->
-        let g = gcell vm s in
+        let g = Globals.get vm.globals s in
         if g.gdefined then k vm slots fp limit budget g.gval (steps + 1)
         else begin
           sync vm (steps + 1) (pc + 1) acc;
@@ -261,7 +233,7 @@ and emit arr instrs (code : code) pc : step =
   | Global_set s ->
       let k = arr.(pc + 1) in
       fun vm slots fp limit budget acc steps ->
-        let g = gcell vm s in
+        let g = Globals.get vm.globals s in
         if g.gdefined then begin
           g.gval <- acc;
           k vm slots fp limit budget acc (steps + 1)
@@ -273,7 +245,7 @@ and emit arr instrs (code : code) pc : step =
   | Global_define s ->
       let k = arr.(pc + 1) in
       fun vm slots fp limit budget acc steps ->
-        let g = gcell vm s in
+        let g = Globals.get vm.globals s in
         g.gval <- acc;
         g.gdefined <- true;
         k vm slots fp limit budget acc (steps + 1)
@@ -580,7 +552,7 @@ and emit arr instrs (code : code) pc : step =
   | Global_push (s, i) ->
       let k = arr.(pc + 1) in
       fun vm slots fp limit budget acc steps ->
-        let g = gcell vm s in
+        let g = Globals.get vm.globals s in
         if g.gdefined then begin
           slots.(fp + i) <- g.gval;
           k vm slots fp limit budget acc (steps + 1)
@@ -595,7 +567,8 @@ and emit arr instrs (code : code) pc : step =
         if steps >= budget then fuel_stop vm steps pc acc
         else begin
           sync vm (steps + 1) (pc + 1) acc;
-          if (gcell vm site.ps_slot).gval == site.ps_guard then begin
+          if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard
+          then begin
             prim_fast_stats vm;
             let v =
               site.ps_fn
@@ -640,7 +613,8 @@ and emit arr instrs (code : code) pc : step =
         if steps >= budget then fuel_stop vm steps pc acc
         else begin
           sync vm (steps + 1) (pc + 1) acc;
-          if (gcell vm site.ps_slot).gval == site.ps_guard then begin
+          if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard
+          then begin
             prim_fast_stats vm;
             let v =
               site.ps_fn
@@ -674,7 +648,8 @@ and emit arr instrs (code : code) pc : step =
         if steps >= budget then fuel_stop vm steps pc acc
         else
           let x = load_op slots fp acc a in
-          if (gcell vm site.ps_slot).gval == site.ps_guard then begin
+          if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard
+          then begin
             prim_fast_stats vm;
             match site.ps_fn1 x with
             | v ->
@@ -694,7 +669,8 @@ and emit arr instrs (code : code) pc : step =
         else
           let x = load_op slots fp acc a in
           let y = load_op slots fp acc b in
-          if (gcell vm site.ps_slot).gval == site.ps_guard then begin
+          if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard
+          then begin
             prim_fast_stats vm;
             match site.ps_fn2 x y with
             | v ->
@@ -757,7 +733,7 @@ and emit_call1 arr instrs pc site a next : step =
     if steps >= budget then fuel_stop vm steps pc acc
     else
       let x = load_op slots fp acc a in
-      if (gcell vm site.ps_slot).gval == site.ps_guard then begin
+      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
         prim_fast_stats vm;
         match site.ps_fn1 x with
         | v when set >= 0 ->
@@ -783,7 +759,7 @@ and emit_call2 arr instrs pc site a b next : step =
     else
       let x = load_op slots fp acc a in
       let y = load_op slots fp acc b in
-      if (gcell vm site.ps_slot).gval == site.ps_guard then begin
+      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
         prim_fast_stats vm;
         match site.ps_fn2 x y with
         | v when set >= 0 ->
@@ -808,7 +784,7 @@ and emit_branch1 arr pc site a t next : step =
     if steps >= budget then fuel_stop vm steps pc acc
     else
       let x = load_op slots fp acc a in
-      if (gcell vm site.ps_slot).gval == site.ps_guard then begin
+      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
         prim_fast_stats vm;
         match site.ps_fn1 x with
         | Bool false ->
@@ -830,7 +806,7 @@ and emit_branch2 arr pc site a b t next : step =
     else
       let x = load_op slots fp acc a in
       let y = load_op slots fp acc b in
-      if (gcell vm site.ps_slot).gval == site.ps_guard then begin
+      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
         prim_fast_stats vm;
         match site.ps_fn2 x y with
         | Bool false ->

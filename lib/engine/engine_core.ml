@@ -15,7 +15,11 @@
    with the policy statically known, so the policy's constants fold and
    its operations inline — a functor would instead put a closure
    indirection on every hot-path policy call (this tree does not build
-   with flambda, which could be trusted to specialize one).
+   with flambda, which could be trusted to specialize one).  "Statically
+   known" needs the policy's .cmx: the default build (dune-workspace,
+   release profile) is not -opaque, while under `--profile dev` every
+   [Policy], [Globals] and [Bytecode] call here is a generic application
+   again.
 
    A new opcode is added HERE, once; both VMs pick it up on the next
    build.  The policy supplies only what genuinely depends on the
@@ -92,18 +96,6 @@ let[@inline] load_op slots fp acc op =
   | Op_local i -> slots.(fp + i)
   | Op_const v -> v
 
-(* Resolve a global slot against this session's cell table.  Compiled
-   code carries process-wide slot numbers (so code objects — notably the
-   shared prelude image — are session-independent); the indirection is
-   one bounds test and an unsafe load on the hit path.  Defined locally
-   (not in [Engine]) so the native compiler inlines it: this tree does
-   not build with flambda, which would be needed to trust a cross-module
-   [@inline]. *)
-let[@inline] gcell (vm : Policy.t) slot =
-  let cells = vm.globals.Globals.cells in
-  if slot < Array.length cells then Array.unsafe_get cells slot
-  else Globals.get vm.globals slot
-
 let[@inline] sync (vm : Policy.t) steps pc acc =
   vm.pc <- pc;
   vm.acc <- acc;
@@ -135,14 +127,6 @@ let spill1 (vm : Policy.t) slots fp site x =
 let spill2 (vm : Policy.t) slots fp site x y =
   let slots = Policy.set vm slots fp (site.ps_disp + 2) x in
   ignore (Policy.set vm slots fp (site.ps_disp + 3) y)
-
-(* A copy of [Bytecode.consumer_offset2], local for the reason [gcell]
-   is: a call into another module is not inlined in this build, and the
-   two-operand handlers run it on every execution.  The two definitions
-   must agree; every fused in-place site of the test suites misbehaves
-   if they do not. *)
-let[@inline] consumer_offset2 site op =
-  match op with Op_local s when s = site.ps_disp + 2 -> 1 | _ -> 2
 
 let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
   if steps >= budget then begin
@@ -209,7 +193,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
           sync vm (steps + 1) (pc + 1) acc;
           Values.err "vm: free-box-set outside closure" [ v ])
   | Global_ref s ->
-      let g = gcell vm s in
+      let g = Globals.get vm.globals s in
       if g.gdefined then
         exec vm instrs slots fp limit budget g.gval (steps + 1) (pc + 1)
       else begin
@@ -217,7 +201,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
         Values.err ("unbound variable: " ^ Globals.slot_name s) []
       end
   | Global_set s ->
-      let g = gcell vm s in
+      let g = Globals.get vm.globals s in
       if g.gdefined then begin
         g.gval <- acc;
         exec vm instrs slots fp limit budget acc (steps + 1) (pc + 1)
@@ -227,7 +211,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
         Values.err ("set! of unbound variable: " ^ Globals.slot_name s) []
       end
   | Global_define s ->
-      let g = gcell vm s in
+      let g = Globals.get vm.globals s in
       g.gval <- acc;
       g.gdefined <- true;
       exec vm instrs slots fp limit budget acc (steps + 1) (pc + 1)
@@ -405,7 +389,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
           sync vm (steps + 1) (pc + 1) acc;
           Values.err "vm: free-push outside closure" [ v ])
   | Global_push (s, i) ->
-      let g = gcell vm s in
+      let g = Globals.get vm.globals s in
       if g.gdefined then begin
         let slots = Policy.set vm slots fp i g.gval in
         exec vm instrs slots fp limit budget acc (steps + 1) (pc + 1)
@@ -416,7 +400,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
       end
   | Prim_call site ->
       sync vm (steps + 1) (pc + 1) acc;
-      if (gcell vm site.ps_slot).gval == site.ps_guard then begin
+      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
         prim_fast_stats vm;
         let v =
           site.ps_fn (prim_args vm slots (fp + site.ps_disp + 2) site.ps_nargs)
@@ -432,7 +416,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
      primitive flushes in [reraise] exactly as the pre-call flush would
      have, and a failed guard flushes before deoptimizing. *)
   | Prim_call1 site ->
-      if (gcell vm site.ps_slot).gval == site.ps_guard then begin
+      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
         prim_fast_stats vm;
         match site.ps_fn1 slots.(fp + site.ps_disp + 2) with
         | v -> exec vm instrs slots fp limit budget v (steps + 1) (pc + 1)
@@ -440,7 +424,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
       end
       else deopt vm (steps + 1) (pc + 1) acc Policy.prim_deopt_call site
   | Prim_call2 site ->
-      if (gcell vm site.ps_slot).gval == site.ps_guard then begin
+      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
         prim_fast_stats vm;
         let base = fp + site.ps_disp + 2 in
         match site.ps_fn2 slots.(base) slots.(base + 1) with
@@ -458,7 +442,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
      the retained [Branch_false] at [pc + 1], which re-tests the deopted
      call's returned value. *)
   | Prim_branch1 (site, t) ->
-      if (gcell vm site.ps_slot).gval == site.ps_guard then begin
+      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
         prim_fast_stats vm;
         match site.ps_fn1 slots.(fp + site.ps_disp + 2) with
         | v ->
@@ -468,7 +452,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
       end
       else deopt vm (steps + 1) (pc + 1) acc Policy.prim_deopt_call site
   | Prim_branch2 (site, t) ->
-      if (gcell vm site.ps_slot).gval == site.ps_guard then begin
+      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
         prim_fast_stats vm;
         let base = fp + site.ps_disp + 2 in
         match site.ps_fn2 slots.(base) slots.(base + 1) with
@@ -480,7 +464,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
       else deopt vm (steps + 1) (pc + 1) acc Policy.prim_deopt_call site
   | Prim_tail_call site ->
       sync vm (steps + 1) (pc + 1) acc;
-      if (gcell vm site.ps_slot).gval == site.ps_guard then begin
+      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
         prim_fast_stats vm;
         let v =
           site.ps_fn (prim_args vm slots (fp + site.ps_disp + 2) site.ps_nargs)
@@ -496,17 +480,17 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
      staged sequence's originals are retained right after the fused head
      as the deopt landing pad, so the skip widths below are fixed by
      shape (operand count, less one for a first operand already stored
-     in place — [consumer_offset2] — plus the retained [Branch_false] of
-     the branch forms), and the flush pc is the same address the retained
-     consumer would flush — an error handler or a deopted call resumes
-     exactly as in the unfused stream.  Every slow path that re-enters
-     the frame policy first spills the operand values into the frame's
-     argument slots ([spill1]/[spill2]), so the frame the policy (or a
-     capture under it) observes is byte-identical to the unfused
-     execution's. *)
+     in place — [Bytecode.consumer_offset2] — plus the retained
+     [Branch_false] of the branch forms), and the flush pc is the same
+     address the retained consumer would flush — an error handler or a
+     deopted call resumes exactly as in the unfused stream.  Every slow
+     path that re-enters the frame policy first spills the operand values
+     into the frame's argument slots ([spill1]/[spill2]), so the frame the
+     policy (or a capture under it) observes is byte-identical to the
+     unfused execution's. *)
   | Prim_call1_op (site, a) ->
       let x = load_op slots fp acc a in
-      if (gcell vm site.ps_slot).gval == site.ps_guard then begin
+      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
         prim_fast_stats vm;
         match site.ps_fn1 x with
         | v -> exec vm instrs slots fp limit budget v (steps + 1) (pc + 2)
@@ -519,8 +503,8 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
   | Prim_call2_op (site, a, b) ->
       let x = load_op slots fp acc a in
       let y = load_op slots fp acc b in
-      let next = pc + consumer_offset2 site a + 1 in
-      if (gcell vm site.ps_slot).gval == site.ps_guard then begin
+      let next = pc + Bytecode.consumer_offset2 site a + 1 in
+      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
         prim_fast_stats vm;
         match site.ps_fn2 x y with
         | v -> exec vm instrs slots fp limit budget v (steps + 1) next
@@ -533,7 +517,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
   | Prim_branch1_op (site, a, t) ->
       (* [ps_ret] resumes at the retained [Branch_false] at [pc + 2]. *)
       let x = load_op slots fp acc a in
-      if (gcell vm site.ps_slot).gval == site.ps_guard then begin
+      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
         prim_fast_stats vm;
         match site.ps_fn1 x with
         | v ->
@@ -548,8 +532,8 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
   | Prim_branch2_op (site, a, b, t) ->
       let x = load_op slots fp acc a in
       let y = load_op slots fp acc b in
-      let next = pc + consumer_offset2 site a + 1 in
-      if (gcell vm site.ps_slot).gval == site.ps_guard then begin
+      let next = pc + Bytecode.consumer_offset2 site a + 1 in
+      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
         prim_fast_stats vm;
         match site.ps_fn2 x y with
         | v ->
@@ -563,7 +547,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
       end
   | Prim_tail1_op (site, a) ->
       let x = load_op slots fp acc a in
-      if (gcell vm site.ps_slot).gval == site.ps_guard then begin
+      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
         prim_fast_stats vm;
         match site.ps_fn1 x with
         | v -> prim_return vm slots fp limit budget v (steps + 1) (pc + 2)
@@ -576,8 +560,8 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
   | Prim_tail2_op (site, a, b) ->
       let x = load_op slots fp acc a in
       let y = load_op slots fp acc b in
-      let next = pc + consumer_offset2 site a + 1 in
-      if (gcell vm site.ps_slot).gval == site.ps_guard then begin
+      let next = pc + Bytecode.consumer_offset2 site a + 1 in
+      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
         prim_fast_stats vm;
         match site.ps_fn2 x y with
         | v -> prim_return vm slots fp limit budget v (steps + 1) next

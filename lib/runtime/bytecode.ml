@@ -22,7 +22,7 @@ let transfers_control = function
    second's at pc+1 — unless that first operand is already in place (an
    [Op_local] of its own argument slot), when the head stands in for the
    second's staging and the consumer follows it directly. *)
-let consumer_offset2 (site : prim_site) = function
+let[@inline] consumer_offset2 (site : prim_site) = function
   | Op_local s when s = site.ps_disp + 2 -> 1
   | _ -> 2
 

@@ -50,9 +50,7 @@ let slot_name i =
   Mutex.unlock interner_lock;
   n
 
-(* One session's table: a growable array of cells indexed by slot.
-   [cells] is exposed so the executors can open-code the in-bounds fast
-   path (cross-module [@inline] is not reliable without flambda). *)
+(* One session's table: a growable array of cells indexed by slot. *)
 type t = { mutable cells : Rt.global array }
 
 let fresh_cell _ = { Rt.gval = Rt.Undef; gdefined = false }
@@ -62,15 +60,19 @@ let create () : t =
 
 (* Grow-on-miss.  Growing copies the old cell *pointers*, so any cell
    record already embedded anywhere keeps its identity. *)
-let get (t : t) i : Rt.global =
+let grow (t : t) i : Rt.global =
   let n = Array.length t.cells in
-  if i < n then t.cells.(i)
-  else begin
-    let n' = max (2 * n) (i + 1) in
-    let bigger = Array.init n' (fun j -> if j < n then t.cells.(j) else fresh_cell j) in
-    t.cells <- bigger;
-    t.cells.(i)
-  end
+  let n' = max (2 * n) (i + 1) in
+  let bigger = Array.init n' (fun j -> if j < n then t.cells.(j) else fresh_cell j) in
+  t.cells <- bigger;
+  bigger.(i)
+
+(* The executors resolve every global slot through this: one bounds test
+   and an unsafe load on the hit path, inlined into the dispatch loops
+   (the default build is not -opaque, so ocamlopt reads this .cmx). *)
+let[@inline] get (t : t) i : Rt.global =
+  let cells = t.cells in
+  if i < Array.length cells then Array.unsafe_get cells i else grow t i
 
 let cell (t : t) name : Rt.global = get t (slot name)
 

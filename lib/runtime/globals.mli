@@ -16,15 +16,15 @@ val slot_name : int -> string
 (** The name a slot was interned for. *)
 
 type t = { mutable cells : Rt.global array }
-(** One session's table.  [cells] is exposed so executors can open-code
-    the in-bounds fast path; out-of-bounds slots must go through
-    {!get}. *)
+(** One session's table.  Slots at or past [Array.length cells] have no
+    cell yet and must go through {!get}. *)
 
 val create : unit -> t
 
 val get : t -> int -> Rt.global
 (** The cell for a slot, growing the array on a miss.  Growth preserves
-    the identity of every existing cell record. *)
+    the identity of every existing cell record.  The hit path is one
+    bounds test and a load, inlined at every call site. *)
 
 val cell : t -> string -> Rt.global
 (** Find or create the (possibly still undefined) cell for a name. *)
