@@ -656,12 +656,11 @@ let the_prims : (string * prim) list =
         | v -> Values.type_error "number->string" "number" v);
     pure1 "string->number" (fun v ->
         let s = Bytes.to_string (check_str "string->number" v) in
-        match int_of_string_opt s with
-        | Some n -> Values.of_int n
-        | None -> (
-            match float_of_string_opt s with
-            | Some f -> Flo f
-            | None -> Bool false));
+        match Sexp.parse_number s with
+        | Fixnum n -> Values.of_int n
+        | Flonum f -> Flo f
+        | Fixnum_overflow -> Flo (float_of_string s)
+        | Not_a_number -> Bool false);
     pure1 "char->integer" (fun v ->
         Values.of_int (Char.code (check_char "char->integer" v)));
     pure1 "integer->char" (fun v ->

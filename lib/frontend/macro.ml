@@ -29,8 +29,17 @@ let strip_marks s =
 
 let mark_counter = Atomic.make 0
 
+(* [mark_char] followed by the counter's decimal digits. *)
 let fresh_mark () =
-  Printf.sprintf "%c%d" mark_char (Atomic.fetch_and_add mark_counter 1)
+  let n = Atomic.fetch_and_add mark_counter 1 in
+  let rec width n = if n < 10 then 2 else 1 + width (n / 10) in
+  let b = Bytes.make (width n) mark_char in
+  let rec fill i n =
+    Bytes.set b i (Char.chr (48 + (n mod 10)));
+    if n >= 10 then fill (i - 1) (n / 10)
+  in
+  fill (Bytes.length b - 1) n;
+  Bytes.unsafe_to_string b
 
 type rule = { pat : Sexp.t; tmpl : Sexp.t }
 type rules = { literals : string list; rules : rule list }
@@ -41,6 +50,16 @@ let create_menv () : menv = Hashtbl.create 16
 (* A pattern variable binds either one form or, under an ellipsis, a list
    of bindings (one level per ellipsis). *)
 type binding = Single of Sexp.t | Multi of binding list
+
+(* Pattern variables and literals are strings: compare them as strings,
+   not through the polymorphic [compare] of [List.mem]/[List.assoc_opt]. *)
+let rec mem (s : string) = function
+  | [] -> false
+  | x :: rest -> String.equal x s || mem s rest
+
+let rec assoc_opt (v : string) = function
+  | [] -> None
+  | (k, b) :: rest -> if String.equal k v then Some b else assoc_opt v rest
 
 let is_ellipsis = function
   | Sexp.Sym (s, _) -> strip_marks s = "..."
@@ -76,7 +95,7 @@ let parse_syntax_rules (d : Sexp.t) : rules =
 let rec pattern_vars literals (p : Sexp.t) acc =
   match p with
   | Sexp.Sym (s, _) when strip_marks s = "_" || strip_marks s = "..." -> acc
-  | Sexp.Sym (s, _) -> if List.mem s literals then acc else s :: acc
+  | Sexp.Sym (s, _) -> if mem s literals then acc else s :: acc
   | Sexp.List (ps, _) | Sexp.Vec (ps, _) ->
       List.fold_left (fun acc p -> pattern_vars literals p acc) acc ps
   | Sexp.Dotted (ps, final, _) ->
@@ -89,7 +108,7 @@ exception No_match
 let rec match_pat literals (p : Sexp.t) (f : Sexp.t) bindings =
   match p with
   | Sexp.Sym (s, _) when strip_marks s = "_" -> bindings
-  | Sexp.Sym (s, _) when List.mem s literals -> (
+  | Sexp.Sym (s, _) when mem s literals -> (
       (* Literals match by source name: the definition environment of
          both the macro and the use site is the global one, so a marked
          [else] introduced by another expansion still means [else]. *)
@@ -204,14 +223,14 @@ and match_seq literals ps ptail ?improper_tail fs bindings =
       let reps =
         List.map (fun f -> match_pat literals pe f []) fmid
       in
-      let evars = List.sort_uniq compare (pattern_vars literals pe []) in
+      let evars = List.sort_uniq String.compare (pattern_vars literals pe []) in
       let bindings =
         List.fold_left
           (fun b v ->
             let slices =
               List.map
                 (fun rep ->
-                  match List.assoc_opt v rep with
+                  match assoc_opt v rep with
                   | Some x -> x
                   | None -> raise No_match)
                 reps
@@ -252,7 +271,7 @@ let rec template_vars (t : Sexp.t) acc =
 let rec instantiate upos mark bindings (t : Sexp.t) : Sexp.t =
   match t with
   | Sexp.Sym (s, _) -> (
-      match List.assoc_opt s bindings with
+      match assoc_opt s bindings with
       | Some (Single f) -> f
       | Some (Multi _) ->
           err upos ("syntax-rules: pattern variable " ^ s
@@ -278,42 +297,36 @@ let rec instantiate upos mark bindings (t : Sexp.t) : Sexp.t =
 and instantiate_seq upos mark bindings ts =
   match ts with
   | t :: e :: rest when is_ellipsis e ->
-      (* expand t once per slice of its Multi-bound variables *)
-      let vars =
-        List.filter
+      (* expand t once per slice of its Multi-bound variables, stepping
+         through every variable's slice list together *)
+      let cols =
+        List.filter_map
           (fun v ->
-            match List.assoc_opt v bindings with
-            | Some (Multi _) -> true
-            | _ -> false)
-          (List.sort_uniq compare (template_vars t []))
+            match assoc_opt v bindings with
+            | Some (Multi l) -> Some (v, l)
+            | _ -> None)
+          (List.sort_uniq String.compare (template_vars t []))
       in
-      if vars = [] then
-        err upos "syntax-rules: ellipsis template has no pattern variable";
       let slices =
-        match List.assoc_opt (List.hd vars) bindings with
-        | Some (Multi l) -> List.length l
-        | _ -> assert false
+        match cols with
+        | [] ->
+            err upos "syntax-rules: ellipsis template has no pattern variable"
+        | (_, l) :: _ -> List.length l
       in
-      List.iter
-        (fun v ->
-          match List.assoc_opt v bindings with
-          | Some (Multi l) when List.length l <> slices ->
-              err upos "syntax-rules: mismatched ellipsis lengths"
-          | _ -> ())
-        vars;
-      let expansions =
-        List.init slices (fun i ->
+      if List.exists (fun (_, l) -> List.length l <> slices) cols then
+        err upos "syntax-rules: mismatched ellipsis lengths";
+      let rec each_slice = function
+        | [] | (_, []) :: _ -> []
+        | cols ->
             let bindings' =
-              List.map
-                (fun v ->
-                  match List.assoc v bindings with
-                  | Multi l -> (v, List.nth l i)
-                  | b -> (v, b))
-                vars
-              @ bindings
+              List.fold_left
+                (fun b (v, l) -> (v, List.hd l) :: b)
+                bindings cols
             in
-            instantiate upos mark bindings' t)
+            let x = instantiate upos mark bindings' t in
+            x :: each_slice (List.map (fun (v, l) -> (v, List.tl l)) cols)
       in
+      let expansions = each_slice cols in
       expansions @ instantiate_seq upos mark bindings rest
   | t :: rest ->
       instantiate upos mark bindings t :: instantiate_seq upos mark bindings rest

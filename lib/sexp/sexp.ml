@@ -24,34 +24,54 @@ let pos_of = function
 
 type state = {
   src : string;
+  len : int;
   mutable idx : int;
   mutable line : int;
-  mutable col : int;
+  mutable line_start : int;  (* index of the first character of [line] *)
 }
 
-let make_state src = { src; idx = 0; line = 1; col = 0 }
-let here st = { line = st.line; col = st.col }
+let make_state src =
+  { src; len = String.length src; idx = 0; line = 1; line_start = 0 }
+
+(* The column is derived here, not stored on every [advance]. *)
+let here st = { line = st.line; col = st.idx - st.line_start }
 let error st msg = raise (Read_error (msg, here st))
-let at_eof st = st.idx >= String.length st.src
-let peek st = if at_eof st then '\000' else st.src.[st.idx]
+let at_eof st = st.idx >= st.len
 
-let peek2 st =
-  if st.idx + 1 >= String.length st.src then '\000' else st.src.[st.idx + 1]
+let[@inline] peek st =
+  if st.idx < st.len then String.unsafe_get st.src st.idx else '\000'
 
-let advance st =
-  if not (at_eof st) then begin
-    (if st.src.[st.idx] = '\n' then begin
-       st.line <- st.line + 1;
-       st.col <- 0
-     end
-     else st.col <- st.col + 1);
-    st.idx <- st.idx + 1
+let[@inline] peek2 st =
+  if st.idx + 1 < st.len then String.unsafe_get st.src (st.idx + 1)
+  else '\000'
+
+let[@inline] advance st =
+  let i = st.idx in
+  if i < st.len then begin
+    if String.unsafe_get st.src i = '\n' then begin
+      st.line <- st.line + 1;
+      st.line_start <- i + 1
+    end;
+    st.idx <- i + 1
   end
 
-let is_whitespace c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012'
-let is_delimiter c =
-  is_whitespace c || c = '(' || c = ')' || c = '[' || c = ']' || c = '"'
-  || c = ';' || c = '\000'
+let is_whitespace = function
+  | ' ' | '\t' | '\n' | '\r' | '\012' -> true | _ -> false
+
+let is_delimiter = function
+  | ' ' | '\t' | '\n' | '\r' | '\012' | '(' | ')' | '[' | ']' | '"' | ';'
+  | '\000' ->
+      true
+  | _ -> false
+
+(* The index of the first delimiter at or after [i], or the input length.
+   A newline is a delimiter, so the scanned span stays on one line. *)
+let token_end st i =
+  let i = ref i in
+  while !i < st.len && not (is_delimiter (String.unsafe_get st.src !i)) do
+    incr i
+  done;
+  !i
 
 let rec skip_block_comment st depth =
   if at_eof st then error st "unterminated block comment"
@@ -81,7 +101,7 @@ let rec skip_atmosphere st =
         skip_atmosphere st
     | ';' ->
         while (not (at_eof st)) && peek st <> '\n' do
-          advance st
+          st.idx <- st.idx + 1
         done;
         skip_atmosphere st
     | '#' when peek2 st = '|' ->
@@ -139,55 +159,87 @@ let read_string_literal st start =
   go ();
   Str (Buffer.contents buf, start)
 
-let read_token st start =
-  let buf = Buffer.create 8 in
-  while (not (at_eof st)) && not (is_delimiter (peek st)) do
-    Buffer.add_char buf (peek st);
-    advance st
-  done;
-  let s = Buffer.contents buf in
-  let looks_numeric s =
-    let c0 = s.[0] in
-    (c0 >= '0' && c0 <= '9')
-    || (String.length s > 1 && (c0 = '-' || c0 = '+' || c0 = '.')
-       && s.[1] >= '0' && s.[1] <= '9')
-  in
-  if s = "" then error st "empty token"
-  else if s = "+inf.0" then Float (Float.infinity, start)
-  else if s = "-inf.0" then Float (Float.neg_infinity, start)
-  else if s = "+nan.0" || s = "-nan.0" then Float (Float.nan, start)
-  else
+let is_digit c = c >= '0' && c <= '9'
+let is_sign c = c = '+' || c = '-'
+
+(* The index of the first non-digit of [s] at or after [i]. *)
+let rec digits s i =
+  if i < String.length s && is_digit s.[i] then digits s (i + 1) else i
+
+type number = Fixnum of int | Flonum of float | Fixnum_overflow | Not_a_number
+
+(* The one decimal number grammar of the reader and [string->number]:
+     [+-]? (digit+ ('.' digit* )? | '.' digit+) ([eE] [+-]? digit+)?
+   and the spellings [+inf.0], [-inf.0], [+nan.0], [-nan.0].  A digit
+   string with neither fraction nor exponent is a fixnum.  Every string
+   the grammar accepts is one [float_of_string] accepts, so neither
+   conversion below can fail except by fixnum overflow. *)
+let parse_number s =
+  let n = String.length s in
+  let i0 = if n > 0 && is_sign s.[0] then 1 else 0 in
+  let i1 = digits s i0 in
+  if i1 = n && i1 > i0 then
     match int_of_string_opt s with
-    | Some n -> Int (n, start)
-    | None ->
-        let body =
-          if s.[0] = '-' || s.[0] = '+' then
-            String.sub s 1 (String.length s - 1)
-          else s
-        in
-        if body <> "" && String.for_all (fun c -> c >= '0' && c <= '9') body
-        then raise (Read_error ("fixnum out of range: " ^ s, start))
-        else (
-          match float_of_string_opt s with
-          | Some f when looks_numeric s -> Float (f, start)
-          | _ -> Sym (s, start))
+    | Some k -> Fixnum k
+    | None -> Fixnum_overflow
+  else
+    let i2 = if i1 < n && s.[i1] = '.' then digits s (i1 + 1) else i1 in
+    let i3 =
+      if i2 < n && (s.[i2] = 'e' || s.[i2] = 'E') then
+        let j = if i2 + 1 < n && is_sign s.[i2 + 1] then i2 + 2 else i2 + 1 in
+        let k = digits s j in
+        if k > j then k else -1
+      else i2
+    in
+    (* the mantissa [i0, i2) holds at least one digit besides its dot *)
+    let dot = if i2 > i1 then 1 else 0 in
+    if i3 = n && i2 - i0 > dot then
+      Flonum (float_of_string s)
+    else
+      match s with
+      | "+inf.0" -> Flonum Float.infinity
+      | "-inf.0" -> Flonum Float.neg_infinity
+      | "+nan.0" | "-nan.0" -> Flonum Float.nan
+      | _ -> Not_a_number
+
+(* Only a token that starts with a digit, or with a sign or a dot and a
+   digit, or is spelled like [+inf.0] or [-nan.0], can be a number; any
+   other token is a symbol without a parse.  So [-.5] and [+.5] are
+   symbols, as [1+] and [...] are. *)
+let looks_numeric s =
+  let c0 = s.[0] in
+  is_digit c0
+  || String.length s > 1
+     && (c0 = '-' || c0 = '+' || c0 = '.')
+     && (is_digit s.[1] || (c0 <> '.' && (s.[1] = 'i' || s.[1] = 'n')))
+
+let read_token st start =
+  let i0 = st.idx in
+  let i = token_end st i0 in
+  if i = i0 then error st "empty token";
+  st.idx <- i;
+  let s = String.sub st.src i0 (i - i0) in
+  if looks_numeric s then
+    match parse_number s with
+    | Fixnum n -> Int (n, start)
+    | Flonum f -> Float (f, start)
+    | Fixnum_overflow ->
+        raise (Read_error ("fixnum out of range: " ^ s, start))
+    | Not_a_number -> Sym (s, start)
+  else Sym (s, start)
 
 let read_char_literal st start =
   (* Cursor sits after "#\\". *)
   if at_eof st then raise (Read_error ("unterminated character literal", start));
+  let i0 = st.idx in
   let first = peek st in
   advance st;
-  let buf = Buffer.create 8 in
-  Buffer.add_char buf first;
   (* Multi-character names are alphabetic; a lone char may be any char. *)
   if (first >= 'a' && first <= 'z') || (first >= 'A' && first <= 'Z') then
-    while (not (at_eof st)) && not (is_delimiter (peek st)) do
-      Buffer.add_char buf (peek st);
-      advance st
-    done;
-  let s = Buffer.contents buf in
-  if String.length s = 1 then Char (s.[0], start)
+    st.idx <- token_end st st.idx;
+  if st.idx = i0 + 1 then Char (first, start)
   else
+    let s = String.sub st.src i0 (st.idx - i0) in
     match List.assoc_opt (String.lowercase_ascii s) named_chars with
     | Some c -> Char (c, start)
     | None -> raise (Read_error ("unknown character name #\\" ^ s, start))

@@ -25,6 +25,21 @@ exception Read_error of string * pos
 val pos_of : t -> pos
 (** Position at which the datum began. *)
 
+(** A number's spelling, classified by {!parse_number}. *)
+type number =
+  | Fixnum of int
+  | Flonum of float
+  | Fixnum_overflow  (** a digit string outside the fixnum range *)
+  | Not_a_number
+
+val parse_number : string -> number
+(** The decimal number grammar shared by the reader and [string->number]:
+    an optional sign, digits with an optional fraction (or a fraction
+    alone), and an optional exponent; or one of [+inf.0], [-inf.0],
+    [+nan.0], [-nan.0].  A signed digit string is a fixnum.  OCaml and C
+    literal syntax ([1_000], [0x10], [0x1p3], [nan], surrounding blanks)
+    is [Not_a_number]. *)
+
 val read_all : string -> t list
 (** Read every datum in the string.  @raise Read_error on malformed input. *)
 

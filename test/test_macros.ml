@@ -136,6 +136,25 @@ let suite =
           with
           | v -> Alcotest.failf "expected macro error, got %s" v
           | exception Macro.Macro_error _ -> ());
+      (* Each ellipsis instantiation steps through its variables' slice
+         lists together, so a k-element expansion is linear in k.  The
+         CPU budget is generous: the expansion takes well under 1 s,
+         where indexing each slice with List.nth takes about 11 s. *)
+      case "100,000-element ellipsis expansion is linear" (fun () ->
+          let k = 100_000 in
+          let b = Buffer.create (8 * k) in
+          Buffer.add_string b
+            "(define-syntax my-list (syntax-rules () ((_ x ...) (list x ...))))\n\
+             (let ((l (my-list";
+          for i = 0 to k - 1 do
+            Printf.bprintf b " %d" i
+          done;
+          Buffer.add_string b ")))\n  (list (length l) (car l) (car (reverse l))))";
+          let t0 = Sys.time () in
+          Alcotest.(check string) "value" "(100000 0 99999)"
+            (Tutil.eval_stack (Buffer.contents b));
+          let dt = Sys.time () -. t0 in
+          if dt > 5. then Alcotest.failf "took %.2f s of CPU (budget 5 s)" dt);
       case "macros do not leak across sessions" (fun () ->
           let s1 = Scheme.create () in
           ignore

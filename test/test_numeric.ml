@@ -15,7 +15,14 @@
 
    The NaN rows pin IEEE semantics: every comparison with a NaN is
    false, so [(= +nan.0 +nan.0)] and the sign tests of a NaN are #f.
-   [eqv?] is not a numeric comparison: it compares flonums bit for bit. *)
+   [eqv?] is not a numeric comparison: it compares flonums bit for bit.
+
+   The [string->number] and [symbol?] rows pin the one decimal number
+   grammar the reader and [string->number] share: OCaml and C literal
+   syntax (underscores, radix prefixes, hex floats, bare [nan],
+   surrounding blanks) is not a number, so [string->number] gives #f
+   and the reader gives a symbol; a digit string outside the fixnum
+   range is a flonum for [string->number]. *)
 
 let case = Tutil.case
 
@@ -126,6 +133,22 @@ let table =
     ( "inexact->exact",
       [ "2.5" ],
       "error: [runtime] inexact->exact: not an integer 2.5" );
+    (* the number grammar *)
+    ("string->number", [ {|" 12"|} ], "#f");
+    ("string->number", [ {|"nan"|} ], "#f");
+    ("string->number", [ {|"0x1p3"|} ], "#f");
+    ("string->number", [ {|"0x10"|} ], "#f");
+    ("string->number", [ {|"1_000"|} ], "#f");
+    ("string->number", [ {|"+inf.0"|} ], "+inf.0");
+    ("string->number", [ {|"-17"|} ], "-17");
+    ("string->number", [ {|"-.5"|} ], "-0.5");
+    ("string->number", [ {|"1e3"|} ], "1000.0");
+    ("string->number", [ {|"99999999999999999999"|} ], "1e+20");
+    ("symbol?", [ "'1_000" ], "#t");
+    ("symbol?", [ "'0x10" ], "#t");
+    ("symbol?", [ "'-0x10" ], "#t");
+    ("symbol?", [ "'0b11" ], "#t");
+    ("symbol?", [ "'1e1_0" ], "#t");
     ("exact?", [ "1" ], "#t");
     ("exact?", [ "1.0" ], "#f");
     ("inexact?", [ "1.0" ], "#t");

@@ -231,6 +231,28 @@ let allocation_cases =
             per_instr input);
   ]
 
+(* The reader takes each token with one scan and one [String.sub], and
+   classifies it without a failing parse, so its allocation is the
+   datums themselves.  Pinned as minor-heap words per source byte over
+   the prelude and corpus sources, beside the peephole's pin above. *)
+let reader_allocation_case =
+  case "reader allocates <= 2.5 minor words per source byte" (fun () ->
+      let sources =
+        [
+          Prelude.source; Parprelude.source; Programs.all_defs;
+          Threads.scheduler; Cml.source;
+        ]
+      in
+      let bytes =
+        List.fold_left (fun n s -> n + String.length s) 0 sources
+      in
+      let w0 = Gc.minor_words () in
+      List.iter (fun s -> ignore (Sexp.read_all s)) sources;
+      let per_byte = (Gc.minor_words () -. w0) /. float_of_int bytes in
+      if per_byte > 2.5 then
+        Alcotest.failf "%.2f minor words per source byte (%d bytes)" per_byte
+          bytes)
+
 let suite =
   differential_cases @ deopt_cases @ liveness_cases @ reduction_cases
-  @ nesting_cases @ allocation_cases
+  @ nesting_cases @ allocation_cases @ [ reader_allocation_case ]

@@ -14,6 +14,107 @@ let check_read_error name src =
       | _ -> Alcotest.failf "expected read error for %S" src
       | exception Sexp.Read_error _ -> ())
 
+let check_pos name src (line, col) =
+  case name (fun () ->
+      let ds = Sexp.read_all src in
+      let p = Sexp.pos_of (List.nth ds (List.length ds - 1)) in
+      Alcotest.(check (pair int int)) src (line, col) (p.Sexp.line, p.Sexp.col))
+
+let check_error_at name src msg (line, col) =
+  case name (fun () ->
+      match Sexp.read_all src with
+      | _ -> Alcotest.failf "expected read error for %S" src
+      | exception Sexp.Read_error (m, p) ->
+          Alcotest.(check (pair string (pair int int)))
+            src
+            (msg, (line, col))
+            (m, (p.Sexp.line, p.Sexp.col)))
+
+let number =
+  Alcotest.testable
+    (fun fmt -> function
+      | Sexp.Fixnum n -> Format.fprintf fmt "Fixnum %d" n
+      | Sexp.Flonum f -> Format.fprintf fmt "Flonum %h" f
+      | Sexp.Fixnum_overflow -> Format.fprintf fmt "Fixnum_overflow"
+      | Sexp.Not_a_number -> Format.fprintf fmt "Not_a_number")
+    (fun a b ->
+      match (a, b) with
+      | Sexp.Flonum x, Sexp.Flonum y ->
+          Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+      | _ -> a = b)
+
+let check_number src expected =
+  case ("parse_number " ^ src) (fun () ->
+      Alcotest.check number src expected (Sexp.parse_number src))
+
+(* One decimal grammar: OCaml and C literal syntax (underscores, radix
+   prefixes, hex floats, bare inf/nan, surrounding blanks) is not a
+   number, so such a token reads as a symbol. *)
+let number_tests =
+  [
+    check_read "underscore digits are a symbol" "1_000" "1_000";
+    check_read "hex prefix is a symbol" "0x10" "0x10";
+    check_read "negative hex prefix is a symbol" "-0x10" "-0x10";
+    check_read "binary prefix is a symbol" "0b11" "0b11";
+    check_read "underscore exponent is a symbol" "1e1_0" "1e1_0";
+    check_read "hex float is a symbol" "0x1p3" "0x1p3";
+    check_read "exponent" "1e10" "10000000000.0";
+    check_read "signed exponent" "-2.5E+3" "-2500.0";
+    check_read "fraction alone" ".5" "0.5";
+    check_read "trailing dot" "1." "1.0";
+    check_read "signed fraction alone stays a symbol" "-.5" "-.5";
+    check_read "+inf.0" "+inf.0" "+inf.0";
+    check_read "-inf.0" "-inf.0" "-inf.0";
+    check_read "+nan.0" "+nan.0" "+nan.0";
+    check_read "bare inf is a symbol" "inf" "inf";
+    check_read "peculiar +i" "+i" "+i";
+    check_read "ellipsis" "..." "...";
+    check_read "arrow" "->x" "->x";
+    check_read "exponent without digits" "1e" "1e";
+    check_number "42" (Sexp.Fixnum 42);
+    check_number "+17" (Sexp.Fixnum 17);
+    check_number "-4611686018427387904" (Sexp.Fixnum min_int);
+    check_number "4611686018427387904" Sexp.Fixnum_overflow;
+    check_number "-99999999999999999999" Sexp.Fixnum_overflow;
+    check_number "-.5" (Sexp.Flonum (-0.5));
+    check_number "1e+2" (Sexp.Flonum 100.);
+    check_number "-inf.0" (Sexp.Flonum Float.neg_infinity);
+    check_number "-nan.0" (Sexp.Flonum Float.nan);
+    check_number " 12" Sexp.Not_a_number;
+    check_number "12 " Sexp.Not_a_number;
+    check_number "nan" Sexp.Not_a_number;
+    check_number "inf" Sexp.Not_a_number;
+    check_number "0x1p3" Sexp.Not_a_number;
+    check_number "0x10" Sexp.Not_a_number;
+    check_number "1_000" Sexp.Not_a_number;
+    check_number "1e1_0" Sexp.Not_a_number;
+    check_number "." Sexp.Not_a_number;
+    check_number "+" Sexp.Not_a_number;
+    check_number "" Sexp.Not_a_number;
+    check_number "1e+" Sexp.Not_a_number;
+    check_number "1+" Sexp.Not_a_number;
+  ]
+
+(* Exact positions: the column counts characters since the last newline
+   (a tab and a carriage return are one column each). *)
+let position_tests =
+  [
+    check_pos "token after CRLF" "a\r\n  b" (2, 2);
+    check_pos "token after a tab" "\tx" (1, 1);
+    check_pos "token after a multi-line string" "\"ab\ncd\" x" (2, 4);
+    check_pos "token after a multi-line block comment" "#| a\n b |# x" (2, 6);
+    check_pos "token after a datum comment" "#; (a\n b) c" (2, 4);
+    check_pos "token after an escaped string" "\"a\\\"b\" c" (1, 7);
+    check_error_at "unterminated string position" "(a\n \"abc"
+      "unterminated string literal" (2, 1);
+    check_error_at "stray close paren position" "a\r\n  )"
+      "unexpected closing parenthesis" (2, 2);
+    check_error_at "bad char name position" "x #\\bogus"
+      "unknown character name #\\bogus" (1, 2);
+    check_error_at "fixnum overflow position" "(a\n 99999999999999999999)"
+      "fixnum out of range: 99999999999999999999" (2, 1);
+  ]
+
 let unit_tests =
   [
     check_read "symbol" "foo" "foo";
@@ -78,14 +179,30 @@ let gen_datum =
     oneof
       [
         map (fun n -> Sexp.Int (n, { Sexp.line = 0; col = 0 })) small_signed_int;
+        map (fun n -> Sexp.Int (-n, { Sexp.line = 0; col = 0 })) nat;
+        map
+          (fun f -> Sexp.Float (f, { Sexp.line = 0; col = 0 }))
+          (oneof
+             [
+               map (fun f -> if Float.is_finite f then f else 0.5) float;
+               oneofl [ Float.infinity; Float.neg_infinity; -0.25; 1e300 ];
+             ]);
         map
           (fun s -> Sexp.Sym ((if s = "" then "x" else s), { Sexp.line = 0; col = 0 }))
           (string_size ~gen:(char_range 'a' 'z') (int_range 1 8));
+        map
+          (fun s -> Sexp.Sym (s, { Sexp.line = 0; col = 0 }))
+          (oneofl [ "+"; "-"; "..."; "1+"; "->x"; "a.b" ]);
         map (fun b -> Sexp.Bool (b, { Sexp.line = 0; col = 0 })) bool;
         map (fun c -> Sexp.Char (c, { Sexp.line = 0; col = 0 })) (char_range 'a' 'z');
         map
           (fun s -> Sexp.Str (s, { Sexp.line = 0; col = 0 }))
           (string_size ~gen:(char_range ' ' '~') (int_range 0 10));
+        map
+          (fun s -> Sexp.Str (s, { Sexp.line = 0; col = 0 }))
+          (string_size
+             ~gen:(frequency [ (4, char_range ' ' '~'); (1, return '\n') ])
+             (int_range 0 10));
       ]
   in
   let rec go depth =
@@ -120,5 +237,36 @@ let roundtrip_prop =
   QCheck.Test.make ~name:"write/read round trip" ~count:500 arb_datum (fun d ->
       Sexp.equal d (Sexp.read_one (Sexp.to_string d)))
 
+(* Reader robustness: any string gives either a datum list or a
+   [Read_error] whose position lies inside the input (at most one past
+   the last character of its line), never another exception. *)
+let fuzz_case =
+  case "random strings read or fail with a located Read_error" (fun () ->
+      let alphabet = "()[]'`,@\"\\#;|.+-0123456789eExabinf_tu/ \t\n\r\012\000" in
+      let r = Random.State.make [| 20 |] in
+      for _ = 1 to 10_000 do
+        let n = Random.State.int r 24 in
+        let src =
+          String.init n (fun _ ->
+              alphabet.[Random.State.int r (String.length alphabet)])
+        in
+        match Sexp.read_all src with
+        | _ -> ()
+        | exception Sexp.Read_error (msg, p) ->
+            let lines = String.split_on_char '\n' src in
+            if
+              p.Sexp.line < 1
+              || p.Sexp.line > List.length lines
+              || p.Sexp.col < 0
+              || p.Sexp.col > String.length (List.nth lines (p.Sexp.line - 1))
+            then
+              Alcotest.failf "%S: %s at %d:%d lies outside the input" src msg
+                p.Sexp.line p.Sexp.col
+        | exception e ->
+            Alcotest.failf "%S raised %s" src (Printexc.to_string e)
+      done)
+
 let prop_tests = [ QCheck_alcotest.to_alcotest roundtrip_prop ]
-let suite = unit_tests @ prop_tests
+
+let suite =
+  unit_tests @ number_tests @ position_tests @ (fuzz_case :: prop_tests)
