@@ -603,7 +603,7 @@ let a4 ~full () =
             List.fold_left
               (fun acc k ->
                 match k with
-                | Rt.Cont c -> acc + max c.Rt.sr.Rt.size 0
+                | Rt.Cont { sr; _ } -> acc + max sr.Rt.size 0
                 | _ -> acc)
               0
               (Values.list_of_value v)

@@ -275,8 +275,16 @@ let main backend_kind seg_words copy_bound overflow hysteresis seal_disp
   in
   let interactive = exprs = [] && files = [] in
   let hygiene = not no_hygiene in
-  if lint then run_lint ~exprs ~files
-  else
+  match Control.validate config with
+  | Some (field, minimum, given) ->
+      (* [validate] names each bound after its option, with
+         underscores. *)
+      Printf.eprintf "error: --%s must be at least %d, got %d\n%!"
+        (String.map (function '_' -> '-' | c -> c) field)
+        minimum given;
+      1
+  | None when lint -> run_lint ~exprs ~files
+  | None ->
   match par_chunk with
   | Some n when n < 1 ->
       Printf.eprintf

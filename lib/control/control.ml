@@ -46,7 +46,8 @@ type t = {
   stats : Stats.t;
   mutable sr : stack_record;
   mutable fp : int;
-  mutable cache : value array list array;
+  cache : value array array array;
+  cache_top : int array;
   mutable cache_len : int;
   mutable cache_words : int;
   mutable dbg_rid : int;
@@ -75,59 +76,72 @@ let class_of m len =
   let c = (len / m.cfg.seg_words) - 1 in
   if c >= cache_classes then cache_classes - 1 else c
 
+(* Each class is a stack: [m.cache.(c)] holds its segments in release
+   order in slots [0, m.cache_top.(c)), and every slot above is
+   [no_segment].  A pop returns [no_segment] when it finds nothing, so
+   neither a pop nor a release allocates (a release grows its class's
+   array only when it is full, at most up to [cache_max] slots), and a
+   pop clears the slot it takes, so the cache never pins a segment it
+   has handed out.  Every real segment has at least [seg_words] words,
+   so the empty array cannot be mistaken for one. *)
+let no_segment : value array = [||]
+
 let pop_class m ~words i =
-  if i < cache_classes - 1 then
-    match m.cache.(i) with
-    | seg :: rest ->
-        m.cache.(i) <- rest;
-        Some seg
-    | [] -> None
-  else
-    (* Mixed top bucket: first-fit within the bucket only. *)
-    let rec take skipped = function
-      | seg :: rest when words <= Array.length seg ->
-          m.cache.(i) <- List.rev_append skipped rest;
-          Some seg
-      | seg :: rest -> take (seg :: skipped) rest
-      | [] -> None
-    in
-    take [] m.cache.(i)
+  let stack = m.cache.(i) in
+  let n = m.cache_top.(i) in
+  (* The most recent release, except in the mixed top bucket, which is
+     searched first-fit from the most recent release down. *)
+  let j = ref (n - 1) in
+  if i = cache_classes - 1 then
+    while !j >= 0 && words > Array.length stack.(!j) do
+      decr j
+    done;
+  let j = !j in
+  if j < 0 then no_segment
+  else begin
+    let seg = stack.(j) in
+    (* Slots above the one taken shift down, keeping release order. *)
+    if j < n - 1 then Array.blit stack (j + 1) stack j (n - 1 - j);
+    stack.(n - 1) <- no_segment;
+    m.cache_top.(i) <- n - 1;
+    seg
+  end
+
+let fresh_segment m words =
+  m.stats.seg_allocs <- m.stats.seg_allocs + 1;
+  m.stats.seg_alloc_words <- m.stats.seg_alloc_words + words;
+  Array.make words Void
 
 let alloc_segment m words =
   let words = seg_request m words in
-  let fresh () =
-    m.stats.seg_allocs <- m.stats.seg_allocs + 1;
-    m.stats.seg_alloc_words <- m.stats.seg_alloc_words + words;
-    Array.make words Void
-  in
-  if not m.cfg.cache_enabled then fresh ()
+  if not m.cfg.cache_enabled then fresh_segment m words
   else begin
     let c = class_of m words in
+    let seg = pop_class m ~words c in
     let seg =
-      match pop_class m ~words c with
-      | Some _ as s ->
-          m.stats.cache_class_hits <- m.stats.cache_class_hits + 1;
-          s
-      | None ->
-          (* Exact class empty: bounded upward scan — any array in a
-             higher class is big enough by construction. *)
-          m.stats.cache_class_misses <- m.stats.cache_class_misses + 1;
-          let rec up i =
-            if i >= cache_classes then None
-            else
-              match pop_class m ~words i with
-              | Some _ as s -> s
-              | None -> up (i + 1)
-          in
-          up (c + 1)
-    in
-    match seg with
-    | Some seg ->
-        m.cache_len <- m.cache_len - 1;
-        m.cache_words <- m.cache_words - Array.length seg;
-        m.stats.cache_hits <- m.stats.cache_hits + 1;
+      if seg != no_segment then begin
+        m.stats.cache_class_hits <- m.stats.cache_class_hits + 1;
         seg
-    | None -> fresh ()
+      end
+      else begin
+        (* Exact class empty: bounded upward scan — any array in a
+           higher class is big enough by construction. *)
+        m.stats.cache_class_misses <- m.stats.cache_class_misses + 1;
+        let seg = ref no_segment and i = ref (c + 1) in
+        while !seg == no_segment && !i < cache_classes do
+          seg := pop_class m ~words !i;
+          incr i
+        done;
+        !seg
+      end
+    in
+    if seg == no_segment then fresh_segment m words
+    else begin
+      m.cache_len <- m.cache_len - 1;
+      m.cache_words <- m.cache_words - Array.length seg;
+      m.stats.cache_hits <- m.stats.cache_hits + 1;
+      seg
+    end
   end
 
 let release_segment m seg =
@@ -135,7 +149,16 @@ let release_segment m seg =
   if m.cfg.cache_enabled && len >= m.cfg.seg_words && m.cache_len < m.cfg.cache_max
   then begin
     let c = class_of m len in
-    m.cache.(c) <- seg :: m.cache.(c);
+    let n = m.cache_top.(c) in
+    if n = Array.length m.cache.(c) then begin
+      (* Full: grow.  [n < cache_len + 1 <= cache_max], so the class
+         never needs more than [cache_max] slots. *)
+      let grown = Array.make (min m.cfg.cache_max (max 4 (2 * n))) no_segment in
+      Array.blit m.cache.(c) 0 grown 0 n;
+      m.cache.(c) <- grown
+    end;
+    m.cache.(c).(n) <- seg;
+    m.cache_top.(c) <- n + 1;
     m.cache_len <- m.cache_len + 1;
     m.cache_words <- m.cache_words + len;
     if m.cache_words > m.stats.cache_words_hw then
@@ -144,7 +167,10 @@ let release_segment m seg =
   end
 
 let clear_cache m =
-  Array.fill m.cache 0 cache_classes [];
+  for c = 0 to cache_classes - 1 do
+    Array.fill m.cache.(c) 0 m.cache_top.(c) no_segment;
+    m.cache_top.(c) <- 0
+  done;
   m.cache_len <- 0;
   m.cache_words <- 0
 
@@ -152,8 +178,33 @@ let clear_cache m =
    only then may the array be recycled when the stack is abandoned. *)
 let wholly_owned sr = sr.base = 0 && sr.size = Array.length sr.seg
 
+(* Promotion flags (paper Section 3.3), allocated lazily.  A one-shot
+   record that shares its flag with no other live record (a group of
+   one) holds [lone_flag], which is shared by all such records and never
+   written.  Promoting such a record swaps in [promoted_flag], the set
+   flag every multi-shot record holds too; a flag of its own is
+   allocated only when a second one-shot record joins a group
+   ([inherit_flag]).  Neither shared flag is ever assigned, so sessions
+   on different domains may share them. *)
+let lone_flag = ref false
+let promoted_flag = ref true
+
+(* The link of the bottom record.  It reads as shot ([size = current =
+   -1]), so every walk that stops at a shot or multi-shot record stops
+   at it too, and reinstating it raises; it is never written. *)
+let rec no_link =
+  {
+    seg = [||];
+    base = 0;
+    size = -1;
+    current = -1;
+    link = no_link;
+    ret = Void;
+    promoted = lone_flag;
+  }
+
 let fresh_record seg ~base ~size ~link =
-  { seg; base; size; current = 0; link; ret = Void; promoted = ref false }
+  { seg; base; size; current = 0; link; ret = Void; promoted = lone_flag }
 
 (* Debug record identities (CONTROL_DEBUG traces only).  The table is
    populated solely under [cfg.debug] — identity lookups are O(n) in the
@@ -174,20 +225,31 @@ let id_of m (r : stack_record) =
 
 let dbg fmt = Printf.eprintf fmt
 
+(* The first lower bound [cfg] breaks, as (name, minimum, given). *)
+let validate cfg =
+  if cfg.seg_words < 64 then Some ("seg_words", 64, cfg.seg_words)
+  else if cfg.copy_bound < 16 then Some ("copy_bound", 16, cfg.copy_bound)
+  else
+    match cfg.oneshot_seal with
+    | Seal_displacement h when h < 1 -> Some ("seal_displacement", 1, h)
+    | Seal_displacement _ | Whole_segment -> None
+
 let create ?stats cfg =
-  assert (cfg.seg_words >= 64);
-  assert (cfg.copy_bound >= 16);
-  (match cfg.oneshot_seal with
-  | Seal_displacement h -> assert (h >= 1)
-  | Whole_segment -> ());
+  (match validate cfg with
+  | Some (field, minimum, given) ->
+      invalid_arg
+        (Printf.sprintf "Control.create: %s must be at least %d, got %d" field
+           minimum given)
+  | None -> ());
   let stats = match stats with Some s -> s | None -> Stats.create () in
   let m =
     {
       cfg;
       stats;
-      sr = fresh_record [||] ~base:0 ~size:0 ~link:None;
+      sr = fresh_record [||] ~base:0 ~size:0 ~link:no_link;
       fp = 0;
-      cache = Array.make cache_classes [];
+      cache = Array.make cache_classes [||];
+      cache_top = Array.make cache_classes 0;
       cache_len = 0;
       cache_words = 0;
       dbg_rid = 0;
@@ -195,7 +257,7 @@ let create ?stats cfg =
     }
   in
   let seg = alloc_segment m cfg.seg_words in
-  m.sr <- fresh_record seg ~base:0 ~size:(Array.length seg) ~link:None;
+  m.sr <- fresh_record seg ~base:0 ~size:(Array.length seg) ~link:no_link;
   m
 
 let init_frame m ret0 =
@@ -204,7 +266,7 @@ let init_frame m ret0 =
   if m.sr.base = 0 && m.sr.size = Array.length m.sr.seg && m.sr.size > 0 then
     release_segment m m.sr.seg;
   let seg = alloc_segment m m.cfg.seg_words in
-  m.sr <- fresh_record seg ~base:0 ~size:(Array.length seg) ~link:None;
+  m.sr <- fresh_record seg ~base:0 ~size:(Array.length seg) ~link:no_link;
   m.fp <- 0;
   seg.(0) <- ret0
 
@@ -223,41 +285,61 @@ let retaddr_of = function
   | Retaddr r -> r
   | v -> Values.err "control: corrupt frame: expected return address" [ v ]
 
+(* The record [sr]'s bottom frame underflows into. *)
+let below_bottom sr =
+  if sr.link == no_link then
+    Values.err "control: no record below the bottom segment" []
+  else sr.link
+
 (* ------------------------------------------------------------------ *)
 (* Promotion (paper Section 3.3)                                       *)
 (* ------------------------------------------------------------------ *)
 
-let promote_chain m link =
+(* A captured one-shot record that is neither shot nor promoted ([false]
+   for [no_link]). *)
+let live_oneshot r = (not (is_shot r)) && not (is_multi r)
+
+(* Promote the flag group of the live one-shot record [r] with one
+   store: a group of one swaps in the shared set flag. *)
+let promote_group r =
+  if r.promoted == lone_flag then r.promoted <- promoted_flag
+  else r.promoted := true
+
+let promote_chain m r =
   match m.cfg.promotion with
-  | Shared_flag -> (
+  | Shared_flag ->
       (* All adjacent one-shot records share one boxed flag: one store. *)
-      match link with
-      | Some r when (not (is_shot r)) && not (is_multi r) ->
-          r.promoted := true;
-          m.stats.promotions <- m.stats.promotions + 1
-      | _ -> ())
+      if live_oneshot r then begin
+        promote_group r;
+        m.stats.promotions <- m.stats.promotions + 1
+      end
   | Eager ->
       (* Linear walk, stopping at the first multi-shot record: everything
          below it was promoted when that record was created. *)
-      let rec go = function
-        | Some r when (not (is_shot r)) && not (is_multi r) ->
-            r.size <- r.current;
-            m.stats.promotions <- m.stats.promotions + 1;
-            go r.link
-        | _ -> ()
+      let rec go r =
+        if live_oneshot r then begin
+          r.size <- r.current;
+          m.stats.promotions <- m.stats.promotions + 1;
+          go r.link
+        end
       in
-      go link
+      go r
 
 (* New one-shot records join the promotion-flag group of the one-shot
    record directly below them, so a single shared-flag store promotes the
-   whole contiguous group. *)
-let inherit_flag m link =
+   whole contiguous group.  The group's flag is allocated when its second
+   record joins. *)
+let inherit_flag m r =
   match m.cfg.promotion with
-  | Eager -> ref false
-  | Shared_flag -> (
-      match link with
-      | Some r when (not (is_shot r)) && not (is_multi r) -> r.promoted
-      | _ -> ref false)
+  | Eager -> lone_flag
+  | Shared_flag ->
+      if not (live_oneshot r) then lone_flag
+      else if r.promoted == lone_flag then begin
+        let flag = ref false in
+        r.promoted <- flag;
+        flag
+      end
+      else r.promoted
 
 (* ------------------------------------------------------------------ *)
 (* Capture                                                             *)
@@ -271,12 +353,8 @@ let capture_multi_copying m =
   let sr = m.sr in
   let occupied = m.fp - sr.base in
   if occupied = 0 && sr.seg.(m.fp) = Underflow_mark then begin
-    let k =
-      match sr.link with
-      | Some k -> k
-      | None -> Values.err "capture at stack bottom with no link" []
-    in
-    promote_chain m (Some k);
+    let k = below_bottom sr in
+    promote_chain m k;
     m.stats.captures_multi <- m.stats.captures_multi + 1;
     k
   end
@@ -294,7 +372,7 @@ let capture_multi_copying m =
         current = occupied;
         link = sr.link;
         ret = sr.seg.(m.fp);
-        promoted = ref true;
+        promoted = promoted_flag;
       }
     in
     ignore (retaddr_of k.ret);
@@ -308,16 +386,12 @@ let capture_multi_sealing m =
   if sr.seg.(m.fp) = Underflow_mark then begin
     (* Tail-position capture on an empty segment: the link record itself is
        the continuation (paper Section 3.2). *)
-    let k =
-      match sr.link with
-      | Some k -> k
-      | None -> Values.err "capture at stack bottom with no link" []
-    in
+    let k = below_bottom sr in
     if not (is_multi k) then begin
       (* Promote the whole chain starting at k itself. *)
       (match m.cfg.promotion with
       | Shared_flag ->
-          k.promoted := true;
+          promote_group k;
           m.stats.promotions <- m.stats.promotions + 1
       | Eager ->
           k.size <- k.current;
@@ -337,14 +411,14 @@ let capture_multi_sealing m =
         current = occupied;
         link = sr.link;
         ret = sr.seg.(m.fp);
-        promoted = ref true;
+        promoted = promoted_flag;
       }
     in
     ignore (retaddr_of k.ret);
     sr.seg.(m.fp) <- Underflow_mark;
     sr.base <- m.fp;
     sr.size <- sr.size - occupied;
-    sr.link <- Some k;
+    sr.link <- k;
     promote_chain m k.link;
     m.stats.captures_multi <- m.stats.captures_multi + 1;
     k
@@ -358,11 +432,7 @@ let capture_multi m =
 let capture_oneshot m =
   let sr = m.sr in
   if sr.seg.(m.fp) = Underflow_mark then begin
-    let k =
-      match sr.link with
-      | Some k -> k
-      | None -> Values.err "capture at stack bottom with no link" []
-    in
+    let k = below_bottom sr in
     m.stats.captures_oneshot <- m.stats.captures_oneshot + 1;
     if m.cfg.debug then dbg "cap1cc(empty) -> r%d\n" (id_of m k);
     k
@@ -390,7 +460,7 @@ let capture_oneshot m =
         in
         sr.base <- sr.base + sealed;
         sr.size <- sr.size - sealed;
-        sr.link <- Some k;
+        sr.link <- k;
         m.fp <- sr.base;
         sr.seg.(m.fp) <- Underflow_mark;
         k
@@ -402,15 +472,17 @@ let capture_oneshot m =
            new sealed record and dropping this one, recycle the struct:
            its seg/base/size/link fields are already exactly the sealed
            record's, leaving one store each for the occupancy, return
-           slot and promotion-flag group.  The capture-switch loop of
-           experiment e2 runs this once per context switch. *)
+           slot and promotion-flag group.  With the segment popped from
+           the cache in place and a lone record's shared flag, the new
+           active record is the capture's only allocation.  The
+           capture-switch loop of experiment e2 runs this once per
+           context switch. *)
         let k = sr in
         k.current <- occupied;
         k.ret <- ret;
         k.promoted <- inherit_flag m k.link;
         let seg = alloc_segment m m.cfg.seg_words in
-        m.sr <-
-          fresh_record seg ~base:0 ~size:(Array.length seg) ~link:(Some k);
+        m.sr <- fresh_record seg ~base:0 ~size:(Array.length seg) ~link:k;
         m.fp <- 0;
         seg.(0) <- Underflow_mark;
         if m.cfg.debug then dbg "cap1cc -> r%d (seg=%d base=%d cur=%d)\n" (id_of m k) (Array.length k.seg) k.base k.current;
@@ -447,7 +519,7 @@ let split_for_copy m k content =
         current = s;
         link = k.link;
         ret = k.seg.(k.base + s);
-        promoted = ref true;
+        promoted = promoted_flag;
       }
     in
     ignore (retaddr_of krest.ret);
@@ -455,7 +527,7 @@ let split_for_copy m k content =
     k.base <- k.base + s;
     k.size <- content - s;
     k.current <- content - s;
-    k.link <- Some krest;
+    k.link <- krest;
     m.stats.splits <- m.stats.splits + 1;
     content - s
   end
@@ -486,24 +558,28 @@ let unseal_in_place m k (r : retaddr) =
       current = s;
       link = k.link;
       ret = seg.(boundary);
-      promoted = ref true;
+      promoted = promoted_flag;
     }
   in
   ignore (retaddr_of krest.ret);
-  (* Preserve the top frame — including its return slot, which doubles as
-     [krest]'s displaced return — before the seal boundary moves. *)
+  (* Preserve the top frame before the seal boundary moves.  Its return
+     slot now lives in [krest.ret], and the copy is the bottom frame of
+     [k]'s own slice, so it returns through the underflow mark: a later
+     re-entry by copying must underflow into [krest], not return through
+     a stale address. *)
   let top = Array.sub seg boundary r.rdisp in
+  top.(0) <- Underflow_mark;
   m.stats.words_copied <- m.stats.words_copied + r.rdisp;
   k.seg <- top;
   k.base <- 0;
   k.size <- r.rdisp;
   k.current <- r.rdisp;
-  k.link <- Some krest;
+  k.link <- krest;
   seg.(boundary) <- Underflow_mark;
   (* The active record grows downward over the reopened top frame. *)
   sr.size <- sr.size + (sr.base - boundary);
   sr.base <- boundary;
-  sr.link <- Some krest;
+  sr.link <- krest;
   m.fp <- boundary;
   m.stats.unseals <- m.stats.unseals + 1;
   m.stats.invokes_multi <- m.stats.invokes_multi + 1;
@@ -514,7 +590,7 @@ let reinstate_multi ?(unseal = true) m k =
   let r = retaddr_of k.ret in
   if
     unseal && sr.seg == k.seg
-    && (match sr.link with Some l -> l == k | None -> false)
+    && sr.link == k
     && k.base + k.size = sr.base
     && m.fp = sr.base
     && r.rdisp > 0
@@ -529,7 +605,7 @@ let reinstate_multi ?(unseal = true) m k =
     if sr.size < content then begin
       if wholly_owned sr && sr.seg != k.seg then release_segment m sr.seg;
       let seg = alloc_segment m (content + 64) in
-      m.sr <- fresh_record seg ~base:0 ~size:(Array.length seg) ~link:None
+      m.sr <- fresh_record seg ~base:0 ~size:(Array.length seg) ~link:no_link
     end;
     let sr = m.sr in
     Array.blit k.seg k.base sr.seg sr.base content;
@@ -556,7 +632,7 @@ let reinstate_oneshot m k =
   sr.current <- 0;
   sr.link <- k.link;
   sr.ret <- Void;
-  sr.promoted <- ref false;
+  sr.promoted <- lone_flag;
   let r = retaddr_of k.ret in
   m.fp <- k.base + k.current - r.rdisp;
   (* Mark shot: both size fields set to -1 (paper Figure 4), and detach
@@ -567,7 +643,7 @@ let reinstate_oneshot m k =
   k.size <- -1;
   k.current <- -1;
   k.seg <- [||];
-  k.link <- None;
+  k.link <- no_link;
   k.ret <- Void;
   m.stats.invokes_oneshot <- m.stats.invokes_oneshot + 1;
   r
@@ -580,15 +656,15 @@ let reinstate ?(unseal = true) m k =
   else if is_multi k then reinstate_multi ~unseal m k
   else reinstate_oneshot m k
 
+let at_bottom m = m.sr.link == no_link
+
 let underflow m =
-  match m.sr.link with
-  | None -> None
-  | Some k ->
-      m.stats.underflows <- m.stats.underflows + 1;
-      (* Returning through a seal is a descent that will keep descending:
-         take the bulk-copy path (bounded by [copy_bound]) rather than
-         reopening one frame at a time. *)
-      Some (reinstate ~unseal:false m k)
+  let k = below_bottom m.sr in
+  m.stats.underflows <- m.stats.underflows + 1;
+  (* Returning through a seal is a descent that will keep descending:
+     take the bulk-copy path (bounded by [copy_bound]) rather than
+     reopening one frame at a time. *)
+  reinstate ~unseal:false m k
 
 (* ------------------------------------------------------------------ *)
 (* Overflow as implicit continuation capture (paper Section 3.2)       *)
@@ -615,14 +691,14 @@ let overflow m ~live_top ~need =
               current = occupied;
               link = sr.link;
               ret = seg.(m.fp);
-              promoted = ref true;
+              promoted = promoted_flag;
             }
           in
           ignore (retaddr_of k.ret);
           seg.(m.fp) <- Underflow_mark;
           promote_chain m k.link;
           m.stats.captures_multi <- m.stats.captures_multi + 1;
-          (m.fp, Some k)
+          (m.fp, k)
         end
     | As_call1cc ->
         (* Seal as a one-shot record, copying up the top few frames
@@ -651,7 +727,7 @@ let overflow m ~live_top ~need =
           in
           ignore (retaddr_of k.ret);
           m.stats.captures_oneshot <- m.stats.captures_oneshot + 1;
-          (s, Some k)
+          (s, k)
         end
   in
   let live = live_top - split in
@@ -681,11 +757,10 @@ let ensure_room m ~live_top ~need =
 (* ------------------------------------------------------------------ *)
 
 let live_chain r =
-  let rec go acc = function
-    | None -> List.rev acc
-    | Some r -> go (r :: acc) r.link
+  let rec go acc r =
+    if r == no_link then List.rev acc else go (r :: acc) r.link
   in
-  go [] (Some r)
+  go [] r
 
 let chain_depth m = List.length (live_chain m.sr) - 1
 
@@ -707,17 +782,17 @@ let backtrace ?(limit = 64) m =
           names := r.rcode.cname :: !names;
           if f - r.rdisp >= 0 && r.rdisp > 0 then
             in_segment seg (f - r.rdisp) link
-      | Underflow_mark -> (
-          match link with
-          | Some k when is_shot k ->
-              (* The chain continues into a continuation that has been
-                 shot: its frames are gone (the segment was adopted and
-                 the record detached), so mark the hole instead of
-                 silently truncating the walk. *)
-              incr count;
-              names := "<shot>" :: !names
-          | Some k -> at_record k
-          | None -> ())
+      | Underflow_mark ->
+          if link == no_link then ()
+          else if is_shot link then begin
+            (* The chain continues into a continuation that has been
+               shot: its frames are gone (the segment was adopted and
+               the record detached), so mark the hole instead of
+               silently truncating the walk. *)
+            incr count;
+            names := "<shot>" :: !names
+          end
+          else at_record link
       | _ -> ()
   and at_record k =
     match k.ret with

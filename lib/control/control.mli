@@ -74,8 +74,13 @@ type t = {
   stats : Stats.t;
   mutable sr : Rt.stack_record;  (** the current (active) stack record *)
   mutable fp : int;  (** frame pointer: absolute index into [sr.seg] *)
-  mutable cache : Rt.value array list array;
-      (** per-size-class free lists, [cache_classes] of them *)
+  cache : Rt.value array array array;
+      (** per-size-class stacks, [cache_classes] of them: class [c] holds
+          its segments in release order in slots [0 .. cache_top.(c) - 1],
+          and every slot above is the empty array.  A pop clears the slot
+          it takes, and neither a pop nor a release allocates (a release
+          into a full class grows its array, up to [cache_max] slots). *)
+  cache_top : int array;  (** per-size-class count of cached segments *)
   mutable cache_len : int;  (** total cached segments across classes *)
   mutable cache_words : int;  (** total words parked across classes *)
   mutable dbg_rid : int;
@@ -84,14 +89,34 @@ type t = {
           [cfg.debug] *)
 }
 
+val no_link : Rt.stack_record
+(** The [link] of the bottom record (compare with [==]).  It reads as
+    shot, is never written, and is shared by every machine. *)
+
+val lone_flag : bool ref
+val promoted_flag : bool ref
+(** The two shared promotion flags, never written.  A one-shot record
+    that shares its flag with no other live record (a group of one)
+    holds [lone_flag]; promoting it swaps in [promoted_flag], which
+    every multi-shot record holds too.  A flag of its own ([ref false])
+    is allocated only when a second one-shot record joins a group. *)
+
 val id_of : t -> Rt.stack_record -> int
 (** Stable per-machine identity of a record for trace output; [0] when
     [cfg.debug] is off.  The table lives in the machine, so records traced
     by one machine are never pinned by another machine's lifetime. *)
 
+val validate : config -> (string * int * int) option
+(** The first lower bound [config] breaks, as [(name, minimum, given)]:
+    [seg_words >= 64], [copy_bound >= 16], and the headroom of
+    [Seal_displacement] ([name] ["seal_displacement"]) [>= 1].  Each
+    [name] is its [schemer] option's with underscores.  [None] when
+    every bound holds. *)
+
 val create : ?stats:Stats.t -> config -> t
 (** A machine with one initial segment and a bottom frame whose return slot
-    is [ret0] — pass the halt return address there via {!init_frame}. *)
+    is [ret0] — pass the halt return address there via {!init_frame}.
+    @raise Invalid_argument when {!validate} reports a broken bound. *)
 
 val init_frame : t -> Rt.value -> unit
 (** [init_frame m ret0] resets the machine to a single frame at the base of
@@ -138,12 +163,15 @@ val reinstate : ?unseal:bool -> t -> Rt.stack_record -> Rt.retaddr
     chain pointers so the dead record pins nothing.
     @raise Rt.Shot_continuation on a second one-shot invocation. *)
 
-val underflow : t -> Rt.retaddr option
+val at_bottom : t -> bool
+(** Does the active record sit at the bottom of the whole stack (its
+    [link] is {!no_link})?  Returning through its bottom frame halts. *)
+
+val underflow : t -> Rt.retaddr
 (** Return through a bottom frame: implicitly invoke [sr.link] (with the
     unseal fast path disabled — a descent that has started returning
     through seals keeps descending, so the bounded bulk copy wins).
-    [None] means the machine ran off the bottom of the whole stack
-    (halt). *)
+    Test {!at_bottom} first: there is no record to invoke there. *)
 
 val clear_cache : t -> unit
 (** Drop every cached segment (the paper lets the storage manager discard
@@ -163,10 +191,11 @@ val alloc_segment : t -> int -> Rt.value array
     fresh array is allocated (counting [seg_allocs]/[seg_alloc_words]). *)
 
 val release_segment : t -> Rt.value array -> unit
-(** Offer an abandoned segment to the cache, pushed O(1) onto its size
-    class.  Accepted (counting a [cache_releases], and updating the
-    [cache_words_hw] high-water mark) when caching is enabled, the array
-    is at least [seg_words] long and the cache is below [cache_max]. *)
+(** Offer an abandoned segment to the cache, written O(1) into the next
+    slot of its size class.  Accepted (counting a [cache_releases], and
+    updating the [cache_words_hw] high-water mark) when caching is
+    enabled, the array is at least [seg_words] long and the cache is
+    below [cache_max]. *)
 
 val ensure_room : t -> live_top:int -> need:int -> unit
 (** Guarantee [need] words of space above [fp], treating exhaustion as an

@@ -787,20 +787,18 @@ let the_prims : (string * prim) list =
         bool_of (match v with Cont _ | Hcont _ -> true | _ -> false));
     pure1 "%continuation-one-shot?" (fun v ->
         match v with
-        | Cont c -> bool_of c.one_shot
+        | Cont { one_shot; _ } -> bool_of one_shot
         | Hcont c -> bool_of c.hcont_one_shot
         | v -> Values.type_error "%continuation-one-shot?" "continuation" v);
     pure1 "%continuation-shot?" (fun v ->
         match v with
-        | Cont c -> bool_of (c.sr.size = -1)
+        | Cont { sr; _ } -> bool_of (Control.is_shot sr)
         | Hcont c -> bool_of c.hcont_shot
         | v -> Values.type_error "%continuation-shot?" "continuation" v);
     pure1 "%continuation-promoted?" (fun v ->
         match v with
-        | Cont c ->
-            bool_of
-              (c.sr.size <> -1
-              && (c.sr.size = c.sr.current || !(c.sr.promoted)))
+        | Cont { sr; _ } ->
+            bool_of ((not (Control.is_shot sr)) && Control.is_multi sr)
         | Hcont c -> bool_of (c.hcont_promoted || not c.hcont_one_shot)
         | v -> Values.type_error "%continuation-promoted?" "continuation" v);
     (* -- data-parallel defaults ----------------------------------------- *)

@@ -86,12 +86,21 @@ let do_return (vm : t) =
       | None -> ())
   | v -> Values.err "heapvm: corrupt frame: bad return slot" [ v ]
 
+(* Promote every one-shot continuation a [call/cc] capture reaches.  A
+   promoted continuation can be re-entered, so its frame becomes
+   copy-on-write, as [Sp_callcc] makes its own parent: otherwise the
+   code running after the first re-entry overwrites the slots a later
+   one resumes in. *)
+let promote_guard h =
+  h.hcont_promoted <- true;
+  match h.hcont_frame with Some f -> f.hshared <- true | None -> ()
+
 let promote_guards_from frame_opt extra =
-  List.iter (fun h -> h.hcont_promoted <- true) extra;
+  List.iter promote_guard extra;
   let rec walk = function
     | None -> ()
     | Some f ->
-        List.iter (fun h -> h.hcont_promoted <- true) f.hguards;
+        List.iter promote_guard f.hguards;
         walk f.hparent
   in
   walk frame_opt

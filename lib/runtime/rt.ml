@@ -34,7 +34,13 @@ type value =
   | Vec of value array
   | Closure of closure
   | Prim of prim
-  | Cont of cont                         (* Scheme-level continuation *)
+  | Cont of {                            (* Scheme-level continuation,
+                                            inline: one block per capture *)
+      sr : stack_record;
+      one_shot : bool;                   (* which operator captured it *)
+      k_winders : winder list;           (* winder chain at capture time;
+                                            invocation winds/unwinds to it *)
+    }
   | Hcont of hcont                       (* heap-VM continuation *)
   | Ofun of ofun                         (* oracle-interpreter procedure:
                                             CPS over OCaml closures *)
@@ -269,7 +275,7 @@ and special =
    [w_before] / [w_after] are the guard thunks.  The chain is a stack —
    the head is the innermost extent — and shares structure exactly as the
    Scheme-level [%winders] list it replaces, so a captured continuation
-   records the chain by keeping one pointer ([cont.k_winders]) and the
+   records the chain by keeping one pointer ([Cont]'s [k_winders]) and the
    rewind/unwind comparison is physical equality. *)
 and winder = { w_before : value; w_after : value }
 
@@ -282,22 +288,21 @@ and winder = { w_before : value; w_after : value }
      shot        <=>  current = size = -1
    [promoted] is the shared boxed flag of Section 3.3: when set, every
    one-shot record sharing it reads as promoted (multi-shot) without the
-   eager chain walk. *)
+   eager chain walk.  Flags are allocated lazily ({!Control}): a lone
+   one-shot record holds one process-wide flag that is never written, a
+   flag is allocated only when a second live one-shot record joins the
+   group, and multi-shot records and promoted groups of one hold a
+   process-wide [ref true].  So a capture allocates no flag of its own.
+   [link] is the record below; the bottom record links to the sentinel
+   [Control.no_link] instead of holding an option. *)
 and stack_record = {
   mutable seg : value array;
   mutable base : int;
   mutable size : int;
   mutable current : int;
-  mutable link : stack_record option;
+  mutable link : stack_record;
   mutable ret : value;                   (* Retaddr of the topmost saved frame *)
   mutable promoted : bool ref;
-}
-
-and cont = {
-  sr : stack_record;
-  one_shot : bool;                       (* which operator captured it *)
-  k_winders : winder list;               (* winder chain at capture time;
-                                            invocation winds/unwinds to it *)
 }
 
 (* Heap-model frames (the Appel/MacQueen-style baseline VM): each frame is

@@ -84,7 +84,7 @@ let eq a b =
   | Vec x, Vec y -> x == y
   | Closure x, Closure y -> x == y
   | Prim x, Prim y -> x == y
-  | Cont x, Cont y -> x == y
+  | Cont _, Cont _ -> a == b (* one block per capture *)
   | Hcont x, Hcont y -> x == y
   | Ofun x, Ofun y -> x == y
   | Box x, Box y -> x == y
@@ -184,8 +184,8 @@ and render_v ~seen ~budget ~write buf v =
   | Closure c -> str (Printf.sprintf "#<procedure %s>" c.code.cname)
   | Prim p -> str (Printf.sprintf "#<procedure %s>" p.pname)
   | Ofun f -> str (Printf.sprintf "#<procedure %s>" f.oname)
-  | Cont c ->
-      str (if c.one_shot then "#<one-shot-continuation>" else "#<continuation>")
+  | Cont { one_shot; _ } ->
+      str (if one_shot then "#<one-shot-continuation>" else "#<continuation>")
   | Hcont c ->
       str
         (if c.hcont_one_shot then "#<one-shot-continuation>"

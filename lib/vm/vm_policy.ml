@@ -50,16 +50,17 @@ let do_return (vm : t) =
       vm.code <- r.rcode;
       vm.pc <- r.rpc;
       ensure_resumed_frame_room vm
-  | Underflow_mark -> (
+  | Underflow_mark ->
       (* Paper Section 3.2: returning through the bottom frame of a
          segment implicitly invokes the record linked below — consuming
          it if it is one-shot. *)
-      match Control.underflow m with
-      | Some r ->
-          vm.code <- r.rcode;
-          vm.pc <- r.rpc;
-          ensure_resumed_frame_room vm
-      | None -> vm.halted <- true)
+      if Control.at_bottom m then vm.halted <- true
+      else begin
+        let r = Control.underflow m in
+        vm.code <- r.rcode;
+        vm.pc <- r.rpc;
+        ensure_resumed_frame_room vm
+      end
   | v -> Values.err "vm: corrupt frame: bad return slot" [ v ]
 
 (* ------------------------------------------------------------------ *)
@@ -98,10 +99,11 @@ let rec apply (vm : t) f nfp nargs =
       if stats.Stats.enabled then
         stats.Stats.prim_calls <- stats.Stats.prim_calls + 1;
       special vm sp nargs
-  | Cont c -> invoke_continuation vm c nfp nargs
+  | Cont { sr; k_winders; _ } -> invoke_continuation vm f sr k_winders nfp nargs
   | v -> Values.err "application of non-procedure" [ v ]
 
-and invoke_continuation vm c nfp nargs =
+(* [k] is the [Cont] value itself, [sr] and [k_winders] its fields. *)
+and invoke_continuation vm k sr k_winders nfp nargs =
   let m = vm.pol in
   let seg = m.Control.sr.seg in
   let v =
@@ -114,12 +116,12 @@ and invoke_continuation vm c nfp nargs =
      chain (physical equality) — reinstate directly.  Under the
      [--scheme-winders] prelude both chains stay [[]], so this is
      exactly the historical behavior. *)
-  if c.k_winders == vm.winders then reinstate_cont vm c v
-  else start_wind vm c v
+  if k_winders == vm.winders then reinstate_cont vm sr v
+  else start_wind vm k k_winders v
 
-and reinstate_cont vm c v =
+and reinstate_cont vm sr v =
   let m = vm.pol in
-  let r = Control.reinstate m c.sr in
+  let r = Control.reinstate m sr in
   vm.code <- r.rcode;
   vm.pc <- r.rpc;
   ensure_resumed_frame_room vm;
@@ -132,7 +134,7 @@ and reinstate_cont vm c v =
    whose single instruction tail-calls back into [Sp_wind].  Capturing
    inside a guard therefore snapshots ordinary frames and the protocol
    survives re-entry. *)
-and start_wind vm c v =
+and start_wind vm k k_winders v =
   let m = vm.pol in
   let fw = vm.code.frame_words in
   Control.ensure_room m ~live_top:(m.Control.fp + fw) ~need:(fw + 12);
@@ -141,9 +143,9 @@ and start_wind vm c v =
   let dfp = fp + fw in
   seg.(dfp) <- Retaddr { rcode = vm.code; rpc = vm.pc; rdisp = fw };
   seg.(dfp + 1) <- Prim Prims.wind_prim;
-  seg.(dfp + 2) <- Cont c;
+  seg.(dfp + 2) <- k;
   seg.(dfp + 3) <- v;
-  seg.(dfp + 4) <- WindersV c.k_winders;
+  seg.(dfp + 4) <- WindersV k_winders;
   seg.(dfp + 5) <- Bool false;
   m.Control.fp <- dfp;
   wind_step vm
@@ -172,7 +174,7 @@ and wind_step vm =
       (* Done: reinstate.  A shot one-shot record raises here, after the
          winds have run — the same point the Scheme wrapper checks. *)
       match seg.(fp + 2) with
-      | Cont c -> reinstate_cont vm c seg.(fp + 3)
+      | Cont { sr; _ } -> reinstate_cont vm sr seg.(fp + 3)
       | v -> Values.err "vm: corrupt wind frame" [ v ])
   | plan ->
       let thunk =

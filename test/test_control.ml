@@ -29,6 +29,37 @@ let machine_with_frames ?(config = small_config) ?stats n fsize =
 
 let suite =
   [
+    case "config bounds are reported, not asserted" (fun () ->
+        let bad =
+          [
+            ( { small_config with Control.seg_words = 10 },
+              ("seg_words", 64, 10) );
+            ( { small_config with Control.copy_bound = 8 },
+              ("copy_bound", 16, 8) );
+            ( { small_config with
+                Control.oneshot_seal = Control.Seal_displacement 0 },
+              ("seal_displacement", 1, 0) );
+          ]
+        in
+        List.iter
+          (fun (cfg, ((field, _, _) as expected)) ->
+            Alcotest.(check (option (triple string int int)))
+              field (Some expected) (Control.validate cfg);
+            match Control.create cfg with
+            | _ -> Alcotest.failf "%s: create accepted the config" field
+            | exception Invalid_argument _ -> ())
+          bad;
+        Alcotest.(check (option (triple string int int)))
+          "default" None (Control.validate Control.default_config);
+        Alcotest.(check (option (triple string int int)))
+          "at the minimum" None
+          (Control.validate
+             {
+               Control.default_config with
+               Control.seg_words = 64;
+               copy_bound = 16;
+               oneshot_seal = Control.Seal_displacement 1;
+             }));
     case "fresh machine has one segment, one frame" (fun () ->
         let m = Control.create small_config in
         Control.init_frame m (retaddr ~disp:0);
@@ -85,12 +116,13 @@ let suite =
         (* the abandoned fresh segment went back to the cache *)
         Alcotest.(check bool) "recycled" true
           (Array.exists
-             (List.exists (fun s -> s == fresh_seg))
+             (Array.exists (fun s -> s == fresh_seg))
              m.Control.cache);
         (* the shot record is fully detached: it pins neither its adopted
            segment nor the chain below it *)
         Alcotest.(check int) "segment dropped" 0 (Array.length k.Rt.seg);
-        Alcotest.(check bool) "chain dropped" true (k.Rt.link = None));
+        Alcotest.(check bool) "chain dropped" true
+          (k.Rt.link == Control.no_link));
     case "reinstating a shot record raises" (fun () ->
         let m = machine_with_frames 5 8 in
         let k = Control.capture_oneshot m in
@@ -162,6 +194,79 @@ let suite =
         Alcotest.(check bool) "k2 promoted" true (Control.is_multi k2);
         (* one store promoted the group *)
         Alcotest.(check int) "single promotion event" 1 stats.Stats.promotions);
+    case "a lone one-shot record holds the shared unwritten flag" (fun () ->
+        let stats = Stats.create () in
+        let m = machine_with_frames ~stats 3 8 in
+        let k1 = Control.capture_oneshot m in
+        Alcotest.(check bool) "lone" true (k1.Rt.promoted == Control.lone_flag);
+        let fp = m.Control.fp in
+        m.Control.sr.Rt.seg.(fp + 6) <- retaddr ~disp:6;
+        m.Control.fp <- fp + 6;
+        let k2 = Control.capture_multi m in
+        (* promoting a group of one swaps in the shared set flag *)
+        Alcotest.(check bool) "k1 promoted" true (Control.is_multi k1);
+        Alcotest.(check bool) "swapped" true
+          (k1.Rt.promoted == Control.promoted_flag);
+        Alcotest.(check bool) "multi-shot shares it" true
+          (k2.Rt.promoted == Control.promoted_flag);
+        Alcotest.(check bool) "lone flag unwritten" false !Control.lone_flag;
+        Alcotest.(check int) "one promotion" 1 stats.Stats.promotions;
+        (* reinstating a one-shot record stores the lone flag back *)
+        let m = machine_with_frames 3 8 in
+        let k = Control.capture_oneshot m in
+        ignore (Control.reinstate m k);
+        Alcotest.(check bool) "active record lone" true
+          (m.Control.sr.Rt.promoted == Control.lone_flag));
+    case "a group that forms later shares one flag" (fun () ->
+        let stats = Stats.create () in
+        let m = machine_with_frames ~stats 3 8 in
+        let push () =
+          let fp = m.Control.fp in
+          m.Control.sr.Rt.seg.(fp + 6) <- retaddr ~disp:6;
+          m.Control.fp <- fp + 6
+        in
+        let k1 = Control.capture_oneshot m in
+        push ();
+        let k2 = Control.capture_oneshot m in
+        push ();
+        let k3 = Control.capture_oneshot m in
+        Alcotest.(check bool) "allocated when the group formed" true
+          (k1.Rt.promoted != Control.lone_flag);
+        Alcotest.(check bool) "k1 and k2 share" true
+          (k1.Rt.promoted == k2.Rt.promoted);
+        Alcotest.(check bool) "k3 joins" true (k3.Rt.promoted == k1.Rt.promoted);
+        push ();
+        ignore (Control.capture_multi m);
+        List.iter
+          (fun k -> Alcotest.(check bool) "promoted" true (Control.is_multi k))
+          [ k1; k2; k3 ];
+        Alcotest.(check int) "single promotion event" 1 stats.Stats.promotions;
+        Alcotest.(check bool) "shared flags unwritten" true
+          ((not !Control.lone_flag) && !Control.promoted_flag));
+    case "eager promotion allocates no flag" (fun () ->
+        let config = { small_config with Control.promotion = Control.Eager } in
+        let m = machine_with_frames ~config 3 8 in
+        let k1 = Control.capture_oneshot m in
+        let fp = m.Control.fp in
+        m.Control.sr.Rt.seg.(fp + 6) <- retaddr ~disp:6;
+        m.Control.fp <- fp + 6;
+        let k2 = Control.capture_oneshot m in
+        List.iter
+          (fun k ->
+            Alcotest.(check bool) "lone" true
+              (k.Rt.promoted == Control.lone_flag))
+          [ k1; k2 ];
+        let fp = m.Control.fp in
+        m.Control.sr.Rt.seg.(fp + 6) <- retaddr ~disp:6;
+        m.Control.fp <- fp + 6;
+        ignore (Control.capture_multi m);
+        (* promoted by size, flags untouched *)
+        List.iter
+          (fun k ->
+            Alcotest.(check bool) "promoted" true (Control.is_multi k);
+            Alcotest.(check bool) "still lone" true
+              (k.Rt.promoted == Control.lone_flag))
+          [ k1; k2 ]);
     case "seal displacement keeps the same segment" (fun () ->
         let config =
           { small_config with Control.oneshot_seal = Control.Seal_displacement 16 }
@@ -207,14 +312,14 @@ let suite =
         Control.ensure_room m ~live_top:(m.Control.fp + 4) ~need:200;
         (* walk fp back to the new segment's bottom, then underflow *)
         m.Control.fp <- m.Control.sr.Rt.base;
-        (match Control.underflow m with
-        | Some r -> Alcotest.(check int) "resume disp" 8 r.Rt.rdisp
-        | None -> Alcotest.fail "expected a resume point");
+        Alcotest.(check bool) "a record below" false (Control.at_bottom m);
+        let r = Control.underflow m in
+        Alcotest.(check int) "resume disp" 8 r.Rt.rdisp;
         Alcotest.(check int) "underflows" 1 stats.Stats.underflows);
     case "underflow off the bottom reports halt" (fun () ->
         let m = Control.create small_config in
         Control.init_frame m (retaddr ~disp:0);
-        Alcotest.(check bool) "halt" true (Control.underflow m = None));
+        Alcotest.(check bool) "halt" true (Control.at_bottom m));
     case "segment cache caps retained segments" (fun () ->
         let config = { small_config with Control.cache_max = 2 } in
         let m = Control.create config in
@@ -367,6 +472,77 @@ let suite =
         Alcotest.(check bool) "took the huge one" true (got == huge);
         let got' = Control.alloc_segment m (9 * 256) in
         Alcotest.(check bool) "big one still cached" true (got' == big));
+    case "the mixed top bucket keeps release order around a taken slot"
+      (fun () ->
+        let m = Control.create small_config in
+        Control.clear_cache m;
+        let a = Control.alloc_segment m (9 * 256) in
+        let b = Control.alloc_segment m (16 * 256) in
+        let c = Control.alloc_segment m (10 * 256) in
+        List.iter (Control.release_segment m) [ a; b; c ];
+        (* first-fit from the most recent release: [c] is too small for
+           12 segments, so [b] is taken from the middle of the bucket *)
+        Alcotest.(check bool) "took b" true
+          (Control.alloc_segment m (12 * 256) == b);
+        (* the two left keep their order: the latest release first *)
+        Alcotest.(check bool) "then c" true
+          (Control.alloc_segment m (9 * 256) == c);
+        Alcotest.(check bool) "then a" true
+          (Control.alloc_segment m (9 * 256) == a));
+    case "a class grows past its initial slots up to cache_max" (fun () ->
+        let config = { small_config with Control.cache_max = 6 } in
+        let m = Control.create config in
+        Control.clear_cache m;
+        let segs = List.init 10 (fun _ -> Control.alloc_segment m 256) in
+        List.iter (Control.release_segment m) segs;
+        Alcotest.(check int) "bounded" 6 m.Control.cache_len;
+        Alcotest.(check int) "one class" 6 m.Control.cache_top.(0);
+        Alcotest.(check bool) "no more slots than cache_max" true
+          (Array.length m.Control.cache.(0) <= 6);
+        (* the six kept are popped back, latest first *)
+        let kept = List.filteri (fun i _ -> i < 6) segs in
+        List.iter
+          (fun s ->
+            Alcotest.(check bool) "popped in order" true
+              (Control.alloc_segment m 256 == s))
+          (List.rev kept));
+    case "a pop leaves no slot pinning its segment" (fun () ->
+        let m = Control.create small_config in
+        Control.clear_cache m;
+        let a = Control.alloc_segment m 256 in
+        let b = Control.alloc_segment m 256 in
+        let big = Control.alloc_segment m (9 * 256) in
+        List.iter (Control.release_segment m) [ a; b; big ];
+        let got =
+          [ Control.alloc_segment m 256; Control.alloc_segment m (9 * 256) ]
+        in
+        let cached s =
+          Array.exists (Array.exists (fun x -> x == s)) m.Control.cache
+        in
+        List.iter
+          (fun s -> Alcotest.(check bool) "not in the cache" false (cached s))
+          got;
+        Alcotest.(check bool) "a still cached" true (cached a);
+        Alcotest.(check int) "one left" 1 m.Control.cache_len);
+    case "clear_cache drops every slot" (fun () ->
+        let m = Control.create small_config in
+        let segs =
+          List.map (Control.alloc_segment m) [ 256; 256; 512; 9 * 256 ]
+        in
+        List.iter (Control.release_segment m) segs;
+        Control.clear_cache m;
+        Alcotest.(check int) "empty" 0 m.Control.cache_len;
+        Alcotest.(check int) "no words" 0 m.Control.cache_words;
+        Alcotest.(check bool) "no slot holds a segment" true
+          (Array.for_all
+             (Array.for_all (fun s -> Array.length s = 0))
+             m.Control.cache);
+        Alcotest.(check bool) "no count" true
+          (Array.for_all (fun n -> n = 0) m.Control.cache_top);
+        (* and the cache still works *)
+        Control.release_segment m (List.hd segs);
+        Alcotest.(check bool) "reused" true
+          (Control.alloc_segment m 256 == List.hd segs));
     (* ---- unseal fast path ---- *)
     case "invoking the adjacent seal reopens it in place" (fun () ->
         let stats = Stats.create () in
@@ -383,12 +559,24 @@ let suite =
         Alcotest.(check int) "fp at top frame" 16 m.Control.fp;
         Alcotest.(check int) "base reopened" 16 m.Control.sr.Rt.base;
         (* the rest of the content stays sealed below, zero copy *)
-        (match m.Control.sr.Rt.link with
-        | Some krest ->
-            Alcotest.(check bool) "rest still in segment" true
-              (krest.Rt.seg == seg);
-            Alcotest.(check int) "rest sealed" 16 krest.Rt.current
-        | None -> Alcotest.fail "expected a sealed remainder"));
+        let krest = m.Control.sr.Rt.link in
+        Alcotest.(check bool) "a sealed remainder" true
+          (krest != Control.no_link);
+        Alcotest.(check bool) "rest still in segment" true
+          (krest.Rt.seg == seg);
+        Alcotest.(check int) "rest sealed" 16 krest.Rt.current);
+    case "a record unsealed in place returns through the underflow mark"
+      (fun () ->
+        let m = machine_with_frames 3 8 in
+        let k = Control.capture_multi m in
+        ignore (Control.reinstate m k);
+        (* [k] now holds only the copied top frame; its remainder is the
+           record below, so its own bottom slot must underflow there *)
+        Alcotest.(check int) "one frame" 8 k.Rt.current;
+        Alcotest.(check bool) "slot 0 is the underflow mark" true
+          (k.Rt.seg.(k.Rt.base) = Rt.Underflow_mark);
+        Alcotest.(check bool) "remainder holds the return" true
+          (match k.Rt.link.Rt.ret with Rt.Retaddr _ -> true | _ -> false));
     case "re-invoking an unsealed record rebuilds the same state" (fun () ->
         let stats = Stats.create () in
         let m = machine_with_frames ~stats 3 8 in
@@ -411,9 +599,8 @@ let suite =
         let m = machine_with_frames ~stats 3 8 in
         ignore (Control.capture_multi m);
         (* return through the seal: fp is already at the empty base *)
-        (match Control.underflow m with
-        | Some r -> Alcotest.(check int) "resume disp" 8 r.Rt.rdisp
-        | None -> Alcotest.fail "expected a resume point");
+        let r = Control.underflow m in
+        Alcotest.(check int) "resume disp" 8 r.Rt.rdisp;
         Alcotest.(check int) "no unseal" 0 stats.Stats.unseals;
         Alcotest.(check int) "bulk copy" 24 stats.Stats.words_copied);
     (* ---- backtrace across a shot record ---- *)

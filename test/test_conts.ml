@@ -359,3 +359,53 @@ let edge_cases =
     configs
 
 let suite = suite @ edge_cases
+
+(* Two wrong-answer bugs in re-entered control, pinned on all four
+   backends.  The first re-enters, from a later top-level form and by
+   copying, a record whose top frame an in-place unseal had copied
+   aside: the copy's return slot must be the underflow mark, not the
+   return address the remainder record holds.  The second re-enters a one-shot continuation that a nested
+   call/cc promoted: on the heap backend the promoted continuation's
+   frame must become copy-on-write. *)
+let reentry_cases =
+  let backends =
+    [
+      ("stack", Scheme.Stack Control.default_config);
+      ("closure", Scheme.Closure Control.default_config);
+      ("heap", Scheme.Heap);
+      ("oracle", Scheme.Oracle);
+    ]
+  in
+  let programs =
+    [
+      ( "re-entry after an in-place unseal",
+        {|(define (deep n th) (if (= n 0) (th) (+ 0 (deep (- n 1) th))))
+          (define k #f)
+          (define n 0)
+          (define v (deep 1 (lambda () (call/cc (lambda (c) (set! k c)
+                                     (call/cc (lambda (j) (j 1))))))))
+          (set! n (+ n 1))
+          (if (< n 2) (k 2))
+          v|},
+        "2" );
+      ( "re-entry of a promoted one-shot continuation",
+        {|(let ((k #f) (n 0))
+            (let ((r (+ -6 (call/1cc (lambda (c) (set! k c)
+                       (let ((d (call/cc (lambda (d) d))))
+                         (if (procedure? d) (d 5) d)))))))
+              (set! n (+ n 1)) (if (< n 3) (k n) r)))|},
+        "-4" );
+    ]
+  in
+  List.concat_map
+    (fun (pname, src, expected) ->
+      List.map
+        (fun (bname, backend) ->
+          case (Printf.sprintf "%s [%s]" pname bname) (fun () ->
+              let s = Scheme.create ~backend () in
+              Alcotest.(check string) src expected
+                (Scheme.eval_string ~fuel:Tutil.default_fuel s src)))
+        backends)
+    programs
+
+let suite = suite @ reentry_cases
