@@ -646,7 +646,7 @@ let a5 ~full () =
              (define (measure)
                (nest %d (lambda () (%%call/cc (lambda (m) 0)))))|}
            chain);
-      let _, ms, _ =
+      let _, ms, med =
         time_ms
           ~reset:(fun () -> Stats.reset stats)
           (fun () -> run s "(measure)")
@@ -655,10 +655,9 @@ let a5 ~full () =
         stats.Stats.promotions;
       record
         ("a5." ^ name)
-        [
-          ("ms", J_float ms);
-          ("promotions", J_int stats.Stats.promotions);
-        ])
+        ([ ("ms", J_float ms) ]
+        @ (if !iters > 1 then [ ("ms_median", J_float med) ] else [])
+        @ [ ("promotions", J_int stats.Stats.promotions) ]))
     [ ("eager", Control.Eager); ("shared-flag", Control.Shared_flag) ]
 
 let a6 ~full () =

@@ -154,12 +154,12 @@ and emit arr instrs (code : code) pc : step =
   | Local_set i ->
       let k = arr.(pc + 1) in
       fun vm slots fp limit budget acc steps ->
-        slots.(fp + i) <- acc;
+        set_slot slots (fp + i) acc;
         k vm slots fp limit budget acc (steps + 1)
   | Box_init i ->
       let k = arr.(pc + 1) in
       fun vm slots fp limit budget acc steps ->
-        slots.(fp + i) <- Box (ref slots.(fp + i));
+        set_slot slots (fp + i) (Box (ref slots.(fp + i)));
         let stats = vm.stats in
         if stats.Stats.enabled then
           stats.Stats.boxes_made <- stats.Stats.boxes_made + 1;
@@ -298,8 +298,8 @@ and emit arr instrs (code : code) pc : step =
                    fuse into one transfer (arity was checked at cache
                    fill), and the batch carries into the callee — no
                    flush, exactly the engine's in-landing transfer. *)
-                slots.(nfp) <- site.cs_ret;
-                vm.code <- ccode;
+                set_slot slots nfp site.cs_ret;
+                set_code vm ccode;
                 vm.nargs <- cs_nargs;
                 vm.pol.Control.fp <- nfp;
                 let stats = vm.stats in
@@ -335,8 +335,8 @@ and emit arr instrs (code : code) pc : step =
                 (* Same-segment call, generic: write the interned return
                    address, flush, and jump into the callee's template.
                    [vm.pc] stays stale, exactly as in the engine loop. *)
-                slots.(nfp) <- site.cs_ret;
-                vm.code <- c.code;
+                set_slot slots nfp site.cs_ret;
+                set_code vm c.code;
                 vm.nargs <- cs_nargs;
                 vm.pol.Control.fp <- nfp;
                 let stats = vm.stats in
@@ -396,9 +396,9 @@ and emit arr instrs (code : code) pc : step =
           | Closure c ->
               let ccode, centry, cfw = !cache in
               if c.code == ccode then begin
-                slots.(fp + 1) <- f;
+                set_slot slots (fp + 1) f;
                 blit_args slots (src + 2) (fp + 2) nargs;
-                vm.code <- ccode;
+                set_code vm ccode;
                 vm.nargs <- nargs;
                 let stats = vm.stats in
                 if stats.Stats.enabled then
@@ -425,9 +425,9 @@ and emit arr instrs (code : code) pc : step =
                 end
               end
               else begin
-                slots.(fp + 1) <- f;
+                set_slot slots (fp + 1) f;
                 blit_args slots (src + 2) (fp + 2) nargs;
-                vm.code <- c.code;
+                set_code vm c.code;
                 vm.nargs <- nargs;
                 let stats = vm.stats in
                 if stats.Stats.enabled then begin
@@ -463,7 +463,7 @@ and emit arr instrs (code : code) pc : step =
                  continuation, no flush — the engine's in-landing
                  transfer. *)
               let nfp = fp - r.rdisp in
-              vm.code <- r.rcode;
+              set_code vm r.rcode;
               vm.pol.Control.fp <- nfp;
               let rarr =
                 match r.rcode.templ with
@@ -544,7 +544,7 @@ and emit arr instrs (code : code) pc : step =
       fun vm slots fp limit budget acc steps ->
         match slots.(fp + 1) with
         | Closure c ->
-            slots.(fp + j) <- c.frees.(i);
+            set_slot slots (fp + j) c.frees.(i);
             k vm slots fp limit budget acc (steps + 1)
         | v ->
             sync vm (steps + 1) (pc + 1) acc;
@@ -554,7 +554,7 @@ and emit arr instrs (code : code) pc : step =
       fun vm slots fp limit budget acc steps ->
         let g = Globals.get vm.globals s in
         if g.gdefined then begin
-          slots.(fp + i) <- g.gval;
+          set_slot slots (fp + i) g.gval;
           k vm slots fp limit budget acc (steps + 1)
         end
         else begin
@@ -657,7 +657,7 @@ and emit arr instrs (code : code) pc : step =
             | exception e -> reraise vm (steps + 1) (pc + 2) acc e
           end
           else begin
-            slots.(fp + argd) <- x;
+            set_slot slots (fp + argd) x;
             deopt vm (steps + 1) (pc + 2) acc Vm_policy.prim_deopt_tail_call
               site
           end
@@ -678,8 +678,8 @@ and emit arr instrs (code : code) pc : step =
             | exception e -> reraise vm (steps + 1) next acc e
           end
           else begin
-            slots.(fp + argd) <- x;
-            slots.(fp + argd + 1) <- y;
+            set_slot slots (fp + argd) x;
+            set_slot slots (fp + argd + 1) y;
             deopt vm (steps + 1) next acc Vm_policy.prim_deopt_tail_call
               site
           end
@@ -704,14 +704,14 @@ and emit_push arr instrs pc src1 d1 : step =
   | _ ->
       let k = arr.(pc + 1) in
       fun vm slots fp limit budget acc steps ->
-        slots.(fp + d1) <- load_op slots fp acc src1;
+        set_slot slots (fp + d1) (load_op slots fp acc src1);
         k vm slots fp limit budget acc (steps + 1)
 
 and emit_push2 arr pc src1 d1 src2 d2 : step =
   let k = arr.(pc + 2) in
   fun vm slots fp limit budget acc steps ->
-    slots.(fp + d1) <- load_op slots fp acc src1;
-    slots.(fp + d2) <- load_op slots fp acc src2;
+    set_slot slots (fp + d1) (load_op slots fp acc src1);
+    set_slot slots (fp + d2) (load_op slots fp acc src2);
     k vm slots fp limit budget acc (steps + 2)
 
 (* The fixed-arity call and branch emitters.  [next] is the pc past the
@@ -737,13 +737,13 @@ and emit_call1 arr instrs pc site a next : step =
         prim_fast_stats vm;
         match site.ps_fn1 x with
         | v when set >= 0 ->
-            slots.(fp + set) <- v;
+            set_slot slots (fp + set) v;
             k vm slots fp limit budget v (steps + 2)
         | v -> k vm slots fp limit budget v (steps + 1)
         | exception e -> reraise vm (steps + 1) next acc e
       end
       else begin
-        slots.(fp + argd) <- x;
+        set_slot slots (fp + argd) x;
         deopt vm (steps + 1) next acc Vm_policy.prim_deopt_call site
       end
 
@@ -763,14 +763,14 @@ and emit_call2 arr instrs pc site a b next : step =
         prim_fast_stats vm;
         match site.ps_fn2 x y with
         | v when set >= 0 ->
-            slots.(fp + set) <- v;
+            set_slot slots (fp + set) v;
             k vm slots fp limit budget v (steps + 2)
         | v -> k vm slots fp limit budget v (steps + 1)
         | exception e -> reraise vm (steps + 1) next acc e
       end
       else begin
-        slots.(fp + argd) <- x;
-        slots.(fp + argd + 1) <- y;
+        set_slot slots (fp + argd) x;
+        set_slot slots (fp + argd + 1) y;
         deopt vm (steps + 1) next acc Vm_policy.prim_deopt_call site
       end
 
@@ -794,7 +794,7 @@ and emit_branch1 arr pc site a t next : step =
         | exception e -> reraise vm (steps + 1) next acc e
       end
       else begin
-        slots.(fp + argd) <- x;
+        set_slot slots (fp + argd) x;
         deopt vm (steps + 1) next acc Vm_policy.prim_deopt_call site
       end
 
@@ -816,8 +816,8 @@ and emit_branch2 arr pc site a b t next : step =
         | exception e -> reraise vm (steps + 1) next acc e
       end
       else begin
-        slots.(fp + argd) <- x;
-        slots.(fp + argd + 1) <- y;
+        set_slot slots (fp + argd) x;
+        set_slot slots (fp + argd + 1) y;
         deopt vm (steps + 1) next acc Vm_policy.prim_deopt_call site
       end
 
@@ -837,7 +837,7 @@ and do_return_fast (vm : t) slots fp limit budget acc steps next_pc =
   match slots.(fp) with
   | Retaddr r when fp - r.rdisp + r.rcode.frame_words <= limit ->
       let nfp = fp - r.rdisp in
-      vm.code <- r.rcode;
+      set_code vm r.rcode;
       vm.pol.Control.fp <- nfp;
       let rarr =
         match r.rcode.templ with
@@ -889,7 +889,7 @@ let rec run_loop (vm : t) =
 
 let run ?(fuel = -1) (vm : t) code =
   Vm_policy.init_run vm code;
-  vm.code <- code;
+  set_code vm code;
   vm.pc <- 0;
   vm.nargs <- 0;
   vm.acc <- Void;

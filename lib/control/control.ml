@@ -480,11 +480,15 @@ let capture_oneshot m =
         let k = sr in
         k.current <- occupied;
         k.ret <- ret;
-        k.promoted <- inherit_flag m k.link;
+        (* A capture loop re-inherits the flag [k] already holds: skip
+           the barriered store then, as {!Rt.set_slot} does. *)
+        let flag = inherit_flag m k.link in
+        if k.promoted != flag then k.promoted <- flag;
         let seg = alloc_segment m m.cfg.seg_words in
         m.sr <- fresh_record seg ~base:0 ~size:(Array.length seg) ~link:k;
         m.fp <- 0;
-        seg.(0) <- Underflow_mark;
+        (* A segment back from the cache usually still holds the mark. *)
+        set_slot seg 0 Underflow_mark;
         if m.cfg.debug then dbg "cap1cc -> r%d (seg=%d base=%d cur=%d)\n" (id_of m k) (Array.length k.seg) k.base k.current;
         k
   end
@@ -631,8 +635,8 @@ let reinstate_oneshot m k =
   sr.size <- k.size;
   sr.current <- 0;
   sr.link <- k.link;
-  sr.ret <- Void;
-  sr.promoted <- lone_flag;
+  if sr.ret != Void then sr.ret <- Void;
+  if sr.promoted != lone_flag then sr.promoted <- lone_flag;
   let r = retaddr_of k.ret in
   m.fp <- k.base + k.current - r.rdisp;
   (* Mark shot: both size fields set to -1 (paper Figure 4), and detach

@@ -94,7 +94,8 @@ let create ?stats pol =
      prims reach the running vm through {!Machine_hooks.current}. *)
   vm.hooks.Machine_hooks.set_timer <-
     (fun ticks handler ->
-      vm.timer_handler <- handler;
+      (* A scheduler re-arms with the same handler at every switch. *)
+      if vm.timer_handler != handler then vm.timer_handler <- handler;
       vm.timer <- (if ticks <= 0 then -1 else ticks));
   vm.hooks.Machine_hooks.get_timer <- (fun () -> max vm.timer 0);
   vm.hooks.Machine_hooks.par_switch <-
@@ -130,15 +131,27 @@ let prim_args vm slots base nargs =
   else Array.init nargs (fun i -> slots.(base + i))
 
 (* Move [n] argument slots within one slot array ([dst] strictly below
-   [src], so an ascending copy is safe).  Small counts dominate; avoid
-   the [caml_array_blit] call for them. *)
+   [src], so an ascending copy is safe), skipping the write barrier of
+   each slot that already holds its argument (a self tail call passing
+   a parameter through unchanged).  No [Array.blit]: on a major-heap
+   segment [caml_array_blit] pays [caml_modify] for every word, and
+   argument counts are small. *)
 let[@inline] blit_args slots src dst n =
-  if n = 1 then slots.(dst) <- slots.(src)
+  if n = 1 then set_slot slots dst slots.(src)
   else if n = 2 then begin
-    slots.(dst) <- slots.(src);
-    slots.(dst + 1) <- slots.(src + 1)
+    set_slot slots dst slots.(src);
+    set_slot slots (dst + 1) slots.(src + 1)
   end
-  else if n > 0 then Array.blit slots src slots dst n
+  else
+    for i = 0 to n - 1 do
+      set_slot slots (dst + i) slots.(src + i)
+    done
+
+(* Publish the running code object.  The machine record is long-lived
+   (major heap), so the store pays [caml_modify]; transfers between
+   frames of the same procedure (self calls, loops, returns into a
+   caller running the same code) leave it unchanged and skip it. *)
+let[@inline] set_code vm c = if vm.code != c then vm.code <- c
 
 (* Build [slots.(base) :: ... :: slots.(base + i) :: acc] without an
    intermediate array (multiple-values construction). *)

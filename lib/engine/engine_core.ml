@@ -98,7 +98,7 @@ let[@inline] load_op slots fp acc op =
 
 let[@inline] sync (vm : Policy.t) steps pc acc =
   vm.pc <- pc;
-  vm.acc <- acc;
+  if vm.acc != acc then vm.acc <- acc;
   let stats = vm.stats in
   if stats.Stats.enabled then
     stats.Stats.instrs <- stats.Stats.instrs + steps;
@@ -250,8 +250,8 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
              the call path.  [vm.pc] stays stale here — every
              observation point (error branches, slow-path transfers)
              syncs its own pc first. *)
-          slots.(nfp) <- site.cs_ret;
-          vm.code <- c.code;
+          set_slot slots nfp site.cs_ret;
+          set_code vm c.code;
           vm.nargs <- site.cs_nargs;
           Policy.set_fp vm nfp;
           let stats = vm.stats in
@@ -305,9 +305,9 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
       match f with
       | Closure c when Policy.fast ->
           (* Same-slot-array tail call: frame is reused in place. *)
-          slots.(fp + 1) <- f;
+          set_slot slots (fp + 1) f;
           blit_args slots (src + 2) (fp + 2) nargs;
-          vm.code <- c.code;
+          set_code vm c.code;
           vm.nargs <- nargs;
           let stats = vm.stats in
           if stats.Stats.enabled then begin
@@ -330,7 +330,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
              covered: skip the write-back/reload round trip.  The room
              test is exactly the resumed-frame-room re-check. *)
           let nfp = fp - r.rdisp in
-          vm.code <- r.rcode;
+          set_code vm r.rcode;
           Policy.set_fp vm nfp;
           let stats = vm.stats in
           if stats.Stats.enabled then
@@ -579,7 +579,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
       match (if Policy.fast then slots.(fp) else Void) with
       | Retaddr r when fp - r.rdisp + r.rcode.frame_words <= limit ->
           let nfp = fp - r.rdisp in
-          vm.code <- r.rcode;
+          set_code vm r.rcode;
           Policy.set_fp vm nfp;
           let stats = vm.stats in
           if stats.Stats.enabled then
@@ -607,7 +607,7 @@ and prim_return (vm : Policy.t) slots fp limit budget v steps next_pc =
   match (if Policy.fast then slots.(fp) else Void) with
   | Retaddr r when fp - r.rdisp + r.rcode.frame_words <= limit ->
       let nfp = fp - r.rdisp in
-      vm.code <- r.rcode;
+      set_code vm r.rcode;
       Policy.set_fp vm nfp;
       exec vm r.rcode.instrs slots nfp limit budget v steps r.rpc
   | _ ->
@@ -646,7 +646,7 @@ let rec run_loop (vm : Policy.t) =
 
 let run ?(fuel = -1) (vm : Policy.t) code =
   Policy.init_run vm code;
-  vm.code <- code;
+  set_code vm code;
   vm.pc <- 0;
   vm.nargs <- 0;
   vm.acc <- Void;

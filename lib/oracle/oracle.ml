@@ -300,13 +300,15 @@ let eval_top t (top : Ast.top) (k : value -> value) =
 
 let () = eval_top_fwd := eval_top
 
+(* Each top-level form runs in its own continuation, ending at that
+   form, as on the bytecode backends (one [run] per form) and in
+   [schemer]: a continuation captured in one form and invoked from a
+   later one re-enters the rest of its own form only, and evaluation
+   then goes on with the form after the invoking one. *)
 let eval_tops ?(fuel = -1) t tops =
   t.fuel <- fuel;
-  let rec go last = function
-    | [] -> last
-    | top :: rest -> eval_top t top (fun v -> go v rest)
-  in
-  Machine_hooks.with_hooks t.hooks (fun () -> go Void tops)
+  Machine_hooks.with_hooks t.hooks (fun () ->
+      List.fold_left (fun _ top -> eval_top t top Fun.id) Void tops)
 
 let eval ?fuel t src =
   eval_tops ?fuel t

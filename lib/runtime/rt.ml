@@ -334,6 +334,17 @@ and ofun = {
 
 type tmpl += No_template
 
+(* Store [v] at [a.(i)] unless the slot already holds it (physically).
+   A stack segment is longer than 256 words, so it lives in the major
+   heap and every plain store pays [caml_modify] (and [caml_darken] of
+   the old value while the major GC marks); rewriting the value a slot
+   already holds changes nothing for the program or the collector, so
+   the store is skipped.  The read is bounds-checked, which licences
+   the unchecked write.  Frame-slot writes on the hot paths go through
+   here (DESIGN section 19). *)
+let[@inline] set_slot (a : value array) i (v : value) =
+  if a.(i) != v then Array.unsafe_set a i v
+
 exception Scheme_error of string * value list
 (* Raised by (error who msg irritants...) and by runtime type errors. *)
 

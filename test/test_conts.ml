@@ -360,13 +360,15 @@ let edge_cases =
 
 let suite = suite @ edge_cases
 
-(* Two wrong-answer bugs in re-entered control, pinned on all four
+(* Three wrong-answer bugs in re-entered control, pinned on all four
    backends.  The first re-enters, from a later top-level form and by
    copying, a record whose top frame an in-place unseal had copied
    aside: the copy's return slot must be the underflow mark, not the
    return address the remainder record holds.  The second re-enters a one-shot continuation that a nested
    call/cc promoted: on the heap backend the promoted continuation's
-   frame must become copy-on-write. *)
+   frame must become copy-on-write.  The third re-enters an earlier
+   top-level form of the same string: the oracle once chained every
+   later form into that continuation and looped. *)
 let reentry_cases =
   let backends =
     [
@@ -395,6 +397,9 @@ let reentry_cases =
                          (if (procedure? d) (d 5) d)))))))
               (set! n (+ n 1)) (if (< n 3) (k n) r)))|},
         "-4" );
+      ( "re-entry of an earlier top-level form",
+        {|(define k #f) (define v (call/cc (lambda (c) (set! k c) 1))) (k 2) v|},
+        "2" );
     ]
   in
   List.concat_map

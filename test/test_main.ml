@@ -25,4 +25,5 @@ let () =
       ("lint", Test_lint.suite);
       ("fuzz", Test_fuzz.suite);
       ("disasm", Test_disasm.suite);
+      ("gc-stress", Test_gcstress.suite);
     ]
