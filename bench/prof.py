@@ -2,15 +2,19 @@
 """Flat native profile of one perfbench workload, by sampling the program counter.
 
     python3 bench/prof.py --workload oneshot --seed 1 --seconds 3
+    python3 bench/prof.py [--interval MS] [--top N] -- CMD ARGS...
     python3 bench/prof.py --self-test
 
-Run from the repository root.  The script builds `perfbench.exe` with
-dune, computes the workload's reference values (`perfbench.exe refs`),
-and starts
+Run from the repository root.  By default the script builds
+`perfbench.exe` with dune, computes the workload's reference values
+(`perfbench.exe refs`), and starts
 
     perfbench.exe run --workload W --seed N --seconds S
 
-with the references on its standard input.  Every --interval
+with the references on its standard input.  After `--` it instead
+starts CMD with ARGS as given (looked up on PATH, its standard output
+discarded), samples it until it exits, and fails if it exits non-zero;
+this profiles a single phase loop built as its own executable.  Every --interval
 milliseconds (2 by default) it attaches to the process with ptrace,
 reads the instruction pointer, and detaches.  Each address is mapped to
 the enclosing symbol of `nm -n`, relative to the executable's load base
@@ -23,7 +27,7 @@ hottest symbols and the share of samples in OCaml's write barrier,
 The samples cover the whole process, set-up and warm-up included.  It
 needs Linux on x86-64 and permission to ptrace a child process, which
 some sandboxes and CI runners deny; `--self-test` checks only the symbol
-lookup and runs no program.
+lookup and the argument split, and runs no program.
 """
 
 import argparse
@@ -32,6 +36,7 @@ import collections
 import ctypes
 import ctypes.util
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -146,7 +151,19 @@ def self_test():
     assert not is_pie(b"\x7fELF" + b"\0" * 12 + b"\x02\x00")
     counts = collections.Counter({"caml_modify": 3, "caml_darken": 1, "f": 4})
     assert barrier_share(counts) == 0.5
-    print("prof self-test: ok (%d lookups)" % (len(cases) + 1))
+    splits = [
+        ([], ([], [])),
+        (["--workload", "compile"], (["--workload", "compile"], [])),
+        (["--top", "5", "--", "./loop.exe", "--n", "3"],
+         (["--top", "5"], ["./loop.exe", "--n", "3"])),
+        (["--", "cmd", "--", "x"], ([], ["cmd", "--", "x"])),
+        (["--"], ([], [])),
+    ]
+    for argv, want in splits:
+        got = split_command(argv)
+        assert got == want, "%r: %r, expected %r" % (argv, got, want)
+    print("prof self-test: ok (%d lookups, %d splits)"
+          % (len(cases) + 1, len(splits)))
 
 
 def barrier_share(counts):
@@ -190,27 +207,26 @@ def build():
         fail("build failed")
 
 
-def profile(a):
+def split_command(argv):
+    """The script's own options and the command after the first `--`."""
+    if "--" not in argv:
+        return argv, []
+    i = argv.index("--")
+    return argv[:i], argv[i + 1:]
+
+
+def sample(a, proc, exe, what):
+    """Sample [proc], running [exe], until it exits; print the report."""
     if os.uname().machine != "x86_64":
         fail("sampling reads x86-64 registers; this is " + os.uname().machine)
     libc = ctypes.CDLL(ctypes.util.find_library("c"), use_errno=True)
     libc.ptrace.argtypes = [ctypes.c_long, ctypes.c_int, ctypes.c_void_p,
                             ctypes.c_void_p]
     libc.ptrace.restype = ctypes.c_long
-    build()
-    exe = os.path.realpath(EXE)
     with open(exe, "rb") as f:
         pie = is_pie(f.read(18))
     nm = subprocess.run(["nm", "-n", exe], capture_output=True, text=True,
                         check=True).stdout
-    sel = ["--workload", a.workload, "--seed", str(a.seed)]
-    refs = subprocess.run([exe, "refs"] + sel, capture_output=True, text=True,
-                          check=True).stdout
-    proc = subprocess.Popen([exe, "run"] + sel + ["--seconds", str(a.seconds)],
-                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                            stderr=subprocess.DEVNULL, text=True)
-    proc.stdin.write(refs)
-    proc.stdin.close()
     # Popen may return before the child has replaced its image: wait
     # until the executable shows in the child's mappings.
     for _ in range(1000):
@@ -231,17 +247,42 @@ def profile(a):
             break
         pcs.append(pc)
         time.sleep(a.interval / 1000.0)
-    out = proc.stdout.read()
-    if proc.wait() != 0 or '"correct": true' not in out:
-        fail("the measured run failed")
+    proc.wait()
     counts = collections.Counter(sym.lookup(pc) for pc in pcs)
     total = len(pcs)
-    print("%d samples, every %g ms, %s seed %d, %g s"
-          % (total, a.interval, a.workload, a.seed, a.seconds))
+    print("%d samples, every %g ms, %s" % (total, a.interval, what))
     for name, n in counts.most_common(a.top):
         print("%6.2f%% %6d  %s" % (100.0 * n / total, n, name))
     print("write barrier (caml_modify + caml_darken): %.1f%% of %d samples"
           % (100.0 * barrier_share(counts), total))
+
+
+def profile(a):
+    build()
+    exe = os.path.realpath(EXE)
+    sel = ["--workload", a.workload, "--seed", str(a.seed)]
+    refs = subprocess.run([exe, "refs"] + sel, capture_output=True, text=True,
+                          check=True).stdout
+    proc = subprocess.Popen([exe, "run"] + sel + ["--seconds", str(a.seconds)],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.DEVNULL, text=True)
+    proc.stdin.write(refs)
+    proc.stdin.close()
+    sample(a, proc, exe, "%s seed %d, %g s" % (a.workload, a.seed, a.seconds))
+    out = proc.stdout.read()
+    if proc.returncode != 0 or '"correct": true' not in out:
+        fail("the measured run failed")
+
+
+def profile_command(a, cmd):
+    path = shutil.which(cmd[0])
+    if path is None:
+        fail("command not found: " + cmd[0])
+    exe = os.path.realpath(path)
+    proc = subprocess.Popen([path] + cmd[1:], stdout=subprocess.DEVNULL)
+    sample(a, proc, exe, " ".join(cmd))
+    if proc.returncode != 0:
+        fail("the command exited with status %d" % proc.returncode)
 
 
 def main():
@@ -252,11 +293,14 @@ def main():
     ap.add_argument("--interval", type=float, default=2.0, help="milliseconds")
     ap.add_argument("--top", type=int, default=20)
     ap.add_argument("--self-test", action="store_true")
-    a = ap.parse_args()
+    own, cmd = split_command(sys.argv[1:])
+    a = ap.parse_args(own)
     if a.self_test:
         self_test()
+    elif cmd:
+        profile_command(a, cmd)
     elif not a.workload:
-        fail("--workload is required")
+        fail("--workload or a command after -- is required")
     else:
         profile(a)
 

@@ -5,14 +5,21 @@ exception Compile_error of string * Sexp.pos option
 let fail msg = raise (Compile_error (msg, None))
 
 (* ------------------------------------------------------------------ *)
-(* Analysis: unique bindings, capture/assignment flags, free lists     *)
+(* Analysis: one record per binding, assignment flags, free lists      *)
 (* ------------------------------------------------------------------ *)
 
+(* Where a binding lives in the frame being generated: its own frame's
+   slot, or an index into the running closure's free vector.  Set when
+   its owner's code is generated; a nested lambda that captures the
+   binding overrides it with its free index while its own code is
+   generated. *)
+type loc = Unallocated | Lslot of int | Lfree of int
+
 type binding = {
-  bid : int;
   bname : string;
+  depth : int; (* lambda nesting depth of the owner; 0 at top level *)
   mutable assigned : bool;
-  mutable captured : bool;
+  mutable loc : loc;
 }
 
 type aexp =
@@ -35,43 +42,41 @@ and alambda = {
   mutable afree : binding list; (* reverse capture order during analysis *)
 }
 
-let bid_counter = ref 0
+(* A lambda context: the lambda being analyzed ([None] at top level),
+   its nesting depth, and the enclosing context.  A binding is owned by
+   the context whose depth it records. *)
+type lctx = { lam : alambda option; ldepth : int; parent : lctx option }
 
-let new_binding name =
-  incr bid_counter;
-  { bid = !bid_counter; bname = name; assigned = false; captured = false }
+let top_ctx = { lam = None; ldepth = 0; parent = None }
 
-(* A lambda context tracks which bindings live in its own frame ([owned])
-   and accumulates its free-variable list. *)
-type lctx = {
-  lam : alambda option; (* [None] at top level *)
-  owned : (int, unit) Hashtbl.t;
-  parent : lctx option;
-}
+let new_binding depth name =
+  { bname = name; depth; assigned = false; loc = Unallocated }
 
-let new_lctx lam parent = { lam; owned = Hashtbl.create 8; parent }
-let own ctx b = Hashtbl.replace ctx.owned b.bid ()
-
-(* Resolve a reference to [b] from [ctx]: mark it captured and add it to
-   the free list of every lambda between the use and the owner. *)
+(* Resolve a reference to [b] from [ctx]: add it to the free list of
+   every lambda between the use and the owner.  A lambda that already
+   lists [b] was reached by an earlier use, which added [b] to every
+   lambda out to the owner. *)
 let rec note_use ctx b =
-  if not (Hashtbl.mem ctx.owned b.bid) then begin
-    b.captured <- true;
-    (match ctx.lam with
-    | Some lam ->
-        if not (List.exists (fun f -> f.bid = b.bid) lam.afree) then
-          lam.afree <- b :: lam.afree
-    | None -> fail ("unbound lexical variable: " ^ b.bname));
-    match ctx.parent with
-    | Some p -> note_use p b
-    | None -> fail ("unbound lexical variable: " ^ b.bname)
-  end
+  if ctx.ldepth <> b.depth then
+    match (ctx.lam, ctx.parent) with
+    | Some lam, Some p ->
+        if not (List.memq b lam.afree) then begin
+          lam.afree <- b :: lam.afree;
+          note_use p b
+        end
+    | _ -> fail ("unbound lexical variable: " ^ b.bname)
+
+(* The innermost binding of [x]: environments list a scope's bindings
+   before those of the scopes around it. *)
+let rec lookup x = function
+  | [] -> None
+  | b :: env -> if String.equal b.bname x then Some b else lookup x env
 
 let rec analyze env ctx (e : Ast.t) : aexp =
   match e with
   | Ast.Quote v -> AQuote v
   | Ast.Var x -> (
-      match List.assoc_opt x env with
+      match lookup x env with
       | Some b ->
           note_use ctx b;
           ALocal b
@@ -79,7 +84,7 @@ let rec analyze env ctx (e : Ast.t) : aexp =
   | Ast.If (t, c, a) -> AIf (analyze env ctx t, analyze env ctx c, analyze env ctx a)
   | Ast.Set (x, rhs) -> (
       let rhs = analyze env ctx rhs in
-      match List.assoc_opt x env with
+      match lookup x env with
       | Some b ->
           b.assigned <- true;
           note_use ctx b;
@@ -87,35 +92,26 @@ let rec analyze env ctx (e : Ast.t) : aexp =
       | None -> AGlobalSet (x, rhs))
   | Ast.Begin es -> ABegin (List.map (analyze env ctx) es)
   | Ast.App (Ast.Lambda l, args)
-    when l.rest = None && List.length l.params = List.length args ->
+    when Option.is_none l.rest && List.length l.params = List.length args ->
       (* Direct application: inline into the enclosing frame. *)
       let inits = List.map (analyze env ctx) args in
-      let bindings = List.map new_binding l.params in
-      List.iter (own ctx) bindings;
-      let env' = List.combine l.params bindings @ env in
-      let body = analyze env' ctx l.body in
+      let bindings = List.map (new_binding ctx.ldepth) l.params in
+      let body = analyze (bindings @ env) ctx l.body in
       ALet (List.combine bindings inits, body)
   | Ast.App (f, args) ->
       AApp (analyze env ctx f, List.map (analyze env ctx) args)
   | Ast.Lambda l -> analyze_lambda env ctx l
 
 and analyze_lambda env ctx (l : Ast.lambda) =
-  let params = List.map new_binding l.params in
-  let rest = Option.map new_binding l.rest in
+  let depth = ctx.ldepth + 1 in
+  let params = List.map (new_binding depth) l.params in
+  let rest = Option.map (new_binding depth) l.rest in
   let alam =
     { aparams = params; arest = rest; abody = AQuote Rt.Void; aname = l.lname;
       afree = [] }
   in
-  let ctx' = new_lctx (Some alam) (Some ctx) in
-  List.iter (own ctx') params;
-  Option.iter (own ctx') rest;
-  let env' =
-    List.combine l.params params
-    @ (match (l.rest, rest) with
-      | Some r, Some rb -> [ (r, rb) ]
-      | _ -> [])
-    @ env
-  in
+  let ctx' = { lam = Some alam; ldepth = depth; parent = Some ctx } in
+  let env' = params @ (match rest with Some rb -> rb :: env | None -> env) in
   alam.abody <- analyze env' ctx' l.body;
   alam.afree <- List.rev alam.afree;
   ALambda alam
@@ -124,43 +120,50 @@ and analyze_lambda env ctx (l : Ast.lambda) =
 (* Code generation                                                     *)
 (* ------------------------------------------------------------------ *)
 
-type loc = Lslot of int | Lfree of int
-
 (* Assignment conversion boxes EVERY assigned variable, not just captured
    ones: frame slots are restored wholesale when a multi-shot continuation
    is reinstated, so a [set!] into an unboxed slot would be undone by a
    later invocation.  (Chez makes the same choice for the same reason.) *)
 let boxed b = b.assigned
 
+(* The code objects of the forms being compiled share one growable
+   instruction buffer: a nested lambda's code is emitted after its
+   parent's current end and copied out when complete, and the parent
+   then resumes where the nested code began. *)
+type buffer = { mutable arr : Rt.instr array; mutable len : int }
+
 type emitter = {
-  mutable arr : Rt.instr array;
-  mutable len : int;
-  fmap : (int, loc) Hashtbl.t; (* binding id -> location in this frame *)
+  buf : buffer;
+  base : int; (* where this code object's pc 0 sits in [buf] *)
   mutable next_slot : int;
   mutable max_ext : int;
 }
 
-let new_emitter first_slot =
-  {
-    arr = Array.make 32 Rt.Return;
-    len = 0;
-    fmap = Hashtbl.create 16;
-    next_slot = first_slot;
-    max_ext = first_slot;
-  }
+let new_buffer () = { arr = Array.make 32 Rt.Return; len = 0 }
+
+let new_emitter buf first_slot =
+  { buf; base = buf.len; next_slot = first_slot; max_ext = first_slot }
 
 let emit e i =
-  if e.len = Array.length e.arr then begin
-    let bigger = Array.make (2 * e.len) Rt.Return in
-    Array.blit e.arr 0 bigger 0 e.len;
-    e.arr <- bigger
+  let b = e.buf in
+  if b.len = Array.length b.arr then begin
+    let bigger = Array.make (2 * b.len) Rt.Return in
+    Array.blit b.arr 0 bigger 0 b.len;
+    b.arr <- bigger
   end;
-  e.arr.(e.len) <- i;
-  e.len <- e.len + 1;
-  e.len - 1
+  b.arr.(b.len) <- i;
+  b.len <- b.len + 1;
+  b.len - 1 - e.base
 
-let here e = e.len
-let patch e at i = e.arr.(at) <- i
+let here e = e.buf.len - e.base
+let patch e at i = e.buf.arr.(e.base + at) <- i
+
+(* The emitted instructions, taken out of the buffer. *)
+let take e =
+  let b = e.buf in
+  let instrs = Array.sub b.arr e.base (b.len - e.base) in
+  b.len <- e.base;
+  instrs
 
 let reserve e n =
   let slot = e.next_slot in
@@ -168,24 +171,41 @@ let reserve e n =
   if e.next_slot > e.max_ext then e.max_ext <- e.next_slot;
   slot
 
-let loc_of e b =
-  match Hashtbl.find_opt e.fmap b.bid with
-  | Some l -> l
-  | None -> fail ("compiler: unallocated binding " ^ b.bname)
+(* [Local_set] is nearly half of the instructions the compiler emits:
+   the forms for the low slots are immutable values built once and
+   shared by every code object. *)
+let local_sets = Array.init 64 (fun i -> Rt.Local_set i)
+
+let local_set i =
+  if i < Array.length local_sets then local_sets.(i) else Rt.Local_set i
+
+let unallocated b = fail ("compiler: unallocated binding " ^ b.bname)
 
 let gen_ref e b =
-  match (loc_of e b, boxed b) with
+  match (b.loc, boxed b) with
   | Lslot i, false -> emit e (Rt.Local_ref i) |> ignore
   | Lslot i, true -> emit e (Rt.Box_ref i) |> ignore
   | Lfree i, false -> emit e (Rt.Free_ref i) |> ignore
   | Lfree i, true -> emit e (Rt.Free_box_ref i) |> ignore
+  | Unallocated, _ -> unallocated b
 
 let gen_set e b =
-  match (loc_of e b, boxed b) with
-  | Lslot i, false -> emit e (Rt.Local_set i) |> ignore
+  match (b.loc, boxed b) with
+  | Lslot i, false -> emit e (local_set i) |> ignore
   | Lslot i, true -> emit e (Rt.Box_set i) |> ignore
   | Lfree i, true -> emit e (Rt.Free_box_set i) |> ignore
   | Lfree _, false -> fail "compiler: assignment to unboxed free variable"
+  | Unallocated, _ -> unallocated b
+
+let capture b =
+  match b.loc with
+  | Lslot i -> Rt.Cap_local i
+  | Lfree i -> Rt.Cap_free i
+  | Unallocated -> unallocated b
+
+let loc_of_capture = function
+  | Rt.Cap_local i -> Lslot i
+  | Rt.Cap_free i -> Lfree i
 
 let rec gen e tail exp =
   match exp with
@@ -225,28 +245,23 @@ let rec gen e tail exp =
           (fun (_, init) ->
             gen e false init;
             let slot = reserve e 1 in
-            ignore (emit e (Rt.Local_set slot));
+            ignore (emit e (local_set slot));
             slot)
           bindings
       in
       List.iter2
         (fun (b, _) slot ->
-          Hashtbl.replace e.fmap b.bid (Lslot slot);
+          b.loc <- Lslot slot;
           if boxed b then ignore (emit e (Rt.Box_init slot)))
         bindings slots;
       gen e tail body;
       e.next_slot <- saved
   | ALambda l ->
-      let code, caps = gen_lambda l in
-      let caps =
-        Array.of_list
-          (List.map
-             (fun b ->
-               match loc_of e b with
-               | Lslot i -> Rt.Cap_local i
-               | Lfree i -> Rt.Cap_free i)
-             caps)
-      in
+      let caps = Array.of_list (List.map capture l.afree) in
+      let code = gen_lambda e.buf l in
+      (* [gen_lambda] left the captured bindings at their places in the
+         closure's free vector: put them back where this frame has them. *)
+      List.iteri (fun i b -> b.loc <- loc_of_capture caps.(i)) l.afree;
       ignore (emit e (Rt.Make_closure (code, caps)))
   | AApp (f, args) ->
       let nargs = List.length args in
@@ -261,28 +276,24 @@ let rec gen e tail exp =
         (emit e
            (if tail then Rt.Tail_call { disp = d; nargs }
             else
-              (* [cs_ret] is interned by [Bytecode.backpatch] once the
-                 enclosing code object exists. *)
+              (* [cs_ret] is interned when the code is finished. *)
               Rt.Call { cs_disp = d; cs_nargs = nargs; cs_ret = Rt.Void }))
 
 (* Evaluate [x] into frame slot [slot]. *)
 and gen_store e x slot =
   gen e false x;
-  ignore (emit e (Rt.Local_set slot))
+  ignore (emit e (local_set slot))
 
-(* Compile one lambda to a code object plus the ordered list of bindings
-   its closure must capture from the enclosing frame. *)
-and gen_lambda (l : alambda) : Rt.code * binding list =
+(* Compile one lambda to an unfinished code object, its instructions
+   emitted into [buf].  The lambda's parameters and captured bindings
+   are left at their places in its frame and free vector. *)
+and gen_lambda buf (l : alambda) : Rt.code =
   let nparams = List.length l.aparams in
   let first_local = 2 + nparams + (match l.arest with Some _ -> 1 | None -> 0) in
-  let e = new_emitter first_local in
-  List.iteri
-    (fun i b -> Hashtbl.replace e.fmap b.bid (Lslot (2 + i)))
-    l.aparams;
-  (match l.arest with
-  | Some b -> Hashtbl.replace e.fmap b.bid (Lslot (2 + nparams))
-  | None -> ());
-  List.iteri (fun i b -> Hashtbl.replace e.fmap b.bid (Lfree i)) l.afree;
+  let e = new_emitter buf first_local in
+  List.iteri (fun i b -> b.loc <- Lslot (2 + i)) l.aparams;
+  (match l.arest with Some b -> b.loc <- Lslot (2 + nparams) | None -> ());
+  List.iteri (fun i b -> b.loc <- Lfree i) l.afree;
   ignore (emit e Rt.Enter);
   (* Box parameters that are assigned and captured. *)
   List.iteri
@@ -298,11 +309,7 @@ and gen_lambda (l : alambda) : Rt.code * binding list =
     | None -> Rt.Exactly nparams
     | Some _ -> Rt.At_least nparams
   in
-  let code =
-    Bytecode.make_code ~name:l.aname ~arity ~frame_words:e.max_ext
-      (Array.sub e.arr 0 e.len)
-  in
-  (code, l.afree)
+  Bytecode.code ~name:l.aname ~arity ~frame_words:e.max_ext (take e)
 
 (* ------------------------------------------------------------------ *)
 (* Top level                                                           *)
@@ -311,37 +318,43 @@ and gen_lambda (l : alambda) : Rt.code * binding list =
 (* Compiled code is session-independent: global accesses are emitted
    against process-wide slot numbers, so the [Globals.t] argument of the
    compile entry points is only consulted by the peephole fuser (which
-   snapshots the session's current bindings into inline caches). *)
-let compile_expr (_ : Globals.t) name ast =
-  let ctx = new_lctx None None in
-  let a = analyze [] ctx ast in
-  let e = new_emitter 2 in
-  ignore (emit e Rt.Enter);
-  gen e true a;
-  ignore (emit e Rt.Return);
-  Bytecode.make_code ~name ~arity:(Rt.Exactly 0) ~frame_words:e.max_ext
-    (Array.sub e.arr 0 e.len)
+   snapshots the session's current bindings into inline caches).
 
-let compile_top globals (top : Ast.top) =
+   The compiler's code objects are unfinished ({!Bytecode.code}): the
+   last stage of the pipeline finishes each one exactly once, after the
+   last pass that renumbers its instructions — [finish_deep] here, or
+   the peephole fuser for the code objects it builds. *)
+let compile_top buf (top : Ast.top) =
   try
-    match top with
-    | Ast.Expr (ast, _) -> compile_expr globals "top" ast
-    | Ast.Define (x, ast, _) ->
-        let ctx = new_lctx None None in
-        let a = analyze [] ctx ast in
-        let e = new_emitter 2 in
-        ignore (emit e Rt.Enter);
-        gen e false a;
-        ignore (emit e (Rt.Global_define (Globals.slot x)));
-        ignore (emit e (Rt.Const Rt.Void));
-        ignore (emit e Rt.Return);
-        Bytecode.make_code ~name:("define-" ^ x) ~arity:(Rt.Exactly 0)
-          ~frame_words:e.max_ext
-          (Array.sub e.arr 0 e.len)
+    let e = new_emitter buf 2 in
+    ignore (emit e Rt.Enter);
+    let name =
+      match top with
+      | Ast.Expr (ast, _) ->
+          gen e true (analyze [] top_ctx ast);
+          "top"
+      | Ast.Define (x, ast, _) ->
+          gen e false (analyze [] top_ctx ast);
+          ignore (emit e (Rt.Global_define (Globals.slot x)));
+          ignore (emit e (Rt.Const Rt.Void));
+          "define-" ^ x
+    in
+    ignore (emit e Rt.Return);
+    Bytecode.code ~name ~arity:(Rt.Exactly 0) ~frame_words:e.max_ext (take e)
   with Compile_error (msg, None) ->
     raise (Compile_error (msg, Some (Ast.top_pos top)))
 
-let compile_program globals tops = List.map (compile_top globals) tops
+let compile_program (_ : Globals.t) tops =
+  let buf = new_buffer () in
+  List.map (compile_top buf) tops
+
+(* Finish a code object and every code object it closes over: the end
+   of the pipeline when no pass after the compiler renumbers them. *)
+let rec finish_deep (c : Rt.code) =
+  Bytecode.finish c;
+  Array.iter
+    (function Rt.Make_closure (cc, _) -> finish_deep cc | _ -> ())
+    c.Rt.instrs
 
 (* (eval datum): compile the datum's top-level forms, then synthesize a
    driver code object that calls each compiled form in sequence. *)
@@ -349,7 +362,9 @@ let compile_eval ?hygiene ?menv globals (datum : Rt.value) : Rt.code =
   let tops =
     Expander.expand_tops ?hygiene ?menv (Expander.value_to_datum datum)
   in
-  match compile_program globals tops with
+  let codes = compile_program globals tops in
+  List.iter finish_deep codes;
+  match codes with
   | [ one ] -> one
   | codes ->
       let d = 2 in
@@ -368,17 +383,26 @@ let compile_eval ?hygiene ?menv globals (datum : Rt.value) : Rt.code =
             @ !instrs)
         codes;
       instrs := Rt.Return :: !instrs;
-      Bytecode.make_code ~name:"eval" ~arity:(Rt.Exactly 0) ~frame_words:(d + 3)
-        (Array.of_list (List.rev !instrs))
+      let driver =
+        Bytecode.code ~name:"eval" ~arity:(Rt.Exactly 0) ~frame_words:(d + 3)
+          (Array.of_list (List.rev !instrs))
+      in
+      finish_deep driver;
+      driver
 
-(* The shared back half of the pipeline: optimize, compile, fuse,
-   verify.  [compile_string] and [compile_datum] differ only in how the
-   expanded tops are obtained. *)
+(* The shared back half of the pipeline: optimize, compile, fuse or
+   just finish, verify.  [compile_string] and [compile_datum] differ
+   only in how the expanded tops are obtained. *)
 let compile_tops ?(optimize = false) ?(peephole = true) ?(regalloc = true)
     ?(verify = false) globals tops =
   let tops = if optimize then Optimize.program tops else tops in
   let codes = compile_program globals tops in
-  let codes = if peephole then Optimize.peephole_program ~regalloc globals codes else codes in
+  let codes =
+    if peephole then Optimize.peephole_program ~regalloc globals codes
+    else (
+      List.iter finish_deep codes;
+      codes)
+  in
   if verify then Verify.verify_program codes;
   codes
 

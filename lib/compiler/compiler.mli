@@ -20,11 +20,13 @@ exception Compile_error of string * Sexp.pos option
     form being compiled when one is known (the compiler works over the
     position-free core AST, so the span is form-granular). *)
 
-val compile_top : Globals.t -> Ast.top -> Rt.code
-(** Compile one top-level form into a zero-argument code object that
-    evaluates it (and performs the global definition, for [Define]). *)
-
 val compile_program : Globals.t -> Ast.top list -> Rt.code list
+(** Compile each top-level form into a zero-argument code object that
+    evaluates it (and performs the global definition, for [Define]).
+    The code objects are unfinished ({!Bytecode.code}): pass them to
+    {!Optimize.peephole_program}, which finishes what it builds, before
+    any VM runs them.  The other entry points below return finished
+    code. *)
 
 val compile_string :
   ?optimize:bool ->

@@ -206,7 +206,7 @@ let pure_target globals s ~disp ~nargs =
             ps_fn = fn;
             ps_fn1 = fn1;
             ps_fn2 = fn2;
-            ps_ret = Rt.Void (* interned by Bytecode.backpatch *);
+            ps_ret = Rt.Void (* interned when the code is finished *);
           }
     | _ -> None
 
@@ -289,7 +289,7 @@ let fuse_branch producer t =
    reader of those slots is the consumer itself — which now carries the
    values as operands — or the retained landing pad, which re-stages
    them itself.  A [Local_push] source read out of order must not alias
-   a slot staged earlier in the same sequence; [no_alias] rejects that
+   a slot staged earlier in the same sequence; the scan rejects that
    (the analogue of the [s <> d] guard in push fusion).
 
    A two-argument site whose first argument was stored by earlier code
@@ -304,40 +304,49 @@ let fuse_branch producer t =
    moves past its consumer, so every later read sees unlowered input. *)
 let fuse_operands instrs =
   let n = Array.length instrs in
+  (* The argument slot the instruction at [pc] stages, or -1. *)
   let staged pc =
-    if pc >= n then None
+    if pc >= n then -1
     else
       match instrs.(pc) with
-      | Rt.Const_push (v, d) -> Some (d, Rt.Op_const v)
-      | Rt.Local_push (s, d) -> Some (d, Rt.Op_local s)
-      | Rt.Local_set d -> Some (d, Rt.Op_acc)
-      | _ -> None
+      | Rt.Const_push (_, d) | Rt.Local_push (_, d) | Rt.Local_set d -> d
+      | _ -> -1
   in
-  let no_alias ~staged_slot = function
-    | Rt.Op_local s -> s <> staged_slot
-    | _ -> true
+  (* The operand standing for the staging at [pc]. *)
+  let operand pc =
+    match instrs.(pc) with
+    | Rt.Const_push (v, _) -> Rt.Op_const v
+    | Rt.Local_push (s, _) -> Rt.Op_local s
+    | _ -> Rt.Op_acc
+  in
+  (* How many operands the consumer at [pc] folds when its first
+     argument slot is [arg]: 1 or 2, or 0 when it is no such consumer. *)
+  let folds pc ~arg =
+    if pc >= n then 0
+    else
+      match instrs.(pc) with
+      | (Rt.Prim_call1 s | Rt.Prim_branch1 (s, _)) when s.Rt.ps_disp + 2 = arg
+        ->
+          1
+      | (Rt.Prim_call2 s | Rt.Prim_branch2 (s, _)) when s.Rt.ps_disp + 2 = arg
+        ->
+          2
+      | Rt.Prim_tail_call s when s.Rt.ps_disp + 2 = arg && s.Rt.ps_nargs <= 2
+        ->
+          s.Rt.ps_nargs
+      | _ -> 0
   in
   (* The head folding operand [a], and [b] for a two-argument site, into
-     the consumer at [pc], whose first argument slot must be [arg]. *)
-  let head pc ~arg a b =
-    if pc >= n then None
-    else
-      match (instrs.(pc), b) with
-      | ( ( Rt.Prim_call1 s | Rt.Prim_call2 s | Rt.Prim_tail_call s
-          | Rt.Prim_branch1 (s, _)
-          | Rt.Prim_branch2 (s, _) ),
-          _ )
-        when s.Rt.ps_disp + 2 <> arg ->
-          None
-      | Rt.Prim_call1 s, None -> Some (Rt.Prim_call1_op (s, a))
-      | Rt.Prim_branch1 (s, t), None -> Some (Rt.Prim_branch1_op (s, a, t))
-      | Rt.Prim_tail_call s, None when s.Rt.ps_nargs = 1 ->
-          Some (Rt.Prim_tail1_op (s, a))
-      | Rt.Prim_call2 s, Some b -> Some (Rt.Prim_call2_op (s, a, b))
-      | Rt.Prim_branch2 (s, t), Some b -> Some (Rt.Prim_branch2_op (s, a, b, t))
-      | Rt.Prim_tail_call s, Some b when s.Rt.ps_nargs = 2 ->
-          Some (Rt.Prim_tail2_op (s, a, b))
-      | _ -> None
+     the consumer at [pc]. *)
+  let head pc a b =
+    match instrs.(pc) with
+    | Rt.Prim_call1 s -> Rt.Prim_call1_op (s, a)
+    | Rt.Prim_branch1 (s, t) -> Rt.Prim_branch1_op (s, a, t)
+    | Rt.Prim_tail_call s when s.Rt.ps_nargs = 1 -> Rt.Prim_tail1_op (s, a)
+    | Rt.Prim_call2 s -> Rt.Prim_call2_op (s, a, b)
+    | Rt.Prim_branch2 (s, t) -> Rt.Prim_branch2_op (s, a, b, t)
+    | Rt.Prim_tail_call s -> Rt.Prim_tail2_op (s, a, b)
+    | i -> i
   in
   let pc = ref 0 in
   (* Put head [f] at [pc] and go on past its consumer, [width]
@@ -348,58 +357,74 @@ let fuse_operands instrs =
   in
   while !pc < n do
     let p = !pc in
-    match staged p with
-    | None -> (
-        (* Producer + [Return] epilogue: one dispatch per leaf return. *)
-        match (instrs.(p), if p + 1 < n then instrs.(p + 1) else Rt.Halt) with
-        | Rt.Const v, Rt.Return -> fused (Rt.Return_op (Rt.Op_const v)) 2
-        | Rt.Local_ref s, Rt.Return -> fused (Rt.Return_op (Rt.Op_local s)) 2
-        | _ -> incr pc)
-    | Some (d0, op0) -> (
-        let two =
-          match staged (p + 1) with
-          | Some (d1, op1) when d1 = d0 + 1 && no_alias ~staged_slot:d0 op1 ->
-              head (p + 2) ~arg:d0 op0 (Some op1)
-          | _ -> None
-        in
-        match two with
-        | Some f -> fused f 3
-        | None -> (
-            match head (p + 1) ~arg:d0 op0 None with
-            | Some f -> fused f 2
-            | None -> (
-                let a = Rt.Op_local (d0 - 1) in
-                match head (p + 1) ~arg:(d0 - 1) a (Some op0) with
-                | Some f -> fused f 2
-                | None -> incr pc)))
+    let d0 = staged p in
+    if d0 < 0 then
+      (* Producer + [Return] epilogue: one dispatch per leaf return. *)
+      match (instrs.(p), if p + 1 < n then instrs.(p + 1) else Rt.Halt) with
+      | Rt.Const v, Rt.Return -> fused (Rt.Return_op (Rt.Op_const v)) 2
+      | Rt.Local_ref s, Rt.Return -> fused (Rt.Return_op (Rt.Op_local s)) 2
+      | _ -> incr pc
+    else if
+      staged (p + 1) = d0 + 1
+      && (match instrs.(p + 1) with
+         | Rt.Local_push (s, _) -> s <> d0
+         | _ -> true)
+      && folds (p + 2) ~arg:d0 = 2
+    then fused (head (p + 2) (operand p) (operand (p + 1))) 3
+    else if folds (p + 1) ~arg:d0 = 1 then
+      fused (head (p + 1) (operand p) Rt.Op_acc) 2
+    else if folds (p + 1) ~arg:(d0 - 1) = 2 then
+      fused (head (p + 1) (Rt.Op_local (d0 - 1)) (operand p)) 2
+    else incr pc
   done
+
+(* The scratch arrays of one [peephole_program] call, grown to its
+   largest code object and reused by the others.  They belong to the
+   call, never to the process: sessions compile on several domains. *)
+type scratch = {
+  mutable target : bool array; (* is this old pc a branch target? *)
+  mutable out : Rt.instr array; (* the scan's output *)
+  mutable map : int array; (* old pc -> new pc *)
+}
+
+let new_scratch () = { target = [||]; out = [||]; map = [||] }
+
+(* Room for a code object of [n] instructions, no branch target marked. *)
+let fit s n =
+  if Array.length s.map <= n then begin
+    let cap = max (n + 1) (2 * Array.length s.map) in
+    s.target <- Array.make cap false;
+    s.out <- Array.make cap Rt.Return;
+    s.map <- Array.make cap 0
+  end
+  else Array.fill s.target 0 (n + 1) false
 
 (* Fuse one code object and, recursively, every code object it closes
    over.  Frame layout, arity, and [frame_words] are unchanged: fusion
    only merges dispatches.
 
-   After the scan, one closing loop remaps branch targets, fuses
-   branches and recurses into closures.  The scan renumbers pcs, so the
-   static return addresses interned by [Bytecode.backpatch] at
-   [make_code] time are stale: the closing loop also re-creates every
-   surviving [Call] site (never shared with the input
-   array, whose backpatched [cs_ret] still describes the old numbering)
-   and the fused code object is re-backpatched as the final step.  The
-   register lowering ([fuse_operands], [--no-regalloc] escape hatch)
-   runs after the closing loop, so the operand forms never need
-   remapping and can consume branch-fused consumers. *)
-let rec peephole ?(regalloc = true) globals (c : Rt.code) : Rt.code =
+   After the scan, one closing loop remaps branch targets and fuses
+   branches.  The scan renumbers pcs, but the compiler's code is not
+   finished yet, so its [Call] instructions carry no return address and
+   are kept as they are.  Once the closing loop is done the scratch
+   arrays are free, and the closures' code objects are fused with them.
+   The register lowering ([fuse_operands], [--no-regalloc] escape
+   hatch) runs after the closing loop, so the operand forms never need
+   remapping and can consume branch-fused consumers.  The fused code
+   object is finished ({!Bytecode.finish}) as the final step: the only
+   validation and backpatching it gets.  Its [Call] sites are shared
+   with the input, which must not be run or fused again. *)
+let rec fuse s ~regalloc globals (c : Rt.code) : Rt.code =
   let input = c.Rt.instrs in
   let n = Array.length input in
-  let target = Array.make (n + 1) false in
+  fit s n;
+  let { target; out; map } = s in
   Array.iter
     (function
       | Rt.Branch t | Rt.Branch_false t ->
           if t >= 0 && t <= n then target.(t) <- true
       | _ -> ())
     input;
-  let out = Array.make n Rt.Return in
-  let map = Array.make (n + 1) 0 in
   let m = ref 0 and pc = ref 0 in
   while !pc < n do
     let i = fuse_window globals target input !pc in
@@ -415,10 +440,6 @@ let rec peephole ?(regalloc = true) globals (c : Rt.code) : Rt.code =
     match instrs.(j) with
     | Rt.Branch t -> instrs.(j) <- Rt.Branch map.(t)
     | Rt.Branch_false t -> instrs.(j) <- Rt.Branch_false map.(t)
-    | Rt.Call { cs_disp; cs_nargs; _ } ->
-        instrs.(j) <- Rt.Call { cs_disp; cs_nargs; cs_ret = Rt.Void }
-    | Rt.Make_closure (cc, caps) ->
-        instrs.(j) <- Rt.Make_closure (peephole ~regalloc globals cc, caps)
     | i when j + 1 < m -> (
         (* The loop has not reached [j + 1] yet: [t] is still an old pc. *)
         match instrs.(j + 1) with
@@ -426,15 +447,20 @@ let rec peephole ?(regalloc = true) globals (c : Rt.code) : Rt.code =
         | _ -> ())
     | _ -> ()
   done;
+  Array.iteri
+    (fun j -> function
+      | Rt.Make_closure (cc, caps) ->
+          instrs.(j) <- Rt.Make_closure (fuse s ~regalloc globals cc, caps)
+      | _ -> ())
+    instrs;
   if regalloc then fuse_operands instrs;
-  (* Fusion bypasses [make_code], so re-run the structural validation
-     here: the rewritten stream must still satisfy the unsafe-fetch
-     invariants (and the landing-pad/operand-range checks validate added
-     for the fused forms). *)
-  Bytecode.validate ~name:c.Rt.cname ~frame_words:c.Rt.frame_words instrs;
   let c' = { c with Rt.instrs } in
-  Bytecode.backpatch c';
+  Bytecode.finish c';
   c'
 
-let peephole_program ?regalloc globals codes =
-  List.map (peephole ?regalloc globals) codes
+let peephole ?(regalloc = true) globals c =
+  fuse (new_scratch ()) ~regalloc globals c
+
+let peephole_program ?(regalloc = true) globals codes =
+  let s = new_scratch () in
+  List.map (fuse s ~regalloc globals) codes

@@ -80,7 +80,7 @@
    semantics that error-handler injection and the deopt return addresses
    rely on.
 
-   Instruction fetch uses [Array.unsafe_get]: [Bytecode.make_code]
+   Instruction fetch uses [Array.unsafe_get]: [Bytecode.finish]
    validates that code cannot fall off the end and that branch targets
    are in range, and [relaunch] bounds-checks every landing's entry pc,
    so [pc] is always in range here. *)
@@ -246,7 +246,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
           (* Same-slot-array call: the callee's frame lives on the
              segment we already hold, so transfer control without
              leaving the loop.  The return address is the per-site
-             constant interned by [Bytecode.backpatch]: no allocation on
+             constant interned by [Bytecode.finish]: no allocation on
              the call path.  [vm.pc] stays stale here — every
              observation point (error branches, slow-path transfers)
              syncs its own pc first. *)

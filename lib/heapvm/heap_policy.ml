@@ -266,15 +266,6 @@ and special vm sp args ~ret ~parent ~guards =
         (if Array.length args = 1 then args.(0)
          else Mvals (Array.to_list args));
       return_to vm ~ret ~parent ~guards
-  | Sp_set_timer ->
-      let ticks = Prims.check_int "%set-timer!" args.(0) in
-      vm.timer_handler <- args.(1);
-      vm.timer <- (if ticks <= 0 then -1 else ticks);
-      vm.acc <- Void;
-      return_to vm ~ret ~parent ~guards
-  | Sp_get_timer ->
-      vm.acc <- Values.of_int (max vm.timer 0);
-      return_to vm ~ret ~parent ~guards
   | Sp_backtrace ->
       let rec walk acc count (f : hframe option) =
         match f with

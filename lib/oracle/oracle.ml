@@ -178,8 +178,6 @@ and special t sp args k =
       let last = Values.list_of_value args.(n - 1) in
       apply t f (Array.append fixed (Array.of_list last)) k
   | Sp_values -> k (one_value args)
-  | Sp_set_timer -> k Void (* no timer in the oracle *)
-  | Sp_get_timer -> k (Int 0)
   | Sp_backtrace -> k Nil (* the oracle's control is OCaml closures *)
   | Sp_eval ->
       let tops =

@@ -5,7 +5,7 @@ open Rt
 (* [Array.unsafe_get], so every code object must be closed under pc     *)
 (* arithmetic: non-empty, all branch targets in range, and a final      *)
 (* instruction that unconditionally transfers control (falling off the  *)
-(* end is impossible).  Checked once at construction, never at runtime. *)
+(* end is impossible).  Checked once, by [finish], never at runtime.    *)
 (* ------------------------------------------------------------------ *)
 
 let transfers_control = function
@@ -26,102 +26,108 @@ let[@inline] consumer_offset2 (site : prim_site) = function
   | Op_local s when s = site.ps_disp + 2 -> 1
   | _ -> 2
 
-let validate ~name ~frame_words instrs =
+(* A two-operand fused form whose consumer sits at pc+2 retains its
+   staged second push at pc+1 as the deopt landing pad. *)
+let pad_head = function
+  | Prim_call2_op (s, a, _)
+  | Prim_branch2_op (s, a, _, _)
+  | Prim_tail2_op (s, a, _) ->
+      consumer_offset2 s a = 2
+  | _ -> false
+
+let check_ends ~name instrs =
   let n = Array.length instrs in
   if n = 0 then invalid_arg (name ^ ": empty instruction stream");
   if not (transfers_control instrs.(n - 1)) then
-    invalid_arg (name ^ ": code can fall off the end of the instruction stream");
-  (* A two-operand fused form with its consumer at pc+2 retains its
-     staged second push at pc+1 as the deopt landing pad.  Entering
-     that pad at pc+1 would restage only the second operand and run the
-     consumer with the first argument slot holding garbage, so no branch
-     may target the pad's interior (targeting the consumer itself is
-     fine — that is the fully de-fused form). *)
-  let pad_interior = Array.make n false in
-  Array.iteri
-    (fun pc instr ->
-      match instr with
-      | Prim_call2_op (s, a, _)
-      | Prim_branch2_op (s, a, _, _)
-      | Prim_tail2_op (s, a, _) ->
-          if consumer_offset2 s a = 2 && pc + 1 < n then
-            pad_interior.(pc + 1) <- true
-      | _ -> ())
-    instrs;
-  let check_operand = function
-    | Op_local i when i < 0 || i >= frame_words ->
+    invalid_arg (name ^ ": code can fall off the end of the instruction stream")
+
+let check_operand ~name ~frame_words = function
+  | Op_local i when i < 0 || i >= frame_words ->
+      invalid_arg
+        (Printf.sprintf "%s: operand index %d out of frame (frame-words=%d)" name
+           i frame_words)
+  | Op_local _ | Op_acc | Op_const _ -> ()
+
+(* The per-instruction checks of [validate].  Entering a landing pad at
+   its retained push would restage only the second operand and run the
+   consumer with the first argument slot holding garbage, so no branch
+   may target the pad's interior (targeting the consumer itself is fine
+   — that is the fully de-fused form). *)
+let check_instr ~name ~frame_words instrs instr =
+  (match instr with
+  | Branch t | Branch_false t
+  | Local_branch_false (_, t)
+  | Prim_branch1 (_, t)
+  | Prim_branch2 (_, t)
+  | Prim_branch1_op (_, _, t)
+  | Prim_branch2_op (_, _, _, t) ->
+      if t < 0 || t >= Array.length instrs then
+        invalid_arg (Printf.sprintf "%s: branch target %d out of range" name t);
+      if t > 0 && pad_head instrs.(t - 1) then
         invalid_arg
-          (Printf.sprintf "%s: operand index %d out of frame (frame-words=%d)"
-             name i frame_words)
-    | Op_local _ | Op_acc | Op_const _ -> ()
-  in
-  Array.iter
-    (fun instr ->
-      (match instr with
-      | Branch t | Branch_false t
-      | Local_branch_false (_, t)
-      | Prim_branch1 (_, t)
-      | Prim_branch2 (_, t)
-      | Prim_branch1_op (_, _, t)
-      | Prim_branch2_op (_, _, _, t) ->
-          if t < 0 || t >= n then
-            invalid_arg (Printf.sprintf "%s: branch target %d out of range" name t);
-          if pad_interior.(t) then
-            invalid_arg
-              (Printf.sprintf "%s: branch target %d lands inside a fused landing pad"
-                 name t)
-      | _ -> ());
-      match instr with
-      | Prim_call1_op (_, a)
-      | Prim_branch1_op (_, a, _)
-      | Prim_tail1_op (_, a)
-      | Return_op a ->
-          check_operand a
-      | Prim_call2_op (_, a, b)
-      | Prim_branch2_op (_, a, b, _)
-      | Prim_tail2_op (_, a, b) ->
-          check_operand a;
-          check_operand b
-      | _ -> ())
-    instrs
+          (Printf.sprintf "%s: branch target %d lands inside a fused landing pad"
+             name t)
+  | _ -> ());
+  match instr with
+  | Prim_call1_op (_, a)
+  | Prim_branch1_op (_, a, _)
+  | Prim_tail1_op (_, a)
+  | Return_op a ->
+      check_operand ~name ~frame_words a
+  | Prim_call2_op (_, a, b)
+  | Prim_branch2_op (_, a, b, _)
+  | Prim_tail2_op (_, a, b) ->
+      check_operand ~name ~frame_words a;
+      check_operand ~name ~frame_words b
+  | _ -> ()
+
+let validate ~name ~frame_words instrs =
+  check_ends ~name instrs;
+  Array.iter (check_instr ~name ~frame_words instrs) instrs
 
 (* Intern one [Retaddr] per return point into the instruction stream.
    [rcode]/[rpc]/[rdisp] are all per-site constants, so non-tail calls
    (and the deopt path of fused primitive calls) push this value instead
-   of allocating a fresh record per call.  Must be re-run whenever an
-   instruction array is renumbered (e.g. after peephole fusion). *)
-let backpatch code =
-  Array.iteri
-    (fun pc instr ->
-      match instr with
-      | Call site ->
-          site.cs_ret <-
-            Retaddr { rcode = code; rpc = pc + 1; rdisp = site.cs_disp }
-      | Prim_call site | Prim_call1 site | Prim_call2 site
-      | Prim_branch1 (site, _)
-      | Prim_branch2 (site, _) ->
-          (* For the branch-fused forms, [pc + 1] is the retained
-             [Branch_false]: a deopted call returns into it and the branch
-             re-executes on the returned value.  The register-addressed
-             forms need no case of their own: the regalloc lowering keeps
-             the original [Prim_call*]/[Prim_branch*] in place at its pc
-             as the landing pad and shares its [prim_site], so the
-             interned [ps_ret] set here is exactly the resume point a
-             deopted operand form needs. *)
-          site.ps_ret <-
-            Retaddr { rcode = code; rpc = pc + 1; rdisp = site.ps_disp }
-      | _ -> ())
-    code.instrs
+   of allocating a fresh record per call. *)
+let patch_site code pc = function
+  | Call site ->
+      site.cs_ret <- Retaddr { rcode = code; rpc = pc + 1; rdisp = site.cs_disp }
+  | Prim_call site | Prim_call1 site | Prim_call2 site
+  | Prim_branch1 (site, _)
+  | Prim_branch2 (site, _) ->
+      (* For the branch-fused forms, [pc + 1] is the retained
+         [Branch_false]: a deopted call returns into it and the branch
+         re-executes on the returned value.  The register-addressed
+         forms need no case of their own: the regalloc lowering keeps
+         the original [Prim_call*]/[Prim_branch*] in place at its pc
+         as the landing pad and shares its [prim_site], so the
+         interned [ps_ret] set here is exactly the resume point a
+         deopted operand form needs. *)
+      site.ps_ret <- Retaddr { rcode = code; rpc = pc + 1; rdisp = site.ps_disp }
+  | _ -> ()
 
-let make_code ?(pos = (0, 0)) ~name ~arity ~frame_words instrs =
-  validate ~name ~frame_words instrs;
+let backpatch code = Array.iteri (patch_site code) code.instrs
+
+(* Validation and backpatching in one pass: the last step of every
+   pipeline that produces code a VM can run. *)
+let finish code =
+  let { instrs; cname = name; frame_words; _ } = code in
+  check_ends ~name instrs;
+  for pc = 0 to Array.length instrs - 1 do
+    let instr = instrs.(pc) in
+    check_instr ~name ~frame_words instrs instr;
+    patch_site code pc instr
+  done
+
+let code ?(pos = (0, 0)) ~name ~arity ~frame_words instrs =
   let cline, ccol = pos in
-  let code =
-    { instrs; cname = name; arity; frame_words; timer_ret = Void;
-      templ = No_template; cline; ccol }
-  in
-  backpatch code;
-  code
+  { instrs; cname = name; arity; frame_words; timer_ret = Void;
+    templ = No_template; cline; ccol }
+
+let make_code ?pos ~name ~arity ~frame_words instrs =
+  let c = code ?pos ~name ~arity ~frame_words instrs in
+  finish c;
+  c
 
 let arity_matches arity n =
   match arity with Exactly k -> n = k | At_least k -> n >= k

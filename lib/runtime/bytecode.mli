@@ -10,13 +10,39 @@ val consumer_offset2 : Rt.prim_site -> Rt.operand -> int
     in place, else 2 (the second operand's staging sits between). *)
 
 val validate : name:string -> frame_words:int -> Rt.instr array -> unit
-(** The structural checks {!make_code} runs: non-empty stream, final
+(** The structural checks {!finish} runs: non-empty stream, final
     instruction transfers control, branch targets in range and never
     into the interior of a two-operand fused form's landing pad (the
     retained staged push at pc+1 of a {!consumer_offset2} of 2), operand
-    indices within [frame_words].  Re-run by the peephole fuser after it
-    rewrites an instruction array in place.
+    indices within [frame_words].
     @raise Invalid_argument naming the code and the violation. *)
+
+val backpatch : Rt.code -> unit
+(** Intern one [Rt.Retaddr] per non-tail call site ([Call] and the deopt
+    path of [Prim_call]/[Prim_call1]/[Prim_call2]/[Prim_branch1]/
+    [Prim_branch2]) into the instruction stream, making the
+    return-address push at call time allocation-free. *)
+
+val finish : Rt.code -> unit
+(** {!validate} and {!backpatch} in one pass over the stream: the last
+    step of every pipeline whose code can reach a VM.  Each code object
+    is finished exactly once, after the last pass that renumbers its
+    instructions; its non-tail call sites then name it as their return
+    code object.  Nested code objects are not visited.
+    @raise Invalid_argument on malformed code. *)
+
+val code :
+  ?pos:int * int ->
+  name:string ->
+  arity:Rt.arity ->
+  frame_words:int ->
+  Rt.instr array ->
+  Rt.code
+(** An unfinished code object: no validation, and call sites whose
+    return addresses are not yet interned.  It must pass through
+    {!finish} before any VM runs it.  [pos] is the source line:col of
+    the defining form, recorded on the code object for diagnostics; it
+    defaults to [0, 0] (synthetic code). *)
 
 val make_code :
   ?pos:int * int ->
@@ -25,20 +51,8 @@ val make_code :
   frame_words:int ->
   Rt.instr array ->
   Rt.code
-(** Validates the instruction stream (non-empty, branch targets in range,
-    final instruction transfers control — the invariants that make the
-    VM's [Array.unsafe_get] instruction fetch sound) and interns the
-    static return address of every call site via {!backpatch}.  [pos] is
-    the source line:col of the defining form, recorded on the code
-    object for diagnostics; it defaults to [0, 0] (synthetic code).
+(** {!code} followed by {!finish}: a runnable code object built by hand.
     @raise Invalid_argument on malformed code. *)
-
-val backpatch : Rt.code -> unit
-(** Intern one [Rt.Retaddr] per non-tail call site ([Call] and the deopt
-    path of [Prim_call]/[Prim_call1]/[Prim_call2]) into the instruction
-    stream, making the return-address push at call time allocation-free.
-    Re-run this after any pass that renumbers an instruction array (the
-    peephole fuser does). *)
 
 val arity_matches : Rt.arity -> int -> bool
 (** Does a call with [n] arguments satisfy the arity? *)

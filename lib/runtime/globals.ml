@@ -11,17 +11,26 @@
    domains, so the numbering (and with it every slot embedded in pinned
    bytecode) is deterministic for a fixed program. *)
 
+(* Names compare with [String.equal], not the generic table's
+   polymorphic compare. *)
+module Names = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
 let interner_lock = Mutex.create ()
-let interner : (string, int) Hashtbl.t = Hashtbl.create 512
+let interner : int Names.t = Names.create 512
 let names : string array ref = ref (Array.make 512 "")
 let next_slot = ref 0
 
 let slot name =
   Mutex.lock interner_lock;
   let i =
-    match Hashtbl.find_opt interner name with
-    | Some i -> i
-    | None ->
+    match Names.find interner name with
+    | i -> i
+    | exception Not_found ->
         let i = !next_slot in
         let cap = Array.length !names in
         if i >= cap then begin
@@ -30,7 +39,7 @@ let slot name =
           names := bigger
         end;
         !names.(i) <- name;
-        Hashtbl.add interner name i;
+        Names.add interner name i;
         incr next_slot;
         i
   in
@@ -40,7 +49,7 @@ let slot name =
 (* Non-interning lookup, for callers that must not grow the table. *)
 let slot_opt name =
   Mutex.lock interner_lock;
-  let r = Hashtbl.find_opt interner name in
+  let r = Names.find_opt interner name in
   Mutex.unlock interner_lock;
   r
 

@@ -166,7 +166,7 @@ and instr =
      replaces only the *first* instruction of the staged sequence and
      retains every following original in place as the deopt landing pad:
      the retained [Prim_call*]/[Prim_branch*]/[Prim_tail_call]/[Return]
-     keeps its pc, so [Bytecode.backpatch] interns [ps_ret] exactly as in
+     keeps its pc, so [Bytecode.finish] interns [ps_ret] exactly as in
      the unfused stream and no pcs are renumbered.  On guard failure (or
      before any slow path that re-enters the frame policy) the handler
      first spills the operand values into the frame's argument slots —
@@ -190,12 +190,13 @@ and instr =
 and operand = Op_acc | Op_local of int | Op_const of value
 
 (* A non-tail call site.  [cs_ret] is the site's return address, interned
-   once by [Bytecode.backpatch] right after the enclosing code object is
-   built (and re-interned after peephole fusion renumbers pcs): all three
-   [retaddr] fields are per-site constants, so non-tail calls push a
-   pre-allocated value instead of allocating one per call — the paper's
-   "return address lives in the code stream next to the frame-size word"
-   layout.  [Void] only transiently, between construction and backpatch. *)
+   once by [Bytecode.finish] when the enclosing code object is final
+   (after the peephole, which keeps the compiler's sites, has
+   renumbered its pcs): all three [retaddr] fields are per-site
+   constants, so non-tail calls push a pre-allocated value instead of
+   allocating one per call — the paper's "return address lives in the
+   code stream next to the frame-size word" layout.  [Void] only
+   transiently, between compilation and finishing. *)
 and call_site = {
   cs_disp : int;                         (* frame displacement of the call
                                             area (the callee's fp) *)
@@ -261,8 +262,6 @@ and special =
   | Sp_call1cc                           (* %call/1cc : raw one-shot capture *)
   | Sp_apply
   | Sp_values
-  | Sp_set_timer                         (* (%set-timer! ticks handler) *)
-  | Sp_get_timer                         (* (%get-timer) : remaining ticks *)
   | Sp_stats                             (* (%stat 'name) : read a counter *)
   | Sp_backtrace                         (* (%backtrace) : walk the frames *)
   | Sp_eval                              (* (eval datum) : compile and run *)

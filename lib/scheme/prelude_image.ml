@@ -15,7 +15,7 @@
    key — (scheme_winders, optimize, peephole, regalloc), the four
    switches that change the compiled stream — on a throwaway
    stack-backend machine with disabled stats, verifies the result
-   ({!Bytecode.validate} at construction, {!Verify} over the fused
+   ({!Bytecode.finish} once per code object, {!Verify} over the fused
    stream), executes it once, and snapshots the *global-slot delta*:
    the (slot, value) pairs the prelude execution defined.  A session
    "loads" the prelude by copying that delta into its own global

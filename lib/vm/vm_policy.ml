@@ -253,15 +253,6 @@ and special vm sp nargs =
        else if nargs = 2 then vm.acc <- Mvals [ seg.(fp + 2); seg.(fp + 3) ]
        else vm.acc <- Mvals (collect_list seg (fp + 2) (nargs - 1) []));
       do_return vm
-  | Sp_set_timer ->
-      let ticks = Prims.check_int "%set-timer!" seg.(fp + 2) in
-      vm.timer_handler <- seg.(fp + 3);
-      vm.timer <- (if ticks <= 0 then -1 else ticks);
-      vm.acc <- Void;
-      do_return vm
-  | Sp_get_timer ->
-      vm.acc <- Values.of_int (max vm.timer 0);
-      do_return vm
   | Sp_stats ->
       let name =
         match seg.(fp + 2) with

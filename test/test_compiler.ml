@@ -177,3 +177,118 @@ let opt_suite =
   ]
 
 let suite = suite @ opt_suite
+
+(* ------------------------------------------------------------------ *)
+(* Bytecode identity pin                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* A program in the shape of the compile benchmark's jobs: the
+   [my-sum]/[my-let*]/[swap!]/[pairs-sum] macros, a 12-wide [let] and a
+   depth-6 arithmetic tree.  The tree's shape follows its node numbers,
+   so the text is fixed. *)
+let compile_shape_program =
+  let rec arith k depth =
+    if depth = 0 then
+      match k mod 3 with 0 -> "a" | 1 -> "b" | _ -> string_of_int (k mod 10)
+    else
+      let l = arith ((2 * k) + 1) (depth - 1) in
+      match k mod 3 with
+      | 0 -> Printf.sprintf "(+ %s %s)" l (arith ((2 * k) + 2) (depth - 1))
+      | 1 -> Printf.sprintf "(- %s %s)" l (arith ((2 * k) + 2) (depth - 1))
+      | _ -> Printf.sprintf "(* %d %s)" (1 + (k mod 4)) l
+  in
+  let vars = List.init 12 (Printf.sprintf "v%d") in
+  String.concat "\n"
+    [
+      "(define-syntax my-sum";
+      "  (syntax-rules () ((_) 0) ((_ x y ...) (+ x (my-sum y ...)))))";
+      "(define-syntax my-let*";
+      "  (syntax-rules ()";
+      "    ((_ () body ...) (let () body ...))";
+      "    ((_ ((n v) rest ...) body ...) (let ((n v)) (my-let* (rest ...) body ...)))))";
+      "(define-syntax swap!";
+      "  (syntax-rules () ((_ x y) (let ((tmp x)) (set! x y) (set! y tmp)))))";
+      "(define-syntax pairs-sum";
+      "  (syntax-rules () ((_ (p q) ...) (my-sum (- p q) ...))))";
+      Printf.sprintf "(define (f a b) %s)" (arith 0 6);
+      Printf.sprintf
+        "(define (w x)\n  (let (%s)\n    (swap! v0 v1)\n    (my-let* ((s (my-sum %s)) (t (pairs-sum (v0 v1) (v2 v3)))) (+ s t))))"
+        (String.concat " "
+           (List.mapi (fun j v -> Printf.sprintf "(%s (f x %d))" v j) vars))
+        (String.concat " " vars);
+      "(my-sum (f 1 2) (w 3) (w 4))";
+    ]
+
+let identity_sources =
+  [
+    Prelude.source; Parprelude.source; Programs.all_defs; Threads.scheduler;
+    Cml.source; compile_shape_program;
+  ]
+
+let compile_identity ~peephole ~regalloc =
+  let globals = Scheme.globals (Scheme.create ()) in
+  let menv = Macro.create_menv () in
+  List.concat_map
+    (Compiler.compile_string ~peephole ~regalloc ~menv globals)
+    identity_sources
+
+let listing codes =
+  String.concat "\n" (List.map Bytecode.disassemble_deep codes)
+
+(* Every non-tail call site's interned return address names its own code
+   object, the next pc and the site's displacement.  The operand forms
+   share the site of the consumer retained after them, so only the
+   consumers are checked. *)
+let check_retaddrs codes =
+  let check (c : Rt.code) pc disp = function
+    | Rt.Retaddr { rcode; rpc; rdisp } ->
+        if rcode != c || rpc <> pc + 1 || rdisp <> disp then
+          Alcotest.failf "%s pc %d: stale return address" c.Rt.cname pc
+    | _ -> Alcotest.failf "%s pc %d: return address not interned" c.Rt.cname pc
+  in
+  List.iter
+    (fun (c : Rt.code) ->
+      Array.iteri
+        (fun pc -> function
+          | Rt.Call s -> check c pc s.Rt.cs_disp s.Rt.cs_ret
+          | Rt.Prim_call s | Rt.Prim_call1 s | Rt.Prim_call2 s
+          | Rt.Prim_branch1 (s, _)
+          | Rt.Prim_branch2 (s, _) ->
+              check c pc s.Rt.ps_disp s.Rt.ps_ret
+          | _ -> ())
+        c.Rt.instrs)
+    (List.fold_left Bytecode.collect_codes [] codes)
+
+(* The compiler and the peephole must emit exactly the bytecode they
+   emitted when these digests were recorded: a change to the back end
+   that is meant to be a pure speed-up shows here first.  Compiling the
+   sources a second time (after the first pass has advanced the
+   expander's fresh-name and hygiene-mark counters) must print the same
+   listing, so no printed name comes from a process-wide counter and
+   the digests do not depend on test order. *)
+let identity_digests =
+  [
+    ((true, true), "98460eb6a70c0b3f694b36ef9f27f82f");
+    ((true, false), "a2768df235c78afe4c07be60acd41386");
+    ((false, true), "fd78ad33142cf91a001936454f88abb1");
+    ((false, false), "fd78ad33142cf91a001936454f88abb1");
+  ]
+
+let identity_suite =
+  List.map
+    (fun ((peephole, regalloc), digest) ->
+      case
+        (Printf.sprintf "bytecode identity pin [peephole=%b regalloc=%b]"
+           peephole regalloc) (fun () ->
+          let codes = compile_identity ~peephole ~regalloc in
+          let text = listing codes in
+          Alcotest.(check string) "recompiled listing" text
+            (listing (compile_identity ~peephole ~regalloc));
+          Alcotest.(check bool) "no hygiene mark printed" false
+            (String.contains text Macro.mark_char);
+          check_retaddrs codes;
+          Alcotest.(check string) "digest" digest
+            (Digest.to_hex (Digest.string text))))
+    identity_digests
+
+let suite = suite @ identity_suite

@@ -197,15 +197,17 @@ let nesting_cases =
         ])
     [ 1_000; 32_000 ]
 
-(* The peephole allocates output proportional to its input: one scan
-   into one output array, then in-place rewrites.  Pinned as minor-heap
-   words per input instruction over the unfused prelude and corpus code
-   ([Gc.minor_words] counts only minor-heap allocation: arrays too large
-   for the minor heap go straight to the major heap and are not counted).
+(* The peephole allocates its output and little else: one scan into
+   scratch arrays shared by the code objects of one call, in-place
+   rewrites, and operand forms built only where they fuse.  Pinned as
+   minor-heap words per input instruction over the unfused prelude and
+   corpus code ([Gc.minor_words] counts only minor-heap allocation:
+   arrays too large for the minor heap go straight to the major heap and
+   are not counted).
    No wall clock is pinned. *)
 let allocation_cases =
   [
-    case "peephole allocates <= 20 minor words per input instruction"
+    case "peephole allocates <= 7 minor words per input instruction"
       (fun () ->
         let globals = Scheme.globals (Scheme.create ()) in
         let menv = Macro.create_menv () in
@@ -226,10 +228,43 @@ let allocation_cases =
         let w0 = Gc.minor_words () in
         ignore (Optimize.peephole_program globals codes);
         let per_instr = (Gc.minor_words () -. w0) /. float_of_int input in
-        if per_instr > 20. then
+        if per_instr > 7. then
           Alcotest.failf "%.1f minor words per input instruction (%d input)"
             per_instr input);
   ]
+
+(* The compiler's allocation is the code it emits plus one record per
+   binding: variables resolve through their bindings, not through
+   per-lambda hash tables, and the code objects of one call share one
+   growable buffer.  Pinned as minor-heap words per emitted instruction
+   (nested code objects included) over the expanded prelude and corpus
+   sources, beside the peephole's pin above. *)
+let compiler_allocation_case =
+  case "compiler allocates <= 11 minor words per emitted instruction"
+    (fun () ->
+      let globals = Scheme.globals (Scheme.create ()) in
+      let menv = Macro.create_menv () in
+      let tops =
+        List.concat_map
+          (Expander.expand_string ~menv)
+          [
+            Prelude.source; Parprelude.source; Programs.all_defs;
+            Threads.scheduler; Cml.source;
+          ]
+      in
+      let w0 = Gc.minor_words () in
+      let codes = Compiler.compile_program globals tops in
+      let words = Gc.minor_words () -. w0 in
+      let emitted =
+        List.fold_left
+          (fun n (c : Rt.code) -> n + Array.length c.Rt.instrs)
+          0
+          (List.fold_left Bytecode.collect_codes [] codes)
+      in
+      let per_instr = words /. float_of_int emitted in
+      if per_instr > 11. then
+        Alcotest.failf "%.2f minor words per emitted instruction (%d emitted)"
+          per_instr emitted)
 
 (* The reader takes each token with one scan and one [String.sub], and
    classifies it without a failing parse, so its allocation is the
@@ -255,4 +290,5 @@ let reader_allocation_case =
 
 let suite =
   differential_cases @ deopt_cases @ liveness_cases @ reduction_cases
-  @ nesting_cases @ allocation_cases @ [ reader_allocation_case ]
+  @ nesting_cases @ allocation_cases
+  @ [ compiler_allocation_case; reader_allocation_case ]
