@@ -384,41 +384,6 @@ let () =
           (delta_pct b c))
       instr_rows
   end;
-  (* Scaling summary: experiments recording "jobs" + "speedup" (e6's
-     session pool, e9's data-parallel legs) report their speedup at N
-     shards against the run's own sequential reference; the baseline's
-     speedup prints alongside when it recorded the same experiment.
-     Like wall clock, these are informational -- the deterministic
-     gates above already cover the counters. *)
-  let scaling_rows =
-    List.filter_map
-      (fun (name, j) ->
-        match j with
-        | Obj m -> (
-            match (num m "jobs", num m "speedup") with
-            | Some jb, Some sp -> Some (name, jb, sp, num m "ms")
-            | _ -> None)
-        | _ -> None)
-      cur_exps
-  in
-  if scaling_rows <> [] then begin
-    Printf.printf "scaling summary (speedup at N shards vs sequential):\n";
-    List.iter
-      (fun (name, jb, sp, ms) ->
-        let base_sp =
-          match List.assoc_opt name base_exps with
-          | Some (Obj bm) -> num bm "speedup"
-          | _ -> None
-        in
-        Printf.printf "  %-28s %2.0f shard(s) %8.2fx%s%s\n" name jb sp
-          (match ms with
-          | Some m -> Printf.sprintf "  %10.1f ms" m
-          | None -> "")
-          (match base_sp with
-          | Some b -> Printf.sprintf "   (baseline %.2fx)" b
-          | None -> ""))
-      scaling_rows
-  end;
   Printf.printf
     "%d deterministic counters checked: %d regression(s), %d improvement(s), \
      %d missing, %d warning(s), %d note(s)\n"

@@ -7,12 +7,6 @@
      e3    deep recursion under overflow policies (Section 4, third result)
      e4    per-frame overhead, stack vs heap      (Section 5, Appel-Shao)
      e5    dynamic-wind: deep wind/unwind with escaping one-shot conts
-     e6    session pool: --jobs N independent sessions, one domain each
-           (not in [all]; CI compares domains vs --sequential at 0%)
-     e9    data-parallel par-map/par-reduce: chunked tasks over --jobs
-           worker shards, one-shot-continuation fiber scheduling with
-           work stealing (not in [all]; CI compares --no-steal domains
-           vs --sequential at 0%)
      a1    segment cache on/off
      a2    overflow hysteresis on/off
      a3    copy bound sweep (splitting)
@@ -771,259 +765,6 @@ let e5 ~full () =
     ((ms_s -. ms_n) /. ms_s *. 100.)
 
 (* ------------------------------------------------------------------ *)
-(* E6: session pool sharded across OCaml domains                       *)
-(* ------------------------------------------------------------------ *)
-
-let e6_jobs = ref 4
-let e6_sequential = ref false
-
-(* Not part of [all]: e6's JSON keys depend on --jobs, and [all --json]
-   must keep producing exactly the experiment set of the committed
-   baseline now that compare.exe treats a missing experiment as a
-   failure.  CI runs e6 as its own step, comparing a --jobs N domains
-   run against a --jobs N --sequential run at zero tolerance: the
-   per-shard deterministic counters must be bit-identical, which is the
-   whole point — shards share no mutable state. *)
-let e6 ~full () =
-  let jobs = max 1 !e6_jobs in
-  header
-    (Printf.sprintf
-       "E6: session pool -- %d independent sessions%s (one domain each)" jobs
-       (if !e6_sequential then ", run sequentially" else ""));
-  let src =
-    if full then
-      "(begin (set! ctak-capture %call/1cc) (fib 20) (ctak 18 12 6))"
-    else "(begin (set! ctak-capture %call/1cc) (fib 16) (ctak 14 9 5))"
-  in
-  (* Baseline: the same workload on a single one-shard pool.  Pool runs
-     include session creation and corpus load, so both sides of the
-     speedup ratio price the whole shard, not just the eval. *)
-  let _, ms_one, _ =
-    time_ms (fun () -> Scheme.Pool.run ~corpus:true ~domains:false ~jobs:1 src)
-  in
-  let shards, ms_pool, med_pool =
-    time_ms (fun () ->
-        Scheme.Pool.run ~corpus:true ~domains:(not !e6_sequential) ~jobs src)
-  in
-  (* Reference run for the determinism pin: same shards, sequentially on
-     the calling domain.  Every per-shard counter must match exactly. *)
-  let seq_shards = Scheme.Pool.run ~corpus:true ~domains:false ~jobs src in
-  let speedup = float_of_int jobs *. ms_one /. ms_pool in
-  Printf.printf "  workload/shard: %s\n" src;
-  Printf.printf "  %-8s %12s %12s %12s %8s\n" "shard" "instrs" "copied(w)"
-    "alloc(w)" "value";
-  let deterministic = ref true in
-  List.iter2
-    (fun (sh : Scheme.Pool.shard) (sq : Scheme.Pool.shard) ->
-      let st = sh.Scheme.Pool.stats and sq_st = sq.Scheme.Pool.stats in
-      Printf.printf "  %-8d %12d %12d %12d %8s\n" sh.Scheme.Pool.shard
-        st.Stats.instrs st.Stats.words_copied st.Stats.seg_alloc_words
-        (Values.write_string sh.Scheme.Pool.value);
-      if
-        st.Stats.instrs <> sq_st.Stats.instrs
-        || st.Stats.words_copied <> sq_st.Stats.words_copied
-        || st.Stats.seg_alloc_words <> sq_st.Stats.seg_alloc_words
-        || sh.Scheme.Pool.value <> sq.Scheme.Pool.value
-      then deterministic := false;
-      record
-        (Printf.sprintf "e6.shard%d" sh.Scheme.Pool.shard)
-        (stat_metrics st))
-    shards seq_shards;
-  Printf.printf "  1 shard: %.1f ms;  %d shards: %.1f ms;  speedup %.2fx\n"
-    ms_one jobs ms_pool speedup;
-  Printf.printf "  per-shard counters vs sequential run: %s\n"
-    (if !deterministic then "identical" else "MISMATCH");
-  let agg field = List.fold_left (fun a sh -> a + field sh) 0 shards in
-  record_run "e6.parallel" ms_pool ~median:med_pool
-    (let sum = Stats.create () in
-     sum.Stats.instrs <-
-       agg (fun sh -> sh.Scheme.Pool.stats.Stats.instrs);
-     sum.Stats.words_copied <-
-       agg (fun sh -> sh.Scheme.Pool.stats.Stats.words_copied);
-     sum.Stats.seg_alloc_words <-
-       agg (fun sh -> sh.Scheme.Pool.stats.Stats.seg_alloc_words);
-     sum.Stats.cache_hits <-
-       agg (fun sh -> sh.Scheme.Pool.stats.Stats.cache_hits);
-     sum)
-    ~extra:
-      [
-        ("jobs", J_int jobs);
-        ("speedup", J_float speedup);
-        ("deterministic", J_int (if !deterministic then 1 else 0));
-      ];
-  if not !deterministic then (
-    Printf.eprintf "e6: per-shard counters diverged from the sequential run\n";
-    exit 1)
-
-(* ------------------------------------------------------------------ *)
-(* E9: data-parallel par-map/par-reduce over a worker-shard pool       *)
-(* ------------------------------------------------------------------ *)
-
-let e9_jobs = ref 4
-let e9_sequential = ref false
-let e9_no_steal = ref false
-let e9_chunk = ref 2
-
-(* Not part of [all], like e6: the shard-record keys depend on --jobs,
-   and [all --json] must keep producing exactly the committed baseline's
-   experiment set.  CI runs e9 as its own step twice -- once with worker
-   domains, once --sequential (inline shards) -- and compares the two
-   JSONs at zero tolerance: with --no-steal the chunk distribution is
-   pinned (task i on shard i mod jobs), so every deterministic counter
-   must be bit-identical across the two modes.  The speedup legs always
-   run at 1/2/4 shards so their keys are stable regardless of --jobs. *)
-let e9 ~full () =
-  let jobs = max 1 !e9_jobs in
-  let chunk = max 1 !e9_chunk in
-  let steal = not !e9_no_steal in
-  let domains = not !e9_sequential in
-  header
-    (Printf.sprintf "E9: data-parallel par-map/par-reduce -- chunk %d, %s%s"
-       chunk
-       (if domains then "worker domains" else "inline shards")
-       (if steal then ", work stealing" else ", no-steal round-robin"));
-  let workloads =
-    if full then
-      [
-        ("fib", "(par-reduce + 0 (par-map fib (iota 20)))");
-        ("queens", "(par-map queens-count '(7 7 7 7 7 7 7 7))");
-        ("boyer", "(par-map boyer-run '(12 12 12 12 12 12 12 12))");
-      ]
-    else
-      [
-        ("fib", "(par-reduce + 0 (par-map fib (iota 16)))");
-        ("queens", "(par-map queens-count '(5 5 5 5 6 6 6 6))");
-        ("boyer", "(par-map boyer-run '(8 8 8 8 10 10 10 10))");
-      ]
-  in
-  let eval_all s =
-    List.map (fun (_, src) -> Scheme.eval_string ~fuel s src) workloads
-  in
-  List.iter (fun (name, src) -> Printf.printf "  %-8s %s\n" name src) workloads;
-  (* Serial reference: the same expressions on a plain corpus session --
-     without a pool, par-map/par-reduce ARE the serial library. *)
-  let s0, st0 = session () in
-  let serial = ref [] in
-  let _, ms_seq, med_seq =
-    time_ms ~reset:(fun () -> Stats.reset st0) (fun () -> serial := eval_all s0)
-  in
-  record_run "e9.sequential" ms_seq st0 ~median:med_seq;
-  let shard_sum shards name =
-    Array.fold_left
-      (fun acc st ->
-        match st with Some st -> acc + Stats.get st name | None -> acc)
-      0 shards
-  in
-  (* One pool run: attach, evaluate the workloads, detach.  The reset
-     hook zeroes master and shard counters so each --iters iteration
-     contributes exactly one run's worth. *)
-  let leg ~jobs ~steal ~domains =
-    let stats = Stats.create () in
-    let s = Scheme.create ~stats () in
-    Scheme.load_corpus s;
-    Scheme.par_attach ~chunk ~steal ~domains ~fuel ~corpus:true ~jobs s;
-    let vals = ref [] in
-    let reset () =
-      Stats.reset stats;
-      Array.iter
-        (function Some st -> Stats.reset st | None -> ())
-        (Scheme.par_shard_stats s)
-    in
-    let _, ms, med = time_ms ~reset (fun () -> vals := eval_all s) in
-    let shards =
-      Array.map
-        (function Some st -> Some (Stats.copy st) | None -> None)
-        (Scheme.par_shard_stats s)
-    in
-    Scheme.par_shutdown s;
-    (!vals, ms, med, Stats.copy stats, shards)
-  in
-  Printf.printf "  serial reference: %.1f ms\n" ms_seq;
-  Printf.printf "  %6s %10s %8s %12s %8s %8s %10s\n" "shards" "time(ms)"
-    "speedup" "instrs(sum)" "tasks" "steals" "switches";
-  List.iter
-    (fun n ->
-      let vals, ms, med, master, shards = leg ~jobs:n ~steal ~domains in
-      if vals <> !serial then (
-        Printf.eprintf "e9: %d-shard values diverged from the serial run\n" n;
-        exit 1);
-      let sum = shard_sum shards in
-      Printf.printf "  %6d %10.1f %7.2fx %12d %8d %8d %10d\n" n ms
-        (ms_seq /. Float.max 1e-9 ms)
-        (sum "instrs") (sum "par-tasks") (sum "par-steals")
-        (sum "par-switches");
-      record
-        (Printf.sprintf "e9.jobs%d" n)
-        ([ ("ms", J_float ms) ]
-        @ (if !iters > 1 then [ ("ms_median", J_float med) ] else [])
-        @ [
-            (* master + shard-summed deterministic counters: invariant
-               across chunk distributions by the per-chunk discipline
-               (chunk size never depends on jobs; segment cache cleared
-               per chunk) *)
-            ("instrs", J_int (master.Stats.instrs + sum "instrs"));
-            ( "words_copied",
-              J_int (master.Stats.words_copied + sum "words-copied") );
-            ( "seg_alloc_words",
-              J_int (master.Stats.seg_alloc_words + sum "seg-alloc-words") );
-            ("jobs", J_int n);
-            ("speedup", J_float (ms_seq /. Float.max 1e-9 ms));
-            ("par_tasks", J_int (sum "par-tasks"));
-            ("par_steals", J_int (sum "par-steals"));
-            ("par_switches", J_int (sum "par-switches"));
-          ]))
-    [ 1; 2; 4 ];
-  (* No-steal identity pin: the pinned round-robin distribution run with
-     worker domains, the same shards inline, and everything on one
-     shard.  Per-shard deterministic counters must match domains-vs-
-     inline exactly, and the shard sums must equal the 1-shard run's. *)
-  let _, _, _, _, shards_prim = leg ~jobs ~steal:false ~domains in
-  let _, _, _, _, shards_seq = leg ~jobs ~steal:false ~domains:false in
-  let _, _, _, _, shards_one = leg ~jobs:1 ~steal:false ~domains:false in
-  let det =
-    [
-      ("instrs", "instrs");
-      ("words-copied", "words_copied");
-      ("seg-alloc-words", "seg_alloc_words");
-      ("par-tasks", "par_tasks");
-    ]
-  in
-  let get shards i name =
-    match shards.(i) with Some st -> Stats.get st name | None -> 0
-  in
-  let deterministic = ref true in
-  Printf.printf "  no-steal shards (%d):\n" jobs;
-  Printf.printf "  %-8s %12s %12s %12s %8s\n" "shard" "instrs" "copied(w)"
-    "alloc(w)" "tasks";
-  for i = 0 to jobs - 1 do
-    Printf.printf "  %-8d %12d %12d %12d %8d\n" i
-      (get shards_prim i "instrs")
-      (get shards_prim i "words-copied")
-      (get shards_prim i "seg-alloc-words")
-      (get shards_prim i "par-tasks");
-    List.iter
-      (fun (nm, _) ->
-        if get shards_prim i nm <> get shards_seq i nm then
-          deterministic := false)
-      det;
-    record
-      (Printf.sprintf "e9.shard%d" i)
-      (List.map (fun (nm, key) -> (key, J_int (get shards_prim i nm))) det)
-  done;
-  List.iter
-    (fun (nm, _) ->
-      if shard_sum shards_prim nm <> shard_sum shards_one nm then
-        deterministic := false)
-    det;
-  Printf.printf
-    "  no-steal identity (domains vs inline; %d-shard sums vs 1 shard): %s\n"
-    jobs
-    (if !deterministic then "identical" else "MISMATCH");
-  if not !deterministic then (
-    Printf.eprintf "e9: no-steal counters diverged across distributions\n";
-    exit 1)
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -1107,41 +848,11 @@ let () =
     | [] -> 1
   in
   iters := iters_arg argv;
-  let rec jobs_arg = function
-    | "--jobs" :: n :: _ -> (
-        match int_of_string_opt n with
-        | Some k when k >= 1 -> k
-        | _ ->
-            Printf.eprintf "--jobs expects a positive integer, got %s\n" n;
-            exit 1)
-    | _ :: rest -> jobs_arg rest
-    | [] -> 4
-  in
-  e6_jobs := jobs_arg argv;
-  e6_sequential := List.mem "--sequential" argv;
-  e9_jobs := jobs_arg argv;
-  e9_sequential := !e6_sequential;
-  e9_no_steal := List.mem "--no-steal" argv;
-  let rec chunk_arg = function
-    | "--par-chunk" :: n :: _ -> (
-        match int_of_string_opt n with
-        | Some k when k >= 1 -> k
-        | _ ->
-            Printf.eprintf "--par-chunk expects a positive integer, got %s\n" n;
-            exit 1)
-    | _ :: rest -> chunk_arg rest
-    | [] -> 2
-  in
-  e9_chunk := chunk_arg argv;
   let rec positional = function
     | [] -> []
     | "--full" :: rest -> positional rest
-    | "--sequential" :: rest -> positional rest
-    | "--no-steal" :: rest -> positional rest
     | "--json" :: _ :: rest -> positional rest
     | "--iters" :: _ :: rest -> positional rest
-    | "--jobs" :: _ :: rest -> positional rest
-    | "--par-chunk" :: _ :: rest -> positional rest
     | x :: rest -> x :: positional rest
   in
   let which = match positional argv with [] -> "all" | x :: _ -> x in
@@ -1157,8 +868,6 @@ let () =
   | "e3" -> e3 ~full ()
   | "e4" -> e4 ~full ()
   | "e5" -> e5 ~full ()
-  | "e6" -> e6 ~full ()
-  | "e9" -> e9 ~full ()
   | "a1" -> a1 ~full ()
   | "a2" -> a2 ~full ()
   | "a3" -> a3 ~full ()
@@ -1171,7 +880,7 @@ let () =
       micro ()
   | other ->
       Printf.eprintf
-        "unknown experiment %s (expected e1..e6, e9, a1..a6, micro, all)\n"
+        "unknown experiment %s (expected e1..e5, a1..a6, micro, all)\n"
         other;
       exit 1);
   match json with

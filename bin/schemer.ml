@@ -32,10 +32,12 @@ let diag_of_exn ?pos = function
   | e -> Diag.of_exn ?pos e
 
 (* Print the diagnostic for [e] on stderr; false if [e] is not a
-   pipeline failure (the caller re-raises). *)
+   pipeline failure (the caller re-raises).  Standard output is flushed
+   first, so the diagnostic follows the program output it came after. *)
 let report_exn ?pos e =
   match diag_of_exn ?pos e with
   | Some d ->
+      flush stdout;
       Printf.eprintf "%s\n%!" (Diag.to_string d);
       true
   | None -> false
@@ -65,39 +67,9 @@ let run_lint ~exprs ~files =
     exprs;
   if !count = 0 then 0 else 1
 
-(* --jobs N: evaluate the program on N fully independent sessions
-   (Scheme.Pool), one OCaml domain per shard unless --sequential.  Shard
-   results print in index order, so the output is deterministic either
-   way. *)
-let run_pool ~backend ~corpus ~stats_flag ~optimize ~peephole ~regalloc ~verify
-    ~hygiene ~jobs ~sequential ~exprs ~files =
-  let src = String.concat "\n" (List.map read_file files @ exprs) in
-  match
-    Scheme.Pool.run ~backend ~corpus ~optimize ~peephole ~regalloc ~verify
-      ~hygiene ~domains:(not sequential) ~jobs src
-  with
-  | shards ->
-      List.iter
-        (fun (sh : Scheme.Pool.shard) ->
-          if sh.Scheme.Pool.output <> "" then print_string sh.Scheme.Pool.output;
-          if sh.Scheme.Pool.value <> Rt.Void then
-            Printf.printf "shard %d: %s\n" sh.Scheme.Pool.shard
-              (Values.write_string sh.Scheme.Pool.value);
-          if stats_flag then begin
-            Printf.eprintf "\n-- machine counters (shard %d) --\n"
-              sh.Scheme.Pool.shard;
-            List.iter
-              (fun (name, v) ->
-                if v <> 0 then Printf.eprintf "%-18s %d\n" name v)
-              (Stats.to_rows sh.Scheme.Pool.stats)
-          end)
-        shards;
-      0
-  | exception e when report_exn e -> 1
-
 let run_session ~backend ~scheme_winders ~corpus ~stats_flag ~disassemble
-    ~expand_only ~optimize ~peephole ~regalloc ~verify ~hygiene ~par ~exprs
-    ~files ~interactive =
+    ~expand_only ~optimize ~peephole ~regalloc ~verify ~hygiene ~exprs ~files
+    ~interactive =
   let stats = Stats.create () in
   let s =
     Scheme.create ~backend ~stats ~scheme_winders ~optimize ~peephole ~regalloc
@@ -107,14 +79,6 @@ let run_session ~backend ~scheme_winders ~corpus ~stats_flag ~disassemble
      earlier file/-e chunk is visible to later ones, as in evaluation. *)
   let expand_menv = Macro.create_menv () in
   if corpus then Scheme.load_corpus s;
-  (* --par-chunk attaches a data-parallel worker pool to this single
-     session: par-map/par-reduce/par-for-each now fan chunks out to
-     --jobs worker shards instead of falling back to the serial
-     library. *)
-  (match par with
-  | Some (chunk, steal, domains, jobs) ->
-      Scheme.par_attach ~chunk ~steal ~domains ~corpus ~jobs s
-  | None -> ());
   let dump_output () =
     let out = Scheme.take_output s in
     if out <> "" then print_string out
@@ -208,24 +172,13 @@ let run_session ~backend ~scheme_winders ~corpus ~stats_flag ~disassemble
     loop ()
   end;
   if stats_flag then begin
+    flush stdout;
     Printf.eprintf "\n-- machine counters --\n";
     List.iter
       (fun (name, v) ->
         if v <> 0 then Printf.eprintf "%-18s %d\n" name v)
-      (Stats.to_rows stats);
-    Array.iteri
-      (fun i st ->
-        match st with
-        | None -> ()
-        | Some st ->
-            Printf.eprintf "\n-- machine counters (par shard %d) --\n" i;
-            List.iter
-              (fun (name, v) ->
-                if v <> 0 then Printf.eprintf "%-18s %d\n" name v)
-              (Stats.to_rows st))
-      (Scheme.par_shard_stats s)
+      (Stats.to_rows stats)
   end;
-  if par <> None then Scheme.par_shutdown s;
   if batch_failed then 1 else 0
 
 let backend_conv =
@@ -248,8 +201,8 @@ let capture_conv =
 
 let main backend_kind seg_words copy_bound overflow hysteresis seal_disp
     no_cache promotion capture scheme_winders corpus stats_flag disassemble
-    expand_only no_hygiene optimize no_peephole no_regalloc verify lint jobs
-    sequential par_chunk no_steal exprs files =
+    expand_only no_hygiene optimize no_peephole no_regalloc verify lint exprs
+    files =
   let config =
     {
       Control.default_config with
@@ -285,33 +238,9 @@ let main backend_kind seg_words copy_bound overflow hysteresis seal_disp
       1
   | None when lint -> run_lint ~exprs ~files
   | None ->
-  match par_chunk with
-  | Some n when n < 1 ->
-      Printf.eprintf
-        "schemer: unknown value for --par-chunk: %d (expected a chunk size \
-         of at least 1)\n\
-         %!"
-        n;
-      2
-  | Some chunk ->
-      (* --par-chunk selects the data-parallel pool on ONE master
-         session (par-map fan-out), as opposed to --jobs alone, which
-         replicates the whole program across independent sessions. *)
       run_session ~backend ~scheme_winders ~corpus ~stats_flag ~disassemble
         ~expand_only ~optimize ~peephole:(not no_peephole)
-        ~regalloc:(not no_regalloc) ~verify ~hygiene
-        ~par:(Some (chunk, not no_steal, not sequential, jobs))
-        ~exprs ~files ~interactive
-  | None ->
-      if jobs > 1 then
-        run_pool ~backend ~corpus ~stats_flag ~optimize
-          ~peephole:(not no_peephole) ~regalloc:(not no_regalloc) ~verify
-          ~hygiene ~jobs ~sequential ~exprs ~files
-      else
-        run_session ~backend ~scheme_winders ~corpus ~stats_flag ~disassemble
-          ~expand_only ~optimize ~peephole:(not no_peephole)
-          ~regalloc:(not no_regalloc) ~verify ~hygiene ~par:None ~exprs ~files
-          ~interactive
+        ~regalloc:(not no_regalloc) ~verify ~hygiene ~exprs ~files ~interactive
 
 let cmd =
   let backend =
@@ -464,48 +393,8 @@ let cmd =
       & info [ "lint" ]
           ~doc:
             "Lint the program source instead of executing it: multi-shot \
-             call/1cc diagnostics, set! of fused primitives, unused \
-             bindings, and non-flat quoted par-map/par-reduce arguments.  \
-             Exit status 1 if any diagnostic fires.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Evaluate the program on $(docv) fully independent sessions \
-             (Scheme.Pool), one OCaml domain per shard.")
-  in
-  let sequential =
-    Arg.(
-      value & flag
-      & info [ "sequential" ]
-          ~doc:
-            "With --jobs, run the shards one after another on the calling \
-             domain instead of spawning domains (results are identical; \
-             only the wall-clock changes).")
-  in
-  let par_chunk =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "par-chunk" ] ~docv:"N"
-          ~doc:
-            "Attach a data-parallel worker pool to the session and split \
-             par-map/par-reduce/par-for-each work into chunks of $(docv) \
-             items.  The pool has --jobs worker shards (one OCaml domain \
-             each unless --sequential), scheduled by one-shot-continuation \
-             fibers with work stealing between shards.")
-  in
-  let no_steal =
-    Arg.(
-      value & flag
-      & info [ "no-steal" ]
-          ~doc:
-            "With --par-chunk, disable work stealing: chunk $(i,i) is \
-             pinned to shard $(i,i) mod --jobs, making per-shard \
-             deterministic counters reproducible; for counter pinning and \
-             differential testing.")
+             call/1cc diagnostics, set! of fused primitives and unused \
+             bindings.  Exit status 1 if any diagnostic fires.")
   in
   let exprs =
     Arg.(
@@ -520,8 +409,7 @@ let cmd =
       const main $ backend $ seg_words $ copy_bound $ overflow $ hysteresis
       $ seal_disp $ no_cache $ promotion $ capture $ scheme_winders $ corpus
       $ stats_flag $ disassemble $ expand_only $ no_hygiene $ optimize
-      $ no_peephole $ no_regalloc $ verify $ lint $ jobs $ sequential
-      $ par_chunk $ no_steal $ exprs $ files)
+      $ no_peephole $ no_regalloc $ verify $ lint $ exprs $ files)
   in
   Cmd.v
     (Cmd.info "schemer" ~version:"1.0"

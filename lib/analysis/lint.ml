@@ -6,7 +6,7 @@
    (lambda/let/let*/letrec/named let/do/case-lambda/define) instead of
    reusing [Ast.t], which is position-free.
 
-   Four rule families:
+   Three rule families:
 
    - [multi-shot-1cc]: a continuation bound by a literal
      [(call/1cc (lambda (k) ...))] (or [%call/1cc]) that is invoked on
@@ -28,13 +28,7 @@
    - [unused-binding]: a [let]/[let*]/[letrec]/named-let/[do] binding
      that is never referenced.  Lambda parameters are exempt (arity is
      interface, not implementation), as are names starting with [_] or
-     [%].
-
-   - [non-flat-par]: a literally quoted argument of [par-map] /
-     [par-for-each] / [par-reduce] whose elements (or whose reduce seed)
-     are not flat in the {!Flatvalue} sense — dotted pairs being the
-     canonical offender — would raise [Not_flat] at the shard boundary
-     at runtime; reported as an error at the offending sub-datum. *)
+     [%]. *)
 
 (* Lint reports in the pipeline-wide diagnostic currency (DESIGN.md
    §17): a lint finding is a [Diag.t] whose layer is [Lint] and whose
@@ -95,51 +89,6 @@ let fused_prim st name =
       | Some (Rt.Prim { Rt.pfn = Rt.Pure _; _ }) -> true
       | _ -> false)
   | None -> List.mem name default_fused
-
-(* ---------------- flatness of quoted literals ---------------- *)
-
-(* First non-flat sub-datum, if any: dotted pairs are the only reader
-   datum outside the {!Flatvalue} wire subset (symbols, numbers,
-   strings, booleans, characters, and proper lists / vectors of flat
-   data all travel). *)
-let rec non_flat (d : Sexp.t) : Sexp.t option =
-  match d with
-  | Sexp.Sym _ | Sexp.Int _ | Sexp.Float _ | Sexp.Str _ | Sexp.Bool _
-  | Sexp.Char _ ->
-      None
-  | Sexp.List (items, _) | Sexp.Vec (items, _) -> List.find_map non_flat items
-  | Sexp.Dotted _ -> Some d
-
-let check_par_items st op (arg : Sexp.t) =
-  match arg with
-  | Sexp.List ([ Sexp.Sym ("quote", _); d ], _) -> (
-      match d with
-      | Sexp.List (items, _) -> (
-          match List.find_map non_flat items with
-          | Some bad ->
-              report st (Sexp.pos_of bad) Error "non-flat-par"
-                (Printf.sprintf
-                   "quoted argument of %s contains the non-flat datum %s, \
-                    which cannot cross the par shard boundary"
-                   op (Sexp.to_string bad))
-          | None -> ())
-      | _ ->
-          report st (Sexp.pos_of d) Error "non-flat-par"
-            (Printf.sprintf "quoted argument of %s is not a proper list" op))
-  | _ -> ()
-
-let check_par_seed st op (arg : Sexp.t) =
-  match arg with
-  | Sexp.List ([ Sexp.Sym ("quote", _); d ], _) -> (
-      match non_flat d with
-      | Some bad ->
-          report st (Sexp.pos_of bad) Error "non-flat-par"
-            (Printf.sprintf
-               "quoted %s seed contains the non-flat datum %s, which cannot \
-                cross the par shard boundary"
-               op (Sexp.to_string bad))
-      | None -> ())
-  | _ -> ()
 
 (* ---------------- one-shot continuation analysis ---------------- *)
 
@@ -486,14 +435,6 @@ and special st env head rest pos =
   | ("call/1cc" | "%call/1cc"), [ receiver ] ->
       check_call1cc st head pos receiver;
       walk st env receiver
-  | ("par-map" | "par-for-each"), ([ f; arg ] as forms) ->
-      check_par_items st head arg;
-      walk_body st env forms;
-      ignore f
-  | "par-reduce", ([ _op; seed; arg ] as forms) ->
-      check_par_seed st head seed;
-      check_par_items st head arg;
-      walk_body st env forms
   | _, forms ->
       (* if / when / unless / begin / and / or / assert / applications of
          globals: every sub-form is an expression *)

@@ -13,10 +13,7 @@
       which deoptimizes every inline-cached fused call site (warning);
     - [unused-binding] — a [let]/[let*]/[letrec]/named-let/[do] binding
       never referenced (warning; lambda parameters and [_]/[%]-prefixed
-      names are exempt);
-    - [non-flat-par] — a literally quoted [par-map] / [par-for-each] /
-      [par-reduce] argument containing a non-flat datum that cannot
-      cross the par shard boundary (error). *)
+      names are exempt). *)
 
 type severity = Diag.severity = Error | Warning
 

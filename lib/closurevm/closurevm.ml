@@ -34,7 +34,7 @@
    the whole [Make_closure] closure DAG of a program eagerly before
    running it.  The shared code objects ([Engine.halt_code] and the
    dynamic-wind resume codes in {!Prims}) are compiled at module
-   initialization, before any {!Scheme.Pool} domain can spawn, so
+   initialization, before a session on another domain can start, so
    domains only ever read those templates.
 
    Fuel and instruction accounting keep the engine's batched landing
@@ -530,13 +530,13 @@ and emit arr instrs (code : code) pc : step =
      at its pc — fusion only skips dispatch to it on the straight-line
      path.
      Neither fusion has a bytecode form, and both are kept on
-     measurement.  In the default-flag prelude, parprelude, corpus,
-     thread and CML code the absorption matches 286 sites and the push
-     pairing 86.  A build without the absorption ran the perfbench
-     [corpus] workload at a median jobs_per_s ratio of 0.89 (95%
+     measurement.  Over the default-flag prelude, corpus, thread, CML
+     and (since removed) parallel-prelude code the absorption matched
+     286 sites and the push pairing 86.  A build without it ran the
+     perfbench [corpus] workload at a median jobs_per_s ratio of 0.89 (95%
      bootstrap interval 0.85-0.96, slower in 5 of 5 interleaved 20 s
-     pairs, 2-vCPU Xeon); an earlier check over 5 pairs of 10 s gave
-     0.96.  Both are below the 0.98 a deletion must keep. *)
+     pairs, 2-vCPU Xeon); an earlier check over 5 pairs of 10 s gave 0.96.
+     Both are below the 0.98 a deletion must keep. *)
   | Const_push (v, i) -> emit_push arr instrs pc (Op_const v) i
   | Local_push (s, i) -> emit_push arr instrs pc (Op_local s) i
   | Free_push (i, j) -> (
@@ -938,7 +938,7 @@ let take_output = Engine.take_output
 
 (* The code objects shared across machines (the halt code and the
    dynamic-wind resume codes) are template-compiled here, at module
-   initialization: Scheme.Pool runs sessions on multiple domains, and
+   initialization: sessions may run on separate domains, and
    precompiling before any domain can spawn means their [templ] slots
    are only ever read concurrently, never written.  Per-program code is
    session-private, so no other cross-domain template write exists. *)

@@ -31,9 +31,6 @@ type t = {
   mutable tmpl_codes : int;
   mutable tmpl_steps : int;
   mutable tmpl_enters : int;
-  mutable par_tasks : int;
-  mutable par_steals : int;
-  mutable par_switches : int;
 }
 
 let create ?(enabled = true) () =
@@ -70,9 +67,6 @@ let create ?(enabled = true) () =
     tmpl_codes = 0;
     tmpl_steps = 0;
     tmpl_enters = 0;
-    par_tasks = 0;
-    par_steals = 0;
-    par_switches = 0;
   }
 
 (* [reset] clears the counters but leaves [enabled] alone. *)
@@ -107,10 +101,7 @@ let reset t =
   t.cow_copies <- 0;
   t.tmpl_codes <- 0;
   t.tmpl_steps <- 0;
-  t.tmpl_enters <- 0;
-  t.par_tasks <- 0;
-  t.par_steals <- 0;
-  t.par_switches <- 0
+  t.tmpl_enters <- 0
 
 let to_rows t =
   [
@@ -145,58 +136,9 @@ let to_rows t =
     ("tmpl-codes", t.tmpl_codes);
     ("tmpl-steps", t.tmpl_steps);
     ("tmpl-enters", t.tmpl_enters);
-    ("par-tasks", t.par_tasks);
-    ("par-steals", t.par_steals);
-    ("par-switches", t.par_switches);
   ]
 
 let names = List.map fst (to_rows (create ()))
 let get t name = List.assoc name (to_rows t)
 
 let copy t = { t with instrs = t.instrs }
-
-(* Field-for-field restore of a [copy] snapshot: the data-parallel
-   worker uses it to keep bookkeeping evaluation (source-log replay)
-   out of a session's measured counters. *)
-let blit ~src ~dst =
-  dst.enabled <- src.enabled;
-  dst.instrs <- src.instrs;
-  dst.calls <- src.calls;
-  dst.frames <- src.frames;
-  dst.prim_calls <- src.prim_calls;
-  dst.prim_fast <- src.prim_fast;
-  dst.prim_deopts <- src.prim_deopts;
-  dst.captures_multi <- src.captures_multi;
-  dst.captures_oneshot <- src.captures_oneshot;
-  dst.invokes_multi <- src.invokes_multi;
-  dst.invokes_oneshot <- src.invokes_oneshot;
-  dst.unseals <- src.unseals;
-  dst.underflows <- src.underflows;
-  dst.overflows <- src.overflows;
-  dst.splits <- src.splits;
-  dst.promotions <- src.promotions;
-  dst.words_copied <- src.words_copied;
-  dst.seg_allocs <- src.seg_allocs;
-  dst.seg_alloc_words <- src.seg_alloc_words;
-  dst.cache_hits <- src.cache_hits;
-  dst.cache_releases <- src.cache_releases;
-  dst.cache_class_hits <- src.cache_class_hits;
-  dst.cache_class_misses <- src.cache_class_misses;
-  dst.cache_words_hw <- src.cache_words_hw;
-  dst.closures_made <- src.closures_made;
-  dst.boxes_made <- src.boxes_made;
-  dst.heap_frames <- src.heap_frames;
-  dst.heap_frame_words <- src.heap_frame_words;
-  dst.cow_copies <- src.cow_copies;
-  dst.tmpl_codes <- src.tmpl_codes;
-  dst.tmpl_steps <- src.tmpl_steps;
-  dst.tmpl_enters <- src.tmpl_enters;
-  dst.par_tasks <- src.par_tasks;
-  dst.par_steals <- src.par_steals;
-  dst.par_switches <- src.par_switches
-
-let pp fmt t =
-  List.iter
-    (fun (name, v) ->
-      if v <> 0 then Format.fprintf fmt "%-18s %d@." name v)
-    (to_rows t)

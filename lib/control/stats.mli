@@ -57,30 +57,14 @@ type t = {
   mutable tmpl_enters : int;
       (** closure VM: template (re-)entries — one per landing, i.e. per
           slow-path control transfer back into compiled steps *)
-  mutable par_tasks : int;
-      (** data-parallel layer: chunked tasks executed by this session
-          (gated under [enabled], like the other hot-path counters) *)
-  mutable par_steals : int;
-      (** data-parallel layer: tasks obtained by stealing from another
-          shard's deque rather than popping the shard's own *)
-  mutable par_switches : int;
-      (** data-parallel layer: one-shot continuation task switches
-          performed by the in-chunk fiber scheduler *)
 }
 
 val create : ?enabled:bool -> unit -> t
 val reset : t -> unit
 val copy : t -> t
 
-val blit : src:t -> dst:t -> unit
-(** Restore every field of [dst] (including [enabled]) from [src].
-    With {!copy} this gives snapshot/restore, which the data-parallel
-    worker uses to keep its source-log replay out of the measured
-    per-shard counters. *)
-
 val get : t -> string -> int
 (** Look a counter up by name; raises [Not_found] for unknown names. *)
 
 val names : string list
 val to_rows : t -> (string * int) list
-val pp : Format.formatter -> t -> unit

@@ -86,7 +86,7 @@ let create ?stats pol =
     }
   in
   (* Point this machine's hook record at its own state.  The timer
-     accessors, the fiber-switch counter and the output sink are
+     accessors and the output sink are
      per-machine state behind process-shared [Pure] prims (applied
      in-line, no frame, eligible for primitive-call fusion — the
      scheduler re-arms the timer once per context switch, which made a
@@ -98,9 +98,6 @@ let create ?stats pol =
       if vm.timer_handler != handler then vm.timer_handler <- handler;
       vm.timer <- (if ticks <= 0 then -1 else ticks));
   vm.hooks.Machine_hooks.get_timer <- (fun () -> max vm.timer 0);
-  vm.hooks.Machine_hooks.par_switch <-
-    (fun () ->
-      if stats.enabled then stats.par_switches <- stats.par_switches + 1);
   vm.hooks.Machine_hooks.out <- (fun () -> vm.out);
   vm
 

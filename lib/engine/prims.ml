@@ -801,29 +801,6 @@ let the_prims : (string * prim) list =
             bool_of ((not (Control.is_shot sr)) && Control.is_multi sr)
         | Hcont c -> bool_of (c.hcont_promoted || not c.hcont_one_shot)
         | v -> Values.type_error "%continuation-promoted?" "continuation" v);
-    (* -- data-parallel defaults ----------------------------------------- *)
-    (* The prelude's par-map/par-reduce/par-for-each gate on
-       [(%par-jobs)]: 0 means "no pool attached" and selects the serial
-       fallback (map/fold-left/for-each).  Attaching a pool
-       (Scheme.par_attach) rebinds all three in the session's globals —
-       the same overwrite mechanism [Engine.create] uses for the timer
-       accessors — so plain sessions, worker shards, and the oracle all
-       see these inert defaults and never recurse into the pool. *)
-    pure "%par-jobs" (Exactly 0) (fun _ -> Int 0);
-    pure "%par-chunk" (Exactly 0) (fun _ -> Int 1);
-    pure "%par-dispatch" (At_least 3) (fun _ ->
-        Values.err "par: no pool attached to this session" []);
-    (* Count a voluntary fiber switch on the running machine's counter
-       block (a no-op outside any run, matching the old inert default). *)
-    pure "%par-switch!" (Exactly 0) (fun _ ->
-        (Machine_hooks.current ()).Machine_hooks.par_switch ();
-        Void);
-    (* Raw append to this session's output buffer: the pool stitches
-       worker shard output back into the master's stream through this
-       (a pure prim the master can apply without re-entering its VM). *)
-    pure1 "%par-emit" (fun v ->
-        Buffer.add_bytes (hooks_out ()) (check_str "%par-emit" v);
-        Void);
     (* -- control specials (handled by the machine loops) ---------------- *)
     special "%call/cc" (Exactly 1) Sp_callcc;
     special "%call/1cc" (Exactly 1) Sp_call1cc;

@@ -6,7 +6,7 @@ let err pos msg = raise (Expand_error (msg, pos))
    the macro environment (shared with the session so [define-syntax]
    persists), the hygiene switch, and the macro-recursion depth.  No
    process-global ambient state — concurrent sessions on different
-   domains expand independently ([Scheme.Pool], par workers). *)
+   domains expand independently. *)
 type ctx = {
   menv : Macro.menv;
   hygiene : bool;

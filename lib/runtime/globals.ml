@@ -5,8 +5,8 @@
    embedded cell record.  That makes code objects session-independent:
    the same compiled prelude image executes against any session's table
    (each session owns its own cell array, indexed by the shared slots),
-   which is what lets Scheme.Pool shards share one read-only compiled
-   prelude.  The interner is append-only and mutex-guarded — slot
+   which is what lets sessions on separate domains share one read-only
+   compiled prelude.  The interner is append-only and mutex-guarded — slot
    numbers are stable for the life of the process and identical across
    domains, so the numbering (and with it every slot embedded in pinned
    bytecode) is deterministic for a fixed program. *)
@@ -110,8 +110,3 @@ let fold f (t : t) init =
       if i < !next_slot then acc := f (slot_name i) g !acc)
     t.cells;
   !acc
-
-let iter f (t : t) =
-  Array.iteri
-    (fun i (g : Rt.global) -> if i < !next_slot then f (slot_name i) g)
-    t.cells

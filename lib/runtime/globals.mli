@@ -4,7 +4,7 @@
     session owns a cell array indexed by those shared slots.  Compiled
     code refers to globals by slot, so code objects are
     session-independent and a compiled prelude image can be shared
-    read-only across pool shards. *)
+    read-only across sessions on separate domains. *)
 
 val slot : string -> int
 (** Intern a name to its process-wide slot (creating one if needed). *)
@@ -37,4 +37,3 @@ val find_opt : t -> string -> Rt.global option
 val lookup_opt : t -> string -> Rt.value option
 
 val fold : (string -> Rt.global -> 'a -> 'a) -> t -> 'a -> 'a
-val iter : (string -> Rt.global -> unit) -> t -> unit

@@ -353,7 +353,7 @@ exception Shot_continuation
 (* The symbol table is the one deliberately process-global structure in
    the runtime: [eq?] on symbols is physical equality, so every machine
    must intern through the same table.  Sessions may run on different
-   domains (Scheme.Pool), so the table and the gensym counter are
+   domains, so the table and the gensym counter are
    mutex-guarded; the lock is uncontended and symbols are interned at
    compile time, never on the execution hot path. *)
 let sym_lock = Mutex.create ()

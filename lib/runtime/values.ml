@@ -233,5 +233,3 @@ let render_to_string ~write v =
 
 let write_string v = render_to_string ~write:true v
 let display_string v = render_to_string ~write:false v
-
-let pp fmt v = Format.pp_print_string fmt (write_string v)

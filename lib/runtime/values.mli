@@ -42,8 +42,6 @@ val write_string : Rt.value -> string
 val display_string : Rt.value -> string
 (** [display]-style representation (strings and chars raw). *)
 
-val pp : Format.formatter -> Rt.value -> unit
-
 val type_name : Rt.value -> string
 
 val err : string -> Rt.value list -> 'a

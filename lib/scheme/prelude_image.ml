@@ -3,8 +3,8 @@
    Every session used to re-read, re-expand and re-compile the prelude
    sources (and then execute the result on its own machine) at create
    time — thousands of dispatched instructions per session before the
-   first user form, multiplied by every {!Scheme.Pool} shard and
-   par-pool worker.  Slot-indexed globals made compiled code
+   first user form, multiplied by every session, including sessions
+   on separate domains.  Slot-indexed globals made compiled code
    session-independent (an [Rt.code] mentions global *slots*, never a
    session's cells), and the primitive table is process-shared (so the
    [ps_guard] physical-identity checks in fused prim sites hold in
@@ -64,7 +64,6 @@ let build { k_winders; k_opt; k_peep; k_reg } =
   let codes =
     compile
       (if k_winders then Prelude.source_scheme_winders else Prelude.source)
-    @ compile Parprelude.source
   in
   ignore (Vm.run_program vm codes);
   let delta = ref [] in

@@ -7,8 +7,8 @@
     table at create time.  Compiled code is session-independent
     (slot-indexed globals, process-shared primitives), so the codes,
     the closure values in the delta, and the closure backend's
-    eagerly-compiled templates are shared read-only by every session
-    and every {!Scheme.Pool} / par-pool shard. *)
+    eagerly-compiled templates are shared read-only by every session,
+    including sessions on separate domains. *)
 
 type t
 

@@ -447,5 +447,3 @@ let rec equal a b =
 
 and equal_lists xs ys =
   List.length xs = List.length ys && List.for_all2 equal xs ys
-
-let pp fmt d = Format.pp_print_string fmt (to_string d)

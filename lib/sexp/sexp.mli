@@ -53,6 +53,3 @@ val to_string : t -> string
 
 val equal : t -> t -> bool
 (** Structural equality ignoring source positions. *)
-
-val pp : Format.formatter -> t -> unit
-(** Pretty-print via {!to_string}. *)

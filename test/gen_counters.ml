@@ -21,9 +21,6 @@ let counter_names =
     "tmpl-codes";
     "tmpl-steps";
     "tmpl-enters";
-    "par-tasks";
-    "par-steals";
-    "par-switches";
   ]
 
 let tiny_config =

@@ -221,7 +221,7 @@ let compile_shape_program =
 
 let identity_sources =
   [
-    Prelude.source; Parprelude.source; Programs.all_defs; Threads.scheduler;
+    Prelude.source; Programs.all_defs; Threads.scheduler;
     Cml.source; compile_shape_program;
   ]
 
@@ -268,10 +268,10 @@ let check_retaddrs codes =
    the digests do not depend on test order. *)
 let identity_digests =
   [
-    ((true, true), "98460eb6a70c0b3f694b36ef9f27f82f");
-    ((true, false), "a2768df235c78afe4c07be60acd41386");
-    ((false, true), "fd78ad33142cf91a001936454f88abb1");
-    ((false, false), "fd78ad33142cf91a001936454f88abb1");
+    ((true, true), "a8cdae2cc50090d345970b2b497b36c8");
+    ((true, false), "29e5a6f1806ce4e28c09bc412958744d");
+    ((false, true), "2d19350d45b15497578c853e1e38807c");
+    ((false, false), "2d19350d45b15497578c853e1e38807c");
   ]
 
 let identity_suite =

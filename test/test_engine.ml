@@ -2,8 +2,8 @@
    heap frame policies) must keep sessions fully independent: each
    Scheme.t owns its machine, stats, globals, macro tables, output
    buffer and (stack backend) segment cache, so interleaving sessions —
-   or running them on separate domains via Scheme.Pool — never lets one
-   observe another.  These tests pin that property, plus the pieces the
+   or running them on separate domains — never lets one observe
+   another.  These tests pin that property, plus the pieces the
    unification is allowed to share: the single fuel-exhaustion exception
    and the oracle's now-live counters. *)
 
@@ -111,49 +111,63 @@ let backends_agree () =
       Alcotest.(check string) ("oracle: " ^ src) vs (eval o src))
     progs
 
-let pool_src =
-  "(let loop ((i 0) (acc 0))\n\
-  \  (if (= i 60) acc\n\
-  \      (loop (+ i 1) (+ acc (%call/1cc (lambda (k) (k i)))))))"
+(* Sessions on separate domains are independent: the same program, run
+   by two sessions on two spawned domains at once, gives the value,
+   output and counters that it gives on the calling domain, and no
+   domain builds a prelude image of its own.  The program uses the
+   corpus, hygienic macros (expanded again at run time through [eval])
+   and [dynamic-wind] around a one-shot escape, whose resume codes are
+   the closure backend's process-shared templates. *)
+let domain_src =
+  "(define-syntax my-or\n\
+  \  (syntax-rules ()\n\
+  \    ((_) #f) ((_ e) e) ((_ e r ...) (let ((t e)) (if t t (my-or r ...))))))\n\
+   (define-syntax sq (syntax-rules () ((_ x) (* x x))))\n\
+   (define t 5)\n\
+   (define trace '())\n\
+   (set! ctak-capture %call/1cc)\n\
+   (define v\n\
+  \  (dynamic-wind\n\
+  \    (lambda () (set! trace (cons 'in trace)))\n\
+  \    (lambda () (%call/1cc (lambda (k) (k (ctak 12 8 4)))))\n\
+  \    (lambda () (set! trace (cons 'out trace)))))\n\
+   (display (my-or #f t))\n\
+   (newline)\n\
+   (list v (my-or #f t) (sq (eval '(sq 3))) (fib 18) (queens-count 7)\n\
+  \      (boyer-run 5)\n\
+  \      (run-threads (list (lambda () (fib 9)) (lambda () (fib 10))) 16\n\
+  \                   %call/1cc)\n\
+  \      (reverse trace))"
 
-(* Pool shards are deterministic: every shard computes the same value
-   with identical counters, whether spawned on domains or run
-   sequentially on the calling domain. *)
-let pool_domains_vs_sequential () =
-  let par = Scheme.Pool.run ~domains:true ~jobs:3 pool_src in
-  let seq = Scheme.Pool.run ~domains:false ~jobs:3 pool_src in
-  Alcotest.(check int) "shards" 3 (List.length par);
-  List.iter2
-    (fun (p : Scheme.Pool.shard) (s : Scheme.Pool.shard) ->
-      Alcotest.(check int) "index" s.Scheme.Pool.shard p.Scheme.Pool.shard;
-      Alcotest.(check string) "value"
-        (Values.write_string s.Scheme.Pool.value)
-        (Values.write_string p.Scheme.Pool.value);
-      Alcotest.(check string) "output" s.Scheme.Pool.output
-        p.Scheme.Pool.output;
-      List.iter2
-        (fun (name, sv) (_, pv) -> Alcotest.(check int) name sv pv)
-        (Stats.to_rows s.Scheme.Pool.stats)
-        (Stats.to_rows p.Scheme.Pool.stats))
-    par seq
-
-(* Shard counters equal a lone session running the same source: sharding
-   adds no hidden work and shares no hidden state. *)
-let pool_matches_single_session () =
+let run_domain_src backend () =
   let stats = Stats.create () in
-  let t = Scheme.create ~stats () in
+  let s = Scheme.create ~backend ~stats ~corpus:true () in
   Stats.reset stats;
-  let v = Scheme.eval t pool_src in
-  List.iter
-    (fun (sh : Scheme.Pool.shard) ->
-      Alcotest.(check string) "value" (Values.write_string v)
-        (Values.write_string sh.Scheme.Pool.value);
-      List.iter2
-        (fun (name, single) (_, sharded) ->
-          Alcotest.(check int) name single sharded)
-        (Stats.to_rows stats)
-        (Stats.to_rows sh.Scheme.Pool.stats))
-    (Scheme.Pool.run ~domains:true ~jobs:2 pool_src)
+  let v = Scheme.eval ~fuel:Tutil.default_fuel s domain_src in
+  (Values.write_string v, Scheme.output s, Stats.to_rows stats)
+
+let sessions_across_domains (bname, backend) =
+  Alcotest.test_case
+    (Printf.sprintf "sessions on two domains match the calling domain [%s]"
+       bname)
+    `Quick (fun () ->
+      let value, output, rows = run_domain_src backend () in
+      let builds = Prelude_image.builds () in
+      let d1 = Domain.spawn (run_domain_src backend) in
+      let d2 = Domain.spawn (run_domain_src backend) in
+      let there = [ Domain.join d1; Domain.join d2 ] in
+      Alcotest.(check int) "prelude image builds" builds
+        (Prelude_image.builds ());
+      Alcotest.(check string) "value" "(5 5 81 2584 40 #t all-done (in out))"
+        value;
+      Alcotest.(check string) "output" "5\n" output;
+      List.iteri
+        (fun i (v, out, rs) ->
+          let label what = Printf.sprintf "domain %d %s" (i + 1) what in
+          Alcotest.(check string) (label "value") value v;
+          Alcotest.(check string) (label "output") output out;
+          Alcotest.(check (list (pair string int))) (label "counters") rows rs)
+        there)
 
 let all_backends =
   [
@@ -162,6 +176,57 @@ let all_backends =
     ("heap", Scheme.Heap);
     ("oracle", Scheme.Oracle);
   ]
+
+(* A runtime error raised by a session on a spawned domain reaches the
+   joining domain as the same [Rt.Scheme_error] the calling domain sees,
+   after a one-shot escape and a [dynamic-wind] exit on its way out. *)
+let domain_error_src =
+  "(define (blow x) (error 'blow (number->string x)))\n\
+   (dynamic-wind\n\
+  \  (lambda () #f)\n\
+  \  (lambda () (%call/1cc (lambda (k) (blow (k 1)))) (blow 2))\n\
+  \  (lambda () #f))"
+
+let domain_error (bname, backend) =
+  Alcotest.test_case
+    (Printf.sprintf "an error on a domain reaches the joiner [%s]" bname)
+    `Quick (fun () ->
+      let run () =
+        match Scheme.eval (Scheme.create ~backend ()) domain_error_src with
+        | v -> Alcotest.failf "expected an error, got %s" (Values.write_string v)
+        | exception Rt.Scheme_error (m, _) -> m
+      in
+      let here = run () in
+      Alcotest.(check string) "message" "blow: 2" here;
+      let d =
+        Domain.spawn (fun () ->
+            Scheme.eval (Scheme.create ~backend ()) domain_error_src)
+      in
+      match Domain.join d with
+      | v -> Alcotest.failf "expected an error, got %s" (Values.write_string v)
+      | exception Rt.Scheme_error (m, _) ->
+          Alcotest.(check string) "message on the domain" here m)
+
+(* Every backend starts from the same global environment.  The stack,
+   closure and heap backends install the compiled prelude image; the
+   oracle expands the prelude source itself, so the two paths must be
+   kept in step by hand. *)
+let defined_names s =
+  Globals.fold
+    (fun name (g : Rt.global) acc -> if g.Rt.gdefined then name :: acc else acc)
+    (Scheme.globals s) []
+  |> List.sort String.compare
+
+let prelude_parity corpus =
+  Alcotest.test_case
+    (Printf.sprintf "backends define the same globals [corpus=%b]" corpus)
+    `Quick (fun () ->
+      let names backend = defined_names (Scheme.create ~backend ~corpus ()) in
+      let stack = names (Scheme.Stack Control.default_config) in
+      List.iter
+        (fun (bname, backend) ->
+          Alcotest.(check (list string)) bname stack (names backend))
+        (List.tl all_backends))
 
 (* [take_output] hands out each piece of output once and empties the
    buffer; [output] still shows what has accumulated since. *)
@@ -212,8 +277,7 @@ let suite =
       fuel_exception_unified;
     Alcotest.test_case "backends agree via unified engine" `Quick
       backends_agree;
-    Alcotest.test_case "pool: domains = sequential" `Quick
-      pool_domains_vs_sequential;
-    Alcotest.test_case "pool: shard = single session" `Quick
-      pool_matches_single_session;
   ]
+  @ List.map prelude_parity [ false; true ]
+  @ List.map sessions_across_domains all_backends
+  @ List.map domain_error all_backends

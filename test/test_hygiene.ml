@@ -118,33 +118,6 @@ let distinct_macros_across_domains =
       Alcotest.(check string) "left domain" "(left . 1)" r1;
       Alcotest.(check string) "right domain" "(right . 1)" r2)
 
-(* Pool shards expand macros independently and deterministically: a
-   macro-heavy program run on parallel domains must produce the same
-   per-shard values and counters as the same program run sequentially. *)
-let pool_macro_identity =
-  case "pool shards: macros expand identically domains vs sequential"
-    (fun () ->
-      let src =
-        "(define-syntax sq (syntax-rules () ((_ x) (* x x))))\n\
-         (define-syntax sum2\n\
-        \  (syntax-rules () ((_ a b) (+ (sq a) (sq b)))))\n\
-         (sum2 (eval '(sq 3)) 4)"
-      in
-      let shards ~domains =
-        List.map
-          (fun (sh : Scheme.Pool.shard) ->
-            ( sh.Scheme.Pool.shard,
-              Values.write_string sh.Scheme.Pool.value,
-              Stats.get sh.Scheme.Pool.stats "instrs" ))
-          (Scheme.Pool.run ~domains ~jobs:3 src)
-      in
-      let par = shards ~domains:true and seq = shards ~domains:false in
-      Alcotest.(check (list (triple int string int)))
-        "per-shard values and instruction counts" seq par;
-      List.iter
-        (fun (_, v, _) -> Alcotest.(check string) "value" "97" v)
-        par)
-
 let suite =
   swap_cases @ my_or_cases @ else_cases @ nesting_cases @ let_syntax_cases
-  @ [ distinct_macros_across_domains; pool_macro_identity ]
+  @ [ distinct_macros_across_domains ]

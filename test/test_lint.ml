@@ -1,5 +1,5 @@
 (* Lint pass: golden diagnostics (exact rule, severity, message, and
-   source location pinned) for the four rule families, plus clean runs
+   source location pinned) for the three rule families, plus clean runs
    over every shipped corpus. *)
 
 let case = Tutil.case
@@ -31,14 +31,6 @@ let golden_cases =
       "1:0: error: [multi-shot-1cc] continuation k captured by call/1cc is \
        invoked on more than one path; one-shot continuations may be invoked \
        at most once";
-    golden "non-flat quoted par-map argument, located at the bad datum"
-      "(par-map car '((1 . 2) (3 . 4)))"
-      "1:15: error: [non-flat-par] quoted argument of par-map contains the \
-       non-flat datum (1 . 2), which cannot cross the par shard boundary";
-    golden "non-flat par-reduce seed"
-      "(par-reduce + '(1 . 2) '(1 2 3))"
-      "1:15: error: [non-flat-par] quoted par-reduce seed contains the \
-       non-flat datum (1 . 2), which cannot cross the par shard boundary";
     golden "set! of a fused standard primitive"
       "(set! car (lambda (p) p))"
       "1:6: warning: [fused-prim-set] set! of car deoptimizes every \
@@ -64,9 +56,6 @@ let negative_cases =
        acc (car xs))))))))";
     clean "invocation inside a nested lambda is not counted"
       "(define (with-escape f) (call/1cc (lambda (k) (f (lambda (v) (k v))))))";
-    clean "flat par arguments" "(par-map (lambda (x) (* x x)) '(1 2 3))";
-    clean "nested proper lists are flat"
-      "(par-map car '((1 2) (3 4)))";
     clean "set! of a name the program defines itself"
       "(define (car x) x)\n(set! car (lambda (p) p))";
     clean "set! of a lexical binding"
@@ -80,7 +69,7 @@ let negative_cases =
   ]
 
 (* The shipped corpora must lint clean: the prelude's escape-only
-   continuation idioms (engines, error handlers, par scheduler) and the
+   continuation idioms (engines, error handlers) and the
    winder wrappers' apply-invocations must none of them trip the
    multi-shot analysis. *)
 let corpus_cases =
@@ -89,7 +78,6 @@ let corpus_cases =
     [
       ("prelude", Prelude.source);
       ("prelude-scheme-winders", Prelude.source_scheme_winders);
-      ("parprelude", Parprelude.source);
       ("programs", Programs.all_defs);
       ("threads", Threads.scheduler);
       ("cml", Cml.source);

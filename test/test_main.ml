@@ -20,7 +20,6 @@ let () =
       ("engine", Test_engine.suite);
       ("differential", Test_diff.suite);
       ("numeric", Test_numeric.suite);
-      ("par", Test_par.suite);
       ("verify", Test_verify.suite);
       ("lint", Test_lint.suite);
       ("fuzz", Test_fuzz.suite);

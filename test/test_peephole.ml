@@ -214,10 +214,7 @@ let allocation_cases =
         let codes =
           List.concat_map
             (Compiler.compile_string ~peephole:false ~menv globals)
-            [
-              Prelude.source; Parprelude.source; Programs.all_defs;
-              Threads.scheduler; Cml.source;
-            ]
+            [ Prelude.source; Programs.all_defs; Threads.scheduler; Cml.source ]
         in
         let input =
           List.fold_left
@@ -247,10 +244,7 @@ let compiler_allocation_case =
       let tops =
         List.concat_map
           (Expander.expand_string ~menv)
-          [
-            Prelude.source; Parprelude.source; Programs.all_defs;
-            Threads.scheduler; Cml.source;
-          ]
+          [ Prelude.source; Programs.all_defs; Threads.scheduler; Cml.source ]
       in
       let w0 = Gc.minor_words () in
       let codes = Compiler.compile_program globals tops in
@@ -273,10 +267,7 @@ let compiler_allocation_case =
 let reader_allocation_case =
   case "reader allocates <= 2.5 minor words per source byte" (fun () ->
       let sources =
-        [
-          Prelude.source; Parprelude.source; Programs.all_defs;
-          Threads.scheduler; Cml.source;
-        ]
+        [ Prelude.source; Programs.all_defs; Threads.scheduler; Cml.source ]
       in
       let bytes =
         List.fold_left (fun n s -> n + String.length s) 0 sources

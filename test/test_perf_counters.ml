@@ -32,9 +32,6 @@ let counter_names =
     "tmpl-codes";
     "tmpl-steps";
     "tmpl-enters";
-    "par-tasks";
-    "par-steals";
-    "par-switches";
   ]
 
 let tiny_config =
@@ -70,13 +67,8 @@ let workloads =
 
 (* instrs / calls / frames / prim-calls / captures-multi /
    captures-oneshot / words-copied / cache-class-hits / tmpl-codes /
-   tmpl-steps / tmpl-enters / par-tasks / par-steals / par-switches, in
-   [counter_names] order.  Generated by test/gen_counters.exe.
-
-   The par-* columns pin 0 everywhere: these sessions never attach a
-   worker pool, so any nonzero value means the data-parallel layer
-   leaked work into a serial session (test_par.ml pins the nonzero
-   side).
+   tmpl-steps / tmpl-enters, in [counter_names] order.  Generated by
+   test/gen_counters.exe.
 
    [cache-class-hits] pins the O(1) exact-size-class pop of the
    segment cache: ctak-1cc's one-shot adopt/release loop must recycle
@@ -93,46 +85,46 @@ let workloads =
    have nonzero tmpl-* values. *)
 let pinned =
   [
-    (("stack", "fib"), [ 6402; 753; 752; 1881; 0; 0; 0; 1; 0; 0; 0; 0; 0; 0 ]);
-    (("stack", "ctak-cc"), [ 28608; 3034; 1299; 6065; 1300; 0; 15588; 2; 0; 0; 0; 0; 0; 0 ]);
-    (("stack", "ctak-1cc"), [ 28608; 3034; 1299; 6065; 0; 1300; 0; 1291; 0; 0; 0; 0; 0; 0 ]);
-    (("stack", "threads"), [ 3049; 342; 291; 860; 0; 19; 0; 17; 0; 0; 0; 0; 0; 0 ]);
-    (("stack-noreg", "fib"), [ 9788; 753; 752; 1881; 0; 0; 0; 1; 0; 0; 0; 0; 0; 0 ]);
-    (("stack-noreg", "ctak-cc"), [ 35106; 3034; 1299; 6065; 1300; 0; 15588; 2; 0; 0; 0; 0; 0; 0 ]);
-    (("stack-noreg", "ctak-1cc"), [ 35106; 3034; 1299; 6065; 0; 1300; 0; 1291; 0; 0; 0; 0; 0; 0 ]);
-    (("stack-noreg", "threads"), [ 4378; 342; 291; 860; 0; 19; 0; 17; 0; 0; 0; 0; 0; 0 ]);
-    (("stack-nofuse", "fib"), [ 18067; 753; 752; 1881; 0; 0; 0; 1; 0; 0; 0; 0; 0; 0 ]);
-    (("stack-nofuse", "ctak-cc"), [ 62404; 3034; 1299; 6065; 1300; 0; 15588; 2; 0; 0; 0; 0; 0; 0 ]);
-    (("stack-nofuse", "ctak-1cc"), [ 62404; 3034; 1299; 6065; 0; 1300; 0; 1291; 0; 0; 0; 0; 0; 0 ]);
-    (("stack-nofuse", "threads"), [ 8066; 342; 291; 860; 0; 19; 0; 17; 0; 0; 0; 0; 0; 0 ]);
-    (("stack-tiny", "fib"), [ 6402; 753; 752; 1881; 0; 0; 0; 1; 0; 0; 0; 0; 0; 0 ]);
-    (("stack-tiny", "ctak-cc"), [ 28608; 3034; 1299; 6065; 1300; 0; 15975; 2; 0; 0; 0; 0; 0; 0 ]);
-    (("stack-tiny", "ctak-1cc"), [ 28608; 3034; 1299; 6065; 0; 1300; 0; 1291; 0; 0; 0; 0; 0; 0 ]);
-    (("stack-tiny", "threads"), [ 3049; 342; 291; 860; 0; 19; 0; 17; 0; 0; 0; 0; 0; 0 ]);
-    (("closure", "fib"), [ 6402; 753; 752; 1881; 0; 0; 0; 1; 1; 5; 1; 0; 0; 0 ]);
-    (("closure", "ctak-cc"), [ 28608; 3034; 1299; 6065; 1300; 0; 15588; 2; 2; 11; 2602; 0; 0; 0 ]);
-    (("closure", "ctak-1cc"), [ 28608; 3034; 1299; 6065; 0; 1300; 0; 1291; 2; 11; 2602; 0; 0; 0 ]);
-    (("closure", "threads"), [ 3049; 342; 291; 860; 0; 19; 0; 17; 3; 22; 58; 0; 0; 0 ]);
-    (("closure-noreg", "fib"), [ 9788; 753; 752; 1881; 0; 0; 0; 1; 1; 5; 1; 0; 0; 0 ]);
-    (("closure-noreg", "ctak-cc"), [ 35106; 3034; 1299; 6065; 1300; 0; 15588; 2; 2; 11; 2602; 0; 0; 0 ]);
-    (("closure-noreg", "ctak-1cc"), [ 35106; 3034; 1299; 6065; 0; 1300; 0; 1291; 2; 11; 2602; 0; 0; 0 ]);
-    (("closure-noreg", "threads"), [ 4378; 342; 291; 860; 0; 19; 0; 17; 3; 22; 58; 0; 0; 0 ]);
-    (("closure-nofuse", "fib"), [ 18067; 753; 752; 1881; 0; 0; 0; 1; 1; 7; 377; 0; 0; 0 ]);
-    (("closure-nofuse", "ctak-cc"), [ 62404; 3034; 1299; 6065; 1300; 0; 15588; 2; 2; 15; 2602; 0; 0; 0 ]);
-    (("closure-nofuse", "ctak-1cc"), [ 62404; 3034; 1299; 6065; 0; 1300; 0; 1291; 2; 15; 2602; 0; 0; 0 ]);
-    (("closure-nofuse", "threads"), [ 8066; 342; 291; 860; 0; 19; 0; 17; 3; 31; 201; 0; 0; 0 ]);
-    (("closure-tiny", "fib"), [ 6402; 753; 752; 1881; 0; 0; 0; 1; 1; 5; 1; 0; 0; 0 ]);
-    (("closure-tiny", "ctak-cc"), [ 28608; 3034; 1299; 6065; 1300; 0; 15975; 2; 2; 11; 2731; 0; 0; 0 ]);
-    (("closure-tiny", "ctak-1cc"), [ 28608; 3034; 1299; 6065; 0; 1300; 0; 1291; 2; 11; 2602; 0; 0; 0 ]);
-    (("closure-tiny", "threads"), [ 3049; 342; 291; 860; 0; 19; 0; 17; 3; 22; 58; 0; 0; 0 ]);
-    (("heap", "fib"), [ 6402; 753; 752; 1881; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 ]);
-    (("heap", "ctak-cc"), [ 28608; 3034; 1299; 6065; 1300; 0; 0; 0; 0; 0; 0; 0; 0; 0 ]);
-    (("heap", "ctak-1cc"), [ 28608; 3034; 1299; 6065; 0; 1300; 0; 0; 0; 0; 0; 0; 0; 0 ]);
-    (("heap", "threads"), [ 3049; 342; 291; 860; 0; 19; 0; 0; 0; 0; 0; 0; 0; 0 ]);
-    (("heap-noreg", "fib"), [ 9788; 753; 752; 1881; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 ]);
-    (("heap-noreg", "ctak-cc"), [ 35106; 3034; 1299; 6065; 1300; 0; 0; 0; 0; 0; 0; 0; 0; 0 ]);
-    (("heap-noreg", "ctak-1cc"), [ 35106; 3034; 1299; 6065; 0; 1300; 0; 0; 0; 0; 0; 0; 0; 0 ]);
-    (("heap-noreg", "threads"), [ 4378; 342; 291; 860; 0; 19; 0; 0; 0; 0; 0; 0; 0; 0 ]);
+    (("stack", "fib"), [ 6402; 753; 752; 1881; 0; 0; 0; 1; 0; 0; 0 ]);
+    (("stack", "ctak-cc"), [ 28608; 3034; 1299; 6065; 1300; 0; 15588; 2; 0; 0; 0 ]);
+    (("stack", "ctak-1cc"), [ 28608; 3034; 1299; 6065; 0; 1300; 0; 1291; 0; 0; 0 ]);
+    (("stack", "threads"), [ 3049; 342; 291; 860; 0; 19; 0; 17; 0; 0; 0 ]);
+    (("stack-noreg", "fib"), [ 9788; 753; 752; 1881; 0; 0; 0; 1; 0; 0; 0 ]);
+    (("stack-noreg", "ctak-cc"), [ 35106; 3034; 1299; 6065; 1300; 0; 15588; 2; 0; 0; 0 ]);
+    (("stack-noreg", "ctak-1cc"), [ 35106; 3034; 1299; 6065; 0; 1300; 0; 1291; 0; 0; 0 ]);
+    (("stack-noreg", "threads"), [ 4378; 342; 291; 860; 0; 19; 0; 17; 0; 0; 0 ]);
+    (("stack-nofuse", "fib"), [ 18067; 753; 752; 1881; 0; 0; 0; 1; 0; 0; 0 ]);
+    (("stack-nofuse", "ctak-cc"), [ 62404; 3034; 1299; 6065; 1300; 0; 15588; 2; 0; 0; 0 ]);
+    (("stack-nofuse", "ctak-1cc"), [ 62404; 3034; 1299; 6065; 0; 1300; 0; 1291; 0; 0; 0 ]);
+    (("stack-nofuse", "threads"), [ 8066; 342; 291; 860; 0; 19; 0; 17; 0; 0; 0 ]);
+    (("stack-tiny", "fib"), [ 6402; 753; 752; 1881; 0; 0; 0; 1; 0; 0; 0 ]);
+    (("stack-tiny", "ctak-cc"), [ 28608; 3034; 1299; 6065; 1300; 0; 15975; 2; 0; 0; 0 ]);
+    (("stack-tiny", "ctak-1cc"), [ 28608; 3034; 1299; 6065; 0; 1300; 0; 1291; 0; 0; 0 ]);
+    (("stack-tiny", "threads"), [ 3049; 342; 291; 860; 0; 19; 0; 17; 0; 0; 0 ]);
+    (("closure", "fib"), [ 6402; 753; 752; 1881; 0; 0; 0; 1; 1; 5; 1 ]);
+    (("closure", "ctak-cc"), [ 28608; 3034; 1299; 6065; 1300; 0; 15588; 2; 2; 11; 2602 ]);
+    (("closure", "ctak-1cc"), [ 28608; 3034; 1299; 6065; 0; 1300; 0; 1291; 2; 11; 2602 ]);
+    (("closure", "threads"), [ 3049; 342; 291; 860; 0; 19; 0; 17; 3; 22; 58 ]);
+    (("closure-noreg", "fib"), [ 9788; 753; 752; 1881; 0; 0; 0; 1; 1; 5; 1 ]);
+    (("closure-noreg", "ctak-cc"), [ 35106; 3034; 1299; 6065; 1300; 0; 15588; 2; 2; 11; 2602 ]);
+    (("closure-noreg", "ctak-1cc"), [ 35106; 3034; 1299; 6065; 0; 1300; 0; 1291; 2; 11; 2602 ]);
+    (("closure-noreg", "threads"), [ 4378; 342; 291; 860; 0; 19; 0; 17; 3; 22; 58 ]);
+    (("closure-nofuse", "fib"), [ 18067; 753; 752; 1881; 0; 0; 0; 1; 1; 7; 377 ]);
+    (("closure-nofuse", "ctak-cc"), [ 62404; 3034; 1299; 6065; 1300; 0; 15588; 2; 2; 15; 2602 ]);
+    (("closure-nofuse", "ctak-1cc"), [ 62404; 3034; 1299; 6065; 0; 1300; 0; 1291; 2; 15; 2602 ]);
+    (("closure-nofuse", "threads"), [ 8066; 342; 291; 860; 0; 19; 0; 17; 3; 31; 201 ]);
+    (("closure-tiny", "fib"), [ 6402; 753; 752; 1881; 0; 0; 0; 1; 1; 5; 1 ]);
+    (("closure-tiny", "ctak-cc"), [ 28608; 3034; 1299; 6065; 1300; 0; 15975; 2; 2; 11; 2731 ]);
+    (("closure-tiny", "ctak-1cc"), [ 28608; 3034; 1299; 6065; 0; 1300; 0; 1291; 2; 11; 2602 ]);
+    (("closure-tiny", "threads"), [ 3049; 342; 291; 860; 0; 19; 0; 17; 3; 22; 58 ]);
+    (("heap", "fib"), [ 6402; 753; 752; 1881; 0; 0; 0; 0; 0; 0; 0 ]);
+    (("heap", "ctak-cc"), [ 28608; 3034; 1299; 6065; 1300; 0; 0; 0; 0; 0; 0 ]);
+    (("heap", "ctak-1cc"), [ 28608; 3034; 1299; 6065; 0; 1300; 0; 0; 0; 0; 0 ]);
+    (("heap", "threads"), [ 3049; 342; 291; 860; 0; 19; 0; 0; 0; 0; 0 ]);
+    (("heap-noreg", "fib"), [ 9788; 753; 752; 1881; 0; 0; 0; 0; 0; 0; 0 ]);
+    (("heap-noreg", "ctak-cc"), [ 35106; 3034; 1299; 6065; 1300; 0; 0; 0; 0; 0; 0 ]);
+    (("heap-noreg", "ctak-1cc"), [ 35106; 3034; 1299; 6065; 0; 1300; 0; 0; 0; 0; 0 ]);
+    (("heap-noreg", "threads"), [ 4378; 342; 291; 860; 0; 19; 0; 0; 0; 0; 0 ]);
   ]
 
 let run_workload cname wname =
@@ -409,19 +401,6 @@ let startup_cases =
           let after = Prelude_image.builds () in
           if after > max before 1 then
             Alcotest.failf "image rebuilt per session: %d -> %d" before after);
-      case "pool shards share the image (per-shard counters identical)"
-        (fun () ->
-          let src = "(begin (fib 10) 'ok)" in
-          let run domains =
-            Scheme.Pool.run ~corpus:true ~domains ~jobs:2 src
-            |> List.map (fun (sh : Scheme.Pool.shard) ->
-                   ( Values.write_string sh.Scheme.Pool.value,
-                     sh.Scheme.Pool.stats.Stats.instrs,
-                     sh.Scheme.Pool.stats.Stats.frames ))
-          in
-          let seq = run false and par = run true in
-          Alcotest.(check (list (triple string int int)))
-            "domains vs sequential" seq par);
     ]
 
 let suite =

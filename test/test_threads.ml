@@ -172,3 +172,124 @@ let suite =
         in
         Alcotest.(check string) "done" "all-done" v);
   ]
+
+(* ------------------------------------------------------------------ *)
+(* The thread system on every machine                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The cases above drive the stack VM only.  These run the same
+   scheduled programs on every backend and on the stack geometries that
+   force overflow, underflow and promotion, so a control effect inside
+   a preempted thread — a one-shot escape, an error caught by [try],
+   ctak's captures — behaves alike wherever the switch is made.  [thread-map] runs one thread per element and collects the
+   results in order. *)
+let thread_map_def =
+  {|(define (thread-map f xs freq capture)
+      (let ((out (make-vector (length xs) #f)))
+        (run-threads
+         (let loop ((i 0) (xs xs))
+           (if (null? xs)
+               '()
+               (cons (let ((i i) (x (car xs)))
+                       (lambda () (vector-set! out i (f x))))
+                     (loop (+ i 1) (cdr xs)))))
+         freq capture)
+        (vector->list out)))
+    (define (guarded x)
+      (try (lambda () (if (= x 2) (error 'boom "two") (fib x)))
+           (lambda (m) 'caught)))
+    (define (escape x) (%call/1cc (lambda (k) (fib 8) (k (* 10 x)) 'dead)))
+    (define (ct x) (ctak 8 5 x))
+    (set! ctak-capture %call/1cc)
+|}
+
+(* The machines whose timer preempts: every backend but the oracle. *)
+let preempting =
+  [
+    ("stack", Scheme.Stack Control.default_config);
+    ("stack/tiny", Scheme.Stack Tutil.tiny_config);
+    ("stack/tiny-cc", Scheme.Stack Tutil.tiny_callcc_config);
+    ("stack/copy-capture", Scheme.Stack Tutil.copy_capture_config);
+    ("closure", Scheme.Closure Control.default_config);
+    ("closure/tiny", Scheme.Closure Tutil.tiny_config);
+    ("heap", Scheme.Heap);
+  ]
+
+(* The oracle has no preemption ([%set-timer!] is a no-op there, so each
+   thread runs to completion in turn) and no error handlers, so it joins
+   only the cases whose result depends on neither. *)
+let every_machine = preempting @ [ ("oracle", Scheme.Oracle) ]
+
+let run_machine backend src =
+  let stats = Stats.create () in
+  let s = Scheme.create ~backend ~stats ~corpus:true () in
+  ignore (Scheme.eval ~fuel:Tutil.default_fuel s thread_map_def);
+  Stats.reset stats;
+  let v = Scheme.eval_string ~fuel:Tutil.default_fuel s src in
+  (v, Scheme.output s, stats)
+
+let on_machines machines name src expected =
+  List.map
+    (fun (mname, backend) ->
+      case (Printf.sprintf "%s [%s]" name mname) (fun () ->
+          let v, _, _ = run_machine backend src in
+          Alcotest.(check string) src expected v))
+    machines
+
+let fibs_to n = List.init n fib_expected
+
+let list_string xs = "(" ^ String.concat " " xs ^ ")"
+
+let interleave_src =
+  {|(define (count-up show)
+      (let loop ((i 0))
+        (if (< i 5) (begin (display (show i)) (fib 6) (loop (+ i 1))))))
+    (run-threads
+     (list (lambda () (count-up (lambda (i) i)))
+           (lambda () (count-up (lambda (i) "a"))))
+     7 %call/1cc)|}
+
+(* Preemption every 7 calls splits each thread between its [display]s,
+   so the two outputs alternate: the timer ticks alike on every
+   preempting machine. *)
+let interleave_case (mname, backend) =
+  case (Printf.sprintf "preemption interleaves output [%s]" mname) (fun () ->
+      let v, out, _ = run_machine backend interleave_src in
+      Alcotest.(check string) "value" "all-done" v;
+      Alcotest.(check string) "output" "0a1a2a3a4a" out)
+
+(* Each preemption is one one-shot capture and its invocation, and the
+   machines execute the same calls: the call count matches the stack
+   VM's, whatever the segment geometry or frame representation. *)
+let switches_src = "(thread-map fib (list 12 12 12) 5 %call/1cc)"
+
+let switches_case (mname, backend) =
+  case (Printf.sprintf "preemptions are one-shot switches [%s]" mname)
+    (fun () ->
+      let _, _, ref_stats =
+        run_machine (Scheme.Stack Control.default_config) switches_src
+      in
+      let v, _, st = run_machine backend switches_src in
+      Alcotest.(check string) "value" "(144 144 144)" v;
+      Alcotest.(check int) "calls" ref_stats.Stats.calls st.Stats.calls;
+      if st.Stats.invokes_oneshot <= 50 then
+        Alcotest.failf "expected many one-shot switches, got %d"
+          st.Stats.invokes_oneshot)
+
+let suite =
+  suite
+  @ on_machines every_machine "thread-map = map"
+      "(thread-map fib (iota 12) 5 %call/1cc)"
+      (list_string (List.map string_of_int (fibs_to 12)))
+  @ on_machines every_machine "thread-map with multi-shot switches"
+      "(thread-map fib (iota 10) 3 %call/cc)"
+      (list_string (List.map string_of_int (fibs_to 10)))
+  @ on_machines every_machine "one-shot escape inside a thread"
+      "(thread-map escape '(1 2 3) 5 %call/1cc)" "(10 20 30)"
+  @ on_machines every_machine "ctak inside threads"
+      "(thread-map ct '(1 2 3) 5 %call/1cc)" "(5 5 5)"
+  @ on_machines preempting "error caught inside a thread"
+      "(thread-map guarded '(1 2 10) 5 %call/1cc)"
+      (Printf.sprintf "(1 caught %d)" (fib_expected 10))
+  @ List.map interleave_case preempting
+  @ List.map switches_case preempting

@@ -22,7 +22,6 @@ let corpus_sources =
   [
     ("prelude", Prelude.source);
     ("prelude-scheme-winders", Prelude.source_scheme_winders);
-    ("parprelude", Parprelude.source);
     ("programs", Programs.all_defs);
     ("threads", Threads.scheduler);
     ("cml", Cml.source);
@@ -54,7 +53,7 @@ let accept_corpus_cases =
     stage_combos
 
 (* Sessions with [~verify:true] verify everything they compile --
-   prelude, parprelude, corpus, and the program -- on each backend. *)
+   prelude, corpus, and the program -- on each backend. *)
 let accept_session_cases =
   List.concat_map
     (fun (bl, backend) ->
