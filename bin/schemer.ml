@@ -68,13 +68,9 @@ let run_lint ~exprs ~files =
   if !count = 0 then 0 else 1
 
 let run_session ~backend ~scheme_winders ~corpus ~stats_flag ~disassemble
-    ~expand_only ~optimize ~peephole ~regalloc ~verify ~hygiene ~exprs ~files
-    ~interactive =
+    ~expand_only ~options ~exprs ~files ~interactive =
   let stats = Stats.create () in
-  let s =
-    Scheme.create ~backend ~stats ~scheme_winders ~optimize ~peephole ~regalloc
-      ~verify ~hygiene ()
-  in
+  let s = Scheme.create ~backend ~stats ~scheme_winders ~options () in
   (* --expand keeps its own macro environment so a [define-syntax] in an
      earlier file/-e chunk is visible to later ones, as in evaluation. *)
   let expand_menv = Macro.create_menv () in
@@ -98,14 +94,13 @@ let run_session ~backend ~scheme_winders ~corpus ~stats_flag ~disassemble
           if disassemble then
             List.iter
               (fun code -> print_string (Bytecode.disassemble_deep code))
-              (Compiler.compile_string ~optimize ~peephole ~regalloc ~verify
-                 ~hygiene (Scheme.globals s) src)
+              (Compiler.compile_string ~options (Scheme.globals s) src)
           else if expand_only then
             List.iter
               (fun d ->
                 List.iter
                   (fun top -> print_endline (Ast.top_to_string top))
-                  (Expander.expand_tops ~hygiene ~menv:expand_menv d))
+                  (Expander.expand_tops ~menv:expand_menv d))
               datums
           else
             let rec go = function
@@ -201,8 +196,7 @@ let capture_conv =
 
 let main backend_kind seg_words copy_bound overflow hysteresis seal_disp
     no_cache promotion capture scheme_winders corpus stats_flag disassemble
-    expand_only no_hygiene optimize no_peephole no_regalloc verify lint exprs
-    files =
+    expand_only optimize no_peephole no_regalloc verify lint exprs files =
   let config =
     {
       Control.default_config with
@@ -227,7 +221,14 @@ let main backend_kind seg_words copy_bound overflow hysteresis seal_disp
     | `Oracle -> Scheme.Oracle
   in
   let interactive = exprs = [] && files = [] in
-  let hygiene = not no_hygiene in
+  let options =
+    {
+      Compiler.optimize;
+      peephole = not no_peephole;
+      regalloc = not no_regalloc;
+      verify;
+    }
+  in
   match Control.validate config with
   | Some (field, minimum, given) ->
       (* [validate] names each bound after its option, with
@@ -239,8 +240,7 @@ let main backend_kind seg_words copy_bound overflow hysteresis seal_disp
   | None when lint -> run_lint ~exprs ~files
   | None ->
       run_session ~backend ~scheme_winders ~corpus ~stats_flag ~disassemble
-        ~expand_only ~optimize ~peephole:(not no_peephole)
-        ~regalloc:(not no_regalloc) ~verify ~hygiene ~exprs ~files ~interactive
+        ~expand_only ~options ~exprs ~files ~interactive
 
 let cmd =
   let backend =
@@ -343,15 +343,6 @@ let cmd =
             "Print the expanded core forms (one per line) instead of \
              evaluating; hygiene-marked identifiers render as name#n.")
   in
-  let no_hygiene =
-    Arg.(
-      value & flag
-      & info [ "no-hygiene" ]
-          ~doc:
-            "Turn off hygienic syntax-rules expansion (template-introduced \
-             identifiers get no fresh marks), reproducing the historical \
-             textual expansion; for differential testing.")
-  in
   let optimize =
     Arg.(
       value & flag
@@ -383,9 +374,9 @@ let cmd =
           ~doc:
             "Run the static bytecode verifier over every compiled code \
              object (abstract-interpretation initialization checks plus the \
-             optimizer's structural fusion contracts); abort with a \
-             diagnostic on any violation.  Code that (eval datum) compiles \
-             at run time is neither fused nor verified.")
+             optimizer's structural fusion contracts), including code that \
+             (eval datum) compiles at run time; abort with a diagnostic on \
+             any violation.")
   in
   let lint =
     Arg.(
@@ -408,7 +399,7 @@ let cmd =
     Term.(
       const main $ backend $ seg_words $ copy_bound $ overflow $ hysteresis
       $ seal_disp $ no_cache $ promotion $ capture $ scheme_winders $ corpus
-      $ stats_flag $ disassemble $ expand_only $ no_hygiene $ optimize
+      $ stats_flag $ disassemble $ expand_only $ optimize
       $ no_peephole $ no_regalloc $ verify $ lint $ exprs $ files)
   in
   Cmd.v

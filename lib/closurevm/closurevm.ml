@@ -881,7 +881,7 @@ let rec run_loop (vm : t) =
   match relaunch vm with
   | () -> ()
   | exception (Scheme_error (msg, irritants) as exn) -> (
-      match Engine.pop_error_handler vm with
+      match Engine.pop_error_handler vm.globals with
       | Some h ->
           Vm_policy.inject_error_handler vm h msg irritants;
           run_loop vm
@@ -917,17 +917,15 @@ let run_compiled ?fuel (vm : t) codes =
     codes;
   run_program ?fuel vm codes
 
-let eval ?fuel ?optimize ?peephole ?regalloc ?verify (vm : t) src =
+let eval ?fuel (vm : t) src =
   run_compiled ?fuel vm
-    (Compiler.compile_string ?optimize ?peephole ?regalloc ?verify
-       ~hygiene:vm.hygiene ~menv:vm.menv vm.globals src)
+    (Compiler.compile_string ~options:vm.options ~menv:vm.menv vm.globals src)
 
 (* Per-form entry point: one already-read top-level datum, so drivers
    can attribute failures to the datum's source position. *)
-let eval_datum ?fuel ?optimize ?peephole ?regalloc ?verify (vm : t) d =
+let eval_datum ?fuel (vm : t) d =
   run_compiled ?fuel vm
-    (Compiler.compile_datum ?optimize ?peephole ?regalloc ?verify
-       ~hygiene:vm.hygiene ~menv:vm.menv vm.globals d)
+    (Compiler.compile_datum ~options:vm.options ~menv:vm.menv vm.globals d)
 
 let create = Vm_policy.create
 let control (vm : t) = vm.Engine.pol

@@ -356,15 +356,48 @@ let rec finish_deep (c : Rt.code) =
     (function Rt.Make_closure (cc, _) -> finish_deep cc | _ -> ())
     c.Rt.instrs
 
-(* (eval datum): compile the datum's top-level forms, then synthesize a
-   driver code object that calls each compiled form in sequence. *)
-let compile_eval ?hygiene ?menv globals (datum : Rt.value) : Rt.code =
-  let tops =
-    Expander.expand_tops ?hygiene ?menv (Expander.value_to_datum datum)
-  in
+(* The pipeline's stage switches, owned by the machine that runs the
+   code (see the interface). *)
+type options = {
+  optimize : bool;
+  peephole : bool;
+  regalloc : bool;
+  verify : bool;
+}
+
+let default_options =
+  { optimize = false; peephole = true; regalloc = true; verify = false }
+
+(* The shared back half of the pipeline: optimize, compile, fuse or
+   just finish, verify.  The entry points below differ only in how the
+   expanded tops are obtained. *)
+let compile_tops options globals tops =
+  let tops = if options.optimize then Optimize.program tops else tops in
   let codes = compile_program globals tops in
-  List.iter finish_deep codes;
-  match codes with
+  let codes =
+    if options.peephole then
+      Optimize.peephole_program ~regalloc:options.regalloc globals codes
+    else (
+      List.iter finish_deep codes;
+      codes)
+  in
+  if options.verify then Verify.verify_program codes;
+  codes
+
+let compile_string ?(options = default_options) ?menv globals src =
+  compile_tops options globals (Expander.expand_string ?menv src)
+
+let compile_datum ?(options = default_options) ?menv globals datum =
+  compile_tops options globals (Expander.expand_tops ?menv datum)
+
+(* (eval datum): compile the datum's top-level forms through the same
+   pipeline, then synthesize a driver code object that calls each
+   compiled form in sequence. *)
+let compile_eval ?(options = default_options) ?menv globals
+    (datum : Rt.value) : Rt.code =
+  match
+    compile_datum ~options ?menv globals (Expander.value_to_datum datum)
+  with
   | [ one ] -> one
   | codes ->
       let d = 2 in
@@ -387,31 +420,6 @@ let compile_eval ?hygiene ?menv globals (datum : Rt.value) : Rt.code =
         Bytecode.code ~name:"eval" ~arity:(Rt.Exactly 0) ~frame_words:(d + 3)
           (Array.of_list (List.rev !instrs))
       in
-      finish_deep driver;
+      Bytecode.finish driver;
+      if options.verify then Verify.verify driver;
       driver
-
-(* The shared back half of the pipeline: optimize, compile, fuse or
-   just finish, verify.  [compile_string] and [compile_datum] differ
-   only in how the expanded tops are obtained. *)
-let compile_tops ?(optimize = false) ?(peephole = true) ?(regalloc = true)
-    ?(verify = false) globals tops =
-  let tops = if optimize then Optimize.program tops else tops in
-  let codes = compile_program globals tops in
-  let codes =
-    if peephole then Optimize.peephole_program ~regalloc globals codes
-    else (
-      List.iter finish_deep codes;
-      codes)
-  in
-  if verify then Verify.verify_program codes;
-  codes
-
-let compile_string ?optimize ?peephole ?regalloc ?verify ?hygiene ?menv
-    globals src =
-  compile_tops ?optimize ?peephole ?regalloc ?verify globals
-    (Expander.expand_string ?hygiene ?menv src)
-
-let compile_datum ?optimize ?peephole ?regalloc ?verify ?hygiene ?menv
-    globals datum =
-  compile_tops ?optimize ?peephole ?regalloc ?verify globals
-    (Expander.expand_tops ?hygiene ?menv datum)

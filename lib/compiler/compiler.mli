@@ -28,43 +28,40 @@ val compile_program : Globals.t -> Ast.top list -> Rt.code list
     any VM runs them.  The other entry points below return finished
     code. *)
 
-val compile_string :
-  ?optimize:bool ->
-  ?peephole:bool ->
-  ?regalloc:bool ->
-  ?verify:bool ->
-  ?hygiene:bool ->
-  ?menv:Macro.menv ->
-  Globals.t ->
-  string ->
-  Rt.code list
-(** Read, expand, (optionally) optimize, and compile a whole program.
+type options = {
+  optimize : bool;
+      (** the AST-level constant folder ({!Optimize.program}), which
+          assumes standard bindings and can change the meaning of
+          programs that [set!] folded primitives *)
+  peephole : bool;
+      (** the always-sound bytecode fusion pass ({!Optimize.peephole});
+          [false] keeps (and executes) the unfused bytecode *)
+  regalloc : bool;
+      (** the register-lowering stage of that pass (operand-addressed
+          [Prim_*_op]/[Return_op] forms); [false] keeps the push-based
+          encoding with the other fusions.  Ignored when [peephole] is
+          [false]. *)
+  verify : bool;
+      (** run the {!Verify} static bytecode verifier over every compiled
+          code object (after fusion), raising [Verify.Error] on any
+          violated invariant *)
+}
+(** The pipeline's stage switches.  A machine owns one record
+    ([Engine.vm]'s [options], set at creation) and compiles everything
+    it runs through it: whole programs, per-form data and runtime
+    [(eval datum)] alike. *)
 
-    [optimize] (default [false]) runs the AST-level constant folder,
-    which assumes standard bindings and can change the meaning of
-    programs that [set!] folded primitives.  [peephole] (default [true])
-    runs the always-sound bytecode fusion pass ({!Optimize.peephole});
-    pass [~peephole:false] to see (or execute) the unfused bytecode.
-    [regalloc] (default [true]) controls the register-lowering stage of
-    that pass (operand-addressed [Prim_*_op]/[Return_op] forms); pass
-    [~regalloc:false] to keep the push-based encoding while retaining
-    the other fusions.  Ignored when [peephole] is [false].
-    [verify] (default [false]) runs the {!Verify} static bytecode
-    verifier over every compiled code object (after fusion), raising
-    [Verify.Error] on any violated invariant.
-    [hygiene] (default [true]) is the expander's hygiene switch
-    (see {!Expander}). *)
+val default_options : options
+(** Optimizer off, fusion and register lowering on, verifier off. *)
+
+val compile_string :
+  ?options:options -> ?menv:Macro.menv -> Globals.t -> string -> Rt.code list
+(** Read, expand, and compile a whole program through the stages
+    [options] (default {!default_options}) selects.  Expansion is
+    hygienic (see {!Expander}). *)
 
 val compile_datum :
-  ?optimize:bool ->
-  ?peephole:bool ->
-  ?regalloc:bool ->
-  ?verify:bool ->
-  ?hygiene:bool ->
-  ?menv:Macro.menv ->
-  Globals.t ->
-  Sexp.t ->
-  Rt.code list
+  ?options:options -> ?menv:Macro.menv -> Globals.t -> Sexp.t -> Rt.code list
 (** Like {!compile_string}, but for one already-read top-level datum —
     the per-form entry point drivers use so a failure (or a runtime
     error in the resulting code) can be reported against the datum's
@@ -72,9 +69,9 @@ val compile_datum :
     objects. *)
 
 val compile_eval :
-  ?hygiene:bool -> ?menv:Macro.menv -> Globals.t -> Rt.value -> Rt.code
-(** Compile a runtime datum for [(eval datum)]: a single zero-argument
-    code object that runs the (possibly spliced) top-level forms in
-    sequence and returns the last value.  The code is neither fused
-    ({!Optimize.peephole}) nor verified ({!Verify}): it is the one
-    exception to a session's [peephole] and [verify] settings. *)
+  ?options:options -> ?menv:Macro.menv -> Globals.t -> Rt.value -> Rt.code
+(** Compile a runtime datum for [(eval datum)] through {!compile_datum}'s
+    pipeline: a single zero-argument code object that runs the (possibly
+    spliced) top-level forms in sequence and returns the last value.
+    The machines pass their own [options], so runtime-eval code is fused
+    and verified exactly as the session's other code is. *)

@@ -24,7 +24,9 @@ open Rt
 type 'p vm = {
   globals : Globals.t;
   menv : Macro.menv;
-  mutable hygiene : bool; (* the expander's hygiene switch for this session *)
+  options : Compiler.options;
+      (* the compile pipeline's stage switches: everything this machine
+         runs, runtime [(eval datum)] included, compiles through them *)
   out : Buffer.t;
   stats : Stats.t;
   mutable acc : value;
@@ -59,7 +61,7 @@ let max_scratch = 8
 let halt_code =
   Bytecode.make_code ~name:"%halt" ~arity:(Exactly 0) ~frame_words:2 [| Halt |]
 
-let create ?stats pol =
+let create ?stats ?(options = Compiler.default_options) pol =
   let out = Buffer.create 256 in
   let globals = Globals.create () in
   Prims.install globals;
@@ -68,7 +70,7 @@ let create ?stats pol =
     {
       globals;
       menv = Macro.create_menv ();
-      hygiene = true;
+      options;
       out;
       stats;
       acc = Void;
@@ -166,12 +168,13 @@ let empty_mvals = Mvals []
    pops the head of the %error-handlers list and calls it with the
    message and irritants at the point of the error (handlers normally
    escape through a continuation; if one returns, its value becomes the
-   value of the faulting operation). *)
-let pop_error_handler vm =
-  match Globals.lookup_opt vm.globals "%error-handlers" with
+   value of the faulting operation).  The oracle pops the same list
+   (over its own global table) at its raise sites. *)
+let pop_error_handler globals =
+  match Globals.lookup_opt globals "%error-handlers" with
   | Some (Pair p) ->
       let h = p.car in
-      Globals.define vm.globals "%error-handlers" p.cdr;
+      Globals.define globals "%error-handlers" p.cdr;
       Some h
   | _ -> None
 

@@ -638,7 +638,7 @@ let rec run_loop (vm : Policy.t) =
   match relaunch vm with
   | () -> ()
   | exception (Scheme_error (msg, irritants) as exn) -> (
-      match Engine.pop_error_handler vm with
+      match Engine.pop_error_handler vm.globals with
       | Some h ->
           Policy.inject_error_handler vm h msg irritants;
           run_loop vm
@@ -661,14 +661,12 @@ let run ?(fuel = -1) (vm : Policy.t) code =
 let run_program ?fuel (vm : Policy.t) codes =
   List.fold_left (fun _ code -> run ?fuel vm code) Void codes
 
-let eval ?fuel ?optimize ?peephole ?regalloc ?verify (vm : Policy.t) src =
+let eval ?fuel (vm : Policy.t) src =
   run_program ?fuel vm
-    (Compiler.compile_string ?optimize ?peephole ?regalloc ?verify
-       ~hygiene:vm.hygiene ~menv:vm.menv vm.globals src)
+    (Compiler.compile_string ~options:vm.options ~menv:vm.menv vm.globals src)
 
 (* Per-form entry point: one already-read top-level datum, so drivers
    can attribute failures to the datum's source position. *)
-let eval_datum ?fuel ?optimize ?peephole ?regalloc ?verify (vm : Policy.t) d =
+let eval_datum ?fuel (vm : Policy.t) d =
   run_program ?fuel vm
-    (Compiler.compile_datum ?optimize ?peephole ?regalloc ?verify
-       ~hygiene:vm.hygiene ~menv:vm.menv vm.globals d)
+    (Compiler.compile_datum ~options:vm.options ~menv:vm.menv vm.globals d)

@@ -283,7 +283,7 @@ and special vm sp args ~ret ~parent ~guards =
       return_to vm ~ret ~parent ~guards
   | Sp_eval ->
       let code =
-        Compiler.compile_eval ~hygiene:vm.hygiene ~menv:vm.menv vm.globals
+        Compiler.compile_eval ~options:vm.options ~menv:vm.menv vm.globals
           args.(0)
       in
       happly vm (Closure { code; frees = [||] }) [||] ~ret ~parent ~guards
@@ -508,6 +508,6 @@ let init_run (vm : t) code =
   fr.hslots.(1) <- Closure { code; frees = [||] };
   vm.pol.frame <- fr
 
-let create ?stats () : t =
+let create ?stats ?options () : t =
   let stats = match stats with Some s -> s | None -> Stats.create () in
-  Engine.create ~stats { frame = root_frame () }
+  Engine.create ~stats ?options { frame = root_frame () }

@@ -24,31 +24,20 @@ type t = Heap_policy.state Engine.vm
 
 exception Vm_fuel_exhausted
 
-val create : ?stats:Stats.t -> unit -> t
+val create : ?stats:Stats.t -> ?options:Compiler.options -> unit -> t
+(** A machine with primitives installed in a fresh global table;
+    [options] as in {!Vm.create}. *)
+
 val stats : t -> Stats.t
 val globals : t -> Globals.t
 val run : ?fuel:int -> t -> Rt.code -> Rt.value
 val run_program : ?fuel:int -> t -> Rt.code list -> Rt.value
 
-val eval :
-  ?fuel:int ->
-  ?optimize:bool ->
-  ?peephole:bool ->
-  ?regalloc:bool ->
-  ?verify:bool ->
-  t ->
-  string ->
-  Rt.value
+val eval : ?fuel:int -> t -> string -> Rt.value
+(** Read, expand, compile (through the machine's options), and run
+    source text. *)
 
-val eval_datum :
-  ?fuel:int ->
-  ?optimize:bool ->
-  ?peephole:bool ->
-  ?regalloc:bool ->
-  ?verify:bool ->
-  t ->
-  Sexp.t ->
-  Rt.value
+val eval_datum : ?fuel:int -> t -> Sexp.t -> Rt.value
 (** Like {!eval} for one already-read top-level datum, so a driver can
     attribute failures to the datum's source position. *)
 

@@ -5,7 +5,6 @@ type oneshot_state = { shot : bool ref; promoted : bool ref }
 type t = {
   globals : Globals.t;
   menv : Macro.menv;
-  mutable hygiene : bool; (* the expander's hygiene switch for this session *)
   out : Buffer.t;
   stats : Stats.t;
   hooks : Machine_hooks.t;
@@ -34,7 +33,6 @@ let create ?stats () =
   {
     globals;
     menv = Macro.create_menv ();
-    hygiene = true;
     out;
     stats = (match stats with Some s -> s | None -> Stats.create ());
     hooks;
@@ -51,7 +49,6 @@ let take_output t =
   let s = Buffer.contents t.out in
   Buffer.clear t.out;
   s
-let set_hygiene t b = t.hygiene <- b
 
 (* One interpreter step: the oracle's unit of work is an AST node or an
    application, so [instrs] counts steps rather than bytecode
@@ -80,19 +77,34 @@ let rec apply t f (args : value array) (k : value -> value) : value =
   | Ofun o ->
       if stats.Stats.enabled then stats.Stats.calls <- stats.Stats.calls + 1;
       o.ofn args k
-  | Prim { pfn = Pure { fn; _ }; parity; pname } ->
-      if not (Bytecode.arity_matches parity (Array.length args)) then
-        Values.err (pname ^ ": wrong number of arguments") [];
+  | Prim { parity; pname; _ }
+    when not (Bytecode.arity_matches parity (Array.length args)) ->
+      fail t (pname ^ ": wrong number of arguments") [] k
+  | Prim { pfn = Pure { fn; _ }; _ } -> (
       if stats.Stats.enabled then
         stats.Stats.prim_calls <- stats.Stats.prim_calls + 1;
-      k (fn args)
-  | Prim { pfn = Special sp; parity; pname } ->
-      if not (Bytecode.arity_matches parity (Array.length args)) then
-        Values.err (pname ^ ": wrong number of arguments") [];
+      match fn args with
+      | v -> k v
+      | exception Scheme_error (msg, irritants) -> fail t msg irritants k)
+  | Prim { pfn = Special sp; _ } ->
       if stats.Stats.enabled then
         stats.Stats.prim_calls <- stats.Stats.prim_calls + 1;
       special t sp args k
-  | v -> Values.err "application of non-procedure" [ v ]
+  | v -> fail t "application of non-procedure" [ v ] k
+
+(* A runtime error goes to the head of %error-handlers, popped first
+   ({!Engine.pop_error_handler}), as on the VMs: the handler is applied
+   to the message and irritants and returns to [k], the continuation of
+   the faulting operation.  Raise sites call this from the exception
+   branch of a [match], never from inside a [try], so the rest of the
+   program does not run under an OCaml exception handler. *)
+and fail t msg irritants k =
+  match Engine.pop_error_handler t.globals with
+  | Some h ->
+      apply t h
+        [| Str (Bytes.of_string msg); Values.list_to_value irritants |]
+        k
+  | None -> raise (Scheme_error (msg, irritants))
 
 (* Run the afters/befores needed to move the machine's winder chain from
    its current state to [target], then continue with [fin].  The chain
@@ -171,24 +183,25 @@ and special t sp args k =
       (* Internal trampoline driver of the stack/heap VMs; the oracle's
          winds are direct OCaml recursion, so it can never be applied. *)
       Values.err "%wind: internal primitive" []
-  | Sp_apply ->
+  | Sp_apply -> (
       let f = args.(0) in
       let n = Array.length args in
       let fixed = Array.sub args 1 (n - 2) in
-      let last = Values.list_of_value args.(n - 1) in
-      apply t f (Array.append fixed (Array.of_list last)) k
+      match Values.list_of_value args.(n - 1) with
+      | last -> apply t f (Array.append fixed (Array.of_list last)) k
+      | exception Scheme_error (msg, irritants) -> fail t msg irritants k)
   | Sp_values -> k (one_value args)
   | Sp_backtrace -> k Nil (* the oracle's control is OCaml closures *)
-  | Sp_eval ->
-      let tops =
-        Expander.expand_tops ~hygiene:t.hygiene ~menv:t.menv
-          (Expander.value_to_datum args.(0))
-      in
+  | Sp_eval -> (
       let rec go last = function
         | [] -> k last
         | top :: rest -> !eval_top_fwd t top (fun v -> go v rest)
       in
-      go Void tops
+      match
+        Expander.expand_tops ~menv:t.menv (Expander.value_to_datum args.(0))
+      with
+      | tops -> go Void tops
+      | exception Scheme_error (msg, irritants) -> fail t msg irritants k)
   | Sp_stats -> (
       let name =
         match args.(0) with
@@ -197,7 +210,7 @@ and special t sp args k =
       in
       match Stats.get t.stats name with
       | n -> k (Values.of_int n)
-      | exception Not_found -> Values.err ("%stat: unknown counter " ^ name) [])
+      | exception Not_found -> fail t ("%stat: unknown counter " ^ name) [] k)
 
 let rec eval_exp t (env : env) (e : Ast.t) (k : value -> value) : value =
   tick t;
@@ -212,7 +225,7 @@ let rec eval_exp t (env : env) (e : Ast.t) (k : value -> value) : value =
           match Globals.find_opt t.globals (Macro.strip_marks x) with
           | Some g -> k g.gval
           | None ->
-              Values.err ("unbound variable: " ^ Macro.strip_marks x) []))
+              fail t ("unbound variable: " ^ Macro.strip_marks x) [] k))
   | Ast.If (tst, c, a) ->
       eval_exp t env tst (fun v ->
           if Values.is_truthy v then eval_exp t env c k else eval_exp t env a k)
@@ -229,8 +242,8 @@ let rec eval_exp t (env : env) (e : Ast.t) (k : value -> value) : value =
                 k Void
               end
               else
-                Values.err
-                  ("set! of unbound variable: " ^ Macro.strip_marks x) [])
+                fail t ("set! of unbound variable: " ^ Macro.strip_marks x)
+                  [] k)
   | Ast.Begin es ->
       let rec go = function
         | [] -> k Void
@@ -260,32 +273,31 @@ and make_closure t env (l : Ast.lambda) =
       ofn =
         (fun args k ->
           let n = Array.length args in
-          (match l.rest with
-          | None ->
-              if n <> nparams then
-                Values.err
-                  (Printf.sprintf "%s: expected %d arguments, got %d" l.lname
-                     nparams n)
-                  []
-          | Some _ ->
-              if n < nparams then
-                Values.err
-                  (Printf.sprintf "%s: expected at least %d arguments, got %d"
-                     l.lname nparams n)
-                  []);
-          let param_cells =
-            List.mapi (fun i p -> (p, ref args.(i))) l.params
-          in
-          let rest_cells =
-            match l.rest with
-            | None -> []
-            | Some r ->
-                let tail =
-                  Array.to_list (Array.sub args nparams (n - nparams))
-                in
-                [ (r, ref (Values.list_to_value tail)) ]
-          in
-          eval_exp t (param_cells @ rest_cells @ env) l.body k);
+          match l.rest with
+          | None when n <> nparams ->
+              fail t
+                (Printf.sprintf "%s: expected %d arguments, got %d" l.lname
+                   nparams n)
+                [] k
+          | Some _ when n < nparams ->
+              fail t
+                (Printf.sprintf "%s: expected at least %d arguments, got %d"
+                   l.lname nparams n)
+                [] k
+          | None | Some _ ->
+              let param_cells =
+                List.mapi (fun i p -> (p, ref args.(i))) l.params
+              in
+              let rest_cells =
+                match l.rest with
+                | None -> []
+                | Some r ->
+                    let tail =
+                      Array.to_list (Array.sub args nparams (n - nparams))
+                    in
+                    [ (r, ref (Values.list_to_value tail)) ]
+              in
+              eval_exp t (param_cells @ rest_cells @ env) l.body k);
     }
 
 let eval_top t (top : Ast.top) (k : value -> value) =
@@ -310,7 +322,7 @@ let eval_tops ?(fuel = -1) t tops =
 
 let eval ?fuel t src =
   eval_tops ?fuel t
-    (Expander.expand_string ~hygiene:t.hygiene ~menv:t.menv src)
+    (Expander.expand_string ~menv:t.menv src)
 
 let eval_datum ?fuel t d =
-  eval_tops ?fuel t (Expander.expand_tops ~hygiene:t.hygiene ~menv:t.menv d)
+  eval_tops ?fuel t (Expander.expand_tops ~menv:t.menv d)

@@ -12,6 +12,11 @@
     without a shot-continuation error on the stack VM, which is the
     property differential tests check.  [%set-timer!] is a no-op.
 
+    Runtime errors (primitive failures, arity errors, application of a
+    non-procedure, unbound globals) go to the head of [%error-handlers]
+    with the faulting operation's continuation, as on the VMs, so
+    [try] and [call-with-error-handler] behave alike on every backend.
+
     The oracle keeps a live {!Stats.t}: [instrs] counts interpreter steps
     (AST nodes and applications — not comparable with the VMs' bytecode
     dispatch counts), [calls]/[prim_calls] count applications, and the
@@ -25,11 +30,6 @@ exception Fuel_exhausted
 val create : ?stats:Stats.t -> unit -> t
 val globals : t -> Globals.t
 val stats : t -> Stats.t
-
-val set_hygiene : t -> bool -> unit
-(** Switch the expander's hygiene for this session's subsequent
-    evaluations (default on); [false] reproduces the historical textual
-    macro expansion. *)
 
 val eval : ?fuel:int -> t -> string -> Rt.value
 (** Run a program; the last form's value.  [fuel] bounds interpreter steps.

@@ -13,7 +13,9 @@
 
    This module therefore builds the prelude once per configuration
    key — (scheme_winders, optimize, peephole, regalloc), the four
-   switches that change the compiled stream — on a throwaway
+   switches that change the compiled stream, with regalloc read as
+   false when peephole is off (it only selects a stage of that pass) —
+   on a throwaway
    stack-backend machine with disabled stats, verifies the result
    ({!Bytecode.finish} once per code object, {!Verify} over the fused
    stream), executes it once, and snapshots the *global-slot delta*:
@@ -40,13 +42,13 @@ type t = {
   delta : (int * Rt.value) array; (* slots the prelude execution defined *)
 }
 
-type key = { k_winders : bool; k_opt : bool; k_peep : bool; k_reg : bool }
-
+(* The key: the winder protocol and the compile options the image is
+   built with. *)
 let lock = Mutex.create ()
-let cache : (key, t) Hashtbl.t = Hashtbl.create 8
+let cache : (bool * Compiler.options, t) Hashtbl.t = Hashtbl.create 8
 let built = ref 0
 
-let build { k_winders; k_opt; k_peep; k_reg } =
+let build (scheme_winders, options) =
   let stats = Stats.create ~enabled:false () in
   let vm = Vm.create ~stats () in
   let g = Vm.globals vm in
@@ -56,14 +58,10 @@ let build { k_winders; k_opt; k_peep; k_reg } =
       g.Globals.cells
   in
   let before_len = Array.length before in
-  let menv = Macro.create_menv () in
-  let compile src =
-    Compiler.compile_string ~optimize:k_opt ~peephole:k_peep ~regalloc:k_reg
-      ~verify:true ~menv g src
-  in
   let codes =
-    compile
-      (if k_winders then Prelude.source_scheme_winders else Prelude.source)
+    Compiler.compile_string ~options g
+      (if scheme_winders then Prelude.source_scheme_winders
+       else Prelude.source)
   in
   ignore (Vm.run_program vm codes);
   let delta = ref [] in
@@ -83,12 +81,13 @@ let build { k_winders; k_opt; k_peep; k_reg } =
 
 let get ~scheme_winders ~optimize ~peephole ~regalloc =
   let key =
-    {
-      k_winders = scheme_winders;
-      k_opt = optimize;
-      k_peep = peephole;
-      k_reg = regalloc;
-    }
+    ( scheme_winders,
+      {
+        Compiler.optimize;
+        peephole;
+        regalloc = peephole && regalloc;
+        verify = true;
+      } )
   in
   Mutex.lock lock;
   let img =

@@ -2,7 +2,8 @@
 
     The prelude sources are expanded, compiled, validated, verified and
     executed exactly once per configuration key — (scheme_winders,
-    optimize, peephole, regalloc) — on a throwaway stack machine; the
+    optimize, peephole, regalloc), where regalloc counts only when
+    peephole is on — on a throwaway stack machine; the
     resulting global-slot delta is copied into each session's global
     table at create time.  Compiled code is session-independent
     (slot-indexed globals, process-shared primitives), so the codes,

@@ -20,26 +20,24 @@ type backend =
 type t
 
 val create :
-  ?backend:backend -> ?stats:Stats.t -> ?prelude:bool ->
-  ?scheme_winders:bool -> ?corpus:bool -> ?optimize:bool ->
-  ?peephole:bool -> ?regalloc:bool -> ?verify:bool -> ?hygiene:bool ->
-  unit -> t
+  ?backend:backend ->
+  ?stats:Stats.t ->
+  ?scheme_winders:bool ->
+  ?corpus:bool ->
+  ?options:Compiler.options ->
+  unit ->
+  t
 (** Defaults: [Stack Control.default_config], prelude loaded with the
     native winder protocol ([?scheme_winders:true] loads the historical
     Scheme-level [%winders] implementation instead, for differential
-    testing), benchmark corpus definitions not loaded, AST optimizer off
-    (see {!Optimize}), bytecode peephole fusion on ([?peephole:false]
-    executes the unfused bytecode, e.g. for differential testing), and
-    its register-lowering stage on ([?regalloc:false] keeps the
-    push-based encoding while retaining the other fusions).
-    [?verify:true] runs the {!Verify} static bytecode verifier over
-    every code object the session compiles — prelude and corpus
-    included — raising [Verify.Error] on any violated invariant.  The
-    one exception is the code [(eval datum)] compiles at run time
-    ({!Compiler.compile_eval}), which is neither fused nor verified.
-    [?hygiene:false] turns off the expander's hygienic [syntax-rules]
-    renaming (see {!Expander}), reproducing the historical textual
-    expansion. *)
+    testing), benchmark corpus definitions not loaded, and
+    {!Compiler.default_options}.  The machine owns [options]: every code
+    object the session compiles — prelude image, corpus, user forms and
+    runtime [(eval datum)] alike — goes through those stages, so
+    [{ Compiler.default_options with verify = true }] verifies all of it
+    (raising [Verify.Error] on any violated invariant) and
+    [peephole = false] runs all of it unfused.  The oracle interprets
+    the expanded AST and ignores [options]. *)
 
 val backend : t -> backend
 val eval : ?fuel:int -> t -> string -> Rt.value

@@ -17,10 +17,18 @@ type t = Control.t Engine.vm
 
 exception Vm_fuel_exhausted
 
-val create : ?config:Control.config -> ?stats:Stats.t -> unit -> t
+val create :
+  ?config:Control.config ->
+  ?stats:Stats.t ->
+  ?options:Compiler.options ->
+  unit ->
+  t
 (** A machine with primitives installed in a fresh global table.  The
     [stats] object (freshly allocated when not supplied) is shared with
-    the underlying segmented-stack machine. *)
+    the underlying segmented-stack machine.  [options] (default
+    {!Compiler.default_options}) are the compile stages of everything
+    the machine runs: {!eval}, {!eval_datum} and runtime
+    [(eval datum)]. *)
 
 val control : t -> Control.t
 (** The machine's segmented-stack state (its frame-policy state). *)
@@ -37,29 +45,11 @@ val run : ?fuel:int -> t -> Rt.code -> Rt.value
 val run_program : ?fuel:int -> t -> Rt.code list -> Rt.value
 (** Run a compiled program form by form; the last form's value. *)
 
-val eval :
-  ?fuel:int ->
-  ?optimize:bool ->
-  ?peephole:bool ->
-  ?regalloc:bool ->
-  ?verify:bool ->
-  t ->
-  string ->
-  Rt.value
-(** Read, expand, compile, and run source text.  [peephole] (default
-    [true]) controls the bytecode fusion pass; [regalloc] (default
-    [true]) its register-lowering stage; [optimize] (default [false])
-    the AST-level constant folder. *)
+val eval : ?fuel:int -> t -> string -> Rt.value
+(** Read, expand, compile (through the machine's options), and run
+    source text. *)
 
-val eval_datum :
-  ?fuel:int ->
-  ?optimize:bool ->
-  ?peephole:bool ->
-  ?regalloc:bool ->
-  ?verify:bool ->
-  t ->
-  Sexp.t ->
-  Rt.value
+val eval_datum : ?fuel:int -> t -> Sexp.t -> Rt.value
 (** Like {!eval} for one already-read top-level datum, so a driver can
     attribute failures to the datum's source position. *)
 

@@ -273,7 +273,7 @@ and special vm sp nargs =
   | Sp_eval ->
       let datum = seg.(fp + 2) in
       let code =
-        Compiler.compile_eval ~hygiene:vm.hygiene ~menv:vm.menv vm.globals
+        Compiler.compile_eval ~options:vm.options ~menv:vm.menv vm.globals
           datum
       in
       let clos = Closure { code; frees = [||] } in
@@ -488,6 +488,6 @@ let init_run (vm : t) code =
     (Retaddr { rcode = Engine.halt_code; rpc = 0; rdisp = 0 });
   set_slot m.Control.sr.seg (m.Control.fp + 1) (Closure { code; frees = [||] })
 
-let create ?(config = Control.default_config) ?stats () : t =
+let create ?(config = Control.default_config) ?stats ?options () : t =
   let stats = match stats with Some s -> s | None -> Stats.create () in
-  Engine.create ~stats (Control.create ~stats config)
+  Engine.create ~stats ?options (Control.create ~stats config)

@@ -56,7 +56,11 @@ let () =
       List.iter
         (fun (wname, src) ->
           let stats = Stats.create () in
-          let s = Scheme.create ~backend ~stats ~peephole ~regalloc () in
+          let s =
+            Scheme.create ~backend ~stats
+              ~options:{ Compiler.default_options with peephole; regalloc }
+              ()
+          in
           Scheme.load_corpus s;
           Stats.reset stats;
           ignore (Scheme.eval ~fuel:100_000_000 s src);

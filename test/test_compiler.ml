@@ -170,7 +170,8 @@ let opt_suite =
           "equal" "120"
           (let s =
              Scheme.create ~backend:(Scheme.Stack Control.default_config)
-               ~optimize:true ()
+               ~options:{ Compiler.default_options with optimize = true }
+               ()
            in
            Scheme.eval_string s
              "(define (fact n) (if (= n 0) 1 (* n (fact (- n 1))))) (fact 5)"));
@@ -229,7 +230,9 @@ let compile_identity ~peephole ~regalloc =
   let globals = Scheme.globals (Scheme.create ()) in
   let menv = Macro.create_menv () in
   List.concat_map
-    (Compiler.compile_string ~peephole ~regalloc ~menv globals)
+    (Compiler.compile_string
+       ~options:{ Compiler.default_options with peephole; regalloc }
+       ~menv globals)
     identity_sources
 
 let listing codes =

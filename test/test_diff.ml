@@ -131,7 +131,7 @@ let sessions =
        ( "closure-noopt",
          Scheme.create
            ~backend:(Scheme.Closure Control.default_config)
-           ~peephole:false () );
+           ~options:{ Compiler.default_options with peephole = false } () );
        ( "stack-flag",
          mk
            (Scheme.Stack
@@ -148,13 +148,14 @@ let sessions =
               }) );
        ( "stack-optimized",
          Scheme.create ~backend:(Scheme.Stack Control.default_config)
-           ~optimize:true () );
+           ~options:{ Compiler.default_options with optimize = true } () );
        ( "stack-noopt",
          (* unfused bytecode: differential witness for the peephole pass *)
          Scheme.create ~backend:(Scheme.Stack Control.default_config)
-           ~peephole:false () );
+           ~options:{ Compiler.default_options with peephole = false } () );
        ( "heap-noopt",
-         Scheme.create ~backend:Scheme.Heap ~peephole:false () );
+         Scheme.create ~backend:Scheme.Heap
+           ~options:{ Compiler.default_options with peephole = false } () );
        ( "stack-copy-capture",
          mk
            (Scheme.Stack
@@ -452,12 +453,44 @@ let order_backends =
     ("oracle", Scheme.Oracle);
   ]
 
-let order_suite =
+(* Error handlers: a runtime error goes to the innermost [try] handler
+   with the faulting operation's continuation on every backend, the
+   oracle included, and the handler list is restored on the way out. *)
+let handler_cases =
+  [
+    ( "try catches a call to error",
+      "(try (lambda () (error 'boom \"two\")) (lambda (m) 'caught))",
+      `Value "caught" );
+    ( "try catches a primitive failure inside an argument",
+      "(list 'x (try (lambda () (+ 1 (car 5))) (lambda (m) 'caught)) 'y)",
+      `Value "(x caught y)" );
+    ( "try catches an unbound global",
+      "(try (lambda () (no-such-variable 1)) (lambda (m) 'caught))",
+      `Value "caught" );
+    ( "try catches an arity error",
+      "(try (lambda () ((lambda (x) x))) (lambda (m) 'caught))",
+      `Value "caught" );
+    ( "an error in the inner handler's extent reaches the outer one",
+      {|(try (lambda ()
+               (list (try (lambda () (error "in")) (lambda (m) 'inner))
+                     (car '())))
+             (lambda (m) 'outer))|},
+      `Value "outer" );
+    ( "the handler list is restored after a normal return",
+      "(try (lambda () 1) (lambda (m) 2)) %error-handlers",
+      `Value "()" );
+    ( "an error outside any try is reported",
+      "(try (lambda () 1) (lambda (m) 2)) (car 5)",
+      `Error "car: expected pair" );
+  ]
+
+let on_backends prefix cases =
   List.concat_map
     (fun (name, src, expect) ->
       List.map
         (fun (bname, backend) ->
-          Tutil.case (Printf.sprintf "order: %s [%s]" name bname) (fun () ->
+          Tutil.case (Printf.sprintf "%s: %s [%s]" prefix name bname)
+            (fun () ->
               let s = Scheme.create ~backend () in
               match (expect, Scheme.eval_string ~fuel:3_000_000 s src) with
               | `Value v, got -> Alcotest.(check string) src v got
@@ -469,9 +502,11 @@ let order_suite =
                         Alcotest.failf "error %S does not mention %S" msg sub
                   | `Value _ -> Alcotest.failf "unexpected error %S" msg)))
         order_backends)
-    order_cases
+    cases
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ diff_prop; depth_prop; ctak_prop; thread_prop ]
-  @ winders_suite @ order_suite
+  @ winders_suite
+  @ on_backends "order" order_cases
+  @ on_backends "error handlers" handler_cases

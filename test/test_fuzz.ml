@@ -99,7 +99,10 @@ let verify_accepts_case =
             (fun (cl, peephole, regalloc) ->
               match
                 Verify.verify_program
-                  (Compiler.compile_string ~peephole ~regalloc g src)
+                  (Compiler.compile_string
+                     ~options:
+                       { Compiler.default_options with peephole; regalloc }
+                     g src)
               with
               | () -> ()
               | exception Verify.Error m ->
@@ -116,7 +119,15 @@ let sessions =
          List.map
            (fun (cl, peephole, regalloc) ->
              ( Printf.sprintf "%s/%s" bl cl,
-               Scheme.create ~backend ~peephole ~regalloc ~verify:true () ))
+               Scheme.create ~backend
+                 ~options:
+                   {
+                     Compiler.default_options with
+                     peephole;
+                     regalloc;
+                     verify = true;
+                   }
+                 () ))
            stage_combos)
        [
          ("stack", Scheme.Stack Control.default_config);

@@ -9,7 +9,10 @@ let fuel = Tutil.default_fuel
 
 let eval ?(backend = Scheme.Stack Control.default_config) ?(corpus = false)
     ~peephole src =
-  let s = Scheme.create ~backend ~peephole () in
+  let s =
+    Scheme.create ~backend
+      ~options:{ Compiler.default_options with peephole } ()
+  in
   if corpus then Scheme.load_corpus s;
   Scheme.eval_string ~fuel s src
 
@@ -213,7 +216,9 @@ let allocation_cases =
         let menv = Macro.create_menv () in
         let codes =
           List.concat_map
-            (Compiler.compile_string ~peephole:false ~menv globals)
+            (Compiler.compile_string
+               ~options:{ Compiler.default_options with peephole = false }
+               ~menv globals)
             [ Prelude.source; Programs.all_defs; Threads.scheduler; Cml.source ]
         in
         let input =
@@ -279,7 +284,49 @@ let reader_allocation_case =
         Alcotest.failf "%.2f minor words per source byte (%d bytes)" per_byte
           bytes)
 
+(* Runtime [(eval datum)] compiles through the machine's own options,
+   like every other form: a loop defined via [eval] runs its fused
+   primitive sites by default (and under the verifier, which also
+   checks the code object that sequences the two-form [begin]), and
+   none under [peephole = false]. *)
+let eval_options_cases =
+  List.concat_map
+    (fun (bname, backend) ->
+      List.map
+        (fun (oname, options, fused) ->
+          case (Printf.sprintf "eval follows options [%s %s]" bname oname)
+            (fun () ->
+              let stats = Stats.create () in
+              let s = Scheme.create ~backend ~stats ~options () in
+              ignore
+                (Scheme.eval ~fuel s
+                   "(eval '(begin\n\
+                   \          (define (lp n) (if (= n 0) 'done (lp (- n 1))))\n\
+                   \          'defined))");
+              Stats.reset stats;
+              Alcotest.(check string) "value" "done"
+                (Scheme.eval_string ~fuel s "(lp 50)");
+              let prim_fast = Stats.get stats "prim-fast" in
+              if fused && prim_fast = 0 then
+                Alcotest.fail "eval-defined loop ran unfused";
+              if (not fused) && prim_fast <> 0 then
+                Alcotest.failf "unfused session recorded %d fused calls"
+                  prim_fast))
+        [
+          ("default", Compiler.default_options, true);
+          ("verify", { Compiler.default_options with verify = true }, true);
+          ( "no-peephole",
+            { Compiler.default_options with peephole = false },
+            false );
+        ])
+    [
+      ("stack", Scheme.Stack Control.default_config);
+      ("closure", Scheme.Closure Control.default_config);
+      ("heap", Scheme.Heap);
+    ]
+
 let suite =
   differential_cases @ deopt_cases @ liveness_cases @ reduction_cases
   @ nesting_cases @ allocation_cases
   @ [ compiler_allocation_case; reader_allocation_case ]
+  @ eval_options_cases

@@ -148,8 +148,9 @@ let disasm_cases =
         let text =
           String.concat "\n"
             (List.map Bytecode.disassemble_deep
-               (Compiler.compile_string ~regalloc:false (Scheme.globals s)
-                  "(define (h n) (+ n 1)) (define (k) 42)"))
+               (Compiler.compile_string
+                  ~options:{ Compiler.default_options with regalloc = false }
+                  (Scheme.globals s) "(define (h n) (+ n 1)) (define (k) 42)"))
         in
         Alcotest.(check bool) "no -op opcodes" false
           (Tutil.contains ~sub:"-op " text || Tutil.contains ~sub:"return-op" text));
@@ -161,7 +162,10 @@ let disasm_cases =
 
 let eval ?(backend = Scheme.Stack Control.default_config) ?(corpus = false)
     ~regalloc src =
-  let s = Scheme.create ~backend ~regalloc () in
+  let s =
+    Scheme.create ~backend
+      ~options:{ Compiler.default_options with regalloc } ()
+  in
   if corpus then Scheme.load_corpus s;
   Scheme.eval_string ~fuel s src
 
@@ -270,7 +274,10 @@ let capture_identity bname backend op =
     (fun () ->
       let measure regalloc =
         let stats = Stats.create () in
-        let s = Scheme.create ~backend ~stats ~regalloc () in
+        let s =
+          Scheme.create ~backend ~stats
+            ~options:{ Compiler.default_options with regalloc } ()
+        in
         Scheme.load_corpus s;
         Stats.reset stats;
         ignore
@@ -363,7 +370,10 @@ let fault_counters = [ "instrs"; "prim-calls"; "prim-fast"; "prim-deopts" ]
 
 let run_fault backend ~peephole ~regalloc def call =
   let stats = Stats.create () in
-  let s = Scheme.create ~backend ~stats ~peephole ~regalloc () in
+  let s =
+    Scheme.create ~backend ~stats
+      ~options:{ Compiler.default_options with peephole; regalloc } ()
+  in
   ignore (Scheme.eval ~fuel s def);
   Stats.reset stats;
   let v = Scheme.eval_string ~fuel s call in
@@ -378,12 +388,14 @@ let fault_cases =
             (Printf.sprintf "faulting %s: backends agree [%s %s]" prim shape
                pname)
             (fun () ->
-              let s = Scheme.create ~peephole ~regalloc () in
+              let options =
+                { Compiler.default_options with peephole; regalloc }
+              in
+              let s = Scheme.create ~options () in
               let text =
                 String.concat "\n"
                   (List.map Bytecode.disassemble_deep
-                     (Compiler.compile_string ~peephole ~regalloc
-                        (Scheme.globals s) def))
+                     (Compiler.compile_string ~options (Scheme.globals s) def))
               in
               (match opcode shape with
               | Some op ->

@@ -216,8 +216,8 @@ let preempting =
   ]
 
 (* The oracle has no preemption ([%set-timer!] is a no-op there, so each
-   thread runs to completion in turn) and no error handlers, so it joins
-   only the cases whose result depends on neither. *)
+   thread runs to completion in turn), so it joins only the cases whose
+   result does not depend on it. *)
 let every_machine = preempting @ [ ("oracle", Scheme.Oracle) ]
 
 let run_machine backend src =
@@ -288,7 +288,7 @@ let suite =
       "(thread-map escape '(1 2 3) 5 %call/1cc)" "(10 20 30)"
   @ on_machines every_machine "ctak inside threads"
       "(thread-map ct '(1 2 3) 5 %call/1cc)" "(5 5 5)"
-  @ on_machines preempting "error caught inside a thread"
+  @ on_machines every_machine "error caught inside a thread"
       "(thread-map guarded '(1 2 10) 5 %call/1cc)"
       (Printf.sprintf "(1 caught %d)" (fib_expected 10))
   @ List.map interleave_case preempting

@@ -43,7 +43,9 @@ let accept_corpus_cases =
           List.iter
             (fun (sl, src) ->
               let codes =
-                Compiler.compile_string ~peephole ~regalloc g src
+                Compiler.compile_string
+                  ~options:{ Compiler.default_options with peephole; regalloc }
+                  g src
               in
               match Verify.verify_program codes with
               | () -> ()
@@ -52,7 +54,7 @@ let accept_corpus_cases =
             corpus_sources))
     stage_combos
 
-(* Sessions with [~verify:true] verify everything they compile --
+(* Sessions with [verify = true] verify everything they compile --
    prelude, corpus, and the program -- on each backend. *)
 let accept_session_cases =
   List.concat_map
@@ -61,8 +63,15 @@ let accept_session_cases =
         (fun (cl, peephole, regalloc) ->
           case (Printf.sprintf "session verifies [%s, %s]" bl cl) (fun () ->
               let s =
-                Scheme.create ~backend ~corpus:true ~peephole ~regalloc
-                  ~verify:true ()
+                Scheme.create ~backend ~corpus:true
+                  ~options:
+                    {
+                      Compiler.default_options with
+                      peephole;
+                      regalloc;
+                      verify = true;
+                    }
+                  ()
               in
               let v =
                 Scheme.eval ~fuel:Tutil.default_fuel s
