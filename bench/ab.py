@@ -3,6 +3,7 @@
 
     python3 bench/ab.py --base HEAD~1 --workload corpus --runs 10
     python3 bench/ab.py --base v1 --change v2 --workload oneshot --runs 5
+    python3 bench/ab.py --base HEAD~1 --workload compile --runs 4 --layouts 3
 
 Run from the repository root.  Each side is a git revision, exported
 with `git archive` into a temporary directory (no checkout or worktree
@@ -25,6 +26,18 @@ the same runs, and the interval is the 2.5th-97.5th percentile of the
 resampled ratios.  An interval
 that excludes 1.0 is a difference the runs resolve.  Any run that is
 not `correct` makes the script exit non-zero after the table.
+
+With --layouts N (default 1) the whole A/B is repeated for N binary
+layouts, k = 0 .. N-1: for layout k each side is built in its own
+exported copy (`.` is copied first, never edited in place) whose
+`perfbench/perfbench.ml` starts with a k*64-byte string literal that
+the program keeps but never reads.  Static data placed before the
+benchmark's own moves every later symbol, and the speed of the same
+machine code can depend on where that data lands by 15-30%; a shift of
+all four workloads at once that follows the layout rather than the
+side is that effect, not a code change.  The script prints each
+layout's medians and ratio, then the table over all runs.  --runs
+counts runs per side per layout.
 
 The deterministic counters live elsewhere: `bench/main.exe all --iters 3
 --json F` writes them and `bench/compare.exe BASE F --tolerance 0`
@@ -58,6 +71,48 @@ def export(rev, root, tmp, side):
     archive = subprocess.run(["git", "-C", root, "archive", rev],
                              capture_output=True, check=True)
     subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout, check=True)
+    return dest
+
+
+def pad_source(path, nbytes):
+    """Prepend [nbytes] bytes of opaque static string data to the OCaml
+    source file [path] (nothing for 0)."""
+    if nbytes == 0:
+        return
+    with open(path) as f:
+        src = f.read()
+    with open(path, "w") as f:
+        f.write('let _layout_pad = Sys.opaque_identity "%s"\n' % ("x" * nbytes) + src)
+
+
+def copy_worktree(root, dest):
+    """Copy the working tree as it is: tracked and untracked files that
+    git does not ignore, so no build output."""
+    files = subprocess.run(["git", "-C", root, "ls-files", "-z", "-c", "-o",
+                            "--exclude-standard"],
+                           capture_output=True, check=True).stdout.split(b"\0")
+    for name in files:
+        src = os.path.join(root, os.fsdecode(name))
+        if name and os.path.isfile(src):
+            dst = os.path.join(dest, os.fsdecode(name))
+            os.makedirs(os.path.dirname(dst), exist_ok=True)
+            shutil.copy2(src, dst)
+
+
+def layout_tree(rev, root, tmp, side, k):
+    """The tree of [rev] for layout [k]: [export]'s tree for k = 0, else
+    a copy of its own (the working tree copied for '.') whose
+    perfbench.ml is padded by k*64 bytes."""
+    if k == 0:
+        return export(rev, root, tmp, side)
+    name = "%s-layout%d" % (side, k)
+    if rev == ".":
+        dest = os.path.join(tmp, name)
+        os.makedirs(dest)
+        copy_worktree(root, dest)
+    else:
+        dest = export(rev, root, tmp, name)
+    pad_source(os.path.join(dest, "perfbench", "perfbench.ml"), 64 * k)
     return dest
 
 
@@ -102,7 +157,11 @@ def main():
     ap.add_argument("--workload", required=True)
     ap.add_argument("--runs", type=int, default=5, help="runs per side")
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--layouts", type=int, default=1,
+                    help="binary layouts to repeat the A/B over (default 1)")
     a = ap.parse_args()
+    if a.layouts < 1:
+        ap.error("--layouts must be at least 1")
 
     root = subprocess.run(["git", "rev-parse", "--show-toplevel"], capture_output=True,
                           text=True, check=True).stdout.strip()
@@ -114,23 +173,42 @@ def main():
     # A terminated run still removes its exported trees.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit("ab: terminated"))
     tmp = tempfile.mkdtemp(prefix="ab-")
+    runs = {"base": [], "change": []}
+    per_layout = []
+    correct = True
     try:
-        trees = {side: export(rev, root, tmp, side)
-                 for side, rev in (("base", a.base), ("change", a.change))}
-        runs = {"base": [], "change": []}
-        correct = True
-        for i in range(a.runs):
-            order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
-            for side in order:
-                res = run_once(trees[side], a, seconds)
-                correct = correct and res["correct"]
-                runs[side].append({k: v["value"] for k, v in res["metrics"].items()})
-            sys.stderr.write("ab: pair %d/%d done\n" % (i + 1, a.runs))
+        for k in range(a.layouts):
+            trees = {side: layout_tree(rev, root, tmp, side, k)
+                     for side, rev in (("base", a.base), ("change", a.change))}
+            layout = {"base": [], "change": []}
+            for i in range(a.runs):
+                order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
+                for side in order:
+                    res = run_once(trees[side], a, seconds)
+                    correct = correct and res["correct"]
+                    layout[side].append({m: v["value"] for m, v in res["metrics"].items()})
+                sys.stderr.write("ab: layout %d, pair %d/%d done\n" % (k, i + 1, a.runs))
+            per_layout.append(layout)
+            for side in runs:
+                runs[side] += layout[side]
+            for tree in trees.values():
+                if tree != root:
+                    shutil.rmtree(tree, ignore_errors=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    print("workload %s, seed %d, %d runs per side of %gs; base %s, change %s"
-          % (a.workload, a.seed, a.runs, seconds, a.base, a.change))
+    if a.layouts > 1:
+        print("per layout (k*64 bytes prepended to perfbench.ml), medians base -> change (ratio)")
+        for m in runs["base"][0]:
+            cells = []
+            for layout in per_layout:
+                mb = statistics.median(r[m] for r in layout["base"])
+                mc = statistics.median(r[m] for r in layout["change"])
+                cells.append("%.4g -> %.4g (%.3f)" % (mb, mc, mc / mb if mb else float("nan")))
+            print("%-20s %s" % (m, "   ".join("k=%d: %s" % (k, c) for k, c in enumerate(cells))))
+        print()
+    print("workload %s, seed %d, %d runs per side of %gs over %d layout(s); base %s, change %s"
+          % (a.workload, a.seed, a.runs * a.layouts, seconds, a.layouts, a.base, a.change))
     print("%-20s %12s %12s %7s %15s %25s %25s %6s" % (
         "metric", "base med", "change med", "ratio", "ratio 95% CI",
         "base min-max (IQR)", "change min-max (IQR)", "wins"))

@@ -34,6 +34,49 @@ class ExportTest(unittest.TestCase):
             shutil.rmtree(tmp, ignore_errors=True)
 
 
+class LayoutTest(unittest.TestCase):
+    def test_padding_prepends_kept_string_data(self):
+        tmp = tempfile.mkdtemp(prefix="ab-test-")
+        try:
+            path = os.path.join(tmp, "prog.ml")
+            original = "(* a program *)\nlet () = print_string \"hi\"\n"
+            with open(path, "w") as f:
+                f.write(original)
+            ab.pad_source(path, 0)
+            with open(path) as f:
+                self.assertEqual(f.read(), original)
+            ab.pad_source(path, 3 * 64)
+            with open(path) as f:
+                padded = f.read()
+            first, rest = padded.split("\n", 1)
+            self.assertEqual(rest, original)
+            self.assertEqual(first, 'let _layout_pad = Sys.opaque_identity "%s"' % ("x" * 192))
+        finally:
+            shutil.rmtree(tmp, ignore_errors=True)
+
+    def test_layout_copies_the_working_tree_and_leaves_it_alone(self):
+        here = os.path.dirname(os.path.abspath(__file__))
+        root = subprocess.run(["git", "-C", here, "rev-parse", "--show-toplevel"],
+                              capture_output=True, text=True, check=True).stdout.strip()
+        source = os.path.join(root, "perfbench", "perfbench.ml")
+        with open(source) as f:
+            before = f.read()
+        tmp = tempfile.mkdtemp(prefix="ab-test-")
+        try:
+            self.assertEqual(ab.layout_tree(".", root, tmp, "change", 0), root)
+            tree = ab.layout_tree(".", root, tmp, "change", 2)
+            self.assertNotEqual(tree, root)
+            self.assertFalse(os.path.exists(os.path.join(tree, "_build")))
+            with open(os.path.join(tree, "perfbench", "perfbench.ml")) as f:
+                self.assertEqual(f.read(), 'let _layout_pad = Sys.opaque_identity "%s"\n'
+                                 % ("x" * 128) + before)
+            self.assertTrue(os.path.isfile(os.path.join(tree, "bench", "ab.py")))
+        finally:
+            shutil.rmtree(tmp, ignore_errors=True)
+        with open(source) as f:
+            self.assertEqual(f.read(), before)
+
+
 class BootstrapTest(unittest.TestCase):
     def test_identical_samples_give_ratio_one(self):
         b = [10.0, 12.0, 11.0, 13.0, 9.0]

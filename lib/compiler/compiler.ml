@@ -126,11 +126,42 @@ and analyze_lambda env ctx (l : Ast.lambda) =
    later invocation.  (Chez makes the same choice for the same reason.) *)
 let boxed b = b.assigned
 
+(* Global names keyed by source name: [+] and a hygiene-marked [+]
+   are one key, hashed and compared up to the first mark.  Once a name
+   is in the table, a reference to it pays neither
+   [Macro.strip_marks]'s copy nor the process-wide interner's lock.
+   Every index read is below the length tested just before it. *)
+let rec same_source a b na nb i =
+  if i = na || String.unsafe_get a i = Macro.mark_char then
+    i = nb || String.unsafe_get b i = Macro.mark_char
+  else
+    i < nb
+    && String.unsafe_get a i = String.unsafe_get b i
+    && same_source a b na nb (i + 1)
+
+let rec hash_source s n i h =
+  if i = n then h
+  else
+    let c = String.unsafe_get s i in
+    if c = Macro.mark_char then h
+    else hash_source s n (i + 1) ((h * 31) + Char.code c)
+
+module Source_names = Hashtbl.Make (struct
+  type t = string
+
+  let equal a b = same_source a b (String.length a) (String.length b) 0
+  let hash s = hash_source s (String.length s) 0 0 land max_int
+end)
+
 (* The code objects of the forms being compiled share one growable
    instruction buffer: a nested lambda's code is emitted after its
    parent's current end and copied out when complete, and the parent
    then resumes where the nested code began. *)
-type buffer = { mutable arr : Rt.instr array; mutable len : int }
+type buffer = {
+  mutable arr : Rt.instr array;
+  mutable len : int;
+  slots : int Source_names.t; (* global name -> slot, for this call *)
+}
 
 type emitter = {
   buf : buffer;
@@ -139,7 +170,20 @@ type emitter = {
   mutable max_ext : int;
 }
 
-let new_buffer () = { arr = Array.make 32 Rt.Return; len = 0 }
+let new_buffer () =
+  { arr = Array.make 32 Rt.Return; len = 0; slots = Source_names.create 8 }
+
+(* A lexically unbound name refers to its definition environment — the
+   global table — under its source name.  Slots are still interned in
+   first-reference order. *)
+let global_slot e x =
+  let slots = e.buf.slots in
+  match Source_names.find slots x with
+  | i -> i
+  | exception Not_found ->
+      let i = Globals.slot (Macro.strip_marks x) in
+      Source_names.add slots x i;
+      i
 
 let new_emitter buf first_slot =
   { buf; base = buf.len; next_slot = first_slot; max_ext = first_slot }
@@ -211,16 +255,13 @@ let rec gen e tail exp =
   match exp with
   | AQuote v -> ignore (emit e (Rt.Const v))
   | ALocal b -> gen_ref e b
-  | AGlobal x ->
-      (* A lexically unbound name refers to its definition environment —
-         the global table — under its source name: strip hygiene marks. *)
-      ignore (emit e (Rt.Global_ref (Globals.slot (Macro.strip_marks x))))
+  | AGlobal x -> ignore (emit e (Rt.Global_ref (global_slot e x)))
   | ALocalSet (b, rhs) ->
       gen e false rhs;
       gen_set e b
   | AGlobalSet (x, rhs) ->
       gen e false rhs;
-      ignore (emit e (Rt.Global_set (Globals.slot (Macro.strip_marks x))))
+      ignore (emit e (Rt.Global_set (global_slot e x)))
   | AIf (t, c, a) ->
       gen e false t;
       let jf = emit e (Rt.Branch_false 0) in

@@ -27,6 +27,23 @@ let make_ctx ?(hygiene = true) ?menv () =
    own expansion introduced. *)
 let strip = Macro.strip_marks
 
+(* The macro-recursion depth: one more around each use's expansion,
+   taken back by the caller on both the normal and the exceptional
+   path (a handler, not a [Fun.protect] closure per use). *)
+let enter_use ctx kw pos =
+  incr ctx.depth;
+  if !(ctx.depth) > 500 then
+    err pos ("macro expansion too deep (looping?): " ^ kw)
+
+(* Core forms a top-level macro of the same name does not shadow. *)
+let is_core = function
+  | "quote" | "lambda" | "if" | "set!" | "begin" | "define" | "let" | "let*"
+  | "letrec" | "letrec*" | "cond" | "case" | "and" | "or" | "when" | "unless"
+  | "do" | "delay" | "assert" | "case-lambda" | "quasiquote" | "let-syntax"
+  | "letrec-syntax" ->
+      true
+  | _ -> false
+
 let rec datum_to_value (d : Sexp.t) : Rt.value =
   match d with
   | Sexp.Sym (s, _) -> Rt.sym (strip s)
@@ -214,13 +231,14 @@ let rec expand ctx (d : Sexp.t) : Ast.t =
   | Sexp.Dotted (_, _, pos) -> err pos "unexpected dotted list in expression"
   | Sexp.List ([], pos) -> err pos "empty application"
   | Sexp.List (op :: args, pos) -> (
-      match sym_name op with
-      | Some s -> expand_form ctx (strip s) op args pos
-      | None -> Ast.App (expand ctx op, List.map (expand ctx) args))
+      match op with
+      | Sexp.Sym (s, _) -> expand_form ctx d (strip s) op args pos
+      | _ -> Ast.App (expand ctx op, List.map (expand ctx) args))
 
 (* [kw] is the head symbol's source name (marks stripped): keywords and
-   the macro table live in the definition environment. *)
-and expand_form ctx kw op args pos =
+   the macro table live in the definition environment.  [form] is the
+   whole form, handed to a macro as its use. *)
+and expand_form ctx form kw op args pos =
   match (kw, args) with
   | "quote", [ d ] -> Ast.Quote (datum_to_value d)
   | "quote", _ -> err pos "quote: expects exactly one datum"
@@ -273,7 +291,7 @@ and expand_form ctx kw op args pos =
   | "and", [ e ] -> expand ctx e
   | "and", e :: rest ->
       Ast.If
-        (expand ctx e, expand_form ctx "and" op rest pos,
+        (expand ctx e, expand_form ctx form "and" op rest pos,
          Ast.Quote (Rt.Bool false))
   | "or", [] -> Ast.Quote (Rt.Bool false)
   | "or", [ e ] -> expand ctx e
@@ -283,7 +301,8 @@ and expand_form ctx kw op args pos =
         ( Ast.Lambda
             { params = [ t ]; rest = None;
               body =
-                Ast.If (Ast.Var t, Ast.Var t, expand_form ctx "or" op rest pos);
+                Ast.If
+                  (Ast.Var t, Ast.Var t, expand_form ctx form "or" op rest pos);
               lname = "or" },
           [ expand ctx e ] )
   | "when", test :: body when body <> [] ->
@@ -323,16 +342,17 @@ and expand_form ctx kw op args pos =
       err pos "define-syntax: only supported at top level"
   | _ -> (
       match Hashtbl.find_opt ctx.menv kw with
-      | Some rules ->
-          incr ctx.depth;
-          if !(ctx.depth) > 500 then
-            err pos ("macro expansion too deep (looping?): " ^ kw);
-          Fun.protect
-            ~finally:(fun () -> decr ctx.depth)
-            (fun () ->
-              expand ctx
-                (Macro.expand_use ~hygiene:ctx.hygiene rules
-                   (Sexp.List (op :: args, pos))))
+      | Some rules -> (
+          enter_use ctx kw pos;
+          match
+            expand ctx (Macro.expand_use ~hygiene:ctx.hygiene rules form)
+          with
+          | x ->
+              decr ctx.depth;
+              x
+          | exception e ->
+              decr ctx.depth;
+              raise e)
       | None -> Ast.App (expand ctx op, List.map (expand ctx) args))
 
 (* Bodies: a (possibly empty) prefix of internal definitions followed by
@@ -711,26 +731,22 @@ let rec expand_tops_in ctx (d : Sexp.t) : Ast.top list =
       []
   | Sexp.List (Sexp.Sym (ds, _) :: _, pos) when strip ds = "define-syntax" ->
       err pos "define-syntax: expected (define-syntax name (syntax-rules ...))"
-  | Sexp.List (Sexp.Sym (kw0, _) :: _, pos) as form
-    when (let kw = strip kw0 in
-          Hashtbl.mem ctx.menv kw
-          && not
-               (List.mem kw
-                  [ "quote"; "lambda"; "if"; "set!"; "begin"; "define"; "let";
-                    "let*"; "letrec"; "letrec*"; "cond"; "case"; "and"; "or";
-                    "when"; "unless"; "do"; "delay"; "assert"; "case-lambda";
-                    "quasiquote"; "let-syntax"; "letrec-syntax" ])) ->
-      (* top-level macro use may expand into definitions *)
+  | Sexp.List (Sexp.Sym (kw0, _) :: _, pos) -> (
       let kw = strip kw0 in
-      incr ctx.depth;
-      if !(ctx.depth) > 500 then
-        err pos ("macro expansion too deep (looping?): " ^ kw);
-      Fun.protect
-        ~finally:(fun () -> decr ctx.depth)
-        (fun () ->
-          expand_tops_in ctx
-            (Macro.expand_use ~hygiene:ctx.hygiene
-               (Hashtbl.find ctx.menv kw) form))
+      match Hashtbl.find_opt ctx.menv kw with
+      | Some rules when not (is_core kw) -> (
+          (* top-level macro use may expand into definitions *)
+          enter_use ctx kw pos;
+          match
+            expand_tops_in ctx (Macro.expand_use ~hygiene:ctx.hygiene rules d)
+          with
+          | x ->
+              decr ctx.depth;
+              x
+          | exception e ->
+              decr ctx.depth;
+              raise e)
+      | _ -> [ expand_top_in ctx d ])
   | _ -> [ expand_top_in ctx d ]
 
 let expand_program ?hygiene ?menv datums =

@@ -14,18 +14,32 @@
     textual expansion. *)
 
 type rules
-(** A compiled [(syntax-rules (literal ...) (pattern template) ...)]. *)
+(** A compiled [(syntax-rules (literal ...) (pattern template) ...)]:
+    each rule is compiled once, at definition, into a pattern program
+    (every symbol classified as [_], literal, pattern variable with its
+    slot and ellipsis depth, or ellipsis, with each ellipsis level's
+    split) and a template program (every symbol a variable slot or a
+    template-introduced name; each ellipsis subtemplate with the
+    variables it steps through).  A use matches into slot arrays and
+    runs the template program; nothing about the rule is worked out
+    again per use. *)
 
 exception Macro_error of string * Sexp.pos
 
 val parse_syntax_rules : Sexp.t -> rules
-(** Parse the [(syntax-rules ...)] form.  @raise Macro_error if malformed. *)
+(** Parse and compile the [(syntax-rules ...)] form.  A malformed
+    pattern or template is still reported by the use that reaches it,
+    not here.  @raise Macro_error if the form itself is malformed. *)
 
 val expand_use : ?hygiene:bool -> rules -> Sexp.t -> Sexp.t
 (** Expand one macro use (the whole form, keyword included) with the first
     matching rule.  Template-contributed forms are stamped with the use
     site's position; with [hygiene] (the default) template-introduced
-    identifiers additionally get a fresh mark.
+    identifiers additionally get a fresh mark.  A bare-variable ellipsis
+    with nothing after it, as in [(_ x y ...)], binds the use's matched
+    tail list itself, and a [y ...] that ends a template list returns
+    that list, shared ([Sexp.t] is immutable): one step of a recursive
+    macro costs words in the template's size, not the form's.
     @raise Macro_error if no rule matches. *)
 
 val strip_marks : string -> string

@@ -4,8 +4,143 @@ let all = Tutil.check_all
 let check = Tutil.check_eval
 let case = Tutil.case
 
-let suite =
+(* The [syntax-rules] behaviour, pinned on every backend: each case
+   gives the printed value, or the macro error's position and message,
+   which must agree across stack, closure, heap and oracle. *)
+let backends =
+  [
+    ("stack", Scheme.Stack Control.default_config);
+    ("closure", Scheme.Closure Control.default_config);
+    ("heap", Scheme.Heap);
+    ("oracle", Scheme.Oracle);
+  ]
+
+let outcome backend src =
+  let s = Scheme.create ~backend () in
+  match Scheme.eval_string ~fuel:Tutil.default_fuel s src with
+  | v -> v
+  | exception Macro.Macro_error (msg, p) ->
+      Printf.sprintf "%d:%d: %s" p.Sexp.line p.Sexp.col msg
+
+let pin name src expected =
+  List.map
+    (fun (bname, backend) ->
+      case
+        (Printf.sprintf "%s [%s]" name bname)
+        (fun () -> Alcotest.(check string) src expected (outcome backend src)))
+    backends
+
+let pinned =
   List.concat
+    [
+      pin "pin: nested ellipses"
+        {|(define-syntax rot
+            (syntax-rules () ((_ (a b ...) ...) '((b ... a) ...))))
+          (rot (1 2 3) (4) (5 6))|}
+        "((2 3 1) (4) (6 5))";
+      pin "pin: vector pattern"
+        {|(define-syntax vsum (syntax-rules () ((_ #(a ...)) (+ 0 a ...))))
+          (list (vsum #(1 2 3)) (vsum #()))|}
+        "(6 0)";
+      pin "pin: ellipsis followed by a fixed tail"
+        {|(define-syntax last-first
+            (syntax-rules () ((_ a ... z) '(z a ...))))
+          (list (last-first 1 2 3) (last-first 4))|}
+        "((3 1 2) (4))";
+      pin "pin: dotted pattern"
+        {|(define-syntax args-of (syntax-rules () ((_ . args) 'args)))
+          (list (args-of) (args-of 1 2))|}
+        "(() (1 2))";
+      pin "pin: dotted template tail"
+        {|(define-syntax dot9 (syntax-rules () ((_ x ...) '(x ... . 9))))
+          (list (dot9 1 2) (dot9))|}
+        "((1 2 . 9) 9)";
+      pin "pin: ellipsis inside a vector template"
+        {|(define-syntax vec9 (syntax-rules () ((_ x ...) '#(x ... 9))))
+          (list (vec9 1 2) (vec9))|}
+        "(#(1 2 9) #(9))";
+      pin "pin: one variable in two ellipses"
+        {|(define-syntax twice (syntax-rules () ((_ a ...) '(a ... a ...))))
+          (list (twice 1 2) (twice))|}
+        "((1 2 1 2) ())";
+      pin "pin: literal =>"
+        {|(define-syntax arrow
+            (syntax-rules (=>)
+              ((_ a => f) (f a))
+              ((_ a b c) '(no-arrow a b c))))
+          (list (arrow 1 => list) (arrow 1 -> list))|}
+        "((1) (no-arrow 1 -> list))";
+      pin "pin: _ in a template"
+        {|(define-syntax under
+            (syntax-rules () ((_ x) (let ((_ x)) (list '_ _)))))
+          (under 5)|}
+        "(_ 5)";
+      pin "pin: (f) against (_ x ... y) has no match"
+        {|(define-syntax f (syntax-rules () ((_ x ... y) 'ok)))
+          (list (f 1) (f 1 2))
+          (f)|}
+        "3:10: no syntax-rules pattern matches this use";
+      pin "pin: used without enough ellipses"
+        {|(define-syntax flat (syntax-rules () ((_ a ...) (list a))))
+          (list
+            (flat 1 2))|}
+        "3:12: syntax-rules: pattern variable a used without enough ellipses";
+      pin "pin: ellipsis template has no pattern variable"
+        {|(define-syntax ones (syntax-rules () ((_ a) (list 1 ...))))
+          (define x 0)
+            (ones x)|}
+        "3:12: syntax-rules: ellipsis template has no pattern variable";
+      pin "pin: mismatched ellipsis lengths"
+        {|(define-syntax zip2
+            (syntax-rules () ((_ (a ...) (b ...)) '((a b) ...))))
+          (list (zip2 (1 2) (x y))
+                (zip2 (1 2 3) (x y)))|}
+        "4:16: syntax-rules: mismatched ellipsis lengths";
+      pin "pin: a bad template that is never used raises nothing"
+        {|(define-syntax bad
+            (syntax-rules ()
+              ((_ 0) 'zero)
+              ((_ a ...) (list a 1 ...))))
+          (bad 0)|}
+        "zero";
+    ]
+
+(* One expansion step of the recursive [my-sum] costs O(template) words:
+   the bare-variable ellipsis of [(_ x y ...)] binds the matched tail
+   itself, and the template's [(my-sum y ...)] returns that list,
+   shared.  Copying the tail at every step makes the whole expansion
+   quadratic in k: about 4x the words from k = 200 to k = 400, where
+   linear expansion gives 2x.  Both k stay under the 500-level depth
+   limit. *)
+let linear_expansion_case =
+  case "recursive my-sum expands in linear words (k=400 <= 2.2 x k=200)"
+    (fun () ->
+      let words k =
+        let menv = Macro.create_menv () in
+        ignore
+          (Expander.expand_string ~menv
+             "(define-syntax my-sum\n\
+             \  (syntax-rules () ((_) 0) ((_ x y ...) (+ x (my-sum y ...)))))");
+        let use =
+          Sexp.read_one
+            ("(my-sum"
+            ^ String.concat "" (List.init k (Printf.sprintf " (f%d x)"))
+            ^ ")")
+        in
+        let w0 = Gc.minor_words () in
+        ignore (Expander.expand_tops ~menv use);
+        Gc.minor_words () -. w0
+      in
+      let w200 = words 200 in
+      let w400 = words 400 in
+      if w400 > 2.2 *. w200 then
+        Alcotest.failf "k=200: %.0f words, k=400: %.0f words (x%.2f)" w200
+          w400 (w400 /. w200))
+
+let suite =
+  pinned
+  @ [ linear_expansion_case ]
+  @ List.concat
     [
       all "simple substitution"
         {|(define-syntax double (syntax-rules () ((_ e) (* 2 e))))
