@@ -488,4 +488,3 @@ let verify_program codes =
   let visited = ref [] in
   List.iter (verify_into visited ~nfrees:0) codes
 
-let check code = match verify code with () -> Ok () | exception Error m -> Error m

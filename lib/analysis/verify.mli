@@ -44,6 +44,3 @@ val verify : ?nfrees:int -> Rt.code -> unit
 val verify_program : Rt.code list -> unit
 (** Verify every code object of a compiled program (shared children are
     visited once, by physical identity). *)
-
-val check : Rt.code -> (unit, string) result
-(** Exception-free wrapper around {!verify}. *)

@@ -19,8 +19,10 @@
    path — non-fast calls and returns, continuation capture/reinstatement
    ([%call/cc], [%call/1cc]), the native dynamic-wind trampoline, arity
    mismatch and overflow at [Enter], timer fire, inline-cache
-   deoptimization, error-handler injection — goes through {!Vm_policy},
-   the *same functions the stack VM's dispatch loop calls*.  Stack
+   deoptimization, error-handler injection — goes through {!Vm_policy}
+   and {!Vm_core}, the *same functions the stack VM's dispatch loop
+   calls*, and the policy-independent steps (timer tick, pure-primitive
+   call) are {!Engine}'s, as in that loop.  Stack
    segments, sealing, the size-classed segment cache, hysteresis,
    promotion, and every [Stats] counter they maintain are therefore
    shared by construction: the semantic counters (calls, captures,
@@ -74,14 +76,18 @@ type Rt.tmpl += Template of step array
    [sync] flushes the batched pc/acc/instruction count/fuel before any
    observation point, [reraise] does so and re-raises for a primitive
    that raised with the batch unflushed, [prim_fast_stats] bumps the
-   guarded fast path's two counters, and [load_op] reads an operand (the
+   guarded fast path's two counters, [load_op] reads an operand (the
    accumulator, a frame slot or an immediate; in a step the match is on
-   an immutable captured value and predicts perfectly).  The default
-   build reads [Vm_core]'s .cmx, so all but [reraise] inline here. *)
+   an immutable captured value and predicts perfectly), and the deopt
+   transfers take a failed guard's generic call or tail call.  The
+   default build reads [Vm_core]'s .cmx, so [sync], [prim_fast_stats]
+   and [load_op] inline here. *)
 let sync = Vm_core.sync
 let reraise = Vm_core.reraise
 let prim_fast_stats = Vm_core.prim_fast_stats
 let load_op = Vm_core.load_op
+let prim_deopt_call = Vm_core.prim_deopt_call
+let prim_deopt_tail_call = Vm_core.prim_deopt_tail_call
 
 (* The fuel check, engine semantics: sync with the *current* pc (the
    instruction about to execute) so a resumed machine re-runs it. *)
@@ -292,89 +298,38 @@ and emit arr instrs (code : code) pc : step =
           let nfp = fp + disp in
           match slots.(nfp + 1) with
           | Closure c ->
+              (* Same-segment call: write the interned return address and
+                 enter the callee's template.  [vm.pc] stays stale,
+                 exactly as in the engine loop. *)
+              let code = c.code in
+              set_slot slots nfp site.cs_ret;
+              set_code vm code;
+              vm.nargs <- cs_nargs;
+              vm.pol.Control.fp <- nfp;
+              let stats = vm.stats in
+              if stats.Stats.enabled then begin
+                stats.Stats.frames <- stats.Stats.frames + 1;
+                stats.Stats.calls <- stats.Stats.calls + 1
+              end;
               let ccode, centry, cfw = !cache in
-              if c.code == ccode then begin
+              if code == ccode then begin
                 (* Monomorphic hit: the call and the callee's [Enter]
                    fuse into one transfer (arity was checked at cache
                    fill), and the batch carries into the callee — no
                    flush, exactly the engine's in-landing transfer. *)
-                set_slot slots nfp site.cs_ret;
-                set_code vm ccode;
-                vm.nargs <- cs_nargs;
-                vm.pol.Control.fp <- nfp;
-                let stats = vm.stats in
-                if stats.Stats.enabled then begin
-                  stats.Stats.frames <- stats.Stats.frames + 1;
-                  stats.Stats.calls <- stats.Stats.calls + 1
-                end;
-                if nfp + cfw <= limit then begin
-                  let t = vm.timer in
-                  if t > 0 then
-                    if t = 1 then begin
-                      vm.timer <- -1;
-                      sync vm (steps + 2) 1 acc;
-                      Vm_policy.fire_timer vm;
-                      relaunch vm
-                    end
-                    else begin
-                      vm.timer <- t - 1;
-                      centry vm slots nfp limit budget acc (steps + 2)
-                    end
-                  else centry vm slots nfp limit budget acc (steps + 2)
-                end
-                else begin
-                  (* Overflow: the callee prologue's slow path, with the
-                     machine in exactly the state the engine would have
-                     at its [Enter]. *)
-                  sync vm (steps + 2) 1 acc;
-                  Vm_policy.enter vm;
-                  relaunch vm
-                end
+                let room = nfp + cfw <= limit in
+                if room && not (tick vm) then
+                  centry vm slots nfp limit budget acc (steps + 2)
+                else enter_slow vm room (steps + 2) 1 acc
               end
-              else begin
-                (* Same-segment call, generic: write the interned return
-                   address, flush, and jump into the callee's template.
-                   [vm.pc] stays stale, exactly as in the engine loop. *)
-                set_slot slots nfp site.cs_ret;
-                set_code vm c.code;
-                vm.nargs <- cs_nargs;
-                vm.pol.Control.fp <- nfp;
-                let stats = vm.stats in
-                if stats.Stats.enabled then begin
-                  stats.Stats.instrs <- stats.Stats.instrs + steps + 1;
-                  stats.Stats.frames <- stats.Stats.frames + 1;
-                  stats.Stats.calls <- stats.Stats.calls + 1
-                end;
-                if vm.fuel >= 0 then vm.fuel <- vm.fuel - (steps + 1);
-                let carr =
-                  match c.code.templ with
-                  | Template a -> a
-                  | _ -> compile vm.stats c.code
-                in
-                (match c.code.arity with
-                | Exactly a when a = cs_nargs && Array.length carr > 1 -> (
-                    match c.code.instrs.(0) with
-                    | Enter ->
-                        cache := (c.code, carr.(1), c.code.frame_words)
-                    | _ -> ())
-                | _ -> ());
-                carr.(0) vm slots nfp limit (budget - (steps + 1)) acc 0
-              end
+              else
+                call_generic vm cache code cs_nargs slots nfp limit budget acc
+                  (steps + 1)
           | Prim { pfn = Pure p; parity; pname } -> (
-              (* The engine's pure-call path: direct entries at one and
-                 two arguments, the batch unflushed. *)
-              if not (Bytecode.arity_matches parity cs_nargs) then begin
-                sync vm (steps + 1) (pc + 1) acc;
-                Values.err (pname ^ ": wrong number of arguments") []
-              end;
-              let stats = vm.stats in
-              if stats.Stats.enabled then
-                stats.Stats.prim_calls <- stats.Stats.prim_calls + 1;
+              (* The engine's pure-call path, the batch unflushed. *)
               match
-                if cs_nargs = 1 then p.fn1 slots.(nfp + 2)
-                else if cs_nargs = 2 then
-                  p.fn2 slots.(nfp + 2) slots.(nfp + 3)
-                else p.fn (prim_args vm slots (nfp + 2) cs_nargs)
+                call_pure vm p.fn p.fn1 p.fn2 parity pname slots (nfp + 2)
+                  cs_nargs
               with
               | v -> k vm slots fp limit budget v (steps + 1)
               | exception e -> reraise vm (steps + 1) (pc + 1) acc e)
@@ -383,7 +338,7 @@ and emit arr instrs (code : code) pc : step =
               let stats = vm.stats in
               if stats.Stats.enabled then
                 stats.Stats.frames <- stats.Stats.frames + 1;
-              Vm_policy.call vm site f;
+              Vm_policy.call vm ~disp ~ret:site.cs_ret ~nargs:cs_nargs f;
               relaunch vm)
   | Tail_call { disp; nargs } -> (
       let cache = ref (cache_sentinel, dummy_step, max_int) in
@@ -394,91 +349,34 @@ and emit arr instrs (code : code) pc : step =
           let f = slots.(src + 1) in
           match f with
           | Closure c ->
+              let code = c.code in
+              set_slot slots (fp + 1) f;
+              blit_args slots (src + 2) (fp + 2) nargs;
+              set_code vm code;
+              vm.nargs <- nargs;
+              let stats = vm.stats in
+              if stats.Stats.enabled then
+                stats.Stats.calls <- stats.Stats.calls + 1;
               let ccode, centry, cfw = !cache in
-              if c.code == ccode then begin
-                set_slot slots (fp + 1) f;
-                blit_args slots (src + 2) (fp + 2) nargs;
-                set_code vm ccode;
-                vm.nargs <- nargs;
-                let stats = vm.stats in
-                if stats.Stats.enabled then
-                  stats.Stats.calls <- stats.Stats.calls + 1;
-                if fp + cfw <= limit then begin
-                  let t = vm.timer in
-                  if t > 0 then
-                    if t = 1 then begin
-                      vm.timer <- -1;
-                      sync vm (steps + 2) 1 acc;
-                      Vm_policy.fire_timer vm;
-                      relaunch vm
-                    end
-                    else begin
-                      vm.timer <- t - 1;
-                      centry vm slots fp limit budget acc (steps + 2)
-                    end
-                  else centry vm slots fp limit budget acc (steps + 2)
-                end
-                else begin
-                  sync vm (steps + 2) 1 acc;
-                  Vm_policy.enter vm;
-                  relaunch vm
-                end
+              if code == ccode then begin
+                let room = fp + cfw <= limit in
+                if room && not (tick vm) then
+                  centry vm slots fp limit budget acc (steps + 2)
+                else enter_slow vm room (steps + 2) 1 acc
               end
-              else begin
-                set_slot slots (fp + 1) f;
-                blit_args slots (src + 2) (fp + 2) nargs;
-                set_code vm c.code;
-                vm.nargs <- nargs;
-                let stats = vm.stats in
-                if stats.Stats.enabled then begin
-                  stats.Stats.instrs <- stats.Stats.instrs + steps + 1;
-                  stats.Stats.calls <- stats.Stats.calls + 1
-                end;
-                if vm.fuel >= 0 then vm.fuel <- vm.fuel - (steps + 1);
-                let carr =
-                  match c.code.templ with
-                  | Template a -> a
-                  | _ -> compile vm.stats c.code
-                in
-                (match c.code.arity with
-                | Exactly a when a = nargs && Array.length carr > 1 -> (
-                    match c.code.instrs.(0) with
-                    | Enter ->
-                        cache := (c.code, carr.(1), c.code.frame_words)
-                    | _ -> ())
-                | _ -> ());
-                carr.(0) vm slots fp limit (budget - (steps + 1)) acc 0
-              end
+              else
+                call_generic vm cache code nargs slots fp limit budget acc
+                  (steps + 1)
           | _ ->
               sync vm (steps + 1) (pc + 1) acc;
               Vm_policy.tail_call vm ~disp ~nargs f;
               relaunch vm)
-  | Return -> (
+  | Return ->
+      (* Same-segment return: the batch carries into the caller's
+         continuation, no flush — the engine's in-landing transfer. *)
       fun vm slots fp limit budget acc steps ->
         if steps >= budget then fuel_stop vm steps pc acc
-        else
-          match slots.(fp) with
-          | Retaddr r when fp - r.rdisp + r.rcode.frame_words <= limit ->
-              (* Same-segment return: the batch carries into the caller's
-                 continuation, no flush — the engine's in-landing
-                 transfer. *)
-              let nfp = fp - r.rdisp in
-              set_code vm r.rcode;
-              vm.pol.Control.fp <- nfp;
-              let rarr =
-                match r.rcode.templ with
-                | Template a -> a
-                | _ -> compile vm.stats r.rcode
-              in
-              let stats = vm.stats in
-              if stats.Stats.enabled then
-                stats.Stats.instrs <- stats.Stats.instrs + steps + 1;
-              if vm.fuel >= 0 then vm.fuel <- vm.fuel - (steps + 1);
-              rarr.(r.rpc) vm slots nfp limit (budget - (steps + 1)) acc 0
-          | _ ->
-              sync vm (steps + 1) (pc + 1) acc;
-              Vm_policy.do_return vm;
-              relaunch vm)
+        else do_return_fast vm slots fp limit budget acc (steps + 1) (pc + 1)
   | Enter -> (
       (* [Enter] belongs to a known code object, so its arity and frame
          extent are template-time constants: the Exactly-arity fast path
@@ -489,34 +387,15 @@ and emit arr instrs (code : code) pc : step =
           let k = arr.(pc + 1) in
           fun vm slots fp limit budget acc steps ->
             if steps >= budget then fuel_stop vm steps pc acc
-            else if vm.nargs = karity && fp + fw <= limit then begin
-              let t = vm.timer in
-              if t > 0 then
-                if t = 1 then begin
-                  vm.timer <- -1;
-                  sync vm (steps + 1) (pc + 1) acc;
-                  Vm_policy.fire_timer vm;
-                  relaunch vm
-                end
-                else begin
-                  vm.timer <- t - 1;
-                  k vm slots fp limit budget acc (steps + 1)
-                end
-              else k vm slots fp limit budget acc (steps + 1)
-            end
-            else begin
-              sync vm (steps + 1) (pc + 1) acc;
-              Vm_policy.enter vm;
-              relaunch vm
-            end
+            else
+              let room = vm.nargs = karity && fp + fw <= limit in
+              if room && not (tick vm) then
+                k vm slots fp limit budget acc (steps + 1)
+              else enter_slow vm room (steps + 1) (pc + 1) acc
       | At_least _ ->
           fun vm _slots _fp _limit budget acc steps ->
             if steps >= budget then fuel_stop vm steps pc acc
-            else begin
-              sync vm (steps + 1) (pc + 1) acc;
-              Vm_policy.enter vm;
-              relaunch vm
-            end)
+            else enter_slow vm false (steps + 1) (pc + 1) acc)
   | Halt ->
       fun vm _slots _fp _limit _budget acc steps ->
         sync vm (steps + 1) (pc + 1) acc;
@@ -577,7 +456,7 @@ and emit arr instrs (code : code) pc : step =
             k vm slots fp limit (budget - (steps + 1)) v 0
           end
           else begin
-            Vm_policy.prim_deopt_call vm site;
+            prim_deopt_call vm site;
             relaunch vm
           end
         end
@@ -623,7 +502,7 @@ and emit arr instrs (code : code) pc : step =
             do_return_fast vm slots fp limit (budget - (steps + 1)) v 0 (pc + 1)
           end
           else begin
-            Vm_policy.prim_deopt_tail_call vm site;
+            prim_deopt_tail_call vm site;
             relaunch vm
           end
         end
@@ -658,7 +537,7 @@ and emit arr instrs (code : code) pc : step =
           end
           else begin
             set_slot slots (fp + argd) x;
-            deopt vm (steps + 1) (pc + 2) acc Vm_policy.prim_deopt_tail_call
+            deopt vm (steps + 1) (pc + 2) acc prim_deopt_tail_call
               site
           end
   | Prim_tail2_op (site, a, b) ->
@@ -680,7 +559,7 @@ and emit arr instrs (code : code) pc : step =
           else begin
             set_slot slots (fp + argd) x;
             set_slot slots (fp + argd + 1) y;
-            deopt vm (steps + 1) next acc Vm_policy.prim_deopt_tail_call
+            deopt vm (steps + 1) next acc prim_deopt_tail_call
               site
           end
   | Return_op a ->
@@ -744,7 +623,7 @@ and emit_call1 arr instrs pc site a next : step =
       end
       else begin
         set_slot slots (fp + argd) x;
-        deopt vm (steps + 1) next acc Vm_policy.prim_deopt_call site
+        deopt vm (steps + 1) next acc prim_deopt_call site
       end
 
 and emit_call2 arr instrs pc site a b next : step =
@@ -771,7 +650,7 @@ and emit_call2 arr instrs pc site a b next : step =
       else begin
         set_slot slots (fp + argd) x;
         set_slot slots (fp + argd + 1) y;
-        deopt vm (steps + 1) next acc Vm_policy.prim_deopt_call site
+        deopt vm (steps + 1) next acc prim_deopt_call site
       end
 
 (* [ps_ret] of a branch form resumes at the retained [Branch_false] at
@@ -795,7 +674,7 @@ and emit_branch1 arr pc site a t next : step =
       end
       else begin
         set_slot slots (fp + argd) x;
-        deopt vm (steps + 1) next acc Vm_policy.prim_deopt_call site
+        deopt vm (steps + 1) next acc prim_deopt_call site
       end
 
 and emit_branch2 arr pc site a b t next : step =
@@ -818,21 +697,55 @@ and emit_branch2 arr pc site a b t next : step =
       else begin
         set_slot slots (fp + argd) x;
         set_slot slots (fp + argd + 1) y;
-        deopt vm (steps + 1) next acc Vm_policy.prim_deopt_call site
+        deopt vm (steps + 1) next acc prim_deopt_call site
       end
 
+(* The slow end of a procedure entry, [Enter]'s or that of the callee
+   prologue a cached call fuses: flush at the pc past the [Enter]
+   ([steps] counts it), then the timer handler's call when the frame had
+   [room] and the tick fired, else the policy's [enter] (arity, overflow,
+   rest list, tick). *)
+and enter_slow (vm : t) room steps pc acc =
+  sync vm steps pc acc;
+  if room then Vm_policy.fire_timer vm else Vm_policy.enter vm;
+  relaunch vm
+
+(* A same-segment call or tail call whose site cache does not hold the
+   callee's [code]: flush the batch ([steps] counts the transfer), refill
+   the cache when the callee starts with an [Enter] of exactly this
+   site's argument count, and jump into the callee's template.  The
+   template lookup is written out here, as in [do_return_fast]: both
+   continue the landing, and [template] is a call. *)
+and call_generic (vm : t) cache (code : code) nargs slots nfp limit budget
+    acc steps =
+  let stats = vm.stats in
+  if stats.Stats.enabled then
+    stats.Stats.instrs <- stats.Stats.instrs + steps;
+  if vm.fuel >= 0 then vm.fuel <- vm.fuel - steps;
+  let carr =
+    match code.templ with Template a -> a | _ -> compile stats code
+  in
+  (match code.arity with
+  | Exactly a when a = nargs && Array.length carr > 1 -> (
+      match code.instrs.(0) with
+      | Enter -> cache := (code, carr.(1), code.frame_words)
+      | _ -> ())
+  | _ -> ());
+  carr.(0) vm slots nfp limit (budget - steps) acc 0
+
 (* A fused primitive's guard failed: flush at the retained consumer's pc
-   and take the generic call ([transfer] is the policy's deopt call or
-   tail call). *)
+   and take the generic call ([transfer] is the deopt call or tail
+   call). *)
 and deopt (vm : t) steps pc acc transfer site =
   sync vm steps pc acc;
   transfer vm site;
   relaunch vm
 
-(* The shared tail of a fused return step: [steps] is the total count
-   including every fused instruction (the batch carries into the caller
-   on the fast path, unflushed), [next_pc] the pc past the [Return]
-   (the sync point the slow path must land on). *)
+(* Every return step's transfer ([Return], [Return_op], the fused tail
+   calls): [steps] is the total count including every fused instruction
+   (the batch carries into the caller on the fast path, unflushed),
+   [next_pc] the pc past the [Return] (the sync point the slow path must
+   land on). *)
 and do_return_fast (vm : t) slots fp limit budget acc steps next_pc =
   match slots.(fp) with
   | Retaddr r when fp - r.rdisp + r.rcode.frame_words <= limit ->
@@ -857,10 +770,7 @@ and do_return_fast (vm : t) slots fp limit budget acc steps next_pc =
    backend's analogue of the engine's landings-per-transfer. *)
 and relaunch (vm : t) =
   if not vm.halted then begin
-    let code = vm.code in
-    let arr =
-      match code.templ with Template a -> a | _ -> compile vm.stats code
-    in
+    let arr = template vm.stats vm.code in
     let pc = vm.pc in
     if pc < 0 || pc >= Array.length arr then
       Values.err "vm: corrupt return address (pc out of range)" [];
@@ -877,29 +787,7 @@ and relaunch (vm : t) =
 (* Driver: identical protocol to the engine loop                       *)
 (* ------------------------------------------------------------------ *)
 
-let rec run_loop (vm : t) =
-  match relaunch vm with
-  | () -> ()
-  | exception (Scheme_error (msg, irritants) as exn) -> (
-      match Engine.pop_error_handler vm.globals with
-      | Some h ->
-          Vm_policy.inject_error_handler vm h msg irritants;
-          run_loop vm
-      | None -> raise exn)
-
-let run ?(fuel = -1) (vm : t) code =
-  Vm_policy.init_run vm code;
-  set_code vm code;
-  vm.pc <- 0;
-  vm.nargs <- 0;
-  vm.acc <- Void;
-  vm.halted <- false;
-  vm.fuel <- fuel;
-  vm.winders <- [];
-  (* Route the process-shared timer/output prims at this machine for the
-     extent of the run (restored on exit, so nested runs unwind). *)
-  Machine_hooks.with_hooks vm.hooks (fun () -> run_loop vm);
-  vm.acc
+let run ?fuel vm code = Vm_core.run_with relaunch ?fuel vm code
 
 let run_program ?fuel (vm : t) codes =
   List.fold_left (fun _ code -> run ?fuel vm code) Void codes
@@ -928,7 +816,6 @@ let eval_datum ?fuel (vm : t) d =
     (Compiler.compile_datum ~options:vm.options ~menv:vm.menv vm.globals d)
 
 let create = Vm_policy.create
-let control (vm : t) = vm.Engine.pol
 let stats = Engine.stats
 let globals = Engine.globals
 let output = Engine.output

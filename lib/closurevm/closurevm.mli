@@ -29,8 +29,6 @@ val create :
     segmented-stack configuration and the compile [options] are the
     same as {!Vm.create}'s. *)
 
-val control : t -> Control.t
-(** The machine's segmented-stack state (its frame-policy state). *)
 
 val stats : t -> Stats.t
 val globals : t -> Globals.t

@@ -11,7 +11,6 @@
     "assume standard bindings" switches in production Scheme compilers. *)
 
 val expr : Ast.t -> Ast.t
-val top : Ast.top -> Ast.top
 val program : Ast.top list -> Ast.top list
 
 (** {1 Bytecode peephole pass}

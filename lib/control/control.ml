@@ -15,11 +15,15 @@ type config = {
   cache_max : int;
   promotion : promotion_strategy;
   capture : capture_strategy;
-  debug : bool;
 }
 
+(* Kept opaque to the optimizer.  As a structured constant it would fold
+   into every client, perfbench's own modules included, and a change to
+   perfbench's machine code moves the native kernel that perfbench
+   normalizes its timings by: its job times then read 15-25% apart with
+   the same library code. *)
 let default_config =
-  {
+  Sys.opaque_identity {
     seg_words = 16 * 1024;
     copy_bound = 128;
     overflow_policy = As_call1cc;
@@ -29,10 +33,6 @@ let default_config =
     cache_max = 1024;
     promotion = Shared_flag;
     capture = Seal;
-    (* The environment only seeds the default; the live toggle is the
-       per-machine config field, so one session's tracing can never leak
-       into another's. *)
-    debug = Sys.getenv_opt "CONTROL_DEBUG" <> None;
   }
 
 (* Number of size classes in the segment cache.  Class [c] (for
@@ -50,8 +50,6 @@ type t = {
   cache_top : int array;
   mutable cache_len : int;
   mutable cache_words : int;
-  mutable dbg_rid : int;
-  mutable dbg_ids : (stack_record * int) list;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -206,25 +204,6 @@ let rec no_link =
 let fresh_record seg ~base ~size ~link =
   { seg; base; size; current = 0; link; ret = Void; promoted = lone_flag }
 
-(* Debug record identities (CONTROL_DEBUG traces only).  The table is
-   populated solely under [cfg.debug] — identity lookups are O(n) in the
-   number of live records traced, which is fine for a trace aid but must
-   never be paid (or leak) on production paths.  It lives in the machine
-   itself (it used to be module-global), so one machine's traced records
-   are never pinned by another machine's lifetime, and a machine's table
-   dies with the machine. *)
-let id_of m (r : stack_record) =
-  if not m.cfg.debug then 0
-  else
-    match List.find_opt (fun (r', _) -> r' == r) m.dbg_ids with
-    | Some (_, i) -> i
-    | None ->
-        m.dbg_rid <- m.dbg_rid + 1;
-        m.dbg_ids <- (r, m.dbg_rid) :: m.dbg_ids;
-        m.dbg_rid
-
-let dbg fmt = Printf.eprintf fmt
-
 (* The first lower bound [cfg] breaks, as (name, minimum, given). *)
 let validate cfg =
   if cfg.seg_words < 64 then Some ("seg_words", 64, cfg.seg_words)
@@ -252,8 +231,6 @@ let create ?stats cfg =
       cache_top = Array.make cache_classes 0;
       cache_len = 0;
       cache_words = 0;
-      dbg_rid = 0;
-      dbg_ids = [];
     }
   in
   let seg = alloc_segment m cfg.seg_words in
@@ -272,7 +249,6 @@ let init_frame m ret0 =
 
 let seg_limit m = m.sr.base + m.sr.size
 let room m n = m.fp + n <= seg_limit m
-let frame_ret m = m.sr.seg.(m.fp)
 
 (* ------------------------------------------------------------------ *)
 (* Record classification                                               *)
@@ -434,7 +410,6 @@ let capture_oneshot m =
   if sr.seg.(m.fp) = Underflow_mark then begin
     let k = below_bottom sr in
     m.stats.captures_oneshot <- m.stats.captures_oneshot + 1;
-    if m.cfg.debug then dbg "cap1cc(empty) -> r%d\n" (id_of m k);
     k
   end
   else begin
@@ -489,7 +464,6 @@ let capture_oneshot m =
         m.fp <- 0;
         (* A segment back from the cache usually still holds the mark. *)
         set_slot seg 0 Underflow_mark;
-        if m.cfg.debug then dbg "cap1cc -> r%d (seg=%d base=%d cur=%d)\n" (id_of m k) (Array.length k.seg) k.base k.current;
         k
   end
 
@@ -653,9 +627,6 @@ let reinstate_oneshot m k =
   r
 
 let reinstate ?(unseal = true) m k =
-  if m.cfg.debug then
-    dbg "reinstate r%d (size=%d current=%d shot=%b multi=%b)\n" (id_of m k)
-      k.size k.current (is_shot k) (is_multi k);
   if is_shot k then raise Shot_continuation
   else if is_multi k then reinstate_multi ~unseal m k
   else reinstate_oneshot m k

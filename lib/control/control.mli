@@ -49,10 +49,6 @@ type config = {
   cache_max : int;  (** max segments retained in the cache *)
   promotion : promotion_strategy;
   capture : capture_strategy;
-  debug : bool;
-      (** trace captures/reinstatements to stderr.  Per-machine — the
-          [CONTROL_DEBUG] environment variable only seeds
-          {!default_config}. *)
 }
 
 val default_config : config
@@ -83,10 +79,6 @@ type t = {
   cache_top : int array;  (** per-size-class count of cached segments *)
   mutable cache_len : int;  (** total cached segments across classes *)
   mutable cache_words : int;  (** total words parked across classes *)
-  mutable dbg_rid : int;
-  mutable dbg_ids : (Rt.stack_record * int) list;
-      (** per-machine debug identity table; populated only under
-          [cfg.debug] *)
 }
 
 val no_link : Rt.stack_record
@@ -100,11 +92,6 @@ val promoted_flag : bool ref
     holds [lone_flag]; promoting it swaps in [promoted_flag], which
     every multi-shot record holds too.  A flag of its own ([ref false])
     is allocated only when a second one-shot record joins a group. *)
-
-val id_of : t -> Rt.stack_record -> int
-(** Stable per-machine identity of a record for trace output; [0] when
-    [cfg.debug] is off.  The table lives in the machine, so records traced
-    by one machine are never pinned by another machine's lifetime. *)
 
 val validate : config -> (string * int * int) option
 (** The first lower bound [config] breaks, as [(name, minimum, given)]:
@@ -127,9 +114,6 @@ val seg_limit : t -> int
 
 val room : t -> int -> bool
 (** [room m n]: does the active frame have [n] words available? *)
-
-val frame_ret : t -> Rt.value
-(** Return slot of the current frame. *)
 
 val is_shot : Rt.stack_record -> bool
 val is_multi : Rt.stack_record -> bool

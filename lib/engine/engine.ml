@@ -11,6 +11,10 @@ open Rt
      per-machine timer accessors, the pure-prim scratch buffers;
    - the small helpers of the dispatch loop (argument collection,
      argument blits, multiple-values construction);
+   - the machine steps that do not depend on where frames live (timer
+     tick, arity check and rest list, primitive calls, deopt callee,
+     [%stat]), written once for both policies, both loops and the
+     closure templates;
    - the winder-chain planner {!wind_plan}, the one chain-walk both
      trampolines (and the oracle's CPS mirror) execute.
 
@@ -159,6 +163,126 @@ let rec collect_list slots base i acc =
   else collect_list slots base (i - 1) (slots.(base + i) :: acc)
 
 let empty_mvals = Mvals []
+
+(* ------------------------------------------------------------------ *)
+(* Policy-independent machine steps                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The steps below do not depend on where frames live, so every frame
+   policy, both dispatch loops and the closure templates share them.
+   Those used on a dispatch fast path are [@inline]: the default build
+   reads this module's .cmx, so they add no call there. *)
+
+(* The preemption timer's per-entry tick: decrement an armed timer and
+   report the entry that exhausts the slice, disarming it.  The handler
+   dispatch happens only on that entry, so code running under preemption
+   (the thread benchmarks) stays on the fast path between switches. *)
+let[@inline] tick vm =
+  let t = vm.timer in
+  t > 0
+  &&
+  if t = 1 then begin
+    vm.timer <- -1;
+    true
+  end
+  else begin
+    vm.timer <- t - 1;
+    false
+  end
+
+(* The return address a timer fire pushes.  The fire always happens at
+   procedure entry, so the resumption point (pc, displacement) is a
+   constant of [code]: intern it on the code object instead of allocating
+   one per preemption.  The guard keeps this sound should a caller fire
+   from elsewhere, or a code object run under policies with different
+   displacements ([rdisp] is the frame size on the stack, 0 on the
+   heap). *)
+let timer_ret (code : code) pc rdisp =
+  match code.timer_ret with
+  | Retaddr r as ra when r.rpc = pc && r.rdisp = rdisp -> ra
+  | _ ->
+      let ra = Retaddr { rcode = code; rpc = pc; rdisp } in
+      code.timer_ret <- ra;
+      ra
+
+(* [Enter]'s slow path, before and after the policy makes room for the
+   frame: the arity check, then the collection of a variadic procedure's
+   arguments past its fixed ones into a list in its rest slot
+   ([slots.(base + i)] holds argument [i]). *)
+let check_arity (c : code) n =
+  match c.arity with
+  | Exactly k ->
+      if n <> k then
+        Values.err
+          (Printf.sprintf "%s: expected %d arguments, got %d" c.cname k n)
+          []
+  | At_least k ->
+      if n < k then
+        Values.err
+          (Printf.sprintf "%s: expected at least %d arguments, got %d" c.cname
+             k n)
+          []
+
+let collect_rest (c : code) n slots base =
+  match c.arity with
+  | At_least k ->
+      let rest = ref Nil in
+      for i = n - 1 downto k do
+        rest := Values.cons slots.(base + i) !rest
+      done;
+      set_slot slots (base + k) !rest
+  | Exactly _ -> ()
+
+(* A primitive application's arity check and call count, on every path
+   that applies one, pure or special. *)
+let[@inline] check_prim vm parity pname nargs =
+  if not (Bytecode.arity_matches parity nargs) then
+    Values.err (pname ^ ": wrong number of arguments") [];
+  let stats = vm.stats in
+  if stats.Stats.enabled then
+    stats.Stats.prim_calls <- stats.Stats.prim_calls + 1
+
+(* The dispatch loops' [Call] of a pure primitive whose arguments are at
+   [slots.(base ..)]: one and two arguments go to the direct entries, any
+   other count through a scratch array.  The policies' slow paths apply
+   the n-ary entry instead, because a default direct entry allocates the
+   argument array that the scratch buffer avoids. *)
+let[@inline] call_pure vm fn fn1 fn2 parity pname slots base nargs =
+  check_prim vm parity pname nargs;
+  if nargs = 1 then fn1 slots.(base)
+  else if nargs = 2 then fn2 slots.(base) slots.(base + 1)
+  else fn (prim_args vm slots base nargs)
+
+(* What [nargs] arguments at [slots.(base ..)] deliver to a continuation
+   ([values], a continuation invocation): the value itself for one,
+   multiple values otherwise. *)
+let values_of slots base nargs =
+  if nargs = 1 then slots.(base)
+  else if nargs = 0 then empty_mvals
+  else if nargs = 2 then Mvals [ slots.(base); slots.(base + 1) ]
+  else Mvals (collect_list slots base (nargs - 1) [])
+
+(* [(%stat 'name)]: the named counter. *)
+let stat vm v =
+  let name =
+    match v with Sym s -> s | v -> Values.type_error "%stat" "symbol" v
+  in
+  match Stats.get vm.stats name with
+  | n -> Values.of_int n
+  | exception Not_found -> Values.err ("%stat: unknown counter " ^ name) []
+
+(* A fused site's inline-cache guard failed: the global it was compiled
+   against has been assigned ([set!] of [+] and the like).  Count the
+   deoptimization and return the callee the generic call the peephole
+   replaced now reaches. *)
+let deopt_callee vm site =
+  let stats = vm.stats in
+  if stats.Stats.enabled then
+    stats.Stats.prim_deopts <- stats.Stats.prim_deopts + 1;
+  let g = Globals.get vm.globals site.ps_slot in
+  if not g.gdefined then
+    Values.err ("unbound variable: " ^ Globals.slot_name site.ps_slot) [];
+  g.gval
 
 (* ------------------------------------------------------------------ *)
 (* Error-handler injection                                             *)

@@ -37,9 +37,14 @@
      set                  a slot write; returns the array to continue
                           the landing on (copy-on-write may replace it)
      set_fp/call/tail_call/do_return/enter/fire_timer/
-     prim_deopt_call/prim_deopt_tail_call/pure_call_skips/
-     inject_error_handler/init_run
+     pure_call_skips/inject_error_handler/init_run
                           the control transfers themselves
+
+   Every step that does not depend on where frames live — the timer
+   tick, the arity check and rest list, the pure-primitive entry choice,
+   the deopt callee, [%stat], multiple values — is written once, in
+   {!Engine}, and shared by both policies, this loop and the closure
+   templates.
 
    The loop executes one *landing* at a time: a run of instructions
    between control transfers, all within one code object, one frame and
@@ -127,6 +132,19 @@ let spill1 (vm : Policy.t) slots fp site x =
 let spill2 (vm : Policy.t) slots fp site x y =
   let slots = Policy.set vm slots fp (site.ps_disp + 2) x in
   ignore (Policy.set vm slots fp (site.ps_disp + 3) y)
+
+(* A fused site's guard failed: the generic call or tail call it
+   replaced, to whatever the global holds now.  The call counts the frame
+   the unfused [Call] would have. *)
+let prim_deopt_call (vm : Policy.t) site =
+  let f = deopt_callee vm site in
+  let stats = vm.stats in
+  if stats.Stats.enabled then stats.Stats.frames <- stats.Stats.frames + 1;
+  Policy.call vm ~disp:site.ps_disp ~ret:site.ps_ret ~nargs:site.ps_nargs f
+
+let prim_deopt_tail_call (vm : Policy.t) site =
+  Policy.tail_call vm ~disp:site.ps_disp ~nargs:site.ps_nargs
+    (deopt_callee vm site)
 
 let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
   if steps >= budget then begin
@@ -266,25 +284,16 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
           (* Pure primitives push no frame on the stack policy and
              return straight to the fall-through pc, so the call stays
              inside the landing, the batch unflushed as on the fused
-             paths: one and two arguments go to the direct entries, any
-             other count through a scratch array.  The heap policy counts
-             the frame its generic path would have allocated, and honors
-             the return-context consumption a tail-positioned primitive
-             performs ([pure_call_skips]). *)
-          let nargs = site.cs_nargs in
+             paths (an arity error flushes in [reraise]).  The heap
+             policy counts the frame its generic path would have
+             allocated, and honors the return-context consumption a
+             tail-positioned primitive performs ([pure_call_skips]). *)
           let stats = vm.stats in
           if Policy.frames_on_pure_call && stats.Stats.enabled then
             stats.Stats.frames <- stats.Stats.frames + 1;
-          if not (Bytecode.arity_matches parity nargs) then begin
-            sync vm (steps + 1) (pc + 1) acc;
-            Values.err (pname ^ ": wrong number of arguments") []
-          end;
-          if stats.Stats.enabled then
-            stats.Stats.prim_calls <- stats.Stats.prim_calls + 1;
           match
-            if nargs = 1 then p.fn1 slots.(nfp + 2)
-            else if nargs = 2 then p.fn2 slots.(nfp + 2) slots.(nfp + 3)
-            else p.fn (prim_args vm slots (nfp + 2) nargs)
+            call_pure vm p.fn p.fn1 p.fn2 parity pname slots (nfp + 2)
+              site.cs_nargs
           with
           | v when Policy.pure_call_skips vm site ->
               sync vm (steps + 1) (pc + 1) v;
@@ -297,7 +306,8 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
           let stats = vm.stats in
           if stats.Stats.enabled then
             stats.Stats.frames <- stats.Stats.frames + 1;
-          Policy.call vm site f;
+          Policy.call vm ~disp:site.cs_disp ~ret:site.cs_ret
+            ~nargs:site.cs_nargs f;
           relaunch vm)
   | Tail_call { disp; nargs } -> (
       let src = fp + disp in
@@ -320,28 +330,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
           sync vm (steps + 1) (pc + 1) acc;
           Policy.tail_call vm ~disp ~nargs f;
           relaunch vm)
-  | Return -> (
-      (* [slots.(fp)] is a return slot only under the stack policy; the
-         heap policy's root frame has no slots at all, so the read is
-         guarded by the (static) policy constant. *)
-      match (if Policy.fast then slots.(fp) else Void) with
-      | Retaddr r when fp - r.rdisp + r.rcode.frame_words <= limit ->
-          (* Same-segment return with the caller's frame extent already
-             covered: skip the write-back/reload round trip.  The room
-             test is exactly the resumed-frame-room re-check. *)
-          let nfp = fp - r.rdisp in
-          set_code vm r.rcode;
-          Policy.set_fp vm nfp;
-          let stats = vm.stats in
-          if stats.Stats.enabled then
-            stats.Stats.instrs <- stats.Stats.instrs + steps + 1;
-          if vm.fuel >= 0 then vm.fuel <- vm.fuel - (steps + 1);
-          exec vm r.rcode.instrs slots nfp limit (budget - (steps + 1)) acc 0
-            r.rpc
-      | _ ->
-          sync vm (steps + 1) (pc + 1) acc;
-          Policy.do_return vm;
-          relaunch vm)
+  | Return -> prim_return vm slots fp limit budget acc (steps + 1) (pc + 1)
   | Enter -> (
       let c = vm.code in
       match c.arity with
@@ -349,22 +338,12 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
           (* Fast path: arity matches and the frame extent fits the
              active slot array — nothing to set up (always true of a
              heap frame, allocated at full size).  An armed timer only
-             needs its per-call decrement here; the expensive handler
-             dispatch happens on the call that exhausts the slice, so
-             code running under preemption (the thread benchmarks) stays
-             on the fast path between switches. *)
-          let t = vm.timer in
-          if t > 0 then
-            if t = 1 then begin
-              vm.timer <- -1;
-              sync vm (steps + 1) (pc + 1) acc;
-              Policy.fire_timer vm;
-              relaunch vm
-            end
-            else begin
-              vm.timer <- t - 1;
-              exec vm instrs slots fp limit budget acc (steps + 1) (pc + 1)
-            end
+             needs its per-call [tick] here. *)
+          if tick vm then begin
+            sync vm (steps + 1) (pc + 1) acc;
+            Policy.fire_timer vm;
+            relaunch vm
+          end
           else exec vm instrs slots fp limit budget acc (steps + 1) (pc + 1)
       | _ ->
           sync vm (steps + 1) (pc + 1) acc;
@@ -408,7 +387,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
         exec vm instrs slots fp limit (budget - (steps + 1)) v 0 (pc + 1)
       end
       else begin
-        Policy.prim_deopt_call vm site;
+        prim_deopt_call vm site;
         relaunch vm
       end
   (* The fixed-arity forms below call the site's direct entry with plain
@@ -422,7 +401,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
         | v -> exec vm instrs slots fp limit budget v (steps + 1) (pc + 1)
         | exception e -> reraise vm (steps + 1) (pc + 1) acc e
       end
-      else deopt vm (steps + 1) (pc + 1) acc Policy.prim_deopt_call site
+      else deopt vm (steps + 1) (pc + 1) acc prim_deopt_call site
   | Prim_call2 site ->
       if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
         prim_fast_stats vm;
@@ -431,7 +410,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
         | v -> exec vm instrs slots fp limit budget v (steps + 1) (pc + 1)
         | exception e -> reraise vm (steps + 1) (pc + 1) acc e
       end
-      else deopt vm (steps + 1) (pc + 1) acc Policy.prim_deopt_call site
+      else deopt vm (steps + 1) (pc + 1) acc prim_deopt_call site
   | Local_branch_false (i, t) ->
       (* Fused Local_ref + Branch_false: one dispatch.  The skipped
          branch sits at [pc + 1]; fall through lands past it. *)
@@ -450,7 +429,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
               (match v with Bool false -> t | _ -> pc + 2)
         | exception e -> reraise vm (steps + 1) (pc + 1) acc e
       end
-      else deopt vm (steps + 1) (pc + 1) acc Policy.prim_deopt_call site
+      else deopt vm (steps + 1) (pc + 1) acc prim_deopt_call site
   | Prim_branch2 (site, t) ->
       if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
         prim_fast_stats vm;
@@ -461,7 +440,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
               (match v with Bool false -> t | _ -> pc + 2)
         | exception e -> reraise vm (steps + 1) (pc + 1) acc e
       end
-      else deopt vm (steps + 1) (pc + 1) acc Policy.prim_deopt_call site
+      else deopt vm (steps + 1) (pc + 1) acc prim_deopt_call site
   | Prim_tail_call site ->
       sync vm (steps + 1) (pc + 1) acc;
       if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
@@ -472,7 +451,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
         prim_return vm slots fp limit (budget - (steps + 1)) v 0 (pc + 1)
       end
       else begin
-        Policy.prim_deopt_tail_call vm site;
+        prim_deopt_tail_call vm site;
         relaunch vm
       end
   (* ---- register-addressed forms (Optimize.fuse_operands) ----
@@ -498,7 +477,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
       end
       else begin
         spill1 vm slots fp site x;
-        deopt vm (steps + 1) (pc + 2) acc Policy.prim_deopt_call site
+        deopt vm (steps + 1) (pc + 2) acc prim_deopt_call site
       end
   | Prim_call2_op (site, a, b) ->
       let x = load_op slots fp acc a in
@@ -512,7 +491,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
       end
       else begin
         spill2 vm slots fp site x y;
-        deopt vm (steps + 1) next acc Policy.prim_deopt_call site
+        deopt vm (steps + 1) next acc prim_deopt_call site
       end
   | Prim_branch1_op (site, a, t) ->
       (* [ps_ret] resumes at the retained [Branch_false] at [pc + 2]. *)
@@ -527,7 +506,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
       end
       else begin
         spill1 vm slots fp site x;
-        deopt vm (steps + 1) (pc + 2) acc Policy.prim_deopt_call site
+        deopt vm (steps + 1) (pc + 2) acc prim_deopt_call site
       end
   | Prim_branch2_op (site, a, b, t) ->
       let x = load_op slots fp acc a in
@@ -543,7 +522,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
       end
       else begin
         spill2 vm slots fp site x y;
-        deopt vm (steps + 1) next acc Policy.prim_deopt_call site
+        deopt vm (steps + 1) next acc prim_deopt_call site
       end
   | Prim_tail1_op (site, a) ->
       let x = load_op slots fp acc a in
@@ -555,7 +534,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
       end
       else begin
         spill1 vm slots fp site x;
-        deopt vm (steps + 1) (pc + 2) acc Policy.prim_deopt_tail_call site
+        deopt vm (steps + 1) (pc + 2) acc prim_deopt_tail_call site
       end
   | Prim_tail2_op (site, a, b) ->
       let x = load_op slots fp acc a in
@@ -569,28 +548,14 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
       end
       else begin
         spill2 vm slots fp site x y;
-        deopt vm (steps + 1) next acc Policy.prim_deopt_tail_call site
+        deopt vm (steps + 1) next acc prim_deopt_tail_call site
       end
-  | Return_op a -> (
+  | Return_op a ->
       (* Fused producer + [Return]: the returned value comes from the
-         operand, never from [acc].  Same fast/slow split as [Return];
-         the retained [Return] sits at [pc + 1]. *)
-      let v = load_op slots fp acc a in
-      match (if Policy.fast then slots.(fp) else Void) with
-      | Retaddr r when fp - r.rdisp + r.rcode.frame_words <= limit ->
-          let nfp = fp - r.rdisp in
-          set_code vm r.rcode;
-          Policy.set_fp vm nfp;
-          let stats = vm.stats in
-          if stats.Stats.enabled then
-            stats.Stats.instrs <- stats.Stats.instrs + steps + 1;
-          if vm.fuel >= 0 then vm.fuel <- vm.fuel - (steps + 1);
-          exec vm r.rcode.instrs slots nfp limit (budget - (steps + 1)) v 0
-            r.rpc
-      | _ ->
-          sync vm (steps + 1) (pc + 2) v;
-          Policy.do_return vm;
-          relaunch vm)
+         operand, never from [acc]; the retained [Return] sits at
+         [pc + 1]. *)
+      prim_return vm slots fp limit budget (load_op slots fp acc a) (steps + 1)
+        (pc + 2)
 
 (* A fused primitive's guard failed: flush at the retained consumer's pc
    and take the generic call ([transfer] is the policy's deopt call or
@@ -600,9 +565,16 @@ and deopt (vm : Policy.t) steps pc acc transfer site =
   transfer vm site;
   relaunch vm
 
-(* Return a tail-called primitive's result [v]: the [Return] fast path
-   with the batch carried into the caller, or the policy's return after a
-   flush at [next_pc], the pc past the retained [Return]. *)
+(* Return [v] ([Return], [Return_op] and a tail-called primitive's
+   result).  Fast path: a same-segment return with the caller's frame
+   extent already covered, so the landing continues in the caller with
+   the batch carried, unflushed (the room test is exactly the policy's
+   resumed-frame-room re-check).  Carrying the batch is equivalent to
+   flushing it: [exec] compares [steps] with [budget] either way.
+   Otherwise the policy's return, after a flush at [next_pc], the pc past
+   the [Return].  [slots.(fp)] is a return slot only under the stack
+   policy; the heap policy's root frame has no slots at all, so the read
+   is guarded by the (static) policy constant. *)
 and prim_return (vm : Policy.t) slots fp limit budget v steps next_pc =
   match (if Policy.fast then slots.(fp) else Void) with
   | Retaddr r when fp - r.rdisp + r.rcode.frame_words <= limit ->
@@ -630,21 +602,23 @@ and relaunch (vm : Policy.t) =
       vm.acc 0 pc
   end
 
-(* One hoisted exception frame per handled error, instead of a
-   per-instruction [try ... with].  The handler branch of
-   [match ... with exception] is outside the protected region, so the
-   recursive call is a tail call: handling N errors takes O(1) stack. *)
-let rec run_loop (vm : Policy.t) =
-  match relaunch vm with
+(* The run protocol, shared with the closure templates: [landing] is the
+   loop's [relaunch] or theirs.  One hoisted exception frame per handled
+   error, instead of a per-instruction [try ... with].  The handler
+   branch of [match ... with exception] is outside the protected region,
+   so the recursive call is a tail call: handling N errors takes O(1)
+   stack. *)
+let rec run_loop landing (vm : Policy.t) =
+  match landing vm with
   | () -> ()
   | exception (Scheme_error (msg, irritants) as exn) -> (
       match Engine.pop_error_handler vm.globals with
       | Some h ->
           Policy.inject_error_handler vm h msg irritants;
-          run_loop vm
+          run_loop landing vm
       | None -> raise exn)
 
-let run ?(fuel = -1) (vm : Policy.t) code =
+let run_with landing ?(fuel = -1) (vm : Policy.t) code =
   Policy.init_run vm code;
   set_code vm code;
   vm.pc <- 0;
@@ -655,8 +629,10 @@ let run ?(fuel = -1) (vm : Policy.t) code =
   vm.winders <- [];
   (* Route the process-shared timer/output prims at this machine for the
      extent of the run (restored on exit, so nested runs unwind). *)
-  Machine_hooks.with_hooks vm.hooks (fun () -> run_loop vm);
+  Machine_hooks.with_hooks vm.hooks (fun () -> run_loop landing vm);
   vm.acc
+
+let run ?fuel vm code = run_with relaunch ?fuel vm code
 
 let run_program ?fuel (vm : Policy.t) codes =
   List.fold_left (fun _ code -> run ?fuel vm code) Void codes

@@ -55,9 +55,6 @@ let make ?(severity = Error) ?rule ?pos layer message =
 
 let error ?rule ?pos layer message = make ~severity:Error ?rule ?pos layer message
 
-let warning ?rule ?pos layer message =
-  make ~severity:Warning ?rule ?pos layer message
-
 let to_string d =
   let tag = match d.rule with Some r -> r | None -> layer_name d.layer in
   let body =

@@ -34,7 +34,6 @@ type t = {
 
 val make : ?severity:severity -> ?rule:string -> ?pos:Sexp.pos -> layer -> string -> t
 val error : ?rule:string -> ?pos:Sexp.pos -> layer -> string -> t
-val warning : ?rule:string -> ?pos:Sexp.pos -> layer -> string -> t
 
 val layer_name : layer -> string
 (** Short lower-case tag used in rendered diagnostics. *)

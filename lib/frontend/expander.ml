@@ -757,5 +757,4 @@ let expand_string ?hygiene ?menv src =
   expand_program ?hygiene ?menv (Sexp.read_all src)
 
 let expand_tops ?hygiene ?menv d = expand_tops_in (make_ctx ?hygiene ?menv ()) d
-let expand_top ?hygiene ?menv d = expand_top_in (make_ctx ?hygiene ?menv ()) d
 let expand ?hygiene ?menv d = expand (make_ctx ?hygiene ?menv ()) d

@@ -38,13 +38,11 @@ val value_to_datum : Rt.value -> Sexp.t
 val expand : ?hygiene:bool -> ?menv:Macro.menv -> Sexp.t -> Ast.t
 (** Expand one expression.  @raise Expand_error on malformed forms. *)
 
-val expand_top : ?hygiene:bool -> ?menv:Macro.menv -> Sexp.t -> Ast.top
-(** Expand one top-level form; [define] becomes {!Ast.Define}. *)
-
 val expand_tops : ?hygiene:bool -> ?menv:Macro.menv -> Sexp.t -> Ast.top list
-(** Like {!expand_top}, but splicing top-level [begin] and expanding
-    [define-record-type] and [define-syntax]/macro uses against
-    [menv] (macros defined by the form are added to it). *)
+(** Expand one top-level form ([define] becomes {!Ast.Define}),
+    splicing top-level [begin] and expanding [define-record-type] and
+    [define-syntax]/macro uses against [menv] (macros defined by the
+    form are added to it). *)
 
 val expand_program :
   ?hygiene:bool -> ?menv:Macro.menv -> Sexp.t list -> Ast.top list

@@ -120,27 +120,19 @@ let rec happly (vm : t) f args ~ret ~parent ~guards =
       if vm.stats.Stats.enabled then
         vm.stats.Stats.calls <- vm.stats.Stats.calls + 1
   | Prim { pfn = Pure { fn; _ }; parity; pname } ->
-      if not (Bytecode.arity_matches parity (Array.length args)) then
-        Values.err (pname ^ ": wrong number of arguments") [];
-      if vm.stats.Stats.enabled then
-        vm.stats.Stats.prim_calls <- vm.stats.Stats.prim_calls + 1;
+      check_prim vm parity pname (Array.length args);
       vm.acc <- fn args;
       (* A tail call passes the caller's own return context; returning
          through it also consumes any one-shot guards. *)
       if ret == vm.pol.frame.hret then do_return vm
   | Prim { pfn = Special sp; parity; pname } ->
-      if not (Bytecode.arity_matches parity (Array.length args)) then
-        Values.err (pname ^ ": wrong number of arguments") [];
-      if vm.stats.Stats.enabled then
-        vm.stats.Stats.prim_calls <- vm.stats.Stats.prim_calls + 1;
+      check_prim vm parity pname (Array.length args);
       special vm sp args ~ret ~parent ~guards
   | Hcont k -> invoke_hcont vm k args
   | v -> Values.err "application of non-procedure" [ v ]
 
 and invoke_hcont vm k args =
-  let v =
-    if Array.length args = 1 then args.(0) else Mvals (Array.to_list args)
-  in
+  let v = values_of args 0 (Array.length args) in
   (* Fast path: the machine already sits at the continuation's winder
      chain (physical equality; with the Scheme-level winders prelude
      both are always []).  Otherwise run the wind trampoline; the shot
@@ -176,10 +168,7 @@ and reinstate_hcont vm k v =
 and call_guard vm g ~ret ~frame =
   match g with
   | Prim { pfn = Pure { fn; _ }; parity; pname } ->
-      if not (Bytecode.arity_matches parity 0) then
-        Values.err (pname ^ ": wrong number of arguments") [];
-      if vm.stats.Stats.enabled then
-        vm.stats.Stats.prim_calls <- vm.stats.Stats.prim_calls + 1;
+      check_prim vm parity pname 0;
       vm.acc <- fn [||];
       vm.pol.frame <- frame;
       (match ret with
@@ -262,9 +251,7 @@ and special vm sp args ~ret ~parent ~guards =
       let all = Array.append fixed (Array.of_list last) in
       happly vm f all ~ret ~parent ~guards
   | Sp_values ->
-      vm.acc <-
-        (if Array.length args = 1 then args.(0)
-         else Mvals (Array.to_list args));
+      vm.acc <- values_of args 0 (Array.length args);
       return_to vm ~ret ~parent ~guards
   | Sp_backtrace ->
       let rec walk acc count (f : hframe option) =
@@ -288,16 +275,7 @@ and special vm sp args ~ret ~parent ~guards =
       in
       happly vm (Closure { code; frees = [||] }) [||] ~ret ~parent ~guards
   | Sp_stats ->
-      let name =
-        match args.(0) with
-        | Sym s -> s
-        | v -> Values.type_error "%stat" "symbol" v
-      in
-      (vm.acc <-
-         (match Stats.get vm.stats name with
-         | n -> Values.of_int n
-         | exception Not_found ->
-             Values.err ("%stat: unknown counter " ^ name) []));
+      vm.acc <- stat vm args.(0);
       return_to vm ~ret ~parent ~guards
   | Sp_dynamic_wind -> (
       (* Entry carries 3 arguments; resumptions re-enter through
@@ -380,16 +358,14 @@ and return_to vm ~ret ~parent ~guards =
 (* ------------------------------------------------------------------ *)
 
 (* Slow-path [Call] (every heap call: frames are linked, never
-   contiguous).  The engine has synced and counted the frame; [cs_ret]
-   is the statically interned return address of the site (rcode = the
-   running code object, rpc = the fall-through pc); the heap VM ignores
-   [rdisp]. *)
-let call (vm : t) site f =
+   contiguous) and a fused site's deoptimized call.  The engine has synced
+   and counted the frame; [ret] is the statically interned return address
+   of the site (rcode = the running code object, rpc = the fall-through
+   pc); the heap VM ignores [rdisp]. *)
+let call (vm : t) ~disp ~ret ~nargs f =
   let slots = vm.pol.frame.hslots in
-  let args =
-    Array.init site.cs_nargs (fun i -> slots.(site.cs_disp + 2 + i))
-  in
-  happly vm f args ~ret:site.cs_ret ~parent:(Some vm.pol.frame) ~guards:[]
+  let args = Array.init nargs (fun i -> slots.(disp + 2 + i)) in
+  happly vm f args ~ret ~parent:(Some vm.pol.frame) ~guards:[]
 
 let tail_call (vm : t) ~disp ~nargs f =
   let cur = vm.pol.frame in
@@ -405,88 +381,21 @@ let tail_call (vm : t) ~disp ~nargs f =
 (* Procedure entry and the timer                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* The heap frame was allocated at full size, so no room check: the
+   timer's handler call links a frame whose return resumes at the
+   interned address ([rdisp] is 0, heap frames carry no
+   displacement). *)
 let fire_timer (vm : t) =
-  let handler = vm.timer_handler in
-  let code = vm.code in
-  (* Same interning as the stack VM's [fire_timer]: the fire point is a
-     constant of [code], so allocate the return address once.  rdisp is 0
-     here (heap frames carry no displacement), which the guard also
-     checks in case a code object is shared across backends. *)
-  let ra =
-    match code.timer_ret with
-    | Retaddr r as ra when r.rpc = vm.pc && r.rdisp = 0 -> ra
-    | _ ->
-        let ra = Retaddr { rcode = code; rpc = vm.pc; rdisp = 0 } in
-        code.timer_ret <- ra;
-        ra
-  in
-  happly vm handler [||] ~ret:ra ~parent:(Some vm.pol.frame) ~guards:[]
+  happly vm vm.timer_handler [||]
+    ~ret:(timer_ret vm.code vm.pc 0)
+    ~parent:(Some vm.pol.frame) ~guards:[]
 
 let enter (vm : t) =
   let c = vm.code in
   let n = vm.nargs in
-  (match c.arity with
-  | Exactly k ->
-      if n <> k then
-        Values.err
-          (Printf.sprintf "%s: expected %d arguments, got %d" c.cname k n)
-          []
-  | At_least k ->
-      if n < k then
-        Values.err
-          (Printf.sprintf "%s: expected at least %d arguments, got %d" c.cname
-             k n)
-          []);
-  (match c.arity with
-  | At_least k ->
-      let slots = vm.pol.frame.hslots in
-      let rest = ref Nil in
-      for i = n - 1 downto k do
-        rest := Values.cons slots.(2 + i) !rest
-      done;
-      slots.(2 + k) <- !rest
-  | Exactly _ -> ());
-  if vm.timer > 0 then begin
-    vm.timer <- vm.timer - 1;
-    if vm.timer = 0 then begin
-      vm.timer <- -1;
-      fire_timer vm
-    end
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Inline-cache deoptimization                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Inline-cache miss: fall back to the generic non-tail call. *)
-let prim_deopt_call (vm : t) site =
-  let stats = vm.stats in
-  if stats.Stats.enabled then
-    stats.Stats.prim_deopts <- stats.Stats.prim_deopts + 1;
-  let g = Globals.get vm.globals site.ps_slot in
-  if not g.gdefined then
-    Values.err ("unbound variable: " ^ Globals.slot_name site.ps_slot) [];
-  let slots = vm.pol.frame.hslots in
-  let base = site.ps_disp + 2 in
-  let args = Array.init site.ps_nargs (fun i -> slots.(base + i)) in
-  if stats.Stats.enabled then stats.Stats.frames <- stats.Stats.frames + 1;
-  happly vm g.gval args ~ret:site.ps_ret ~parent:(Some vm.pol.frame)
-    ~guards:[]
-
-let prim_deopt_tail_call (vm : t) site =
-  let stats = vm.stats in
-  if stats.Stats.enabled then
-    stats.Stats.prim_deopts <- stats.Stats.prim_deopts + 1;
-  let g = Globals.get vm.globals site.ps_slot in
-  if not g.gdefined then
-    Values.err ("unbound variable: " ^ Globals.slot_name site.ps_slot) [];
-  let cur = vm.pol.frame in
-  let slots = cur.hslots in
-  let base = site.ps_disp + 2 in
-  let args = Array.init site.ps_nargs (fun i -> slots.(base + i)) in
-  (if cur.hshared then
-     match cur.hparent with Some p -> p.hshared <- true | None -> ());
-  happly vm g.gval args ~ret:cur.hret ~parent:cur.hparent ~guards:cur.hguards
+  check_arity c n;
+  collect_rest c n vm.pol.frame.hslots 2;
+  if tick vm then fire_timer vm
 
 (* ------------------------------------------------------------------ *)
 (* Error-handler injection, machine setup                              *)

@@ -39,6 +39,5 @@ val eval_datum : ?fuel:int -> t -> Sexp.t -> Rt.value
 (** Like {!eval} for one already-read top-level datum, so a driver can
     attribute failures to the datum's source position. *)
 
-val eval_tops : ?fuel:int -> t -> Ast.top list -> Rt.value
 val output : t -> string
 val take_output : t -> string

@@ -9,9 +9,6 @@
 val slot : string -> int
 (** Intern a name to its process-wide slot (creating one if needed). *)
 
-val slot_opt : string -> int option
-(** Non-interning: the slot of a name already interned, if any. *)
-
 val slot_name : int -> string
 (** The name a slot was interned for. *)
 

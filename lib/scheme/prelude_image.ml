@@ -38,7 +38,6 @@
    expansion path. *)
 
 type t = {
-  codes : Rt.code list; (* the compiled prelude, fused and verified *)
   delta : (int * Rt.value) array; (* slots the prelude execution defined *)
 }
 
@@ -77,7 +76,7 @@ let build (scheme_winders, options) =
     g.Globals.cells;
   Closurevm.precompile codes;
   incr built;
-  { codes; delta = Array.of_list (List.rev !delta) }
+  { delta = Array.of_list (List.rev !delta) }
 
 let get ~scheme_winders ~optimize ~peephole ~regalloc =
   let key =
@@ -109,8 +108,6 @@ let install t g =
       c.Rt.gdefined <- true)
     t.delta
 
-let codes t = t.codes
-let delta_size t = Array.length t.delta
 
 let builds () =
   Mutex.lock lock;

@@ -22,12 +22,6 @@ val install : t -> Globals.t -> unit
 (** Copy the image's global-slot delta into [g] — the whole per-session
     cost of loading the prelude. *)
 
-val codes : t -> Rt.code list
-(** The compiled prelude program (fused, validated, verified). *)
-
-val delta_size : t -> int
-(** Number of global slots the prelude defines (diagnostics/tests). *)
-
 val builds : unit -> int
 (** How many distinct images this process has built — the compile-once
     pin: it must not grow with session count. *)

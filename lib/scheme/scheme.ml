@@ -88,9 +88,4 @@ let take_output t =
 
 let stats t = t.stats
 
-let control t =
-  match t.machine with
-  | M_stack vm | M_closure vm -> Some vm.Engine.pol
-  | M_heap _ | M_oracle _ -> None
-
 let globals t = machine_globals t.machine

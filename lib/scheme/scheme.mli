@@ -75,7 +75,3 @@ val stats : t -> Stats.t
 
 val globals : t -> Globals.t
 
-val control : t -> Control.t option
-(** The segmented-stack machine underneath, when the backend is [Stack]
-    or [Closure] (both frame policies run on the same control
-    substrate). *)

@@ -8,7 +8,6 @@ type t = Vm_policy.t
 exception Vm_fuel_exhausted = Engine.Vm_fuel_exhausted
 
 let create = Vm_policy.create
-let control (vm : t) = vm.Engine.pol
 let stats = Engine.stats
 let globals = Engine.globals
 let output = Engine.output

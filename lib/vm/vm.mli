@@ -30,8 +30,6 @@ val create :
     the machine runs: {!eval}, {!eval_datum} and runtime
     [(eval datum)]. *)
 
-val control : t -> Control.t
-(** The machine's segmented-stack state (its frame-policy state). *)
 
 val stats : t -> Stats.t
 val globals : t -> Globals.t

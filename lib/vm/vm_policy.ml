@@ -83,37 +83,22 @@ let rec apply (vm : t) f nfp nargs =
       vm.nargs <- nargs;
       if stats.Stats.enabled then stats.Stats.calls <- stats.Stats.calls + 1
   | Prim { pfn = Pure { fn; _ }; parity; pname } ->
-      if not (Bytecode.arity_matches parity nargs) then
-        Values.err (pname ^ ": wrong number of arguments") [];
-      let seg = m.Control.sr.seg in
-      let args = prim_args vm seg (nfp + 2) nargs in
-      if stats.Stats.enabled then
-        stats.Stats.prim_calls <- stats.Stats.prim_calls + 1;
-      vm.acc <- fn args;
+      check_prim vm parity pname nargs;
+      vm.acc <- fn (prim_args vm m.Control.sr.seg (nfp + 2) nargs);
       (* Frame pointer is untouched for pure primitives: if this was a
          tail call ([nfp] = fp) the caller's Return follows; if it was a
          non-tail call, execution simply continues in the caller. *)
       if nfp = m.Control.fp then do_return vm
   | Prim { pfn = Special sp; parity; pname } ->
-      if not (Bytecode.arity_matches parity nargs) then
-        Values.err (pname ^ ": wrong number of arguments") [];
+      check_prim vm parity pname nargs;
       m.Control.fp <- nfp;
-      if stats.Stats.enabled then
-        stats.Stats.prim_calls <- stats.Stats.prim_calls + 1;
       special vm sp nargs
   | Cont { sr; k_winders; _ } -> invoke_continuation vm f sr k_winders nfp nargs
   | v -> Values.err "application of non-procedure" [ v ]
 
 (* [k] is the [Cont] value itself, [sr] and [k_winders] its fields. *)
 and invoke_continuation vm k sr k_winders nfp nargs =
-  let m = vm.pol in
-  let seg = m.Control.sr.seg in
-  let v =
-    if nargs = 1 then seg.(nfp + 2)
-    else if nargs = 0 then empty_mvals
-    else if nargs = 2 then Mvals [ seg.(nfp + 2); seg.(nfp + 3) ]
-    else Mvals (collect_list seg (nfp + 2) (nargs - 1) [])
-  in
+  let v = values_of vm.pol.Control.sr.seg (nfp + 2) nargs in
   (* Fast path: the machine already sits at the continuation's winder
      chain (physical equality) — reinstate directly.  Under the
      [--scheme-winders] prelude both chains stay [[]], so this is
@@ -248,22 +233,10 @@ and special vm sp nargs =
       spread_fill lst (fp + 2 + fixed);
       apply vm f fp n
   | Sp_values ->
-      (if nargs = 1 then vm.acc <- seg.(fp + 2)
-       else if nargs = 0 then vm.acc <- empty_mvals
-       else if nargs = 2 then vm.acc <- Mvals [ seg.(fp + 2); seg.(fp + 3) ]
-       else vm.acc <- Mvals (collect_list seg (fp + 2) (nargs - 1) []));
+      vm.acc <- values_of seg (fp + 2) nargs;
       do_return vm
   | Sp_stats ->
-      let name =
-        match seg.(fp + 2) with
-        | Sym s -> s
-        | v -> Values.type_error "%stat" "symbol" v
-      in
-      (vm.acc <-
-         (match Stats.get vm.stats name with
-         | n -> Values.of_int n
-         | exception Not_found ->
-             Values.err ("%stat: unknown counter " ^ name) []));
+      vm.acc <- stat vm seg.(fp + 2);
       do_return vm
   | Sp_backtrace ->
       vm.acc <-
@@ -344,13 +317,17 @@ and tail_apply_2 vm p k =
 (* Engine transfer hooks                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Slow-path [Call]: the engine has synced and counted the frame; write
-   the interned return address and dispatch. *)
-let call (vm : t) site f =
+(* Slow-path [Call] (and a fused site's deoptimized call): the engine has
+   synced and counted the frame; place the callee and the interned return
+   address [ret] (a no-op store for a [Call], whose callee slot already
+   holds [f]) and dispatch. *)
+let call (vm : t) ~disp ~ret ~nargs f =
   let m = vm.pol in
-  let nfp = m.Control.fp + site.cs_disp in
-  set_slot m.Control.sr.seg nfp site.cs_ret;
-  apply vm f nfp site.cs_nargs
+  let nfp = m.Control.fp + disp in
+  let seg = m.Control.sr.seg in
+  set_slot seg (nfp + 1) f;
+  set_slot seg nfp ret;
+  apply vm f nfp nargs
 
 (* Slow-path [Tail_call]: frame reused in place, return slot
    inherited. *)
@@ -363,7 +340,7 @@ let tail_call (vm : t) ~disp ~nargs f =
   apply vm f fp nargs
 
 (* ------------------------------------------------------------------ *)
-(* Procedure entry: arity, overflow, rest collection, timer            *)
+(* Procedure entry: overflow and the timer                             *)
 (* ------------------------------------------------------------------ *)
 
 let fire_timer (vm : t) =
@@ -374,97 +351,20 @@ let fire_timer (vm : t) =
   let fp = m.Control.fp in
   let seg = m.Control.sr.seg in
   let handler = vm.timer_handler in
-  (* The fire always happens at procedure entry, so the resumption point
-     (pc, displacement) is a constant of [code]: intern the return
-     address on the code object instead of allocating one per
-     preemption.  The guard keeps this sound should a future caller fire
-     from elsewhere. *)
-  let ra =
-    match code.timer_ret with
-    | Retaddr r as ra when r.rpc = vm.pc && r.rdisp = fw -> ra
-    | _ ->
-        let ra = Retaddr { rcode = code; rpc = vm.pc; rdisp = fw } in
-        code.timer_ret <- ra;
-        ra
-  in
-  set_slot seg (fp + fw) ra;
+  set_slot seg (fp + fw) (timer_ret code vm.pc fw);
   set_slot seg (fp + fw + 1) handler;
   apply vm handler (fp + fw) 0
 
+(* Slow-path [Enter]: the arity check, room for the whole frame (keeping
+   the arguments live), the rest list, and the timer tick. *)
 let enter (vm : t) =
   let m = vm.pol in
   let c = vm.code in
   let n = vm.nargs in
-  (match c.arity with
-  | Exactly k ->
-      if n <> k then
-        Values.err
-          (Printf.sprintf "%s: expected %d arguments, got %d" c.cname k n)
-          []
-  | At_least k ->
-      if n < k then
-        Values.err
-          (Printf.sprintf "%s: expected at least %d arguments, got %d" c.cname
-             k n)
-          []);
+  check_arity c n;
   Control.ensure_room m ~live_top:(m.Control.fp + 2 + n) ~need:c.frame_words;
-  (match c.arity with
-  | At_least k ->
-      let fp = m.Control.fp in
-      let seg = m.Control.sr.seg in
-      let rest = ref Nil in
-      for i = n - 1 downto k do
-        rest := Values.cons seg.(fp + 2 + i) !rest
-      done;
-      set_slot seg (fp + 2 + k) !rest
-  | Exactly _ -> ());
-  if vm.timer > 0 then begin
-    vm.timer <- vm.timer - 1;
-    if vm.timer = 0 then begin
-      vm.timer <- -1;
-      fire_timer vm
-    end
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Inline-cache deoptimization                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* The inline-cache guard failed: the global a fused site was compiled
-   against has been assigned ([set!] of [+] and the like).  Reconstruct
-   the generic call the peephole replaced and take the slow path with
-   whatever value the cell holds now. *)
-let prim_deopt_call (vm : t) site =
-  let m = vm.pol in
-  let stats = vm.stats in
-  let g = Globals.get vm.globals site.ps_slot in
-  if not g.gdefined then
-    Values.err ("unbound variable: " ^ Globals.slot_name site.ps_slot) [];
-  let fp = m.Control.fp in
-  let seg = m.Control.sr.seg in
-  let nfp = fp + site.ps_disp in
-  set_slot seg (nfp + 1) g.gval;
-  set_slot seg nfp site.ps_ret;
-  if stats.Stats.enabled then begin
-    stats.Stats.prim_deopts <- stats.Stats.prim_deopts + 1;
-    stats.Stats.frames <- stats.Stats.frames + 1
-  end;
-  apply vm g.gval nfp site.ps_nargs
-
-let prim_deopt_tail_call (vm : t) site =
-  let m = vm.pol in
-  let stats = vm.stats in
-  if stats.Stats.enabled then
-    stats.Stats.prim_deopts <- stats.Stats.prim_deopts + 1;
-  let g = Globals.get vm.globals site.ps_slot in
-  if not g.gdefined then
-    Values.err ("unbound variable: " ^ Globals.slot_name site.ps_slot) [];
-  let fp = m.Control.fp in
-  let seg = m.Control.sr.seg in
-  let f = g.gval in
-  set_slot seg (fp + 1) f;
-  blit_args seg (fp + site.ps_disp + 2) (fp + 2) site.ps_nargs;
-  apply vm f fp site.ps_nargs
+  collect_rest c n m.Control.sr.seg (m.Control.fp + 2);
+  if tick vm then fire_timer vm
 
 (* ------------------------------------------------------------------ *)
 (* Error-handler injection, machine setup                              *)

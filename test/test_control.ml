@@ -624,31 +624,6 @@ let suite =
         let names = Control.backtrace m in
         Alcotest.(check (list string)) "sentinel frame" [ "t"; "<shot>" ]
           names);
-    (* ---- debug identity table ---- *)
-    case "debug identities are per-machine config, not process state" (fun () ->
-        (* The toggle is a config field: a quiet machine never touches its
-           identity table, regardless of what other machines trace (the
-           old module-global ref leaked the toggle and the table across
-           sessions). *)
-        let m0 =
-          Control.create { small_config with Control.debug = false }
-        in
-        Alcotest.(check int) "off: no id" 0 (Control.id_of m0 m0.Control.sr);
-        Alcotest.(check bool) "off: no table" true (m0.Control.dbg_ids = []);
-        let m1 = Control.create { small_config with Control.debug = true } in
-        Alcotest.(check int) "first id" 1 (Control.id_of m1 m1.Control.sr);
-        Alcotest.(check int) "stable id" 1 (Control.id_of m1 m1.Control.sr);
-        Alcotest.(check int) "one entry" 1 (List.length m1.Control.dbg_ids);
-        (* a second traced machine starts fresh and does not disturb the
-           first machine's table *)
-        let m2 = Control.create { small_config with Control.debug = true } in
-        Alcotest.(check bool) "fresh table" true (m2.Control.dbg_ids = []);
-        Alcotest.(check int) "ids restart" 1 (Control.id_of m2 m2.Control.sr);
-        Alcotest.(check int) "m1 undisturbed" 1
-          (List.length m1.Control.dbg_ids);
-        (* and the traced machines never flipped the quiet one on *)
-        Alcotest.(check int) "m0 still off" 0
-          (Control.id_of m0 m0.Control.sr));
     case "oversized overflow segments are reused across runs" (fun () ->
         (* A frame larger than a whole segment forces an oversized
            overflow allocation; with rounding + first-fit the second run

@@ -265,6 +265,84 @@ let huge_alloc_errors (bname, backend) =
       Alcotest.(check string) "session survives" "3"
         (eval s "(vector-length (make-vector 3 0))"))
 
+(* The machine steps written once in {!Engine} and shared by both frame
+   policies, the dispatch loops and the closure templates, on each of
+   their callers: exact arity messages, a variadic procedure entered at
+   an overflowing segment (its [Enter] makes room, then builds the rest
+   list), a preemption fire at a variadic entry, the [%stat] error, and
+   a deopt after [set!] of a fused primitive, tail and non-tail, to a
+   closure and to a primitive. *)
+let step_backends =
+  [
+    ("stack", Scheme.Stack Control.default_config);
+    ("stack/tiny", Scheme.Stack Tutil.tiny_config);
+    ("closure", Scheme.Closure Control.default_config);
+    ("closure/tiny", Scheme.Closure Tutil.tiny_config);
+    ("heap", Scheme.Heap);
+  ]
+
+let step_errors =
+  [
+    ("(define (f a b) a) (f 1)", "f: expected 2 arguments, got 1");
+    ("(define (f a b) a) (f 1 2 3)", "f: expected 2 arguments, got 3");
+    ("(define (g a b . r) a) (g 1)", "g: expected at least 2 arguments, got 1");
+    ("(%stat 'no-such-counter)", "%stat: unknown counter no-such-counter");
+  ]
+
+let step_programs =
+  [
+    ( "variadic entry after overflow",
+      {|(define (v n . rest)
+          (if (= n 0) rest (cons (car rest) (v (- n 1) n (* 2 n)))))
+        (let ((r (v 300 7)))
+          (list (length r) (car r) (list-ref r 1) (list-ref r 299)
+                (list-tail r 300)))|},
+      "(302 7 300 2 (1 2))" );
+    ( "timer fires at a variadic entry",
+      {|(define hits 0)
+        (define (h) (set! hits (+ hits 1)) (%set-timer! 3 h))
+        (define (v n . rest) (if (= n 0) (length rest) (v (- n 1) n n)))
+        (%set-timer! 3 h)
+        (define r (v 100))
+        (%set-timer! 0 h)
+        (list r hits)|},
+      "(2 34)" );
+    ( "deopt after set! of a fused primitive",
+      {|(define (f x y) (list (+ x y)))
+        (define (g x y) (+ x y))
+        (define r1 (list (f 1 2) (g 1 2)))
+        (set! + (lambda (a b) (* a b)))
+        (define r2 (list (f 3 4) (g 3 4)))
+        (set! + -)
+        (list r1 r2 (f 10 4) (g 10 4) (%stat 'prim-deopts))|},
+      "(((3) 3) ((12) 12) (6) 6 4)" );
+  ]
+
+let shared_steps (bname, backend) =
+  List.map
+    (fun (src, msg) ->
+      Alcotest.test_case (Printf.sprintf "%s [%s]" msg bname) `Quick
+        (fun () ->
+          let s = Scheme.create ~backend () in
+          match Scheme.eval s src with
+          | v -> Alcotest.failf "%s returned %s" src (Values.write_string v)
+          | exception Rt.Scheme_error (m, _) ->
+              Alcotest.(check string) src msg m))
+    step_errors
+  @ List.map
+      (fun (name, src, expected) ->
+        Alcotest.test_case (Printf.sprintf "%s [%s]" name bname) `Quick
+          (fun () ->
+            let s = Scheme.create ~backend () in
+            Alcotest.(check string) name expected (eval s src);
+            (* On tiny segments the variadic entries must really have
+               overflowed. *)
+            if name = "variadic entry after overflow" && String.ends_with ~suffix:"/tiny" bname
+            then
+              Alcotest.(check bool) "overflowed" true
+                (int_of_string (eval s "(%stat 'overflows)") > 0)))
+      step_programs
+
 let suite =
   List.map take_output_drains all_backends
   @ List.map huge_alloc_errors all_backends
@@ -281,3 +359,4 @@ let suite =
   @ List.map prelude_parity [ false; true ]
   @ List.map sessions_across_domains all_backends
   @ List.map domain_error all_backends
+  @ List.concat_map shared_steps step_backends

@@ -14,6 +14,11 @@ let eval_heap ?(corpus = false) src =
   if corpus then Scheme.load_corpus s;
   Scheme.eval_string ~fuel:default_fuel s src
 
+let eval_closure ?(config = Control.default_config) ?(corpus = false) src =
+  let s = Scheme.create ~backend:(Scheme.Closure config) () in
+  if corpus then Scheme.load_corpus s;
+  Scheme.eval_string ~fuel:default_fuel s src
+
 let eval_oracle ?(corpus = false) src =
   let s = Scheme.create ~backend:Scheme.Oracle () in
   if corpus then Scheme.load_corpus s;
@@ -37,7 +42,8 @@ let check_eval ?config ?corpus name src expected =
   case name (fun () ->
       Alcotest.(check string) src expected (eval_stack ?config ?corpus src))
 
-(* Same source, checked on stack VM (default + tiny configs), heap VM, and
+(* Same source, checked on the stack VM (default, tiny and copy-capture
+   configs), the closure backend (default and tiny), the heap VM and the
    oracle. *)
 let check_all ?corpus name src expected =
   [
@@ -52,6 +58,11 @@ let check_all ?corpus name src expected =
     case (name ^ " [stack/copy-capture]") (fun () ->
         Alcotest.(check string) src expected
           (eval_stack ~config:copy_capture_config ?corpus src));
+    case (name ^ " [closure]") (fun () ->
+        Alcotest.(check string) src expected (eval_closure ?corpus src));
+    case (name ^ " [closure/tiny]") (fun () ->
+        Alcotest.(check string) src expected
+          (eval_closure ~config:tiny_config ?corpus src));
     case (name ^ " [heap]") (fun () ->
         Alcotest.(check string) src expected (eval_heap ?corpus src));
     case (name ^ " [oracle]") (fun () ->
