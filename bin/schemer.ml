@@ -199,7 +199,6 @@ let main backend_kind seg_words copy_bound overflow hysteresis seal_disp
     expand_only optimize no_peephole no_regalloc verify lint exprs files =
   let config =
     {
-      Control.default_config with
       Control.seg_words;
       copy_bound;
       overflow_policy = overflow;

@@ -15,14 +15,21 @@
    call site in the template is distinct, which also un-aliases the
    branch-target history that a single dispatch `match` merges.
 
-   What is deliberately NOT reimplemented: every control-transfer slow
+   What is deliberately NOT reimplemented: each instruction's work
+   (boxes, free variables, global cells, closure creation, the fused
+   primitives' guard and n-ary call) and its error are {!Vm_core}'s
+   bodies, which the stack VM's dispatch loop calls too, so a step adds
+   only the threading: its continuation, the fuel check where a block
+   ends, and the template fusion below.  Every control-transfer slow
    path — non-fast calls and returns, continuation capture/reinstatement
    ([%call/cc], [%call/1cc]), the native dynamic-wind trampoline, arity
    mismatch and overflow at [Enter], timer fire, inline-cache
    deoptimization, error-handler injection — goes through {!Vm_policy}
    and {!Vm_core}, the *same functions the stack VM's dispatch loop
    calls*, and the policy-independent steps (timer tick, pure-primitive
-   call) are {!Engine}'s, as in that loop.  Stack
+   call) are {!Engine}'s, as in that loop.  A new opcode therefore needs
+   here only a step that calls its body, or, for a control transfer,
+   the fast path of a template chain.  Stack
    segments, sealing, the size-classed segment cache, hysteresis,
    promotion, and every [Stats] counter they maintain are therefore
    shared by construction: the semantic counters (calls, captures,
@@ -74,26 +81,25 @@ type Rt.tmpl += Template of step array
 
 (* The stack VM loop's helpers, shared ([t] is [Vm_core]'s [Policy.t]):
    [sync] flushes the batched pc/acc/instruction count/fuel before any
-   observation point, [reraise] does so and re-raises for a primitive
+   observation point, [fuel_stop] does so at a fuel check and returns the
+   exception to raise, [reraise] flushes and re-raises for a primitive
    that raised with the batch unflushed, [prim_fast_stats] bumps the
    guarded fast path's two counters, [load_op] reads an operand (the
    accumulator, a frame slot or an immediate; in a step the match is on
-   an immutable captured value and predicts perfectly), and the deopt
-   transfers take a failed guard's generic call or tail call.  The
-   default build reads [Vm_core]'s .cmx, so [sync], [prim_fast_stats]
-   and [load_op] inline here. *)
+   an immutable captured value and predicts perfectly), [spill1]/[spill2]
+   write a register-addressed form's operands back before it deopts, and
+   the deopt transfers take a failed guard's generic call or tail call.
+   The default build reads [Vm_core]'s .cmx, so [sync], [prim_fast_stats],
+   [load_op] and every instruction body inline here. *)
 let sync = Vm_core.sync
 let reraise = Vm_core.reraise
 let prim_fast_stats = Vm_core.prim_fast_stats
 let load_op = Vm_core.load_op
 let prim_deopt_call = Vm_core.prim_deopt_call
 let prim_deopt_tail_call = Vm_core.prim_deopt_tail_call
-
-(* The fuel check, engine semantics: sync with the *current* pc (the
-   instruction about to execute) so a resumed machine re-runs it. *)
-let fuel_stop (vm : t) steps pc acc =
-  sync vm steps pc acc;
-  raise Vm_fuel_exhausted
+let fuel_stop = Vm_core.fuel_stop
+let spill1 = Vm_core.spill1
+let spill2 = Vm_core.spill2
 
 let dummy_step : step = fun _ _ _ _ _ _ _ -> assert false
 
@@ -165,124 +171,64 @@ and emit arr instrs (code : code) pc : step =
   | Box_init i ->
       let k = arr.(pc + 1) in
       fun vm slots fp limit budget acc steps ->
-        set_slot slots (fp + i) (Box (ref slots.(fp + i)));
-        let stats = vm.stats in
-        if stats.Stats.enabled then
-          stats.Stats.boxes_made <- stats.Stats.boxes_made + 1;
+        let slots = Vm_core.box_init vm slots fp i in
         k vm slots fp limit budget acc (steps + 1)
-  | Box_ref i -> (
+  | Box_ref i ->
       let k = arr.(pc + 1) in
       fun vm slots fp limit budget acc steps ->
-        match slots.(fp + i) with
-        | Box r -> k vm slots fp limit budget !r (steps + 1)
-        | v ->
-            sync vm (steps + 1) (pc + 1) acc;
-            Values.err "vm: box-ref of non-box" [ v ])
-  | Box_set i -> (
+        let v = Vm_core.box_ref vm slots fp steps pc acc i in
+        k vm slots fp limit budget v (steps + 1)
+  | Box_set i ->
       let k = arr.(pc + 1) in
       fun vm slots fp limit budget acc steps ->
-        match slots.(fp + i) with
-        | Box r ->
-            r := acc;
-            k vm slots fp limit budget acc (steps + 1)
-        | v ->
-            sync vm (steps + 1) (pc + 1) acc;
-            Values.err "vm: box-set of non-box" [ v ])
-  | Free_ref i -> (
+        Vm_core.box_set vm slots fp steps pc acc i;
+        k vm slots fp limit budget acc (steps + 1)
+  | Free_ref i ->
       let k = arr.(pc + 1) in
       fun vm slots fp limit budget acc steps ->
-        match slots.(fp + 1) with
-        | Closure c -> k vm slots fp limit budget c.frees.(i) (steps + 1)
-        | v ->
-            sync vm (steps + 1) (pc + 1) acc;
-            Values.err "vm: free-ref outside closure" [ v ])
-  | Free_box_ref i -> (
+        let v = Vm_core.free_ref vm slots fp steps pc acc i in
+        k vm slots fp limit budget v (steps + 1)
+  | Free_box_ref i ->
       let k = arr.(pc + 1) in
       fun vm slots fp limit budget acc steps ->
-        match slots.(fp + 1) with
-        | Closure c -> (
-            match c.frees.(i) with
-            | Box r -> k vm slots fp limit budget !r (steps + 1)
-            | v ->
-                sync vm (steps + 1) (pc + 1) acc;
-                Values.err "vm: free-box-ref of non-box" [ v ])
-        | v ->
-            sync vm (steps + 1) (pc + 1) acc;
-            Values.err "vm: free-box-ref outside closure" [ v ])
-  | Free_box_set i -> (
+        let v = Vm_core.free_box_ref vm slots fp steps pc acc i in
+        k vm slots fp limit budget v (steps + 1)
+  | Free_box_set i ->
       let k = arr.(pc + 1) in
       fun vm slots fp limit budget acc steps ->
-        match slots.(fp + 1) with
-        | Closure c -> (
-            match c.frees.(i) with
-            | Box r ->
-                r := acc;
-                k vm slots fp limit budget acc (steps + 1)
-            | v ->
-                sync vm (steps + 1) (pc + 1) acc;
-                Values.err "vm: free-box-set of non-box" [ v ])
-        | v ->
-            sync vm (steps + 1) (pc + 1) acc;
-            Values.err "vm: free-box-set outside closure" [ v ])
+        Vm_core.free_box_set vm slots fp steps pc acc i;
+        k vm slots fp limit budget acc (steps + 1)
   | Global_ref s ->
       (* A slot resolves when the step runs, never at template build: the
          template is cached on the code object and may be shared across
          sessions (the prelude image), each with its own cells. *)
       let k = arr.(pc + 1) in
       fun vm slots fp limit budget acc steps ->
-        let g = Globals.get vm.globals s in
-        if g.gdefined then k vm slots fp limit budget g.gval (steps + 1)
-        else begin
-          sync vm (steps + 1) (pc + 1) acc;
-          Values.err ("unbound variable: " ^ Globals.slot_name s) []
-        end
+        let v = Vm_core.global_ref vm steps pc acc s in
+        k vm slots fp limit budget v (steps + 1)
   | Global_set s ->
       let k = arr.(pc + 1) in
       fun vm slots fp limit budget acc steps ->
-        let g = Globals.get vm.globals s in
-        if g.gdefined then begin
-          g.gval <- acc;
-          k vm slots fp limit budget acc (steps + 1)
-        end
-        else begin
-          sync vm (steps + 1) (pc + 1) acc;
-          Values.err ("set! of unbound variable: " ^ Globals.slot_name s) []
-        end
+        Vm_core.global_set vm steps pc acc s;
+        k vm slots fp limit budget acc (steps + 1)
   | Global_define s ->
       let k = arr.(pc + 1) in
       fun vm slots fp limit budget acc steps ->
-        let g = Globals.get vm.globals s in
-        g.gval <- acc;
-        g.gdefined <- true;
+        Vm_core.define vm s acc;
         k vm slots fp limit budget acc (steps + 1)
   | Make_closure (c, caps) ->
       let k = arr.(pc + 1) in
-      let ncaps = Array.length caps in
       fun vm slots fp limit budget acc steps ->
-        let frees = if ncaps = 0 then [||] else Array.make ncaps Void in
-        for i = 0 to ncaps - 1 do
-          frees.(i) <-
-            (match Array.unsafe_get caps i with
-            | Cap_local j -> slots.(fp + j)
-            | Cap_free j -> (
-                match slots.(fp + 1) with
-                | Closure cl -> cl.frees.(j)
-                | v ->
-                    sync vm (steps + 1) (pc + 1) acc;
-                    Values.err "vm: capture outside closure" [ v ]))
-        done;
-        let stats = vm.stats in
-        if stats.Stats.enabled then
-          stats.Stats.closures_made <- stats.Stats.closures_made + 1;
-        k vm slots fp limit budget (Closure { code = c; frees }) (steps + 1)
+        let v = Vm_core.make_closure vm slots fp steps pc acc c caps in
+        k vm slots fp limit budget v (steps + 1)
   | Branch t ->
       fun vm slots fp limit budget acc steps ->
-        if steps >= budget then fuel_stop vm steps pc acc
+        if steps >= budget then raise (fuel_stop vm steps pc acc)
         else (Array.unsafe_get arr t) vm slots fp limit budget acc (steps + 1)
   | Branch_false t -> (
       let k = arr.(pc + 1) in
       fun vm slots fp limit budget acc steps ->
-        if steps >= budget then fuel_stop vm steps pc acc
+        if steps >= budget then raise (fuel_stop vm steps pc acc)
         else
           match acc with
           | Bool false ->
@@ -293,7 +239,7 @@ and emit arr instrs (code : code) pc : step =
       let disp = site.cs_disp and cs_nargs = site.cs_nargs in
       let cache = ref (cache_sentinel, dummy_step, max_int) in
       fun vm slots fp limit budget acc steps ->
-        if steps >= budget then fuel_stop vm steps pc acc
+        if steps >= budget then raise (fuel_stop vm steps pc acc)
         else
           let nfp = fp + disp in
           match slots.(nfp + 1) with
@@ -343,7 +289,7 @@ and emit arr instrs (code : code) pc : step =
   | Tail_call { disp; nargs } -> (
       let cache = ref (cache_sentinel, dummy_step, max_int) in
       fun vm slots fp limit budget acc steps ->
-        if steps >= budget then fuel_stop vm steps pc acc
+        if steps >= budget then raise (fuel_stop vm steps pc acc)
         else
           let src = fp + disp in
           let f = slots.(src + 1) in
@@ -375,7 +321,7 @@ and emit arr instrs (code : code) pc : step =
       (* Same-segment return: the batch carries into the caller's
          continuation, no flush — the engine's in-landing transfer. *)
       fun vm slots fp limit budget acc steps ->
-        if steps >= budget then fuel_stop vm steps pc acc
+        if steps >= budget then raise (fuel_stop vm steps pc acc)
         else do_return_fast vm slots fp limit budget acc (steps + 1) (pc + 1)
   | Enter -> (
       (* [Enter] belongs to a known code object, so its arity and frame
@@ -386,7 +332,7 @@ and emit arr instrs (code : code) pc : step =
           let fw = code.frame_words in
           let k = arr.(pc + 1) in
           fun vm slots fp limit budget acc steps ->
-            if steps >= budget then fuel_stop vm steps pc acc
+            if steps >= budget then raise (fuel_stop vm steps pc acc)
             else
               let room = vm.nargs = karity && fp + fw <= limit in
               if room && not (tick vm) then
@@ -394,13 +340,13 @@ and emit arr instrs (code : code) pc : step =
               else enter_slow vm room (steps + 1) (pc + 1) acc
       | At_least _ ->
           fun vm _slots _fp _limit budget acc steps ->
-            if steps >= budget then fuel_stop vm steps pc acc
+            if steps >= budget then raise (fuel_stop vm steps pc acc)
             else enter_slow vm false (steps + 1) (pc + 1) acc)
   | Halt ->
       fun vm _slots _fp _limit _budget acc steps ->
         sync vm (steps + 1) (pc + 1) acc;
         vm.halted <- true
-  (* ---- fused superinstructions (emitted by Optimize.peephole) ----
+  (* ---- fused superinstructions (emitted by Optimize.peephole_program) ----
      Some steps additionally fuse here: adjacent pushes pair up (see
      [emit_push]) and the fixed-arity primitive calls absorb a
      [Local_set] of the result.
@@ -418,41 +364,24 @@ and emit arr instrs (code : code) pc : step =
      Both are below the 0.98 a deletion must keep. *)
   | Const_push (v, i) -> emit_push arr instrs pc (Op_const v) i
   | Local_push (s, i) -> emit_push arr instrs pc (Op_local s) i
-  | Free_push (i, j) -> (
+  | Free_push (i, j) ->
       let k = arr.(pc + 1) in
       fun vm slots fp limit budget acc steps ->
-        match slots.(fp + 1) with
-        | Closure c ->
-            set_slot slots (fp + j) c.frees.(i);
-            k vm slots fp limit budget acc (steps + 1)
-        | v ->
-            sync vm (steps + 1) (pc + 1) acc;
-            Values.err "vm: free-push outside closure" [ v ])
+        let slots = Vm_core.free_push vm slots fp steps pc acc i j in
+        k vm slots fp limit budget acc (steps + 1)
   | Global_push (s, i) ->
       let k = arr.(pc + 1) in
       fun vm slots fp limit budget acc steps ->
-        let g = Globals.get vm.globals s in
-        if g.gdefined then begin
-          set_slot slots (fp + i) g.gval;
-          k vm slots fp limit budget acc (steps + 1)
-        end
-        else begin
-          sync vm (steps + 1) (pc + 1) acc;
-          Values.err ("unbound variable: " ^ Globals.slot_name s) []
-        end
+        let slots = Vm_core.global_push vm slots fp steps pc acc s i in
+        k vm slots fp limit budget acc (steps + 1)
   | Prim_call site ->
       let k = arr.(pc + 1) in
       fun vm slots fp limit budget acc steps ->
-        if steps >= budget then fuel_stop vm steps pc acc
+        if steps >= budget then raise (fuel_stop vm steps pc acc)
         else begin
           sync vm (steps + 1) (pc + 1) acc;
-          if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard
-          then begin
-            prim_fast_stats vm;
-            let v =
-              site.ps_fn
-                (prim_args vm slots (fp + site.ps_disp + 2) site.ps_nargs)
-            in
+          if guard vm site then begin
+            let v = Vm_core.prim_call_n vm slots fp site in
             k vm slots fp limit (budget - (steps + 1)) v 0
           end
           else begin
@@ -475,7 +404,7 @@ and emit arr instrs (code : code) pc : step =
          past it, exactly as in the engine loop. *)
       let k = arr.(pc + 2) in
       fun vm slots fp limit budget _acc steps ->
-        if steps >= budget then fuel_stop vm steps pc _acc
+        if steps >= budget then raise (fuel_stop vm steps pc _acc)
         else
           let v = slots.(fp + i) in
           match v with
@@ -489,16 +418,11 @@ and emit arr instrs (code : code) pc : step =
       emit_branch2 arr pc site (Op_local argd) (Op_local (argd + 1)) t (pc + 1)
   | Prim_tail_call site ->
       fun vm slots fp limit budget acc steps ->
-        if steps >= budget then fuel_stop vm steps pc acc
+        if steps >= budget then raise (fuel_stop vm steps pc acc)
         else begin
           sync vm (steps + 1) (pc + 1) acc;
-          if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard
-          then begin
-            prim_fast_stats vm;
-            let v =
-              site.ps_fn
-                (prim_args vm slots (fp + site.ps_disp + 2) site.ps_nargs)
-            in
+          if guard vm site then begin
+            let v = Vm_core.prim_call_n vm slots fp site in
             do_return_fast vm slots fp limit (budget - (steps + 1)) v 0 (pc + 1)
           end
           else begin
@@ -522,13 +446,11 @@ and emit arr instrs (code : code) pc : step =
       emit_branch2 arr pc site a b t
         (pc + Bytecode.consumer_offset2 site a + 1)
   | Prim_tail1_op (site, a) ->
-      let argd = site.ps_disp + 2 in
       fun vm slots fp limit budget acc steps ->
-        if steps >= budget then fuel_stop vm steps pc acc
+        if steps >= budget then raise (fuel_stop vm steps pc acc)
         else
           let x = load_op slots fp acc a in
-          if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard
-          then begin
+          if guard vm site then begin
             prim_fast_stats vm;
             match site.ps_fn1 x with
             | v ->
@@ -536,20 +458,17 @@ and emit arr instrs (code : code) pc : step =
             | exception e -> reraise vm (steps + 1) (pc + 2) acc e
           end
           else begin
-            set_slot slots (fp + argd) x;
-            deopt vm (steps + 1) (pc + 2) acc prim_deopt_tail_call
-              site
+            spill1 vm slots fp site x;
+            deopt vm (steps + 1) (pc + 2) acc prim_deopt_tail_call site
           end
   | Prim_tail2_op (site, a, b) ->
-      let argd = site.ps_disp + 2 in
       let next = pc + Bytecode.consumer_offset2 site a + 1 in
       fun vm slots fp limit budget acc steps ->
-        if steps >= budget then fuel_stop vm steps pc acc
+        if steps >= budget then raise (fuel_stop vm steps pc acc)
         else
           let x = load_op slots fp acc a in
           let y = load_op slots fp acc b in
-          if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard
-          then begin
+          if guard vm site then begin
             prim_fast_stats vm;
             match site.ps_fn2 x y with
             | v ->
@@ -557,16 +476,14 @@ and emit arr instrs (code : code) pc : step =
             | exception e -> reraise vm (steps + 1) next acc e
           end
           else begin
-            set_slot slots (fp + argd) x;
-            set_slot slots (fp + argd + 1) y;
-            deopt vm (steps + 1) next acc prim_deopt_tail_call
-              site
+            spill2 vm slots fp site x y;
+            deopt vm (steps + 1) next acc prim_deopt_tail_call site
           end
   | Return_op a ->
       (* Fused producer + [Return], one counted instruction; the retained
          [Return] sits at [pc + 1]. *)
       fun vm slots fp limit budget acc steps ->
-        if steps >= budget then fuel_stop vm steps pc acc
+        if steps >= budget then raise (fuel_stop vm steps pc acc)
         else
           do_return_fast vm slots fp limit budget
             (load_op slots fp acc a)
@@ -602,17 +519,16 @@ and emit_push2 arr pc src1 d1 src2 d2 : step =
    On guard failure the operands are spilled into the argument slots
    first (for a plain form that rewrites the value already there). *)
 and emit_call1 arr instrs pc site a next : step =
-  let argd = site.ps_disp + 2 in
   let set, k =
     match Array.unsafe_get instrs next with
     | Local_set j -> (j, arr.(next + 1))
     | _ -> (-1, arr.(next))
   in
   fun vm slots fp limit budget acc steps ->
-    if steps >= budget then fuel_stop vm steps pc acc
+    if steps >= budget then raise (fuel_stop vm steps pc acc)
     else
       let x = load_op slots fp acc a in
-      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
+      if guard vm site then begin
         prim_fast_stats vm;
         match site.ps_fn1 x with
         | v when set >= 0 ->
@@ -622,23 +538,22 @@ and emit_call1 arr instrs pc site a next : step =
         | exception e -> reraise vm (steps + 1) next acc e
       end
       else begin
-        set_slot slots (fp + argd) x;
+        spill1 vm slots fp site x;
         deopt vm (steps + 1) next acc prim_deopt_call site
       end
 
 and emit_call2 arr instrs pc site a b next : step =
-  let argd = site.ps_disp + 2 in
   let set, k =
     match Array.unsafe_get instrs next with
     | Local_set j -> (j, arr.(next + 1))
     | _ -> (-1, arr.(next))
   in
   fun vm slots fp limit budget acc steps ->
-    if steps >= budget then fuel_stop vm steps pc acc
+    if steps >= budget then raise (fuel_stop vm steps pc acc)
     else
       let x = load_op slots fp acc a in
       let y = load_op slots fp acc b in
-      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
+      if guard vm site then begin
         prim_fast_stats vm;
         match site.ps_fn2 x y with
         | v when set >= 0 ->
@@ -648,8 +563,7 @@ and emit_call2 arr instrs pc site a b next : step =
         | exception e -> reraise vm (steps + 1) next acc e
       end
       else begin
-        set_slot slots (fp + argd) x;
-        set_slot slots (fp + argd + 1) y;
+        spill2 vm slots fp site x y;
         deopt vm (steps + 1) next acc prim_deopt_call site
       end
 
@@ -657,13 +571,12 @@ and emit_call2 arr instrs pc site a b next : step =
    [next], which re-tests the deopted call's returned value; the fast
    path's fall-through skips it. *)
 and emit_branch1 arr pc site a t next : step =
-  let argd = site.ps_disp + 2 in
   let k = arr.(next + 1) in
   fun vm slots fp limit budget acc steps ->
-    if steps >= budget then fuel_stop vm steps pc acc
+    if steps >= budget then raise (fuel_stop vm steps pc acc)
     else
       let x = load_op slots fp acc a in
-      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
+      if guard vm site then begin
         prim_fast_stats vm;
         match site.ps_fn1 x with
         | Bool false ->
@@ -673,19 +586,18 @@ and emit_branch1 arr pc site a t next : step =
         | exception e -> reraise vm (steps + 1) next acc e
       end
       else begin
-        set_slot slots (fp + argd) x;
+        spill1 vm slots fp site x;
         deopt vm (steps + 1) next acc prim_deopt_call site
       end
 
 and emit_branch2 arr pc site a b t next : step =
-  let argd = site.ps_disp + 2 in
   let k = arr.(next + 1) in
   fun vm slots fp limit budget acc steps ->
-    if steps >= budget then fuel_stop vm steps pc acc
+    if steps >= budget then raise (fuel_stop vm steps pc acc)
     else
       let x = load_op slots fp acc a in
       let y = load_op slots fp acc b in
-      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
+      if guard vm site then begin
         prim_fast_stats vm;
         match site.ps_fn2 x y with
         | Bool false ->
@@ -695,8 +607,7 @@ and emit_branch2 arr pc site a b t next : step =
         | exception e -> reraise vm (steps + 1) next acc e
       end
       else begin
-        set_slot slots (fp + argd) x;
-        set_slot slots (fp + argd + 1) y;
+        spill2 vm slots fp site x y;
         deopt vm (steps + 1) next acc prim_deopt_call site
       end
 
@@ -772,8 +683,7 @@ and relaunch (vm : t) =
   if not vm.halted then begin
     let arr = template vm.stats vm.code in
     let pc = vm.pc in
-    if pc < 0 || pc >= Array.length arr then
-      Values.err "vm: corrupt return address (pc out of range)" [];
+    Vm_core.check_entry pc (Array.length arr);
     let stats = vm.stats in
     if stats.Stats.enabled then
       stats.Stats.tmpl_enters <- stats.Stats.tmpl_enters + 1;

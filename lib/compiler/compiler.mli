@@ -34,7 +34,7 @@ type options = {
           assumes standard bindings and can change the meaning of
           programs that [set!] folded primitives *)
   peephole : bool;
-      (** the always-sound bytecode fusion pass ({!Optimize.peephole});
+      (** the always-sound bytecode fusion pass ({!Optimize.peephole_program});
           [false] keeps (and executes) the unfused bytecode *)
   regalloc : bool;
       (** the register-lowering stage of that pass (operand-addressed

@@ -458,9 +458,6 @@ let rec fuse s ~regalloc globals (c : Rt.code) : Rt.code =
   Bytecode.finish c';
   c'
 
-let peephole ?(regalloc = true) globals c =
-  fuse (new_scratch ()) ~regalloc globals c
-
 let peephole_program ?(regalloc = true) globals codes =
   let s = new_scratch () in
   List.map (fuse s ~regalloc globals) codes

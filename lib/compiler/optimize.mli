@@ -51,15 +51,12 @@ val program : Ast.top list -> Ast.top list
     so captured segment contents are byte-identical to the unfused
     execution. *)
 
-val peephole : ?regalloc:bool -> Globals.t -> Rt.code -> Rt.code
-(** Fuse one code object (recursing into [Make_closure] bodies).  The
-    [Globals.t] is the session whose current bindings the inline caches
-    are built against — compiled code carries slot numbers, so the fuser
-    resolves each candidate slot here.  The input is the compiler's
-    unfinished output; every code object of the result is finished
-    ({!Bytecode.finish}) and takes over the input's [Call] sites, so the
-    input must not be run or fused again. *)
-
 val peephole_program : ?regalloc:bool -> Globals.t -> Rt.code list -> Rt.code list
-(** {!peephole} over each code object, with one set of scratch arrays
-    for the whole call. *)
+(** Fuse each code object (recursing into [Make_closure] bodies), with
+    one set of scratch arrays for the whole call.  The [Globals.t] is the
+    session whose current bindings the inline caches are built against —
+    compiled code carries slot numbers, so the fuser resolves each
+    candidate slot here.  The input is the compiler's unfinished output;
+    every code object of the result is finished ({!Bytecode.finish}) and
+    takes over the input's [Call] sites, so the input must not be run or
+    fused again. *)

@@ -12,7 +12,6 @@ type config = {
   hysteresis_words : int;
   oneshot_seal : oneshot_seal;
   cache_enabled : bool;
-  cache_max : int;
   promotion : promotion_strategy;
   capture : capture_strategy;
 }
@@ -30,7 +29,6 @@ let default_config =
     hysteresis_words = 64;
     oneshot_seal = Whole_segment;
     cache_enabled = true;
-    cache_max = 1024;
     promotion = Shared_flag;
     capture = Seal;
   }
@@ -40,6 +38,9 @@ let default_config =
    [seg_words]; the last class is a mixed overflow bucket for everything
    larger, searched first-fit. *)
 let cache_classes = 8
+
+(* Segments retained across all classes. *)
+let cache_max = 1024
 
 type t = {
   cfg : config;
@@ -144,14 +145,14 @@ let alloc_segment m words =
 
 let release_segment m seg =
   let len = Array.length seg in
-  if m.cfg.cache_enabled && len >= m.cfg.seg_words && m.cache_len < m.cfg.cache_max
+  if m.cfg.cache_enabled && len >= m.cfg.seg_words && m.cache_len < cache_max
   then begin
     let c = class_of m len in
     let n = m.cache_top.(c) in
     if n = Array.length m.cache.(c) then begin
       (* Full: grow.  [n < cache_len + 1 <= cache_max], so the class
          never needs more than [cache_max] slots. *)
-      let grown = Array.make (min m.cfg.cache_max (max 4 (2 * n))) no_segment in
+      let grown = Array.make (min cache_max (max 4 (2 * n))) no_segment in
       Array.blit m.cache.(c) 0 grown 0 n;
       m.cache.(c) <- grown
     end;

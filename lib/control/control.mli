@@ -46,7 +46,6 @@ type config = {
   hysteresis_words : int;  (** words copied up on [As_call1cc] overflow *)
   oneshot_seal : oneshot_seal;
   cache_enabled : bool;
-  cache_max : int;  (** max segments retained in the cache *)
   promotion : promotion_strategy;
   capture : capture_strategy;
 }
@@ -64,6 +63,9 @@ val cache_classes : int
     [c < cache_classes - 1]) holds arrays of [c+1 .. c+2) times
     [seg_words]; the last class is a mixed bucket for everything larger,
     searched first-fit. *)
+
+val cache_max : int
+(** Segments the cache retains across all classes: 1024. *)
 
 type t = {
   cfg : config;

@@ -271,6 +271,16 @@ let stat vm v =
   | n -> Values.of_int n
   | exception Not_found -> Values.err ("%stat: unknown counter " ^ name) []
 
+(* The error of a read of an unbound global, which both loops, the
+   closure templates and the deopt callee lookup raise. *)
+let unbound_variable s =
+  Scheme_error ("unbound variable: " ^ Globals.slot_name s, [])
+
+(* A fused site's inline-cache guard: the global it was compiled against
+   still holds the primitive the site calls directly. *)
+let[@inline] guard vm site =
+  (Globals.get vm.globals site.ps_slot).gval == site.ps_guard
+
 (* A fused site's inline-cache guard failed: the global it was compiled
    against has been assigned ([set!] of [+] and the like).  Count the
    deoptimization and return the callee the generic call the peephole
@@ -280,8 +290,7 @@ let deopt_callee vm site =
   if stats.Stats.enabled then
     stats.Stats.prim_deopts <- stats.Stats.prim_deopts + 1;
   let g = Globals.get vm.globals site.ps_slot in
-  if not g.gdefined then
-    Values.err ("unbound variable: " ^ Globals.slot_name site.ps_slot) [];
+  if not g.gdefined then raise (unbound_variable site.ps_slot);
   g.gval
 
 (* ------------------------------------------------------------------ *)

@@ -21,9 +21,13 @@
    [Policy], [Globals] and [Bytecode] call here is a generic application
    again.
 
-   A new opcode is added HERE, once; both VMs pick it up on the next
-   build.  The policy supplies only what genuinely depends on the
-   control representation:
+   A new opcode is added HERE: both VMs pick it up on the next build.
+   Its work, unless it transfers control, goes in a body below ([box_ref]
+   and the rest), which its arm in [exec] and its step in
+   {!Closurevm.emit} both call; the closure templates then add only the
+   threading.  A control transfer is written by each dispatcher, because
+   a landing and a template chain continue differently.  The policy
+   supplies only what genuinely depends on the control representation:
 
      fast                 whether same-frame-array call/tail/return
                           transfers may stay inside a landing (the
@@ -109,6 +113,18 @@ let[@inline] sync (vm : Policy.t) steps pc acc =
     stats.Stats.instrs <- stats.Stats.instrs + steps;
   if vm.fuel >= 0 then vm.fuel <- vm.fuel - steps
 
+(* The fuel check's stop: flush with the pc of the instruction about to
+   execute, so a resumed machine re-runs it, and return the exception
+   for the check to raise (see [fail] below). *)
+let[@inline never] fuel_stop (vm : Policy.t) steps pc acc =
+  sync vm steps pc acc;
+  Vm_fuel_exhausted
+
+(* A landing's entry-pc bounds check against its code's length. *)
+let[@inline] check_entry pc n =
+  if pc < 0 || pc >= n then
+    Values.err "vm: corrupt return address (pc out of range)" []
+
 (* A primitive called with the batch unflushed raised: flush exactly as
    a [sync] before the call would have, then let the exception reach
    [run_loop] (error-handler injection) or the caller. *)
@@ -124,6 +140,12 @@ let[@inline] prim_fast_stats (vm : Policy.t) =
     stats.Stats.prim_fast <- stats.Stats.prim_fast + 1
   end
 
+(* The n-ary fused primitive's fast path: its counters and the call on
+   the staged arguments. *)
+let[@inline] prim_call_n (vm : Policy.t) slots fp site =
+  prim_fast_stats vm;
+  site.ps_fn (prim_args vm slots (fp + site.ps_disp + 2) site.ps_nargs)
+
 (* Before a register-addressed form deoptimizes, write its operands to
    the argument slots the unfused pushes would have written. *)
 let spill1 (vm : Policy.t) slots fp site x =
@@ -132,6 +154,108 @@ let spill1 (vm : Policy.t) slots fp site x =
 let spill2 (vm : Policy.t) slots fp site x y =
   let slots = Policy.set vm slots fp (site.ps_disp + 2) x in
   ignore (Policy.set vm slots fp (site.ps_disp + 3) y)
+
+(* ---- instruction bodies ----
+   The work of each instruction that does not transfer control, written
+   once: the loop's arms below and the closure templates' steps call a
+   body and continue.  [steps] does not yet count the instruction and
+   [pc] is its address; a body reads them only on its failure path.
+   There a cold function flushes at [pc + 1] and returns the error, and
+   the body raises it: a failure call whose result rejoined the success
+   path would keep every live register across it, and the closure steps
+   would spill them all on entry.  Every message is a literal, so no
+   success path builds a string.  A body that writes a slot returns the
+   array to continue on, as [Policy.set] does. *)
+
+let[@inline never] fail (vm : Policy.t) steps pc acc msg v =
+  sync vm (steps + 1) (pc + 1) acc;
+  Scheme_error (msg, [ v ])
+
+(* An unbound global: a read, or a [set!] when [assign]. *)
+let[@inline never] unbound (vm : Policy.t) steps pc acc ~assign s =
+  sync vm (steps + 1) (pc + 1) acc;
+  if assign then
+    Scheme_error ("set! of unbound variable: " ^ Globals.slot_name s, [])
+  else unbound_variable s
+
+(* The box in frame slot [i]. *)
+let[@inline] box (vm : Policy.t) slots fp steps pc acc i msg =
+  match slots.(fp + i) with Box r -> r | v -> raise (fail vm steps pc acc msg v)
+
+(* The free variables of the running closure, in frame slot 1. *)
+let[@inline] frees (vm : Policy.t) slots fp steps pc acc msg =
+  match slots.(fp + 1) with
+  | Closure c -> c.frees
+  | v -> raise (fail vm steps pc acc msg v)
+
+(* The box in free variable [i]. *)
+let[@inline] free_box vm slots fp steps pc acc i outside non_box =
+  match (frees vm slots fp steps pc acc outside).(i) with
+  | Box r -> r
+  | v -> raise (fail vm steps pc acc non_box v)
+
+(* The cell of global [s], which must be defined. *)
+let[@inline] cell (vm : Policy.t) steps pc acc ~assign s =
+  let g = Globals.get vm.globals s in
+  if g.gdefined then g else raise (unbound vm steps pc acc ~assign s)
+
+let[@inline] box_init (vm : Policy.t) slots fp i =
+  let slots = Policy.set vm slots fp i (Box (ref slots.(fp + i))) in
+  let stats = vm.stats in
+  if stats.Stats.enabled then
+    stats.Stats.boxes_made <- stats.Stats.boxes_made + 1;
+  slots
+
+let[@inline] box_ref vm slots fp steps pc acc i =
+  !(box vm slots fp steps pc acc i "vm: box-ref of non-box")
+
+let[@inline] box_set vm slots fp steps pc acc i =
+  box vm slots fp steps pc acc i "vm: box-set of non-box" := acc
+
+let[@inline] free_ref vm slots fp steps pc acc i =
+  (frees vm slots fp steps pc acc "vm: free-ref outside closure").(i)
+
+let[@inline] free_box_ref vm slots fp steps pc acc i =
+  !(free_box vm slots fp steps pc acc i "vm: free-box-ref outside closure"
+      "vm: free-box-ref of non-box")
+
+let[@inline] free_box_set vm slots fp steps pc acc i =
+  free_box vm slots fp steps pc acc i "vm: free-box-set outside closure"
+    "vm: free-box-set of non-box"
+  := acc
+
+let[@inline] free_push vm slots fp steps pc acc i j =
+  Policy.set vm slots fp j
+    (frees vm slots fp steps pc acc "vm: free-push outside closure").(i)
+
+let[@inline] global_ref vm steps pc acc s =
+  (cell vm steps pc acc ~assign:false s).gval
+
+let[@inline] global_set vm steps pc acc s =
+  (cell vm steps pc acc ~assign:true s).gval <- acc
+
+let[@inline] global_push vm slots fp steps pc acc s i =
+  Policy.set vm slots fp i (global_ref vm steps pc acc s)
+
+let[@inline] define (vm : Policy.t) s acc =
+  let g = Globals.get vm.globals s in
+  g.gval <- acc;
+  g.gdefined <- true
+
+let[@inline] make_closure (vm : Policy.t) slots fp steps pc acc code caps =
+  let ncaps = Array.length caps in
+  let fv = if ncaps = 0 then [||] else Array.make ncaps Void in
+  for i = 0 to ncaps - 1 do
+    fv.(i) <-
+      (match Array.unsafe_get caps i with
+      | Cap_local j -> slots.(fp + j)
+      | Cap_free j ->
+          (frees vm slots fp steps pc acc "vm: capture outside closure").(j))
+  done;
+  let stats = vm.stats in
+  if stats.Stats.enabled then
+    stats.Stats.closures_made <- stats.Stats.closures_made + 1;
+  Closure { code; frees = fv }
 
 (* A fused site's guard failed: the generic call or tail call it
    replaced, to whatever the global holds now.  The call counts the frame
@@ -147,10 +271,7 @@ let prim_deopt_tail_call (vm : Policy.t) site =
     (deopt_callee vm site)
 
 let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
-  if steps >= budget then begin
-    sync vm steps pc acc;
-    raise Vm_fuel_exhausted
-  end;
+  if steps >= budget then raise (fuel_stop vm steps pc acc);
   match Array.unsafe_get instrs pc with
   | Const v -> exec vm instrs slots fp limit budget v (steps + 1) (pc + 1)
   | Local_ref i ->
@@ -159,100 +280,35 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
       let slots = Policy.set vm slots fp i acc in
       exec vm instrs slots fp limit budget acc (steps + 1) (pc + 1)
   | Box_init i ->
-      let slots = Policy.set vm slots fp i (Box (ref slots.(fp + i))) in
-      let stats = vm.stats in
-      if stats.Stats.enabled then
-        stats.Stats.boxes_made <- stats.Stats.boxes_made + 1;
+      let slots = box_init vm slots fp i in
       exec vm instrs slots fp limit budget acc (steps + 1) (pc + 1)
-  | Box_ref i -> (
-      match slots.(fp + i) with
-      | Box r -> exec vm instrs slots fp limit budget !r (steps + 1) (pc + 1)
-      | v ->
-          sync vm (steps + 1) (pc + 1) acc;
-          Values.err "vm: box-ref of non-box" [ v ])
-  | Box_set i -> (
-      match slots.(fp + i) with
-      | Box r ->
-          r := acc;
-          exec vm instrs slots fp limit budget acc (steps + 1) (pc + 1)
-      | v ->
-          sync vm (steps + 1) (pc + 1) acc;
-          Values.err "vm: box-set of non-box" [ v ])
-  | Free_ref i -> (
-      match slots.(fp + 1) with
-      | Closure c ->
-          exec vm instrs slots fp limit budget c.frees.(i) (steps + 1) (pc + 1)
-      | v ->
-          sync vm (steps + 1) (pc + 1) acc;
-          Values.err "vm: free-ref outside closure" [ v ])
-  | Free_box_ref i -> (
-      match slots.(fp + 1) with
-      | Closure c -> (
-          match c.frees.(i) with
-          | Box r ->
-              exec vm instrs slots fp limit budget !r (steps + 1) (pc + 1)
-          | v ->
-              sync vm (steps + 1) (pc + 1) acc;
-              Values.err "vm: free-box-ref of non-box" [ v ])
-      | v ->
-          sync vm (steps + 1) (pc + 1) acc;
-          Values.err "vm: free-box-ref outside closure" [ v ])
-  | Free_box_set i -> (
-      match slots.(fp + 1) with
-      | Closure c -> (
-          match c.frees.(i) with
-          | Box r ->
-              r := acc;
-              exec vm instrs slots fp limit budget acc (steps + 1) (pc + 1)
-          | v ->
-              sync vm (steps + 1) (pc + 1) acc;
-              Values.err "vm: free-box-set of non-box" [ v ])
-      | v ->
-          sync vm (steps + 1) (pc + 1) acc;
-          Values.err "vm: free-box-set outside closure" [ v ])
+  | Box_ref i ->
+      let v = box_ref vm slots fp steps pc acc i in
+      exec vm instrs slots fp limit budget v (steps + 1) (pc + 1)
+  | Box_set i ->
+      box_set vm slots fp steps pc acc i;
+      exec vm instrs slots fp limit budget acc (steps + 1) (pc + 1)
+  | Free_ref i ->
+      let v = free_ref vm slots fp steps pc acc i in
+      exec vm instrs slots fp limit budget v (steps + 1) (pc + 1)
+  | Free_box_ref i ->
+      let v = free_box_ref vm slots fp steps pc acc i in
+      exec vm instrs slots fp limit budget v (steps + 1) (pc + 1)
+  | Free_box_set i ->
+      free_box_set vm slots fp steps pc acc i;
+      exec vm instrs slots fp limit budget acc (steps + 1) (pc + 1)
   | Global_ref s ->
-      let g = Globals.get vm.globals s in
-      if g.gdefined then
-        exec vm instrs slots fp limit budget g.gval (steps + 1) (pc + 1)
-      else begin
-        sync vm (steps + 1) (pc + 1) acc;
-        Values.err ("unbound variable: " ^ Globals.slot_name s) []
-      end
+      let v = global_ref vm steps pc acc s in
+      exec vm instrs slots fp limit budget v (steps + 1) (pc + 1)
   | Global_set s ->
-      let g = Globals.get vm.globals s in
-      if g.gdefined then begin
-        g.gval <- acc;
-        exec vm instrs slots fp limit budget acc (steps + 1) (pc + 1)
-      end
-      else begin
-        sync vm (steps + 1) (pc + 1) acc;
-        Values.err ("set! of unbound variable: " ^ Globals.slot_name s) []
-      end
+      global_set vm steps pc acc s;
+      exec vm instrs slots fp limit budget acc (steps + 1) (pc + 1)
   | Global_define s ->
-      let g = Globals.get vm.globals s in
-      g.gval <- acc;
-      g.gdefined <- true;
+      define vm s acc;
       exec vm instrs slots fp limit budget acc (steps + 1) (pc + 1)
   | Make_closure (code, caps) ->
-      let ncaps = Array.length caps in
-      let frees = if ncaps = 0 then [||] else Array.make ncaps Void in
-      for i = 0 to ncaps - 1 do
-        frees.(i) <-
-          (match Array.unsafe_get caps i with
-          | Cap_local j -> slots.(fp + j)
-          | Cap_free j -> (
-              match slots.(fp + 1) with
-              | Closure c -> c.frees.(j)
-              | v ->
-                  sync vm (steps + 1) (pc + 1) acc;
-                  Values.err "vm: capture outside closure" [ v ]))
-      done;
-      let stats = vm.stats in
-      if stats.Stats.enabled then
-        stats.Stats.closures_made <- stats.Stats.closures_made + 1;
-      exec vm instrs slots fp limit budget
-        (Closure { code; frees })
-        (steps + 1) (pc + 1)
+      let v = make_closure vm slots fp steps pc acc code caps in
+      exec vm instrs slots fp limit budget v (steps + 1) (pc + 1)
   | Branch t -> exec vm instrs slots fp limit budget acc (steps + 1) t
   | Branch_false t ->
       exec vm instrs slots fp limit budget acc (steps + 1)
@@ -352,38 +408,23 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
   | Halt ->
       sync vm (steps + 1) (pc + 1) acc;
       vm.halted <- true
-  (* ---- fused superinstructions (emitted by Optimize.peephole) ---- *)
+  (* ---- fused superinstructions (Optimize.peephole_program) ---- *)
   | Const_push (v, i) ->
       let slots = Policy.set vm slots fp i v in
       exec vm instrs slots fp limit budget acc (steps + 1) (pc + 1)
   | Local_push (i, j) ->
       let slots = Policy.set vm slots fp j slots.(fp + i) in
       exec vm instrs slots fp limit budget acc (steps + 1) (pc + 1)
-  | Free_push (i, j) -> (
-      match slots.(fp + 1) with
-      | Closure c ->
-          let slots = Policy.set vm slots fp j c.frees.(i) in
-          exec vm instrs slots fp limit budget acc (steps + 1) (pc + 1)
-      | v ->
-          sync vm (steps + 1) (pc + 1) acc;
-          Values.err "vm: free-push outside closure" [ v ])
+  | Free_push (i, j) ->
+      let slots = free_push vm slots fp steps pc acc i j in
+      exec vm instrs slots fp limit budget acc (steps + 1) (pc + 1)
   | Global_push (s, i) ->
-      let g = Globals.get vm.globals s in
-      if g.gdefined then begin
-        let slots = Policy.set vm slots fp i g.gval in
-        exec vm instrs slots fp limit budget acc (steps + 1) (pc + 1)
-      end
-      else begin
-        sync vm (steps + 1) (pc + 1) acc;
-        Values.err ("unbound variable: " ^ Globals.slot_name s) []
-      end
+      let slots = global_push vm slots fp steps pc acc s i in
+      exec vm instrs slots fp limit budget acc (steps + 1) (pc + 1)
   | Prim_call site ->
       sync vm (steps + 1) (pc + 1) acc;
-      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
-        prim_fast_stats vm;
-        let v =
-          site.ps_fn (prim_args vm slots (fp + site.ps_disp + 2) site.ps_nargs)
-        in
+      if guard vm site then begin
+        let v = prim_call_n vm slots fp site in
         exec vm instrs slots fp limit (budget - (steps + 1)) v 0 (pc + 1)
       end
       else begin
@@ -395,7 +436,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
      primitive flushes in [reraise] exactly as the pre-call flush would
      have, and a failed guard flushes before deoptimizing. *)
   | Prim_call1 site ->
-      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
+      if guard vm site then begin
         prim_fast_stats vm;
         match site.ps_fn1 slots.(fp + site.ps_disp + 2) with
         | v -> exec vm instrs slots fp limit budget v (steps + 1) (pc + 1)
@@ -403,7 +444,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
       end
       else deopt vm (steps + 1) (pc + 1) acc prim_deopt_call site
   | Prim_call2 site ->
-      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
+      if guard vm site then begin
         prim_fast_stats vm;
         let base = fp + site.ps_disp + 2 in
         match site.ps_fn2 slots.(base) slots.(base + 1) with
@@ -421,7 +462,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
      the retained [Branch_false] at [pc + 1], which re-tests the deopted
      call's returned value. *)
   | Prim_branch1 (site, t) ->
-      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
+      if guard vm site then begin
         prim_fast_stats vm;
         match site.ps_fn1 slots.(fp + site.ps_disp + 2) with
         | v ->
@@ -431,7 +472,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
       end
       else deopt vm (steps + 1) (pc + 1) acc prim_deopt_call site
   | Prim_branch2 (site, t) ->
-      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
+      if guard vm site then begin
         prim_fast_stats vm;
         let base = fp + site.ps_disp + 2 in
         match site.ps_fn2 slots.(base) slots.(base + 1) with
@@ -443,11 +484,8 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
       else deopt vm (steps + 1) (pc + 1) acc prim_deopt_call site
   | Prim_tail_call site ->
       sync vm (steps + 1) (pc + 1) acc;
-      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
-        prim_fast_stats vm;
-        let v =
-          site.ps_fn (prim_args vm slots (fp + site.ps_disp + 2) site.ps_nargs)
-        in
+      if guard vm site then begin
+        let v = prim_call_n vm slots fp site in
         prim_return vm slots fp limit (budget - (steps + 1)) v 0 (pc + 1)
       end
       else begin
@@ -469,7 +507,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
      unfused execution's. *)
   | Prim_call1_op (site, a) ->
       let x = load_op slots fp acc a in
-      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
+      if guard vm site then begin
         prim_fast_stats vm;
         match site.ps_fn1 x with
         | v -> exec vm instrs slots fp limit budget v (steps + 1) (pc + 2)
@@ -483,7 +521,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
       let x = load_op slots fp acc a in
       let y = load_op slots fp acc b in
       let next = pc + Bytecode.consumer_offset2 site a + 1 in
-      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
+      if guard vm site then begin
         prim_fast_stats vm;
         match site.ps_fn2 x y with
         | v -> exec vm instrs slots fp limit budget v (steps + 1) next
@@ -496,7 +534,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
   | Prim_branch1_op (site, a, t) ->
       (* [ps_ret] resumes at the retained [Branch_false] at [pc + 2]. *)
       let x = load_op slots fp acc a in
-      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
+      if guard vm site then begin
         prim_fast_stats vm;
         match site.ps_fn1 x with
         | v ->
@@ -512,7 +550,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
       let x = load_op slots fp acc a in
       let y = load_op slots fp acc b in
       let next = pc + Bytecode.consumer_offset2 site a + 1 in
-      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
+      if guard vm site then begin
         prim_fast_stats vm;
         match site.ps_fn2 x y with
         | v ->
@@ -526,7 +564,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
       end
   | Prim_tail1_op (site, a) ->
       let x = load_op slots fp acc a in
-      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
+      if guard vm site then begin
         prim_fast_stats vm;
         match site.ps_fn1 x with
         | v -> prim_return vm slots fp limit budget v (steps + 1) (pc + 2)
@@ -540,7 +578,7 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
       let x = load_op slots fp acc a in
       let y = load_op slots fp acc b in
       let next = pc + Bytecode.consumer_offset2 site a + 1 in
-      if (Globals.get vm.globals site.ps_slot).gval == site.ps_guard then begin
+      if guard vm site then begin
         prim_fast_stats vm;
         match site.ps_fn2 x y with
         | v -> prim_return vm slots fp limit budget v (steps + 1) next
@@ -595,8 +633,7 @@ and relaunch (vm : Policy.t) =
   if not vm.halted then begin
     let instrs = vm.code.instrs in
     let pc = vm.pc in
-    if pc < 0 || pc >= Array.length instrs then
-      Values.err "vm: corrupt return address (pc out of range)" [];
+    check_entry pc (Array.length instrs);
     exec vm instrs (Policy.slots vm) (Policy.frame_base vm) (Policy.limit vm)
       (if vm.fuel < 0 then max_int else vm.fuel)
       vm.acc 0 pc

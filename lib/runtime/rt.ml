@@ -127,7 +127,7 @@ and instr =
   | Halt                                 (* stop the machine; acc is the
                                             program result *)
   (* Fused superinstructions, emitted only by the peephole stage
-     (Optimize.peephole).  The push forms collapse a value-producing
+     (Optimize.peephole_program).  The push forms collapse a value-producing
      instruction followed by [Local_set] into one dispatch; they write the
      frame slot directly and leave [acc] untouched (the peephole proves
      [acc] dead at the fusion site). *)
@@ -158,7 +158,7 @@ and instr =
   | Prim_branch1 of prim_site * int      (* Prim_call1 + Branch_false *)
   | Prim_branch2 of prim_site * int      (* Prim_call2 + Branch_false *)
   (* Register-addressed (operand) forms, emitted only by the regalloc
-     peephole stage (Optimize.peephole, --no-regalloc escape hatch).  The
+     stage of Optimize.peephole_program (--no-regalloc escape hatch).  The
      argument-staging pushes of a fused prim call are folded into the
      consumer as [operand]s read straight from the accumulator, a frame
      slot, or the instruction stream, so the staged values never touch

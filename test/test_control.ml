@@ -321,11 +321,15 @@ let suite =
         Control.init_frame m (retaddr ~disp:0);
         Alcotest.(check bool) "halt" true (Control.at_bottom m));
     case "segment cache caps retained segments" (fun () ->
-        let config = { small_config with Control.cache_max = 2 } in
-        let m = Control.create config in
+        let m = Control.create small_config in
         Control.init_frame m (retaddr ~disp:0);
-        (* capture/reinstate repeatedly: each reinstate releases the fresh
-           segment; the cache must not exceed its bound *)
+        (* fill the cache past its bound, then capture/reinstate
+           repeatedly: each reinstate releases the segment the capture
+           moved to, into a full cache *)
+        let spare = Control.cache_max + 4 in
+        let segs = List.init spare (fun _ -> Control.alloc_segment m 256) in
+        List.iter (Control.release_segment m) segs;
+        Alcotest.(check int) "full" Control.cache_max m.Control.cache_len;
         for _ = 1 to 5 do
           let fp = m.Control.fp in
           m.Control.sr.Rt.seg.(fp + 8) <- retaddr ~disp:8;
@@ -333,7 +337,7 @@ let suite =
           let k = Control.capture_oneshot m in
           ignore (Control.reinstate m k)
         done;
-        Alcotest.(check bool) "bounded" true (m.Control.cache_len <= 2));
+        Alcotest.(check int) "bounded" Control.cache_max m.Control.cache_len);
     case "cache disabled allocates every time" (fun () ->
         let config = { small_config with Control.cache_enabled = false } in
         let stats = Stats.create () in
@@ -432,18 +436,20 @@ let suite =
         Alcotest.(check int) "still a cache hit" (hits + 1)
           stats.Stats.cache_hits);
     case "cache_max is enforced across classes" (fun () ->
-        let config = { small_config with Control.cache_max = 2 } in
-        let m = Control.create config in
-        let a = Control.alloc_segment m 256 in
-        let b = Control.alloc_segment m 512 in
-        let c = Control.alloc_segment m 768 in
+        let m = Control.create small_config in
+        (* sizes cycle through classes 0, 1 and 2 *)
+        let segs =
+          List.init (Control.cache_max + 3) (fun i ->
+              Control.alloc_segment m (256 * (1 + (i mod 3))))
+        in
         (* the machine's own initial segment is already cached or not;
            normalize by clearing first *)
         Control.clear_cache m;
-        Control.release_segment m a;
-        Control.release_segment m b;
-        Control.release_segment m c;
-        Alcotest.(check int) "bounded" 2 m.Control.cache_len);
+        List.iter (Control.release_segment m) segs;
+        Alcotest.(check int) "bounded" Control.cache_max m.Control.cache_len;
+        Alcotest.(check int) "spread over three classes" Control.cache_max
+          (m.Control.cache_top.(0) + m.Control.cache_top.(1)
+         + m.Control.cache_top.(2)));
     case "cache_words_hw tracks the parked-words high-water" (fun () ->
         let stats = Stats.create () in
         let m = Control.create ~stats small_config in
@@ -490,17 +496,17 @@ let suite =
         Alcotest.(check bool) "then a" true
           (Control.alloc_segment m (9 * 256) == a));
     case "a class grows past its initial slots up to cache_max" (fun () ->
-        let config = { small_config with Control.cache_max = 6 } in
-        let m = Control.create config in
+        let m = Control.create small_config in
         Control.clear_cache m;
-        let segs = List.init 10 (fun _ -> Control.alloc_segment m 256) in
+        let n = Control.cache_max in
+        let segs = List.init (n + 4) (fun _ -> Control.alloc_segment m 256) in
         List.iter (Control.release_segment m) segs;
-        Alcotest.(check int) "bounded" 6 m.Control.cache_len;
-        Alcotest.(check int) "one class" 6 m.Control.cache_top.(0);
+        Alcotest.(check int) "bounded" n m.Control.cache_len;
+        Alcotest.(check int) "one class" n m.Control.cache_top.(0);
         Alcotest.(check bool) "no more slots than cache_max" true
-          (Array.length m.Control.cache.(0) <= 6);
-        (* the six kept are popped back, latest first *)
-        let kept = List.filteri (fun i _ -> i < 6) segs in
+          (Array.length m.Control.cache.(0) <= n);
+        (* the ones kept are popped back, latest first *)
+        let kept = List.filteri (fun i _ -> i < n) segs in
         List.iter
           (fun s ->
             Alcotest.(check bool) "popped in order" true

@@ -343,6 +343,105 @@ let shared_steps (bname, backend) =
                 (int_of_string (eval s "(%stat 'overflows)") > 0)))
       step_programs
 
+(* The instruction bodies the two loops and the closure templates share
+   fail the same way under every dispatcher.  Each hand-built code object
+   below fails inside one body; every backend must report the same
+   message and irritants, flush the same [pc] (the address after the
+   failing instruction) and count the same instructions. *)
+let body_failures =
+  let open Rt in
+  let seven = Values.of_int 7 in
+  let inner =
+    Bytecode.make_code ~name:"inner" ~arity:(Exactly 0) ~frame_words:2
+      [| Enter; Const seven; Return |]
+  in
+  let nowhere = Globals.slot "%body-failure-unbound" in
+  (* A fixnum replaces the running closure in slot 1. *)
+  let no_closure = [ Const seven; Local_set 1 ] in
+  (* A closure whose free variable is a fixnum, not a box, in slot 1. *)
+  let unboxed_free =
+    [
+      Const seven;
+      Local_set 2;
+      Make_closure (inner, [| Cap_local 2 |]);
+      Local_set 1;
+    ]
+  in
+  [
+    ( "box-ref",
+      [ Const seven; Local_set 2; Box_ref 2 ],
+      "vm: box-ref of non-box" );
+    ( "box-set",
+      [ Const seven; Local_set 2; Box_set 2 ],
+      "vm: box-set of non-box" );
+    ("free-ref", no_closure @ [ Free_ref 0 ], "vm: free-ref outside closure");
+    ( "free-box-ref",
+      no_closure @ [ Free_box_ref 0 ],
+      "vm: free-box-ref outside closure" );
+    ( "free-box-set",
+      no_closure @ [ Free_box_set 0 ],
+      "vm: free-box-set outside closure" );
+    ( "free-push",
+      no_closure @ [ Free_push (0, 2) ],
+      "vm: free-push outside closure" );
+    ( "capture",
+      no_closure @ [ Make_closure (inner, [| Cap_free 0 |]) ],
+      "vm: capture outside closure" );
+    ( "free-box-ref of a fixnum",
+      unboxed_free @ [ Free_box_ref 0 ],
+      "vm: free-box-ref of non-box" );
+    ( "free-box-set of a fixnum",
+      unboxed_free @ [ Free_box_set 0 ],
+      "vm: free-box-set of non-box" );
+    ( "global-ref",
+      [ Global_ref nowhere ],
+      "unbound variable: %body-failure-unbound" );
+    ( "global-set",
+      [ Const seven; Global_set nowhere ],
+      "set! of unbound variable: %body-failure-unbound" );
+    ( "global-push",
+      [ Global_push (nowhere, 2) ],
+      "unbound variable: %body-failure-unbound" );
+  ]
+
+(* Run [code] on one dispatcher: the error's message and irritants, then
+   the machine's [pc] and instruction count after the raise. *)
+let failure_on name code =
+  let observe run (vm : _ Engine.vm) =
+    match run vm code with
+    | v -> Alcotest.failf "%s returned %s" name (Values.write_string v)
+    | exception Rt.Scheme_error (msg, irritants) ->
+        ( msg,
+          List.map Values.write_string irritants,
+          vm.Engine.pc,
+          vm.Engine.stats.Stats.instrs )
+  in
+  function
+  | `Stack -> observe (fun vm -> Vm.run vm) (Vm.create ())
+  | `Closure -> observe (fun vm -> Closurevm.run vm) (Closurevm.create ())
+  | `Heap -> observe (fun vm -> Heapvm.run vm) (Heapvm.create ())
+
+let body_failure (name, prefix, msg) =
+  Alcotest.test_case ("shared failure path: " ^ name) `Quick (fun () ->
+      let instrs = Array.of_list (prefix @ [ Rt.Halt ]) in
+      let code =
+        Bytecode.make_code ~name ~arity:(Exactly 0) ~frame_words:3 instrs
+      in
+      let failing = List.length prefix in
+      let ((m, _, pc, count) as stack) = failure_on name code `Stack in
+      Alcotest.(check string) "message" msg m;
+      Alcotest.(check int) "pc past the failing instruction" failing pc;
+      Alcotest.(check int) "instructions counted" failing count;
+      let show (m, irritants, pc, count) =
+        Printf.sprintf "%s %s pc=%d instrs=%d" m (String.concat " " irritants)
+          pc count
+      in
+      List.iter
+        (fun (bname, d) ->
+          Alcotest.(check string) bname (show stack)
+            (show (failure_on name code d)))
+        [ ("closure", `Closure); ("heap", `Heap) ])
+
 let suite =
   List.map take_output_drains all_backends
   @ List.map huge_alloc_errors all_backends
@@ -360,3 +459,4 @@ let suite =
   @ List.map sessions_across_domains all_backends
   @ List.map domain_error all_backends
   @ List.concat_map shared_steps step_backends
+  @ List.map body_failure body_failures
