@@ -4,6 +4,7 @@
     python3 bench/ab.py --base HEAD~1 --workload corpus --runs 10
     python3 bench/ab.py --base v1 --change v2 --workload oneshot --runs 5
     python3 bench/ab.py --base HEAD~1 --workload compile --runs 4 --layouts 3
+    python3 bench/ab.py --base HEAD~1 --workload compile --setup 200
 
 Run from the repository root.  Each side is a git revision, exported
 with `git archive` into a temporary directory (no checkout or worktree
@@ -38,6 +39,18 @@ all four workloads at once that follows the layout rather than the
 side is that effect, not a code change.  The script prints each
 layout's medians and ratio, then the table over all runs.  --runs
 counts runs per side per layout.
+
+With --setup N the script instead measures cold set-up alone: it
+builds `perfbench.exe` once in each side's tree, then runs N pairs of
+
+    perfbench.exe setup --workload W
+
+one process each, alternating which side goes first (ABBA...), and
+prints each side's median, quartiles and min-max of the seconds the
+processes print, the change/base ratio of the medians with the same
+bootstrap interval, and in how many pairs the change was faster.
+`setup_s` is the median of such processes, and it is not normalized for
+host speed, so a change to set-up needs many pairs side by side.
 
 The deterministic counters live elsewhere: `bench/main.exe all --iters 3
 --json F` writes them and `bench/compare.exe BASE F --tolerance 0`
@@ -127,6 +140,40 @@ def run_once(tree, a, seconds):
     return json.loads(lines[-1])
 
 
+def pair_order(i):
+    """The sides in the order pair [i] runs them: base first in even pairs."""
+    return ("base", "change") if i % 2 == 0 else ("change", "base")
+
+
+def build(tree):
+    """Build perfbench.exe in [tree], as perfbench/run.py does; its path."""
+    env = dict(os.environ, DUNE_CACHE="disabled")
+    r = subprocess.run(["dune", "build", "--root", ".", "./perfbench/perfbench.exe"],
+                       cwd=tree, capture_output=True, text=True, env=env)
+    if r.returncode != 0:
+        sys.stderr.write(r.stdout + r.stderr)
+        sys.exit("ab: build failed in " + tree)
+    return os.path.join(tree, "_build", "default", "perfbench", "perfbench.exe")
+
+
+def setup_once(exe, workload):
+    """Seconds of one cold set-up, in a process of its own."""
+    r = subprocess.run([exe, "setup", "--workload", workload], capture_output=True, text=True)
+    if r.returncode != 0:
+        sys.stderr.write(r.stdout + r.stderr)
+        sys.exit("ab: set-up failed: " + exe)
+    return float(r.stdout.split()[-1])
+
+
+def setup_pairs(exes, workload, pairs, run=setup_once):
+    """[pairs] alternating pairs of [run] on each side's executable."""
+    samples = {"base": [], "change": []}
+    for i in range(pairs):
+        for side in pair_order(i):
+            samples[side].append(run(exes[side], workload))
+    return samples
+
+
 def quartiles(xs):
     if len(xs) < 2:
         return xs[0], xs[0]
@@ -150,6 +197,30 @@ def bootstrap_ratio(b, c, rng, resamples=2000):
             ratios[int(0.975 * (len(ratios) - 1))])
 
 
+def summary(b, c, better, rng):
+    """Medians, ratio, its bootstrap interval, quartiles and wins of the
+    paired samples [b] (base) and [c] (change)."""
+    mb, mc = statistics.median(b), statistics.median(c)
+    sign = 1 if better == "higher" else -1
+    return {
+        "base": mb, "change": mc, "ratio": mc / mb if mb else float("nan"),
+        "ci": bootstrap_ratio(b, c, rng),
+        "base_q": quartiles(b), "change_q": quartiles(c),
+        "wins": sum(1 for x, y in zip(b, c) if sign * (y - x) > 0),
+    }
+
+
+def print_setup(samples, rng):
+    b, c = samples["base"], samples["change"]
+    s = summary(b, c, "lower", rng)
+    for side, xs in (("base", b), ("change", c)):
+        q1, q3 = s[side + "_q"]
+        print("%-7s median %.4f ms, quartiles %.4f-%.4f ms, min-max %.4f-%.4f ms"
+              % (side, 1e3 * s[side], 1e3 * q1, 1e3 * q3, 1e3 * min(xs), 1e3 * max(xs)))
+    print("ratio %.3f (95%% CI %.3f-%.3f), change faster in %d/%d pairs"
+          % (s["ratio"], s["ci"][0], s["ci"][1], s["wins"], len(b)))
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--base", required=True, help="git revision, or . for the working tree")
@@ -159,9 +230,13 @@ def main():
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--layouts", type=int, default=1,
                     help="binary layouts to repeat the A/B over (default 1)")
+    ap.add_argument("--setup", type=int, default=0, metavar="N",
+                    help="time N per-process pairs of cold set-up instead")
     a = ap.parse_args()
     if a.layouts < 1:
         ap.error("--layouts must be at least 1")
+    if a.setup < 0 or (a.setup and a.layouts > 1):
+        ap.error("--setup takes a positive count and one layout")
 
     root = subprocess.run(["git", "rev-parse", "--show-toplevel"], capture_output=True,
                           text=True, check=True).stdout.strip()
@@ -177,13 +252,20 @@ def main():
     per_layout = []
     correct = True
     try:
+        if a.setup:
+            trees = {side: export(rev, root, tmp, side)
+                     for side, rev in (("base", a.base), ("change", a.change))}
+            exes = {side: build(tree) for side, tree in trees.items()}
+            print("workload %s, %d set-up pairs; base %s, change %s"
+                  % (a.workload, a.setup, a.base, a.change))
+            print_setup(setup_pairs(exes, a.workload, a.setup), random.Random(0))
+            return
         for k in range(a.layouts):
             trees = {side: layout_tree(rev, root, tmp, side, k)
                      for side, rev in (("base", a.base), ("change", a.change))}
             layout = {"base": [], "change": []}
             for i in range(a.runs):
-                order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
-                for side in order:
+                for side in pair_order(i):
                     res = run_once(trees[side], a, seconds)
                     correct = correct and res["correct"]
                     layout[side].append({m: v["value"] for m, v in res["metrics"].items()})
@@ -216,16 +298,13 @@ def main():
     for m in runs["base"][0]:
         b = [r[m] for r in runs["base"]]
         c = [r[m] for r in runs["change"]]
-        mb, mc = statistics.median(b), statistics.median(c)
-        sign = 1 if better.get(m, "lower") == "higher" else -1
-        wins = sum(1 for x, y in zip(b, c) if sign * (y - x) > 0)
-        (bq1, bq3), (cq1, cq3) = quartiles(b), quartiles(c)
-        lo, hi = bootstrap_ratio(b, c, rng)
+        s = summary(b, c, better.get(m, "lower"), rng)
+        (bq1, bq3), (cq1, cq3) = s["base_q"], s["change_q"]
         print("%-20s %12.4g %12.4g %7.3f %15s %25s %25s %3d/%d" % (
-            m, mb, mc, mc / mb if mb else float("nan"),
-            "%.3f-%.3f" % (lo, hi),
+            m, s["base"], s["change"], s["ratio"],
+            "%.3f-%.3f" % s["ci"],
             "%.4g-%.4g (%.3g)" % (min(b), max(b), bq3 - bq1),
-            "%.4g-%.4g (%.3g)" % (min(c), max(c), cq3 - cq1), wins, len(b)))
+            "%.4g-%.4g (%.3g)" % (min(c), max(c), cq3 - cq1), s["wins"], len(b)))
     if not correct:
         sys.exit("ab: a run was not correct")
 

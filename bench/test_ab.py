@@ -89,5 +89,38 @@ class BootstrapTest(unittest.TestCase):
         self.assertLess(hi, 1.2)
 
 
+class SetupTest(unittest.TestCase):
+    def test_pairs_alternate_which_side_goes_first(self):
+        calls = []
+
+        def run(exe, workload):
+            self.assertEqual(workload, "compile")
+            calls.append(exe)
+            return {"B": 2.0, "C": 1.0}[exe]
+
+        samples = ab.setup_pairs({"base": "B", "change": "C"}, "compile", 4, run=run)
+        self.assertEqual(calls, ["B", "C", "C", "B", "B", "C", "C", "B"])
+        self.assertEqual(samples, {"base": [2.0] * 4, "change": [1.0] * 4})
+
+    def test_summary_of_a_uniform_speedup(self):
+        b = [1.3, 1.5, 1.4, 1.8, 1.6, 1.35, 1.45, 1.7, 1.55, 1.4]
+        s = ab.summary(b, [0.75 * x for x in b], "lower", random.Random(0))
+        self.assertAlmostEqual(s["base"], 1.475)
+        self.assertAlmostEqual(s["ratio"], 0.75)
+        self.assertAlmostEqual(s["ci"][0], 0.75)
+        self.assertAlmostEqual(s["ci"][1], 0.75)
+        self.assertEqual(s["wins"], 10)
+        q1, q3 = s["base_q"]
+        self.assertLess(q1, s["base"])
+        self.assertGreater(q3, s["base"])
+        self.assertAlmostEqual(s["change_q"][0], 0.75 * q1)
+
+    def test_wins_follow_the_better_direction(self):
+        b, c = [1.0, 2.0, 3.0], [1.5, 1.5, 3.0]
+        self.assertEqual(ab.summary(b, c, "lower", random.Random(0))["wins"], 1)
+        self.assertEqual(ab.summary(b, c, "higher", random.Random(0))["wins"], 1)
+        self.assertEqual(ab.summary(b, b, "lower", random.Random(0))["wins"], 0)
+
+
 if __name__ == "__main__":
     unittest.main()

@@ -2,9 +2,15 @@
 
     A forward abstract interpreter over [Rt.instr] arrays, plus a
     structural scan checking the optimizer's fusion contracts.  The
-    abstract state per pc is (accumulator defined?, must-initialized
-    frame-slot bitmap bounded by [frame_words]); branch join points take
-    the pointwise AND, so every check holds on all paths.
+    abstract state is (accumulator defined?, must-initialized frame
+    slots), a packed bitset of [(frame_words + 1) / 8] bytes rounded up,
+    kept only at join points — the entry and every reachable pc with two
+    or more reachable predecessors — where incoming states take the
+    pointwise AND, so every check holds on all paths.  One working state
+    walks each straight run in place; a join is walked again only when
+    it loses a bit.  Memory is O(pcs + (joins + open forks) *
+    frame_words / 8) bytes per code object, and the code objects of one
+    call share the scratch space (DESIGN.md §16.1).
 
     Verified properties:
     - every frame-slot, free-variable, and operand index is in range;
@@ -43,4 +49,5 @@ val verify : ?nfrees:int -> Rt.code -> unit
 
 val verify_program : Rt.code list -> unit
 (** Verify every code object of a compiled program (shared children are
-    visited once, by physical identity). *)
+    visited once, by physical identity, in time linear in the number of
+    code objects however many share a name and source position). *)

@@ -115,16 +115,8 @@ let dummy_step : step = fun _ _ _ _ _ _ _ -> assert false
    recompute through the generic path.  The sentinel code compares
    physically equal to no real callee. *)
 let cache_sentinel =
-  {
-    instrs = [||];
-    cname = "<call-cache>";
-    arity = At_least 0;
-    frame_words = max_int;
-    timer_ret = Void;
-    templ = No_template;
-    cline = 0;
-    ccol = 0;
-  }
+  Bytecode.code ~name:"<call-cache>" ~arity:(At_least 0) ~frame_words:max_int
+    [||]
 
 (* ------------------------------------------------------------------ *)
 (* Template compilation                                                *)
@@ -702,17 +694,29 @@ let run ?fuel vm code = Vm_core.run_with relaunch ?fuel vm code
 let run_program ?fuel (vm : t) codes =
   List.fold_left (fun _ code -> run ?fuel vm code) Void codes
 
+(* Template-compile [code] and every code object it closes over.  The
+   [templ] slot marks a code visited, so a shared child is compiled once
+   and the walk needs no set: a code that already has a template had its
+   whole DAG compiled with it, before anything ran, or was compiled on
+   demand by a run, whose children compile when they are called. *)
+let rec template_dag stats code =
+  match code.templ with
+  | Template _ -> ()
+  | _ ->
+      ignore (compile stats code);
+      let instrs = code.instrs in
+      for pc = 0 to Array.length instrs - 1 do
+        match instrs.(pc) with
+        | Make_closure (c, _) -> template_dag stats c
+        | _ -> ()
+      done
+
 (* Compile first, then run: the whole [Make_closure] DAG of every
    top-level form is template-compiled before execution starts, so the
    measured run performs no compilation (runtime-generated code — [eval]
    the Scheme special — still compiles on demand in [relaunch]). *)
 let run_compiled ?fuel (vm : t) codes =
-  List.iter
-    (fun c ->
-      List.iter
-        (fun c' -> ignore (template vm.stats c'))
-        (Bytecode.collect_codes [] c))
-    codes;
+  List.iter (template_dag vm.stats) codes;
   run_program ?fuel vm codes
 
 let eval ?fuel (vm : t) src =
@@ -747,11 +751,5 @@ let () =
    prelude image): the caller is responsible for sequencing this before
    the codes become visible to other domains (the image cache does it
    under its build lock). *)
-let precompile codes =
-  let stats = Stats.create ~enabled:false () in
-  List.iter
-    (fun c ->
-      List.iter
-        (fun c' -> ignore (template stats c'))
-        (Bytecode.collect_codes [] c))
-    codes
+let[@inline never] precompile codes =
+  List.iter (template_dag (Stats.create ~enabled:false ())) codes

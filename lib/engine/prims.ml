@@ -213,28 +213,19 @@ let special name arity s =
    returned, 2 = thunk returned ([saved] holds its value), 3 = after
    returned. *)
 let dw_resume_code =
-  {
-    instrs =
-      [|
-        (* pc 0: before returned *)
-        Const_push (Int 1, 5);
-        Tail_call { disp = 0; nargs = 5 };
-        (* pc 2: thunk returned; stash its value *)
-        Local_set 6;
-        Const_push (Int 2, 5);
-        Tail_call { disp = 0; nargs = 5 };
-        (* pc 5: after returned *)
-        Const_push (Int 3, 5);
-        Tail_call { disp = 0; nargs = 5 };
-      |];
-    cname = "%dynamic-wind";
-    arity = At_least 0;
-    frame_words = 11;
-    timer_ret = Void;
-    templ = No_template;
-    cline = 0;
-    ccol = 0;
-  }
+  Bytecode.code ~name:"%dynamic-wind" ~arity:(At_least 0) ~frame_words:11
+    [|
+      (* pc 0: before returned *)
+      Const_push (Int 1, 5);
+      Tail_call { disp = 0; nargs = 5 };
+      (* pc 2: thunk returned; stash its value *)
+      Local_set 6;
+      Const_push (Int 2, 5);
+      Tail_call { disp = 0; nargs = 5 };
+      (* pc 5: after returned *)
+      Const_push (Int 3, 5);
+      Tail_call { disp = 0; nargs = 5 };
+    |]
 
 let dw_ret_before = Retaddr { rcode = dw_resume_code; rpc = 0; rdisp = 7 }
 let dw_ret_thunk = Retaddr { rcode = dw_resume_code; rpc = 2; rdisp = 7 }
@@ -249,16 +240,8 @@ let dw_ret_after = Retaddr { rcode = dw_resume_code; rpc = 5; rdisp = 7 }
    into [Sp_wind] for the next step; when the machine's chain reaches
    the target the trampoline finally reinstates [k] with [payload]. *)
 let wind_resume_code =
-  {
-    instrs = [| Tail_call { disp = 0; nargs = 4 } |];
-    cname = "%wind";
-    arity = At_least 0;
-    frame_words = 10;
-    timer_ret = Void;
-    templ = No_template;
-    cline = 0;
-    ccol = 0;
-  }
+  Bytecode.code ~name:"%wind" ~arity:(At_least 0) ~frame_words:10
+    [| Tail_call { disp = 0; nargs = 4 } |]
 
 let wind_ret = Retaddr { rcode = wind_resume_code; rpc = 0; rdisp = 6 }
 

@@ -119,10 +119,12 @@ let finish code =
     patch_site code pc instr
   done
 
+let next_cid = Atomic.make 0
+
 let code ?(pos = (0, 0)) ~name ~arity ~frame_words instrs =
   let cline, ccol = pos in
   { instrs; cname = name; arity; frame_words; timer_ret = Void;
-    templ = No_template; cline; ccol }
+    templ = No_template; cline; ccol; cid = Atomic.fetch_and_add next_cid 1 }
 
 let make_code ?pos ~name ~arity ~frame_words instrs =
   let c = code ?pos ~name ~arity ~frame_words instrs in
@@ -224,13 +226,36 @@ let disassemble code =
     code.instrs;
   Buffer.contents buf
 
-let rec collect_codes acc code =
-  if List.memq code acc then acc
-  else
-    Array.fold_left
-      (fun acc instr ->
-        match instr with Make_closure (c, _) -> collect_codes acc c | _ -> acc)
-      (code :: acc) code.instrs
+(* Hashed on [cid], so one form's thousands of inner lambdas, which
+   share a name and a source position, land in distinct buckets; keys
+   compare by physical identity, so a record copied together with its
+   [cid] is still a member of its own. *)
+module Code_set = struct
+  module H = Hashtbl.Make (struct
+    type t = code
+
+    let equal = ( == )
+    let hash c = c.cid
+  end)
+
+  type t = unit H.t
+
+  let create () : t = H.create 8
+  let add t c = (not (H.mem t c)) && (H.add t c (); true)
+end
+
+let collect_codes acc code =
+  let seen = Code_set.create () in
+  List.iter (fun c -> ignore (Code_set.add seen c)) acc;
+  let rec collect acc code =
+    if not (Code_set.add seen code) then acc
+    else
+      Array.fold_left
+        (fun acc instr ->
+          match instr with Make_closure (c, _) -> collect acc c | _ -> acc)
+        (code :: acc) code.instrs
+  in
+  collect acc code
 
 let disassemble_deep code =
   let codes = List.rev (collect_codes [] code) in

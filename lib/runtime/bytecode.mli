@@ -42,7 +42,8 @@ val code :
     return addresses are not yet interned.  It must pass through
     {!finish} before any VM runs it.  [pos] is the source line:col of
     the defining form, recorded on the code object for diagnostics; it
-    defaults to [0, 0] (synthetic code). *)
+    defaults to [0, 0] (synthetic code).  Each call draws a fresh
+    [cid]. *)
 
 val make_code :
   ?pos:int * int ->
@@ -74,8 +75,22 @@ val disassemble : Rt.code -> string
 val disassemble_deep : Rt.code -> string
 (** Listing of a code object and every code object it closes over. *)
 
+(** Sets of code objects by physical identity, in time linear in the
+    number of members however many of them share a name and source
+    position. *)
+module Code_set : sig
+  type t
+
+  val create : unit -> t
+
+  val add : t -> Rt.code -> bool
+  (** Add the code; [false] if it was already a member. *)
+end
+
 val collect_codes : Rt.code list -> Rt.code -> Rt.code list
 (** Accumulate every code object reachable from [code] through
     [Make_closure] instructions (each at most once, by physical
-    identity) onto the accumulator.  Used by the disassembler and by the
-    closure backend's eager template compilation. *)
+    identity, and none already on the accumulator) onto the
+    accumulator, in time linear in the accumulator and the codes
+    reached.  Used by the disassembler and by the closure backend's
+    eager template compilation. *)

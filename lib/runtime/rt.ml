@@ -93,6 +93,12 @@ and code = {
                                             runtime cannot see Sexp.pos, so
                                             the pair is carried as ints) *)
   ccol : int;
+  cid : int;                             (* drawn fresh by each
+                                            [Bytecode.code] call (a copy made
+                                            with [with] keeps it): the hash key
+                                            of [Bytecode.Code_set], so a set of
+                                            codes sharing one name and source
+                                            position stays linear *)
 }
 
 and arity = Exactly of int | At_least of int

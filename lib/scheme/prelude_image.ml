@@ -29,9 +29,11 @@
    objects, primitives, and immutable literals; prelude top-level
    definitions close over nothing mutable (top-level state lives in
    global cells, which are per-session by construction).  The closure
-   backend's templates are compiled eagerly here, under the image lock,
-   so the shared code objects' [templ] slots are written exactly once
-   before any other domain can read them.
+   backend's templates are built only for closure sessions: the first
+   [Scheme.create] of one compiles them once per image ({!templates}),
+   under the image lock, so the shared code objects' [templ] slots are
+   written exactly once before any other domain can read them.  Stack
+   and heap sessions never pay for them.
 
    The oracle bypasses the image: it interprets ASTs directly and
    represents procedures as [Ofun]s, so it keeps the per-session
@@ -39,6 +41,8 @@
 
 type t = {
   delta : (int * Rt.value) array; (* slots the prelude execution defined *)
+  mutable untemplated : Rt.code list; (* compiled codes whose closure
+                                         templates are not built yet *)
 }
 
 (* The key: the winder protocol and the compile options the image is
@@ -74,9 +78,8 @@ let build (scheme_winders, options) =
       in
       if c.Rt.gdefined && fresh then delta := (i, c.Rt.gval) :: !delta)
     g.Globals.cells;
-  Closurevm.precompile codes;
   incr built;
-  { delta = Array.of_list (List.rev !delta) }
+  { delta = Array.of_list (List.rev !delta); untemplated = codes }
 
 let get ~scheme_winders ~optimize ~peephole ~regalloc =
   let key =
@@ -99,6 +102,12 @@ let get ~scheme_winders ~optimize ~peephole ~regalloc =
   in
   Mutex.unlock lock;
   img
+
+let templates t =
+  Mutex.lock lock;
+  Closurevm.precompile t.untemplated;
+  t.untemplated <- [];
+  Mutex.unlock lock
 
 let install t g =
   Array.iter

@@ -53,11 +53,16 @@ let create ?(backend = Stack Control.default_config) ?stats
       (* Compile-once shared prelude: copy the image's global-slot
          delta instead of re-expanding/re-compiling/re-executing the
          sources — the session dispatches zero instructions before
-         its first user form (pinned in test_perf_counters). *)
-      Prelude_image.install
-        (Prelude_image.get ~scheme_winders ~optimize:options.optimize
-           ~peephole:options.peephole ~regalloc:options.regalloc)
-        (machine_globals machine));
+         its first user form (pinned in test_perf_counters).  Only a
+         closure session needs the image's templates. *)
+      let image =
+        Prelude_image.get ~scheme_winders ~optimize:options.optimize
+          ~peephole:options.peephole ~regalloc:options.regalloc
+      in
+      (match machine with
+      | M_closure _ -> Prelude_image.templates image
+      | _ -> ());
+      Prelude_image.install image (machine_globals machine));
   if corpus then load_corpus t;
   t
 

@@ -3,9 +3,10 @@
    and through every bytecode backend's session) and targeted rejection
    of hand-built malformed / contract-violating instruction streams.
 
-   The malformed streams are constructed as raw [Rt.code] records,
-   bypassing [Bytecode.make_code]: the whole point is to present the
-   verifier with streams the constructors would never produce. *)
+   The malformed streams are built as unfinished code objects
+   ([Bytecode.code]), bypassing [Bytecode.make_code]'s validation: the
+   whole point is to present the verifier with streams the constructors
+   would never produce. *)
 
 let case = Tutil.case
 
@@ -100,22 +101,11 @@ let shared_code_cases =
 (* Rejection: hand-built malformed streams.                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Raw code record, no validation; [backpatch] interns correct return
+(* Unfinished code object, no validation; [backpatch] interns correct return
    addresses so tests target exactly one violation at a time. *)
 let raw ?(name = "bad") ?(arity = Rt.Exactly 0) ?(backpatch = true) ~fw instrs
     =
-  let c =
-    {
-      Rt.instrs;
-      cname = name;
-      arity;
-      frame_words = fw;
-      timer_ret = Rt.Void;
-      templ = Rt.No_template;
-      cline = 0;
-      ccol = 0;
-    }
-  in
+  let c = Bytecode.code ~name ~arity ~frame_words:fw instrs in
   if backpatch then Bytecode.backpatch c;
   c
 
@@ -404,6 +394,168 @@ let in_place_cases =
           |]);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Joins: loops, shared children, allocation.                          *)
+(* ------------------------------------------------------------------ *)
+
+let accepts label code = case label (fun () -> Verify.verify code)
+
+(* A loop's head is a join with a back edge into it.  The state that
+   comes around the back edge must be ANDed into the head, and the head
+   walked again when that drops a bit: a call in the body clears the
+   slot the head reads. *)
+let loop_cases =
+  let head_reads_body_init ~before =
+    raw ~fw:4
+      (Array.of_list
+         ([ Rt.Enter; Rt.Const (Rt.Int 0) ]
+         @ (if before then [ Rt.Local_set 3 ] else [])
+         @
+         let h = if before then 3 else 2 in
+         [
+           Rt.Local_ref 3;
+           Rt.Branch_false (h + 5);
+           Rt.Const (Rt.Int 1);
+           Rt.Local_set 3;
+           Rt.Branch h;
+           Rt.Return;
+         ]))
+  in
+  let call_in_body ~restore =
+    raw ~fw:4
+      (Array.of_list
+         ([
+            Rt.Enter;
+            Rt.Const (Rt.Int 0);
+            Rt.Local_set 3;
+            Rt.Local_ref 3;
+            Rt.Branch_false (if restore then 8 else 7);
+            Rt.Call { Rt.cs_disp = 2; cs_nargs = 0; cs_ret = Rt.Void };
+          ]
+         @ (if restore then [ Rt.Local_set 3 ] else [])
+         @ [ Rt.Branch 3; Rt.Return ]))
+  in
+  [
+    rejects "rejects: loop head reads a slot only its body initializes"
+      ~needle:"reads frame slot 3, uninitialized on some path"
+      (head_reads_body_init ~before:false);
+    accepts "accepts: the same loop with the slot initialized before entry"
+      (head_reads_body_init ~before:true);
+    rejects "rejects: a call in a loop body clears the slot the head reads"
+      ~needle:"reads frame slot 3, uninitialized on some path"
+      (call_in_body ~restore:false);
+    accepts "accepts: the same loop with the slot stored again after the call"
+      (call_in_body ~restore:true);
+  ]
+
+(* Thirty levels of codes, each closing over the one below twice, all
+   with one name and source position: 2^30 paths, 31 code objects. *)
+let dag_cases =
+  let rec level k =
+    if k = 0 then raw ~name:"lambda" ~fw:2 [| Rt.Enter; Rt.Const (Rt.Int 0); Rt.Return |]
+    else
+      let child = level (k - 1) in
+      raw ~name:"lambda" ~fw:2
+        [|
+          Rt.Enter;
+          Rt.Make_closure (child, [||]);
+          Rt.Make_closure (child, [||]);
+          Rt.Return;
+        |]
+  in
+  let top = level 30 in
+  [
+    case "a 30-level code DAG closing over each child twice verifies"
+      (fun () -> Verify.verify top);
+    case "collect_codes visits each of the DAG's 31 codes once" (fun () ->
+        Alcotest.(check int) "codes" 31
+          (List.length (Bytecode.collect_codes [] top)));
+  ]
+
+(* Words allocated by [f] on both heaps.  [Gc.minor_words] alone misses
+   arrays of over 256 words, which go straight to the major heap, as
+   the per-pc states of a large frame would; a minor collection before
+   each reading brings the major counters up to date. *)
+let allocated f =
+  let words () =
+    Gc.minor ();
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  f ();
+  words () -. w0
+
+let compiled src =
+  Compiler.compile_string
+    ~options:{ Compiler.default_options with verify = false }
+    (globals_with_prims ()) src
+
+let shape_source kind n =
+  let b = Buffer.create (16 * n) in
+  (match kind with
+  | `Nested ->
+      Buffer.add_string b "(define (f x) ";
+      for _ = 1 to n do
+        Buffer.add_string b "(+ x "
+      done;
+      Buffer.add_string b ("0" ^ String.make n ')' ^ ")")
+  | `Let ->
+      Buffer.add_string b "(let (";
+      for i = 0 to n - 1 do
+        Printf.bprintf b "(v%d %d) " i (i mod 2)
+      done;
+      Printf.bprintf b ") (+ v0 v%d))" (n - 1)
+  | `Lambdas ->
+      Buffer.add_string b "(define (f) (list";
+      for i = 0 to n - 1 do
+        Printf.bprintf b " (lambda () %d)" i
+      done;
+      Buffer.add_string b "))");
+  Buffer.contents b
+
+(* The memory bound (DESIGN §16.1) is one pc table, a state of
+   ceil((frame_words + 1) / 8) bytes per join and per forked run, and
+   per code object its set entry and its place in its parent's child
+   list.  The pc table is kept across the codes of one call and grown
+   geometrically: at most 2 words per pc.  These shapes are straight
+   lines, so their only states are the entry states, plus 2 words of
+   header each; a set entry and a child-list place take at most 32
+   words.  A verifier with a state at every pc allocates frame_words
+   bits per pc: 5,347 words per instruction for the nested shape at
+   n = 1,000. *)
+let allocation_cases =
+  List.map
+    (fun (label, kind, n) ->
+      case
+        (Printf.sprintf "verifying %s at n = %d allocates within the bound"
+           label n) (fun () ->
+          let codes = compiled (shape_source kind n) in
+          let all = List.fold_left Bytecode.collect_codes [] codes in
+          let bound =
+            List.fold_left
+              (fun b (c : Rt.code) ->
+                b + (2 * Array.length c.Rt.instrs) + 32 + 2
+                + ((c.Rt.frame_words + 8) / 64))
+              0 all
+          in
+          let words = allocated (fun () -> Verify.verify_program codes) in
+          if words > float_of_int bound then
+            Alcotest.failf "%.0f words, bound %d (%d codes)" words bound
+              (List.length all)))
+    [
+      ("nested arithmetic", `Nested, 16_000);
+      ("a wide let", `Let, 20_000);
+      ("inner lambdas", `Lambdas, 16_000);
+    ]
+  @ [
+      case "verifying the prelude allocates under 10,000 words" (fun () ->
+          let codes = compiled Prelude.source in
+          let words = allocated (fun () -> Verify.verify_program codes) in
+          if words >= 10_000. then Alcotest.failf "%.0f words" words);
+    ]
+
 let suite =
   accept_corpus_cases @ accept_session_cases @ shared_code_cases
-  @ reject_cases @ validate_cases @ in_place_cases
+  @ reject_cases @ validate_cases @ in_place_cases @ loop_cases @ dag_cases
+  @ allocation_cases
