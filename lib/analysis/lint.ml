@@ -457,13 +457,11 @@ let program ?globals (tops : Sexp.t list) : diagnostic list =
   let pos_of (d : Diag.t) =
     match d.Diag.pos with
     | Some p -> p
-    | None -> { Sexp.line = 0; col = 0 }
+    | None -> Sexp.no_pos
   in
+  (* Positions order as (line, col) pairs. *)
   List.sort
-    (fun a b ->
-      match compare (pos_of a).Sexp.line (pos_of b).Sexp.line with
-      | 0 -> compare (pos_of a).Sexp.col (pos_of b).Sexp.col
-      | c -> c)
+    (fun a b -> Int.compare (pos_of a :> int) (pos_of b :> int))
     st.diags
 
 let lint_string ?globals src = program ?globals (Sexp.read_all src)

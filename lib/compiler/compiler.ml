@@ -72,6 +72,10 @@ let rec lookup x = function
   | [] -> None
   | b :: env -> if String.equal b.bname x then Some b else lookup x env
 
+(* The analysis, like the code generator below, is written without
+   closures: a list is walked by a recursive function over explicit
+   arguments, so the compiler allocates its output and the analysed
+   tree, not a closure per node. *)
 let rec analyze env ctx (e : Ast.t) : aexp =
   match e with
   | Ast.Quote v -> AQuote v
@@ -90,22 +94,35 @@ let rec analyze env ctx (e : Ast.t) : aexp =
           note_use ctx b;
           ALocalSet (b, rhs)
       | None -> AGlobalSet (x, rhs))
-  | Ast.Begin es -> ABegin (List.map (analyze env ctx) es)
+  | Ast.Begin es -> ABegin (analyze_list env ctx es)
   | Ast.App (Ast.Lambda l, args)
     when Option.is_none l.rest && List.length l.params = List.length args ->
       (* Direct application: inline into the enclosing frame. *)
-      let inits = List.map (analyze env ctx) args in
-      let bindings = List.map (new_binding ctx.ldepth) l.params in
+      let inits = analyze_list env ctx args in
+      let bindings = new_bindings ctx.ldepth l.params in
       let body = analyze (bindings @ env) ctx l.body in
       ALet (List.combine bindings inits, body)
   | Ast.App (f, args) ->
-      AApp (analyze env ctx f, List.map (analyze env ctx) args)
+      (* The operands are analyzed before the operator: the order in
+         which a lambda's free variables are first met is its closure
+         layout. *)
+      let args = analyze_list env ctx args in
+      AApp (analyze env ctx f, args)
   | Ast.Lambda l -> analyze_lambda env ctx l
+
+(* [List.map (analyze env ctx)], first element first. *)
+and analyze_list env ctx = function
+  | [] -> []
+  | e :: es ->
+      let a = analyze env ctx e in
+      a :: analyze_list env ctx es
 
 and analyze_lambda env ctx (l : Ast.lambda) =
   let depth = ctx.ldepth + 1 in
-  let params = List.map (new_binding depth) l.params in
-  let rest = Option.map (new_binding depth) l.rest in
+  let params = new_bindings depth l.params in
+  let rest =
+    match l.rest with Some r -> Some (new_binding depth r) | None -> None
+  in
   let alam =
     { aparams = params; arest = rest; abody = AQuote Rt.Void; aname = l.lname;
       afree = [] }
@@ -115,6 +132,12 @@ and analyze_lambda env ctx (l : Ast.lambda) =
   alam.abody <- analyze env' ctx' l.body;
   alam.afree <- List.rev alam.afree;
   ALambda alam
+
+and new_bindings depth = function
+  | [] -> []
+  | x :: xs ->
+      let b = new_binding depth x in
+      b :: new_bindings depth xs
 
 (* ------------------------------------------------------------------ *)
 (* Code generation                                                     *)
@@ -223,11 +246,31 @@ let local_sets = Array.init 64 (fun i -> Rt.Local_set i)
 let local_set i =
   if i < Array.length local_sets then local_sets.(i) else Rt.Local_set i
 
+(* So are [Local_ref] and the constants of the booleans and of the
+   fixnums 0 to 255 ([Call] sites are mutable and never shared).  The
+   tables live as long as the process and every major collection marks
+   them, so they cover only the values programs write most: sharing all
+   of [Values.of_int]'s preallocated fixnums kept 3,000 more words live
+   and saved no more words on a [compile] job. *)
+let local_refs = Array.init 64 (fun i -> Rt.Local_ref i)
+
+let local_ref i =
+  if i < Array.length local_refs then local_refs.(i) else Rt.Local_ref i
+
+let small_consts = Array.init 256 (fun n -> Rt.Const (Values.of_int n))
+let const_true = Rt.Const Values.v_true
+let const_false = Rt.Const Values.v_false
+
+let const = function
+  | Rt.Int n when n >= 0 && n < Array.length small_consts -> small_consts.(n)
+  | Rt.Bool b -> if b then const_true else const_false
+  | v -> Rt.Const v
+
 let unallocated b = fail ("compiler: unallocated binding " ^ b.bname)
 
 let gen_ref e b =
   match (b.loc, boxed b) with
-  | Lslot i, false -> emit e (Rt.Local_ref i) |> ignore
+  | Lslot i, false -> emit e (local_ref i) |> ignore
   | Lslot i, true -> emit e (Rt.Box_ref i) |> ignore
   | Lfree i, false -> emit e (Rt.Free_ref i) |> ignore
   | Lfree i, true -> emit e (Rt.Free_box_ref i) |> ignore
@@ -251,9 +294,47 @@ let loc_of_capture = function
   | Rt.Cap_local i -> Lslot i
   | Rt.Cap_free i -> Lfree i
 
+let rec box_inits e = function
+  | [] -> ()
+  | (b, _) :: rest ->
+      (match b.loc with
+      | Lslot slot when boxed b -> ignore (emit e (Rt.Box_init slot))
+      | _ -> ());
+      box_inits e rest
+
+let rec fill_caps caps i = function
+  | [] -> ()
+  | b :: rest ->
+      caps.(i) <- capture b;
+      fill_caps caps (i + 1) rest
+
+let rec restore_caps caps i = function
+  | [] -> ()
+  | b :: rest ->
+      b.loc <- loc_of_capture caps.(i);
+      restore_caps caps (i + 1) rest
+
+let rec place_params slot = function
+  | [] -> ()
+  | b :: rest ->
+      b.loc <- Lslot slot;
+      place_params (slot + 1) rest
+
+let rec place_frees i = function
+  | [] -> ()
+  | b :: rest ->
+      b.loc <- Lfree i;
+      place_frees (i + 1) rest
+
+let rec box_params e slot = function
+  | [] -> ()
+  | b :: rest ->
+      if boxed b then ignore (emit e (Rt.Box_init slot));
+      box_params e (slot + 1) rest
+
 let rec gen e tail exp =
   match exp with
-  | AQuote v -> ignore (emit e (Rt.Const v))
+  | AQuote v -> ignore (emit e (const v))
   | ALocal b -> gen_ref e b
   | AGlobal x -> ignore (emit e (Rt.Global_ref (global_slot e x)))
   | ALocalSet (b, rhs) ->
@@ -270,39 +351,20 @@ let rec gen e tail exp =
       patch e jf (Rt.Branch_false (here e));
       gen e tail a;
       patch e jend (Rt.Branch (here e))
-  | ABegin es ->
-      let rec go = function
-        | [] -> ()
-        | [ last ] -> gen e tail last
-        | x :: rest ->
-            gen e false x;
-            go rest
-      in
-      go es
+  | ABegin es -> gen_seq e tail es
   | ALet (bindings, body) ->
       let saved = e.next_slot in
-      let slots =
-        List.map
-          (fun (_, init) ->
-            gen e false init;
-            let slot = reserve e 1 in
-            ignore (emit e (local_set slot));
-            slot)
-          bindings
-      in
-      List.iter2
-        (fun (b, _) slot ->
-          b.loc <- Lslot slot;
-          if boxed b then ignore (emit e (Rt.Box_init slot)))
-        bindings slots;
+      gen_inits e bindings;
+      box_inits e bindings;
       gen e tail body;
       e.next_slot <- saved
   | ALambda l ->
-      let caps = Array.of_list (List.map capture l.afree) in
+      let caps = Array.make (List.length l.afree) (Rt.Cap_local 0) in
+      fill_caps caps 0 l.afree;
       let code = gen_lambda e.buf l in
       (* [gen_lambda] left the captured bindings at their places in the
          closure's free vector: put them back where this frame has them. *)
-      List.iteri (fun i b -> b.loc <- loc_of_capture caps.(i)) l.afree;
+      restore_caps caps 0 l.afree;
       ignore (emit e (Rt.Make_closure (code, caps)))
   | AApp (f, args) ->
       let nargs = List.length args in
@@ -310,7 +372,7 @@ let rec gen e tail exp =
       (* The operator is evaluated after its operands (R7RS 4.1.3
          leaves the order unspecified): a global's push then sits right
          before the call, where the peephole fuses a primitive call. *)
-      List.iteri (fun i a -> gen_store e a (d + 2 + i)) args;
+      gen_args e args (d + 2);
       gen_store e f (d + 1);
       e.next_slot <- d;
       ignore
@@ -325,6 +387,31 @@ and gen_store e x slot =
   gen e false x;
   ignore (emit e (local_set slot))
 
+and gen_args e args slot =
+  match args with
+  | [] -> ()
+  | a :: rest ->
+      gen_store e a slot;
+      gen_args e rest (slot + 1)
+
+and gen_seq e tail = function
+  | [] -> ()
+  | [ last ] -> gen e tail last
+  | x :: rest ->
+      gen e false x;
+      gen_seq e tail rest
+
+(* Each init into a slot of its own, reserved after the init is
+   generated; the bindings are visible only in the body. *)
+and gen_inits e = function
+  | [] -> ()
+  | (b, init) :: rest ->
+      gen e false init;
+      let slot = reserve e 1 in
+      ignore (emit e (local_set slot));
+      b.loc <- Lslot slot;
+      gen_inits e rest
+
 (* Compile one lambda to an unfinished code object, its instructions
    emitted into [buf].  The lambda's parameters and captured bindings
    are left at their places in its frame and free vector. *)
@@ -332,14 +419,12 @@ and gen_lambda buf (l : alambda) : Rt.code =
   let nparams = List.length l.aparams in
   let first_local = 2 + nparams + (match l.arest with Some _ -> 1 | None -> 0) in
   let e = new_emitter buf first_local in
-  List.iteri (fun i b -> b.loc <- Lslot (2 + i)) l.aparams;
+  place_params 2 l.aparams;
   (match l.arest with Some b -> b.loc <- Lslot (2 + nparams) | None -> ());
-  List.iteri (fun i b -> b.loc <- Lfree i) l.afree;
+  place_frees 0 l.afree;
   ignore (emit e Rt.Enter);
   (* Box parameters that are assigned and captured. *)
-  List.iteri
-    (fun i b -> if boxed b then ignore (emit e (Rt.Box_init (2 + i))))
-    l.aparams;
+  box_params e 2 l.aparams;
   (match l.arest with
   | Some b when boxed b -> ignore (emit e (Rt.Box_init (2 + nparams)))
   | _ -> ());

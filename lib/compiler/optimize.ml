@@ -185,36 +185,42 @@ let acc_dead_at = function
       true
   | _ -> false
 
-(* The inline-cache site for a call of global [s] with [nargs] arguments
-   at displacement [disp], when the slot is bound to a pure primitive
-   that accepts [nargs]: the validated arity is what licenses the fused
-   forms to call the fixed-arity entries. *)
-let pure_target globals s ~disp ~nargs =
+(* The fused call of global [s] with [nargs] arguments at displacement
+   [disp] ([call] is the call instruction), when the slot is bound to a
+   pure primitive that accepts [nargs]: the validated arity is what
+   licenses the fused forms to call the fixed-arity entries.  Otherwise
+   the operator's load and store fuse into a [Global_push] into [d].
+   [globals] is the session whose current bindings the inline caches
+   witness: compiled code carries slot numbers, so the fuser resolves
+   each candidate slot here, once, and bakes the bound [Prim] value into
+   the site as the guard. *)
+let fuse_call globals s d call ~disp ~nargs =
   let g = Globals.get globals s in
-  if not g.Rt.gdefined then None
-  else
-    match g.Rt.gval with
-    | Rt.Prim ({ pfn = Pure { fn; fn1; fn2 }; parity; _ } as p) as pv
-      when Bytecode.arity_matches parity nargs ->
-        Some
-          {
-            Rt.ps_disp = disp;
-            ps_nargs = nargs;
-            ps_slot = s;
-            ps_guard = pv;
-            ps_prim = p;
-            ps_fn = fn;
-            ps_fn1 = fn1;
-            ps_fn2 = fn2;
-            ps_ret = Rt.Void (* interned when the code is finished *);
-          }
-    | _ -> None
+  match g.Rt.gval with
+  | Rt.Prim ({ pfn = Pure { fn; fn1; fn2 }; parity; _ } as p) as pv
+    when g.Rt.gdefined && Bytecode.arity_matches parity nargs -> (
+      let site =
+        {
+          Rt.ps_disp = disp;
+          ps_nargs = nargs;
+          ps_slot = s;
+          ps_guard = pv;
+          ps_prim = p;
+          ps_fn = fn;
+          ps_fn1 = fn1;
+          ps_fn2 = fn2;
+          ps_ret = Rt.Void (* interned when the code is finished *);
+        }
+      in
+      match call with
+      | Rt.Tail_call _ -> Rt.Prim_tail_call site
+      | _ when nargs = 1 -> Rt.Prim_call1 site
+      | _ when nargs = 2 -> Rt.Prim_call2 site
+      | _ -> Rt.Prim_call site)
+  | _ -> Rt.Global_push (s, d)
 
 (* The instruction standing for the window that starts at [pc]: a fused
-   form, or [instrs.(pc)] itself.  [globals] is the session whose current
-   bindings the inline caches witness: compiled code carries slot
-   numbers, so the fuser resolves each candidate slot here, once, and
-   bakes the bound [Prim] value into the site as the guard. *)
+   form, or [instrs.(pc)] itself. *)
 let fuse_window globals target instrs pc =
   let n = Array.length instrs in
   if pc + 2 >= n || target.(pc + 1) || not (acc_dead_at instrs.(pc + 2))
@@ -228,15 +234,8 @@ let fuse_window globals target instrs pc =
         match instrs.(pc + 2) with
         | ( Rt.Call { cs_disp = disp; cs_nargs = nargs; _ }
           | Rt.Tail_call { disp; nargs } ) as call
-          when disp + 1 = d && not target.(pc + 2) -> (
-            match pure_target globals g ~disp ~nargs with
-            | Some site -> (
-                match call with
-                | Rt.Tail_call _ -> Rt.Prim_tail_call site
-                | _ when nargs = 1 -> Rt.Prim_call1 site
-                | _ when nargs = 2 -> Rt.Prim_call2 site
-                | _ -> Rt.Prim_call site)
-            | None -> Rt.Global_push (g, d))
+          when disp + 1 = d && not target.(pc + 2) ->
+            fuse_call globals g d call ~disp ~nargs
         | _ -> Rt.Global_push (g, d))
     | i, _ -> i
 
@@ -302,80 +301,91 @@ let fuse_branch producer t =
 
    A head is written only at the pc being scanned, and the scan then
    moves past its consumer, so every later read sees unlowered input. *)
+(* The argument slot the instruction at [pc] stages, or -1.  [n] is the
+   length of [instrs] here and in the helpers below. *)
+let staged instrs n pc =
+  if pc >= n then -1
+  else
+    match instrs.(pc) with
+    | Rt.Const_push (_, d) | Rt.Local_push (_, d) | Rt.Local_set d -> d
+    | _ -> -1
+
+(* The operand standing for the staging at [pc]. *)
+let operand instrs pc =
+  match instrs.(pc) with
+  | Rt.Const_push (v, _) -> Rt.Op_const v
+  | Rt.Local_push (s, _) -> Rt.Op_local s
+  | _ -> Rt.Op_acc
+
+(* How many operands the consumer at [pc] folds when its first argument
+   slot is [arg]: 1 or 2, or 0 when it is no such consumer. *)
+let folds instrs n pc arg =
+  if pc >= n then 0
+  else
+    match instrs.(pc) with
+    | (Rt.Prim_call1 s | Rt.Prim_branch1 (s, _)) when s.Rt.ps_disp + 2 = arg ->
+        1
+    | (Rt.Prim_call2 s | Rt.Prim_branch2 (s, _)) when s.Rt.ps_disp + 2 = arg ->
+        2
+    | Rt.Prim_tail_call s when s.Rt.ps_disp + 2 = arg && s.Rt.ps_nargs <= 2 ->
+        s.Rt.ps_nargs
+    | _ -> 0
+
+(* The head folding operand [a], and [b] for a two-argument site, into
+   the consumer at [pc]. *)
+let head instrs pc a b =
+  match instrs.(pc) with
+  | Rt.Prim_call1 s -> Rt.Prim_call1_op (s, a)
+  | Rt.Prim_branch1 (s, t) -> Rt.Prim_branch1_op (s, a, t)
+  | Rt.Prim_tail_call s when s.Rt.ps_nargs = 1 -> Rt.Prim_tail1_op (s, a)
+  | Rt.Prim_call2 s -> Rt.Prim_call2_op (s, a, b)
+  | Rt.Prim_branch2 (s, t) -> Rt.Prim_branch2_op (s, a, b, t)
+  | Rt.Prim_tail_call s -> Rt.Prim_tail2_op (s, a, b)
+  | i -> i
+
+(* The pc after the window at [p]: a head is put at [p] and the scan
+   goes on past its consumer. *)
+let lower_at instrs n p =
+  let d0 = staged instrs n p in
+  if d0 < 0 then
+    (* Producer + [Return] epilogue: one dispatch per leaf return. *)
+    if p + 1 < n && instrs.(p + 1) == Rt.Return then
+      match instrs.(p) with
+      | Rt.Const v ->
+          instrs.(p) <- Rt.Return_op (Rt.Op_const v);
+          p + 2
+      | Rt.Local_ref s ->
+          instrs.(p) <- Rt.Return_op (Rt.Op_local s);
+          p + 2
+      | _ -> p + 1
+    else p + 1
+  else if
+    staged instrs n (p + 1) = d0 + 1
+    && (match instrs.(p + 1) with
+       | Rt.Local_push (s, _) -> s <> d0
+       | _ -> true)
+    && folds instrs n (p + 2) d0 = 2
+  then begin
+    instrs.(p) <-
+      head instrs (p + 2) (operand instrs p) (operand instrs (p + 1));
+    p + 3
+  end
+  else if folds instrs n (p + 1) d0 = 1 then begin
+    instrs.(p) <- head instrs (p + 1) (operand instrs p) Rt.Op_acc;
+    p + 2
+  end
+  else if folds instrs n (p + 1) (d0 - 1) = 2 then begin
+    instrs.(p) <-
+      head instrs (p + 1) (Rt.Op_local (d0 - 1)) (operand instrs p);
+    p + 2
+  end
+  else p + 1
+
 let fuse_operands instrs =
   let n = Array.length instrs in
-  (* The argument slot the instruction at [pc] stages, or -1. *)
-  let staged pc =
-    if pc >= n then -1
-    else
-      match instrs.(pc) with
-      | Rt.Const_push (_, d) | Rt.Local_push (_, d) | Rt.Local_set d -> d
-      | _ -> -1
-  in
-  (* The operand standing for the staging at [pc]. *)
-  let operand pc =
-    match instrs.(pc) with
-    | Rt.Const_push (v, _) -> Rt.Op_const v
-    | Rt.Local_push (s, _) -> Rt.Op_local s
-    | _ -> Rt.Op_acc
-  in
-  (* How many operands the consumer at [pc] folds when its first
-     argument slot is [arg]: 1 or 2, or 0 when it is no such consumer. *)
-  let folds pc ~arg =
-    if pc >= n then 0
-    else
-      match instrs.(pc) with
-      | (Rt.Prim_call1 s | Rt.Prim_branch1 (s, _)) when s.Rt.ps_disp + 2 = arg
-        ->
-          1
-      | (Rt.Prim_call2 s | Rt.Prim_branch2 (s, _)) when s.Rt.ps_disp + 2 = arg
-        ->
-          2
-      | Rt.Prim_tail_call s when s.Rt.ps_disp + 2 = arg && s.Rt.ps_nargs <= 2
-        ->
-          s.Rt.ps_nargs
-      | _ -> 0
-  in
-  (* The head folding operand [a], and [b] for a two-argument site, into
-     the consumer at [pc]. *)
-  let head pc a b =
-    match instrs.(pc) with
-    | Rt.Prim_call1 s -> Rt.Prim_call1_op (s, a)
-    | Rt.Prim_branch1 (s, t) -> Rt.Prim_branch1_op (s, a, t)
-    | Rt.Prim_tail_call s when s.Rt.ps_nargs = 1 -> Rt.Prim_tail1_op (s, a)
-    | Rt.Prim_call2 s -> Rt.Prim_call2_op (s, a, b)
-    | Rt.Prim_branch2 (s, t) -> Rt.Prim_branch2_op (s, a, b, t)
-    | Rt.Prim_tail_call s -> Rt.Prim_tail2_op (s, a, b)
-    | i -> i
-  in
   let pc = ref 0 in
-  (* Put head [f] at [pc] and go on past its consumer, [width]
-     instructions on. *)
-  let fused f width =
-    instrs.(!pc) <- f;
-    pc := !pc + width
-  in
   while !pc < n do
-    let p = !pc in
-    let d0 = staged p in
-    if d0 < 0 then
-      (* Producer + [Return] epilogue: one dispatch per leaf return. *)
-      match (instrs.(p), if p + 1 < n then instrs.(p + 1) else Rt.Halt) with
-      | Rt.Const v, Rt.Return -> fused (Rt.Return_op (Rt.Op_const v)) 2
-      | Rt.Local_ref s, Rt.Return -> fused (Rt.Return_op (Rt.Op_local s)) 2
-      | _ -> incr pc
-    else if
-      staged (p + 1) = d0 + 1
-      && (match instrs.(p + 1) with
-         | Rt.Local_push (s, _) -> s <> d0
-         | _ -> true)
-      && folds (p + 2) ~arg:d0 = 2
-    then fused (head (p + 2) (operand p) (operand (p + 1))) 3
-    else if folds (p + 1) ~arg:d0 = 1 then
-      fused (head (p + 1) (operand p) Rt.Op_acc) 2
-    else if folds (p + 1) ~arg:(d0 - 1) = 2 then
-      fused (head (p + 1) (Rt.Op_local (d0 - 1)) (operand p)) 2
-    else incr pc
+    pc := lower_at instrs n !pc
   done
 
 (* The scratch arrays of one [peephole_program] call, grown to its
@@ -412,19 +422,22 @@ let fit s n =
    hatch) runs after the closing loop, so the operand forms never need
    remapping and can consume branch-fused consumers.  The fused code
    object is finished ({!Bytecode.finish}) as the final step: the only
-   validation and backpatching it gets.  Its [Call] sites are shared
-   with the input, which must not be run or fused again. *)
+   validation and backpatching it gets.  The fused stream replaces the
+   input's in the same code object, so a code is fused at most once and
+   nothing of the input is left to run.  Every helper of the scan is a
+   top-level function over explicit arguments: a code object costs its
+   output and no closures. *)
 let rec fuse s ~regalloc globals (c : Rt.code) : Rt.code =
   let input = c.Rt.instrs in
   let n = Array.length input in
   fit s n;
   let { target; out; map } = s in
-  Array.iter
-    (function
-      | Rt.Branch t | Rt.Branch_false t ->
-          if t >= 0 && t <= n then target.(t) <- true
-      | _ -> ())
-    input;
+  for pc = 0 to n - 1 do
+    match input.(pc) with
+    | Rt.Branch t | Rt.Branch_false t ->
+        if t >= 0 && t <= n then target.(t) <- true
+    | _ -> ()
+  done;
   let m = ref 0 and pc = ref 0 in
   while !pc < n do
     let i = fuse_window globals target input !pc in
@@ -447,16 +460,16 @@ let rec fuse s ~regalloc globals (c : Rt.code) : Rt.code =
         | _ -> ())
     | _ -> ()
   done;
-  Array.iteri
-    (fun j -> function
-      | Rt.Make_closure (cc, caps) ->
-          instrs.(j) <- Rt.Make_closure (fuse s ~regalloc globals cc, caps)
-      | _ -> ())
-    instrs;
+  for j = 0 to m - 1 do
+    match instrs.(j) with
+    | Rt.Make_closure (cc, caps) ->
+        instrs.(j) <- Rt.Make_closure (fuse s ~regalloc globals cc, caps)
+    | _ -> ()
+  done;
   if regalloc then fuse_operands instrs;
-  let c' = { c with Rt.instrs } in
-  Bytecode.finish c';
-  c'
+  c.Rt.instrs <- instrs;
+  Bytecode.finish c;
+  c
 
 let peephole_program ?(regalloc = true) globals codes =
   let s = new_scratch () in

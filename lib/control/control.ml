@@ -70,10 +70,16 @@ let seg_request m words =
 (* The size class of an array of [len] words ([len >= seg_words]).  For a
    request already rounded by [seg_request], every array in its class (and
    in any higher class) is large enough, so the common path is an O(1) pop
-   off the class head; only the mixed last bucket needs a length check. *)
+   off the class head; only the mixed last bucket needs a length check.
+   A standard segment — every one-shot switch allocates and releases
+   one — is class 0 by one compare; only a larger array pays the
+   division. *)
 let class_of m len =
-  let c = (len / m.cfg.seg_words) - 1 in
-  if c >= cache_classes then cache_classes - 1 else c
+  let sw = m.cfg.seg_words in
+  if len < 2 * sw then 0
+  else
+    let c = (len / sw) - 1 in
+    if c >= cache_classes then cache_classes - 1 else c
 
 (* Each class is a stack: [m.cache.(c)] holds its segments in release
    order in slots [0, m.cache_top.(c)), and every slot above is

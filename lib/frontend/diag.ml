@@ -61,7 +61,7 @@ let to_string d =
     Printf.sprintf "%s: [%s] %s" (severity_name d.severity) tag d.message
   in
   match d.pos with
-  | Some p -> Printf.sprintf "%d:%d: %s" p.Sexp.line p.Sexp.col body
+  | Some p -> Printf.sprintf "%d:%d: %s" (Sexp.line p) (Sexp.col p) body
   | None -> body
 
 let of_exn ?pos exn =

@@ -4,13 +4,15 @@ let err pos msg = raise (Expand_error (msg, pos))
 
 (* One expansion's state, threaded explicitly through every function:
    the macro environment (shared with the session so [define-syntax]
-   persists), the hygiene switch, and the macro-recursion depth.  No
+   persists), the hygiene switch, the macro-recursion depth and what is
+   left of the current top-level form's instantiation budget.  No
    process-global ambient state — concurrent sessions on different
    domains expand independently. *)
 type ctx = {
   menv : Macro.menv;
   hygiene : bool;
   depth : int ref; (* shared across [let-syntax] extensions of this ctx *)
+  budget : int ref; (* likewise; reset for each top-level form *)
 }
 
 let make_ctx ?(hygiene = true) ?menv () =
@@ -18,6 +20,7 @@ let make_ctx ?(hygiene = true) ?menv () =
     menv = (match menv with Some m -> m | None -> Macro.create_menv ());
     hygiene;
     depth = ref 0;
+    budget = ref Macro.instantiation_budget;
   }
 
 (* Identifiers resolve against the definition environment by source
@@ -34,6 +37,17 @@ let enter_use ctx kw pos =
   incr ctx.depth;
   if !(ctx.depth) > 500 then
     err pos ("macro expansion too deep (looping?): " ^ kw)
+
+(* One use's instantiation, charged to the top-level form's budget.  A
+   use that grows without bound (its template copying the use's
+   arguments more than once) ends here, at the use's position. *)
+let instantiate_use ctx kw pos rules form =
+  try Macro.expand_use ~hygiene:ctx.hygiene ~budget:ctx.budget rules form
+  with Macro.Too_large ->
+    err pos
+      (Printf.sprintf
+         "macro expansion too large (over %d datums in one top-level form): %s"
+         Macro.instantiation_budget kw)
 
 (* Core forms a top-level macro of the same name does not shadow. *)
 let is_core = function
@@ -65,7 +79,7 @@ let sym_name = function Sexp.Sym (s, _) -> Some s | _ -> None
 (* Inverse of [datum_to_value], for (eval datum): runtime values that
    have a datum representation convert back to syntax. *)
 let rec value_to_datum (v : Rt.value) : Sexp.t =
-  let p : Sexp.pos = { Sexp.line = 0; col = 0 } in
+  let p = Sexp.no_pos in
   match v with
   | Rt.Sym s -> Sexp.Sym (s, p)
   | Rt.Int n -> Sexp.Int (n, p)
@@ -95,7 +109,7 @@ let fresh =
     Printf.sprintf "%s%%e%d" prefix (Atomic.fetch_and_add counter 1)
 
 (* Positionless datum constructors used when synthesizing expansions. *)
-let p0 : Sexp.pos = { line = 0; col = 0 }
+let p0 = Sexp.no_pos
 let dsym s = Sexp.Sym (s, p0)
 let dlist l = Sexp.List (l, p0)
 
@@ -233,7 +247,14 @@ let rec expand ctx (d : Sexp.t) : Ast.t =
   | Sexp.List (op :: args, pos) -> (
       match op with
       | Sexp.Sym (s, _) -> expand_form ctx d (strip s) op args pos
-      | _ -> Ast.App (expand ctx op, List.map (expand ctx) args))
+      | _ -> Ast.App (expand ctx op, expand_list ctx args))
+
+(* [List.map (expand ctx)], first form first, without a closure. *)
+and expand_list ctx = function
+  | [] -> []
+  | d :: ds ->
+      let a = expand ctx d in
+      a :: expand_list ctx ds
 
 (* [kw] is the head symbol's source name (marks stripped): keywords and
    the macro table live in the definition environment.  [form] is the
@@ -256,7 +277,7 @@ and expand_form ctx form kw op args pos =
         { params; rest; body = expand_body ctx pos body; lname = "lambda" }
   | "lambda", _ -> err pos "lambda: malformed"
   | "begin", [] -> Ast.Quote Rt.Void
-  | "begin", body -> begin_of pos (List.map (expand ctx) body)
+  | "begin", body -> begin_of pos (expand_list ctx body)
   | "define", _ -> err pos "define: only allowed at top level or body head"
   | "let", Sexp.Sym (loop, _) :: bindings :: body ->
       expand_named_let ctx pos loop bindings body
@@ -267,7 +288,7 @@ and expand_form ctx form kw op args pos =
           { params = names; rest = None; body = expand_body ctx pos body;
             lname = "let" }
       in
-      Ast.App (lam, List.map (expand ctx) inits)
+      Ast.App (lam, expand_list ctx inits)
   | "let", _ -> err pos "let: malformed"
   | "let*", bindings :: body when body <> [] -> (
       match parse_binding_forms pos bindings with
@@ -307,12 +328,12 @@ and expand_form ctx form kw op args pos =
           [ expand ctx e ] )
   | "when", test :: body when body <> [] ->
       Ast.If
-        (expand ctx test, begin_of pos (List.map (expand ctx) body),
+        (expand ctx test, begin_of pos (expand_list ctx body),
          Ast.Quote Rt.Void)
   | "unless", test :: body when body <> [] ->
       Ast.If
         (expand ctx test, Ast.Quote Rt.Void,
-         begin_of pos (List.map (expand ctx) body))
+         begin_of pos (expand_list ctx body))
   | "do", bindings :: test_exprs :: body ->
       expand_do ctx pos bindings test_exprs body
   | "do", _ -> err pos "do: malformed"
@@ -345,7 +366,7 @@ and expand_form ctx form kw op args pos =
       | Some rules -> (
           enter_use ctx kw pos;
           match
-            expand ctx (Macro.expand_use ~hygiene:ctx.hygiene rules form)
+            expand ctx (instantiate_use ctx kw pos rules form)
           with
           | x ->
               decr ctx.depth;
@@ -353,7 +374,7 @@ and expand_form ctx form kw op args pos =
           | exception e ->
               decr ctx.depth;
               raise e)
-      | None -> Ast.App (expand ctx op, List.map (expand ctx) args))
+      | None -> Ast.App (expand ctx op, expand_list ctx args))
 
 (* Bodies: a (possibly empty) prefix of internal definitions followed by
    expressions, treated as letrec* (R5RS 5.2.2). *)
@@ -377,7 +398,7 @@ and expand_body ctx pos body =
   let defs, exprs = split [] body in
   if exprs = [] then err pos "body has no expression";
   match defs with
-  | [] -> begin_of pos (List.map (expand ctx) exprs)
+  | [] -> begin_of pos (expand_list ctx exprs)
   | _ ->
       let names = List.map fst defs in
       let inits = List.map snd defs in
@@ -433,7 +454,7 @@ and expand_cond ctx pos clauses =
   | [] -> Ast.Quote Rt.Void
   | Sexp.List (Sexp.Sym (e, _) :: body, cpos) :: rest when strip e = "else" ->
       if rest <> [] then err cpos "cond: else clause must be last";
-      begin_of cpos (List.map (expand ctx) body)
+      begin_of cpos (expand_list ctx body)
   | Sexp.List ([ test ], _) :: rest ->
       (* (cond (e) ...): value of e if true *)
       let t = fresh "t" in
@@ -458,7 +479,7 @@ and expand_cond ctx pos clauses =
           [ expand ctx test ] )
   | Sexp.List (test :: body, cpos) :: rest ->
       Ast.If
-        (expand ctx test, begin_of cpos (List.map (expand ctx) body),
+        (expand ctx test, begin_of cpos (expand_list ctx body),
          expand_cond ctx pos rest)
   | _ -> err pos "cond: malformed clause"
 
@@ -470,7 +491,7 @@ and expand_case ctx pos key clauses =
     | Sexp.List (Sexp.Sym (e, _) :: body, cpos) :: rest when strip e = "else"
       ->
         if rest <> [] then err cpos "case: else clause must be last";
-        begin_of cpos (List.map (expand ctx) body)
+        begin_of cpos (expand_list ctx body)
     | Sexp.List (Sexp.List (datums, _) :: body, cpos) :: rest ->
         let tests =
           List.map
@@ -491,7 +512,7 @@ and expand_case ctx pos key clauses =
                 (Ast.Quote (Rt.Bool false))
         in
         Ast.If
-          (test, begin_of cpos (List.map (expand ctx) body), clause_chain rest)
+          (test, begin_of cpos (expand_list ctx body), clause_chain rest)
     | _ -> err pos "case: malformed clause"
   in
   Ast.App
@@ -738,7 +759,7 @@ let rec expand_tops_in ctx (d : Sexp.t) : Ast.top list =
           (* top-level macro use may expand into definitions *)
           enter_use ctx kw pos;
           match
-            expand_tops_in ctx (Macro.expand_use ~hygiene:ctx.hygiene rules d)
+            expand_tops_in ctx (instantiate_use ctx kw pos rules d)
           with
           | x ->
               decr ctx.depth;
@@ -749,9 +770,14 @@ let rec expand_tops_in ctx (d : Sexp.t) : Ast.top list =
       | _ -> [ expand_top_in ctx d ])
   | _ -> [ expand_top_in ctx d ]
 
+(* Each top-level form starts with a full instantiation budget. *)
+let expand_top_form ctx d =
+  ctx.budget := Macro.instantiation_budget;
+  expand_tops_in ctx d
+
 let expand_program ?hygiene ?menv datums =
   let ctx = make_ctx ?hygiene ?menv () in
-  List.concat_map (expand_tops_in ctx) datums
+  List.concat_map (expand_top_form ctx) datums
 
 let expand_string ?hygiene ?menv src =
   expand_program ?hygiene ?menv (Sexp.read_all src)

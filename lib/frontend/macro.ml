@@ -1,7 +1,7 @@
 exception Macro_error of string * Sexp.pos
 
 let err pos msg = raise (Macro_error (msg, pos))
-let p0 : Sexp.pos = { Sexp.line = 0; col = 0 }
+let p0 = Sexp.no_pos
 
 (* ------------------------------------------------------------------ *)
 (* Hygiene marks                                                       *)
@@ -72,7 +72,9 @@ let is_ellipsis = function
    A variable at depth 0 is a bare [Sexp.t] in its own array. *)
 type seqv = Forms of Sexp.t list | Nest of seqv list
 
-type env = { forms : Sexp.t array; seqs : seqv array }
+(* [left] is how many more datums the instantiations that share it may
+   produce (see [spend]). *)
+type env = { forms : Sexp.t array; seqs : seqv array; left : int ref }
 
 type pat =
   | Any  (* [_], or a misplaced [...] under an ellipsis: binds nothing *)
@@ -432,6 +434,20 @@ and match_ell env e fs =
 
 let seq_length = function Forms l -> List.length l | Nest l -> List.length l
 
+(* Instantiation counts what it produces: each datum it builds and each
+   list element it places in a list it builds (a matched form copied
+   into a new list counts; a matched tail shared whole does not).  The
+   count is charged against [env.left], shared by every use within one
+   top-level form, so a runaway macro stops long before memory does. *)
+let instantiation_budget = 1_000_000
+
+exception Too_large
+
+let spend env k =
+  let left = env.left in
+  left := !left - k;
+  if !left < 0 then raise Too_large
+
 (* Instantiate a template: pattern variables substitute the matched
    use-site forms (keeping their own positions); everything the template
    itself contributes is stamped with the use-site position [upos] (so
@@ -442,24 +458,37 @@ let rec instantiate env upos mark (t : tmpl) : Sexp.t =
   match t with
   | Tvar i -> env.forms.(i)
   | Tshallow msg -> err upos msg
-  | Tsym s ->
-      if mark = "" then Sexp.Sym (s, upos) else Sexp.Sym (s ^ mark, upos)
-  | Tdots s -> Sexp.Sym (s, upos)
-  | Tconst (Sexp.Int (n, _)) -> Sexp.Int (n, upos)
-  | Tconst (Sexp.Float (f, _)) -> Sexp.Float (f, upos)
-  | Tconst (Sexp.Str (s, _)) -> Sexp.Str (s, upos)
-  | Tconst (Sexp.Bool (b, _)) -> Sexp.Bool (b, upos)
-  | Tconst (Sexp.Char (c, _)) -> Sexp.Char (c, upos)
-  | Tconst d -> d
-  | Tlist es -> Sexp.List (instantiate_seq env upos mark es, upos)
-  | Tvec es -> Sexp.Vec (instantiate_seq env upos mark es, upos)
-  | Tdotted (es, final) -> (
-      let heads = instantiate_seq env upos mark es in
-      let tail = instantiate env upos mark final in
-      match tail with
-      | Sexp.List (more, _) -> Sexp.List (heads @ more, upos)
-      | Sexp.Dotted (more, f, _) -> Sexp.Dotted (heads @ more, f, upos)
-      | atom -> Sexp.Dotted (heads, atom, upos))
+  | Tconst ((Sexp.Sym _ | Sexp.List _ | Sexp.Dotted _ | Sexp.Vec _) as d) -> d
+  | _ -> (
+      spend env 1;
+      match t with
+      | Tsym s ->
+          if mark = "" then Sexp.Sym (s, upos) else Sexp.Sym (s ^ mark, upos)
+      | Tdots s -> Sexp.Sym (s, upos)
+      | Tconst (Sexp.Int (n, _)) -> Sexp.Int (n, upos)
+      | Tconst (Sexp.Float (f, _)) -> Sexp.Float (f, upos)
+      | Tconst (Sexp.Str (s, _)) -> Sexp.Str (s, upos)
+      | Tconst (Sexp.Bool (b, _)) -> Sexp.Bool (b, upos)
+      | Tconst (Sexp.Char (c, _)) -> Sexp.Char (c, upos)
+      | Tlist es -> Sexp.List (instantiate_seq env upos mark es, upos)
+      | Tvec es -> Sexp.Vec (instantiate_seq env upos mark es, upos)
+      | Tdotted (es, final) -> (
+          let heads = instantiate_seq env upos mark es in
+          let tail = instantiate env upos mark final in
+          match tail with
+          | Sexp.List (more, _) -> Sexp.List (append env heads more, upos)
+          | Sexp.Dotted (more, f, _) ->
+              Sexp.Dotted (append env heads more, f, upos)
+          | atom -> Sexp.Dotted (heads, atom, upos))
+      | Tvar _ | Tshallow _ | Tconst _ -> assert false)
+
+(* [xs @ ys], charged for the copy of [xs]. *)
+and append env xs ys =
+  match ys with
+  | [] -> xs
+  | _ ->
+      spend env (List.length xs);
+      xs @ ys
 
 (* An ellipsis element is instantiated before the elements after it,
    and a plain element after them: which of two template errors a use
@@ -469,6 +498,7 @@ and instantiate_seq env upos mark es =
   | [] -> []
   | One t :: rest ->
       let tl = instantiate_seq env upos mark rest in
+      spend env 1;
       instantiate env upos mark t :: tl
   | No_var :: _ ->
       err upos "syntax-rules: ellipsis template has no pattern variable"
@@ -476,10 +506,14 @@ and instantiate_seq env upos mark es =
       let l = match env.seqs.(i) with Forms l -> l | Nest _ -> assert false in
       (* [Sexp.t] is immutable: a list that ends the template is the
          matched tail itself, shared. *)
-      match rest with [] -> l | _ -> l @ instantiate_seq env upos mark rest)
+      match rest with
+      | [] -> l
+      | _ -> append env l (instantiate_seq env upos mark rest))
   | Each (t, cols) :: rest -> (
       let xs = each env upos mark t cols in
-      match rest with [] -> xs | _ -> xs @ instantiate_seq env upos mark rest)
+      match rest with
+      | [] -> xs
+      | _ -> append env xs (instantiate_seq env upos mark rest))
 
 (* [t] once per repetition, stepping every column together. *)
 and each env upos mark t cols =
@@ -511,6 +545,7 @@ and each env upos mark t cols =
           | [] -> ()
       done;
       let x = instantiate env upos mark t in
+      spend env 1;
       x :: go (i + 1)
     end
   in
@@ -533,7 +568,7 @@ let rec try_rules env pos mark args = function
       | () -> instantiate env pos mark tmpl
       | exception No_match -> try_rules env pos mark args rest)
 
-let expand_use ?(hygiene = true) (r : rules) (form : Sexp.t) : Sexp.t =
+let expand_use ?(hygiene = true) ~budget (r : rules) (form : Sexp.t) : Sexp.t =
   let pos = Sexp.pos_of form in
   let args =
     match form with
@@ -542,6 +577,7 @@ let expand_use ?(hygiene = true) (r : rules) (form : Sexp.t) : Sexp.t =
   in
   let mark = if hygiene then fresh_mark () else "" in
   let env =
-    { forms = Array.make r.nslots nil0; seqs = Array.make r.nslots no_seq }
+    { forms = Array.make r.nslots nil0; seqs = Array.make r.nslots no_seq;
+      left = budget }
   in
   try_rules env pos mark args r.rules

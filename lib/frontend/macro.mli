@@ -31,7 +31,17 @@ val parse_syntax_rules : Sexp.t -> rules
     pattern or template is still reported by the use that reaches it,
     not here.  @raise Macro_error if the form itself is malformed. *)
 
-val expand_use : ?hygiene:bool -> rules -> Sexp.t -> Sexp.t
+val instantiation_budget : int
+(** How many datums the macro uses within one top-level form may
+    produce between them: each datum a template builds and each element
+    it places in a list it builds counts; a matched tail shared whole
+    does not. *)
+
+exception Too_large
+(** Raised by {!expand_use} when a use would take its budget below 0. *)
+
+val expand_use :
+  ?hygiene:bool -> budget:int ref -> rules -> Sexp.t -> Sexp.t
 (** Expand one macro use (the whole form, keyword included) with the first
     matching rule.  Template-contributed forms are stamped with the use
     site's position; with [hygiene] (the default) template-introduced
@@ -39,8 +49,11 @@ val expand_use : ?hygiene:bool -> rules -> Sexp.t -> Sexp.t
     with nothing after it, as in [(_ x y ...)], binds the use's matched
     tail list itself, and a [y ...] that ends a template list returns
     that list, shared ([Sexp.t] is immutable): one step of a recursive
-    macro costs words in the template's size, not the form's.
-    @raise Macro_error if no rule matches. *)
+    macro costs words in the template's size, not the form's.  What the
+    instantiation produces is taken off [budget], which the uses of one
+    top-level form share (it starts at {!instantiation_budget}).
+    @raise Macro_error if no rule matches.
+    @raise Too_large when [budget] runs out. *)
 
 val strip_marks : string -> string
 (** The source name of a possibly marked identifier: the prefix before

@@ -71,7 +71,9 @@ and retaddr = {
 }
 
 and code = {
-  instrs : instr array;
+  mutable instrs : instr array;          (* replaced once, by the peephole
+                                            fuser, before the code is
+                                            finished *)
   cname : string;                        (* for disassembly/back-traces *)
   arity : arity;
   frame_words : int;                     (* max frame extent: one overflow

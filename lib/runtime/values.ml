@@ -133,12 +133,10 @@ let max_render_nodes = 100_000
 
 exception Render_budget
 
-let rec render ?(seen = []) ?(budget = ref max_render_nodes) ~write buf v =
-  let render v = render ~seen ~budget ~write buf v in
-  ignore render;
-  render_v ~seen ~budget ~write buf v
-
-and render_v ~seen ~budget ~write buf v =
+(* [seen] holds the pairs and vectors being printed around [v]; one
+   node budget covers the whole value, through multiple values and
+   boxes too. *)
+let rec render_v ~seen ~budget ~write buf v =
   let str s = Buffer.add_string buf s in
   decr budget;
   if !budget <= 0 then begin
@@ -168,7 +166,7 @@ and render_v ~seen ~budget ~write buf v =
   | Sym s -> str s
   | Pair p ->
       if List.exists (fun o -> o == Obj.repr p) seen then str "#<cycle>"
-      else render_pair ~seen:(Obj.repr p :: seen) ~budget ~write buf v
+      else render_pair ~seen ~budget ~write buf p
   | Vec a ->
       if List.exists (fun o -> o == Obj.repr a) seen then str "#<cycle>"
       else begin
@@ -195,40 +193,74 @@ and render_v ~seen ~budget ~write buf v =
       List.iter
         (fun x ->
           Buffer.add_char buf ' ';
-          render ~write buf x)
+          render_v ~seen ~budget ~write buf x)
         vs;
       str ">"
   | Box r ->
       str "#&";
-      render ~write buf !r
+      render_v ~seen ~budget ~write buf !r
   | Tbl t -> str (Printf.sprintf "#<hashtable %d>" (Hashtbl.length t))
   | Retaddr r -> str (Printf.sprintf "#<retaddr %s+%d>" r.rcode.cname r.rpc)
   | Underflow_mark -> str "#<underflow>"
   | WindersV w -> str (Printf.sprintf "#<winders %d>" (List.length w))
 
-and render_pair ~seen ~budget ~write buf v =
+(* A list prints its cdr chain until the chain ends or reaches a pair
+   already on it or among the enclosing objects, which prints as
+   [. #<cycle>].  Each element is printed with the enclosing objects and
+   the pairs before it as [seen], the ancestor check for the car path.
+   The chain's own repeat is found up front in O(1) space, so a long
+   list is not searched pair by pair. *)
+and render_pair ~seen ~budget ~write buf p =
   Buffer.add_char buf '(';
-  let rec go v first seen =
+  let repeat = first_repeat p in
+  let rec go v k chain =
     match v with
     | Nil -> ()
-    | Pair p ->
-        if List.exists (fun o -> o == Obj.repr p) seen && not first then
-          Buffer.add_string buf (if first then "#<cycle>" else " . #<cycle>")
+    | Pair q ->
+        if k > 0 && (k >= repeat || List.exists (fun o -> o == Obj.repr q) seen)
+        then Buffer.add_string buf " . #<cycle>"
         else begin
-          if not first then Buffer.add_char buf ' ';
-          render_v ~seen ~budget ~write buf p.car;
-          go p.cdr false (Obj.repr p :: seen)
+          if k > 0 then Buffer.add_char buf ' ';
+          render_v ~seen:chain ~budget ~write buf q.car;
+          go q.cdr (k + 1) (Obj.repr q :: chain)
         end
     | other ->
         Buffer.add_string buf " . ";
-        render_v ~seen ~budget ~write buf other
+        render_v ~seen:chain ~budget ~write buf other
   in
-  go v true seen;
+  go (Pair p) 0 (Obj.repr p :: seen);
   Buffer.add_char buf ')'
+
+(* The index, counting [p] as 0, of the first pair along the cdr chain
+   from [p] that repeats an earlier one ([max_int] when the chain ends):
+   Brent's algorithm finds the cycle's length [lam], then a pointer [lam]
+   pairs ahead of one at [p] meets it where the cycle starts, at [mu];
+   the first repeat is at [mu + lam]. *)
+and first_repeat p =
+  let rec cycle_length tortoise hare power lam =
+    match hare with
+    | Pair h when h == tortoise -> lam
+    | Pair h ->
+        if power = lam then cycle_length h h.cdr (2 * power) 1
+        else cycle_length tortoise h.cdr power (lam + 1)
+    | _ -> 0
+  in
+  let rec ahead v k =
+    match v with Pair q when k > 0 -> ahead q.cdr (k - 1) | _ -> v
+  in
+  let rec meet a b mu =
+    match (a, b) with
+    | Pair x, Pair y -> if x == y then mu else meet x.cdr y.cdr (mu + 1)
+    | _ -> max_int
+  in
+  match cycle_length p p.cdr 1 1 with
+  | 0 -> max_int
+  | lam -> meet (Pair p) (ahead (Pair p) lam) 0 + lam
 
 let render_to_string ~write v =
   let buf = Buffer.create 64 in
-  (try render ~write buf v with Render_budget -> ());
+  (try render_v ~seen:[] ~budget:(ref max_render_nodes) ~write buf v
+   with Render_budget -> ());
   Buffer.contents buf
 
 let write_string v = render_to_string ~write:true v

@@ -1,4 +1,15 @@
-type pos = { line : int; col : int }
+(* A position is one immediate: the line above the low [col_bits] bits,
+   the column in them.  Packing line-major keeps the order of positions
+   the order of (line, col) pairs. *)
+type pos = int
+
+let col_bits = 31
+let max_col = (1 lsl col_bits) - 1
+let pos ~line ~col =
+  (line lsl col_bits) lor (if col > max_col then max_col else col)
+let line p = p lsr col_bits
+let col p = p land max_col
+let no_pos = 0
 
 type t =
   | Sym of string * pos
@@ -22,19 +33,48 @@ let pos_of = function
 (* Reader state                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* [stack] holds the elements read so far of every list still open,
+   innermost last, in slots [0, sp): a list is consed from the top down
+   when it closes, so the reader builds no reversed copy.  Each
+   [read_all] call owns its stack. *)
 type state = {
   src : string;
   len : int;
   mutable idx : int;
   mutable line : int;
   mutable line_start : int;  (* index of the first character of [line] *)
+  mutable stack : t array;
+  mutable sp : int;
 }
 
+let empty_slot = Bool (false, no_pos)
+
 let make_state src =
-  { src; len = String.length src; idx = 0; line = 1; line_start = 0 }
+  { src; len = String.length src; idx = 0; line = 1; line_start = 0;
+    stack = Array.make 64 empty_slot; sp = 0 }
+
+let push st d =
+  if st.sp = Array.length st.stack then begin
+    let bigger = Array.make (2 * st.sp) empty_slot in
+    Array.blit st.stack 0 bigger 0 st.sp;
+    st.stack <- bigger
+  end;
+  Array.unsafe_set st.stack st.sp d;
+  st.sp <- st.sp + 1
+
+let rec cons_down stack base i acc =
+  if i < base then acc
+  else cons_down stack base (i - 1) (Array.unsafe_get stack i :: acc)
+
+(* The elements pushed since [base], in reading order, ahead of [tail];
+   they leave the stack. *)
+let pop_list st base tail =
+  let l = cons_down st.stack base (st.sp - 1) tail in
+  st.sp <- base;
+  l
 
 (* The column is derived here, not stored on every [advance]. *)
-let here st = { line = st.line; col = st.idx - st.line_start }
+let here st = pos ~line:st.line ~col:(st.idx - st.line_start)
 let error st msg = raise (Read_error (msg, here st))
 let at_eof st = st.idx >= st.len
 
@@ -259,7 +299,7 @@ let rec read_datum st =
       | '(' | '[' ->
           let close = if peek st = '(' then ')' else ']' in
           advance st;
-          read_list st start close []
+          read_list st start close st.sp
       | ')' | ']' -> error st "unexpected closing parenthesis"
       | '\'' ->
           advance st;
@@ -291,21 +331,22 @@ let rec read_datum st =
           | '(' ->
               advance st;
               advance st;
-              let elems = read_vector st start [] in
-              Vec (elems, start)
+              read_vector st start st.sp
           | c -> error st (Printf.sprintf "unsupported # syntax: #%c" c))
       | _ -> read_token st start)
 
-and read_list st start close acc =
+(* The elements of the list or vector being read sit on the stack from
+   [base] up. *)
+and read_list st start close base =
   match skip_atmosphere st with
   | `Eof -> raise (Read_error ("unterminated list", start))
   | `Datum_comment ->
       ignore (read_datum st);
-      read_list st start close acc
+      read_list st start close base
   | `Datum ->
       if peek st = close then begin
         advance st;
-        List (List.rev acc, start)
+        List (pop_list st base [], start)
       end
       else if (peek st = ')' || peek st = ']') && peek st <> close then
         error st "mismatched bracket"
@@ -315,44 +356,51 @@ and read_list st start close acc =
         (match skip_atmosphere st with
         | `Datum when peek st = close -> advance st
         | _ -> raise (Read_error ("malformed dotted list", start)));
-        if acc = [] then raise (Read_error ("dotted list with no head", start));
+        if st.sp = base then
+          raise (Read_error ("dotted list with no head", start));
         match tail with
-        | List (elems, _) -> List (List.rev_append acc elems, start)
+        | List (elems, _) -> List (pop_list st base elems, start)
         | Dotted (elems, final, _) ->
-            Dotted (List.rev_append acc elems, final, start)
-        | _ -> Dotted (List.rev acc, tail, start)
+            Dotted (pop_list st base elems, final, start)
+        | _ -> Dotted (pop_list st base [], tail, start)
       end
-      else read_list st start close (read_datum st :: acc)
+      else begin
+        push st (read_datum st);
+        read_list st start close base
+      end
 
-and read_vector st start acc =
+and read_vector st start base =
   match skip_atmosphere st with
   | `Eof -> raise (Read_error ("unterminated vector literal", start))
   | `Datum_comment ->
       ignore (read_datum st);
-      read_vector st start acc
+      read_vector st start base
   | `Datum ->
       if peek st = ')' then begin
         advance st;
-        List.rev acc
+        Vec (pop_list st base [], start)
       end
-      else read_vector st start (read_datum st :: acc)
+      else begin
+        push st (read_datum st);
+        read_vector st start base
+      end
 
-let read_all src =
-  let st = make_state src in
-  let rec go acc =
-    match skip_atmosphere st with
-    | `Eof -> List.rev acc
-    | `Datum_comment ->
-        ignore (read_datum st);
-        go acc
-    | `Datum -> go (read_datum st :: acc)
-  in
-  go []
+let rec read_top st =
+  match skip_atmosphere st with
+  | `Eof -> pop_list st 0 []
+  | `Datum_comment ->
+      ignore (read_datum st);
+      read_top st
+  | `Datum ->
+      push st (read_datum st);
+      read_top st
+
+let read_all src = read_top (make_state src)
 
 let read_one src =
   match read_all src with
   | [ d ] -> d
-  | [] -> raise (Read_error ("no datum in input", { line = 1; col = 0 }))
+  | [] -> raise (Read_error ("no datum in input", pos ~line:1 ~col:0))
   | _ :: d :: _ ->
       raise (Read_error ("more than one datum in input", pos_of d))
 

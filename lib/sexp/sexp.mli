@@ -5,8 +5,18 @@
     literals, quotation sugar, line comments, block comments, and datum
     comments.  Every datum carries the source position at which it began. *)
 
-(** Source position (1-based line, 0-based column). *)
-type pos = { line : int; col : int }
+type pos = private int
+(** Source position: a 1-based line and a 0-based column packed into
+    one immediate, so a datum's position takes no block of its own.
+    Positions compare as (line, col) pairs do.  A column past
+    [2{^31} - 1] reads as that bound. *)
+
+val pos : line:int -> col:int -> pos
+val line : pos -> int
+val col : pos -> int
+
+val no_pos : pos
+(** [0:0], the position of synthesized datums. *)
 
 type t =
   | Sym of string * pos

@@ -55,7 +55,7 @@ let compiler_case =
       raise
         (Compiler.Compile_error
            ( "compiler: unallocated binding x",
-             Some { Sexp.line = 3; col = 4 } )))
+             Some (Sexp.pos ~line:3 ~col:4) )))
 
 (* Verifier violations are properties of fused bytecode, not of a source
    span: the diagnostic drops the position prefix. *)
@@ -129,11 +129,11 @@ let top_pos_case =
           Alcotest.(check (pair int int))
             "define pos" (1, 0)
             (let p = Ast.top_pos t1 in
-             (p.Sexp.line, p.Sexp.col));
+             (Sexp.line p, Sexp.col p));
           Alcotest.(check (pair int int))
             "expr pos" (2, 2)
             (let p = Ast.top_pos t2 in
-             (p.Sexp.line, p.Sexp.col))
+             (Sexp.line p, Sexp.col p))
       | tops -> Alcotest.failf "expected 2 tops, got %d" (List.length tops))
 
 let suite =

@@ -148,6 +148,40 @@ let sort_suite =
            (Values.list_to_value (List.init 50 (fun i -> Rt.Int i))));
     ]
 
+(* [write] of shared and cyclic structure.  A cdr chain's own repeat is
+   found in O(1) space, not by searching the pairs before it, so a long
+   list prints in linear time; a pair seen among the enclosing objects
+   still prints as [#<cycle>] at the same element, also through a
+   multiple-values object. *)
+let printer_suite =
+  let upto n = List.init n string_of_int |> String.concat " " in
+  let tail_of = "(define (tail-of x k) (if (= k 0) x (tail-of (cdr x) (- k 1))))" in
+  List.concat
+    [
+      all "cyclic list with a long acyclic head"
+        (tail_of
+       ^ "(let ((x (iota 3000))) (set-cdr! (tail-of x 2999) (tail-of x 2)) x)")
+        ("(" ^ upto 3000 ^ " . #<cycle>)");
+      all "list whose last pair points to itself"
+        (tail_of ^ "(let ((x (iota 2000))) (set-cdr! (tail-of x 1999) (tail-of x 1999)) x)")
+        ("(" ^ upto 2000 ^ " . #<cycle>)");
+      all "shared acyclic tail"
+        "(let* ((t (iota 3)) (a (cons 9 t))) (list a t (cons t t)))"
+        "((9 0 1 2) (0 1 2) ((0 1 2) 0 1 2))";
+      all "long shared acyclic tail"
+        "(let ((t (iota 2000))) (list (cons -1 t) t))"
+        ("((-1 " ^ upto 2000 ^ ") (" ^ upto 2000 ^ "))");
+      all "cdr chain reaching an enclosing pair"
+        "(let ((x (list 1 2))) (set-car! x (cons 0 x)) x)"
+        "((0 . #<cycle>) 2)";
+      all "element pointing back into its own chain"
+        "(let ((x (list 1 2 3))) (set-car! (cdr x) x) x)"
+        "(1 #<cycle> 3)";
+      all "multiple values holding the list around them"
+        "(let ((x (list 1))) (set-car! x (values x 2)) x)"
+        "(#<values #<cycle> 2>)";
+    ]
+
 let backtrace_suite =
   [
     check "backtrace names non-tail callers"
@@ -181,7 +215,8 @@ let backtrace_suite =
   ]
 
 let suite =
-  flonum_suite @ error_suite @ promise_suite @ sort_suite @ backtrace_suite
+  flonum_suite @ error_suite @ promise_suite @ sort_suite @ printer_suite
+  @ backtrace_suite
 
 (* Corpus benchmark programs compute their known values on every backend
    (small parameters). *)

@@ -20,7 +20,7 @@ let outcome backend src =
   match Scheme.eval_string ~fuel:Tutil.default_fuel s src with
   | v -> v
   | exception Macro.Macro_error (msg, p) ->
-      Printf.sprintf "%d:%d: %s" p.Sexp.line p.Sexp.col msg
+      Printf.sprintf "%d:%d: %s" (Sexp.line p) (Sexp.col p) msg
 
 let pin name src expected =
   List.map
@@ -137,9 +137,56 @@ let linear_expansion_case =
         Alcotest.failf "k=200: %.0f words, k=400: %.0f words (x%.2f)" w200
           w400 (w400 /. w200))
 
+(* A macro whose template copies its arguments twice doubles the use at
+   every step, and the depth limit is far away when memory runs out.
+   The instantiation budget of one top-level form stops it at the use,
+   with the use's position, on every backend, and the session goes on.
+   A matched tail returned whole costs nothing, however long. *)
+let doubling =
+  "(define-syntax m (syntax-rules () ((_ x ...) (m x ... x ...))))"
+
+let budget_cases =
+  let message =
+    Printf.sprintf
+      "macro expansion too large (over %d datums in one top-level form): m"
+      Macro.instantiation_budget
+  in
+  List.map
+    (fun (bname, backend) ->
+      case (Printf.sprintf "doubling macro ends in an [expand] error [%s]" bname)
+        (fun () ->
+          let s = Scheme.create ~backend () in
+          ignore (Scheme.eval s doubling);
+          match Scheme.eval s "(define a 1)\n  (list a (m 1))" with
+          | v ->
+              Alcotest.failf "expanded to %s" (Values.write_string v)
+          | exception e ->
+              let d = Option.get (Diag.of_exn e) in
+              Alcotest.(check string) "diagnostic"
+                ("2:10: error: [expand] " ^ message)
+                (Diag.to_string d);
+              Alcotest.(check string) "session goes on" "6"
+                (Scheme.eval_string s
+                   "(define-syntax twice (syntax-rules () ((_ x ...) (+ x ... x ...))))\n\
+                    (twice 1 2)")))
+    backends
+  @ [
+      case "a macro within its budget expands" (fun () ->
+          let menv = Macro.create_menv () in
+          ignore (Expander.expand_string ~menv doubling);
+          ignore
+            (Expander.expand_string ~menv
+               "(define-syntax stop (syntax-rules () ((_ x ...) (quote (x ...)))))");
+          let big = String.concat " " (List.init 200_000 string_of_int) in
+          match Expander.expand_string ~menv ("(stop " ^ big ^ ")") with
+          | [ _ ] -> ()
+          | tops -> Alcotest.failf "%d tops" (List.length tops));
+    ]
+
 let suite =
   pinned
   @ [ linear_expansion_case ]
+  @ budget_cases
   @ List.concat
     [
       all "simple substitution"

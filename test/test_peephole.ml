@@ -202,7 +202,9 @@ let nesting_cases =
 
 (* The peephole allocates its output and little else: one scan into
    scratch arrays shared by the code objects of one call, in-place
-   rewrites, and operand forms built only where they fuse.  Pinned as
+   rewrites, and operand forms built only where they fuse; its helpers
+   are top-level functions, so a code object costs no closures, and the
+   fused stream replaces the input's in the same code object.  Pinned as
    minor-heap words per input instruction over the unfused prelude and
    corpus code ([Gc.minor_words] counts only minor-heap allocation:
    arrays too large for the minor heap go straight to the major heap and
@@ -210,7 +212,7 @@ let nesting_cases =
    No wall clock is pinned. *)
 let allocation_cases =
   [
-    case "peephole allocates <= 7 minor words per input instruction"
+    case "peephole allocates <= 3.82 minor words per input instruction"
       (fun () ->
         let globals = Scheme.globals (Scheme.create ()) in
         let menv = Macro.create_menv () in
@@ -230,7 +232,7 @@ let allocation_cases =
         let w0 = Gc.minor_words () in
         ignore (Optimize.peephole_program globals codes);
         let per_instr = (Gc.minor_words () -. w0) /. float_of_int input in
-        if per_instr > 7. then
+        if per_instr > 3.82 then
           Alcotest.failf "%.1f minor words per input instruction (%d input)"
             per_instr input);
   ]
@@ -238,11 +240,13 @@ let allocation_cases =
 (* The compiler's allocation is the code it emits plus one record per
    binding: variables resolve through their bindings, not through
    per-lambda hash tables, and the code objects of one call share one
-   growable buffer.  Pinned as minor-heap words per emitted instruction
+   growable buffer; the immutable instructions it emits most are shared,
+   and neither the analysis nor the code generator allocates a closure
+   per node.  Pinned as minor-heap words per emitted instruction
    (nested code objects included) over the expanded prelude and corpus
    sources, beside the peephole's pin above. *)
 let compiler_allocation_case =
-  case "compiler allocates <= 11 minor words per emitted instruction"
+  case "compiler allocates <= 8.05 minor words per emitted instruction"
     (fun () ->
       let globals = Scheme.globals (Scheme.create ()) in
       let menv = Macro.create_menv () in
@@ -261,16 +265,17 @@ let compiler_allocation_case =
           (List.fold_left Bytecode.collect_codes [] codes)
       in
       let per_instr = words /. float_of_int emitted in
-      if per_instr > 11. then
+      if per_instr > 8.05 then
         Alcotest.failf "%.2f minor words per emitted instruction (%d emitted)"
           per_instr emitted)
 
 (* The reader takes each token with one scan and one [String.sub], and
-   classifies it without a failing parse, so its allocation is the
-   datums themselves.  Pinned as minor-heap words per source byte over
+   classifies it without a failing parse; a position is an immediate,
+   and a list is consed front to back from the reader's element stack,
+   so its allocation is the datums themselves.  Pinned as minor-heap words per source byte over
    the prelude and corpus sources, beside the peephole's pin above. *)
 let reader_allocation_case =
-  case "reader allocates <= 2.5 minor words per source byte" (fun () ->
+  case "reader allocates <= 1.08 minor words per source byte" (fun () ->
       let sources =
         [ Prelude.source; Programs.all_defs; Threads.scheduler; Cml.source ]
       in
@@ -280,9 +285,31 @@ let reader_allocation_case =
       let w0 = Gc.minor_words () in
       List.iter (fun s -> ignore (Sexp.read_all s)) sources;
       let per_byte = (Gc.minor_words () -. w0) /. float_of_int bytes in
-      if per_byte > 2.5 then
+      if per_byte > 1.08 then
         Alcotest.failf "%.2f minor words per source byte (%d bytes)" per_byte
           bytes)
+
+(* One program in the shape of the compile benchmark's jobs, read,
+   expanded, compiled and fused by [Compiler.compile_string]: every
+   front-end pass at once, pinned in minor-heap words.  The program is
+   compiled once first, so that the process-wide global slots it names
+   are already interned. *)
+let compile_job_allocation_case =
+  case "compiling a compile-shape program allocates <= 13,040 minor words"
+    (fun () ->
+      let globals = Scheme.globals (Scheme.create ()) in
+      let compile () =
+        let menv = Macro.create_menv () in
+        let w0 = Gc.minor_words () in
+        ignore
+          (Compiler.compile_string ~menv globals
+             Test_compiler.compile_shape_program);
+        Gc.minor_words () -. w0
+      in
+      ignore (compile ());
+      let words = compile () in
+      if words > 13_040. then
+        Alcotest.failf "%.0f minor words" words)
 
 (* Runtime [(eval datum)] compiles through the machine's own options,
    like every other form: a loop defined via [eval] runs its fused
@@ -328,5 +355,6 @@ let eval_options_cases =
 let suite =
   differential_cases @ deopt_cases @ liveness_cases @ reduction_cases
   @ nesting_cases @ allocation_cases
-  @ [ compiler_allocation_case; reader_allocation_case ]
+  @ [ compiler_allocation_case; reader_allocation_case;
+      compile_job_allocation_case ]
   @ eval_options_cases

@@ -18,7 +18,7 @@ let check_pos name src (line, col) =
   case name (fun () ->
       let ds = Sexp.read_all src in
       let p = Sexp.pos_of (List.nth ds (List.length ds - 1)) in
-      Alcotest.(check (pair int int)) src (line, col) (p.Sexp.line, p.Sexp.col))
+      Alcotest.(check (pair int int)) src (line, col) (Sexp.line p, Sexp.col p))
 
 let check_error_at name src msg (line, col) =
   case name (fun () ->
@@ -28,7 +28,7 @@ let check_error_at name src msg (line, col) =
           Alcotest.(check (pair string (pair int int)))
             src
             (msg, (line, col))
-            (m, (p.Sexp.line, p.Sexp.col)))
+            (m, (Sexp.line p, Sexp.col p)))
 
 let number =
   Alcotest.testable
@@ -113,6 +113,13 @@ let position_tests =
       "unknown character name #\\bogus" (1, 2);
     check_error_at "fixnum overflow position" "(a\n 99999999999999999999)"
       "fixnum out of range: 99999999999999999999" (2, 1);
+    (* A position packs its column into one immediate with the line. *)
+    (let long = String.make 1_200_000 'x' in
+     check_pos "token after a string of 1.2M columns"
+       ("\n\"" ^ long ^ "\" y") (2, 1_200_003));
+    check_error_at "unterminated list after a string of 1.2M columns"
+      ("\"" ^ String.make 1_200_000 'x' ^ "\" (1 2")
+      "unterminated list" (1, 1_200_003);
   ]
 
 let unit_tests =
@@ -155,8 +162,8 @@ let unit_tests =
     case "positions tracked" (fun () ->
         let d = Sexp.read_one "\n  foo" in
         let p = Sexp.pos_of d in
-        Alcotest.(check int) "line" 2 p.Sexp.line;
-        Alcotest.(check int) "col" 2 p.Sexp.col);
+        Alcotest.(check int) "line" 2 (Sexp.line p);
+        Alcotest.(check int) "col" 2 (Sexp.col p));
     check_read_error "unterminated list" "(1 2";
     check_read_error "unterminated string" {|"abc|};
     check_read_error "unterminated block comment" "#| xx";
@@ -178,28 +185,28 @@ let gen_datum =
   let atom =
     oneof
       [
-        map (fun n -> Sexp.Int (n, { Sexp.line = 0; col = 0 })) small_signed_int;
-        map (fun n -> Sexp.Int (-n, { Sexp.line = 0; col = 0 })) nat;
+        map (fun n -> Sexp.Int (n, Sexp.no_pos)) small_signed_int;
+        map (fun n -> Sexp.Int (-n, Sexp.no_pos)) nat;
         map
-          (fun f -> Sexp.Float (f, { Sexp.line = 0; col = 0 }))
+          (fun f -> Sexp.Float (f, Sexp.no_pos))
           (oneof
              [
                map (fun f -> if Float.is_finite f then f else 0.5) float;
                oneofl [ Float.infinity; Float.neg_infinity; -0.25; 1e300 ];
              ]);
         map
-          (fun s -> Sexp.Sym ((if s = "" then "x" else s), { Sexp.line = 0; col = 0 }))
+          (fun s -> Sexp.Sym ((if s = "" then "x" else s), Sexp.no_pos))
           (string_size ~gen:(char_range 'a' 'z') (int_range 1 8));
         map
-          (fun s -> Sexp.Sym (s, { Sexp.line = 0; col = 0 }))
+          (fun s -> Sexp.Sym (s, Sexp.no_pos))
           (oneofl [ "+"; "-"; "..."; "1+"; "->x"; "a.b" ]);
-        map (fun b -> Sexp.Bool (b, { Sexp.line = 0; col = 0 })) bool;
-        map (fun c -> Sexp.Char (c, { Sexp.line = 0; col = 0 })) (char_range 'a' 'z');
+        map (fun b -> Sexp.Bool (b, Sexp.no_pos)) bool;
+        map (fun c -> Sexp.Char (c, Sexp.no_pos)) (char_range 'a' 'z');
         map
-          (fun s -> Sexp.Str (s, { Sexp.line = 0; col = 0 }))
+          (fun s -> Sexp.Str (s, Sexp.no_pos))
           (string_size ~gen:(char_range ' ' '~') (int_range 0 10));
         map
-          (fun s -> Sexp.Str (s, { Sexp.line = 0; col = 0 }))
+          (fun s -> Sexp.Str (s, Sexp.no_pos))
           (string_size
              ~gen:(frequency [ (4, char_range ' ' '~'); (1, return '\n') ])
              (int_range 0 10));
@@ -213,18 +220,18 @@ let gen_datum =
           (3, atom);
           ( 2,
             map
-              (fun l -> Sexp.List (l, { Sexp.line = 0; col = 0 }))
+              (fun l -> Sexp.List (l, Sexp.no_pos))
               (list_size (int_range 0 4) (go (depth - 1))) );
           ( 1,
             map
-              (fun l -> Sexp.Vec (l, { Sexp.line = 0; col = 0 }))
+              (fun l -> Sexp.Vec (l, Sexp.no_pos))
               (list_size (int_range 0 3) (go (depth - 1))) );
           ( 1,
             map2
               (fun l last ->
                 match l with
                 | [] -> last
-                | _ -> Sexp.Dotted (l, last, { Sexp.line = 0; col = 0 }))
+                | _ -> Sexp.Dotted (l, last, Sexp.no_pos))
               (list_size (int_range 1 3) (go (depth - 1)))
               atom );
         ]
@@ -255,13 +262,13 @@ let fuzz_case =
         | exception Sexp.Read_error (msg, p) ->
             let lines = String.split_on_char '\n' src in
             if
-              p.Sexp.line < 1
-              || p.Sexp.line > List.length lines
-              || p.Sexp.col < 0
-              || p.Sexp.col > String.length (List.nth lines (p.Sexp.line - 1))
+              Sexp.line p < 1
+              || Sexp.line p > List.length lines
+              || Sexp.col p < 0
+              || Sexp.col p > String.length (List.nth lines (Sexp.line p - 1))
             then
               Alcotest.failf "%S: %s at %d:%d lies outside the input" src msg
-                p.Sexp.line p.Sexp.col
+                (Sexp.line p) (Sexp.col p)
         | exception e ->
             Alcotest.failf "%S raised %s" src (Printexc.to_string e)
       done)
