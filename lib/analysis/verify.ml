@@ -86,82 +86,28 @@ let check_site cx pc fixed (s : prim_site) =
     err cx pc "prim call area [%d..%d] exceeds frame-words %d" s.ps_disp
       (s.ps_disp + 1 + s.ps_nargs) cx.fw
 
-(* The instruction at a landing pad; past the end, one no pad matches. *)
-let pad_instr cx p = if p < cx.n then cx.instrs.(p) else Halt
-let past cx p = if p < cx.n then at cx p else "past end"
-
-(* The staged push retained at [pad_pc] must restage exactly the value
-   the fused head carries as an operand, into the expected arg slot.
-   Constants compare by the runtime's [eqv], never a structural walk
-   that could reach a functional value inside a [Prim]. *)
-let check_staged cx pc pad_pc ~dst op =
-  let ok =
-    match (pad_instr cx pad_pc, op) with
-    | Const_push (v, d), Op_const v' -> d = dst && Values.eqv v v'
-    | Local_push (s, d), Op_local s' -> d = dst && s = s'
-    | Local_set d, Op_acc -> d = dst
-    | _ -> false
-  in
-  if not ok then
-    err cx pc
-      "landing pad at pc %d (%s) does not restage operand %s into slot %d"
-      pad_pc (past cx pad_pc) (Bytecode.operand_to_string op) dst
-
-let check_pad cx pc pad_pc ok descr =
-  if not ok then
-    err cx pc "landing pad at pc %d (%s) is not the retained %s" pad_pc
-      (past cx pad_pc) descr
-
-let shares cx pc site s =
-  if s != site then
-    err cx pc "landing pad consumer does not share the fused prim site";
-  true
-
+(* A branch-fused form must be followed by the [Branch_false] it
+   absorbed, with the same target: a deopted or failed call resumes
+   there. *)
 let branch_pad cx pc t =
-  check_pad cx pc (pc + 1)
-    (match pad_instr cx (pc + 1) with Branch_false t' -> t' = t | _ -> false)
-    "Branch_false of the fused branch"
+  let p = pc + 1 in
+  match if p < cx.n then cx.instrs.(p) else Halt with
+  | Branch_false t' when t' = t -> ()
+  | _ ->
+      err cx pc "pc %d (%s) is not the retained Branch_false of the fused branch"
+        p
+        (if p < cx.n then at cx p else "past end")
 
-(* An operand form: its own checks, then its retained consumer — after
-   the second operand's staging for a two-operand form — which is the
-   unfused instruction of the same kind and branch target [t] (or -1),
-   sharing the prim site. *)
-let operand_form cx pc nargs s a b t =
+(* A fused non-tail primitive call: its site and interned return
+   address, and for a branch form ([t] >= 0) its target and retained
+   [Branch_false]. *)
+let prim_call cx pc nargs s t =
   check_site cx pc nargs s;
-  check_operand cx pc a;
-  if nargs = 2 then check_operand cx pc b;
-  if t >= 0 then target cx pc t;
-  (* A two-operand head stands in for its first operand's staging and
-     retains the second's at pc+1, unless the first is in place. *)
-  let p = pc + if nargs = 2 then Bytecode.consumer_offset2 s a else 1 in
-  if p = pc + 2 then check_staged cx pc (pc + 1) ~dst:(s.ps_disp + 3) b;
-  let head = cx.instrs.(pc) in
-  check_pad cx pc p
-    (match (head, pad_instr cx p) with
-    | Prim_call1_op _, Prim_call1 s'
-    | Prim_call2_op _, Prim_call2 s'
-    | (Prim_tail1_op _ | Prim_tail2_op _), Prim_tail_call s' ->
-        shares cx pc s s'
-    | (Prim_branch1_op _, Prim_branch1 (s', t'))
-    | (Prim_branch2_op _, Prim_branch2 (s', t')) ->
-        t' = t && shares cx pc s s'
-    | _ -> false)
-    (match head with
-    | Prim_call1_op _ -> "Prim_call1 consumer"
-    | Prim_call2_op _ -> "Prim_call2 consumer"
-    | Prim_branch1_op _ -> "Prim_branch1 consumer"
-    | Prim_branch2_op _ -> "Prim_branch2 consumer"
-    | _ -> "Prim_tail_call consumer")
-
-let prim_call cx pc nargs s =
-  check_site cx pc nargs s;
-  check_ret cx pc "prim" s.ps_disp s.ps_ret
-
-let prim_branch cx pc nargs s t =
-  check_site cx pc nargs s;
-  target cx pc t;
   check_ret cx pc "prim" s.ps_disp s.ps_ret;
-  branch_pad cx pc t
+  if t >= 0 then begin
+    target cx pc t;
+    branch_pad cx pc t
+  end
 
 let call_area cx pc what disp nargs =
   if disp < 0 then err cx pc "%s displacement %d negative" what disp;
@@ -197,34 +143,44 @@ let scan cx pc =
   | Free_push (s, d) ->
       free cx pc s;
       slot cx pc "push destination" d
-  | Prim_call s -> prim_call cx pc (-1) s
-  | Prim_call1 s -> prim_call cx pc 1 s
-  | Prim_call2 s -> prim_call cx pc 2 s
+  | Prim_call s -> prim_call cx pc (-1) s (-1)
+  | Prim_call1 s -> prim_call cx pc 1 s (-1)
+  | Prim_call2 s -> prim_call cx pc 2 s (-1)
   | Prim_tail_call s -> check_site cx pc (-1) s
   | Local_branch_false (i, t) ->
       slot cx pc "frame" i;
       target cx pc t;
       branch_pad cx pc t
-  | Prim_branch1 (s, t) -> prim_branch cx pc 1 s t
-  | Prim_branch2 (s, t) -> prim_branch cx pc 2 s t
-  | Prim_call1_op (s, a) | Prim_tail1_op (s, a) ->
-      operand_form cx pc 1 s a a (-1)
-  | Prim_branch1_op (s, a, t) -> operand_form cx pc 1 s a a t
-  | Prim_call2_op (s, a, b) | Prim_tail2_op (s, a, b) ->
-      operand_form cx pc 2 s a b (-1)
-  | Prim_branch2_op (s, a, b, t) -> operand_form cx pc 2 s a b t
-  | Return_op a ->
+  | Prim_branch1 (s, t) -> prim_call cx pc 1 s t
+  | Prim_branch2 (s, t) -> prim_call cx pc 2 s t
+  | Prim_call1_op (s, a) ->
       check_operand cx pc a;
-      check_pad cx pc (pc + 1)
-        (match pad_instr cx (pc + 1) with Return -> true | _ -> false)
-        "Return of the fused epilogue"
+      prim_call cx pc 1 s (-1)
+  | Prim_call2_op (s, a, b) ->
+      check_operand cx pc a;
+      check_operand cx pc b;
+      prim_call cx pc 2 s (-1)
+  | Prim_branch1_op (s, a, t) ->
+      check_operand cx pc a;
+      prim_call cx pc 1 s t
+  | Prim_branch2_op (s, a, b, t) ->
+      check_operand cx pc a;
+      check_operand cx pc b;
+      prim_call cx pc 2 s t
+  | Prim_tail1_op (s, a) ->
+      check_operand cx pc a;
+      check_site cx pc 1 s
+  | Prim_tail2_op (s, a, b) ->
+      check_operand cx pc a;
+      check_operand cx pc b;
+      check_site cx pc 2 s
+  | Return_op a -> check_operand cx pc a
 
 (* The successors of [pc]: returns the fall-through one and leaves the
    branch target in [cx.jump] (or -1).  A deopted fused prim branch
    resumes at its retained [Branch_false], which repeats the branch on
    the state the fused form passes on (the call's result in the
-   accumulator), so that edge adds nothing; no other landing pad is
-   reached by falling through. *)
+   accumulator), so that edge adds nothing. *)
 let succ cx pc =
   let jump t fall =
     cx.jump <- t;
@@ -236,17 +192,17 @@ let succ cx pc =
       jump (-1) (-1)
   | Branch t -> jump t (-1)
   | Branch_false t -> jump t (pc + 1)
-  | Local_branch_false (_, t) | Prim_branch1 (_, t) | Prim_branch2 (_, t) ->
+  | Local_branch_false (_, t)
+  | Prim_branch1 (_, t)
+  | Prim_branch2 (_, t)
+  | Prim_branch1_op (_, _, t)
+  | Prim_branch2_op (_, _, _, t) ->
       jump t (pc + 2)
-  | Prim_call1_op _ -> jump (-1) (pc + 2)
-  | Prim_call2_op (s, a, _) -> jump (-1) (pc + Bytecode.consumer_offset2 s a + 1)
-  | Prim_branch1_op (_, _, t) -> jump t (pc + 3)
-  | Prim_branch2_op (s, a, _, t) ->
-      jump t (pc + Bytecode.consumer_offset2 s a + 2)
   | _ -> jump (-1) (pc + 1)
 
-(* Pass 1 counts predecessors over reachable pcs only, so that a fused
-   form's unreachable landing pads do not make its successor a join:
+(* Pass 1 counts predecessors over reachable pcs only, so that the
+   [Branch_false] a branch form jumps over does not make its successor
+   a join:
    [jix] holds 0, 1, or 2 for two or more.  [reach] expands a pc on its
    first arrival; a run of fall-throughs is a loop of tail calls. *)
 let rec reach cx pc =

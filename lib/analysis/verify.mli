@@ -19,14 +19,13 @@
     - branch targets are in range and never re-enter the [Enter]
       prologue; the final instruction transfers control;
     - every non-tail call site ([Call], [Prim_call]/[1]/[2],
-      [Prim_branch1]/[2]) carries an interned [Retaddr] naming the
-      enclosing code, the following pc, and the site displacement;
-    - every fused superinstruction's retained landing pad is a faithful
-      de-fusion: branch-fused forms keep their [Branch_false] at pc+1,
-      operand-lowered forms keep the staged pushes and the consuming
-      [Prim_call*]/[Prim_branch*]/[Prim_tail_call]/[Return] in place,
-      sharing the same [prim_site] by physical identity, with retained
-      staged pushes restaging exactly the folded operands;
+      [Prim_branch1]/[2] and their operand forms) carries an interned
+      [Retaddr] naming the enclosing code, the following pc, and the
+      site displacement;
+    - every branch-fused form ([Local_branch_false], [Prim_branch1]/[2]
+      and their operand forms) is followed by the [Branch_false] it
+      absorbed, with the same target: a deopted or failed call resumes
+      there;
     - call areas fit inside [frame_words], so operand spilling before
       any frame-policy re-entry (capture, winders, overflow, timer,
       deopt) stays in bounds.

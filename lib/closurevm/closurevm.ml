@@ -385,12 +385,10 @@ and emit arr instrs (code : code) pc : step =
      register-addressed forms below: a plain form reads its staged
      argument slot as an [Op_local] operand. *)
   | Prim_call1 site ->
-      emit_call1 arr instrs pc site (Op_local (site.ps_disp + 2)) (pc + 1)
+      emit_call1 arr instrs pc site (Op_local (site.ps_disp + 2))
   | Prim_call2 site ->
       let argd = site.ps_disp + 2 in
-      emit_call2 arr instrs pc site (Op_local argd)
-        (Op_local (argd + 1))
-        (pc + 1)
+      emit_call2 arr instrs pc site (Op_local argd) (Op_local (argd + 1))
   | Local_branch_false (i, t) -> (
       (* The retained [Branch_false] sits at [pc + 1]; fall through lands
          past it, exactly as in the engine loop. *)
@@ -404,10 +402,10 @@ and emit arr instrs (code : code) pc : step =
               (Array.unsafe_get arr t) vm slots fp limit budget v (steps + 1)
           | _ -> k vm slots fp limit budget v (steps + 1))
   | Prim_branch1 (site, t) ->
-      emit_branch1 arr pc site (Op_local (site.ps_disp + 2)) t (pc + 1)
+      emit_branch1 arr pc site (Op_local (site.ps_disp + 2)) t
   | Prim_branch2 (site, t) ->
       let argd = site.ps_disp + 2 in
-      emit_branch2 arr pc site (Op_local argd) (Op_local (argd + 1)) t (pc + 1)
+      emit_branch2 arr pc site (Op_local argd) (Op_local (argd + 1)) t
   | Prim_tail_call site ->
       fun vm slots fp limit budget acc steps ->
         if steps >= budget then raise (fuel_stop vm steps pc acc)
@@ -422,21 +420,15 @@ and emit arr instrs (code : code) pc : step =
             relaunch vm
           end
         end
-  (* ---- register-addressed forms (Optimize.fuse_operands) ----
-     The head of the staged sequence carries the operands, the retained
-     originals after it form the deopt landing pad (each still gets its
-     own step above — any synced pc can become a landing entry).  One
-     instruction is counted per fused form, mirroring the engine loop's
-     handlers exactly, so [instrs] parity across backends is preserved
-     by construction. *)
-  | Prim_call1_op (site, a) -> emit_call1 arr instrs pc site a (pc + 2)
-  | Prim_call2_op (site, a, b) ->
-      emit_call2 arr instrs pc site a b
-        (pc + Bytecode.consumer_offset2 site a + 1)
-  | Prim_branch1_op (site, a, t) -> emit_branch1 arr pc site a t (pc + 2)
-  | Prim_branch2_op (site, a, b, t) ->
-      emit_branch2 arr pc site a b t
-        (pc + Bytecode.consumer_offset2 site a + 1)
+  (* ---- register-addressed forms (the peephole's register lowering) ----
+     One instruction is counted per fused form, mirroring the engine
+     loop's handlers exactly, so [instrs] parity across backends is
+     preserved by construction.  Each continues where the consumer it
+     replaced did, and flushes at [pc + 1]. *)
+  | Prim_call1_op (site, a) -> emit_call1 arr instrs pc site a
+  | Prim_call2_op (site, a, b) -> emit_call2 arr instrs pc site a b
+  | Prim_branch1_op (site, a, t) -> emit_branch1 arr pc site a t
+  | Prim_branch2_op (site, a, b, t) -> emit_branch2 arr pc site a b t
   | Prim_tail1_op (site, a) ->
       fun vm slots fp limit budget acc steps ->
         if steps >= budget then raise (fuel_stop vm steps pc acc)
@@ -446,15 +438,14 @@ and emit arr instrs (code : code) pc : step =
             prim_fast_stats vm;
             match site.ps_fn1 x with
             | v ->
-                do_return_fast vm slots fp limit budget v (steps + 1) (pc + 2)
-            | exception e -> reraise vm (steps + 1) (pc + 2) acc e
+                do_return_fast vm slots fp limit budget v (steps + 1) (pc + 1)
+            | exception e -> reraise vm (steps + 1) (pc + 1) acc e
           end
           else begin
             spill1 vm slots fp site x;
-            deopt vm (steps + 1) (pc + 2) acc prim_deopt_tail_call site
+            deopt vm (steps + 1) (pc + 1) acc prim_deopt_tail_call site
           end
   | Prim_tail2_op (site, a, b) ->
-      let next = pc + Bytecode.consumer_offset2 site a + 1 in
       fun vm slots fp limit budget acc steps ->
         if steps >= budget then raise (fuel_stop vm steps pc acc)
         else
@@ -464,22 +455,21 @@ and emit arr instrs (code : code) pc : step =
             prim_fast_stats vm;
             match site.ps_fn2 x y with
             | v ->
-                do_return_fast vm slots fp limit budget v (steps + 1) next
-            | exception e -> reraise vm (steps + 1) next acc e
+                do_return_fast vm slots fp limit budget v (steps + 1) (pc + 1)
+            | exception e -> reraise vm (steps + 1) (pc + 1) acc e
           end
           else begin
             spill2 vm slots fp site x y;
-            deopt vm (steps + 1) next acc prim_deopt_tail_call site
+            deopt vm (steps + 1) (pc + 1) acc prim_deopt_tail_call site
           end
   | Return_op a ->
-      (* Fused producer + [Return], one counted instruction; the retained
-         [Return] sits at [pc + 1]. *)
+      (* Fused producer + [Return], one counted instruction. *)
       fun vm slots fp limit budget acc steps ->
         if steps >= budget then raise (fuel_stop vm steps pc acc)
         else
           do_return_fast vm slots fp limit budget
             (load_op slots fp acc a)
-            (steps + 1) (pc + 2)
+            (steps + 1) (pc + 1)
 
 (* A [Const_push]/[Local_push] step; adjacent pushes pair up.  The
    [s2 <> d1] guard keeps the pair apart when the second push reads the
@@ -502,15 +492,16 @@ and emit_push2 arr pc src1 d1 src2 d2 : step =
     set_slot slots (fp + d2) (load_op slots fp acc src2);
     k vm slots fp limit budget acc (steps + 2)
 
-(* The fixed-arity call and branch emitters.  [next] is the pc past the
-   fused form's landing pad — the retained consumer's pc, where the batch
-   is flushed when the primitive raises or the guard fails.  A call form
-   absorbs a [Local_set] of the result at [next] ([steps] then counts it
-   too); the flush point stays at [next], so an error-handler resume
-   re-executes the set on the handler's value, as unfused code would.
-   On guard failure the operands are spilled into the argument slots
-   first (for a plain form that rewrites the value already there). *)
-and emit_call1 arr instrs pc site a next : step =
+(* The fixed-arity call and branch emitters.  [pc + 1] is where the
+   batch is flushed when the primitive raises or the guard fails.  A
+   call form absorbs a [Local_set] of the result at [pc + 1] ([steps]
+   then counts it too); the flush point stays at [pc + 1], so an
+   error-handler resume re-executes the set on the handler's value, as
+   unfused code would.  On guard failure the operands are spilled into
+   the argument slots first (for a plain form that rewrites the value
+   already there). *)
+and emit_call1 arr instrs pc site a : step =
+  let next = pc + 1 in
   let set, k =
     match Array.unsafe_get instrs next with
     | Local_set j -> (j, arr.(next + 1))
@@ -534,7 +525,8 @@ and emit_call1 arr instrs pc site a next : step =
         deopt vm (steps + 1) next acc prim_deopt_call site
       end
 
-and emit_call2 arr instrs pc site a b next : step =
+and emit_call2 arr instrs pc site a b : step =
+  let next = pc + 1 in
   let set, k =
     match Array.unsafe_get instrs next with
     | Local_set j -> (j, arr.(next + 1))
@@ -560,10 +552,10 @@ and emit_call2 arr instrs pc site a b next : step =
       end
 
 (* [ps_ret] of a branch form resumes at the retained [Branch_false] at
-   [next], which re-tests the deopted call's returned value; the fast
+   [pc + 1], which re-tests the deopted call's returned value; the fast
    path's fall-through skips it. *)
-and emit_branch1 arr pc site a t next : step =
-  let k = arr.(next + 1) in
+and emit_branch1 arr pc site a t : step =
+  let k = arr.(pc + 2) in
   fun vm slots fp limit budget acc steps ->
     if steps >= budget then raise (fuel_stop vm steps pc acc)
     else
@@ -575,15 +567,15 @@ and emit_branch1 arr pc site a t next : step =
             (Array.unsafe_get arr t) vm slots fp limit budget (Bool false)
               (steps + 1)
         | v -> k vm slots fp limit budget v (steps + 1)
-        | exception e -> reraise vm (steps + 1) next acc e
+        | exception e -> reraise vm (steps + 1) (pc + 1) acc e
       end
       else begin
         spill1 vm slots fp site x;
-        deopt vm (steps + 1) next acc prim_deopt_call site
+        deopt vm (steps + 1) (pc + 1) acc prim_deopt_call site
       end
 
-and emit_branch2 arr pc site a b t next : step =
-  let k = arr.(next + 1) in
+and emit_branch2 arr pc site a b t : step =
+  let k = arr.(pc + 2) in
   fun vm slots fp limit budget acc steps ->
     if steps >= budget then raise (fuel_stop vm steps pc acc)
     else
@@ -596,11 +588,11 @@ and emit_branch2 arr pc site a b t next : step =
             (Array.unsafe_get arr t) vm slots fp limit budget (Bool false)
               (steps + 1)
         | v -> k vm slots fp limit budget v (steps + 1)
-        | exception e -> reraise vm (steps + 1) next acc e
+        | exception e -> reraise vm (steps + 1) (pc + 1) acc e
       end
       else begin
         spill2 vm slots fp site x y;
-        deopt vm (steps + 1) next acc prim_deopt_call site
+        deopt vm (steps + 1) (pc + 1) acc prim_deopt_call site
       end
 
 (* The slow end of a procedure entry, [Enter]'s or that of the callee
@@ -636,8 +628,8 @@ and call_generic (vm : t) cache (code : code) nargs slots nfp limit budget
   | _ -> ());
   carr.(0) vm slots nfp limit (budget - steps) acc 0
 
-(* A fused primitive's guard failed: flush at the retained consumer's pc
-   and take the generic call ([transfer] is the deopt call or tail
+(* A fused primitive's guard failed: flush at the pc after it and take
+   the generic call ([transfer] is the deopt call or tail
    call). *)
 and deopt (vm : t) steps pc acc transfer site =
   sync vm steps pc acc;

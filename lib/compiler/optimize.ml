@@ -144,8 +144,7 @@ let program tops = List.map top tops
 (* Bytecode peephole: superinstruction fusion                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Post-compile pass over [instrs] arrays: one renumbering scan, then
-   in-place register lowering.
+(* Post-compile pass over [instrs] arrays: one renumbering scan.
 
    The scan walks the compiled code once, left to right, and writes each
    instruction or fused window into one output array.  Two windows fuse:
@@ -172,8 +171,13 @@ let program tops = List.map top tops
       path when it changed, so [set!] of [+] etc. keeps its standard
       semantics.
 
-   A window never swallows a branch target, so only a window's first pc
-   needs an old-pc -> new-pc entry. *)
+   With register lowering on ([regalloc]), the scan also folds argument
+   staging ([fold] below): a fixed-arity primitive call written to the
+   output absorbs the staging just written before it into one operand
+   form, and a [Return] absorbs the [Const]/[Local_ref] before it.
+
+   A window or a fold never swallows a branch target, so only a window's
+   first pc needs an old-pc -> new-pc entry. *)
 
 (* Is [acc] irrelevant to [i] (it overwrites or ignores it)?  The scan
    sees only compiler output, so only the constructors the compiler
@@ -247,37 +251,15 @@ let window_width = function
       3
   | _ -> 1
 
-(* Branch fusion, in the closing loop.  A [Branch_false] consuming the
-   value of the instruction right before it fuses INTO that producer —
-   but the [Branch_false] itself stays in the array, jumped over by the
-   fused form.  Keeping it makes the rewrite purely local: no pc
-   renumbering, branches into either instruction of the pair keep their
-   exact unfused semantics, and a deopted [Prim_branch*] (or an error
-   handler that returns a replacement value) resumes at the retained
-   branch, which then tests the returned value just as the unfused
-   sequence would.  [t] is the retained branch's renumbered target. *)
-let fuse_branch producer t =
-  match producer with
-  | Rt.Local_ref s -> Rt.Local_branch_false (s, t)
-  | Rt.Prim_call1 site -> Rt.Prim_branch1 (site, t)
-  | Rt.Prim_call2 site -> Rt.Prim_branch2 (site, t)
-  | i -> i
-
-(* Register lowering ("regalloc"), in place on the scan's output.  The
-   argument-staging instructions of an already-fused primitive call —
-   [Const_push] / [Local_push] into the site's argument slots, or the
-   [Local_set] that stores a just-computed accumulator value into the
-   first one — fold into the consumer as [Rt.operand]s, so the staged
-   values are read straight from the accumulator, a source slot, or the
-   instruction stream and never touch stack memory on the fast path.
-
-   Like branch fusion this lowering is purely local: only the *head* of the
-   staged sequence is replaced, every following original (the remaining
-   pushes and the consuming [Prim_call*]/[Prim_branch*]/[Prim_tail_call]/
-   [Return]) is retained in place as the deopt landing pad, and no pc is
-   renumbered — the retained consumer keeps the pc its interned [ps_ret]
-   was backpatched against, branches into the interior keep their exact
-   unfused semantics, and the fused handler's slow paths spill the
+(* Register lowering ("regalloc"): argument staging folds into the
+   consumer.  The staging of a fused primitive call's arguments --
+   [Const_push] / [Local_push] into its argument slots, or the
+   [Local_set] that stores a just-computed accumulator value into one --
+   becomes an [Rt.operand] of the call, read straight from the
+   accumulator, a source slot or the instruction stream, so the staged
+   values never touch stack memory on the fast path.  The fold replaces
+   the staging and the consumer with one operand form, which continues
+   at the next pc like the call it stands for; its slow paths spill the
    operand values into the argument slots before re-entering the frame
    policy.
 
@@ -285,108 +267,106 @@ let fuse_branch producer t =
    slots are exactly the consumer's argument slots ([ps_disp + 2 ..]),
    which the compiler's slot allocator retires after the call (a live
    variable always sits below any later-reserved call area), so the only
-   reader of those slots is the consumer itself — which now carries the
-   values as operands — or the retained landing pad, which re-stages
-   them itself.  A [Local_push] source read out of order must not alias
-   a slot staged earlier in the same sequence; the scan rejects that
-   (the analogue of the [s <> d] guard in push fusion).
+   reader of those slots is the consumer itself, which now carries the
+   values as operands.  A [Local_push] source read out of order must not
+   alias a slot staged earlier in the same sequence; the fold rejects
+   that (the analogue of the [s <> d] guard in push fusion).
 
    A two-argument site whose first argument was stored by earlier code
    (a global operator is loaded after its operands, so that is usually a
    call's result) has only its second staging next to the consumer.
-   That staging becomes the head and the first argument is read in place
-   as [Op_local] of its own slot: nothing to retain for it, and a slow
-   path's spill rewrites the value already there
-   ([Bytecode.consumer_offset2] locates the consumer for both shapes).
+   That staging folds, and the first argument is read in place as
+   [Op_local] of its own slot.
 
-   A head is written only at the pc being scanned, and the scan then
-   moves past its consumer, so every later read sees unlowered input. *)
-(* The argument slot the instruction at [pc] stages, or -1.  [n] is the
-   length of [instrs] here and in the helpers below. *)
-let staged instrs n pc =
-  if pc >= n then -1
-  else
-    match instrs.(pc) with
-    | Rt.Const_push (_, d) | Rt.Local_push (_, d) | Rt.Local_set d -> d
-    | _ -> -1
+   The argument slot an instruction of the output stages, or -1. *)
+let staged = function
+  | Rt.Const_push (_, d) | Rt.Local_push (_, d) | Rt.Local_set d -> d
+  | _ -> -1
 
-(* The operand standing for the staging at [pc]. *)
-let operand instrs pc =
-  match instrs.(pc) with
+(* The operand standing for a staging. *)
+let operand = function
   | Rt.Const_push (v, _) -> Rt.Op_const v
   | Rt.Local_push (s, _) -> Rt.Op_local s
   | _ -> Rt.Op_acc
 
-(* How many operands the consumer at [pc] folds when its first argument
-   slot is [arg]: 1 or 2, or 0 when it is no such consumer. *)
-let folds instrs n pc arg =
-  if pc >= n then 0
-  else
-    match instrs.(pc) with
-    | (Rt.Prim_call1 s | Rt.Prim_branch1 (s, _)) when s.Rt.ps_disp + 2 = arg ->
-        1
-    | (Rt.Prim_call2 s | Rt.Prim_branch2 (s, _)) when s.Rt.ps_disp + 2 = arg ->
-        2
-    | Rt.Prim_tail_call s when s.Rt.ps_disp + 2 = arg && s.Rt.ps_nargs <= 2 ->
-        s.Rt.ps_nargs
-    | _ -> 0
-
-(* The head folding operand [a], and [b] for a two-argument site, into
-   the consumer at [pc]. *)
-let head instrs pc a b =
-  match instrs.(pc) with
+(* The operand form of consumer [i] on operands [a] and [b] (ignored
+   for one argument), or [i] itself when it has none. *)
+let operand_form i a b =
+  match i with
   | Rt.Prim_call1 s -> Rt.Prim_call1_op (s, a)
-  | Rt.Prim_branch1 (s, t) -> Rt.Prim_branch1_op (s, a, t)
-  | Rt.Prim_tail_call s when s.Rt.ps_nargs = 1 -> Rt.Prim_tail1_op (s, a)
   | Rt.Prim_call2 s -> Rt.Prim_call2_op (s, a, b)
-  | Rt.Prim_branch2 (s, t) -> Rt.Prim_branch2_op (s, a, b, t)
-  | Rt.Prim_tail_call s -> Rt.Prim_tail2_op (s, a, b)
+  | Rt.Prim_tail_call s when s.Rt.ps_nargs = 1 -> Rt.Prim_tail1_op (s, a)
+  | Rt.Prim_tail_call s when s.Rt.ps_nargs = 2 -> Rt.Prim_tail2_op (s, a, b)
   | i -> i
 
-(* The pc after the window at [p]: a head is put at [p] and the scan
-   goes on past its consumer. *)
-let lower_at instrs n p =
-  let d0 = staged instrs n p in
-  if d0 < 0 then
-    (* Producer + [Return] epilogue: one dispatch per leaf return. *)
-    if p + 1 < n && instrs.(p + 1) == Rt.Return then
-      match instrs.(p) with
-      | Rt.Const v ->
-          instrs.(p) <- Rt.Return_op (Rt.Op_const v);
-          p + 2
-      | Rt.Local_ref s ->
-          instrs.(p) <- Rt.Return_op (Rt.Op_local s);
-          p + 2
-      | _ -> p + 1
-    else p + 1
-  else if
-    staged instrs n (p + 1) = d0 + 1
-    && (match instrs.(p + 1) with
-       | Rt.Local_push (s, _) -> s <> d0
-       | _ -> true)
-    && folds instrs n (p + 2) d0 = 2
-  then begin
-    instrs.(p) <-
-      head instrs (p + 2) (operand instrs p) (operand instrs (p + 1));
-    p + 3
-  end
-  else if folds instrs n (p + 1) d0 = 1 then begin
-    instrs.(p) <- head instrs (p + 1) (operand instrs p) Rt.Op_acc;
-    p + 2
-  end
-  else if folds instrs n (p + 1) (d0 - 1) = 2 then begin
-    instrs.(p) <-
-      head instrs (p + 1) (Rt.Op_local (d0 - 1)) (operand instrs p);
-    p + 2
-  end
-  else p + 1
+(* Write [i] at output pc [m]; returns the next output pc. *)
+let put out m i =
+  out.(m) <- i;
+  m + 1
 
-let fuse_operands instrs =
-  let n = Array.length instrs in
-  let pc = ref 0 in
-  while !pc < n do
-    pc := lower_at instrs n !pc
-  done
+(* Put [i], the window at input pc [pc], at output pc [m], folding the
+   staging written just before it when [regalloc] is on; returns the next
+   output pc.  No branch may target a folded-away instruction, so a
+   consumer that a branch targets stays plain, and so does a second
+   staging (its window started [window_width] input pcs before the
+   consumer's); a first staging may be one, since the form takes its
+   place.  The one exception is a [Return]: a branch target keeps its
+   own [Return] after the [Return_op] that also stands for it. *)
+let fold ~regalloc target out i pc m =
+  if not regalloc || m = 0 then put out m i
+  else
+    let prev = out.(m - 1) in
+    match i with
+    | Rt.Return -> (
+        match prev with
+        | Rt.Const v ->
+            out.(m - 1) <- Rt.Return_op (Rt.Op_const v);
+            if target.(pc) then put out m i else m
+        | Rt.Local_ref s ->
+            out.(m - 1) <- Rt.Return_op (Rt.Op_local s);
+            if target.(pc) then put out m i else m
+        | _ -> put out m i)
+    | (Rt.Prim_call1 s | Rt.Prim_call2 s | Rt.Prim_tail_call s)
+      when not target.(pc) ->
+        let d0 = s.Rt.ps_disp + 2 and nargs = s.Rt.ps_nargs in
+        if
+          nargs = 2 && m >= 2
+          && staged out.(m - 2) = d0
+          && staged prev = d0 + 1
+          && (not target.(pc - window_width prev))
+          && (match prev with Rt.Local_push (s, _) -> s <> d0 | _ -> true)
+        then begin
+          out.(m - 2) <- operand_form i (operand out.(m - 2)) (operand prev);
+          m - 1
+        end
+        else if nargs = 1 && staged prev = d0 then begin
+          out.(m - 1) <- operand_form i (operand prev) Rt.Op_acc;
+          m
+        end
+        else if nargs = 2 && staged prev = d0 + 1 then begin
+          out.(m - 1) <- operand_form i (Rt.Op_local d0) (operand prev);
+          m
+        end
+        else put out m i
+    | _ -> put out m i
+
+(* Branch fusion, in the closing loop.  A [Branch_false] consuming the
+   value of the instruction right before it fuses INTO that producer --
+   but the [Branch_false] itself stays in the array, jumped over by the
+   fused form.  Keeping it makes the rewrite purely local: branches into
+   the [Branch_false] keep their exact unfused semantics, and a deopted
+   [Prim_branch*] (or an error handler that returns a replacement value)
+   resumes at the retained branch, which then tests the returned value
+   just as the unfused sequence would.  [t] is the retained branch's
+   renumbered target. *)
+let fuse_branch producer t =
+  match producer with
+  | Rt.Local_ref s -> Rt.Local_branch_false (s, t)
+  | Rt.Prim_call1 site -> Rt.Prim_branch1 (site, t)
+  | Rt.Prim_call2 site -> Rt.Prim_branch2 (site, t)
+  | Rt.Prim_call1_op (site, a) -> Rt.Prim_branch1_op (site, a, t)
+  | Rt.Prim_call2_op (site, a, b) -> Rt.Prim_branch2_op (site, a, b, t)
+  | i -> i
 
 (* The scratch arrays of one [peephole_program] call, grown to its
    largest code object and reused by the others.  They belong to the
@@ -418,15 +398,12 @@ let fit s n =
    finished yet, so its [Call] instructions carry no return address and
    are kept as they are.  Once the closing loop is done the scratch
    arrays are free, and the closures' code objects are fused with them.
-   The register lowering ([fuse_operands], [--no-regalloc] escape
-   hatch) runs after the closing loop, so the operand forms never need
-   remapping and can consume branch-fused consumers.  The fused code
-   object is finished ({!Bytecode.finish}) as the final step: the only
-   validation and backpatching it gets.  The fused stream replaces the
-   input's in the same code object, so a code is fused at most once and
-   nothing of the input is left to run.  Every helper of the scan is a
-   top-level function over explicit arguments: a code object costs its
-   output and no closures. *)
+   The fused code object is finished ({!Bytecode.finish}) as the final
+   step: the only validation and backpatching it gets.  The fused stream
+   replaces the input's in the same code object, so a code is fused at
+   most once and nothing of the input is left to run.  Every helper of
+   the scan is a top-level function over explicit arguments: a code
+   object costs its output and no closures. *)
 let rec fuse s ~regalloc globals (c : Rt.code) : Rt.code =
   let input = c.Rt.instrs in
   let n = Array.length input in
@@ -442,8 +419,7 @@ let rec fuse s ~regalloc globals (c : Rt.code) : Rt.code =
   while !pc < n do
     let i = fuse_window globals target input !pc in
     map.(!pc) <- !m;
-    out.(!m) <- i;
-    incr m;
+    m := fold ~regalloc target out i !pc !m;
     pc := !pc + window_width i
   done;
   map.(n) <- !m;
@@ -466,7 +442,6 @@ let rec fuse s ~regalloc globals (c : Rt.code) : Rt.code =
         instrs.(j) <- Rt.Make_closure (fuse s ~regalloc globals cc, caps)
     | _ -> ()
   done;
-  if regalloc then fuse_operands instrs;
   c.Rt.instrs <- instrs;
   Bytecode.finish c;
   c

@@ -34,22 +34,27 @@ val program : Ast.top list -> Ast.top list
       primitive deoptimizes the site to the generic call path and the
       program's meaning is preserved.
 
+    With register lowering on ([regalloc], the default;
+    [~regalloc:false] / [--no-regalloc] to disable), the same scan folds
+    argument staging: when it writes a fixed-arity primitive call (or a
+    tail call of at most two arguments), the [Const_push] / [Local_push]
+    / [Local_set] it has just written into that site's argument slots
+    and the call become one operand form ([Prim_call1_op] ...
+    [Prim_tail2_op], reading [Rt.operand]s; a first argument stored
+    earlier is read in place from its slot), and a [Const] or
+    [Local_ref] followed by [Return] becomes [Return_op].  No branch
+    target is folded away: a [Return] that a branch targets stays after
+    its [Return_op].  The fused handlers spill operand values into the
+    argument slots before any slow path re-enters the frame policy, so
+    captured segment contents are byte-identical to the unfused
+    execution.
+
     The scan's closing loop remaps branch targets and performs branch
-    fusion (the producer of a [Branch_false] test absorbs the branch,
-    the original branch staying in place as the deopt landing pad).
-    Register lowering then rewrites the same array in place
-    ([regalloc], on by default, [~regalloc:false] /
-    [--no-regalloc] to disable): the argument-staging pushes of a fused
-    primitive call — and the [Local_set] storing a just-computed
-    accumulator value into the first argument slot — fold into the
-    consumer as [Rt.operand]s ([Prim_call1_op] ... [Prim_tail2_op]; a
-    first argument stored earlier is read in place from its slot), and
-    producer+[Return] epilogues fold into [Return_op].  Only the head of
-    each staged sequence is replaced; the retained originals form the
-    deopt landing pad and the fused handlers spill operand values into
-    the argument slots before any slow path re-enters the frame policy,
-    so captured segment contents are byte-identical to the unfused
-    execution. *)
+    fusion: the producer of a [Branch_false] test ([Local_ref], a
+    fixed-arity primitive call or its operand form) absorbs the branch,
+    the original branch staying in place at the next pc, where a deopted
+    or failed call resumes.  Every other fused form leaves nothing of
+    what it replaced in the stream. *)
 
 val peephole_program : ?regalloc:bool -> Globals.t -> Rt.code list -> Rt.code list
 (** Fuse each code object (recursing into [Make_closure] bodies), with

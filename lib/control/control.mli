@@ -58,12 +58,6 @@ val default_config : config
     O(1) scheme of §3.3; [Eager] remains available as a config/CLI
     option). *)
 
-val cache_classes : int
-(** Number of size classes in the segment cache.  Class [c] (for
-    [c < cache_classes - 1]) holds arrays of [c+1 .. c+2) times
-    [seg_words]; the last class is a mixed bucket for everything larger,
-    searched first-fit. *)
-
 val cache_max : int
 (** Segments the cache retains across all classes: 1024. *)
 
@@ -73,8 +67,10 @@ type t = {
   mutable sr : Rt.stack_record;  (** the current (active) stack record *)
   mutable fp : int;  (** frame pointer: absolute index into [sr.seg] *)
   cache : Rt.value array array array;
-      (** per-size-class stacks, [cache_classes] of them: class [c] holds
-          its segments in release order in slots [0 .. cache_top.(c) - 1],
+      (** the segment cache, one stack per size class (8 of them):
+          class [c] holds arrays of [c+1 .. c+2) times [seg_words] and
+          the last class everything larger, searched first-fit.  Each
+          class holds its segments in release order in slots [0 .. cache_top.(c) - 1],
           and every slot above is the empty array.  A pop clears the slot
           it takes, and neither a pop nor a release allocates (a release
           into a full class grows its array, up to [cache_max] slots). *)

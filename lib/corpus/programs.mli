@@ -21,7 +21,6 @@ val cpstak : string
 val takl : string
 val div : string
 val destruct : string
-val mandelbrot : string
 
 val all_defs : string
 (** Everything above except [samefringe] and [amb] (which have their own

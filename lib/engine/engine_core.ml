@@ -97,8 +97,9 @@
 open Rt
 open Engine
 
-(* Resolve a register-addressed operand (Optimize.fuse_operands): the
-   accumulator, a frame slot, or an immediate.  Cannot raise. *)
+(* Resolve a register-addressed operand (the peephole's register
+   lowering): the accumulator, a frame slot, or an immediate.  Cannot
+   raise. *)
 let[@inline] load_op slots fp acc op =
   match op with
   | Op_acc -> acc
@@ -492,111 +493,101 @@ let rec exec (vm : Policy.t) instrs slots fp limit budget acc steps pc =
         prim_deopt_tail_call vm site;
         relaunch vm
       end
-  (* ---- register-addressed forms (Optimize.fuse_operands) ----
-     One dispatch covers the argument staging and the consumer.  The
-     staged sequence's originals are retained right after the fused head
-     as the deopt landing pad, so the skip widths below are fixed by
-     shape (operand count, less one for a first operand already stored
-     in place — [Bytecode.consumer_offset2] — plus the retained
-     [Branch_false] of the branch forms), and the flush pc is the same
-     address the retained consumer would flush — an error handler or a
-     deopted call resumes exactly as in the unfused stream.  Every slow
-     path that re-enters the frame policy first spills the operand values
-     into the frame's argument slots ([spill1]/[spill2]), so the frame the
-     policy (or a capture under it) observes is byte-identical to the
-     unfused execution's. *)
+  (* ---- register-addressed forms (the peephole's register lowering) ----
+     One dispatch covers the argument staging and the consumer, and
+     continues where the consumer did; the flush pc of a raising or
+     deopting primitive is [pc + 1], where an error handler or a deopted
+     call resumes.  Every slow path that re-enters the frame policy first
+     spills the operand values into the frame's argument slots
+     ([spill1]/[spill2]), so the frame the policy (or a capture under it)
+     observes is byte-identical to the unfused execution's. *)
   | Prim_call1_op (site, a) ->
       let x = load_op slots fp acc a in
       if guard vm site then begin
         prim_fast_stats vm;
         match site.ps_fn1 x with
-        | v -> exec vm instrs slots fp limit budget v (steps + 1) (pc + 2)
-        | exception e -> reraise vm (steps + 1) (pc + 2) acc e
+        | v -> exec vm instrs slots fp limit budget v (steps + 1) (pc + 1)
+        | exception e -> reraise vm (steps + 1) (pc + 1) acc e
       end
       else begin
         spill1 vm slots fp site x;
-        deopt vm (steps + 1) (pc + 2) acc prim_deopt_call site
+        deopt vm (steps + 1) (pc + 1) acc prim_deopt_call site
       end
   | Prim_call2_op (site, a, b) ->
       let x = load_op slots fp acc a in
       let y = load_op slots fp acc b in
-      let next = pc + Bytecode.consumer_offset2 site a + 1 in
       if guard vm site then begin
         prim_fast_stats vm;
         match site.ps_fn2 x y with
-        | v -> exec vm instrs slots fp limit budget v (steps + 1) next
-        | exception e -> reraise vm (steps + 1) next acc e
+        | v -> exec vm instrs slots fp limit budget v (steps + 1) (pc + 1)
+        | exception e -> reraise vm (steps + 1) (pc + 1) acc e
       end
       else begin
         spill2 vm slots fp site x y;
-        deopt vm (steps + 1) next acc prim_deopt_call site
+        deopt vm (steps + 1) (pc + 1) acc prim_deopt_call site
       end
   | Prim_branch1_op (site, a, t) ->
-      (* [ps_ret] resumes at the retained [Branch_false] at [pc + 2]. *)
       let x = load_op slots fp acc a in
       if guard vm site then begin
         prim_fast_stats vm;
         match site.ps_fn1 x with
         | v ->
             exec vm instrs slots fp limit budget v (steps + 1)
-              (match v with Bool false -> t | _ -> pc + 3)
-        | exception e -> reraise vm (steps + 1) (pc + 2) acc e
+              (match v with Bool false -> t | _ -> pc + 2)
+        | exception e -> reraise vm (steps + 1) (pc + 1) acc e
       end
       else begin
         spill1 vm slots fp site x;
-        deopt vm (steps + 1) (pc + 2) acc prim_deopt_call site
+        deopt vm (steps + 1) (pc + 1) acc prim_deopt_call site
       end
   | Prim_branch2_op (site, a, b, t) ->
       let x = load_op slots fp acc a in
       let y = load_op slots fp acc b in
-      let next = pc + Bytecode.consumer_offset2 site a + 1 in
       if guard vm site then begin
         prim_fast_stats vm;
         match site.ps_fn2 x y with
         | v ->
             exec vm instrs slots fp limit budget v (steps + 1)
-              (match v with Bool false -> t | _ -> next + 1)
-        | exception e -> reraise vm (steps + 1) next acc e
+              (match v with Bool false -> t | _ -> pc + 2)
+        | exception e -> reraise vm (steps + 1) (pc + 1) acc e
       end
       else begin
         spill2 vm slots fp site x y;
-        deopt vm (steps + 1) next acc prim_deopt_call site
+        deopt vm (steps + 1) (pc + 1) acc prim_deopt_call site
       end
   | Prim_tail1_op (site, a) ->
       let x = load_op slots fp acc a in
       if guard vm site then begin
         prim_fast_stats vm;
         match site.ps_fn1 x with
-        | v -> prim_return vm slots fp limit budget v (steps + 1) (pc + 2)
-        | exception e -> reraise vm (steps + 1) (pc + 2) acc e
+        | v -> prim_return vm slots fp limit budget v (steps + 1) (pc + 1)
+        | exception e -> reraise vm (steps + 1) (pc + 1) acc e
       end
       else begin
         spill1 vm slots fp site x;
-        deopt vm (steps + 1) (pc + 2) acc prim_deopt_tail_call site
+        deopt vm (steps + 1) (pc + 1) acc prim_deopt_tail_call site
       end
   | Prim_tail2_op (site, a, b) ->
       let x = load_op slots fp acc a in
       let y = load_op slots fp acc b in
-      let next = pc + Bytecode.consumer_offset2 site a + 1 in
       if guard vm site then begin
         prim_fast_stats vm;
         match site.ps_fn2 x y with
-        | v -> prim_return vm slots fp limit budget v (steps + 1) next
-        | exception e -> reraise vm (steps + 1) next acc e
+        | v -> prim_return vm slots fp limit budget v (steps + 1) (pc + 1)
+        | exception e -> reraise vm (steps + 1) (pc + 1) acc e
       end
       else begin
         spill2 vm slots fp site x y;
-        deopt vm (steps + 1) next acc prim_deopt_tail_call site
+        deopt vm (steps + 1) (pc + 1) acc prim_deopt_tail_call site
       end
   | Return_op a ->
       (* Fused producer + [Return]: the returned value comes from the
-         operand, never from [acc]; the retained [Return] sits at
-         [pc + 1]. *)
+         operand, never from [acc]. *)
       prim_return vm slots fp limit budget (load_op slots fp acc a) (steps + 1)
-        (pc + 2)
+        (pc + 1)
 
-(* A fused primitive's guard failed: flush at the retained consumer's pc
-   and take the generic call ([transfer] is the policy's deopt call or
+(* A fused primitive's guard failed: flush at the pc after it and take
+   the generic call ([transfer] is the policy's deopt call or
    tail call). *)
 and deopt (vm : Policy.t) steps pc acc transfer site =
   sync vm steps pc acc;

@@ -11,9 +11,6 @@
 
 val install : Globals.t -> unit
 
-val the_prims : (string * Rt.prim) list
-(** All primitives, for machines that want their own table. *)
-
 val pure :
   ?fn1:(Rt.value -> Rt.value) ->
   ?fn2:(Rt.value -> Rt.value -> Rt.value) ->
@@ -25,8 +22,6 @@ val pure :
     argument array.  Its direct one- and two-argument entries are [fn1]
     and [fn2] when given, and otherwise call [fn] on a fresh array. *)
 
-val check_int : string -> Rt.value -> int
-val check_pair : string -> Rt.value -> Rt.pair
 val check_procedure : string -> Rt.value -> Rt.value
 
 (** {1 Native dynamic-wind machinery}

@@ -35,11 +35,6 @@ type t = {
 val make : ?severity:severity -> ?rule:string -> ?pos:Sexp.pos -> layer -> string -> t
 val error : ?rule:string -> ?pos:Sexp.pos -> layer -> string -> t
 
-val layer_name : layer -> string
-(** Short lower-case tag used in rendered diagnostics. *)
-
-val severity_name : severity -> string
-
 val to_string : t -> string
 (** The one renderer: ["line:col: severity: [tag] message"], without
     the position prefix when [pos] is [None]. *)

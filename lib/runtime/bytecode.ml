@@ -11,28 +11,8 @@ open Rt
 let transfers_control = function
   | Return | Halt | Branch _ | Tail_call _ | Prim_tail_call _ -> true
   (* The register-addressed tail/return forms transfer unconditionally
-     too (their deopt paths tail-call through the frame policy), though
-     the regalloc lowering always retains the original transfer after
-     them as the landing pad, so they are never the last instruction of
-     a generated stream. *)
+     too (their deopt paths tail-call through the frame policy). *)
   | Return_op _ | Prim_tail1_op _ | Prim_tail2_op _ -> true
-  | _ -> false
-
-(* The head stands in for its first operand's staging and retains the
-   second's at pc+1 — unless that first operand is already in place (an
-   [Op_local] of its own argument slot), when the head stands in for the
-   second's staging and the consumer follows it directly. *)
-let[@inline] consumer_offset2 (site : prim_site) = function
-  | Op_local s when s = site.ps_disp + 2 -> 1
-  | _ -> 2
-
-(* A two-operand fused form whose consumer sits at pc+2 retains its
-   staged second push at pc+1 as the deopt landing pad. *)
-let pad_head = function
-  | Prim_call2_op (s, a, _)
-  | Prim_branch2_op (s, a, _, _)
-  | Prim_tail2_op (s, a, _) ->
-      consumer_offset2 s a = 2
   | _ -> false
 
 let check_ends ~name instrs =
@@ -48,11 +28,7 @@ let check_operand ~name ~frame_words = function
            i frame_words)
   | Op_local _ | Op_acc | Op_const _ -> ()
 
-(* The per-instruction checks of [validate].  Entering a landing pad at
-   its retained push would restage only the second operand and run the
-   consumer with the first argument slot holding garbage, so no branch
-   may target the pad's interior (targeting the consumer itself is fine
-   — that is the fully de-fused form). *)
+(* The per-instruction checks of [validate]. *)
 let check_instr ~name ~frame_words instrs instr =
   (match instr with
   | Branch t | Branch_false t
@@ -62,11 +38,7 @@ let check_instr ~name ~frame_words instrs instr =
   | Prim_branch1_op (_, _, t)
   | Prim_branch2_op (_, _, _, t) ->
       if t < 0 || t >= Array.length instrs then
-        invalid_arg (Printf.sprintf "%s: branch target %d out of range" name t);
-      if t > 0 && pad_head instrs.(t - 1) then
-        invalid_arg
-          (Printf.sprintf "%s: branch target %d lands inside a fused landing pad"
-             name t)
+        invalid_arg (Printf.sprintf "%s: branch target %d out of range" name t)
   | _ -> ());
   match instr with
   | Prim_call1_op (_, a)
@@ -94,15 +66,14 @@ let patch_site code pc = function
       site.cs_ret <- Retaddr { rcode = code; rpc = pc + 1; rdisp = site.cs_disp }
   | Prim_call site | Prim_call1 site | Prim_call2 site
   | Prim_branch1 (site, _)
-  | Prim_branch2 (site, _) ->
+  | Prim_branch2 (site, _)
+  | Prim_call1_op (site, _)
+  | Prim_call2_op (site, _, _)
+  | Prim_branch1_op (site, _, _)
+  | Prim_branch2_op (site, _, _, _) ->
       (* For the branch-fused forms, [pc + 1] is the retained
          [Branch_false]: a deopted call returns into it and the branch
-         re-executes on the returned value.  The register-addressed
-         forms need no case of their own: the regalloc lowering keeps
-         the original [Prim_call*]/[Prim_branch*] in place at its pc
-         as the landing pad and shares its [prim_site], so the
-         interned [ps_ret] set here is exactly the resume point a
-         deopted operand form needs. *)
+         re-executes on the returned value. *)
       site.ps_ret <- Retaddr { rcode = code; rpc = pc + 1; rdisp = site.ps_disp }
   | _ -> ()
 
@@ -121,13 +92,12 @@ let finish code =
 
 let next_cid = Atomic.make 0
 
-let code ?(pos = (0, 0)) ~name ~arity ~frame_words instrs =
-  let cline, ccol = pos in
+let code ~name ~arity ~frame_words instrs =
   { instrs; cname = name; arity; frame_words; timer_ret = Void;
-    templ = No_template; cline; ccol; cid = Atomic.fetch_and_add next_cid 1 }
+    templ = No_template; cid = Atomic.fetch_and_add next_cid 1 }
 
-let make_code ?pos ~name ~arity ~frame_words instrs =
-  let c = code ?pos ~name ~arity ~frame_words instrs in
+let make_code ~name ~arity ~frame_words instrs =
+  let c = code ~name ~arity ~frame_words instrs in
   finish c;
   c
 

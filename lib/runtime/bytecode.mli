@@ -4,24 +4,18 @@ val transfers_control : Rt.instr -> bool
 (** Does the instruction unconditionally leave the current pc (so that
     falling through to pc+1 is impossible)? *)
 
-val consumer_offset2 : Rt.prim_site -> Rt.operand -> int
-(** Distance from a two-operand fused head with first operand [a] to its
-    retained consumer: 1 when [a] reads the site's first argument slot
-    in place, else 2 (the second operand's staging sits between). *)
-
 val validate : name:string -> frame_words:int -> Rt.instr array -> unit
 (** The structural checks {!finish} runs: non-empty stream, final
-    instruction transfers control, branch targets in range and never
-    into the interior of a two-operand fused form's landing pad (the
-    retained staged push at pc+1 of a {!consumer_offset2} of 2), operand
+    instruction transfers control, branch targets in range, operand
     indices within [frame_words].
     @raise Invalid_argument naming the code and the violation. *)
 
 val backpatch : Rt.code -> unit
 (** Intern one [Rt.Retaddr] per non-tail call site ([Call] and the deopt
-    path of [Prim_call]/[Prim_call1]/[Prim_call2]/[Prim_branch1]/
-    [Prim_branch2]) into the instruction stream, making the
-    return-address push at call time allocation-free. *)
+    path of [Prim_call], the fixed-arity call and branch forms and their
+    operand forms) into the instruction stream, at the pc after the
+    site, making the return-address push at call time
+    allocation-free. *)
 
 val finish : Rt.code -> unit
 (** {!validate} and {!backpatch} in one pass over the stream: the last
@@ -32,7 +26,6 @@ val finish : Rt.code -> unit
     @raise Invalid_argument on malformed code. *)
 
 val code :
-  ?pos:int * int ->
   name:string ->
   arity:Rt.arity ->
   frame_words:int ->
@@ -40,13 +33,9 @@ val code :
   Rt.code
 (** An unfinished code object: no validation, and call sites whose
     return addresses are not yet interned.  It must pass through
-    {!finish} before any VM runs it.  [pos] is the source line:col of
-    the defining form, recorded on the code object for diagnostics; it
-    defaults to [0, 0] (synthetic code).  Each call draws a fresh
-    [cid]. *)
+    {!finish} before any VM runs it.  Each call draws a fresh [cid]. *)
 
 val make_code :
-  ?pos:int * int ->
   name:string ->
   arity:Rt.arity ->
   frame_words:int ->

@@ -90,11 +90,6 @@ and code = {
   mutable templ : tmpl;                  (* closure-compiled template cache
                                             ([No_template] until the closure
                                             backend compiles this code) *)
-  cline : int;                           (* source position of the defining
-                                            form; 0:0 = synthetic code (the
-                                            runtime cannot see Sexp.pos, so
-                                            the pair is carried as ints) *)
-  ccol : int;
   cid : int;                             (* drawn fresh by each
                                             [Bytecode.code] call (a copy made
                                             with [with] keeps it): the hash key
@@ -170,19 +165,15 @@ and instr =
      argument-staging pushes of a fused prim call are folded into the
      consumer as [operand]s read straight from the accumulator, a frame
      slot, or the instruction stream, so the staged values never touch
-     stack memory on the fast path.  Like branch fusion, the lowering
-     replaces only the *first* instruction of the staged sequence and
-     retains every following original in place as the deopt landing pad:
-     the retained [Prim_call*]/[Prim_branch*]/[Prim_tail_call]/[Return]
-     keeps its pc, so [Bytecode.finish] interns [ps_ret] exactly as in
-     the unfused stream and no pcs are renumbered.  On guard failure (or
-     before any slow path that re-enters the frame policy) the handler
-     first spills the operand values into the frame's argument slots —
-     the frame a capture or deopt observes is byte-identical to the one
-     the unfused sequence would have built.  The skip widths are fixed by
-     shape: a fused form with [n] operands jumps [n + 1] instructions
-     (staged pushes + retained prim), plus one more for the retained
-     [Branch_false] of the branch forms. *)
+     stack memory on the fast path.  The form replaces the staging and
+     the consumer and continues where the consumer did: at [pc + 1], or
+     for a branch form, as for [Prim_branch1], past the retained
+     [Branch_false] at [pc + 1].  Its interned [ps_ret] resumes at
+     [pc + 1], and a raising primitive flushes there.  On guard failure (or before any slow path that
+     re-enters the frame policy) the handler first spills the operand
+     values into the frame's argument slots, so the frame a capture or
+     deopt observes is byte-identical to the one the unfused sequence
+     would have built. *)
   | Prim_call1_op of prim_site * operand
   | Prim_call2_op of prim_site * operand * operand
   | Prim_branch1_op of prim_site * operand * int
@@ -192,8 +183,8 @@ and instr =
   | Return_op of operand                 (* producer + Return in one dispatch *)
 
 (* Where a register-addressed instruction reads a value from: the
-   accumulator (the value the head [Local_set] of the unfused sequence
-   would have stored), a frame slot (a [Local_push] source), or an
+   accumulator (the value the folded [Local_set] of the unfused
+   sequence would have stored), a frame slot (a [Local_push] source), or an
    immediate (a [Const_push] payload). *)
 and operand = Op_acc | Op_local of int | Op_const of value
 

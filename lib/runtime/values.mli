@@ -42,8 +42,6 @@ val write_string : Rt.value -> string
 val display_string : Rt.value -> string
 (** [display]-style representation (strings and chars raw). *)
 
-val type_name : Rt.value -> string
-
 val err : string -> Rt.value list -> 'a
 (** Raise {!Rt.Scheme_error}. *)
 

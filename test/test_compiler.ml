@@ -32,9 +32,10 @@ let suite =
         (match instrs code with
         | Rt.Enter :: _ -> ()
         | _ -> Alcotest.fail "first instruction must be Enter");
+        (* the constant and its [Return] fold into one [Return_op] *)
         match List.rev (instrs code) with
-        | Rt.Return :: _ -> ()
-        | _ -> Alcotest.fail "last instruction must be Return");
+        | Rt.Return_op (Rt.Op_const (Rt.Int 42)) :: _ -> ()
+        | _ -> Alcotest.fail "last instruction must be return-op 42");
     case "direct lambda application allocates no closure" (fun () ->
         let code = compile_one "(let ((x 1) (y 2)) (+ x y))" in
         Alcotest.(check int) "closures" 0
@@ -239,9 +240,8 @@ let listing codes =
   String.concat "\n" (List.map Bytecode.disassemble_deep codes)
 
 (* Every non-tail call site's interned return address names its own code
-   object, the next pc and the site's displacement.  The operand forms
-   share the site of the consumer retained after them, so only the
-   consumers are checked. *)
+   object, the next pc and the site's displacement; the operand forms
+   are call sites of their own. *)
 let check_retaddrs codes =
   let check (c : Rt.code) pc disp = function
     | Rt.Retaddr { rcode; rpc; rdisp } ->
@@ -256,7 +256,11 @@ let check_retaddrs codes =
           | Rt.Call s -> check c pc s.Rt.cs_disp s.Rt.cs_ret
           | Rt.Prim_call s | Rt.Prim_call1 s | Rt.Prim_call2 s
           | Rt.Prim_branch1 (s, _)
-          | Rt.Prim_branch2 (s, _) ->
+          | Rt.Prim_branch2 (s, _)
+          | Rt.Prim_call1_op (s, _)
+          | Rt.Prim_call2_op (s, _, _)
+          | Rt.Prim_branch1_op (s, _, _)
+          | Rt.Prim_branch2_op (s, _, _, _) ->
               check c pc s.Rt.ps_disp s.Rt.ps_ret
           | _ -> ())
         c.Rt.instrs)
@@ -271,7 +275,7 @@ let check_retaddrs codes =
    the digests do not depend on test order. *)
 let identity_digests =
   [
-    ((true, true), "a8cdae2cc50090d345970b2b497b36c8");
+    ((true, true), "c47944bf5036d92175b48735e2ed5642");
     ((true, false), "29e5a6f1806ce4e28c09bc412958744d");
     ((false, true), "2d19350d45b15497578c853e1e38807c");
     ((false, false), "2d19350d45b15497578c853e1e38807c");

@@ -133,16 +133,12 @@ let disasm_cases =
         List.iter
           (fun sub ->
             Alcotest.(check bool) sub true (Tutil.contains ~sub text))
-          [
-            "prim-tail2-op";
-            "prim-branch2-op";
-            "prim-call2-op";
-            "return-op";
-            (* retained landing pads stay in place after their heads *)
-            "prim-tail-call";
-            "prim-branch2 ";
-            "const-push";
-          ]);
+          [ "prim-tail2-op"; "prim-branch2-op"; "prim-call2-op"; "return-op" ];
+        (* the staging and the plain call each form replaced are gone *)
+        List.iter
+          (fun sub ->
+            Alcotest.(check bool) ("no " ^ sub) false (Tutil.contains ~sub text))
+          [ "prim-tail-call"; "prim-branch2 "; "prim-call2 "; "const-push" ]);
     case "--no-regalloc emits no operand forms" (fun () ->
         let s = Scheme.create () in
         let text =
@@ -155,6 +151,63 @@ let disasm_cases =
         Alcotest.(check bool) "no -op opcodes" false
           (Tutil.contains ~sub:"-op " text || Tutil.contains ~sub:"return-op" text));
   ]
+
+(* ------------------------------------------------------------------ *)
+(* Code size: fused code keeps nothing of what a fold replaced         *)
+(* ------------------------------------------------------------------ *)
+
+(* Instructions of each corpus compiled with the default options against
+   a fresh table holding only the primitives.  Every operand form used to
+   keep the staging and the call it replaced after it; with those gone,
+   the only instructions left after a fused form are branch fusion's
+   [Branch_false] and a branch-targeted [Return] after a [Return_op]. *)
+let code_size_cases =
+  let size src =
+    let g = Globals.create () in
+    Prims.install g;
+    List.fold_left Bytecode.collect_codes [] (Compiler.compile_string g src)
+    |> List.fold_left (fun n (c : Rt.code) -> n + Array.length c.Rt.instrs) 0
+  in
+  List.map
+    (fun (name, src, expected) ->
+      case (Printf.sprintf "fused code size: %s" name) (fun () ->
+          Alcotest.(check int) "instructions" expected (size src)))
+    [
+      ("prelude", Prelude.source, 855);
+      ("corpus", Programs.all_defs, 1087);
+      ("threads", Threads.scheduler, 427);
+      ("cml", Cml.source, 492);
+    ]
+
+(* A [Return] that a branch targets is not folded away: the arm that
+   falls into it ends in a [Return_op], and the arm that branches to it
+   returns through it. *)
+let kept_return_cases =
+  let def = "(define (pick x) (if x 1 2))" in
+  case "a branch-targeted return stays after its return-op" (fun () ->
+      let s = Scheme.create () in
+      let text =
+        String.concat "\n"
+          (List.map Bytecode.disassemble_deep
+             (Compiler.compile_string (Scheme.globals s) def))
+      in
+      Alcotest.(check bool) "listing" true
+        (Tutil.contains ~sub:"branch 6\n     5  return-op 2\n     6  return\n"
+           text))
+  :: List.map
+       (fun (bname, backend) ->
+         case (Printf.sprintf "a branch-targeted return returns [%s]" bname)
+           (fun () ->
+             let s = Scheme.create ~backend () in
+             ignore (Scheme.eval ~fuel s def);
+             Alcotest.(check string) "value" "(1 2)"
+               (Scheme.eval_string ~fuel s "(list (pick #t) (pick #f))")))
+       [
+         ("stack", Scheme.Stack Control.default_config);
+         ("closure", Scheme.Closure Control.default_config);
+         ("heap", Scheme.Heap);
+         ("oracle", Scheme.Oracle);
+       ]
 
 (* ------------------------------------------------------------------ *)
 (* Differential: regalloc on/off across backends                       *)
@@ -320,15 +373,17 @@ let capture_cases =
    shape (call, branch, tail at one and two arguments), compiled as an
    operand form by default, as a plain form under --no-regalloc and as a
    generic call under --no-peephole.  Under a returning handler the
-   fault resumes at the retained consumer; under [try] it escapes.  The
-   value and the counters must agree across stack, closure and heap. *)
+   fault resumes at the instruction after the faulting one (after a tail
+   form, the [Return] that hands the handler's value to the caller);
+   under [try] it escapes.  The value and the counters must agree across
+   stack, closure and heap. *)
 let fault_programs =
   (* shape, faulting prim, definition, call, value under the returning
      handler (which answers 42) *)
   [
     ("call1", "car", "(define (f x) (list (car x)))", "(f 5)", "(42)");
     ("branch1", "car", "(define (f x) (if (car x) 'yes 'no))", "(f 5)", "yes");
-    ("tail1", "car", "(define (f x) (car x))", "(f 5)", "42");
+    ("tail1", "car", "(define (f x) (car x))", "(+ 1 (f 5))", "43");
     ("call2", "+", "(define (f x) (list (+ x 1)))", "(f 'a)", "(42)");
     ( "branch2",
       "vector-ref",
@@ -484,5 +539,5 @@ let fuel_after_prim_cases =
     fault_backends
 
 let suite =
-  disasm_cases @ differential_cases @ deopt_cases @ capture_cases @ fault_cases
+  disasm_cases @ code_size_cases @ kept_return_cases @ differential_cases @ deopt_cases @ capture_cases @ fault_cases
   @ fuel_after_prim_cases

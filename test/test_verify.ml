@@ -217,34 +217,7 @@ let reject_cases =
            Rt.Const (Rt.Int 2);
            Rt.Return;
          |]);
-    (* 10. operand form whose retained consumer is a different (if
-       structurally equal) prim site record *)
-    rejects "rejects: landing pad not sharing the prim site"
-      ~needle:"does not share"
-      (let s1 = prim_site () and s2 = prim_site () in
-       raw ~fw:6
-         [|
-           Rt.Enter;
-           Rt.Const Rt.Nil;
-           Rt.Local_set 3;
-           Rt.Prim_call1_op (s1, Rt.Op_local 3);
-           Rt.Prim_call1 s2;
-           Rt.Return;
-         |]);
-    (* 11. operand form whose retained push restages a different value *)
-    rejects "rejects: landing pad restaging the wrong operand"
-      ~needle:"does not restage"
-      (let s = prim_site ~name:"+" ~nargs:2 () in
-       raw ~fw:8
-         [|
-           Rt.Enter;
-           Rt.Const_push (Rt.Int 1, 4);
-           Rt.Prim_call2_op (s, Rt.Op_const (Rt.Int 1), Rt.Op_const (Rt.Int 2));
-           Rt.Const_push (Rt.Int 99, 5);
-           Rt.Prim_call2 s;
-           Rt.Return;
-         |]);
-    (* 12. join-point inconsistency: a slot initialized on only one arm
+    (* 10. join-point inconsistency: a slot initialized on only one arm
        of a conditional is read after the join *)
     rejects "rejects: join-inconsistent slot initialization"
       ~needle:"uninitialized on some path"
@@ -259,10 +232,10 @@ let reject_cases =
            Rt.Local_ref 3;
            Rt.Return;
          |]);
-    (* 13. Enter outside the prologue *)
+    (* 11. Enter outside the prologue *)
     rejects "rejects: Enter in mid-stream" ~needle:"Enter outside"
       (raw ~fw:3 [| Rt.Enter; Rt.Const (Rt.Int 1); Rt.Enter; Rt.Return |]);
-    (* 14. prim site nargs disagreeing with the fixed-arity instruction *)
+    (* 12. prim site nargs disagreeing with the fixed-arity instruction *)
     rejects "rejects: prim site nargs mismatch" ~needle:"nargs"
       (let s = prim_site ~nargs:2 () in
        raw ~fw:6
@@ -273,7 +246,7 @@ let reject_cases =
            Rt.Prim_call1 s;
            Rt.Return;
          |]);
-    (* 15. in-place first operand: its argument slot was never stored *)
+    (* 13. in-place first operand: its argument slot was never stored *)
     rejects "rejects: in-place operand of an unstored argument slot"
       ~needle:"uninitialized"
       (let s = prim_site ~name:"+" ~nargs:2 () in
@@ -282,26 +255,24 @@ let reject_cases =
            Rt.Enter;
            Rt.Const (Rt.Int 2);
            Rt.Prim_call2_op (s, Rt.Op_local 4, Rt.Op_acc);
-           Rt.Prim_call2 s;
            Rt.Return;
          |]);
-    (* 16. in-place first operand: no staging is retained, so the
-       consumer must follow the head directly *)
-    rejects "rejects: in-place operand form with a pad between"
-      ~needle:"not the retained Prim_call2 consumer"
-      (let s = prim_site ~name:"+" ~nargs:2 () in
+    (* 14. branch operand form whose next instruction is not the
+       Branch_false a deopted call resumes at *)
+    rejects "rejects: branch operand form without its Branch_false"
+      ~needle:"not the retained Branch_false"
+      (let s = prim_site ~name:"<" ~nargs:2 () in
        raw ~fw:8
          [|
            Rt.Enter;
            Rt.Const (Rt.Int 1);
-           Rt.Local_set 4;
+           Rt.Prim_branch2_op (s, Rt.Op_acc, Rt.Op_const (Rt.Int 2), 5);
+           Rt.Const (Rt.Int 1);
+           Rt.Return;
            Rt.Const (Rt.Int 2);
-           Rt.Prim_call2_op (s, Rt.Op_local 4, Rt.Op_acc);
-           Rt.Local_set 5;
-           Rt.Prim_call2 s;
            Rt.Return;
          |]);
-    (* 17. closure capture index outside the enclosing frame *)
+    (* 15. closure capture index outside the enclosing frame *)
     rejects "rejects: capture index outside frame" ~needle:"captured"
       (let child =
          raw ~name:"child" ~arity:(Rt.Exactly 0) ~fw:3
@@ -309,7 +280,7 @@ let reject_cases =
        in
        raw ~fw:3
          [| Rt.Enter; Rt.Make_closure (child, [| Rt.Cap_local 7 |]); Rt.Return |]);
-    (* 18. child code object of a closure is verified too *)
+    (* 16. child code object of a closure is verified too *)
     rejects "rejects: malformed nested closure body" ~needle:"child"
       (let child =
          raw ~name:"child" ~arity:(Rt.Exactly 0) ~fw:3
@@ -341,57 +312,24 @@ let validate_cases =
     validate_rejects "validate: operand index past frame-words"
       ~needle:"operand index 9 out of frame (frame-words=4)" ~fw:4
       [| Rt.Return_op (Rt.Op_local 9); Rt.Return |];
-    validate_rejects "validate: branch into a fused landing pad"
-      ~needle:"lands inside a fused landing pad" ~fw:8
-      (let s = prim_site ~name:"+" ~nargs:2 () in
-       [|
-         Rt.Branch 2;
-         Rt.Prim_call2_op (s, Rt.Op_const (Rt.Int 1), Rt.Op_const (Rt.Int 2));
-         Rt.Const_push (Rt.Int 2, 5);
-         Rt.Prim_call2 s;
-         Rt.Return;
-       |]);
-    case "validate: accepts a branch to the pad consumer" (fun () ->
-        let s = prim_site ~name:"+" ~nargs:2 () in
-        Bytecode.validate ~name:"v" ~frame_words:8
-          [|
-            Rt.Branch 3;
-            Rt.Prim_call2_op
-              (s, Rt.Op_const (Rt.Int 1), Rt.Op_const (Rt.Int 2));
-            Rt.Const_push (Rt.Int 2, 5);
-            Rt.Prim_call2 s;
-            Rt.Return;
-          |]);
   ]
 
-(* A first operand read in place from its own argument slot needs no
-   restaging pad: the head stands in for the second operand's staging
-   and the consumer follows it, and a branch may target that consumer. *)
+(* A first operand read in place from its own argument slot, stored by
+   earlier code: the form stands for the second operand's staging and
+   the call, and the verifier reads the slot's initialization. *)
 let in_place_cases =
   [
-    case "accepts: in-place operand with the consumer at pc+1" (fun () ->
+    case "accepts: in-place operand of a stored argument slot" (fun () ->
         let s = prim_site ~name:"+" ~nargs:2 () in
         Verify.verify
           (raw ~fw:8
              [|
                Rt.Enter;
-               Rt.Const (Rt.Int 1);
-               Rt.Local_set 4;
+               Rt.Const_push (Rt.Int 1, 4);
                Rt.Const (Rt.Int 2);
                Rt.Prim_call2_op (s, Rt.Op_local 4, Rt.Op_acc);
-               Rt.Prim_call2 s;
                Rt.Return;
              |]));
-    case "validate: accepts a branch to an in-place form's consumer"
-      (fun () ->
-        let s = prim_site ~name:"+" ~nargs:2 () in
-        Bytecode.validate ~name:"v" ~frame_words:8
-          [|
-            Rt.Branch 2;
-            Rt.Prim_call2_op (s, Rt.Op_local 4, Rt.Op_acc);
-            Rt.Prim_call2 s;
-            Rt.Return;
-          |]);
   ]
 
 (* ------------------------------------------------------------------ *)
