@@ -52,6 +52,13 @@ bootstrap interval, and in how many pairs the change was faster.
 `setup_s` is the median of such processes, and it is not normalized for
 host speed, so a change to set-up needs many pairs side by side.
 
+Before it times anything, the script prints for each side and layout
+the offset modulo 64 of `camlVm_core.exec` (the stack backend's
+dispatch loop) and of the kernel's `Jobs.fib` and `Jobs.tak` in the
+built `perfbench.exe`, as `nm` reads them: a time shift that follows
+where these functions fall within a cache line, rather than the side,
+shows there.
+
 The deterministic counters live elsewhere: `bench/main.exe all --iters 3
 --json F` writes them and `bench/compare.exe BASE F --tolerance 0`
 diffs them.  Compare those only at CI's `--iters 3`.  The counters
@@ -64,6 +71,7 @@ import argparse
 import json
 import os
 import random
+import re
 import shutil
 import signal
 import statistics
@@ -154,6 +162,45 @@ def build(tree):
         sys.stderr.write(r.stdout + r.stderr)
         sys.exit("ab: build failed in " + tree)
     return os.path.join(tree, "_build", "default", "perfbench", "perfbench.exe")
+
+
+# The functions whose placement a time shift can follow: the stack
+# backend's dispatch loop and the kernel's own recursive functions
+# (perfbench is a dune executable, so its modules carry the
+# Dune__exe__ prefix).
+ALIGN_SYMBOLS = (
+    ("Vm_core.exec", r"camlVm_core\.exec_\d+"),
+    ("Jobs.fib", r"caml(?:Dune__exe__)?Jobs\.fib_\d+"),
+    ("Jobs.tak", r"caml(?:Dune__exe__)?Jobs\.tak_\d+"),
+)
+
+
+def alignments(nm_text):
+    """(label, address mod 64) of each ALIGN_SYMBOLS function in `nm`
+    output, None for one that is missing."""
+    found = {}
+    for line in nm_text.splitlines():
+        parts = line.split()
+        if len(parts) != 3:
+            continue
+        addr, _, name = parts
+        for label, pattern in ALIGN_SYMBOLS:
+            if label not in found and re.fullmatch(pattern, name):
+                found[label] = int(addr, 16) % 64
+    return [(label, found.get(label)) for label, _ in ALIGN_SYMBOLS]
+
+
+def alignment_line(side, k, nm_text):
+    cells = ["%s %s" % (label, "?" if off is None else "%d" % off)
+             for label, off in alignments(nm_text)]
+    return "%-6s layout %d, offset mod 64: %s" % (side, k, ", ".join(cells))
+
+
+def print_alignment(side, k, exe):
+    """Where [exe]'s hot functions sit within a 64-byte line, so a time
+    shift that follows the dispatch loop's alignment shows in the A/B."""
+    nm = subprocess.run(["nm", exe], capture_output=True, text=True)
+    print(alignment_line(side, k, nm.stdout), flush=True)
 
 
 def setup_once(exe, workload):
@@ -256,6 +303,8 @@ def main():
             trees = {side: export(rev, root, tmp, side)
                      for side, rev in (("base", a.base), ("change", a.change))}
             exes = {side: build(tree) for side, tree in trees.items()}
+            for side, exe in exes.items():
+                print_alignment(side, 0, exe)
             print("workload %s, %d set-up pairs; base %s, change %s"
                   % (a.workload, a.setup, a.base, a.change))
             print_setup(setup_pairs(exes, a.workload, a.setup), random.Random(0))
@@ -263,6 +312,8 @@ def main():
         for k in range(a.layouts):
             trees = {side: layout_tree(rev, root, tmp, side, k)
                      for side, rev in (("base", a.base), ("change", a.change))}
+            for side, tree in trees.items():
+                print_alignment(side, k, build(tree))
             layout = {"base": [], "change": []}
             for i in range(a.runs):
                 for side in pair_order(i):

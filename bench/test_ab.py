@@ -122,5 +122,36 @@ class SetupTest(unittest.TestCase):
         self.assertEqual(ab.summary(b, b, "lower", random.Random(0))["wins"], 0)
 
 
+class AlignmentTest(unittest.TestCase):
+    # Synthetic `nm` output: the dispatch loop and the kernel's fib at
+    # known addresses, tak missing, and look-alike symbols that must
+    # not match (a local of exec, data of Jobs, another module's fib).
+    NM = "\n".join([
+        "00000000000cbde0 T camlVm_core.exec_636",
+        "00000000000cbe17 t camlVm_core.exec_inner_637",
+        "00000000000ae390 T camlDune__exe__Jobs.fib_535",
+        "00000000000ae3c4 T camlOther.fib_12",
+        "00000000001ba108 D camlDune__exe__Jobs",
+        "                 U caml_modify",
+    ])
+
+    def test_offsets_mod_64_of_the_named_functions(self):
+        self.assertEqual(ab.alignments(self.NM),
+                         [("Vm_core.exec", 0xcbde0 % 64), ("Jobs.fib", 0xae390 % 64),
+                          ("Jobs.tak", None)])
+        self.assertEqual(ab.alignments(self.NM)[0][1], 32)
+        self.assertEqual(ab.alignments(self.NM)[1][1], 16)
+
+    def test_first_definition_wins_and_unprefixed_modules_match(self):
+        nm = "\n".join(["0000000000000041 T camlJobs.tak_9",
+                         "0000000000000080 T camlJobs.tak_10"])
+        self.assertEqual(ab.alignments(nm)[2], ("Jobs.tak", 1))
+
+    def test_line_names_side_layout_and_missing_symbols(self):
+        self.assertEqual(ab.alignment_line("change", 1, self.NM),
+                         "change layout 1, offset mod 64: "
+                         "Vm_core.exec 32, Jobs.fib 16, Jobs.tak ?")
+
+
 if __name__ == "__main__":
     unittest.main()

@@ -667,7 +667,7 @@ and relaunch (vm : t) =
   if not vm.halted then begin
     let arr = template vm.stats vm.code in
     let pc = vm.pc in
-    Vm_core.check_entry pc (Array.length arr);
+    Engine.check_entry pc (Array.length arr);
     let stats = vm.stats in
     if stats.Stats.enabled then
       stats.Stats.tmpl_enters <- stats.Stats.tmpl_enters + 1;

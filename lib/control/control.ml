@@ -264,9 +264,14 @@ let room m n = m.fp + n <= seg_limit m
 let is_shot r = r.size = -1
 let is_multi r = r.current = r.size || !(r.promoted)
 
-let retaddr_of = function
-  | Retaddr r -> r
-  | v -> Values.err "control: corrupt frame: expected return address" [ v ]
+let corrupt_ret v =
+  Values.err "control: corrupt frame: expected return address" [ v ]
+
+(* [v], checked to be a return address. *)
+let retaddr_of = function Retaddr _ as v -> v | v -> corrupt_ret v
+
+(* The displacement word of return address [v]. *)
+let rdisp_of = function Retaddr { rdisp; _ } -> rdisp | v -> corrupt_ret v
 
 (* The record [sr]'s bottom frame underflows into. *)
 let below_bottom sr =
@@ -483,13 +488,13 @@ let capture_oneshot m =
    words (paper Section 3.2; details in Hieb/Dybvig/Bruggeman PLDI'90). *)
 let split_for_copy m k content =
   let bound = m.cfg.copy_bound in
-  let top = content - (retaddr_of k.ret).rdisp in
+  let top = content - rdisp_of k.ret in
   let s = ref top in
   let continue = ref (top > 0 && content - top <= bound) in
   while !continue do
     match k.seg.(k.base + !s) with
-    | Retaddr r ->
-        let p = !s - r.rdisp in
+    | Retaddr { rdisp; _ } ->
+        let p = !s - rdisp in
         if p > 0 && content - p <= bound then s := p else continue := false
     | _ -> continue := false
   done;
@@ -530,10 +535,10 @@ let split_for_copy m k content =
    when it eventually returns.  Escape-heavy workloads (ctak) thus pay
    one frame of copying per invocation instead of the whole inter-capture
    region. *)
-let unseal_in_place m k (r : retaddr) =
+let unseal_in_place m k r rdisp =
   let sr = m.sr in
   let seg = k.seg in
-  let s = k.current - r.rdisp in
+  let s = k.current - rdisp in
   let boundary = k.base + s in
   let krest =
     {
@@ -552,13 +557,13 @@ let unseal_in_place m k (r : retaddr) =
      [k]'s own slice, so it returns through the underflow mark: a later
      re-entry by copying must underflow into [krest], not return through
      a stale address. *)
-  let top = Array.sub seg boundary r.rdisp in
+  let top = Array.sub seg boundary rdisp in
   top.(0) <- Underflow_mark;
-  m.stats.words_copied <- m.stats.words_copied + r.rdisp;
+  m.stats.words_copied <- m.stats.words_copied + rdisp;
   k.seg <- top;
   k.base <- 0;
-  k.size <- r.rdisp;
-  k.current <- r.rdisp;
+  k.size <- rdisp;
+  k.current <- rdisp;
   k.link <- krest;
   seg.(boundary) <- Underflow_mark;
   (* The active record grows downward over the reopened top frame. *)
@@ -572,15 +577,16 @@ let unseal_in_place m k (r : retaddr) =
 
 let reinstate_multi ?(unseal = true) m k =
   let sr = m.sr in
-  let r = retaddr_of k.ret in
+  let r = k.ret in
+  let rdisp = rdisp_of r in
   if
     unseal && sr.seg == k.seg
     && sr.link == k
     && k.base + k.size = sr.base
     && m.fp = sr.base
-    && r.rdisp > 0
-    && k.current > r.rdisp
-  then unseal_in_place m k r
+    && rdisp > 0
+    && k.current > rdisp
+  then unseal_in_place m k r rdisp
   else begin
     let content = k.current in
     let content =
@@ -596,8 +602,8 @@ let reinstate_multi ?(unseal = true) m k =
     Array.blit k.seg k.base sr.seg sr.base content;
     m.stats.words_copied <- m.stats.words_copied + content;
     sr.link <- k.link;
-    let r = retaddr_of k.ret in
-    m.fp <- sr.base + content - r.rdisp;
+    let r = k.ret in
+    m.fp <- sr.base + content - rdisp_of r;
     m.stats.invokes_multi <- m.stats.invokes_multi + 1;
     r
   end
@@ -618,8 +624,8 @@ let reinstate_oneshot m k =
   sr.link <- k.link;
   if sr.ret != Void then sr.ret <- Void;
   if sr.promoted != lone_flag then sr.promoted <- lone_flag;
-  let r = retaddr_of k.ret in
-  m.fp <- k.base + k.current - r.rdisp;
+  let r = k.ret in
+  m.fp <- k.base + k.current - rdisp_of r;
   (* Mark shot: both size fields set to -1 (paper Figure 4), and detach
      the record from its adopted segment and its chain — a shot record
      can never be reinstated, so keeping the pointers alive would only
@@ -690,7 +696,7 @@ let overflow m ~live_top ~need =
         while !continue && !s > sr.base
               && live_top - !s < m.cfg.hysteresis_words do
           match seg.(!s) with
-          | Retaddr r -> s := !s - r.rdisp
+          | Retaddr { rdisp; _ } -> s := !s - rdisp
           | _ -> continue := false
         done;
         let s = !s in
@@ -759,11 +765,10 @@ let backtrace ?(limit = 64) m =
   let rec in_segment seg f link =
     if !count < limit then
       match seg.(f) with
-      | Retaddr r ->
+      | Retaddr { rcode; rdisp; _ } ->
           incr count;
-          names := r.rcode.cname :: !names;
-          if f - r.rdisp >= 0 && r.rdisp > 0 then
-            in_segment seg (f - r.rdisp) link
+          names := rcode.cname :: !names;
+          if f - rdisp >= 0 && rdisp > 0 then in_segment seg (f - rdisp) link
       | Underflow_mark ->
           if link == no_link then ()
           else if is_shot link then begin
@@ -778,10 +783,10 @@ let backtrace ?(limit = 64) m =
       | _ -> ()
   and at_record k =
     match k.ret with
-    | Retaddr r when !count < limit ->
+    | Retaddr { rcode; rdisp; _ } when !count < limit ->
         incr count;
-        names := r.rcode.cname :: !names;
-        let f = k.base + k.current - r.rdisp in
+        names := rcode.cname :: !names;
+        let f = k.base + k.current - rdisp in
         if f >= k.base then in_segment k.seg f k.link
     | _ -> ()
   in
@@ -792,7 +797,8 @@ let walk_frames seg ~base ~top =
   let rec go acc f =
     let acc = f :: acc in
     match seg.(base + f) with
-    | Retaddr r when r.rdisp > 0 && f - r.rdisp >= 0 -> go acc (f - r.rdisp)
+    | Retaddr { rdisp; _ } when rdisp > 0 && f - rdisp >= 0 ->
+        go acc (f - rdisp)
     | _ -> List.rev acc
   in
   if top < 0 then [] else go [] top

@@ -129,7 +129,7 @@ val capture_oneshot : t -> Rt.stack_record
     other slots are unwritten: the caller must populate slots [fp+1 ..]
     before dispatching. *)
 
-val reinstate : ?unseal:bool -> t -> Rt.stack_record -> Rt.retaddr
+val reinstate : ?unseal:bool -> t -> Rt.stack_record -> Rt.value
 (** Invoke a continuation record: dispatches on one-shot/multi-shot,
     performs splitting/copying or segment adoption, updates [sr]/[fp], and
     returns the return address at which to resume.
@@ -149,7 +149,7 @@ val at_bottom : t -> bool
 (** Does the active record sit at the bottom of the whole stack (its
     [link] is {!no_link})?  Returning through its bottom frame halts. *)
 
-val underflow : t -> Rt.retaddr
+val underflow : t -> Rt.value
 (** Return through a bottom frame: implicitly invoke [sr.link] (with the
     unseal fast path disabled — a descent that has started returning
     through seals keeps descending, so the bounded bulk copy wins).

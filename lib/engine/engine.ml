@@ -156,6 +156,12 @@ let[@inline] blit_args slots src dst n =
    caller running the same code) leave it unchanged and skip it. *)
 let[@inline] set_code vm c = if vm.code != c then vm.code <- c
 
+(* A landing's entry-pc bounds check against its code's length, also
+   made on the pc an error handler will return to. *)
+let[@inline] check_entry pc n =
+  if pc < 0 || pc >= n then
+    Values.err "vm: corrupt return address (pc out of range)" []
+
 (* Build [slots.(base) :: ... :: slots.(base + i) :: acc] without an
    intermediate array (multiple-values construction). *)
 let rec collect_list slots base i acc =
@@ -305,9 +311,8 @@ let deopt_callee vm site =
    (over its own global table) at its raise sites. *)
 let pop_error_handler globals =
   match Globals.lookup_opt globals "%error-handlers" with
-  | Some (Pair p) ->
-      let h = p.car in
-      Globals.define globals "%error-handlers" p.cdr;
+  | Some (Pair { car = h; cdr }) ->
+      Globals.define globals "%error-handlers" cdr;
       Some h
   | _ -> None
 

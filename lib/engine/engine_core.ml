@@ -121,11 +121,6 @@ let[@inline never] fuel_stop (vm : Policy.t) steps pc acc =
   sync vm steps pc acc;
   Vm_fuel_exhausted
 
-(* A landing's entry-pc bounds check against its code's length. *)
-let[@inline] check_entry pc n =
-  if pc < 0 || pc >= n then
-    Values.err "vm: corrupt return address (pc out of range)" []
-
 (* A primitive called with the batch unflushed raised: flush exactly as
    a [sync] before the call would have, then let the exception reach
    [run_loop] (error-handler injection) or the caller. *)
@@ -179,21 +174,11 @@ let[@inline never] unbound (vm : Policy.t) steps pc acc ~assign s =
     Scheme_error ("set! of unbound variable: " ^ Globals.slot_name s, [])
   else unbound_variable s
 
-(* The box in frame slot [i]. *)
-let[@inline] box (vm : Policy.t) slots fp steps pc acc i msg =
-  match slots.(fp + i) with Box r -> r | v -> raise (fail vm steps pc acc msg v)
-
 (* The free variables of the running closure, in frame slot 1. *)
 let[@inline] frees (vm : Policy.t) slots fp steps pc acc msg =
   match slots.(fp + 1) with
   | Closure c -> c.frees
   | v -> raise (fail vm steps pc acc msg v)
-
-(* The box in free variable [i]. *)
-let[@inline] free_box vm slots fp steps pc acc i outside non_box =
-  match (frees vm slots fp steps pc acc outside).(i) with
-  | Box r -> r
-  | v -> raise (fail vm steps pc acc non_box v)
 
 (* The cell of global [s], which must be defined. *)
 let[@inline] cell (vm : Policy.t) steps pc acc ~assign s =
@@ -201,29 +186,38 @@ let[@inline] cell (vm : Policy.t) steps pc acc ~assign s =
   if g.gdefined then g else raise (unbound vm steps pc acc ~assign s)
 
 let[@inline] box_init (vm : Policy.t) slots fp i =
-  let slots = Policy.set vm slots fp i (Box (ref slots.(fp + i))) in
+  let slots = Policy.set vm slots fp i (Box { contents = slots.(fp + i) }) in
   let stats = vm.stats in
   if stats.Stats.enabled then
     stats.Stats.boxes_made <- stats.Stats.boxes_made + 1;
   slots
 
+(* A box is read and written in place: frame slot [i] or free
+   variable [i] holds the [Box] itself. *)
 let[@inline] box_ref vm slots fp steps pc acc i =
-  !(box vm slots fp steps pc acc i "vm: box-ref of non-box")
+  match slots.(fp + i) with
+  | Box b -> b.contents
+  | v -> raise (fail vm steps pc acc "vm: box-ref of non-box" v)
 
 let[@inline] box_set vm slots fp steps pc acc i =
-  box vm slots fp steps pc acc i "vm: box-set of non-box" := acc
+  match slots.(fp + i) with
+  | Box b -> b.contents <- acc
+  | v -> raise (fail vm steps pc acc "vm: box-set of non-box" v)
 
 let[@inline] free_ref vm slots fp steps pc acc i =
   (frees vm slots fp steps pc acc "vm: free-ref outside closure").(i)
 
 let[@inline] free_box_ref vm slots fp steps pc acc i =
-  !(free_box vm slots fp steps pc acc i "vm: free-box-ref outside closure"
-      "vm: free-box-ref of non-box")
+  match (frees vm slots fp steps pc acc "vm: free-box-ref outside closure").(i)
+  with
+  | Box b -> b.contents
+  | v -> raise (fail vm steps pc acc "vm: free-box-ref of non-box" v)
 
 let[@inline] free_box_set vm slots fp steps pc acc i =
-  free_box vm slots fp steps pc acc i "vm: free-box-set outside closure"
-    "vm: free-box-set of non-box"
-  := acc
+  match (frees vm slots fp steps pc acc "vm: free-box-set outside closure").(i)
+  with
+  | Box b -> b.contents <- acc
+  | v -> raise (fail vm steps pc acc "vm: free-box-set of non-box" v)
 
 let[@inline] free_push vm slots fp steps pc acc i j =
   Policy.set vm slots fp j

@@ -14,9 +14,6 @@ let num_float who v =
 let check_num who v =
   match v with Int _ | Flo _ -> v | _ -> Values.type_error who "number" v
 
-let check_pair who v =
-  match v with Pair p -> p | _ -> Values.type_error who "pair" v
-
 let check_str who v =
   match v with Str s -> s | _ -> Values.type_error who "string" v
 
@@ -126,36 +123,121 @@ let alloc who n make =
 
 (* List helpers ----------------------------------------------------------- *)
 
+(* The car/cdr family reads the pair's fields straight off its one
+   block. *)
+let car who v =
+  match v with Pair { car; _ } -> car | _ -> Values.type_error who "pair" v
+
+let cdr who v =
+  match v with Pair { cdr; _ } -> cdr | _ -> Values.type_error who "pair" v
+
 let rec list_length who n v =
   match v with
   | Nil -> n
-  | Pair p -> list_length who (n + 1) p.cdr
+  | Pair { cdr; _ } -> list_length who (n + 1) cdr
   | _ -> Values.type_error who "proper list" v
 
 let rec list_tail who v n =
   if n = 0 then v
   else
     match v with
-    | Pair p -> list_tail who p.cdr (n - 1)
+    | Pair { cdr; _ } -> list_tail who cdr (n - 1)
     | _ -> Values.err (who ^ ": index out of range") [ v ]
 
+(* The list builders below allocate only the pairs of their result: no
+   OCaml list in between and no closure per call.  A walk that meets an
+   improper tail reports the whole argument [whole], as
+   [Values.list_of_value] does. *)
+
+(* Is [v] a proper list?  Floyd's walk: [fast] takes two pairs per step
+   and meets [slow] on a cycle, so a circular list is not one. *)
+let rec proper_list slow fast =
+  match fast with
+  | Nil | Pair { cdr = Nil; _ } -> true
+  | Pair { cdr = Pair { cdr = fast; _ }; _ } -> (
+      match slow with
+      | Pair { cdr = slow; _ } -> fast != slow && proper_list slow fast
+      | _ -> false)
+  | _ -> false
+
+(* The elements of [v], reversed, in front of [tail]. *)
+let rec rev_onto whole tail v =
+  match v with
+  | Nil -> tail
+  | Pair { car; cdr } -> rev_onto whole (Values.cons car tail) cdr
+  | _ -> Values.type_error "list" "proper list" whole
+
+(* Copy the pairs of [v] after [last], the copy's last pair so far; the
+   copy ends in [tail].  Built front to back, so each element costs one
+   pair and one store. *)
+let rec copy_after who whole tail last v =
+  match v with
+  | Nil -> ()
+  | Pair { car; cdr } ->
+      let p = Values.cons car tail in
+      (match last with Pair l -> l.cdr <- p | _ -> ());
+      copy_after who whole tail p cdr
+  | _ -> Values.type_error who "proper list" whole
+
 let append2 who a b =
-  match Values.list_of_value_opt a with
-  | Some items -> List.fold_right Values.cons items b
-  | None -> Values.type_error who "proper list" a
+  match a with
+  | Nil -> b
+  | Pair { car; cdr } ->
+      let head = Values.cons car b in
+      copy_after who a b head cdr;
+      head
+  | _ -> Values.type_error who "proper list" a
+
+(* [a.(0 .. i)] in front of [tail]. *)
+let rec array_onto a i tail =
+  if i < 0 then tail else array_onto a (i - 1) (Values.cons a.(i) tail)
+
+let array_to_list a = array_onto a (Array.length a - 1) Nil
+
+(* The characters [b.(0 .. i)] in front of [tail]. *)
+let rec bytes_onto b i tail =
+  if i < 0 then tail
+  else bytes_onto b (i - 1) (Values.cons (Char (Bytes.get b i)) tail)
+
+(* The length of [v], or -1 when it is not a proper list. *)
+let rec pairs n v =
+  match v with Nil -> n | Pair { cdr; _ } -> pairs (n + 1) cdr | _ -> -1
+
+let proper_length whole =
+  let n = pairs 0 whole in
+  if n < 0 then Values.type_error "list" "proper list" whole else n
+
+(* Store the elements of [v] from index [i] on. *)
+let rec fill_vector a i v =
+  match v with
+  | Pair { car; cdr } ->
+      a.(i) <- car;
+      fill_vector a (i + 1) cdr
+  | _ -> ()
+
+let rec fill_string b i v =
+  match v with
+  | Pair { car; cdr } ->
+      Bytes.set b i (check_char "list->string" car);
+      fill_string b (i + 1) cdr
+  | _ -> ()
+
+let cons_key k _ acc = Values.cons (of_hkey k) acc
+let cons_value _ v acc = Values.cons v acc
+let cons_entry k v acc = Values.cons (Values.cons (of_hkey k) v) acc
 
 let rec assoc_gen eqf key v =
   match v with
   | Nil -> Bool false
-  | Pair { car = Pair entry as hit; cdr } ->
-      if eqf key entry.car then hit else assoc_gen eqf key cdr
+  | Pair { car = Pair { car = k; _ } as hit; cdr } ->
+      if eqf key k then hit else assoc_gen eqf key cdr
   | Pair { cdr; _ } -> assoc_gen eqf key cdr
   | _ -> Bool false
 
 let rec member_gen eqf key v =
   match v with
   | Nil -> Bool false
-  | Pair p -> if eqf key p.car then Pair p else member_gen eqf key p.cdr
+  | Pair { car; cdr } -> if eqf key car then v else member_gen eqf key cdr
   | _ -> Bool false
 
 (* ------------------------------------------------------------------ *)
@@ -493,12 +575,8 @@ let the_prims : (string * prim) list =
     pure2 "eqv?" (fun a b -> bool_of (Values.eqv a b));
     pure2 "equal?" (fun a b -> bool_of (Values.equal a b));
     pure1 "not" (fun a -> bool_of (not (Values.is_truthy a)));
-    pure1 "null?" (fun a -> bool_of (a = Nil));
-    pure1 "list?" (fun a ->
-        bool_of
-          (match Values.list_of_value_opt a with
-          | Some _ -> true
-          | None -> false));
+    pure1 "null?" (fun a -> bool_of (match a with Nil -> true | _ -> false));
+    pure1 "list?" (fun a -> bool_of (proper_list a a));
     pure1 "pair?" (fun a -> bool_of (match a with Pair _ -> true | _ -> false));
     pure1 "symbol?" (fun a -> bool_of (match a with Sym _ -> true | _ -> false));
     pure1 "number?" (fun a ->
@@ -512,29 +590,32 @@ let the_prims : (string * prim) list =
     pure1 "procedure?" (fun a ->
         bool_of
           (match a with Closure _ | Prim _ | Cont _ | Hcont _ | Ofun _ -> true | _ -> false));
-    pure1 "eof-object?" (fun a -> bool_of (a = Eof));
+    pure1 "eof-object?" (fun a -> bool_of (match a with Eof -> true | _ -> false));
     (* -- pairs and lists --------------------------------------------- *)
     pure2 "cons" Values.cons;
-    pure1 "car" (fun v -> (check_pair "car" v).car);
-    pure1 "cdr" (fun v -> (check_pair "cdr" v).cdr);
-    pure1 "caar" (fun v -> (check_pair "caar" (check_pair "caar" v).car).car);
-    pure1 "cadr" (fun v -> (check_pair "cadr" (check_pair "cadr" v).cdr).car);
-    pure1 "cdar" (fun v -> (check_pair "cdar" (check_pair "cdar" v).car).cdr);
-    pure1 "cddr" (fun v -> (check_pair "cddr" (check_pair "cddr" v).cdr).cdr);
-    pure1 "caddr" (fun v ->
-        (check_pair "caddr"
-           (check_pair "caddr" (check_pair "caddr" v).cdr).cdr)
-          .car);
+    pure1 "car" (fun v -> car "car" v);
+    pure1 "cdr" (fun v -> cdr "cdr" v);
+    pure1 "caar" (fun v -> car "caar" (car "caar" v));
+    pure1 "cadr" (fun v -> car "cadr" (cdr "cadr" v));
+    pure1 "cdar" (fun v -> cdr "cdar" (car "cdar" v));
+    pure1 "cddr" (fun v -> cdr "cddr" (cdr "cddr" v));
+    pure1 "caddr" (fun v -> car "caddr" (cdr "caddr" (cdr "caddr" v)));
     pure2 "set-car!" (fun p v ->
-        (check_pair "set-car!" p).car <- v;
-        Void);
+        match p with
+        | Pair r ->
+            r.car <- v;
+            Void
+        | _ -> Values.type_error "set-car!" "pair" p);
     pure2 "set-cdr!" (fun p v ->
-        (check_pair "set-cdr!" p).cdr <- v;
-        Void);
+        match p with
+        | Pair r ->
+            r.cdr <- v;
+            Void
+        | _ -> Values.type_error "set-cdr!" "pair" p);
     pure "list" (At_least 0)
       ~fn1:(fun a -> Values.cons a Nil)
       ~fn2:(fun a b -> Values.cons a (Values.cons b Nil))
-      (fun args -> Values.list_to_value (Array.to_list args));
+      array_to_list;
     pure1 "length" (fun v -> Values.of_int (list_length "length" 0 v));
     pure "append" (At_least 0) ~fn1:Fun.id ~fn2:(append2 "append") (fun args ->
         match Array.length args with
@@ -545,12 +626,11 @@ let the_prims : (string * prim) list =
               acc := append2 "append" args.(i) !acc
             done;
             !acc);
-    pure1 "reverse" (fun v ->
-        Values.list_to_value (List.rev (Values.list_of_value v)));
+    pure1 "reverse" (fun v -> rev_onto v Nil v);
     pure2 "list-tail" (fun v n -> list_tail "list-tail" v (check_int "list-tail" n));
     pure2 "list-ref" (fun v n ->
         match list_tail "list-ref" v (check_int "list-ref" n) with
-        | Pair p -> p.car
+        | Pair { car; _ } -> car
         | _ -> Values.err "list-ref: index out of range" [ v; n ]);
     pure2 "assq" (assoc_gen Values.eq);
     pure2 "assv" (assoc_gen Values.eqv);
@@ -625,13 +705,11 @@ let the_prims : (string * prim) list =
         Array.iteri (fun i c -> Bytes.set b i (check_char "string" c)) args;
         Str b);
     pure1 "string->list" (fun v ->
-        Values.list_to_value
-          (List.map (fun c -> Char c)
-             (List.of_seq (Bytes.to_seq (check_str "string->list" v)))));
+        let b = check_str "string->list" v in
+        bytes_onto b (Bytes.length b - 1) Nil);
     pure1 "list->string" (fun v ->
-        let chars = Values.list_of_value v in
-        let b = Bytes.create (List.length chars) in
-        List.iteri (fun i c -> Bytes.set b i (check_char "list->string" c)) chars;
+        let b = Bytes.create (proper_length v) in
+        fill_string b 0 v;
         Str b);
     pure1 "number->string" (fun v ->
         match v with
@@ -693,10 +771,11 @@ let the_prims : (string * prim) list =
              Values.err "vector-set!: index out of range" [ Values.of_int i ];
            a.(i) <- x;
            Void));
-    pure1 "vector->list" (fun v ->
-        Values.list_to_value (Array.to_list (check_vec "vector->list" v)));
+    pure1 "vector->list" (fun v -> array_to_list (check_vec "vector->list" v));
     pure1 "list->vector" (fun v ->
-        Vec (Array.of_list (Values.list_of_value v)));
+        let a = Array.make (proper_length v) Void in
+        fill_vector a 0 v;
+        Vec a);
     pure2 "vector-fill!" (fun v x ->
         Array.fill (check_vec "vector-fill!" v) 0
           (Array.length (check_vec "vector-fill!" v))
@@ -727,18 +806,11 @@ let the_prims : (string * prim) list =
     pure1 "hashtable-size" (fun t ->
         Values.of_int (Hashtbl.length (check_tbl "hashtable-size" t)));
     pure1 "hashtable-keys" (fun t ->
-        Values.list_to_value
-          (Hashtbl.fold (fun k _ acc -> of_hkey k :: acc)
-             (check_tbl "hashtable-keys" t) []));
+        Hashtbl.fold cons_key (check_tbl "hashtable-keys" t) Nil);
     pure1 "hashtable-values" (fun t ->
-        Values.list_to_value
-          (Hashtbl.fold (fun _ v acc -> v :: acc)
-             (check_tbl "hashtable-values" t) []));
+        Hashtbl.fold cons_value (check_tbl "hashtable-values" t) Nil);
     pure1 "hashtable->alist" (fun t ->
-        Values.list_to_value
-          (Hashtbl.fold
-             (fun k v acc -> Values.cons (of_hkey k) v :: acc)
-             (check_tbl "hashtable->alist" t) []));
+        Hashtbl.fold cons_entry (check_tbl "hashtable->alist" t) Nil);
     pure1 "hashtable-copy" (fun t ->
         Tbl (Hashtbl.copy (check_tbl "hashtable-copy" t)));
     (* -- output -------------------------------------------------------- *)

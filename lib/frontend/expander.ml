@@ -92,7 +92,7 @@ let rec value_to_datum (v : Rt.value) : Sexp.t =
       let rec go acc v =
         match v with
         | Rt.Nil -> Sexp.List (List.rev acc, p)
-        | Rt.Pair pr -> go (value_to_datum pr.Rt.car :: acc) pr.Rt.cdr
+        | Rt.Pair { car; cdr } -> go (value_to_datum car :: acc) cdr
         | final -> Sexp.Dotted (List.rev acc, value_to_datum final, p)
       in
       go [] v

@@ -402,6 +402,7 @@ let enter (vm : t) =
 (* ------------------------------------------------------------------ *)
 
 let inject_error_handler (vm : t) handler msg irritants =
+  check_entry vm.pc (Array.length vm.code.instrs);
   happly vm handler
     [| Str (Bytes.of_string msg); Values.list_to_value irritants |]
     ~ret:(Retaddr { rcode = vm.code; rpc = vm.pc; rdisp = 0 })

@@ -26,38 +26,29 @@ let names : string array ref = ref (Array.make 512 "")
 let next_slot = ref 0
 
 let slot name =
-  Mutex.lock interner_lock;
-  let i =
-    match Names.find interner name with
-    | i -> i
-    | exception Not_found ->
-        let i = !next_slot in
-        let cap = Array.length !names in
-        if i >= cap then begin
-          let bigger = Array.make (2 * cap) "" in
-          Array.blit !names 0 bigger 0 cap;
-          names := bigger
-        end;
-        !names.(i) <- name;
-        Names.add interner name i;
-        incr next_slot;
-        i
-  in
-  Mutex.unlock interner_lock;
-  i
+  Mutex.protect interner_lock (fun () ->
+      match Names.find interner name with
+      | i -> i
+      | exception Not_found ->
+          let i = !next_slot in
+          let cap = Array.length !names in
+          if i >= cap then begin
+            let bigger = Array.make (2 * cap) "" in
+            Array.blit !names 0 bigger 0 cap;
+            names := bigger
+          end;
+          !names.(i) <- name;
+          Names.add interner name i;
+          incr next_slot;
+          i)
 
 (* Non-interning lookup, for callers that must not grow the table. *)
 let slot_opt name =
-  Mutex.lock interner_lock;
-  let r = Names.find_opt interner name in
-  Mutex.unlock interner_lock;
-  r
+  Mutex.protect interner_lock (fun () -> Names.find_opt interner name)
 
 let slot_name i =
-  Mutex.lock interner_lock;
-  let n = if i >= 0 && i < !next_slot then !names.(i) else "<bad-slot>" in
-  Mutex.unlock interner_lock;
-  n
+  Mutex.protect interner_lock (fun () ->
+      if i >= 0 && i < !next_slot then !names.(i) else "<bad-slot>")
 
 (* One session's table: a growable array of cells indexed by slot. *)
 type t = { mutable cells : Rt.global array }

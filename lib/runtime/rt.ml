@@ -30,9 +30,9 @@ type value =
   | Char of char
   | Str of bytes                         (* mutable Scheme strings *)
   | Sym of string
-  | Pair of pair
+  | Pair of { mutable car : value; mutable cdr : value }
   | Vec of value array
-  | Closure of closure
+  | Closure of { code : code; frees : value array }
   | Prim of prim
   | Cont of {                            (* Scheme-level continuation,
                                             inline: one block per capture *)
@@ -45,30 +45,25 @@ type value =
   | Ofun of ofun                         (* oracle-interpreter procedure:
                                             CPS over OCaml closures *)
   | Mvals of value list                  (* multiple values in transit *)
-  | Box of value ref                     (* assignment-converted variable *)
+  | Box of { mutable contents : value }  (* assignment-converted variable *)
   | Tbl of (hkey, value) Hashtbl.t       (* eqv-keyed hashtable *)
   (* Runtime-internal values stored in stack frames; never seen by Scheme. *)
-  | Retaddr of retaddr
+  | Retaddr of {
+      rcode : code;
+      rpc : int;                         (* resumption pc in [rcode] *)
+      rdisp : int;                       (* displacement to the caller frame:
+                                            callee fp - caller fp (the paper's
+                                            in-stream frame-size word) *)
+    }
   | Underflow_mark                       (* bottom-of-segment return slot *)
   | WindersV of winder list              (* winder chain stashed in a wind
                                             trampoline frame slot *)
-
-and pair = { mutable car : value; mutable cdr : value }
 
 (* A hashtable key: an eqv-comparable immediate.  The table hashes and
    compares keys structurally, and OCaml's structural hash and compare
    make 0.0 and -0.0 one float; a flonum key is therefore kept as its
    bit pattern, so the table tells apart exactly what [eqv?] does. *)
 and hkey = Key of value | Flo_key of int64
-and closure = { code : code; frees : value array }
-
-and retaddr = {
-  rcode : code;
-  rpc : int;                             (* resumption pc in [rcode] *)
-  rdisp : int;                           (* displacement to the caller frame:
-                                            callee fp - caller fp (the paper's
-                                            in-stream frame-size word) *)
-}
 
 and code = {
   mutable instrs : instr array;          (* replaced once, by the peephole
@@ -104,9 +99,9 @@ and instr =
   | Const of value
   | Local_ref of int                     (* acc := frame.(i) *)
   | Local_set of int                     (* frame.(i) := acc *)
-  | Box_init of int                      (* frame.(i) := Box (ref frame.(i)) *)
-  | Box_ref of int                       (* acc := !(unbox frame.(i)) *)
-  | Box_set of int                       (* (unbox frame.(i)) := acc *)
+  | Box_init of int                      (* frame.(i) := Box { contents = frame.(i) } *)
+  | Box_ref of int                       (* acc := frame.(i).contents *)
+  | Box_set of int                       (* frame.(i).contents <- acc *)
   | Free_ref of int                      (* acc := clos.frees.(i) *)
   | Free_box_ref of int
   | Free_box_set of int
@@ -361,16 +356,12 @@ let sym_table : (string, string) Hashtbl.t = Hashtbl.create 512
 (* Intern symbol names so that [Sym] payloads of equal name are physically
    equal and [eq?] can use physical comparison. *)
 let intern name =
-  Mutex.lock sym_lock;
-  let s =
-    match Hashtbl.find_opt sym_table name with
-    | Some s -> s
-    | None ->
-        Hashtbl.add sym_table name name;
-        name
-  in
-  Mutex.unlock sym_lock;
-  s
+  Mutex.protect sym_lock (fun () ->
+      match Hashtbl.find_opt sym_table name with
+      | Some s -> s
+      | None ->
+          Hashtbl.add sym_table name name;
+          name)
 
 let sym name = Sym (intern name)
 
@@ -378,10 +369,8 @@ let gensym_counter = ref 0
 
 let gensym prefix =
   let n =
-    Mutex.lock sym_lock;
-    incr gensym_counter;
-    let n = !gensym_counter in
-    Mutex.unlock sym_lock;
-    n
+    Mutex.protect sym_lock (fun () ->
+        incr gensym_counter;
+        !gensym_counter)
   in
   sym (Printf.sprintf "%s%%%d" prefix n)

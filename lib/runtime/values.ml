@@ -80,14 +80,13 @@ let eq a b =
   | Char x, Char y -> x = y
   | Sym x, Sym y -> x == y (* interned *)
   | Str x, Str y -> x == y
-  | Pair x, Pair y -> x == y
+  | Pair _, Pair _ | Closure _, Closure _ | Box _, Box _ ->
+      a == b (* one block per object *)
   | Vec x, Vec y -> x == y
-  | Closure x, Closure y -> x == y
   | Prim x, Prim y -> x == y
   | Cont _, Cont _ -> a == b (* one block per capture *)
   | Hcont x, Hcont y -> x == y
   | Ofun x, Ofun y -> x == y
-  | Box x, Box y -> x == y
   | Tbl x, Tbl y -> x == y
   | _ -> false
 
@@ -164,9 +163,9 @@ let rec render_v ~seen ~budget ~write buf v =
       if write then str (escape_string (Bytes.to_string s))
       else str (Bytes.to_string s)
   | Sym s -> str s
-  | Pair p ->
-      if List.exists (fun o -> o == Obj.repr p) seen then str "#<cycle>"
-      else render_pair ~seen ~budget ~write buf p
+  | Pair _ ->
+      if List.exists (fun o -> o == Obj.repr v) seen then str "#<cycle>"
+      else render_pair ~seen ~budget ~write buf v
   | Vec a ->
       if List.exists (fun o -> o == Obj.repr a) seen then str "#<cycle>"
       else begin
@@ -179,7 +178,7 @@ let rec render_v ~seen ~budget ~write buf v =
           a;
         str ")"
       end
-  | Closure c -> str (Printf.sprintf "#<procedure %s>" c.code.cname)
+  | Closure { code; _ } -> str (Printf.sprintf "#<procedure %s>" code.cname)
   | Prim p -> str (Printf.sprintf "#<procedure %s>" p.pname)
   | Ofun f -> str (Printf.sprintf "#<procedure %s>" f.oname)
   | Cont { one_shot; _ } ->
@@ -196,11 +195,12 @@ let rec render_v ~seen ~budget ~write buf v =
           render_v ~seen ~budget ~write buf x)
         vs;
       str ">"
-  | Box r ->
+  | Box { contents } ->
       str "#&";
-      render_v ~seen ~budget ~write buf !r
+      render_v ~seen ~budget ~write buf contents
   | Tbl t -> str (Printf.sprintf "#<hashtable %d>" (Hashtbl.length t))
-  | Retaddr r -> str (Printf.sprintf "#<retaddr %s+%d>" r.rcode.cname r.rpc)
+  | Retaddr { rcode; rpc; _ } ->
+      str (Printf.sprintf "#<retaddr %s+%d>" rcode.cname rpc)
   | Underflow_mark -> str "#<underflow>"
   | WindersV w -> str (Printf.sprintf "#<winders %d>" (List.length w))
 
@@ -216,19 +216,19 @@ and render_pair ~seen ~budget ~write buf p =
   let rec go v k chain =
     match v with
     | Nil -> ()
-    | Pair q ->
-        if k > 0 && (k >= repeat || List.exists (fun o -> o == Obj.repr q) seen)
+    | Pair { car; cdr } ->
+        if k > 0 && (k >= repeat || List.exists (fun o -> o == Obj.repr v) seen)
         then Buffer.add_string buf " . #<cycle>"
         else begin
           if k > 0 then Buffer.add_char buf ' ';
-          render_v ~seen:chain ~budget ~write buf q.car;
-          go q.cdr (k + 1) (Obj.repr q :: chain)
+          render_v ~seen:chain ~budget ~write buf car;
+          go cdr (k + 1) (Obj.repr v :: chain)
         end
     | other ->
         Buffer.add_string buf " . ";
         render_v ~seen:chain ~budget ~write buf other
   in
-  go (Pair p) 0 (Obj.repr p :: seen);
+  go p 0 (Obj.repr p :: seen);
   Buffer.add_char buf ')'
 
 (* The index, counting [p] as 0, of the first pair along the cdr chain
@@ -239,23 +239,26 @@ and render_pair ~seen ~budget ~write buf p =
 and first_repeat p =
   let rec cycle_length tortoise hare power lam =
     match hare with
-    | Pair h when h == tortoise -> lam
-    | Pair h ->
-        if power = lam then cycle_length h h.cdr (2 * power) 1
-        else cycle_length tortoise h.cdr power (lam + 1)
+    | Pair _ when hare == tortoise -> lam
+    | Pair { cdr; _ } ->
+        if power = lam then cycle_length hare cdr (2 * power) 1
+        else cycle_length tortoise cdr power (lam + 1)
     | _ -> 0
   in
   let rec ahead v k =
-    match v with Pair q when k > 0 -> ahead q.cdr (k - 1) | _ -> v
+    match v with Pair { cdr; _ } when k > 0 -> ahead cdr (k - 1) | _ -> v
   in
   let rec meet a b mu =
     match (a, b) with
-    | Pair x, Pair y -> if x == y then mu else meet x.cdr y.cdr (mu + 1)
+    | Pair x, Pair y -> if a == b then mu else meet x.cdr y.cdr (mu + 1)
     | _ -> max_int
   in
-  match cycle_length p p.cdr 1 1 with
-  | 0 -> max_int
-  | lam -> meet (Pair p) (ahead (Pair p) lam) 0 + lam
+  match p with
+  | Pair { cdr; _ } -> (
+      match cycle_length p cdr 1 1 with
+      | 0 -> max_int
+      | lam -> meet p (ahead p lam) 0 + lam)
+  | _ -> max_int
 
 let render_to_string ~write v =
   let buf = Buffer.create 64 in

@@ -91,23 +91,20 @@ let get ~scheme_winders ~optimize ~peephole ~regalloc =
         verify = true;
       } )
   in
-  Mutex.lock lock;
-  let img =
-    match Hashtbl.find_opt cache key with
-    | Some img -> img
-    | None ->
-        let img = build key in
-        Hashtbl.add cache key img;
-        img
-  in
-  Mutex.unlock lock;
-  img
+  (* [Mutex.protect] releases the lock when a build raises, so the
+     build's own error reaches this caller and every later one. *)
+  Mutex.protect lock (fun () ->
+      match Hashtbl.find_opt cache key with
+      | Some img -> img
+      | None ->
+          let img = build key in
+          Hashtbl.add cache key img;
+          img)
 
 let templates t =
-  Mutex.lock lock;
-  Closurevm.precompile t.untemplated;
-  t.untemplated <- [];
-  Mutex.unlock lock
+  Mutex.protect lock (fun () ->
+      Closurevm.precompile t.untemplated;
+      t.untemplated <- [])
 
 let install t g =
   Array.iter
@@ -117,9 +114,4 @@ let install t g =
       c.Rt.gdefined <- true)
     t.delta
 
-
-let builds () =
-  Mutex.lock lock;
-  let n = !built in
-  Mutex.unlock lock;
-  n
+let builds () = Mutex.protect lock (fun () -> !built)

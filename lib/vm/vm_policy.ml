@@ -44,25 +44,29 @@ let ensure_resumed_frame_room (vm : t) =
   if not (Control.room m fw) then
     Control.ensure_room m ~live_top:(m.Control.fp + fw) ~need:fw
 
+(* Resume at the return address {!Control} hands back from a
+   reinstatement or an underflow. *)
+let resume_at (vm : t) = function
+  | Retaddr { rcode; rpc; _ } ->
+      set_code vm rcode;
+      vm.pc <- rpc;
+      ensure_resumed_frame_room vm
+  | v -> Values.err "vm: corrupt frame: bad return slot" [ v ]
+
 let do_return (vm : t) =
   let m = vm.pol in
   match m.Control.sr.seg.(m.Control.fp) with
-  | Retaddr r ->
-      m.Control.fp <- m.Control.fp - r.rdisp;
-      set_code vm r.rcode;
-      vm.pc <- r.rpc;
+  | Retaddr { rcode; rpc; rdisp } ->
+      m.Control.fp <- m.Control.fp - rdisp;
+      set_code vm rcode;
+      vm.pc <- rpc;
       ensure_resumed_frame_room vm
   | Underflow_mark ->
       (* Paper Section 3.2: returning through the bottom frame of a
          segment implicitly invokes the record linked below — consuming
          it if it is one-shot. *)
       if Control.at_bottom m then vm.halted <- true
-      else begin
-        let r = Control.underflow m in
-        set_code vm r.rcode;
-        vm.pc <- r.rpc;
-        ensure_resumed_frame_room vm
-      end
+      else resume_at vm (Control.underflow m)
   | v -> Values.err "vm: corrupt frame: bad return slot" [ v ]
 
 (* ------------------------------------------------------------------ *)
@@ -76,9 +80,9 @@ let rec apply (vm : t) f nfp nargs =
   let m = vm.pol in
   let stats = vm.stats in
   match f with
-  | Closure c ->
+  | Closure { code; _ } ->
       m.Control.fp <- nfp;
-      set_code vm c.code;
+      set_code vm code;
       vm.pc <- 0;
       vm.nargs <- nargs;
       if stats.Stats.enabled then stats.Stats.calls <- stats.Stats.calls + 1
@@ -107,11 +111,7 @@ and invoke_continuation vm k sr k_winders nfp nargs =
   else start_wind vm k k_winders v
 
 and reinstate_cont vm sr v =
-  let m = vm.pol in
-  let r = Control.reinstate m sr in
-  set_code vm r.rcode;
-  vm.pc <- r.rpc;
-  ensure_resumed_frame_room vm;
+  resume_at vm (Control.reinstate vm.pol sr);
   vm.acc <- v
 
 (* The winder chains differ: push a wind-trampoline frame above the
@@ -211,7 +211,7 @@ and special vm sp nargs =
       let rec spread_len v n =
         match v with
         | Nil -> n
-        | Pair p -> spread_len p.cdr (n + 1)
+        | Pair { cdr; _ } -> spread_len cdr (n + 1)
         | _ -> Values.err "apply: expected a proper list" [ lst ]
       in
       let rest = spread_len lst 0 in
@@ -225,9 +225,9 @@ and special vm sp nargs =
       done;
       let rec spread_fill v i =
         match v with
-        | Pair p ->
-            set_slot seg i p.car;
-            spread_fill p.cdr (i + 1)
+        | Pair { car; cdr } ->
+            set_slot seg i car;
+            spread_fill cdr (i + 1)
         | _ -> ()
       in
       spread_fill lst (fp + 2 + fixed);
@@ -370,7 +370,10 @@ let enter (vm : t) =
 (* Error-handler injection, machine setup                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The handler returns to the faulting pc, which the fault flushed:
+   check it here, once, so the return into it needs no check. *)
 let inject_error_handler (vm : t) handler msg irritants =
+  check_entry vm.pc (Array.length vm.code.instrs);
   let m = vm.pol in
   let fw = vm.code.frame_words in
   Control.ensure_room m ~live_top:(m.Control.fp + fw) ~need:(fw + 6);

@@ -6,6 +6,7 @@ let case = Tutil.case
 
 let dummy_code = Bytecode.make_code ~name:"t" ~arity:(Rt.Exactly 0) ~frame_words:4 [| Rt.Halt |]
 let retaddr ~disp = Rt.Retaddr { rcode = dummy_code; rpc = 0; rdisp = disp }
+let rdisp = function Rt.Retaddr { rdisp; _ } -> rdisp | _ -> -1
 
 let small_config =
   {
@@ -108,7 +109,7 @@ let suite =
         let k = Control.capture_oneshot m in
         let fresh_seg = m.Control.sr.Rt.seg in
         let r = Control.reinstate m k in
-        Alcotest.(check int) "resume disp" 8 r.Rt.rdisp;
+        Alcotest.(check int) "resume disp" 8 (rdisp r);
         Alcotest.(check bool) "adopted" true (m.Control.sr.Rt.seg == old_seg);
         Alcotest.(check int) "fp at caller frame" 32 m.Control.fp;
         Alcotest.(check int) "no copying" 0 stats.Stats.words_copied;
@@ -314,7 +315,7 @@ let suite =
         m.Control.fp <- m.Control.sr.Rt.base;
         Alcotest.(check bool) "a record below" false (Control.at_bottom m);
         let r = Control.underflow m in
-        Alcotest.(check int) "resume disp" 8 r.Rt.rdisp;
+        Alcotest.(check int) "resume disp" 8 (rdisp r);
         Alcotest.(check int) "underflows" 1 stats.Stats.underflows);
     case "underflow off the bottom reports halt" (fun () ->
         let m = Control.create small_config in
@@ -606,7 +607,7 @@ let suite =
         ignore (Control.capture_multi m);
         (* return through the seal: fp is already at the empty base *)
         let r = Control.underflow m in
-        Alcotest.(check int) "resume disp" 8 r.Rt.rdisp;
+        Alcotest.(check int) "resume disp" 8 (rdisp r);
         Alcotest.(check int) "no unseal" 0 stats.Stats.unseals;
         Alcotest.(check int) "bulk copy" 24 stats.Stats.words_copied);
     (* ---- backtrace across a shot record ---- *)

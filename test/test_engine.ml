@@ -442,6 +442,45 @@ let body_failure (name, prefix, msg) =
             (show (failure_on name code d)))
         [ ("closure", `Closure); ("heap", `Heap) ])
 
+(* A fault in a code object's last instruction flushes at the pc past
+   its end, and an installed error handler would return there: the
+   injection reports the corrupt return address instead of returning
+   into it.  The code is hand-built ([Bytecode.code], not [make_code])
+   and cut after its faulting [Box_ref] of the closure slot; the
+   closure backend builds its steps from the whole stream first. *)
+let handler_resume_checked backend =
+  Alcotest.test_case
+    ("error handler injection checks the resume pc [" ^ backend ^ "]") `Quick
+    (fun () ->
+      let instrs = [| Rt.Const (Rt.Int 1); Rt.Box_ref 1; Rt.Return |] in
+      let code =
+        Bytecode.code ~name:"last-faults" ~arity:(Exactly 0) ~frame_words:3
+          instrs
+      in
+      if backend = "closure" then Closurevm.precompile [ code ];
+      code.Rt.instrs <- Array.sub instrs 0 2;
+      let install = "(define %error-handlers (list (lambda (m i) 42)))" in
+      let run =
+        match backend with
+        | "stack" ->
+            let vm = Vm.create () in
+            ignore (Vm.eval ~fuel:Tutil.default_fuel vm install);
+            fun () -> Vm.run ~fuel:Tutil.default_fuel vm code
+        | "closure" ->
+            let vm = Closurevm.create () in
+            ignore (Closurevm.eval ~fuel:Tutil.default_fuel vm install);
+            fun () -> Closurevm.run ~fuel:Tutil.default_fuel vm code
+        | _ ->
+            let vm = Heapvm.create () in
+            ignore (Heapvm.eval ~fuel:Tutil.default_fuel vm install);
+            fun () -> Heapvm.run ~fuel:Tutil.default_fuel vm code
+      in
+      match run () with
+      | v -> Alcotest.failf "returned %s" (Values.write_string v)
+      | exception Rt.Scheme_error (msg, _) ->
+          Alcotest.(check string) "message"
+            "vm: corrupt return address (pc out of range)" msg)
+
 let suite =
   List.map take_output_drains all_backends
   @ List.map huge_alloc_errors all_backends
@@ -460,3 +499,4 @@ let suite =
   @ List.map domain_error all_backends
   @ List.concat_map shared_steps step_backends
   @ List.map body_failure body_failures
+  @ List.map handler_resume_checked [ "stack"; "closure"; "heap" ]

@@ -199,7 +199,7 @@ let reject_cases =
            |]
        in
        site.Rt.cs_ret <-
-         Rt.Retaddr { Rt.rcode = c; rpc = 3; rdisp = 2 };
+         Rt.Retaddr { rcode = c; rpc = 3; rdisp = 2 };
        c);
     (* 9. branch-fused site whose landing pad is not the retained
        Branch_false *)
