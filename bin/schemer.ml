@@ -109,7 +109,7 @@ let run_session ~backend ~scheme_winders ~corpus ~stats_flag ~disassemble
                   match Scheme.eval_datum s d with
                   | v ->
                       dump_output ();
-                      if echo && rest = [] && v <> Rt.Void then
+                      if echo && rest = [] && v != Rt.void then
                         print_endline (Values.write_string v);
                       go rest
                   | exception e ->

@@ -684,7 +684,7 @@ and relaunch (vm : t) =
 let run ?fuel vm code = Vm_core.run_with relaunch ?fuel vm code
 
 let run_program ?fuel (vm : t) codes =
-  List.fold_left (fun _ code -> run ?fuel vm code) Void codes
+  List.fold_left (fun _ code -> run ?fuel vm code) void codes
 
 (* Template-compile [code] and every code object it closes over.  The
    [templ] slot marks a code visited, so a shared child is compiled once

@@ -124,7 +124,7 @@ and analyze_lambda env ctx (l : Ast.lambda) =
     match l.rest with Some r -> Some (new_binding depth r) | None -> None
   in
   let alam =
-    { aparams = params; arest = rest; abody = AQuote Rt.Void; aname = l.lname;
+    { aparams = params; arest = rest; abody = AQuote Rt.void; aname = l.lname;
       afree = [] }
   in
   let ctx' = { lam = Some alam; ldepth = depth; parent = Some ctx } in
@@ -261,10 +261,14 @@ let small_consts = Array.init 256 (fun n -> Rt.Const (Values.of_int n))
 let const_true = Rt.Const Values.v_true
 let const_false = Rt.Const Values.v_false
 
-let const = function
-  | Rt.Int n when n >= 0 && n < Array.length small_consts -> small_consts.(n)
+let const v =
+  match v with
+  | Rt.Fixnum ->
+      let n = Values.to_int v in
+      if n >= 0 && n < Array.length small_consts then small_consts.(n)
+      else Rt.Const v
   | Rt.Bool b -> if b then const_true else const_false
-  | v -> Rt.Const v
+  | _ -> Rt.Const v
 
 let unallocated b = fail ("compiler: unallocated binding " ^ b.bname)
 
@@ -380,7 +384,7 @@ let rec gen e tail exp =
            (if tail then Rt.Tail_call { disp = d; nargs }
             else
               (* [cs_ret] is interned when the code is finished. *)
-              Rt.Call { cs_disp = d; cs_nargs = nargs; cs_ret = Rt.Void }))
+              Rt.Call { cs_disp = d; cs_nargs = nargs; cs_ret = Rt.void }))
 
 (* Evaluate [x] into frame slot [slot]. *)
 and gen_store e x slot =
@@ -462,7 +466,7 @@ let compile_top buf (top : Ast.top) =
       | Ast.Define (x, ast, _) ->
           gen e false (analyze [] top_ctx ast);
           ignore (emit e (Rt.Global_define (Globals.slot x)));
-          ignore (emit e (Rt.Const Rt.Void));
+          ignore (emit e (Rt.Const Rt.void));
           "define-" ^ x
     in
     ignore (emit e Rt.Return);
@@ -537,7 +541,7 @@ let compile_eval ?(options = default_options) ?menv globals
                [ Rt.Tail_call { disp = d; nargs = 0 };
                  Rt.Local_set (d + 1); Rt.Const clos ]
              else
-               [ Rt.Call { cs_disp = d; cs_nargs = 0; cs_ret = Rt.Void };
+               [ Rt.Call { cs_disp = d; cs_nargs = 0; cs_ret = Rt.void };
                  Rt.Local_set (d + 1); Rt.Const clos ])
             @ !instrs)
         codes;

@@ -8,23 +8,24 @@ open Rt
 
 let num2 f args =
   match args with
-  | [ Int a; Int b ] -> f a b
+  | [ (Fixnum as a); (Fixnum as b) ] -> f (Values.to_int a) (Values.to_int b)
   | _ -> None
 
 let arith fi =
   fun args ->
     let rec go acc = function
       | [] -> Some (Values.of_int acc)
-      | Int n :: rest -> go (fi acc n) rest
+      | (Fixnum as n) :: rest -> go (fi acc (Values.to_int n)) rest
       | _ -> None
     in
-    match args with Int n :: rest -> go n rest | _ -> None
+    match args with (Fixnum as n) :: rest -> go (Values.to_int n) rest | _ -> None
 
 let cmp op args =
   let rec go = function
-    | Int a :: (Int b :: _ as rest) ->
-        if op (compare a b) 0 then go rest else Some (Bool false)
-    | [ Int _ ] -> Some (Bool true)
+    | (Fixnum as a) :: ((Fixnum as b) :: _ as rest) ->
+        if op (Int.compare (Values.to_int a) (Values.to_int b)) 0 then go rest
+        else Some (Bool false)
+    | [ Fixnum ] -> Some (Bool true)
     | _ -> None
   in
   match args with _ :: _ :: _ -> go args | _ -> None
@@ -32,7 +33,7 @@ let cmp op args =
 let folders : (string * (value list -> value option)) list =
   [
     ("+", arith ( + ));
-    ("-", fun args -> (match args with [ Int n ] -> Some (Values.of_int (-n)) | _ -> arith ( - ) args));
+    ("-", fun args -> (match args with [ (Fixnum as n) ] -> Some (Values.of_int (-Values.to_int n)) | _ -> arith ( - ) args));
     ("*", arith ( * ));
     ("quotient", num2 (fun a b -> if b = 0 then None else Some (Values.of_int (a / b))));
     ("remainder", num2 (fun a b -> if b = 0 then None else Some (Values.of_int (Int.rem a b))));
@@ -41,17 +42,17 @@ let folders : (string * (value list -> value option)) list =
     (">", cmp ( > ));
     ("<=", cmp ( <= ));
     (">=", cmp ( >= ));
-    ("abs", fun args -> (match args with [ Int n ] -> Some (Values.of_int (abs n)) | _ -> None));
-    ("zero?", fun args -> (match args with [ Int n ] -> Some (Bool (n = 0)) | _ -> None));
+    ("abs", fun args -> (match args with [ (Fixnum as n) ] -> Some (Values.of_int (abs (Values.to_int n))) | _ -> None));
+    ("zero?", fun args -> (match args with [ (Fixnum as n) ] -> Some (Bool (Values.to_int n = 0)) | _ -> None));
     ("not", fun args ->
         match args with [ v ] -> Some (Bool (not (Values.is_truthy v))) | _ -> None);
-    ("null?", fun args -> (match args with [ Nil ] -> Some (Bool true) | [ (Int _ | Bool _ | Sym _ | Char _) ] -> Some (Bool false) | _ -> None));
+    ("null?", fun args -> (match args with [ Nil _ ] -> Some (Bool true) | [ (Fixnum | Bool _ | Sym _ | Char _) ] -> Some (Bool false) | _ -> None));
     ("eq?", fun args ->
         match args with
         | [ a; b ] -> (
             (* only immediates compare stably at fold time *)
             match (a, b) with
-            | (Int _ | Bool _ | Sym _ | Char _ | Nil), _ ->
+            | (Fixnum | Bool _ | Sym _ | Char _ | Nil _), _ ->
                 Some (Bool (Values.eq a b))
             | _ -> None)
         | _ -> None);
@@ -105,7 +106,7 @@ let rec opt bound (e : Ast.t) : Ast.t =
             if effect_free x then prune rest else x :: prune rest
       in
       (match prune es with
-      | [] -> Ast.Quote Void
+      | [] -> Ast.Quote void
       | [ one ] -> one
       | es -> Ast.Begin es)
   | Ast.App (f, args) -> (
@@ -213,7 +214,7 @@ let fuse_call globals s d call ~disp ~nargs =
           ps_fn = fn;
           ps_fn1 = fn1;
           ps_fn2 = fn2;
-          ps_ret = Rt.Void (* interned when the code is finished *);
+          ps_ret = Rt.void (* interned when the code is finished *);
         }
       in
       match call with

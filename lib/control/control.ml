@@ -112,10 +112,14 @@ let pop_class m ~words i =
     seg
   end
 
+(* A fresh segment is filled with an immediate (the fixnum 0), not with
+   a named constant: those are blocks (DESIGN section 18.4), and the
+   first store into a slot that holds a block darkens it while the
+   major GC marks. *)
 let fresh_segment m words =
   m.stats.seg_allocs <- m.stats.seg_allocs + 1;
   m.stats.seg_alloc_words <- m.stats.seg_alloc_words + words;
-  Array.make words Void
+  Array.make words (Values.of_int 0)
 
 let alloc_segment m words =
   let words = seg_request m words in
@@ -204,17 +208,19 @@ let rec no_link =
     size = -1;
     current = -1;
     link = no_link;
-    ret = Void;
+    ret = void;
     promoted = lone_flag;
   }
 
 let fresh_record seg ~base ~size ~link =
-  { seg; base; size; current = 0; link; ret = Void; promoted = lone_flag }
+  { seg; base; size; current = 0; link; ret = void; promoted = lone_flag }
 
 (* The first lower bound [cfg] breaks, as (name, minimum, given). *)
 let validate cfg =
   if cfg.seg_words < 64 then Some ("seg_words", 64, cfg.seg_words)
   else if cfg.copy_bound < 16 then Some ("copy_bound", 16, cfg.copy_bound)
+  else if cfg.hysteresis_words < 0 then
+    Some ("hysteresis", 0, cfg.hysteresis_words)
   else
     match cfg.oneshot_seal with
     | Seal_displacement h when h < 1 -> Some ("seal_displacement", 1, h)
@@ -340,14 +346,14 @@ let inherit_flag m r =
 let capture_multi_copying m =
   let sr = m.sr in
   let occupied = m.fp - sr.base in
-  if occupied = 0 && sr.seg.(m.fp) = Underflow_mark then begin
+  if occupied = 0 && sr.seg.(m.fp) == underflow_mark then begin
     let k = below_bottom sr in
     promote_chain m k;
     m.stats.captures_multi <- m.stats.captures_multi + 1;
     k
   end
   else begin
-    let copy = Array.make (max occupied 1) Underflow_mark in
+    let copy = Array.make (max occupied 1) underflow_mark in
     Array.blit sr.seg sr.base copy 0 occupied;
     m.stats.words_copied <- m.stats.words_copied + occupied;
     m.stats.seg_allocs <- m.stats.seg_allocs + 1;
@@ -371,7 +377,7 @@ let capture_multi_copying m =
 
 let capture_multi_sealing m =
   let sr = m.sr in
-  if sr.seg.(m.fp) = Underflow_mark then begin
+  if sr.seg.(m.fp) == underflow_mark then begin
     (* Tail-position capture on an empty segment: the link record itself is
        the continuation (paper Section 3.2). *)
     let k = below_bottom sr in
@@ -403,7 +409,7 @@ let capture_multi_sealing m =
       }
     in
     ignore (retaddr_of k.ret);
-    sr.seg.(m.fp) <- Underflow_mark;
+    sr.seg.(m.fp) <- underflow_mark;
     sr.base <- m.fp;
     sr.size <- sr.size - occupied;
     sr.link <- k;
@@ -419,7 +425,7 @@ let capture_multi m =
 
 let capture_oneshot m =
   let sr = m.sr in
-  if sr.seg.(m.fp) = Underflow_mark then begin
+  if sr.seg.(m.fp) == underflow_mark then begin
     let k = below_bottom sr in
     m.stats.captures_oneshot <- m.stats.captures_oneshot + 1;
     k
@@ -449,7 +455,7 @@ let capture_oneshot m =
         sr.size <- sr.size - sealed;
         sr.link <- k;
         m.fp <- sr.base;
-        sr.seg.(m.fp) <- Underflow_mark;
+        sr.seg.(m.fp) <- underflow_mark;
         k
     | _ ->
         (* Encapsulate the entire segment; continue on a fresh one.  The
@@ -475,7 +481,7 @@ let capture_oneshot m =
         m.sr <- fresh_record seg ~base:0 ~size:(Array.length seg) ~link:k;
         m.fp <- 0;
         (* A segment back from the cache usually still holds the mark. *)
-        set_slot seg 0 Underflow_mark;
+        set_slot seg 0 underflow_mark;
         k
   end
 
@@ -513,7 +519,7 @@ let split_for_copy m k content =
       }
     in
     ignore (retaddr_of krest.ret);
-    k.seg.(k.base + s) <- Underflow_mark;
+    k.seg.(k.base + s) <- underflow_mark;
     k.base <- k.base + s;
     k.size <- content - s;
     k.current <- content - s;
@@ -558,14 +564,14 @@ let unseal_in_place m k r rdisp =
      re-entry by copying must underflow into [krest], not return through
      a stale address. *)
   let top = Array.sub seg boundary rdisp in
-  top.(0) <- Underflow_mark;
+  top.(0) <- underflow_mark;
   m.stats.words_copied <- m.stats.words_copied + rdisp;
   k.seg <- top;
   k.base <- 0;
   k.size <- rdisp;
   k.current <- rdisp;
   k.link <- krest;
-  seg.(boundary) <- Underflow_mark;
+  seg.(boundary) <- underflow_mark;
   (* The active record grows downward over the reopened top frame. *)
   sr.size <- sr.size + (sr.base - boundary);
   sr.base <- boundary;
@@ -622,7 +628,7 @@ let reinstate_oneshot m k =
   sr.size <- k.size;
   sr.current <- 0;
   sr.link <- k.link;
-  if sr.ret != Void then sr.ret <- Void;
+  if sr.ret != void then sr.ret <- void;
   if sr.promoted != lone_flag then sr.promoted <- lone_flag;
   let r = k.ret in
   m.fp <- k.base + k.current - rdisp_of r;
@@ -635,7 +641,7 @@ let reinstate_oneshot m k =
   k.current <- -1;
   k.seg <- [||];
   k.link <- no_link;
-  k.ret <- Void;
+  k.ret <- void;
   m.stats.invokes_oneshot <- m.stats.invokes_oneshot + 1;
   r
 
@@ -683,7 +689,7 @@ let overflow m ~live_top ~need =
             }
           in
           ignore (retaddr_of k.ret);
-          seg.(m.fp) <- Underflow_mark;
+          seg.(m.fp) <- underflow_mark;
           promote_chain m k.link;
           m.stats.captures_multi <- m.stats.captures_multi + 1;
           (m.fp, k)
@@ -730,7 +736,7 @@ let overflow m ~live_top ~need =
      must become the underflow mark; when the split landed at the segment
      base, slot 0 is already the bottom frame's correct return slot
      (underflow mark or the halt return address). *)
-  if split > sr.base then nseg.(0) <- Underflow_mark;
+  if split > sr.base then nseg.(0) <- underflow_mark;
   m.sr <- fresh_record nseg ~base:0 ~size:(Array.length nseg) ~link:link';
   m.fp <- m.fp - split;
   if abandoned_whole && old_owned && old_seg != nseg then
@@ -769,7 +775,7 @@ let backtrace ?(limit = 64) m =
           incr count;
           names := rcode.cname :: !names;
           if f - rdisp >= 0 && rdisp > 0 then in_segment seg (f - rdisp) link
-      | Underflow_mark ->
+      | Underflow_mark _ ->
           if link == no_link then ()
           else if is_shot link then begin
             (* The chain continues into a continuation that has been

@@ -93,8 +93,9 @@ val promoted_flag : bool ref
 
 val validate : config -> (string * int * int) option
 (** The first lower bound [config] breaks, as [(name, minimum, given)]:
-    [seg_words >= 64], [copy_bound >= 16], and the headroom of
-    [Seal_displacement] ([name] ["seal_displacement"]) [>= 1].  Each
+    [seg_words >= 64], [copy_bound >= 16], [hysteresis_words >= 0]
+    ([name] ["hysteresis"]), and the headroom of [Seal_displacement]
+    ([name] ["seal_displacement"]) [>= 1].  Each
     [name] is its [schemer] option's with underscores.  [None] when
     every bound holds. *)
 

@@ -77,16 +77,16 @@ let create ?stats ?(options = Compiler.default_options) pol =
       options;
       out;
       stats;
-      acc = Void;
+      acc = void;
       code = halt_code;
       pc = 0;
       nargs = 0;
       timer = -1;
-      timer_handler = Void;
+      timer_handler = void;
       halted = false;
       fuel = -1;
       winders = [];
-      scratch = Array.init (max_scratch + 1) (fun k -> Array.make k Void);
+      scratch = Array.init (max_scratch + 1) (fun k -> Array.make k void);
       hooks = Machine_hooks.default ();
       pol;
     }
@@ -232,7 +232,7 @@ let check_arity (c : code) n =
 let collect_rest (c : code) n slots base =
   match c.arity with
   | At_least k ->
-      let rest = ref Nil in
+      let rest = ref nil in
       for i = n - 1 downto k do
         rest := Values.cons slots.(base + i) !rest
       done;

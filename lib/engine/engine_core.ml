@@ -239,7 +239,7 @@ let[@inline] define (vm : Policy.t) s acc =
 
 let[@inline] make_closure (vm : Policy.t) slots fp steps pc acc code caps =
   let ncaps = Array.length caps in
-  let fv = if ncaps = 0 then [||] else Array.make ncaps Void in
+  let fv = if ncaps = 0 then [||] else Array.make ncaps void in
   for i = 0 to ncaps - 1 do
     fv.(i) <-
       (match Array.unsafe_get caps i with
@@ -599,7 +599,7 @@ and deopt (vm : Policy.t) steps pc acc transfer site =
    policy; the heap policy's root frame has no slots at all, so the read
    is guarded by the (static) policy constant. *)
 and prim_return (vm : Policy.t) slots fp limit budget v steps next_pc =
-  match (if Policy.fast then slots.(fp) else Void) with
+  match (if Policy.fast then slots.(fp) else void) with
   | Retaddr r when fp - r.rdisp + r.rcode.frame_words <= limit ->
       let nfp = fp - r.rdisp in
       set_code vm r.rcode;
@@ -645,7 +645,7 @@ let run_with landing ?(fuel = -1) (vm : Policy.t) code =
   set_code vm code;
   vm.pc <- 0;
   vm.nargs <- 0;
-  vm.acc <- Void;
+  vm.acc <- void;
   vm.halted <- false;
   vm.fuel <- fuel;
   vm.winders <- [];
@@ -657,7 +657,7 @@ let run_with landing ?(fuel = -1) (vm : Policy.t) code =
 let run ?fuel vm code = run_with relaunch ?fuel vm code
 
 let run_program ?fuel (vm : Policy.t) codes =
-  List.fold_left (fun _ code -> run ?fuel vm code) Void codes
+  List.fold_left (fun _ code -> run ?fuel vm code) void codes
 
 let eval ?fuel (vm : Policy.t) src =
   run_program ?fuel vm

@@ -1,18 +1,22 @@
 open Rt
 
-let check_int who v =
-  match v with Int n -> n | _ -> Values.type_error who "fixnum" v
+let to_int = Values.to_int
+let of_int = Values.of_int
 
-(* Numbers are the [Int] and [Flo] values themselves: a fixnum promotes
-   to a flonum on contact, and nothing is allocated beyond the result. *)
+let check_int who v =
+  match v with Fixnum -> to_int v | _ -> Values.type_error who "fixnum" v
+
+(* Numbers are the fixnum immediates and the [Flo] values: a fixnum
+   promotes to a flonum on contact, and nothing is allocated beyond a
+   flonum result. *)
 let num_float who v =
   match v with
-  | Int n -> float_of_int n
+  | Fixnum -> float_of_int (to_int v)
   | Flo f -> f
   | _ -> Values.type_error who "number" v
 
 let check_num who v =
-  match v with Int _ | Flo _ -> v | _ -> Values.type_error who "number" v
+  match v with Fixnum | Flo _ -> v | _ -> Values.type_error who "number" v
 
 let check_str who v =
   match v with Str s -> s | _ -> Values.type_error who "string" v
@@ -34,7 +38,7 @@ let check_tbl who v =
    key a flonum by its bits (see [Rt.hkey]). *)
 let check_hkey who v =
   match v with
-  | Int _ | Sym _ | Char _ | Bool _ | Nil -> Key v
+  | Fixnum | Sym _ | Char _ | Bool _ | Nil _ -> Key v
   | Flo x -> Flo_key (Int64.bits_of_float x)
   | _ ->
       Values.err
@@ -61,7 +65,7 @@ let bool_of = Values.of_bool
 (* One step of a numeric fold. *)
 let arith who fi ff a b =
   match (a, b) with
-  | Int x, Int y -> Values.of_int (fi x y)
+  | Fixnum, Fixnum -> of_int (fi (to_int a) (to_int b))
   | Flo x, Flo y -> Flo (ff x y)
   | _ ->
       let x = num_float who a in
@@ -72,7 +76,7 @@ let arith who fi ff a b =
    before calling this. *)
 let num_fold who init fi ff args =
   match args with
-  | [||] -> Values.of_int init
+  | [||] -> of_int init
   | [| a; b |] -> arith who fi ff a b
   | _ ->
       let acc = ref (check_num who args.(0)) in
@@ -85,7 +89,7 @@ let num_fold who init fi ff args =
    false.  The right operand is type-checked first. *)
 let num_test who fi ff a b =
   match (a, b) with
-  | Int x, Int y -> fi x y
+  | Fixnum, Fixnum -> fi (to_int a) (to_int b)
   | Flo x, Flo y -> ff x y
   | _ ->
       let y = num_float who b in
@@ -104,14 +108,14 @@ let num_compare who fi ff args =
 (* The sign tests compare against zero with the IEEE operators. *)
 let num_sign who fi ff a =
   match a with
-  | Int n -> bool_of (fi n 0)
+  | Fixnum -> bool_of (fi (to_int a) 0)
   | Flo f -> bool_of (ff f 0.)
   | _ -> Values.type_error who "number" a
 
 (* The rounding primitives: a fixnum is already integral. *)
 let integral who ff a =
   match a with
-  | Int _ -> a
+  | Fixnum -> a
   | Flo f -> Flo (ff f)
   | v -> Values.type_error who "number" v
 
@@ -119,7 +123,7 @@ let integral who ff a =
 let alloc who n make =
   try make n
   with Out_of_memory | Invalid_argument _ ->
-    Values.err (who ^ ": size too large to allocate") [ Values.of_int n ]
+    Values.err (who ^ ": size too large to allocate") [ of_int n ]
 
 (* List helpers ----------------------------------------------------------- *)
 
@@ -131,12 +135,6 @@ let car who v =
 let cdr who v =
   match v with Pair { cdr; _ } -> cdr | _ -> Values.type_error who "pair" v
 
-let rec list_length who n v =
-  match v with
-  | Nil -> n
-  | Pair { cdr; _ } -> list_length who (n + 1) cdr
-  | _ -> Values.type_error who "proper list" v
-
 let rec list_tail who v n =
   if n = 0 then v
   else
@@ -144,68 +142,61 @@ let rec list_tail who v n =
     | Pair { cdr; _ } -> list_tail who cdr (n - 1)
     | _ -> Values.err (who ^ ": index out of range") [ v ]
 
+(* Every primitive that walks a list to its end first measures it with
+   [Values.list_length], which ends on a cycle too, and raises its
+   "expected proper list" error with the whole argument unless it is a
+   proper list; the walks below then run only over proper lists, so
+   each ends.  A primitive is one engine step, so neither fuel nor the
+   timer could stop one that looped. *)
+let proper_length who v =
+  let n = Values.list_length v in
+  if n < 0 then Values.type_error who "proper list" v else n
+
+(* [apply]'s last argument, the list it spreads, is measured the same
+   way on every backend. *)
+let spread_length v =
+  let n = Values.list_length v in
+  if n < 0 then Values.err "apply: expected a proper list" [ v ] else n
+
 (* The list builders below allocate only the pairs of their result: no
-   OCaml list in between and no closure per call.  A walk that meets an
-   improper tail reports the whole argument [whole], as
-   [Values.list_of_value] does. *)
+   OCaml list in between and no closure per call. *)
 
-(* Is [v] a proper list?  Floyd's walk: [fast] takes two pairs per step
-   and meets [slow] on a cycle, so a circular list is not one. *)
-let rec proper_list slow fast =
-  match fast with
-  | Nil | Pair { cdr = Nil; _ } -> true
-  | Pair { cdr = Pair { cdr = fast; _ }; _ } -> (
-      match slow with
-      | Pair { cdr = slow; _ } -> fast != slow && proper_list slow fast
-      | _ -> false)
-  | _ -> false
-
-(* The elements of [v], reversed, in front of [tail]. *)
-let rec rev_onto whole tail v =
+(* The elements of the proper list [v], reversed, in front of [tail]. *)
+let rec rev_onto tail v =
   match v with
-  | Nil -> tail
-  | Pair { car; cdr } -> rev_onto whole (Values.cons car tail) cdr
-  | _ -> Values.type_error "list" "proper list" whole
+  | Pair { car; cdr } -> rev_onto (Values.cons car tail) cdr
+  | _ -> tail
 
-(* Copy the pairs of [v] after [last], the copy's last pair so far; the
-   copy ends in [tail].  Built front to back, so each element costs one
-   pair and one store. *)
-let rec copy_after who whole tail last v =
+(* Copy the pairs of the proper list [v] after [last], the copy's last
+   pair so far; the copy ends in [tail].  Built front to back, so each
+   element costs one pair and one store. *)
+let rec copy_after tail last v =
   match v with
-  | Nil -> ()
   | Pair { car; cdr } ->
       let p = Values.cons car tail in
       (match last with Pair l -> l.cdr <- p | _ -> ());
-      copy_after who whole tail p cdr
-  | _ -> Values.type_error who "proper list" whole
+      copy_after tail p cdr
+  | _ -> ()
 
 let append2 who a b =
+  ignore (proper_length who a);
   match a with
-  | Nil -> b
   | Pair { car; cdr } ->
       let head = Values.cons car b in
-      copy_after who a b head cdr;
+      copy_after b head cdr;
       head
-  | _ -> Values.type_error who "proper list" a
+  | _ -> b
 
 (* [a.(0 .. i)] in front of [tail]. *)
 let rec array_onto a i tail =
   if i < 0 then tail else array_onto a (i - 1) (Values.cons a.(i) tail)
 
-let array_to_list a = array_onto a (Array.length a - 1) Nil
+let array_to_list a = array_onto a (Array.length a - 1) nil
 
 (* The characters [b.(0 .. i)] in front of [tail]. *)
 let rec bytes_onto b i tail =
   if i < 0 then tail
   else bytes_onto b (i - 1) (Values.cons (Char (Bytes.get b i)) tail)
-
-(* The length of [v], or -1 when it is not a proper list. *)
-let rec pairs n v =
-  match v with Nil -> n | Pair { cdr; _ } -> pairs (n + 1) cdr | _ -> -1
-
-let proper_length whole =
-  let n = pairs 0 whole in
-  if n < 0 then Values.type_error "list" "proper list" whole else n
 
 (* Store the elements of [v] from index [i] on. *)
 let rec fill_vector a i v =
@@ -226,19 +217,22 @@ let cons_key k _ acc = Values.cons (of_hkey k) acc
 let cons_value _ v acc = Values.cons v acc
 let cons_entry k v acc = Values.cons (Values.cons (of_hkey k) v) acc
 
+(* The searches return [#f] at the end of the proper list [v]. *)
 let rec assoc_gen eqf key v =
   match v with
-  | Nil -> Bool false
   | Pair { car = Pair { car = k; _ } as hit; cdr } ->
       if eqf key k then hit else assoc_gen eqf key cdr
   | Pair { cdr; _ } -> assoc_gen eqf key cdr
-  | _ -> Bool false
+  | _ -> Values.v_false
 
 let rec member_gen eqf key v =
   match v with
-  | Nil -> Bool false
   | Pair { car; cdr } -> if eqf key car then v else member_gen eqf key cdr
-  | _ -> Bool false
+  | _ -> Values.v_false
+
+let search who gen eqf key v =
+  ignore (proper_length who v);
+  gen eqf key v
 
 (* ------------------------------------------------------------------ *)
 (* The table                                                           *)
@@ -298,14 +292,14 @@ let dw_resume_code =
   Bytecode.code ~name:"%dynamic-wind" ~arity:(At_least 0) ~frame_words:11
     [|
       (* pc 0: before returned *)
-      Const_push (Int 1, 5);
+      Const_push (of_int 1, 5);
       Tail_call { disp = 0; nargs = 5 };
       (* pc 2: thunk returned; stash its value *)
       Local_set 6;
-      Const_push (Int 2, 5);
+      Const_push (of_int 2, 5);
       Tail_call { disp = 0; nargs = 5 };
       (* pc 5: after returned *)
-      Const_push (Int 3, 5);
+      Const_push (of_int 3, 5);
       Tail_call { disp = 0; nargs = 5 };
     |]
 
@@ -363,11 +357,11 @@ let hooks_out () = (Machine_hooks.current ()).Machine_hooks.out ()
 let the_prims : (string * prim) list =
   let display_v v =
     Buffer.add_string (hooks_out ()) (Values.display_string v);
-    Void
+    void
   in
   let write_v v =
     Buffer.add_string (hooks_out ()) (Values.write_string v);
-    Void
+    void
   in
   [
     (* -- arithmetic ------------------------------------------------- *)
@@ -375,7 +369,7 @@ let the_prims : (string * prim) list =
        to [arith]/[num_test]. *)
     (let add a b =
        match (a, b) with
-       | Int x, Int y -> Values.of_int (x + y)
+       | Fixnum, Fixnum -> of_int (to_int a + to_int b)
        | _ -> arith "+" ( + ) ( +. ) a b
      in
      pure "+" (At_least 0) ~fn1:(check_num "+") ~fn2:add (fun args ->
@@ -384,20 +378,21 @@ let the_prims : (string * prim) list =
          | _ -> num_fold "+" 0 ( + ) ( +. ) args));
     (let mul a b =
        match (a, b) with
-       | Int x, Int y -> Values.of_int (x * y)
+       | Fixnum, Fixnum -> of_int (to_int a * to_int b)
        | _ -> arith "*" ( * ) ( *. ) a b
      in
      pure "*" (At_least 0) ~fn1:(check_num "*") ~fn2:mul (fun args ->
          match args with
          | [| a; b |] -> mul a b
          | _ -> num_fold "*" 1 ( * ) ( *. ) args));
-    (let neg = function
-       | Int n -> Values.of_int (-n)
+    (let neg v =
+       match v with
+       | Fixnum -> of_int (-to_int v)
        | Flo f -> Flo (-.f)
-       | v -> Values.type_error "-" "number" v
+       | _ -> Values.type_error "-" "number" v
      and sub a b =
        match (a, b) with
-       | Int x, Int y -> Values.of_int (x - y)
+       | Fixnum, Fixnum -> of_int (to_int a - to_int b)
        | _ -> arith "-" ( - ) ( -. ) a b
      in
      pure "-" (At_least 1) ~fn1:neg ~fn2:sub (fun args ->
@@ -408,16 +403,18 @@ let the_prims : (string * prim) list =
     (* exact when it divides evenly, inexact otherwise (no rationals) *)
     (let div a b =
        match (a, b) with
-       | Int x, Int y when y <> 0 && x mod y = 0 -> Values.of_int (x / y)
-       | (Int _ | Flo _), Int 0 -> Values.err "/: division by zero" []
+       | Fixnum, Fixnum when to_int b <> 0 && to_int a mod to_int b = 0 ->
+           of_int (to_int a / to_int b)
+       | (Fixnum | Flo _), Fixnum when to_int b = 0 ->
+           Values.err "/: division by zero" []
        | _ ->
            let x = num_float "/" a in
            let y = num_float "/" b in
            Flo (x /. y)
      in
-     pure "/" (At_least 1) ~fn1:(div (Int 1)) ~fn2:div (fun args ->
+     pure "/" (At_least 1) ~fn1:(div (of_int 1)) ~fn2:div (fun args ->
          match args with
-         | [| a |] -> div (Int 1) a
+         | [| a |] -> div (of_int 1) a
          | _ ->
              let acc = ref (check_num "/" args.(0)) in
              for i = 1 to Array.length args - 1 do
@@ -427,20 +424,19 @@ let the_prims : (string * prim) list =
     pure2 "quotient" (fun a b ->
         let b = check_int "quotient" b in
         if b = 0 then Values.err "quotient: division by zero" [];
-        Values.of_int (check_int "quotient" a / b));
+        of_int (check_int "quotient" a / b));
     pure2 "remainder" (fun a b ->
         let b = check_int "remainder" b in
         if b = 0 then Values.err "remainder: division by zero" [];
-        Values.of_int (Int.rem (check_int "remainder" a) b));
+        of_int (Int.rem (check_int "remainder" a) b));
     pure2 "modulo" (fun a b ->
         let b = check_int "modulo" b in
         if b = 0 then Values.err "modulo: division by zero" [];
         let r = Int.rem (check_int "modulo" a) b in
-        Values.of_int (if (r < 0) <> (b < 0) && r <> 0 then r + b else r));
+        of_int (if (r < 0) <> (b < 0) && r <> 0 then r + b else r));
     pure1 "abs" (fun a ->
         match a with
-        | Int n when n >= 0 -> a
-        | Int n -> Values.of_int (-n)
+        | Fixnum -> if to_int a >= 0 then a else of_int (-to_int a)
         | Flo f -> Flo (Float.abs f)
         | v -> Values.type_error "abs" "number" v);
     pure "min" (At_least 1) ~fn1:(check_num "min")
@@ -451,7 +447,7 @@ let the_prims : (string * prim) list =
       (num_fold "max" 0 Int.max Float.max);
     (let eq a b =
        match (a, b) with
-       | Int x, Int y -> bool_of (x = y)
+       | Fixnum, Fixnum -> bool_of (a == b)
        | _ -> bool_of (num_test "=" ( = ) ( = ) a b)
      in
      pure "=" (At_least 2) ~fn2:eq (fun args ->
@@ -460,7 +456,7 @@ let the_prims : (string * prim) list =
          | _ -> num_compare "=" ( = ) ( = ) args));
     (let lt a b =
        match (a, b) with
-       | Int x, Int y -> bool_of (x < y)
+       | Fixnum, Fixnum -> bool_of (to_int a < to_int b)
        | _ -> bool_of (num_test "<" ( < ) ( < ) a b)
      in
      pure "<" (At_least 2) ~fn2:lt (fun args ->
@@ -469,7 +465,7 @@ let the_prims : (string * prim) list =
          | _ -> num_compare "<" ( < ) ( < ) args));
     (let gt a b =
        match (a, b) with
-       | Int x, Int y -> bool_of (x > y)
+       | Fixnum, Fixnum -> bool_of (to_int a > to_int b)
        | _ -> bool_of (num_test ">" ( > ) ( > ) a b)
      in
      pure ">" (At_least 2) ~fn2:gt (fun args ->
@@ -478,7 +474,7 @@ let the_prims : (string * prim) list =
          | _ -> num_compare ">" ( > ) ( > ) args));
     (let le a b =
        match (a, b) with
-       | Int x, Int y -> bool_of (x <= y)
+       | Fixnum, Fixnum -> bool_of (to_int a <= to_int b)
        | _ -> bool_of (num_test "<=" ( <= ) ( <= ) a b)
      in
      pure "<=" (At_least 2) ~fn2:le (fun args ->
@@ -487,7 +483,7 @@ let the_prims : (string * prim) list =
          | _ -> num_compare "<=" ( <= ) ( <= ) args));
     (let ge a b =
        match (a, b) with
-       | Int x, Int y -> bool_of (x >= y)
+       | Fixnum, Fixnum -> bool_of (to_int a >= to_int b)
        | _ -> bool_of (num_test ">=" ( >= ) ( >= ) a b)
      in
      pure ">=" (At_least 2) ~fn2:ge (fun args ->
@@ -497,7 +493,7 @@ let the_prims : (string * prim) list =
     (* -- flonum-specific ---------------------------------------------- *)
     pure1 "exact->inexact" (fun a ->
         match a with
-        | Int n -> Flo (float_of_int n)
+        | Fixnum -> Flo (float_of_int (to_int a))
         | Flo _ -> a
         | v -> Values.type_error "exact->inexact" "number" v);
     (* [int_of_float] is undefined outside [min_int, max_int]: the
@@ -505,20 +501,20 @@ let the_prims : (string * prim) list =
     (let limit = Float.ldexp 1. 62 in
      pure1 "inexact->exact" (fun a ->
          match a with
-         | Int _ -> a
+         | Fixnum -> a
          | Flo f ->
              if not (Float.is_integer f) then
                Values.err "inexact->exact: not an integer" [ a ]
              else if f < -.limit || f >= limit then
                Values.err "inexact->exact: out of fixnum range" [ a ]
-             else Values.of_int (int_of_float f)
+             else of_int (int_of_float f)
          | v -> Values.type_error "inexact->exact" "number" v));
     pure1 "exact?" (fun a ->
-        bool_of (match check_num "exact?" a with Int _ -> true | _ -> false));
+        bool_of (match check_num "exact?" a with Fixnum -> true | _ -> false));
     pure1 "inexact?" (fun a ->
         bool_of (match check_num "inexact?" a with Flo _ -> true | _ -> false));
     pure1 "real?" (fun a ->
-        bool_of (match a with Int _ | Flo _ -> true | _ -> false));
+        bool_of (match a with Fixnum | Flo _ -> true | _ -> false));
     pure1 "floor" (integral "floor" Float.floor);
     pure1 "ceiling" (integral "ceiling" Float.ceil);
     pure1 "truncate" (integral "truncate" Float.trunc);
@@ -530,20 +526,21 @@ let the_prims : (string * prim) list =
         else r));
     pure1 "sqrt" (fun a ->
         match a with
-        | Int n when n >= 0 ->
+        | Fixnum when to_int a >= 0 ->
+            let n = to_int a in
             let r = int_of_float (Float.sqrt (float_of_int n)) in
-            if r * r = n then Values.of_int r
+            if r * r = n then of_int r
             else Flo (Float.sqrt (float_of_int n))
         | _ -> Flo (Float.sqrt (num_float "sqrt" a)));
     pure2 "expt" (fun a b ->
         match (a, b) with
-        | Int x, Int y when y >= 0 ->
+        | Fixnum, Fixnum when to_int b >= 0 ->
             let rec go acc b e =
               if e = 0 then acc
               else go (if e land 1 = 1 then acc * b else acc) (b * b)
                 (e lsr 1)
             in
-            Values.of_int (go 1 x y)
+            of_int (go 1 (to_int a) (to_int b))
         | _ ->
             let x = num_float "expt" a in
             let y = num_float "expt" b in
@@ -568,20 +565,20 @@ let the_prims : (string * prim) list =
     pure1 "negative?" (num_sign "negative?" ( < ) ( < ));
     pure1 "even?" (fun a -> bool_of (check_int "even?" a land 1 = 0));
     pure1 "odd?" (fun a -> bool_of (check_int "odd?" a land 1 = 1));
-    pure1 "1+" (fun a -> Values.of_int (check_int "1+" a + 1));
-    pure1 "1-" (fun a -> Values.of_int (check_int "1-" a - 1));
+    pure1 "1+" (fun a -> of_int (check_int "1+" a + 1));
+    pure1 "1-" (fun a -> of_int (check_int "1-" a - 1));
     (* -- predicates -------------------------------------------------- *)
     pure2 "eq?" (fun a b -> bool_of (Values.eq a b));
     pure2 "eqv?" (fun a b -> bool_of (Values.eqv a b));
     pure2 "equal?" (fun a b -> bool_of (Values.equal a b));
     pure1 "not" (fun a -> bool_of (not (Values.is_truthy a)));
-    pure1 "null?" (fun a -> bool_of (match a with Nil -> true | _ -> false));
-    pure1 "list?" (fun a -> bool_of (proper_list a a));
+    pure1 "null?" (fun a -> bool_of (match a with Nil _ -> true | _ -> false));
+    pure1 "list?" (fun a -> bool_of (Values.list_length a >= 0));
     pure1 "pair?" (fun a -> bool_of (match a with Pair _ -> true | _ -> false));
     pure1 "symbol?" (fun a -> bool_of (match a with Sym _ -> true | _ -> false));
     pure1 "number?" (fun a ->
-        bool_of (match a with Int _ | Flo _ -> true | _ -> false));
-    pure1 "integer?" (fun a -> bool_of (match a with Int _ -> true | _ -> false));
+        bool_of (match a with Fixnum | Flo _ -> true | _ -> false));
+    pure1 "integer?" (fun a -> bool_of (match a with Fixnum -> true | _ -> false));
     pure1 "string?" (fun a -> bool_of (match a with Str _ -> true | _ -> false));
     pure1 "char?" (fun a -> bool_of (match a with Char _ -> true | _ -> false));
     pure1 "boolean?" (fun a ->
@@ -590,7 +587,7 @@ let the_prims : (string * prim) list =
     pure1 "procedure?" (fun a ->
         bool_of
           (match a with Closure _ | Prim _ | Cont _ | Hcont _ | Ofun _ -> true | _ -> false));
-    pure1 "eof-object?" (fun a -> bool_of (match a with Eof -> true | _ -> false));
+    pure1 "eof-object?" (fun a -> bool_of (match a with Eof _ -> true | _ -> false));
     (* -- pairs and lists --------------------------------------------- *)
     pure2 "cons" Values.cons;
     pure1 "car" (fun v -> car "car" v);
@@ -604,40 +601,42 @@ let the_prims : (string * prim) list =
         match p with
         | Pair r ->
             r.car <- v;
-            Void
+            void
         | _ -> Values.type_error "set-car!" "pair" p);
     pure2 "set-cdr!" (fun p v ->
         match p with
         | Pair r ->
             r.cdr <- v;
-            Void
+            void
         | _ -> Values.type_error "set-cdr!" "pair" p);
     pure "list" (At_least 0)
-      ~fn1:(fun a -> Values.cons a Nil)
-      ~fn2:(fun a b -> Values.cons a (Values.cons b Nil))
+      ~fn1:(fun a -> Values.cons a nil)
+      ~fn2:(fun a b -> Values.cons a (Values.cons b nil))
       array_to_list;
-    pure1 "length" (fun v -> Values.of_int (list_length "length" 0 v));
+    pure1 "length" (fun v -> of_int (proper_length "length" v));
     pure "append" (At_least 0) ~fn1:Fun.id ~fn2:(append2 "append") (fun args ->
         match Array.length args with
-        | 0 -> Nil
+        | 0 -> nil
         | n ->
             let acc = ref args.(n - 1) in
             for i = n - 2 downto 0 do
               acc := append2 "append" args.(i) !acc
             done;
             !acc);
-    pure1 "reverse" (fun v -> rev_onto v Nil v);
+    pure1 "reverse" (fun v ->
+        ignore (proper_length "reverse" v);
+        rev_onto nil v);
     pure2 "list-tail" (fun v n -> list_tail "list-tail" v (check_int "list-tail" n));
     pure2 "list-ref" (fun v n ->
         match list_tail "list-ref" v (check_int "list-ref" n) with
         | Pair { car; _ } -> car
         | _ -> Values.err "list-ref: index out of range" [ v; n ]);
-    pure2 "assq" (assoc_gen Values.eq);
-    pure2 "assv" (assoc_gen Values.eqv);
-    pure2 "assoc" (assoc_gen Values.equal);
-    pure2 "memq" (member_gen Values.eq);
-    pure2 "memv" (member_gen Values.eqv);
-    pure2 "member" (member_gen Values.equal);
+    pure2 "assq" (search "assq" assoc_gen Values.eq);
+    pure2 "assv" (search "assv" assoc_gen Values.eqv);
+    pure2 "assoc" (search "assoc" assoc_gen Values.equal);
+    pure2 "memq" (search "memq" member_gen Values.eq);
+    pure2 "memv" (search "memv" member_gen Values.eqv);
+    pure2 "member" (search "member" member_gen Values.equal);
     (* -- symbols, strings, chars ------------------------------------- *)
     pure1 "symbol->string" (fun v ->
         Str (Bytes.of_string (check_sym "symbol->string" v)));
@@ -647,7 +646,7 @@ let the_prims : (string * prim) list =
      pure "gensym" (At_least 0) ~fn1:named (fun args ->
          if Array.length args > 0 then named args.(0) else gensym "g"));
     pure1 "string-length" (fun v ->
-        Values.of_int (Bytes.length (check_str "string-length" v)));
+        of_int (Bytes.length (check_str "string-length" v)));
     pure "string-append" (At_least 0)
       ~fn1:(fun a -> Str (Bytes.copy (check_str "string-append" a)))
       ~fn2:(fun a b ->
@@ -662,7 +661,7 @@ let the_prims : (string * prim) list =
     pure2 "string-ref" (fun s i ->
         let s = check_str "string-ref" s and i = check_int "string-ref" i in
         if i < 0 || i >= Bytes.length s then
-          Values.err "string-ref: index out of range" [ Values.of_int i ];
+          Values.err "string-ref: index out of range" [ of_int i ];
         Char (Bytes.get s i));
     pure "string-set!" (Exactly 3)
       (a3 "string-set!" (fun s i c ->
@@ -670,16 +669,16 @@ let the_prims : (string * prim) list =
            and i = check_int "string-set!" i
            and c = check_char "string-set!" c in
            if i < 0 || i >= Bytes.length s then
-             Values.err "string-set!: index out of range" [ Values.of_int i ];
+             Values.err "string-set!: index out of range" [ of_int i ];
            Bytes.set s i c;
-           Void));
+           void));
     pure "substring" (Exactly 3)
       (a3 "substring" (fun s a b ->
            let s = check_str "substring" s
            and a = check_int "substring" a
            and b = check_int "substring" b in
            if a < 0 || b > Bytes.length s || a > b then
-             Values.err "substring: bad range" [ Values.of_int a; Values.of_int b ];
+             Values.err "substring: bad range" [ of_int a; of_int b ];
            Str (Bytes.sub s a (b - a))));
     pure2 "string=?" (fun a b ->
         bool_of (Bytes.equal (check_str "string=?" a) (check_str "string=?" b)));
@@ -706,24 +705,24 @@ let the_prims : (string * prim) list =
         Str b);
     pure1 "string->list" (fun v ->
         let b = check_str "string->list" v in
-        bytes_onto b (Bytes.length b - 1) Nil);
+        bytes_onto b (Bytes.length b - 1) nil);
     pure1 "list->string" (fun v ->
-        let b = Bytes.create (proper_length v) in
+        let b = Bytes.create (proper_length "list->string" v) in
         fill_string b 0 v;
         Str b);
     pure1 "number->string" (fun v ->
         match v with
-        | Int _ | Flo _ -> Str (Bytes.of_string (Values.display_string v))
+        | Fixnum | Flo _ -> Str (Bytes.of_string (Values.display_string v))
         | v -> Values.type_error "number->string" "number" v);
     pure1 "string->number" (fun v ->
         let s = Bytes.to_string (check_str "string->number" v) in
         match Sexp.parse_number s with
-        | Fixnum n -> Values.of_int n
+        | Sexp.Fixnum n -> of_int n
         | Flonum f -> Flo f
         | Fixnum_overflow -> Flo (float_of_string s)
         | Not_a_number -> Bool false);
     pure1 "char->integer" (fun v ->
-        Values.of_int (Char.code (check_char "char->integer" v)));
+        of_int (Char.code (check_char "char->integer" v)));
     pure1 "integer->char" (fun v ->
         let n = check_int "integer->char" v in
         if n < 0 || n > 255 then
@@ -751,36 +750,36 @@ let the_prims : (string * prim) list =
        Vec (alloc "make-vector" n (fun n -> Array.make n fill))
      in
      pure "make-vector" (At_least 1)
-       ~fn1:(fun v -> make v (Int 0)) ~fn2:make (fun args ->
-         make args.(0) (if Array.length args > 1 then args.(1) else Int 0)));
+       ~fn1:(fun v -> make v (of_int 0)) ~fn2:make (fun args ->
+         make args.(0) (if Array.length args > 1 then args.(1) else of_int 0)));
     pure "vector" (At_least 0)
       ~fn1:(fun a -> Vec [| a |])
       ~fn2:(fun a b -> Vec [| a; b |])
       (fun args -> Vec (Array.copy args));
     pure1 "vector-length" (fun v ->
-        Values.of_int (Array.length (check_vec "vector-length" v)));
+        of_int (Array.length (check_vec "vector-length" v)));
     pure2 "vector-ref" (fun v i ->
         let a = check_vec "vector-ref" v and i = check_int "vector-ref" i in
         if i < 0 || i >= Array.length a then
-          Values.err "vector-ref: index out of range" [ Values.of_int i ];
+          Values.err "vector-ref: index out of range" [ of_int i ];
         a.(i));
     pure "vector-set!" (Exactly 3)
       (a3 "vector-set!" (fun v i x ->
            let a = check_vec "vector-set!" v and i = check_int "vector-set!" i in
            if i < 0 || i >= Array.length a then
-             Values.err "vector-set!: index out of range" [ Values.of_int i ];
+             Values.err "vector-set!: index out of range" [ of_int i ];
            a.(i) <- x;
-           Void));
+           void));
     pure1 "vector->list" (fun v -> array_to_list (check_vec "vector->list" v));
     pure1 "list->vector" (fun v ->
-        let a = Array.make (proper_length v) Void in
+        let a = Array.make (proper_length "list->vector" v) void in
         fill_vector a 0 v;
         Vec a);
     pure2 "vector-fill!" (fun v x ->
         Array.fill (check_vec "vector-fill!" v) 0
           (Array.length (check_vec "vector-fill!" v))
           x;
-        Void);
+        void);
     (* -- hashtables (eqv-comparable immediate keys) -------------------- *)
     pure "make-hashtable" (Exactly 0) (fun _ -> Tbl (Hashtbl.create 16));
     pure1 "hashtable?" (fun v ->
@@ -789,7 +788,7 @@ let the_prims : (string * prim) list =
       (a3 "hashtable-set!" (fun t k v ->
            let t = check_tbl "hashtable-set!" t in
            Hashtbl.replace t (check_hkey "hashtable-set!" k) v;
-           Void));
+           void));
     pure "hashtable-ref" (Exactly 3)
       (a3 "hashtable-ref" (fun t k default ->
            let t = check_tbl "hashtable-ref" t in
@@ -802,20 +801,20 @@ let the_prims : (string * prim) list =
     pure2 "hashtable-delete!" (fun t k ->
         let t = check_tbl "hashtable-delete!" t in
         Hashtbl.remove t (check_hkey "hashtable-delete!" k);
-        Void);
+        void);
     pure1 "hashtable-size" (fun t ->
-        Values.of_int (Hashtbl.length (check_tbl "hashtable-size" t)));
+        of_int (Hashtbl.length (check_tbl "hashtable-size" t)));
     pure1 "hashtable-keys" (fun t ->
-        Hashtbl.fold cons_key (check_tbl "hashtable-keys" t) Nil);
+        Hashtbl.fold cons_key (check_tbl "hashtable-keys" t) nil);
     pure1 "hashtable-values" (fun t ->
-        Hashtbl.fold cons_value (check_tbl "hashtable-values" t) Nil);
+        Hashtbl.fold cons_value (check_tbl "hashtable-values" t) nil);
     pure1 "hashtable->alist" (fun t ->
-        Hashtbl.fold cons_entry (check_tbl "hashtable->alist" t) Nil);
+        Hashtbl.fold cons_entry (check_tbl "hashtable->alist" t) nil);
     pure1 "hashtable-copy" (fun t ->
         Tbl (Hashtbl.copy (check_tbl "hashtable-copy" t)));
     (* -- output -------------------------------------------------------- *)
     pure "%output-mark" (Exactly 0) (fun _ ->
-        Values.of_int (Buffer.length (hooks_out ())));
+        of_int (Buffer.length (hooks_out ())));
     pure1 "%output-take" (fun v ->
         let out = hooks_out () in
         let mark = check_int "%output-take" v in
@@ -829,15 +828,15 @@ let the_prims : (string * prim) list =
     pure1 "write" write_v;
     pure "newline" (Exactly 0) (fun _ ->
         Buffer.add_char (hooks_out ()) '\n';
-        Void);
+        void);
     (* -- misc ----------------------------------------------------------- *)
-    pure "void" (Exactly 0) (fun _ -> Void);
+    pure "void" (Exactly 0) (fun _ -> void);
     pure "%raw-error" (At_least 1) raise_error;
     pure "error" (At_least 1) raise_error;
     pure1 "%values->list" (fun v ->
         match v with
         | Mvals vs -> Values.list_to_value vs
-        | v -> Values.cons v Nil);
+        | v -> Values.cons v nil);
     pure1 "%continuation?" (fun v ->
         bool_of (match v with Cont _ | Hcont _ -> true | _ -> false));
     pure1 "%continuation-one-shot?" (fun v ->
@@ -870,16 +869,16 @@ let the_prims : (string * prim) list =
         (Machine_hooks.current ()).Machine_hooks.set_timer
           (check_int "%set-timer!" ticks)
           handler;
-        Void);
+        void);
     pure "%get-timer" (Exactly 0) (fun _ ->
-        Values.of_int ((Machine_hooks.current ()).Machine_hooks.get_timer ()));
+        of_int ((Machine_hooks.current ()).Machine_hooks.get_timer ()));
     special "%stat" (Exactly 1) Sp_stats;
     special "%backtrace" (Exactly 0) Sp_backtrace;
     special "eval" (Exactly 1) Sp_eval;
     pure1 "read-from-string" (fun v ->
         let src = Bytes.to_string (check_str "read-from-string" v) in
         match Sexp.read_all src with
-        | [] -> Eof
+        | [] -> eof
         | d :: _ -> Expander.datum_to_value d
         | exception Sexp.Read_error (msg, _) ->
             Values.err ("read-from-string: " ^ msg) []);

@@ -24,6 +24,10 @@ val pure :
 
 val check_procedure : string -> Rt.value -> Rt.value
 
+val spread_length : Rt.value -> int
+(** The number of elements of [apply]'s last argument.
+    @raise Rt.Scheme_error unless it is a proper list (a cycle is not). *)
+
 (** {1 Native dynamic-wind machinery}
 
     Hidden code objects and interned return addresses shared by the two

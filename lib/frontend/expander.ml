@@ -82,16 +82,16 @@ let rec value_to_datum (v : Rt.value) : Sexp.t =
   let p = Sexp.no_pos in
   match v with
   | Rt.Sym s -> Sexp.Sym (s, p)
-  | Rt.Int n -> Sexp.Int (n, p)
+  | Rt.Fixnum -> Sexp.Int (Values.to_int v, p)
   | Rt.Flo f -> Sexp.Float (f, p)
   | Rt.Str b -> Sexp.Str (Bytes.to_string b, p)
   | Rt.Bool b -> Sexp.Bool (b, p)
   | Rt.Char c -> Sexp.Char (c, p)
-  | Rt.Nil -> Sexp.List ([], p)
+  | Rt.Nil _ -> Sexp.List ([], p)
   | Rt.Pair _ ->
       let rec go acc v =
         match v with
-        | Rt.Nil -> Sexp.List (List.rev acc, p)
+        | Rt.Nil _ -> Sexp.List (List.rev acc, p)
         | Rt.Pair { car; cdr } -> go (value_to_datum car :: acc) cdr
         | final -> Sexp.Dotted (List.rev acc, value_to_datum final, p)
       in
@@ -266,7 +266,7 @@ and expand_form ctx form kw op args pos =
   | "quasiquote", [ d ] -> expand ctx (qq_expand d 1)
   | "quasiquote", _ -> err pos "quasiquote: expects exactly one datum"
   | ("unquote" | "unquote-splicing"), _ -> err pos (kw ^ ": outside quasiquote")
-  | "if", [ t; c ] -> Ast.If (expand ctx t, expand ctx c, Ast.Quote Rt.Void)
+  | "if", [ t; c ] -> Ast.If (expand ctx t, expand ctx c, Ast.Quote Rt.void)
   | "if", [ t; c; a ] -> Ast.If (expand ctx t, expand ctx c, expand ctx a)
   | "if", _ -> err pos "if: expects two or three forms"
   | "set!", [ Sexp.Sym (x, _); e ] -> Ast.Set (x, expand ctx e)
@@ -276,7 +276,7 @@ and expand_form ctx form kw op args pos =
       Ast.Lambda
         { params; rest; body = expand_body ctx pos body; lname = "lambda" }
   | "lambda", _ -> err pos "lambda: malformed"
-  | "begin", [] -> Ast.Quote Rt.Void
+  | "begin", [] -> Ast.Quote Rt.void
   | "begin", body -> begin_of pos (expand_list ctx body)
   | "define", _ -> err pos "define: only allowed at top level or body head"
   | "let", Sexp.Sym (loop, _) :: bindings :: body ->
@@ -329,10 +329,10 @@ and expand_form ctx form kw op args pos =
   | "when", test :: body when body <> [] ->
       Ast.If
         (expand ctx test, begin_of pos (expand_list ctx body),
-         Ast.Quote Rt.Void)
+         Ast.Quote Rt.void)
   | "unless", test :: body when body <> [] ->
       Ast.If
-        (expand ctx test, Ast.Quote Rt.Void,
+        (expand ctx test, Ast.Quote Rt.void,
          begin_of pos (expand_list ctx body))
   | "do", bindings :: test_exprs :: body ->
       expand_do ctx pos bindings test_exprs body
@@ -344,7 +344,7 @@ and expand_form ctx form kw op args pos =
   | "assert", [ e ] ->
       Ast.If
         ( expand ctx e,
-          Ast.Quote Rt.Void,
+          Ast.Quote Rt.void,
           Ast.App
             ( Ast.Var "error",
               [
@@ -415,7 +415,7 @@ and expand_letrec ctx pos names inits body =
   in
   Ast.App
     ( Ast.Lambda { params = names; rest = None; body = full; lname = "letrec" },
-      List.map (fun _ -> Ast.Quote Rt.Undef) names )
+      List.map (fun _ -> Ast.Quote Rt.undef) names )
 
 and parse_binding_forms pos bindings =
   match bindings with
@@ -451,7 +451,7 @@ and expand_named_let ctx pos loop bindings body =
 
 and expand_cond ctx pos clauses =
   match clauses with
-  | [] -> Ast.Quote Rt.Void
+  | [] -> Ast.Quote Rt.void
   | Sexp.List (Sexp.Sym (e, _) :: body, cpos) :: rest when strip e = "else" ->
       if rest <> [] then err cpos "cond: else clause must be last";
       begin_of cpos (expand_list ctx body)
@@ -487,7 +487,7 @@ and expand_case ctx pos key clauses =
   let k = fresh "key" in
   let rec clause_chain clauses =
     match clauses with
-    | [] -> Ast.Quote Rt.Void
+    | [] -> Ast.Quote Rt.void
     | Sexp.List (Sexp.Sym (e, _) :: body, cpos) :: rest when strip e = "else"
       ->
         if rest <> [] then err cpos "case: else clause must be last";

@@ -29,13 +29,13 @@ let limit (_ : t) = max_int
 let set_fp (_ : t) (_ : int) = ()
 
 let root_frame () =
-  { hslots = [||]; hret = Void; hparent = None; hshared = false; hguards = [] }
+  { hslots = [||]; hret = void; hparent = None; hshared = false; hguards = [] }
 
 let alloc_frame vm ~words ~ret ~parent ~guards =
   vm.stats.Stats.heap_frames <- vm.stats.Stats.heap_frames + 1;
   vm.stats.Stats.heap_frame_words <- vm.stats.Stats.heap_frame_words + words;
   {
-    hslots = Array.make words Void;
+    hslots = Array.make words void;
     hret = ret;
     hparent = parent;
     hshared = false;
@@ -247,6 +247,7 @@ and special vm sp args ~ret ~parent ~guards =
       let f = Prims.check_procedure "apply" args.(0) in
       let n = Array.length args in
       let fixed = Array.sub args 1 (n - 2) in
+      ignore (Prims.spread_length args.(n - 1));
       let last = Values.list_of_value args.(n - 1) in
       let all = Array.append fixed (Array.of_list last) in
       happly vm f all ~ret ~parent ~guards
@@ -289,12 +290,12 @@ and special vm sp args ~ret ~parent ~guards =
         if n = 3 then 0
         else if n = 5 then
           match args.(3) with
-          | Int s -> s
+          | Fixnum -> Values.to_int args.(3)
           | v -> Values.err "heapvm: corrupt %dynamic-wind frame" [ v ]
         else Values.err "%dynamic-wind: expected 3 arguments" []
       in
       let before = args.(0) and thunk = args.(1) and after = args.(2) in
-      let saved = if n = 3 then Void else args.(4) in
+      let saved = if n = 3 then void else args.(4) in
       match state with
       | 0 | 1 | 2 ->
           let fr = alloc_frame vm ~words:7 ~ret ~parent ~guards in

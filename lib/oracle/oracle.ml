@@ -187,11 +187,14 @@ and special t sp args k =
       let f = args.(0) in
       let n = Array.length args in
       let fixed = Array.sub args 1 (n - 2) in
-      match Values.list_of_value args.(n - 1) with
+      match
+        ignore (Prims.spread_length args.(n - 1));
+        Values.list_of_value args.(n - 1)
+      with
       | last -> apply t f (Array.append fixed (Array.of_list last)) k
       | exception Scheme_error (msg, irritants) -> fail t msg irritants k)
   | Sp_values -> k (one_value args)
-  | Sp_backtrace -> k Nil (* the oracle's control is OCaml closures *)
+  | Sp_backtrace -> k nil (* the oracle's control is OCaml closures *)
   | Sp_eval -> (
       let rec go last = function
         | [] -> k last
@@ -200,7 +203,7 @@ and special t sp args k =
       match
         Expander.expand_tops ~menv:t.menv (Expander.value_to_datum args.(0))
       with
-      | tops -> go Void tops
+      | tops -> go void tops
       | exception Scheme_error (msg, irritants) -> fail t msg irritants k)
   | Sp_stats -> (
       let name =
@@ -234,19 +237,19 @@ let rec eval_exp t (env : env) (e : Ast.t) (k : value -> value) : value =
           match List.assoc_opt x env with
           | Some cell ->
               cell := v;
-              k Void
+              k void
           | None ->
               let g = Globals.cell t.globals (Macro.strip_marks x) in
               if g.gdefined then begin
                 g.gval <- v;
-                k Void
+                k void
               end
               else
                 fail t ("set! of unbound variable: " ^ Macro.strip_marks x)
                   [] k)
   | Ast.Begin es ->
       let rec go = function
-        | [] -> k Void
+        | [] -> k void
         | [ last ] -> eval_exp t env last k
         | x :: rest -> eval_exp t env x (fun _ -> go rest)
       in
@@ -255,7 +258,7 @@ let rec eval_exp t (env : env) (e : Ast.t) (k : value -> value) : value =
   | Ast.App (f, argexps) ->
       (* The operator is evaluated after its operands, as the compiler
          orders it. *)
-      let vals = Array.make (List.length argexps) Void in
+      let vals = Array.make (List.length argexps) void in
       let rec go i = function
         | [] -> eval_exp t env f (fun fv -> apply t fv vals k)
         | a :: rest ->
@@ -306,7 +309,7 @@ let eval_top t (top : Ast.top) (k : value -> value) =
   | Ast.Define (x, e, _) ->
       eval_exp t [] e (fun v ->
           Globals.define t.globals x v;
-          k Void)
+          k void)
 
 let () = eval_top_fwd := eval_top
 
@@ -318,7 +321,7 @@ let () = eval_top_fwd := eval_top
 let eval_tops ?(fuel = -1) t tops =
   t.fuel <- fuel;
   Machine_hooks.with_hooks t.hooks (fun () ->
-      List.fold_left (fun _ top -> eval_top t top Fun.id) Void tops)
+      List.fold_left (fun _ top -> eval_top t top Fun.id) void tops)
 
 let eval ?fuel t src =
   eval_tops ?fuel t

@@ -93,7 +93,7 @@ let finish code =
 let next_cid = Atomic.make 0
 
 let code ~name ~arity ~frame_words instrs =
-  { instrs; cname = name; arity; frame_words; timer_ret = Void;
+  { instrs; cname = name; arity; frame_words; timer_ret = void;
     templ = No_template; cid = Atomic.fetch_and_add next_cid 1 }
 
 let make_code ~name ~arity ~frame_words instrs =

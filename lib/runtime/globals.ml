@@ -53,17 +53,25 @@ let slot_name i =
 (* One session's table: a growable array of cells indexed by slot. *)
 type t = { mutable cells : Rt.global array }
 
-let fresh_cell _ = { Rt.gval = Rt.Undef; gdefined = false }
+let fresh_cell _ = { Rt.gval = Rt.undef; gdefined = false }
 
 let create () : t =
   { cells = Array.init 64 fresh_cell }
 
 (* Grow-on-miss.  Growing copies the old cell *pointers*, so any cell
-   record already embedded anywhere keeps its identity. *)
+   record already embedded anywhere keeps its identity.  The new cells
+   are made in blocks of at most 256 and joined by [Array.concat], so a
+   table growing past 256 slots while a session loads its programs
+   forces no minor collection: [Array.init] of a longer array would
+   first fill it with its young first element, and OCaml empties the
+   minor heap before it puts a young value into a new major-heap
+   array. *)
 let grow (t : t) i : Rt.global =
   let n = Array.length t.cells in
   let n' = max (2 * n) (i + 1) in
-  let bigger = Array.init n' (fun j -> if j < n then t.cells.(j) else fresh_cell j) in
+  let block k = Array.init (min 256 (n' - k)) (fun j -> fresh_cell (k + j)) in
+  let rec blocks k = if k >= n' then [] else block k :: blocks (k + 256) in
+  let bigger = Array.concat (t.cells :: blocks n) in
   t.cells <- bigger;
   bigger.(i)
 

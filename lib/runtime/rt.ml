@@ -19,13 +19,27 @@
    across sessions exactly like the interned return addresses do. *)
 type tmpl = ..
 
+(* The payload of a named constant ([Nil], [Void], [Eof], [Undef],
+   [Underflow_mark]).  No value of this type is exported, so outside this
+   module those constructors can be matched but not applied: each names
+   exactly one block, built below ([nil], [void], ...), and code may
+   compare with it physically. *)
+module Constant : sig type t end = struct type t = unit end
+
+(* [Fixnum] is the type's only constant constructor: a fixnum is the
+   immediate OCaml int itself, built by [Values.of_int] and read by
+   [Values.to_int] inside a [Fixnum] arm.  A match on the type tests
+   [Is_long] and takes that arm without comparing the immediate, so
+   every int from [min_int] to [max_int] matches it (DESIGN section
+   18.4).  Any further constant constructor would break this: the named
+   constants are blocks. *)
 type value =
-  | Nil                                  (* the empty list *)
-  | Void                                 (* unspecified value *)
-  | Eof
-  | Undef                                (* letrec pre-initialization hole *)
+  | Fixnum
+  | Nil of Constant.t                    (* the empty list *)
+  | Void of Constant.t                   (* unspecified value *)
+  | Eof of Constant.t
+  | Undef of Constant.t                  (* letrec pre-initialization hole *)
   | Bool of bool
-  | Int of int                           (* fixnums: native OCaml ints *)
   | Flo of float                         (* flonums *)
   | Char of char
   | Str of bytes                         (* mutable Scheme strings *)
@@ -55,7 +69,7 @@ type value =
                                             callee fp - caller fp (the paper's
                                             in-stream frame-size word) *)
     }
-  | Underflow_mark                       (* bottom-of-segment return slot *)
+  | Underflow_mark of Constant.t         (* bottom-of-segment return slot *)
   | WindersV of winder list              (* winder chain stashed in a wind
                                             trampoline frame slot *)
 
@@ -327,16 +341,28 @@ and ofun = {
 
 type tmpl += No_template
 
+(* The one block of each named constant. *)
+let nil, void, eof, undef, underflow_mark =
+  let c : Constant.t = Obj.magic () in
+  (Nil c, Void c, Eof c, Undef c, Underflow_mark c)
+
 (* Store [v] at [a.(i)] unless the slot already holds it (physically).
    A stack segment is longer than 256 words, so it lives in the major
    heap and every plain store pays [caml_modify] (and [caml_darken] of
    the old value while the major GC marks); rewriting the value a slot
    already holds changes nothing for the program or the collector, so
-   the store is skipped.  The read is bounds-checked, which licences
-   the unchecked write.  Frame-slot writes on the hot paths go through
+   the store is skipped.  A store of an immediate over an immediate
+   (a fixnum over a fixnum) has no old value to darken and no young
+   pointer to remember, so it is written as the int store it is, with
+   no barrier.  The read is bounds-checked, which licences the
+   unchecked write.  Frame-slot writes on the hot paths go through
    here (DESIGN section 19). *)
 let[@inline] set_slot (a : value array) i (v : value) =
-  if a.(i) != v then Array.unsafe_set a i v
+  let old = a.(i) in
+  if old != v then
+    if Obj.is_int (Obj.repr old) && Obj.is_int (Obj.repr v) then
+      Array.unsafe_set (Obj.magic a : int array) i (Obj.magic v : int)
+    else Array.unsafe_set a i v
 
 exception Scheme_error of string * value list
 (* Raised by (error who msg irritants...) and by runtime type errors. *)

@@ -3,12 +3,12 @@ open Rt
 let err msg irritants = raise (Scheme_error (msg, irritants))
 
 let type_name = function
-  | Nil -> "null"
-  | Void -> "void"
-  | Eof -> "eof-object"
-  | Undef -> "undefined"
+  | Fixnum -> "fixnum"
+  | Nil _ -> "null"
+  | Void _ -> "void"
+  | Eof _ -> "eof-object"
+  | Undef _ -> "undefined"
   | Bool _ -> "boolean"
-  | Int _ -> "fixnum"
   | Flo _ -> "flonum"
   | Char _ -> "character"
   | Str _ -> "string"
@@ -21,7 +21,7 @@ let type_name = function
   | Box _ -> "box"
   | Tbl _ -> "hashtable"
   | Retaddr _ -> "return-address"
-  | Underflow_mark -> "underflow-mark"
+  | Underflow_mark _ -> "underflow-mark"
   | WindersV _ -> "winders"
 
 let type_error who expected got =
@@ -30,15 +30,32 @@ let type_error who expected got =
     [ got ]
 
 let cons a d = Pair { car = a; cdr = d }
-let list_to_value vs = List.fold_right cons vs Nil
+let list_to_value vs = List.fold_right cons vs nil
+
+(* The number of pairs in [v] when it is a proper list, or -1 when it
+   is not: its cdr chain ends in a non-pair other than [()], or comes
+   back to a pair it passed.  Brent's walk: [mark] rests on one pair
+   while the walk takes [power] more steps, then jumps to the walk's
+   position and [power] doubles, so on a cycle the walk meets [mark]
+   within a few laps.  Allocates nothing. *)
+let list_length v =
+  let rec go v n mark power steps =
+    match v with
+    | Nil _ -> n
+    | Pair { cdr; _ } ->
+        if v == mark then -1
+        else if steps = power then go cdr (n + 1) v (2 * power) 1
+        else go cdr (n + 1) mark power (steps + 1)
+    | _ -> -1
+  in
+  go v 0 nil 1 1
 
 let list_of_value_opt v =
   let rec go acc = function
-    | Nil -> Some (List.rev acc)
     | Pair p -> go (p.car :: acc) p.cdr
-    | _ -> None
+    | _ -> List.rev acc
   in
-  go [] v
+  if list_length v < 0 then None else Some (go [] v)
 
 let list_of_value v =
   match list_of_value_opt v with
@@ -51,28 +68,21 @@ let v_true = Bool true
 let v_false = Bool false
 let of_bool b = if b then v_true else v_false [@@inline]
 
-(* One preallocated [Int] per fixnum in [small_int_min .. small_int_max],
-   never written after this initialisation.  The range was measured on
-   perfbench seed 1: it halves the allocation per [corpus] job; widening
-   it to -1024 .. 1023 saves nothing more there, and cutting the top to
-   255 leaves [oneshot] 1.6% more words per job. *)
-let small_int_min = -256
-let small_int_max = 1023
-let small_ints =
-  Array.init (small_int_max - small_int_min + 1) (fun i ->
-      Int (i + small_int_min))
+(* A fixnum is its immediate (see [Rt.value]): converting either way is
+   the identity, and [to_int] is meaningful only inside a [Fixnum] arm. *)
+external of_int : int -> value = "%identity"
+external to_int : value -> int = "%identity"
 
-let of_int n =
-  if n >= small_int_min && n <= small_int_max then
-    Array.unsafe_get small_ints (n - small_int_min)
-  else Int n
-  [@@inline]
-
+(* Physical identity covers the fixnums (equal immediates), the named
+   constants (one block each), and every object that is one block
+   (pairs, closures, boxes, continuations).  The rest compare their
+   payloads: booleans and characters by value, the others by the
+   identity of the payload block. *)
 let eq a b =
+  a == b
+  ||
   match (a, b) with
-  | Nil, Nil | Void, Void | Eof, Eof | Undef, Undef -> true
   | Bool x, Bool y -> x = y
-  | Int x, Int y -> x = y
   | Flo x, Flo y ->
       (* the same bits: 0.0 and -0.0 differ, a NaN is itself (IEEE [=]
          stays the rule for [=]) *)
@@ -80,11 +90,8 @@ let eq a b =
   | Char x, Char y -> x = y
   | Sym x, Sym y -> x == y (* interned *)
   | Str x, Str y -> x == y
-  | Pair _, Pair _ | Closure _, Closure _ | Box _, Box _ ->
-      a == b (* one block per object *)
   | Vec x, Vec y -> x == y
   | Prim x, Prim y -> x == y
-  | Cont _, Cont _ -> a == b (* one block per capture *)
   | Hcont x, Hcont y -> x == y
   | Ofun x, Ofun y -> x == y
   | Tbl x, Tbl y -> x == y
@@ -143,13 +150,13 @@ let rec render_v ~seen ~budget ~write buf v =
     raise Render_budget
   end;
   match v with
-  | Nil -> str "()"
-  | Void -> str "#<void>"
-  | Eof -> str "#<eof>"
-  | Undef -> str "#<undefined>"
+  | Fixnum -> str (string_of_int (to_int v))
+  | Nil _ -> str "()"
+  | Void _ -> str "#<void>"
+  | Eof _ -> str "#<eof>"
+  | Undef _ -> str "#<undefined>"
   | Bool true -> str "#t"
   | Bool false -> str "#f"
-  | Int n -> str (string_of_int n)
   | Flo f ->
       str
         (if f <> f then "+nan.0"
@@ -201,7 +208,7 @@ let rec render_v ~seen ~budget ~write buf v =
   | Tbl t -> str (Printf.sprintf "#<hashtable %d>" (Hashtbl.length t))
   | Retaddr { rcode; rpc; _ } ->
       str (Printf.sprintf "#<retaddr %s+%d>" rcode.cname rpc)
-  | Underflow_mark -> str "#<underflow>"
+  | Underflow_mark _ -> str "#<underflow>"
   | WindersV w -> str (Printf.sprintf "#<winders %d>" (List.length w))
 
 (* A list prints its cdr chain until the chain ends or reaches a pair
@@ -215,7 +222,7 @@ and render_pair ~seen ~budget ~write buf p =
   let repeat = first_repeat p in
   let rec go v k chain =
     match v with
-    | Nil -> ()
+    | Nil _ -> ()
     | Pair { car; cdr } ->
         if k > 0 && (k >= repeat || List.exists (fun o -> o == Obj.repr v) seen)
         then Buffer.add_string buf " . #<cycle>"

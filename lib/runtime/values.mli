@@ -3,6 +3,11 @@
 
 val cons : Rt.value -> Rt.value -> Rt.value
 val list_to_value : Rt.value list -> Rt.value
+val list_length : Rt.value -> int
+(** The number of pairs in a proper list, or -1 for an improper list or
+    a cycle; allocates nothing.  Every primitive that walks a list to
+    its end measures it with this first, so it ends on any argument. *)
+
 val list_of_value : Rt.value -> Rt.value list
 (** @raise Rt.Scheme_error if the value is not a proper list. *)
 
@@ -20,11 +25,14 @@ val of_bool : bool -> Rt.value
     Booleans still compare by value ([eq] matches [Bool x, Bool y]), so
     nothing depends on these being the only boolean values. *)
 
-val of_int : int -> Rt.value
-(** [Int n]: a preallocated value for [-256 <= n <= 1023], a fresh box
-    otherwise, so a small fixnum result allocates nothing.  Fixnums
-    still compare by value ([eq] matches [Int x, Int y]), so nothing
-    depends on which [Int] box holds a given number. *)
+external of_int : int -> Rt.value = "%identity"
+(** The fixnum [n]: the immediate itself, so no fixnum allocates.  The
+    one way to build a fixnum. *)
+
+external to_int : Rt.value -> int = "%identity"
+(** The int a fixnum holds: call it only on a value that took a
+    [Fixnum] arm (anything else reads as a meaningless int).  The one
+    way to read a fixnum. *)
 
 val eq : Rt.value -> Rt.value -> bool
 (** Scheme [eq?]: pointer identity on heap objects, value identity on

@@ -61,7 +61,7 @@ let do_return (vm : t) =
       set_code vm rcode;
       vm.pc <- rpc;
       ensure_resumed_frame_room vm
-  | Underflow_mark ->
+  | Underflow_mark _ ->
       (* Paper Section 3.2: returning through the bottom frame of a
          segment implicitly invokes the record linked below — consuming
          it if it is one-shot. *)
@@ -204,17 +204,11 @@ and special vm sp nargs =
       let fixed = nargs - 2 in
       let lst = seg.(fp + 2 + nargs - 1) in
       (* Spread the last-argument list in place: count it (validating
-         properness), make room while keeping the whole current frame
-         live, shift the fixed args down one slot, then walk the list a
-         second time writing elements directly into the frame.  No
-         intermediate arrays or list copies. *)
-      let rec spread_len v n =
-        match v with
-        | Nil -> n
-        | Pair { cdr; _ } -> spread_len cdr (n + 1)
-        | _ -> Values.err "apply: expected a proper list" [ lst ]
-      in
-      let rest = spread_len lst 0 in
+         properness, cycles included), make room while keeping the whole
+         current frame live, shift the fixed args down one slot, then
+         walk the list a second time writing elements directly into the
+         frame.  No intermediate arrays or list copies. *)
+      let rest = Prims.spread_length lst in
       let n = fixed + rest in
       Control.ensure_room m ~live_top:(fp + 2 + nargs) ~need:(n + 8);
       let fp = m.Control.fp in
@@ -260,8 +254,8 @@ and special vm sp nargs =
       Control.ensure_room m ~live_top:(fp + 5) ~need:12;
       let fp = m.Control.fp in
       let seg = m.Control.sr.seg in
-      set_slot seg (fp + 5) (Int 0);
-      set_slot seg (fp + 6) Void;
+      set_slot seg (fp + 5) (Values.of_int 0);
+      set_slot seg (fp + 6) void;
       let before = seg.(fp + 2) in
       set_slot seg (fp + 7) Prims.dw_ret_before;
       set_slot seg (fp + 8) before;
@@ -274,8 +268,9 @@ and special vm sp nargs =
   | Sp_dynamic_wind -> (
       if nargs <> 5 then
         Values.err "%dynamic-wind: expected 3 arguments" [];
-      match seg.(fp + 5) with
-      | Int 1 ->
+      let state = seg.(fp + 5) in
+      match (match state with Fixnum -> Values.to_int state | _ -> 0) with
+      | 1 ->
           (* before returned: enter the extent, run the thunk *)
           vm.winders <-
             { w_before = seg.(fp + 2); w_after = seg.(fp + 4) } :: vm.winders;
@@ -285,7 +280,7 @@ and special vm sp nargs =
           set_code vm Prims.dw_resume_code;
           vm.pc <- 2;
           apply vm thunk (fp + 7) 0
-      | Int 2 ->
+      | 2 ->
           (* thunk returned (value stashed at fp+6): leave the extent
              *before* running the after thunk, as the prelude does *)
           (match vm.winders with
@@ -297,10 +292,10 @@ and special vm sp nargs =
           set_code vm Prims.dw_resume_code;
           vm.pc <- 5;
           apply vm after (fp + 7) 0
-      | Int 3 ->
+      | 3 ->
           vm.acc <- seg.(fp + 6);
           do_return vm
-      | v -> Values.err "vm: corrupt %dynamic-wind frame" [ v ])
+      | _ -> Values.err "vm: corrupt %dynamic-wind frame" [ state ])
   | Sp_wind -> wind_step vm
 
 (* Tail-call [p] with the single argument [k] from the current frame

@@ -37,6 +37,8 @@ let suite =
               ("seg_words", 64, 10) );
             ( { small_config with Control.copy_bound = 8 },
               ("copy_bound", 16, 8) );
+            ( { small_config with Control.hysteresis_words = -1 },
+              ("hysteresis", 0, -1) );
             ( { small_config with
                 Control.oneshot_seal = Control.Seal_displacement 0 },
               ("seal_displacement", 1, 0) );
@@ -59,6 +61,7 @@ let suite =
                Control.default_config with
                Control.seg_words = 64;
                copy_bound = 16;
+               hysteresis_words = 0;
                oneshot_seal = Control.Seal_displacement 1;
              }));
     case "fresh machine has one segment, one frame" (fun () ->
@@ -90,7 +93,7 @@ let suite =
         Alcotest.(check int) "chain depth" 1 (Control.chain_depth m);
         (* displaced return slot *)
         Alcotest.(check bool) "underflow mark" true
-          (m.Control.sr.Rt.seg.(m.Control.fp) = Rt.Underflow_mark));
+          (m.Control.sr.Rt.seg.(m.Control.fp) == Rt.underflow_mark));
     case "capture_oneshot encapsulates whole segment" (fun () ->
         let stats = Stats.create () in
         let m = machine_with_frames ~stats 5 8 in
@@ -581,7 +584,7 @@ let suite =
            record below, so its own bottom slot must underflow there *)
         Alcotest.(check int) "one frame" 8 k.Rt.current;
         Alcotest.(check bool) "slot 0 is the underflow mark" true
-          (k.Rt.seg.(k.Rt.base) = Rt.Underflow_mark);
+          (k.Rt.seg.(k.Rt.base) == Rt.underflow_mark);
         Alcotest.(check bool) "remainder holds the return" true
           (match k.Rt.link.Rt.ret with Rt.Retaddr _ -> true | _ -> false));
     case "re-invoking an unsealed record rebuilds the same state" (fun () ->
@@ -592,7 +595,7 @@ let suite =
         let fp1 = m.Control.fp in
         let saved = m.Control.sr.Rt.seg.(m.Control.fp + 1) in
         (* the resumed code damages the reopened top frame *)
-        m.Control.sr.Rt.seg.(m.Control.fp + 1) <- Rt.Int 999;
+        m.Control.sr.Rt.seg.(m.Control.fp + 1) <- Values.of_int 999;
         Alcotest.(check bool) "still invocable" true
           (not (Control.is_shot k) && Control.is_multi k);
         let r2 = Control.reinstate m k in

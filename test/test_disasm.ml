@@ -27,15 +27,15 @@ let exemplars =
       ps_fn = fn;
       ps_fn1 = fn1;
       ps_fn2 = fn2;
-      ps_ret = Rt.Void;
+      ps_ret = Rt.void;
     }
   in
   let child =
     Bytecode.make_code ~name:"child" ~arity:(Rt.Exactly 0) ~frame_words:3
-      [| Rt.Enter; Rt.Const (Rt.Int 1); Rt.Return |]
+      [| Rt.Enter; Rt.Const (Values.of_int 1); Rt.Return |]
   in
   [
-    Rt.Const (Rt.Int 7);
+    Rt.Const (Values.of_int 7);
     Rt.Local_ref 3;
     Rt.Local_set 3;
     Rt.Box_init 3;
@@ -50,12 +50,12 @@ let exemplars =
     Rt.Make_closure (child, [| Rt.Cap_local 2; Rt.Cap_free 0 |]);
     Rt.Branch 4;
     Rt.Branch_false 4;
-    Rt.Call { Rt.cs_disp = 2; cs_nargs = 1; cs_ret = Rt.Void };
+    Rt.Call { Rt.cs_disp = 2; cs_nargs = 1; cs_ret = Rt.void };
     Rt.Tail_call { disp = 2; nargs = 1 };
     Rt.Return;
     Rt.Enter;
     Rt.Halt;
-    Rt.Const_push (Rt.Int 7, 3);
+    Rt.Const_push (Values.of_int 7, 3);
     Rt.Local_push (2, 3);
     Rt.Free_push (1, 3);
     Rt.Global_push (slot, 3);
@@ -72,7 +72,7 @@ let exemplars =
     Rt.Prim_branch2_op (site, Rt.Op_local 3, Rt.Op_acc, 4);
     Rt.Prim_tail1_op (site, Rt.Op_local 3);
     Rt.Prim_tail2_op (site, Rt.Op_local 3, Rt.Op_acc);
-    Rt.Return_op (Rt.Op_const (Rt.Int 7));
+    Rt.Return_op (Rt.Op_const (Values.of_int 7));
   ]
 
 (* Keep in sync with the [Rt.instr] declaration: a new constructor must
@@ -103,7 +103,7 @@ let suite =
     case "operand forms distinguish their operands" (fun () ->
         let renders =
           List.map Bytecode.operand_to_string
-            [ Rt.Op_acc; Rt.Op_local 0; Rt.Op_local 1; Rt.Op_const (Rt.Int 0) ]
+            [ Rt.Op_acc; Rt.Op_local 0; Rt.Op_local 1; Rt.Op_const (Values.of_int 0) ]
         in
         Alcotest.(check int) "distinct operand renders" 4
           (List.length (List.sort_uniq compare renders)));

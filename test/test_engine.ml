@@ -452,7 +452,7 @@ let handler_resume_checked backend =
   Alcotest.test_case
     ("error handler injection checks the resume pc [" ^ backend ^ "]") `Quick
     (fun () ->
-      let instrs = [| Rt.Const (Rt.Int 1); Rt.Box_ref 1; Rt.Return |] in
+      let instrs = [| Rt.Const (Values.of_int 1); Rt.Box_ref 1; Rt.Return |] in
       let code =
         Bytecode.code ~name:"last-faults" ~arity:(Exactly 0) ~frame_words:3
           instrs

@@ -145,7 +145,7 @@ let sort_suite =
       all "sort longer list"
         "(sort < (reverse (iota 50)))"
         (Values.write_string
-           (Values.list_to_value (List.init 50 (fun i -> Rt.Int i))));
+           (Values.list_to_value (List.init 50 (fun i -> Values.of_int i))));
     ]
 
 (* [write] of shared and cyclic structure.  A cdr chain's own repeat is
@@ -277,6 +277,35 @@ let library_suite =
       all "list? proper" "(list? '(1 2 3))" "#t";
       all "list? improper" "(list? '(1 . 2))" "#f";
       all "list? empty" "(list? '())" "#t";
+      (* Every primitive that walks a list to its end measures it first
+         with one cycle-safe walk, so on a circular list each ends in its
+         "expected proper list" error instead of looping (a primitive is
+         one engine step: fuel cannot stop it). *)
+      all "list primitives end on a circular list"
+        {|(let ((x (list 1 2)))
+            (set-cdr! (cdr x) x)
+            (map (lambda (f) (try (lambda () (f x)) (lambda (msg) msg)))
+                 (list length reverse list->vector list->string
+                       (lambda (l) (memq 5 l)) (lambda (l) (member 5 l))
+                       (lambda (l) (assq 5 l)) (lambda (l) (append l '(3)))
+                       (lambda (l) (apply + l)) list?)))|}
+        {|("length: expected proper list, got pair" "reverse: expected proper list, got pair" "list->vector: expected proper list, got pair" "list->string: expected proper list, got pair" "memq: expected proper list, got pair" "member: expected proper list, got pair" "assq: expected proper list, got pair" "append: expected proper list, got pair" "apply: expected a proper list" #f)|};
+      all "a lasso and a one-pair cycle are not lists"
+        {|(let ((lasso (iota 100)) (one (list 1)))
+            (set-cdr! (list-tail lasso 99) (list-tail lasso 37))
+            (set-cdr! one one)
+            (map (lambda (l) (try (lambda () (length l)) (lambda (msg) 'error)))
+                 (list lasso one)))|}
+        "(error error)";
+      all "improper tails are not lists"
+        {|(map (lambda (f) (try (lambda () (f '(1 2 . 3))) (lambda (msg) msg)))
+               (list length (lambda (l) (memq 5 l))))|}
+        {|("length: expected proper list, got pair" "memq: expected proper list, got pair")|};
+      all "length counts every proper list"
+        {|(let loop ((n 0) (l '()) (ok #t))
+            (if (= n 300) ok
+                (loop (+ n 1) (cons n l) (and ok (= (length l) n)))))|}
+        "#t";
       all "string<?" {|(string<? "abc" "abd")|} "#t";
       all "string>?" {|(string>? "b" "a")|} "#t";
       all "string case" {|(list (string-upcase "hi") (string-downcase "HI"))|}

@@ -9,7 +9,13 @@
    [space_overhead] of 20, so minor collections promote the frames'
    values constantly and major cycles, marking included, keep running
    under the machine's stores.
-   The values and every [Stats] counter must be equal. *)
+   The values and every [Stats] counter must be equal.
+
+   A store of a fixnum over a fixnum takes no barrier at all (a fixnum
+   is an immediate), so one program keeps fixnums from both ends of
+   the range in 3,000 frames, over several segments, across a
+   [Gc.compact] at the bottom of the recursion, and checks each on the
+   way back up. *)
 
 let case = Tutil.case
 
@@ -28,7 +34,26 @@ let programs =
       \  acc)" );
     ("deep 9000", "(deep 9000)");
     ("boyer", "(boyer-run 7)");
+    ( "large fixnums in frames across Gc.compact",
+      "(define (hold n)\n\
+      \  (if (= n 0)\n\
+      \      (begin (%gc-compact) 0)\n\
+      \      (let* ((big (+ 4611686018427380000 n))\n\
+      \             (neg (- -4611686018427380000 n))\n\
+      \             (r (hold (- n 1))))\n\
+      \        (if (and (= big (+ 4611686018427380000 n))\n\
+      \                 (= neg (- -4611686018427380000 n))\n\
+      \                 (= (+ big neg) 0))\n\
+      \            (+ r 1)\n\
+      \            r))))\n\
+       (hold 3000)" );
   ]
+
+(* The value each program must give, where the program checks itself. *)
+let expected = [ ("large fixnums in frames across Gc.compact", "3000") ]
+
+let gc_compact =
+  snd (Prims.pure "%gc-compact" (Rt.Exactly 0) (fun _ -> Gc.compact (); Rt.void))
 
 let backends =
   [
@@ -40,6 +65,7 @@ let run backend src =
   let stats = Stats.create () in
   let s = Scheme.create ~backend ~stats () in
   Scheme.load_corpus s;
+  Globals.define (Scheme.globals s) "%gc-compact" (Rt.Prim gc_compact);
   Stats.reset stats;
   let v = Scheme.eval_string ~fuel:Tutil.default_fuel s src in
   (v, Stats.to_rows stats)
@@ -60,6 +86,9 @@ let suite =
               let v, rows = run backend src in
               let v', rows' = stressed (fun () -> run backend src) in
               Alcotest.(check string) "value" v v';
+              Option.iter
+                (fun want -> Alcotest.(check string) "expected" want v)
+                (List.assoc_opt pname expected);
               Alcotest.(check (list (pair string int))) "counters" rows rows'))
         backends)
     programs

@@ -89,7 +89,7 @@ let globals_cases =
     case "globals-aware: set! of a non-prim global is quiet" (fun () ->
         let g = Globals.create () in
         Prims.install g;
-        Globals.define g "my-hook" (Rt.Int 0);
+        Globals.define g "my-hook" (Values.of_int 0);
         Alcotest.(check int)
           "no diagnostics" 0
           (List.length (Lint.lint_string ~globals:g "(set! my-hook 1)")));

@@ -25,4 +25,5 @@ let () =
       ("fuzz", Test_fuzz.suite);
       ("disasm", Test_disasm.suite);
       ("gc-stress", Test_gcstress.suite);
+      ("representation", Test_repr.suite);
     ]

@@ -30,12 +30,12 @@ let dummy_site =
     Rt.ps_disp = 3;
     ps_nargs = 2;
     ps_slot = dummy_slot;
-    ps_guard = Rt.Void;
-    ps_prim = snd (Prims.pure "+" (Rt.At_least 0) (fun _ -> Rt.Void));
-    ps_fn = (fun _ -> Rt.Void);
-    ps_fn1 = (fun _ -> Rt.Void);
-    ps_fn2 = (fun _ _ -> Rt.Void);
-    ps_ret = Rt.Void;
+    ps_guard = Rt.void;
+    ps_prim = snd (Prims.pure "+" (Rt.At_least 0) (fun _ -> Rt.void));
+    ps_fn = (fun _ -> Rt.void);
+    ps_fn1 = (fun _ -> Rt.void);
+    ps_fn2 = (fun _ _ -> Rt.void);
+    ps_ret = Rt.void;
   }
 
 let dummy_code =
@@ -49,7 +49,7 @@ let dummy_code =
    gap. *)
 let disasm_table =
   [
-    (Rt.Const (Rt.Int 42), "const 42");
+    (Rt.Const (Values.of_int 42), "const 42");
     (Rt.Local_ref 3, "local-ref 3");
     (Rt.Local_set 4, "local-set 4");
     (Rt.Box_init 1, "box-init 1");
@@ -65,13 +65,13 @@ let disasm_table =
       "make-closure body [l1 f2]" );
     (Rt.Branch 7, "branch 7");
     (Rt.Branch_false 9, "branch-false 9");
-    ( Rt.Call { cs_disp = 3; cs_nargs = 2; cs_ret = Rt.Void },
+    ( Rt.Call { cs_disp = 3; cs_nargs = 2; cs_ret = Rt.void },
       "call disp=3 nargs=2" );
     (Rt.Tail_call { disp = 3; nargs = 2 }, "tail-call disp=3 nargs=2");
     (Rt.Return, "return");
     (Rt.Enter, "enter");
     (Rt.Halt, "halt");
-    (Rt.Const_push (Rt.Int 1, 5), "const-push 1 5");
+    (Rt.Const_push (Values.of_int 1, 5), "const-push 1 5");
     (Rt.Local_push (2, 5), "local-push 2 5");
     (Rt.Free_push (1, 6), "free-push 1 6");
     (Rt.Global_push (dummy_slot, 4), "global-push x 4");
@@ -83,14 +83,14 @@ let disasm_table =
     (Rt.Prim_branch1 (dummy_site, 9), "prim-branch1 + disp=3 9");
     (Rt.Prim_branch2 (dummy_site, 9), "prim-branch2 + disp=3 9");
     (Rt.Prim_call1_op (dummy_site, Rt.Op_acc), "prim-call1-op + acc disp=3");
-    ( Rt.Prim_call2_op (dummy_site, Rt.Op_local 2, Rt.Op_const (Rt.Int 1)),
+    ( Rt.Prim_call2_op (dummy_site, Rt.Op_local 2, Rt.Op_const (Values.of_int 1)),
       "prim-call2-op + l2 1 disp=3" );
-    ( Rt.Prim_branch1_op (dummy_site, Rt.Op_const (Rt.Int 0), 9),
+    ( Rt.Prim_branch1_op (dummy_site, Rt.Op_const (Values.of_int 0), 9),
       "prim-branch1-op + 0 disp=3 9" );
     ( Rt.Prim_branch2_op (dummy_site, Rt.Op_acc, Rt.Op_local 4, 9),
       "prim-branch2-op + acc l4 disp=3 9" );
     (Rt.Prim_tail1_op (dummy_site, Rt.Op_local 2), "prim-tail1-op + l2 disp=3");
-    ( Rt.Prim_tail2_op (dummy_site, Rt.Op_const (Rt.Int 1), Rt.Op_acc),
+    ( Rt.Prim_tail2_op (dummy_site, Rt.Op_const (Values.of_int 1), Rt.Op_acc),
       "prim-tail2-op + 1 acc disp=3" );
     (Rt.Return_op Rt.Op_acc, "return-op acc");
   ]

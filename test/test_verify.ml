@@ -131,7 +131,7 @@ let prim_site =
       ps_fn = fn;
       ps_fn1 = fn1;
       ps_fn2 = fn2;
-      ps_ret = Rt.Void;
+      ps_ret = Rt.void;
     }
 
 let contains s sub =
@@ -151,7 +151,7 @@ let reject_cases =
   [
     (* 1. control can fall off the end *)
     rejects "rejects: no final transfer" ~needle:"does not transfer control"
-      (raw ~fw:3 [| Rt.Enter; Rt.Const (Rt.Int 1) |]);
+      (raw ~fw:3 [| Rt.Enter; Rt.Const (Values.of_int 1) |]);
     (* 2. accumulator read while dead *)
     rejects "rejects: return with dead accumulator"
       ~needle:"accumulator is dead"
@@ -162,7 +162,7 @@ let reject_cases =
     (* 4. slot write outside the declared frame extent *)
     rejects "rejects: slot outside frame" ~needle:"outside frame"
       (raw ~fw:3
-         [| Rt.Enter; Rt.Const (Rt.Int 1); Rt.Local_set 9; Rt.Return |]);
+         [| Rt.Enter; Rt.Const (Values.of_int 1); Rt.Local_set 9; Rt.Return |]);
     (* 5. branch target out of range *)
     rejects "rejects: branch target out of range" ~needle:"out of range"
       (raw ~fw:3 [| Rt.Enter; Rt.Const (Rt.Bool false); Rt.Branch 99 |]);
@@ -175,24 +175,24 @@ let reject_cases =
       (raw ~backpatch:false ~fw:8
          [|
            Rt.Enter;
-           Rt.Const (Rt.Int 1);
+           Rt.Const (Values.of_int 1);
            Rt.Local_set 3;
-           Rt.Const (Rt.Int 2);
+           Rt.Const (Values.of_int 2);
            Rt.Local_set 4;
-           Rt.Call { Rt.cs_disp = 2; cs_nargs = 1; cs_ret = Rt.Void };
+           Rt.Call { Rt.cs_disp = 2; cs_nargs = 1; cs_ret = Rt.void };
            Rt.Return;
          |]);
     (* 8. return address interned for the wrong resume pc (stale after a
        renumbering pass that forgot to re-backpatch) *)
     rejects "rejects: stale return address" ~needle:"resumes at pc"
-      (let site = { Rt.cs_disp = 2; cs_nargs = 1; cs_ret = Rt.Void } in
+      (let site = { Rt.cs_disp = 2; cs_nargs = 1; cs_ret = Rt.void } in
        let c =
          raw ~fw:8
            [|
              Rt.Enter;
-             Rt.Const (Rt.Int 1);
+             Rt.Const (Values.of_int 1);
              Rt.Local_set 3;
-             Rt.Const (Rt.Int 2);
+             Rt.Const (Values.of_int 2);
              Rt.Local_set 4;
              Rt.Call site;
              Rt.Return;
@@ -209,12 +209,12 @@ let reject_cases =
        raw ~fw:6
          [|
            Rt.Enter;
-           Rt.Const Rt.Nil;
+           Rt.Const Rt.nil;
            Rt.Local_set 3;
            Rt.Prim_branch1 (s, 6);
-           Rt.Const (Rt.Int 1);
+           Rt.Const (Values.of_int 1);
            Rt.Return;
-           Rt.Const (Rt.Int 2);
+           Rt.Const (Values.of_int 2);
            Rt.Return;
          |]);
     (* 10. join-point inconsistency: a slot initialized on only one arm
@@ -226,7 +226,7 @@ let reject_cases =
            Rt.Enter;
            Rt.Const (Rt.Bool true);
            Rt.Branch_false 5;
-           Rt.Const (Rt.Int 1);
+           Rt.Const (Values.of_int 1);
            Rt.Local_set 3;
            (* join: slot 3 is set only on the fall-through arm *)
            Rt.Local_ref 3;
@@ -234,14 +234,14 @@ let reject_cases =
          |]);
     (* 11. Enter outside the prologue *)
     rejects "rejects: Enter in mid-stream" ~needle:"Enter outside"
-      (raw ~fw:3 [| Rt.Enter; Rt.Const (Rt.Int 1); Rt.Enter; Rt.Return |]);
+      (raw ~fw:3 [| Rt.Enter; Rt.Const (Values.of_int 1); Rt.Enter; Rt.Return |]);
     (* 12. prim site nargs disagreeing with the fixed-arity instruction *)
     rejects "rejects: prim site nargs mismatch" ~needle:"nargs"
       (let s = prim_site ~nargs:2 () in
        raw ~fw:6
          [|
            Rt.Enter;
-           Rt.Const Rt.Nil;
+           Rt.Const Rt.nil;
            Rt.Local_set 3;
            Rt.Prim_call1 s;
            Rt.Return;
@@ -253,7 +253,7 @@ let reject_cases =
        raw ~fw:8
          [|
            Rt.Enter;
-           Rt.Const (Rt.Int 2);
+           Rt.Const (Values.of_int 2);
            Rt.Prim_call2_op (s, Rt.Op_local 4, Rt.Op_acc);
            Rt.Return;
          |]);
@@ -265,18 +265,18 @@ let reject_cases =
        raw ~fw:8
          [|
            Rt.Enter;
-           Rt.Const (Rt.Int 1);
-           Rt.Prim_branch2_op (s, Rt.Op_acc, Rt.Op_const (Rt.Int 2), 5);
-           Rt.Const (Rt.Int 1);
+           Rt.Const (Values.of_int 1);
+           Rt.Prim_branch2_op (s, Rt.Op_acc, Rt.Op_const (Values.of_int 2), 5);
+           Rt.Const (Values.of_int 1);
            Rt.Return;
-           Rt.Const (Rt.Int 2);
+           Rt.Const (Values.of_int 2);
            Rt.Return;
          |]);
     (* 15. closure capture index outside the enclosing frame *)
     rejects "rejects: capture index outside frame" ~needle:"captured"
       (let child =
          raw ~name:"child" ~arity:(Rt.Exactly 0) ~fw:3
-           [| Rt.Enter; Rt.Const (Rt.Int 1); Rt.Return |]
+           [| Rt.Enter; Rt.Const (Values.of_int 1); Rt.Return |]
        in
        raw ~fw:3
          [| Rt.Enter; Rt.Make_closure (child, [| Rt.Cap_local 7 |]); Rt.Return |]);
@@ -306,7 +306,7 @@ let validate_cases =
   [
     validate_rejects "validate: empty stream" ~needle:"empty" ~fw:3 [||];
     validate_rejects "validate: falls off the end"
-      ~needle:"fall off the end" ~fw:3 [| Rt.Const (Rt.Int 1) |];
+      ~needle:"fall off the end" ~fw:3 [| Rt.Const (Values.of_int 1) |];
     validate_rejects "validate: branch target out of range"
       ~needle:"out of range" ~fw:3 [| Rt.Branch 7; Rt.Return |];
     validate_rejects "validate: operand index past frame-words"
@@ -325,8 +325,8 @@ let in_place_cases =
           (raw ~fw:8
              [|
                Rt.Enter;
-               Rt.Const_push (Rt.Int 1, 4);
-               Rt.Const (Rt.Int 2);
+               Rt.Const_push (Values.of_int 1, 4);
+               Rt.Const (Values.of_int 2);
                Rt.Prim_call2_op (s, Rt.Op_local 4, Rt.Op_acc);
                Rt.Return;
              |]));
@@ -346,14 +346,14 @@ let loop_cases =
   let head_reads_body_init ~before =
     raw ~fw:4
       (Array.of_list
-         ([ Rt.Enter; Rt.Const (Rt.Int 0) ]
+         ([ Rt.Enter; Rt.Const (Values.of_int 0) ]
          @ (if before then [ Rt.Local_set 3 ] else [])
          @
          let h = if before then 3 else 2 in
          [
            Rt.Local_ref 3;
            Rt.Branch_false (h + 5);
-           Rt.Const (Rt.Int 1);
+           Rt.Const (Values.of_int 1);
            Rt.Local_set 3;
            Rt.Branch h;
            Rt.Return;
@@ -364,11 +364,11 @@ let loop_cases =
       (Array.of_list
          ([
             Rt.Enter;
-            Rt.Const (Rt.Int 0);
+            Rt.Const (Values.of_int 0);
             Rt.Local_set 3;
             Rt.Local_ref 3;
             Rt.Branch_false (if restore then 8 else 7);
-            Rt.Call { Rt.cs_disp = 2; cs_nargs = 0; cs_ret = Rt.Void };
+            Rt.Call { Rt.cs_disp = 2; cs_nargs = 0; cs_ret = Rt.void };
           ]
          @ (if restore then [ Rt.Local_set 3 ] else [])
          @ [ Rt.Branch 3; Rt.Return ]))
@@ -390,7 +390,7 @@ let loop_cases =
    with one name and source position: 2^30 paths, 31 code objects. *)
 let dag_cases =
   let rec level k =
-    if k = 0 then raw ~name:"lambda" ~fw:2 [| Rt.Enter; Rt.Const (Rt.Int 0); Rt.Return |]
+    if k = 0 then raw ~name:"lambda" ~fw:2 [| Rt.Enter; Rt.Const (Values.of_int 0); Rt.Return |]
     else
       let child = level (k - 1) in
       raw ~name:"lambda" ~fw:2
